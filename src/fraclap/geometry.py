@@ -143,8 +143,10 @@ class LevelMesh:
             raise GeometryError("edge index out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise GeometryError("self-loop edge")
-        ekey = np.sort(edges, axis=1) @ np.array([n, 1], dtype=np.int64)
-        if np.unique(ekey).size != edges.shape[0]:
+        # sorted keys of the undirected edges: one sort finds duplicates,
+        # and searchsorted looks up the cell sides below
+        ekey = np.sort(np.sort(edges, axis=1) @ np.array([n, 1], dtype=np.int64))
+        if (ekey[1:] == ekey[:-1]).any():
             raise GeometryError("duplicate edge")
         if bidx.size and (bidx.min() < 0 or bidx.max() >= n):
             raise GeometryError("boundary index out of range")
@@ -154,10 +156,10 @@ class LevelMesh:
             srt = np.sort(cells, axis=1)
             if (srt[:, 0] == srt[:, 1]).any() or (srt[:, 1] == srt[:, 2]).any():
                 raise GeometryError("degenerate cell with repeated vertex")
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                k = srt[:, (a, b)] @ np.array([n, 1], dtype=np.int64)
-                if not np.isin(k, ekey).all():
-                    raise GeometryError("cell vertices not pairwise joined by edges")
+            sides = (srt[:, [0, 1, 0]] * n + srt[:, [1, 2, 2]]).ravel()
+            pos = np.searchsorted(ekey, sides)
+            if (pos == ekey.size).any() or (ekey[pos] != sides).any():
+                raise GeometryError("cell vertices not pairwise joined by edges")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cells", cells)
@@ -396,8 +398,14 @@ def iterate(ifs: IFSystem, n: int) -> LevelMesh:
 
 @functools.lru_cache(maxsize=64)
 def build_level(family: str, level: int) -> LevelMesh:
-    """Cached ``iterate(builtin_system(family), level)``; meshes are immutable."""
-    return iterate(builtin_system(family), level)
+    """Cached ``iterate(builtin_system(family), level)``; meshes are immutable.
+
+    Each level refines the cached level below it, so a process builds every
+    level once.
+    """
+    if level <= 0:
+        return iterate(builtin_system(family), level)
+    return _refine(builtin_system(family), build_level(family, level - 1))
 
 
 def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
@@ -418,6 +426,6 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
         raise GeometryError(
             f"{missing} coarse vertices have no fine counterpart; incompatible meshes"
         )
-    if np.unique(idx).size != idx.size:
+    if np.bincount(idx).max(initial=0) > 1:
         raise GeometryError("embedding is not injective; incompatible meshes")
     return EmbeddingMap(coarse.level, fine.level, idx)

@@ -1,188 +1,126 @@
 """Hot inner-loop kernels: tolerance-based point dedup/matching and CG.
 
-All functions here are nopython-compatible and get JIT-compiled when numba
-is enabled (see :mod:`fraclap.jit`); otherwise the same code runs
-interpreted.  Both modes produce bitwise-identical results: the spatial
-hash only routes candidate comparisons, the outcome is decided by exact
-float distance checks.
+Point merging and matching share one close-pair search.  Each point is
+quantized to a grid cell of size equal to the tolerance, so two points
+within tolerance differ by at most one cell per axis.  Cell coordinates are
+packed into one int64 key (21 bits per axis) and the keys are sorted once.
+For every point, the points in its own cell and in the half of the 3^d
+neighbor cells that lie lexicographically ahead are found by ``searchsorted``
+on the sorted keys; the other half is covered by symmetry.  A pair that
+straddles a cell edge is therefore always found, and a packing collision
+merely adds candidates.  Every candidate pair is then decided by the exact
+squared distance, summed axis by axis, against ``tol**2``.
 
-Point merging uses a grid hash with cell size equal to the tolerance, so
-two points within tolerance differ by at most one cell per axis and are
-always found by scanning the 3^d neighbor cells.  Cell coordinates are
-packed into 21 bits each; packing collisions merely add distance checks.
+Dedup keeps the first occurrence of each cluster: every point goes to the
+smallest index within ``tol`` of it.  Copies of the pieces of a
+post-critically finite set meet only at images of its boundary points, so
+genuine coincidences lie many orders of magnitude below ``tol``.  Any pair
+at a distance in ``(tol/10, tol]`` is reported as ambiguous; a chained merge
+(``a`` near ``b`` near ``c`` with ``a`` far from ``c``) always contains such a
+pair, so an unreported result is exactly the first-occurrence clustering.
 """
+
+import itertools
 
 import numpy as np
 
-from .jit import maybe_njit
-
 _KEY_MASK = (1 << 21) - 1
-_M63 = (1 << 63) - 1
 
 
-@maybe_njit
 def _cell_key(q0, q1, q2):
     return ((q0 & _KEY_MASK) << 42) | ((q1 & _KEY_MASK) << 21) | (q2 & _KEY_MASK)
 
 
-@maybe_njit
-def _slot_hash(key):
-    # xorshift mix so table slots draw on all key bits (the packed key has
-    # structured low bits); masking after left shifts keeps Python ints and
-    # wrapping int64 arithmetic bitwise identical
-    h = key
-    h ^= h >> 33
-    h ^= (h << 13) & _M63
-    h ^= h >> 29
-    return h
+def _ranges(starts, counts):
+    """Concatenated ``arange(s, s + c)`` for each start and count."""
+    total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
 
 
-@maybe_njit
+def _close_pairs(points, tol):
+    """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, and their
+    squared distances.  A pair may be listed more than once."""
+    n, d = points.shape
+    q = np.floor(points / tol).astype(np.int64)
+    if d == 2:
+        q = np.column_stack([q, np.zeros(n, np.int64)])
+    key = _cell_key(q[:, 0], q[:, 1], q[:, 2])
+    order = np.argsort(key)
+    skey, qs = key[order], q[order]
+    # end[s]: one past the last sorted position sharing the key of position s
+    group_end = np.append(np.flatnonzero(skey[1:] != skey[:-1]) + 1, n)
+    end = np.repeat(group_end, np.diff(group_end, prepend=0))
+    pos = np.arange(n, dtype=np.int64)
+    # same cell: every later position of the group
+    src = [np.repeat(pos, end - pos - 1)]
+    dst = [_ranges(pos + 1, end - pos - 1)]
+    for off in itertools.product((-1, 0, 1), repeat=d):
+        if off <= (0,) * d:
+            continue  # the zero offset is above; negative ones by symmetry
+        ox, oy, oz = off + (0,) * (3 - d)
+        needle = _cell_key(qs[:, 0] + ox, qs[:, 1] + oy, qs[:, 2] + oz)
+        lo = np.searchsorted(skey, needle)
+        hit = np.flatnonzero(skey[np.minimum(lo, n - 1)] == needle)
+        lo = lo[hit]
+        src.append(np.repeat(hit, end[lo] - lo))
+        dst.append(_ranges(lo, end[lo] - lo))
+    a = order[np.concatenate(src)]
+    b = order[np.concatenate(dst)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    dv = points[j] - points[i]
+    d2 = dv[:, 0] * dv[:, 0]
+    for k in range(1, d):
+        d2 += dv[:, k] * dv[:, k]
+    keep = d2 <= tol * tol
+    return i[keep], j[keep], d2[keep]
+
+
 def _dedup_core(points, tol):
     """Merge points closer than ``tol``, preserving first-occurrence order.
 
     Returns ``(assign, uniq_rows, amb_i, amb_j)`` where ``assign[i]`` is the
     unique-vertex index of input row ``i`` and ``uniq_rows`` lists the source
-    row of each unique vertex.  A merge at distance in ``(tol/10, tol]`` is
-    suspicious (true coincidences land far below ``tol/10``); the first such
-    pair of rows is reported through ``amb_i, amb_j`` (-1, -1 when clean).
+    row of each unique vertex.  A pair at distance in ``(tol/10, tol]`` is
+    suspicious (true coincidences land far below ``tol/10``); the one with
+    the smallest later row is reported as rows ``amb_i > amb_j`` (-1, -1 when
+    clean).  The assignment is only meaningful when clean.
     """
-    n, d = points.shape
-    cap = 8
-    while cap < 4 * n:
-        cap <<= 1
-    mask = cap - 1
-    head = np.full(cap, -1, np.int64)
-    slot_key = np.zeros(cap, np.int64)
-    nxt = np.full(n, -1, np.int64)
-    uniq_row = np.empty(n, np.int64)
-    assign = np.empty(n, np.int64)
-    n_uniq = 0
-    amb_i = -1
-    amb_j = -1
-    tol2 = tol * tol
-    near2 = (0.1 * tol) * (0.1 * tol)
-    ozlo = -1 if d == 3 else 0
-    ozhi = 1 if d == 3 else 0
-    for i in range(n):
-        q0 = int(np.floor(points[i, 0] / tol))
-        q1 = int(np.floor(points[i, 1] / tol))
-        if d == 3:
-            q2 = int(np.floor(points[i, 2] / tol))
-        else:
-            q2 = 0
-        best = -1
-        best_d2 = np.inf
-        for ox in range(-1, 2):
-            for oy in range(-1, 2):
-                for oz in range(ozlo, ozhi + 1):
-                    key = _cell_key(q0 + ox, q1 + oy, q2 + oz)
-                    s = _slot_hash(key) & mask
-                    while head[s] != -1:
-                        if slot_key[s] == key:
-                            j = head[s]
-                            while j != -1:
-                                r = uniq_row[j]
-                                d2 = 0.0
-                                for k in range(d):
-                                    dv = points[i, k] - points[r, k]
-                                    d2 += dv * dv
-                                if d2 < best_d2:
-                                    best_d2 = d2
-                                    best = j
-                                j = nxt[j]
-                            break
-                        s = (s + 1) & mask
-        if best >= 0 and best_d2 <= tol2:
-            if best_d2 > near2 and amb_i < 0:
-                amb_i = i
-                amb_j = uniq_row[best]
-            assign[i] = best
-        else:
-            key = _cell_key(q0, q1, q2)
-            s = _slot_hash(key) & mask
-            while head[s] != -1 and slot_key[s] != key:
-                s = (s + 1) & mask
-            if head[s] == -1:
-                slot_key[s] = key
-                nxt[n_uniq] = -1
-            else:
-                nxt[n_uniq] = head[s]
-            head[s] = n_uniq
-            uniq_row[n_uniq] = i
-            assign[i] = n_uniq
-            n_uniq += 1
-    return assign, uniq_row[:n_uniq].copy(), amb_i, amb_j
+    n = points.shape[0]
+    i, j, d2 = _close_pairs(points, tol)
+    amb_i = amb_j = -1
+    gray = np.flatnonzero(d2 > (0.1 * tol) * (0.1 * tol))
+    if gray.size:
+        k = gray[np.lexsort((i[gray], j[gray]))[0]]
+        amb_i, amb_j = int(j[k]), int(i[k])
+    root = np.arange(n, dtype=np.int64)
+    np.minimum.at(root, j, i)
+    kept = root == np.arange(n)
+    rank = np.cumsum(kept) - 1
+    return rank[root], np.flatnonzero(kept), amb_i, amb_j
 
 
-@maybe_njit
 def _match_core(ref, query, tol):
     """Nearest-reference match within ``tol`` for each query point.
 
-    Returns ``(best_idx, best_d2)``; ``best_idx[i]`` is -1 when no reference
-    point lies within ``tol`` of ``query[i]``.
+    Returns ``(best_idx, best_d2)``; ``best_idx[i]`` is -1 (and
+    ``best_d2[i]`` infinite) when no reference point lies within ``tol`` of
+    ``query[i]``.  Equidistant references resolve to the smallest index.
     """
-    m, d = ref.shape
-    nq = query.shape[0]
-    cap = 8
-    while cap < 4 * m:
-        cap <<= 1
-    mask = cap - 1
-    head = np.full(cap, -1, np.int64)
-    slot_key = np.zeros(cap, np.int64)
-    nxt = np.full(m, -1, np.int64)
-    ozlo = -1 if d == 3 else 0
-    ozhi = 1 if d == 3 else 0
-    for r in range(m):
-        q0 = int(np.floor(ref[r, 0] / tol))
-        q1 = int(np.floor(ref[r, 1] / tol))
-        if d == 3:
-            q2 = int(np.floor(ref[r, 2] / tol))
-        else:
-            q2 = 0
-        key = _cell_key(q0, q1, q2)
-        s = _slot_hash(key) & mask
-        while head[s] != -1 and slot_key[s] != key:
-            s = (s + 1) & mask
-        if head[s] == -1:
-            slot_key[s] = key
-            nxt[r] = -1
-        else:
-            nxt[r] = head[s]
-        head[s] = r
-    best_idx = np.full(nq, -1, np.int64)
-    best_d2 = np.full(nq, np.inf, np.float64)
-    tol2 = tol * tol
-    for i in range(nq):
-        q0 = int(np.floor(query[i, 0] / tol))
-        q1 = int(np.floor(query[i, 1] / tol))
-        if d == 3:
-            q2 = int(np.floor(query[i, 2] / tol))
-        else:
-            q2 = 0
-        for ox in range(-1, 2):
-            for oy in range(-1, 2):
-                for oz in range(ozlo, ozhi + 1):
-                    key = _cell_key(q0 + ox, q1 + oy, q2 + oz)
-                    s = _slot_hash(key) & mask
-                    while head[s] != -1:
-                        if slot_key[s] == key:
-                            r = head[s]
-                            while r != -1:
-                                d2 = 0.0
-                                for k in range(d):
-                                    dv = query[i, k] - ref[r, k]
-                                    d2 += dv * dv
-                                if d2 <= tol2 and d2 < best_d2[i]:
-                                    best_d2[i] = d2
-                                    best_idx[i] = r
-                                r = nxt[r]
-                            break
-                        s = (s + 1) & mask
+    m = ref.shape[0]
+    i, j, d2 = _close_pairs(np.vstack([ref, query]), tol)
+    cross = (i < m) & (j >= m)
+    r, qi, d2 = i[cross], j[cross] - m, d2[cross]
+    order = np.lexsort((r, d2, qi))
+    _, head = np.unique(qi[order], return_index=True)
+    first = order[head]
+    best_idx = np.full(query.shape[0], -1, np.int64)
+    best_d2 = np.full(query.shape[0], np.inf, np.float64)
+    best_idx[qi[first]] = r[first]
+    best_d2[qi[first]] = d2[first]
     return best_idx, best_d2
 
 
-@maybe_njit
 def _cg_core(indptr, indices, data, b, x, rtol, maxiter):
     """Conjugate gradient on a CSR matrix; ``x`` holds the iterate in place.
 

@@ -1,5 +1,7 @@
 """Mesh construction tests: map evaluation, counts, nesting, ordering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,126 @@ def test_meshes_are_immutable():
     m = build_level("koch", 1)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 5.0
+
+
+def test_mesh_rejects_duplicate_edge():
+    with pytest.raises(GeometryError, match="duplicate edge"):
+        LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2], [1, 0]],
+                  np.empty((0, 3)), [0], 1e-9)
+
+
+def test_mesh_rejects_cell_side_without_edge():
+    with pytest.raises(GeometryError, match="pairwise joined"):
+        LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2]], [[0, 1, 2]], [0], 1e-9)
+
+
+# -- bit identity --------------------------------------------------------------
+
+# sha256 of the float64 vertex array, then the int64 edge and cell arrays (C
+# order, native byte order), and of the int64 ``embed(level n - 1, level n)``
+# index map, recorded with the hash-table dedup the sort-based kernels
+# replaced.  Vertex order is part of the mesh contract.
+MESH_DIGESTS = {
+    ("koch", 0): "686b5a45db540fcf22ee4c4fd041895f1eab53224f786f5ac51e570197885f38",
+    ("koch", 1): "0691c662fb19c8075548906af6f9e1a4fb30a3786785b7d4bc3f2871838dd07b",
+    ("koch", 2): "190b862076196adbed43af68f9a068860594e2fc414f996fc054a2a408141d10",
+    ("koch", 3): "765fed3b01b4a9b5f91ba06982012bf4e1d2908ccbb98da700d1fb6a4a3460d4",
+    ("koch", 4): "aa75fe1eb13dfd9478042071d29c6ef3f8ad8590ccd8dad62fc09458baf0bed7",
+    ("koch", 5): "058795c2a98749b35327a775a49374588efa3f5f1f6ea0c7ce788a55e7b33cac",
+    ("koch", 6): "596fdc59ad646e78a13e906420351b8a07353c14c86f68176151b23d3a010e00",
+    ("koch", 7): "bd4cf147dadf94453d0c907bff5ddc15f3aea69042d99052435f6aa4eac5f79c",
+    ("koch", 8): "d9f27b2a6a54babdddc24bb8b50ddeb04a5bba11c2840c319a14cd49163acf56",
+    ("sierpinski", 0): "e6afe42286cad264424c19a5d5a73c9837d629879b4c0ba90255611906b438a7",
+    ("sierpinski", 1): "a484ee6ccab6effc138b9c7b13f08e9e46967a8f4a7a9ae3c392e099c34f711d",
+    ("sierpinski", 2): "5ed31cc2538d3578051cb135ed78d6d02e9a57030a756c27d77b3eebd056650c",
+    ("sierpinski", 3): "98d4f493379a72bf271a911dfef409b1dc4195772cfdb34cff3914003fa70e2b",
+    ("sierpinski", 4): "09216a33b670c4bd8e07d9f1a7974492bdc22a163d4b5604251be8c290fa9f55",
+    ("sierpinski", 5): "645ee0ef0768551878f833b5ede21fcbba687ccdc5e39904643b7047b157811f",
+    ("sierpinski", 6): "e144e6e1472d6b78b3bf90b9a49cc422636c040db9dc38da4b4a379765426da2",
+    ("sierpinski", 7): "7fca5d818db03f275d228cf698afa0c88aa25f1fe003cc6c4cbd283a116478f0",
+    ("sierpinski", 8): "e2bf493e247e1700b859a6637720c10240a0e9446ef1339627dc3fa0b3950064",
+    ("hata2d", 0): "686b5a45db540fcf22ee4c4fd041895f1eab53224f786f5ac51e570197885f38",
+    ("hata2d", 1): "81dec8a74cae439064eb5cf16ed8ef8cd23ec91e3479dff89f50b379bd190c47",
+    ("hata2d", 2): "4fcb330c959f992e4be701cf6182652b95224e9a599ccbde2e85751204398d73",
+    ("hata2d", 3): "bddbaeb4a489a256dff24922a8c7da814cdd076efdd1332f61c3eeb32ccf17e7",
+    ("hata2d", 4): "c72fd130485ea1ff6f3a7ef3cc5ba3a31b6fe0b4d611bb24175e044b6c3c58e7",
+    ("hata2d", 5): "c3f3c960d861c81a9c7c2566ffba8e207bf01d286e6a210aa8788c59fc1cb755",
+    ("hata2d", 6): "2980889c2a433b96c05383d63bb7514695c301c21e41028c07fe5ceef1690d84",
+    ("hata2d", 7): "55870a1b1e35d42de0409539cb2da253248588aa3858a2548bd3c7d13859b782",
+    ("hata3d", 0): "ff543e32ff8ff1a35c4661adc69f4a306a3af205ae66aba30257a673822c9dc3",
+    ("hata3d", 1): "2040a4ef5d7e1cebb884cf68e95278554ede17793dac0cff330777286208374b",
+    ("hata3d", 2): "8f0e6843339ada10e137cc2f11a81fbfea122d8b56ae06ee5c3dba56ff67a22f",
+    ("hata3d", 3): "35f78f2774061e4955c3332733eb7cc67b1ef609ba039756f174a42103ce30fe",
+    ("hata3d", 4): "bff4117d1e02daca9b5e993efd296af86479216d4f3492fe1e743273a51647f5",
+    ("hata3d", 5): "5624d5e8baf063293f1b6816fb1e3bc37177584b6e625645d448ed3fa6d93ceb",
+    ("hata3d", 6): "6fcae83885a2d65ead302493e9a3e8a44090d86e28e9aeeea9bcf04ae1509409",
+}
+EMBED_DIGESTS = {
+    ("koch", 1): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    ("koch", 2): "8526c0a1f2e64b92af35197f5faf0dad8abdacbd0eecba72350894b4aa48be0a",
+    ("koch", 3): "1fe466ca7f5be155c9c492029679a644b11fcc2db3b364694b5ea82487532a57",
+    ("koch", 4): "929fa6d5435a5046e196355a1efa6568c9c1f8e1ffc0c609beda8ef4760492cb",
+    ("koch", 5): "b8ed6c8888a391d82b21272df002894fdf2210d4ebf4ec8fd93821aa4d01de75",
+    ("koch", 6): "abea32b357f732a39ac20e576189456a22db4f4607ddbec13e16d7493b6e449f",
+    ("koch", 7): "f815a5ac6ce215a23f847bd9c930d654aebffc4c27791a453470dd6d62810c81",
+    ("koch", 8): "e36391cc35afaeeba7dbf2f26dc32b793a0cf1f85ed8b92f351c31c86cb0e2d6",
+    ("sierpinski", 1): "ab25350e3e65efebe24584461683ecda68725576e825e550038b90e7b1479946",
+    ("sierpinski", 2): "9a2536d0183dbb580b4442a533f0df40e4dfd6ce0f671c953f9b7c4dc73f70b4",
+    ("sierpinski", 3): "0dcf341457552fa306a3b31004604dc0a02b90a1de4cbae9c352a2276974effc",
+    ("sierpinski", 4): "c51bc1ed43461d843219adcfa384ad81110b6bec8d90bf4964ed5bcf2c5465ce",
+    ("sierpinski", 5): "0d277edf4fef1786cbd2a429738e924892f3ab03db7a80123078bc503faa6634",
+    ("sierpinski", 6): "71885cc12333ff4c85918c2432c74538c3d625c16150b64c7283a8fcca327b19",
+    ("sierpinski", 7): "e9eb3eb4f3081ac16b31e53e3682c375dd62f8099923b05e3ccd0beb9f042a41",
+    ("sierpinski", 8): "2bd4f2183151c58156f9a0324be74aade4a505fbf3ec1d929068b9f606e132f8",
+    ("hata2d", 1): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    ("hata2d", 2): "502fa18fc9886844b3ade5971d77191f53f1d0950134f13981fd172dd3da37c2",
+    ("hata2d", 3): "2df7ae14bc8637340e15dafa53430e3557196489143ad0986ef348341f79cbec",
+    ("hata2d", 4): "b7e22ad02d5003568be2c25f5798167198f0d7cf512949c1c313f4ecc0d7838d",
+    ("hata2d", 5): "1de141fd796a1478ef59da95898d00a1253fa4d5821d9bc02db6410505fb78e7",
+    ("hata2d", 6): "7600014a52ac69e0673b690438b69a2ce6f2f35d4ec8aeadff07e4323a24ef6c",
+    ("hata2d", 7): "16b460547971bd31962de3c3b95cbabde321a3f25e3ad59bdcce18856db2f4b2",
+    ("hata3d", 1): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    ("hata3d", 2): "7fa548a6e13f786680c91da296fe471feaa54cc3267c0ddab08d06ed7e5e2502",
+    ("hata3d", 3): "9c425409be25dd800e676773aea502d5fe449626d2de0c95d7aebeca2f4c244c",
+    ("hata3d", 4): "ce4b42ca693e23d8613ec1106447613b1d3630a540592de617b6fa3fddfcaf3a",
+    ("hata3d", 5): "56bde5595b5ed329aa55012638bdcdff188614193a6d9625d8805d55da86760b",
+    ("hata3d", 6): "e42e965cc452eed03794e0e4a5c7f48ed17cbea27c0c5bdee48c0b11bf526999",
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_meshes_and_embeddings_are_bit_identical(family):
+    top = max(n for f, n in MESH_DIGESTS if f == family)
+    prev = None
+    for n in range(top + 1):
+        m = build_level(family, n)
+        assert _digest(m.vertices, m.edges, m.cells) == MESH_DIGESTS[family, n], n
+        if prev is not None:
+            assert _digest(embed(prev, m).index_map) == EMBED_DIGESTS[family, n], n
+        prev = m
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_level_matches_iterate(family):
+    ifs = builtin_system(family)
+    for n in range(7):
+        a, b = build_level(family, n), iterate(ifs, n)
+        for name in ("vertices", "edges", "cells", "boundary_indices"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), (n, name)
+        assert a.dedup_tolerance == b.dedup_tolerance
+
+
+def test_build_level_refines_the_cached_coarser_level():
+    build_level.cache_clear()
+    build_level("sierpinski", 5)
+    assert build_level.cache_info().misses == 6
+    build_level("sierpinski", 6)
+    assert build_level.cache_info().misses == 7

@@ -1,14 +1,9 @@
-"""Unit tests for the dedup/match/CG kernels, including oracle comparisons
-and jit-versus-interpreted equivalence."""
-
-import os
-import subprocess
-import sys
+"""Unit tests for the dedup/match/CG kernels, including comparisons with
+quadratic brute-force oracles."""
 
 import numpy as np
 import pytest
 
-from fraclap.jit import NUMBA_ENABLED
 from fraclap.kernels import _cg_core, _dedup_core, _match_core
 
 
@@ -89,6 +84,52 @@ def test_dedup_first_occurrence_order():
     np.testing.assert_array_equal(assign, [0, 1, 0, 2, 1])
 
 
+def test_dedup_reports_gray_pair_that_is_not_the_nearest_merge():
+    # row 2 merges cleanly into row 1 (0.07 tol) but also lies 0.98 tol from
+    # row 0, so the clustering depends on the tolerance
+    tol = 1e-6
+    pts = np.array([[0.0, 0.0], [1.05 * tol, 0.0], [0.98 * tol, 0.0]])
+    _, _, amb_i, amb_j = _dedup_core(pts, tol)
+    assert (amb_i, amb_j) == (2, 0)
+
+
+def grid_edge_clusters(rng, n_clusters, per_cluster, dim, tol):
+    """Clusters centred on grid-cell corners ``k * tol``; each member is
+    ``1e-3 * tol`` off the corner on every axis, so most clusters straddle a
+    cell edge.  Centres are at least five cells apart."""
+    ks = rng.choice(2000, size=(4 * n_clusters, dim)) * 5 - 5000
+    ks = np.unique(ks, axis=0)[:n_clusters]
+    signs = rng.choice([-1.0, 1.0], size=(ks.shape[0], per_cluster, dim))
+    pts = ks[:, None, :] * tol + signs * 1e-3 * tol
+    return pts.reshape(-1, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dedup_merges_clusters_across_cell_edges(dim):
+    rng = np.random.default_rng(21 + dim)
+    tol = 1e-6
+    pts = rng.permutation(grid_edge_clusters(rng, 80, 4, dim, tol))
+    assign, uniq_rows, amb_i, _ = _dedup_core(pts, tol)
+    ref_assign, ref_uniq = brute_force_dedup(pts, tol)
+    assert amb_i == -1
+    assert ref_uniq.shape[0] == 80
+    np.testing.assert_array_equal(assign, ref_assign)
+    np.testing.assert_array_equal(pts[uniq_rows], ref_uniq)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_match_finds_partners_across_cell_edges(dim):
+    rng = np.random.default_rng(31 + dim)
+    tol = 1e-6
+    clusters = grid_edge_clusters(rng, 80, 2, dim, tol).reshape(80, 2, dim)
+    ref, query = clusters[:, 0], clusters[::-1, 1]
+    idx, d2 = _match_core(ref, query, tol)
+    dist2 = ((query[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+    np.testing.assert_array_equal(idx, dist2.argmin(axis=1))
+    np.testing.assert_array_equal(idx, np.arange(80)[::-1])
+    assert d2.max() <= tol * tol
+
+
 def test_match_finds_shared_points():
     rng = np.random.default_rng(11)
     ref = rng.uniform(-1, 1, size=(200, 2))
@@ -104,6 +145,14 @@ def test_match_reports_unmatched():
     query = np.array([[0.5, 0.5]])
     idx, _ = _match_core(ref, query, 1e-9)
     assert idx[0] == -1
+
+
+def test_match_unmatched_with_unequal_sizes():
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+    query = np.array([[1.0, 1.0 + 1e-13], [0.5, 0.5], [0.0, 0.0]])
+    idx, d2 = _match_core(ref, query, 1e-9)
+    np.testing.assert_array_equal(idx, [3, -1, 0])
+    assert d2[1] == np.inf and d2[2] == 0.0
 
 
 def test_match_3d():
@@ -156,34 +205,3 @@ def test_cg_detects_non_spd():
         a.indptr, a.indices, np.ascontiguousarray(a.data), b, x, 1e-12, 100
     )
     assert status == 2
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="jit and fallback are the same path")
-def test_jit_and_interpreted_agree():
-    rng = np.random.default_rng(13)
-    pts = clustered_points(rng, 40, 3, 3, spread=1e-10)
-    tol = 1e-6
-    jit_out = _dedup_core(np.ascontiguousarray(pts), tol)
-    py_out = _dedup_core.py_func(np.ascontiguousarray(pts), tol)
-    for a, b in zip(jit_out, py_out):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_fallback_mode_builds_identical_meshes():
-    code = (
-        "from fraclap.geometry import build_level\n"
-        "m = build_level('sierpinski', 3)\n"
-        "print(m.num_vertices, m.num_edges, m.num_cells)\n"
-        "print(repr(float(m.vertices.sum())))\n"
-    )
-    env = dict(os.environ, FRACLAP_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    from fraclap.geometry import build_level
-
-    m = build_level("sierpinski", 3)
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == f"{m.num_vertices} {m.num_edges} {m.num_cells}"
-    assert lines[1] == repr(float(m.vertices.sum()))
