@@ -1,4 +1,4 @@
-"""Hot inner-loop kernels: tolerance-based point dedup/matching and CG.
+"""Hot inner-loop kernels: tolerance-based point dedup and matching.
 
 Point merging and matching share one close-pair search.  Each point is
 quantized to a grid cell of size equal to the tolerance, so two points
@@ -120,55 +120,3 @@ def _match_core(ref, query, tol):
     best_d2[qi[first]] = d2[first]
     return best_idx, best_d2
 
-
-def _cg_core(indptr, indices, data, b, x, rtol, maxiter):
-    """Conjugate gradient on a CSR matrix; ``x`` holds the iterate in place.
-
-    Returns ``(iterations, status, residual_norm)`` with status 0 converged,
-    1 iteration budget exhausted, 2 non-positive curvature (matrix not SPD).
-    """
-    n = b.shape[0]
-    r = np.empty(n, np.float64)
-    p = np.empty(n, np.float64)
-    ap = np.empty(n, np.float64)
-    bb = 0.0
-    for i in range(n):
-        s = 0.0
-        for k in range(indptr[i], indptr[i + 1]):
-            s += data[k] * x[indices[k]]
-        r[i] = b[i] - s
-        p[i] = r[i]
-        bb += b[i] * b[i]
-    if bb == 0.0:
-        for i in range(n):
-            x[i] = 0.0
-        return 0, 0, 0.0
-    rs = 0.0
-    for i in range(n):
-        rs += r[i] * r[i]
-    target2 = rtol * rtol * bb
-    it = 0
-    while rs > target2 and it < maxiter:
-        pap = 0.0
-        for i in range(n):
-            s = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                s += data[k] * p[indices[k]]
-            ap[i] = s
-            pap += p[i] * s
-        if pap <= 0.0:
-            return it, 2, np.sqrt(rs)
-        alpha = rs / pap
-        for i in range(n):
-            x[i] += alpha * p[i]
-            r[i] -= alpha * ap[i]
-        rs_new = 0.0
-        for i in range(n):
-            rs_new += r[i] * r[i]
-        beta = rs_new / rs
-        rs = rs_new
-        for i in range(n):
-            p[i] = r[i] + beta * p[i]
-        it += 1
-    status = 0 if rs <= target2 else 1
-    return it, status, np.sqrt(rs)

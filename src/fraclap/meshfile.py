@@ -1,10 +1,18 @@
 """Portable file formats: mesh documents (JSON), estimate tables and
 solution fields (comma separated).
 
-Mesh coordinates round-trip bit-exactly: JSON emits Python float reprs
-(shortest decimal that reparses to the same double, up to 17 significant
-digits) and reading converts straight back to float64.  Table and solution
-files use 17-significant-digit decimals, locale independent.
+A mesh document is exactly what ``json.dump(doc, fh, indent=1)`` writes for
+the object ``{"family", "level", "dimension", "vertices", "edges", "cells",
+"boundary"}`` (in that key order), followed by a newline: one value per
+line, each row of ``vertices``/``edges``/``cells`` a nested list, empty
+arrays as ``[]``.  Coordinates are Python float reprs (the shortest decimal
+that reparses to the same double), so they round-trip bit-exactly.  Each
+array is formatted by one ``%`` operation on a row template repeated once
+per row, rather than by the pure-Python JSON encoder.
+
+Table and solution rows are comma-separated ``%.17g`` values, locale
+independent; a solution file starts with ``# key=value`` header lines and
+then has one ``coordinates...,value`` row per vertex.
 """
 
 from __future__ import annotations
@@ -21,19 +29,28 @@ from .solver import Solution
 _FMT = "{:.17g}"
 
 
+def _json_rows(arr: np.ndarray, fmt: str) -> str:
+    """``arr`` as a value of the top-level object in the ``indent=1`` JSON
+    layout; a 2-D array is a list of rows, each a nested list."""
+    if arr.size == 0:
+        return "[]"
+    item = fmt if arr.ndim == 1 else "[\n   " + ",\n   ".join([fmt] * arr.shape[1]) + "\n  ]"
+    return "[\n  " + ",\n  ".join([item] * arr.shape[0]) % tuple(arr.ravel().tolist()) + "\n ]"
+
+
 def write_mesh(mesh: LevelMesh, path) -> None:
-    doc = {
-        "family": mesh.family,
-        "level": mesh.level,
-        "dimension": mesh.dimension,
-        "vertices": [[float(c) for c in v] for v in mesh.vertices],
-        "edges": [[int(i), int(j)] for i, j in mesh.edges],
-        "cells": [[int(i), int(j), int(k)] for i, j, k in mesh.cells],
-        "boundary": [int(i) for i in mesh.boundary_indices],
-    }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "family": %s,\n "level": %s,\n "dimension": %s' % (
+            json.dumps(mesh.family), json.dumps(mesh.level), json.dumps(mesh.dimension)))
+        for key, arr, fmt in (
+            ("vertices", mesh.vertices, "%r"),
+            ("edges", mesh.edges, "%d"),
+            ("cells", mesh.cells, "%d"),
+            ("boundary", mesh.boundary_indices, "%d"),
+        ):
+            fh.write(f',\n "{key}": ')
+            fh.write(_json_rows(arr, fmt))
+        fh.write("\n}\n")
 
 
 def read_mesh(path) -> LevelMesh:
@@ -92,6 +109,6 @@ def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> Non
     with open(path, "w", encoding="ascii") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
-        for point, value in zip(mesh.vertices, solution.values):
-            coords = ",".join(_FMT.format(c) for c in point)
-            fh.write(f"{coords},{_FMT.format(value)}\n")
+        rows = np.column_stack([mesh.vertices, solution.values])
+        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))

@@ -2,8 +2,7 @@
 
 The interior block of the (symmetric PSD) operator is positive definite on
 connected meshes with a nonempty boundary, so the reduced system is solved
-with a sparse direct factorization; a conjugate-gradient path takes over
-above a size threshold where factorization becomes wasteful.
+with a sparse direct (SuperLU) factorization at every size.
 """
 
 from __future__ import annotations
@@ -11,20 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolveError, UsageError
 from .geometry import LevelMesh, _frozen
 from .graphs import SparseMatrix
-from .kernels import _cg_core
 from .measures import StiffnessMatrix
 
-# Below this many unknowns a direct factorization is cheap and deterministic;
-# beyond it conjugate gradient with a tight tolerance is used instead.
-DIRECT_SOLVE_LIMIT = 100_000
 RESIDUAL_BOUND = 1e-10
-CG_RELATIVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,33 +109,17 @@ def linear_solve(a, b: np.ndarray) -> np.ndarray:
     if sym_gap > 1e-12 * max(scale, 1.0):
         raise SolveError("operator is not symmetric")
     tol = RESIDUAL_BOUND * max(1.0, float(np.abs(b).max()))
-    if a.nrows <= DIRECT_SOLVE_LIMIT:
-        try:
-            lu = spla.splu(csr.tocsc())
-            x = lu.solve(b)
-        except RuntimeError as exc:
-            raise SolveError(f"direct factorization failed: {exc}") from None
-        if not np.isfinite(x).all():
-            raise SolveError("singular interior block")
-        # one step of iterative refinement if rounding left a residual
-        r = b - csr @ x
-        if np.abs(r).max() > tol:
-            x = x + lu.solve(r)
-    else:
-        x = np.zeros(a.nrows)
-        iters, status, _ = _cg_core(
-            csr.indptr,
-            csr.indices,
-            np.ascontiguousarray(csr.data, dtype=np.float64),
-            b,
-            x,
-            CG_RELATIVE_TOLERANCE,
-            20 * a.nrows,
-        )
-        if status == 2:
-            raise SolveError("non-positive curvature encountered; operator not SPD")
-        if status == 1:
-            raise SolveError(f"conjugate gradient did not converge in {iters} iterations")
+    try:
+        lu = spla.splu(csr.tocsc())
+        x = lu.solve(b)
+    except RuntimeError as exc:
+        raise SolveError(f"direct factorization failed: {exc}") from None
+    if not np.isfinite(x).all():
+        raise SolveError("singular interior block")
+    # one step of iterative refinement if rounding left a residual
+    r = b - csr @ x
+    if np.abs(r).max() > tol:
+        x = x + lu.solve(r)
     residual = float(np.abs(b - csr @ x).max())
     if residual > tol:
         raise SolveError(f"residual {residual:.3e} exceeds the solver contract")

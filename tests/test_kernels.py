@@ -1,10 +1,10 @@
-"""Unit tests for the dedup/match/CG kernels, including comparisons with
+"""Unit tests for the dedup/match kernels, including comparisons with
 quadratic brute-force oracles."""
 
 import numpy as np
 import pytest
 
-from fraclap.kernels import _cg_core, _dedup_core, _match_core
+from fraclap.kernels import _dedup_core, _match_core
 
 
 def brute_force_dedup(points, tol):
@@ -161,47 +161,3 @@ def test_match_3d():
     idx, _ = _match_core(ref, ref[::-1].copy(), 1e-12)
     np.testing.assert_array_equal(idx, np.arange(100)[::-1])
 
-
-def _random_spd_csr(rng, n):
-    import scipy.sparse as sp
-
-    a = sp.random(n, n, density=0.1, random_state=np.random.RandomState(5))
-    a = a + a.T + n * sp.eye(n)
-    return a.tocsr()
-
-
-def test_cg_matches_dense_solve():
-    rng = np.random.default_rng(5)
-    a = _random_spd_csr(rng, 80)
-    b = rng.normal(size=80)
-    x = np.zeros(80)
-    iters, status, res = _cg_core(
-        a.indptr, a.indices, np.ascontiguousarray(a.data), b, x, 1e-14, 2000
-    )
-    assert status == 0
-    np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), b), atol=1e-10)
-
-
-def test_cg_zero_rhs():
-    import scipy.sparse as sp
-
-    a = sp.eye(4).tocsr()
-    b = np.zeros(4)
-    x = np.ones(4)
-    iters, status, res = _cg_core(
-        a.indptr, a.indices, np.ascontiguousarray(a.data), b, x, 1e-12, 10
-    )
-    assert status == 0 and res == 0.0
-    np.testing.assert_array_equal(x, 0.0)
-
-
-def test_cg_detects_non_spd():
-    import scipy.sparse as sp
-
-    a = (-sp.eye(5)).tocsr()
-    b = np.ones(5)
-    x = np.zeros(5)
-    _, status, _ = _cg_core(
-        a.indptr, a.indices, np.ascontiguousarray(a.data), b, x, 1e-12, 100
-    )
-    assert status == 2

@@ -1,5 +1,6 @@
 """Mesh document round trip and the table/solution writers."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, build_level
 from fraclap.graphs import graph_laplacian
 from fraclap.meshfile import read_mesh, write_mesh, write_solution, write_table
-from fraclap.renorm import estimate_laplacian_ratio
-from fraclap.solver import DirichletProblem, solve_dirichlet
+from fraclap.renorm import estimate_laplacian_ratio, solve_online
+from fraclap.solver import DirichletProblem, Solution, solve_dirichlet
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -99,3 +100,121 @@ def test_solution_file_layout(tmp_path):
     first = rows[0].split(",")
     assert len(first) == 3  # x, y, value
     assert float(first[2]) == sol.values[0]
+
+
+def _file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of write_mesh output, recorded with the json.dump writer; level 0
+# and the cell-free families (koch, hata) write "cells": [].
+MESH_FILE_DIGESTS = {
+    ("koch", 0): "bcf5a76a24f98a8e014a1ada1542486eb08ac848d20073851a173783aa8453de",
+    ("koch", 1): "ab0544167edb362ea8322bd8b0f143df309906f9be1960218d1704a50378b44a",
+    ("koch", 2): "bdb2e22262073ee6ee0d683b8d1d947a9d6f3e4a4f05926a72413a1424873be1",
+    ("koch", 3): "0ae50fd3197b71682d77e3d398f2545704df230c362c4bde9657b3b5437ef0a0",
+    ("koch", 4): "7e9b596865db69aaed368c6b86aca848849917c102c3078c2472b1d1569051b1",
+    ("koch", 5): "413fc42dc208ee93f655ac13bb1510b2e961d71c9000695c7a69d2d0e5c46be8",
+    ("koch", 6): "c10f9b82766fec4cb5d785ac8eb5d61cc6d3f7d37fc6ea34610f44c8fc5d5efe",
+    ("sierpinski", 0): "ad01b71b503ad5b1ce362024497aff6c0f595c44bc7412253316750c35a692be",
+    ("sierpinski", 1): "2603816e53ebf7be89cbf9312506a511229ca521703e96446420caa4f9892163",
+    ("sierpinski", 2): "7f0d4d78aca79225e78427afe84a2fdcb00b6fdfd1333adb487cbf21392de78b",
+    ("sierpinski", 3): "bd4c35fefa70cfd1e07a35b5626fc1c613926f89485520b89c2c974944eda848",
+    ("sierpinski", 4): "844601752f3b074fa70cc2fe92770d6ac3d2ce0fef6d886b8c411867b9b302ad",
+    ("sierpinski", 5): "2adbd4d69afc44be8fc3c66b277121af3c6af218b9e82e0bb1de191f644a0e36",
+    ("sierpinski", 6): "e11080aa2dbc9212268ee40a0f6e1ce7ded56e74e08f4bd2299190b7e11a5109",
+    ("sierpinski", 7): "8d3b21b9dc808c6a87f86254283bc4d360812148c08aed5f115ea41fa4e5d782",
+    ("hata2d", 0): "806220f4fbaf0f6d4eeb1ee6466afcc2ebc7fe503c75ae019289d10a24f3d160",
+    ("hata2d", 1): "03de2c9a10f2b2cbb7776a8661103f9da48ccfb642a2415379e166000026c681",
+    ("hata2d", 2): "4affab36ed586047e7a7d8722840509184a8cab9fc2511aa9d4e75f0a88bcbcc",
+    ("hata2d", 3): "e6a58a9866032d26b775e23f9c0410ad6f0c39794950834faa68a067bc6539d1",
+    ("hata2d", 4): "9250ac4c07b8b95617fe8270edb1cbb97aa18880f74d4c66dfb0760ac835d345",
+    ("hata2d", 5): "c9fb50081ec8a62a1d8fd45b7ca5e9993b010a1f8d111e21ecab91fda958b1cc",
+    ("hata3d", 0): "eba86546d8c3c6697d2d83bf84b08c258b3255c6b7a06f3054d587e6e8bfdf08",
+    ("hata3d", 1): "3cd0a03bf668c5ec89f3f6c6e4abfb9cd90f4a94fe7cae1626b245aa096c9fe9",
+    ("hata3d", 2): "1f13a7c9cd177967d24e511962e443c9687d6b78f9d8e9f5ea753afb6cd3fa8a",
+    ("hata3d", 3): "822077520e331d73e7d1c07ea14d1fef8b3b6e69b441d872272251e55a673ac7",
+    ("hata3d", 4): "b4dbec558211475d2a868b9e490e1e420bad37a4205658d00d2cf3661042c894",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mesh_documents_are_byte_identical(family, tmp_path):
+    path = tmp_path / "mesh.json"
+    for n in sorted(n for f, n in MESH_FILE_DIGESTS if f == family):
+        write_mesh(build_level(family, n), path)
+        assert _file_digest(path) == MESH_FILE_DIGESTS[family, n], n
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mesh_document_is_the_json_dump_layout(family, tmp_path):
+    path = tmp_path / "mesh.json"
+    for n in (0, 2):
+        mesh = build_level(family, n)
+        write_mesh(mesh, path)
+        doc = {
+            "family": mesh.family,
+            "level": mesh.level,
+            "dimension": mesh.dimension,
+            "vertices": mesh.vertices.tolist(),
+            "edges": mesh.edges.tolist(),
+            "cells": mesh.cells.tolist(),
+            "boundary": mesh.boundary_indices.tolist(),
+        }
+        assert path.read_text() == json.dumps(doc, indent=1) + "\n", n
+
+
+def _solution_cases():
+    """(name, mesh, solution, extra) for the solution-file gate: every solve
+    method, 3-D rows, a solution without a constant, and extra header keys."""
+    cases = []
+    for family, n, method, constant in [
+        ("sierpinski", 4, "rfd", 5.0),
+        ("sierpinski", 4, "rfem1d", 1.25),
+        ("sierpinski", 4, "rfem2d", 1.25),
+        ("hata3d", 3, "rfd", 2.0),
+    ]:
+        mesh = build_level(family, n)
+        g = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
+        h = {int(i): 1.0 / (k + 3) for k, i in enumerate(mesh.boundary_indices)}
+        sol = solve_online(family, n, method, constant, g, h)
+        cases.append((f"{family}-{n}-{method}", mesh, sol, None))
+    mesh = build_level("sierpinski", 2)
+    values = mesh.vertices[:, 0] / 3.0 - mesh.vertices[:, 1] * 1e-300
+    values[:6] = [0.0, -0.0, 1e300, -2.5e-310, np.inf, np.nan]
+    bare = Solution(values=values, method="dirichlet", level=2,
+                    renorm_constant_applied=None, solver_residual=0.0)
+    cases.append(("no-constant", mesh, bare, None))
+    cases.append(("extra", mesh, bare, {"rhs": "x*y+1", "bc": "1,0,0"}))
+    return cases
+
+
+# sha256 of write_solution output, recorded with the per-value str.format
+# writer.  The solved cases also pin the solver's output bits.
+SOLUTION_FILE_DIGESTS = {
+    "sierpinski-4-rfd": "7eb17a3689a3412d56a13561b8ccde7a562b1933d8e3f8e84674f3ab62ecaef0",
+    "sierpinski-4-rfem1d": "2043285a411fec9784c17b197d833a2ec3c42310fabcb9da670aedfd94592ace",
+    "sierpinski-4-rfem2d": "194ec1dd8d37ddb3a900678f133b6a403a817159054848265517d8f4260a82e2",
+    "hata3d-3-rfd": "9c9fece4bb7ff7bdc7128989ca1d0f533f35c4ea57237cd25ddeae5c3bcdf797",
+    "no-constant": "474e2ed0b5891712470433d8b5f7942bbd2e72a9692757f0b6a3c8fd5fd86623",
+    "extra": "a92c1605a1167771636eca968dac3259312218bda4788e5ff9057b3364d7fb7f",
+}
+
+
+def test_solution_files_are_byte_identical(tmp_path):
+    path = tmp_path / "solution.csv"
+    cases = _solution_cases()
+    assert [c[0] for c in cases] == list(SOLUTION_FILE_DIGESTS)
+    for name, mesh, sol, extra in cases:
+        write_solution(mesh, sol, path, extra=extra)
+        assert _file_digest(path) == SOLUTION_FILE_DIGESTS[name], name
+
+
+def test_solution_rows_are_17_digit_values(tmp_path):
+    path = tmp_path / "solution.csv"
+    for _, mesh, sol, extra in _solution_cases():
+        write_solution(mesh, sol, path, extra=extra)
+        rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        expected = [",".join("{:.17g}".format(c) for c in (*point, value))
+                    for point, value in zip(mesh.vertices, sol.values)]
+        assert rows == expected

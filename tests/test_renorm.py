@@ -6,7 +6,7 @@ import pytest
 from fraclap.errors import AssemblyError, SolveError, UsageError
 from fraclap.geometry import build_level, embed
 from fraclap.graphs import graph_laplacian
-from fraclap.measures import fd_graph_stiffness, fem_edge_stiffness
+from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.renorm import (
     RenormEstimate,
     _operator_and_load,
@@ -19,6 +19,7 @@ from fraclap.renorm import (
     renormalize,
     solve_online,
 )
+from fraclap.solver import RESIDUAL_BOUND, partition
 
 SQRT3 = np.sqrt(3.0)
 
@@ -251,6 +252,20 @@ def test_solve_online_boundary_exact():
     assert sol.values[0] == 1.0
     assert sol.values[1] == 0.25
     assert sol.values[2] == -0.5
+
+
+def test_direct_solve_at_sierpinski_level_11():
+    """265,719 unknowns, above the size where an interpreted conjugate
+    gradient once replaced the direct factorization."""
+    n, h = 11, {0: 1.0, 1: 0.0, 2: 0.0}
+    m = build_level("sierpinski", n)
+    sol = solve_online("sierpinski", n, "rfem2d", 1.25, np.zeros(m.num_vertices), h)
+    assert m.interior_indices.size == 265_719
+    assert sol.values.min() >= 0.0 and sol.values.max() <= 1.0
+    op = renormalize(fem_area_stiffness(m), 1.25, n).scaled
+    _, a_i0, _, bidx = partition(op, m.boundary_indices)
+    rhs = -a_i0.matvec(np.array([h[int(i)] for i in bidx]))
+    assert sol.solver_residual <= RESIDUAL_BOUND * max(1.0, np.abs(rhs).max())
 
 
 # -- auto constant ------------------------------------------------------------------------
