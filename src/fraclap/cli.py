@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import meshfile
 from .errors import FraclapError, UsageError
 from .expressions import compile_expression

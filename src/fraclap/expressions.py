@@ -28,7 +28,7 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_CONSTANTS = {"pi": np.pi, "e": np.e}
+_CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
 
 
 def _tokenize(text: str):
@@ -42,7 +42,7 @@ def _tokenize(text: str):
                 break
             raise UsageError(f"unexpected character {rest[0]!r} in expression")
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
+            tokens.append(("num", np.float64(m.group("num"))))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:
@@ -139,8 +139,7 @@ def _evaluate(node, env):
         return a - b
     if op == "*":
         return a * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return a / b
+    return a / b
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,10 @@ class Expression:
         env = {"x": points[:, 0], "y": points[:, 1]}
         if points.shape[1] == 3:
             env["z"] = points[:, 2]
-        out = _evaluate(self._ast, env)
+        # Numbers are np.float64, so 1/0 and exp(1000) give inf instead of
+        # raising or warning; the finiteness check below reports them.
+        with np.errstate(all="ignore"):
+            out = _evaluate(self._ast, env)
         out = np.broadcast_to(np.asarray(out, dtype=np.float64), (points.shape[0],))
         if not np.isfinite(out).all():
             raise UsageError(

@@ -2,18 +2,23 @@
 associated energy bilinear form.
 
 Matrices are stored as sorted, duplicate-free triplets so assembly stays
-simple; solver-oriented formats are produced on demand.
+simple; solver-oriented formats are produced on demand. scipy is imported
+only there (``from_scipy`` and ``to_csr``), so building and writing meshes
+never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import UsageError
 from .geometry import LevelMesh, _frozen
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,8 @@ class SparseMatrix:
 
     @classmethod
     def from_scipy(cls, m) -> "SparseMatrix":
+        import scipy.sparse as sp
+
         coo = sp.coo_matrix(m)
         return cls.from_triplets(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
 
@@ -76,6 +83,8 @@ class SparseMatrix:
         return (self.nrows, self.ncols)
 
     def to_csr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.nrows, self.ncols)
         )

@@ -2,7 +2,8 @@
 
 The interior block of the (symmetric PSD) operator is positive definite on
 connected meshes with a nonempty boundary, so the reduced system is solved
-with a sparse direct (SuperLU) factorization at every size.
+with a sparse direct (SuperLU) factorization at every size. scipy is
+imported on the first factorization, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import SolveError, UsageError
 from .geometry import LevelMesh, _frozen
@@ -43,6 +43,9 @@ class DirichletProblem:
             raise UsageError(
                 f"boundary values must cover exactly the boundary indices {sorted(expected)}"
             )
+        values = np.fromiter(self.boundary_values.values(), dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise UsageError("boundary values must be finite")
         object.__setattr__(self, "operator", op)
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "boundary_values", dict(self.boundary_values))
@@ -96,6 +99,8 @@ def linear_solve(a, b: np.ndarray) -> np.ndarray:
 
     Guarantees ``|A x - b|_inf <= 1e-10 * max(1, |b|_inf)`` or raises.
     """
+    import scipy.sparse.linalg as spla
+
     a = _as_sparse(a)
     b = np.asarray(b, dtype=np.float64)
     if a.nrows != a.ncols or b.shape != (a.nrows,):

@@ -1,15 +1,29 @@
 """Command line behavior: outputs, consistency with the library, exit codes."""
 
+import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fraclap
 from fraclap import cli
 from fraclap.geometry import build_level
 from fraclap.meshfile import read_mesh
 from fraclap.renorm import estimate_laplacian_ratio
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
+
+
+def run_fresh(*argv):
+    """Run ``python *argv`` in a new interpreter that imports this checkout's
+    fraclap."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def read_solution(path):
@@ -230,3 +244,55 @@ def test_module_entry_point_runs():
     )
     assert out.returncode == 0
     assert "generate" in out.stdout and "renorm" in out.stdout
+
+
+@pytest.mark.parametrize("rhs", ["1/0", "x/0", "exp(1000)"])
+def test_non_finite_rhs_exits_two_without_traceback_or_warning(tmp_path, rhs):
+    out = run_fresh(
+        "-m", "fraclap.cli", "solve", "--family", "sierpinski", "--level", "2",
+        "--method", "rfd", "--constant", "5", "--rhs", rhs, "--bc", "1,0,0",
+        "--out", str(tmp_path / "s.csv"),
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "not finite" in out.stderr
+    assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("bc", ["nan,0,0", "inf,0,0", "0,-inf,0"])
+def test_non_finite_boundary_data_is_usage_error(tmp_path, capsys, bc):
+    rc = cli.main([
+        "solve", "--family", "sierpinski", "--level", "2", "--method", "rfd",
+        "--constant", "5", "--rhs", "0", f"--bc={bc}",
+        "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 2
+    assert "boundary values must be finite" in capsys.readouterr().err
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from fraclap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = cli.main({argv!r})
+    except SystemExit as exc:
+        rc = exc.code
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print(json.dumps([rc, sorted(loaded)]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["generate", "--family", "sierpinski", "--level", "3", "--out", "{out}"], False),
+    (["--help"], False),
+    (["solve", "--family", "sierpinski", "--level", "3", "--method", "rfd",
+      "--constant", "5", "--rhs", "1", "--bc", "1,0,0", "--out", "{out}"], True),
+], ids=["generate", "help", "solve"])
+def test_scipy_is_imported_only_to_factor(tmp_path, argv, loads_scipy):
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    out = run_fresh("-c", _SCIPY_PROBE.format(argv=argv))
+    assert out.returncode == 0, out.stderr
+    rc, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    assert bool(loaded) == loads_scipy, loaded

@@ -1,5 +1,7 @@
 """The forcing-expression mini language."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,16 @@ def test_malformed_expressions(text):
 def test_division_by_zero_detected():
     with pytest.raises(UsageError):
         compile_expression("1/x").evaluate(pts2([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("text", ["1/0", "-1/0", "0/0", "exp(1000)", "x/0", "1/(x-x)"])
+def test_non_finite_values_are_usage_errors_without_warnings(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="not finite"):
+            compile_expression(text).evaluate(pts2([0.5, 1.0], [1.0, 0.0]))
+
+
+def test_constant_arithmetic_matches_python_floats():
+    out = compile_expression("1/3 + 2*pi - e").evaluate(pts2([0.0, 0.0], [1.0, 1.0]))
+    np.testing.assert_array_equal(out, [1 / 3 + 2 * np.pi - np.e] * 2)

@@ -251,3 +251,10 @@ def test_problem_rejects_extra_boundary_data():
         DirichletProblem(
             graph_laplacian(m), np.zeros(6), {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, m
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_boundary_data(bad):
+    m = build_level("sierpinski", 1)
+    with pytest.raises(UsageError, match="finite"):
+        DirichletProblem(graph_laplacian(m), np.zeros(6), {0: bad, 1: 0.0, 2: 0.0}, m)
