@@ -21,10 +21,9 @@ from .geometry import (
     embed,
     iterate,
 )
-from .graphs import SparseMatrix, adjacency, degree, energy, graph_laplacian
+from .graphs import adjacency, degree, energy, graph_laplacian
 from .measures import (
     MeasureKind,
-    StiffnessMatrix,
     VertexWeights,
     fd_graph_stiffness,
     fem_area_stiffness,
@@ -33,7 +32,6 @@ from .measures import (
     vertex_weights,
 )
 from .renorm import (
-    RenormalizedOperator,
     RenormEstimate,
     auto_constant,
     estimate_energy_ratio,
@@ -64,11 +62,8 @@ __all__ = [
     "LevelMesh",
     "MeasureKind",
     "RenormEstimate",
-    "RenormalizedOperator",
     "Solution",
     "SolveError",
-    "SparseMatrix",
-    "StiffnessMatrix",
     "UsageError",
     "VertexWeights",
     "adjacency",

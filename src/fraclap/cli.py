@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import meshfile
@@ -130,6 +131,8 @@ def _cmd_solve(args) -> int:
             f"{args.family} has {boundary.size} boundary vertices, "
             f"got {len(bc_values)} boundary values"
         )
+    if not all(math.isfinite(v) for v in bc_values):
+        raise UsageError(f"boundary values must be finite, got {args.bc!r}")
     h = {int(i): v for i, v in zip(boundary, bc_values)}
     g = compile_expression(args.rhs).evaluate(mesh.vertices)
     if args.constant is None:

@@ -14,21 +14,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssemblyError, UsageError
 from .geometry import LevelMesh, _frozen
-from .graphs import SparseMatrix, graph_laplacian
+from .graphs import _assemble, graph_laplacian
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class MeasureKind(str, enum.Enum):
     SELF_SIMILAR = "self_similar"
     EDGE_LENGTH = "edge_length"
     TRIANGLE_AREA = "triangle_area"
-
-
-FORMULATIONS = ("fd_graph", "fem_edge", "fem_area")
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,6 @@ class VertexWeights:
     @property
     def total(self) -> float:
         return float(self.weights.sum())
-
-
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """Assembled symmetric PSD operator tagged with its formulation."""
-
-    matrix: SparseMatrix
-    formulation: str
-    level: int
-
-    def __post_init__(self):
-        if self.formulation not in FORMULATIONS:
-            raise UsageError(f"unknown formulation {self.formulation!r}")
 
 
 def _cell_areas(mesh: LevelMesh) -> np.ndarray:
@@ -141,12 +129,12 @@ def load_vector(mesh: LevelMesh, kind, g: np.ndarray) -> np.ndarray:
     return b
 
 
-def fd_graph_stiffness(mesh: LevelMesh) -> StiffnessMatrix:
-    """The graph Laplacian packaged as the finite-difference operator."""
-    return StiffnessMatrix(graph_laplacian(mesh), "fd_graph", mesh.level)
+def fd_graph_stiffness(mesh: LevelMesh) -> sp.csr_array:
+    """The graph Laplacian, used as the finite-difference operator."""
+    return graph_laplacian(mesh)
 
 
-def fem_edge_stiffness(mesh: LevelMesh) -> StiffnessMatrix:
+def fem_edge_stiffness(mesh: LevelMesh) -> sp.csr_array:
     """One-dimensional linear elements along edges: 1/L conductances."""
     if not mesh.num_edges:
         raise AssemblyError("mesh has no edges")
@@ -159,11 +147,10 @@ def fem_edge_stiffness(mesh: LevelMesh) -> StiffnessMatrix:
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
     vals = np.concatenate([wts, wts, -wts, -wts])
-    mat = SparseMatrix.from_triplets(n, n, rows, cols, vals)
-    return StiffnessMatrix(mat, "fem_edge", mesh.level)
+    return _assemble(n, rows, cols, vals)
 
 
-def fem_area_stiffness(mesh: LevelMesh) -> StiffnessMatrix:
+def fem_area_stiffness(mesh: LevelMesh) -> sp.csr_array:
     """Linear triangle elements over cells.
 
     Element matrices come from the constant gradients of the barycentric
@@ -183,5 +170,4 @@ def fem_area_stiffness(mesh: LevelMesh) -> StiffnessMatrix:
     n = mesh.num_vertices
     rows = np.repeat(mesh.cells, 3, axis=1).ravel()
     cols = np.tile(mesh.cells, (1, 3)).ravel()
-    mat = SparseMatrix.from_triplets(n, n, rows, cols, local.ravel())
-    return StiffnessMatrix(mat, "fem_area", mesh.level)
+    return _assemble(n, rows, cols, local.ravel())

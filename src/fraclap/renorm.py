@@ -10,22 +10,25 @@ chosen formulation; its statistics are reported per level pair.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SolveError, UsageError
 from .geometry import LevelMesh, _frozen, build_level, embed
-from .graphs import SparseMatrix
 from .measures import (
     MeasureKind,
-    StiffnessMatrix,
     fd_graph_stiffness,
     fem_area_stiffness,
     fem_edge_stiffness,
     load_vector,
 )
 from .solver import DirichletProblem, Solution, solve_dirichlet
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Ratio denominators below this fraction of the field maximum are excluded
 # from the statistics instead of polluting min/max.
@@ -52,20 +55,6 @@ class RenormEstimate:
         object.__setattr__(self, "ratios", _frozen(self.ratios, np.float64))
 
 
-@dataclass(frozen=True)
-class RenormalizedOperator:
-    """A stiffness matrix scaled by constant**level."""
-
-    base: StiffnessMatrix
-    constant: float
-    level: int
-    scaled: SparseMatrix
-
-    @property
-    def factor(self) -> float:
-        return self.constant**self.level
-
-
 def _operator_and_load(mesh: LevelMesh, formulation: str):
     ones = np.ones(mesh.num_vertices)
     if formulation == "fd":
@@ -79,10 +68,9 @@ def _operator_and_load(mesh: LevelMesh, formulation: str):
     raise UsageError(f"unknown formulation {formulation!r}")
 
 
-def _solve_model(mesh: LevelMesh, stiffness: StiffnessMatrix, load: np.ndarray) -> np.ndarray:
+def _solve_model(mesh: LevelMesh, stiffness: sp.csr_array, load: np.ndarray) -> np.ndarray:
     zero = {int(i): 0.0 for i in mesh.boundary_indices}
-    problem = DirichletProblem(stiffness.matrix, load, zero, mesh)
-    return solve_dirichlet(problem, method=stiffness.formulation).values
+    return solve_dirichlet(DirichletProblem(stiffness, load, zero, mesh)).values
 
 
 @functools.lru_cache(maxsize=128)
@@ -153,15 +141,22 @@ def estimate_energy_ratio(
     return _estimate(family, n, formulation, formulation)
 
 
-def renormalize(base: StiffnessMatrix, constant: float, n: int) -> RenormalizedOperator:
+def renormalize(base: sp.csr_array, constant: float, n: int) -> sp.csr_array:
     """Scale a stiffness matrix by constant**n."""
     if not constant > 0:
         raise UsageError("renormalization constant must be positive")
     if n < 0:
         raise UsageError("level must be nonnegative")
-    scaled = base.matrix.scaled(float(constant) ** int(n))
-    return RenormalizedOperator(base=base, constant=float(constant), level=int(n),
-                                scaled=scaled)
+    try:
+        factor = float(constant) ** int(n)
+    except OverflowError:
+        factor = math.inf
+    with np.errstate(over="ignore"):
+        scaled = base * factor
+    if not (math.isfinite(constant) and factor > 0 and np.isfinite(scaled.data).all()):
+        raise UsageError(f"constant**level = {constant:g}**{n} does not scale the "
+                         "operator to finite nonzero values")
+    return scaled
 
 
 def default_estimate_pair(level: int) -> tuple[int, int]:
@@ -222,6 +217,6 @@ def solve_online(
     else:
         stiffness = fem_area_stiffness(mesh)
         load = load_vector(mesh, MeasureKind.TRIANGLE_AREA, g)
-    operator = renormalize(stiffness, constant, n).scaled
+    operator = renormalize(stiffness, constant, n)
     problem = DirichletProblem(operator, load, h, mesh)
     return solve_dirichlet(problem, method=method, renorm_constant=float(constant))

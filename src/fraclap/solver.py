@@ -1,21 +1,23 @@
 """Dirichlet problems via boundary/interior block partitioning.
 
-The interior block of the (symmetric PSD) operator is positive definite on
-connected meshes with a nonempty boundary, so the reduced system is solved
-with a sparse direct (SuperLU) factorization at every size. scipy is
-imported on the first factorization, not when this module is imported.
+Operators are scipy CSR arrays (see ``graphs._assemble``). The interior
+block of the (symmetric PSD) operator is positive definite on connected
+meshes with a nonempty boundary, so the reduced system is solved with a
+sparse direct (SuperLU) factorization at every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SolveError, UsageError
 from .geometry import LevelMesh, _frozen
-from .graphs import SparseMatrix
-from .measures import StiffnessMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RESIDUAL_BOUND = 1e-10
 
@@ -24,16 +26,17 @@ RESIDUAL_BOUND = 1e-10
 class DirichletProblem:
     """Operator, load and boundary data for one solve."""
 
-    operator: SparseMatrix
+    operator: sp.csr_array
     load: np.ndarray
     boundary_values: dict[int, float]
     mesh: LevelMesh
 
     def __post_init__(self):
-        op = _as_sparse(self.operator)
         load = _frozen(self.load, np.float64)
         n = self.mesh.num_vertices
-        if op.shape != (n, n):
+        if getattr(self.operator, "format", None) != "csr":
+            raise UsageError("operator must be a scipy CSR array")
+        if self.operator.shape != (n, n):
             raise UsageError("operator shape does not match the mesh")
         if load.shape != (n,):
             raise UsageError("load length does not match the mesh")
@@ -46,7 +49,6 @@ class DirichletProblem:
         values = np.fromiter(self.boundary_values.values(), dtype=np.float64)
         if not np.isfinite(values).all():
             raise UsageError("boundary values must be finite")
-        object.__setattr__(self, "operator", op)
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "boundary_values", dict(self.boundary_values))
 
@@ -65,67 +67,50 @@ class Solution:
         object.__setattr__(self, "values", _frozen(self.values, np.float64))
 
 
-def _as_sparse(op) -> SparseMatrix:
-    if isinstance(op, StiffnessMatrix):
-        return op.matrix
-    if isinstance(op, SparseMatrix):
-        return op
-    raise UsageError("operator must be a SparseMatrix or StiffnessMatrix")
-
-
-def partition(op, boundary):
-    """Split a square operator into interior-interior and interior-boundary
-    blocks.
+def partition(a: sp.csr_array, boundary):
+    """Split a square CSR operator into interior-interior and
+    interior-boundary blocks.
 
     Returns ``(A_II, A_I0, interior_idx, boundary_idx)``.
     """
-    a = _as_sparse(op)
-    if a.nrows != a.ncols:
+    n, ncols = a.shape
+    if n != ncols:
         raise UsageError("partition requires a square operator")
     boundary_idx = np.unique(np.asarray(list(boundary), dtype=np.int64))
-    if boundary_idx.size and (boundary_idx.min() < 0 or boundary_idx.max() >= a.nrows):
+    if boundary_idx.size and (boundary_idx.min() < 0 or boundary_idx.max() >= n):
         raise UsageError("boundary index out of range")
-    interior_idx = np.setdiff1d(np.arange(a.nrows), boundary_idx)
+    interior_idx = np.setdiff1d(np.arange(n), boundary_idx)
     if interior_idx.size == 0:
         raise SolveError("empty interior: every vertex is a boundary vertex")
-    csr = a.to_csr()
-    a_ii = SparseMatrix.from_scipy(csr[interior_idx][:, interior_idx])
-    a_i0 = SparseMatrix.from_scipy(csr[interior_idx][:, boundary_idx])
-    return a_ii, a_i0, interior_idx, boundary_idx
+    rows = a[interior_idx]
+    return rows[:, interior_idx], rows[:, boundary_idx], interior_idx, boundary_idx
 
 
-def linear_solve(a, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` for symmetric positive definite ``A``.
+def linear_solve(a: sp.csr_array, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` for symmetric positive definite CSR ``A``.
 
     Guarantees ``|A x - b|_inf <= 1e-10 * max(1, |b|_inf)`` or raises.
     """
     import scipy.sparse.linalg as spla
 
-    a = _as_sparse(a)
     b = np.asarray(b, dtype=np.float64)
-    if a.nrows != a.ncols or b.shape != (a.nrows,):
+    if a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise UsageError("system dimensions do not agree")
-    csr = a.to_csr()
-    sym_gap = 0.0
-    diff = (csr - csr.T).tocoo()
-    if diff.nnz:
-        sym_gap = float(np.abs(diff.data).max())
-    scale = float(np.abs(a.vals).max()) if a.nnz else 0.0
-    if sym_gap > 1e-12 * max(scale, 1.0):
+    if abs(a - a.T).max() > 1e-12 * max(abs(a).max(), 1.0):
         raise SolveError("operator is not symmetric")
     tol = RESIDUAL_BOUND * max(1.0, float(np.abs(b).max()))
     try:
-        lu = spla.splu(csr.tocsc())
+        lu = spla.splu(a.tocsc())
         x = lu.solve(b)
     except RuntimeError as exc:
         raise SolveError(f"direct factorization failed: {exc}") from None
     if not np.isfinite(x).all():
         raise SolveError("singular interior block")
     # one step of iterative refinement if rounding left a residual
-    r = b - csr @ x
+    r = b - a @ x
     if np.abs(r).max() > tol:
         x = x + lu.solve(r)
-    residual = float(np.abs(b - csr @ x).max())
+    residual = float(np.abs(b - a @ x).max())
     if residual > tol:
         raise SolveError(f"residual {residual:.3e} exceeds the solver contract")
     return x
@@ -142,9 +127,9 @@ def solve_dirichlet(
         problem.operator, mesh.boundary_indices
     )
     u0 = np.array([problem.boundary_values[int(i)] for i in boundary_idx])
-    rhs = problem.load[interior_idx] - a_i0.matvec(u0)
+    rhs = problem.load[interior_idx] - a_i0 @ u0
     x = linear_solve(a_ii, rhs)
-    residual = float(np.abs(a_ii.matvec(x) - rhs).max())
+    residual = float(np.abs(a_ii @ x - rhs).max())
     values = np.empty(mesh.num_vertices)
     values[boundary_idx] = u0
     values[interior_idx] = x

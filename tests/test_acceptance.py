@@ -92,12 +92,12 @@ def test_criterion_06_stiffness_identities():
         mesh = build_level("sierpinski", n)
         lap = graph_laplacian(mesh)
         pairs = (
-            ("edge", fem_edge_stiffness(mesh).matrix, 2.0**n),
-            ("area", fem_area_stiffness(mesh).matrix, SQRT3 / 6),
+            ("edge", fem_edge_stiffness(mesh), 2.0**n),
+            ("area", fem_area_stiffness(mesh), SQRT3 / 6),
         )
         for name, matrix, factor in pairs:
-            gap = np.abs(matrix.to_dense() - factor * lap.to_dense()).max()
-            if gap > 1e-12 * np.abs(matrix.vals).max():
+            gap = np.abs(matrix.toarray() - factor * lap.toarray()).max()
+            if gap > 1e-12 * np.abs(matrix.data).max():
                 violations.append(f"{name} level {n} gap={gap:.3e}")
     _report(6, "fem stiffness equals the scaled graph Laplacian, n=1..6",
             violations)
@@ -181,10 +181,10 @@ def test_criterion_09_property_suite():
         for level in range(0, 4):
             mesh_k = build_level(family, level)
             lap_k = graph_laplacian(mesh_k)
-            if np.abs(lap_k.matvec(np.ones(mesh_k.num_vertices))).max() != 0.0:
+            if np.abs(lap_k @ np.ones(mesh_k.num_vertices)).max() != 0.0:
                 violations.append(f"kernel {family} level {level}")
             u = rng.normal(size=(20, mesh_k.num_vertices))
-            quad = np.einsum("nk,nk->k", u.T, lap_k.to_csr() @ u.T)
+            quad = np.einsum("nk,nk->k", u.T, lap_k @ u.T)
             if quad.min() < -1e-12 * max(1.0, np.abs(quad).max()):
                 violations.append(f"psd {family} level {level}")
 
@@ -201,7 +201,7 @@ def test_criterion_09_property_suite():
                  zip(mesh_k.boundary_indices,
                      rng.normal(size=mesh_k.boundary_indices.size))}
             sol = solve_dirichlet(DirichletProblem(lap_k, load, h, mesh_k)).values
-            dense = lap_k.to_dense()
+            dense = lap_k.toarray()
             bidx = np.sort(mesh_k.boundary_indices)
             iidx = np.setdiff1d(np.arange(mesh_k.num_vertices), bidx)
             u0 = np.array([h[int(i)] for i in bidx])

@@ -270,6 +270,30 @@ def test_non_finite_boundary_data_is_usage_error(tmp_path, capsys, bc):
     assert "boundary values must be finite" in capsys.readouterr().err
 
 
+def test_non_finite_boundary_data_is_rejected_before_estimating(tmp_path, capsys):
+    rc = cli.main([
+        "solve", "--family", "sierpinski", "--level", "5", "--method", "rfd",
+        "--rhs", "0", "--bc=nan,0,0", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "estimated constant" not in captured.out
+    assert "boundary values must be finite" in captured.err
+
+
+@pytest.mark.parametrize("constant", ["1e300", "inf", "1e-300"])
+def test_unrepresentable_renormalization_exits_two_without_traceback(tmp_path, constant):
+    out = run_fresh(
+        "-m", "fraclap.cli", "solve", "--family", "sierpinski", "--level", "3",
+        "--method", "rfd", "--constant", constant, "--rhs", "1", "--bc", "1,0,0",
+        "--out", str(tmp_path / "o.csv"),
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "finite" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from fraclap import cli

@@ -1,5 +1,7 @@
 """Adjacency/degree/Laplacian assembly and the energy form."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, build_level
-from fraclap.graphs import SparseMatrix, adjacency, degree, energy, graph_laplacian
+from fraclap.graphs import _assemble, adjacency, degree, energy, graph_laplacian
+from fraclap.measures import fem_area_stiffness, fem_edge_stiffness
 
 
 def path_mesh(n):
@@ -33,17 +36,17 @@ def edge_sum_energy(mesh, u, v):
 
 def test_adjacency_single_edge():
     np.testing.assert_array_equal(
-        adjacency(path_mesh(2)).to_dense(), [[0, 1], [1, 0]]
+        adjacency(path_mesh(2)).toarray(), [[0, 1], [1, 0]]
     )
 
 
 def test_adjacency_triangle_is_complete():
-    a = adjacency(build_level("sierpinski", 0)).to_dense()
+    a = adjacency(build_level("sierpinski", 0)).toarray()
     np.testing.assert_array_equal(a, np.ones((3, 3)) - np.eye(3))
 
 
 def test_adjacency_koch_level1_is_a_path():
-    a = adjacency(build_level("koch", 1)).to_dense()
+    a = adjacency(build_level("koch", 1)).toarray()
     deg = a.sum(axis=0)
     assert sorted(deg.tolist()) == [1, 1, 2, 2, 2]
     # connectivity: (I + A)^4 has no zero entry on a 5-vertex path
@@ -54,19 +57,19 @@ def test_adjacency_koch_level1_is_a_path():
 # -- degree ---------------------------------------------------------------------
 
 def test_degree_path3():
-    np.testing.assert_array_equal(degree(path_mesh(3)).to_dense(),
+    np.testing.assert_array_equal(degree(path_mesh(3)).toarray(),
                                   np.diag([1.0, 2.0, 1.0]))
 
 
 def test_degree_sierpinski_level1():
-    d = np.diag(degree(build_level("sierpinski", 1)).to_dense())
+    d = np.diag(degree(build_level("sierpinski", 1)).toarray())
     np.testing.assert_array_equal(d, [2, 2, 2, 4, 4, 4])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_degree_sierpinski_interior_is_four(n):
     m = build_level("sierpinski", n)
-    d = np.diag(degree(m).to_dense())
+    d = np.diag(degree(m).toarray())
     np.testing.assert_array_equal(d[m.interior_indices], 4.0)
     np.testing.assert_array_equal(d[m.boundary_indices], 2.0)
 
@@ -74,12 +77,12 @@ def test_degree_sierpinski_interior_is_four(n):
 # -- laplacian -------------------------------------------------------------------
 
 def test_laplacian_triangle():
-    lap = graph_laplacian(build_level("sierpinski", 0)).to_dense()
+    lap = graph_laplacian(build_level("sierpinski", 0)).toarray()
     np.testing.assert_array_equal(lap, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
 def test_laplacian_sierpinski_level1_diagonal():
-    lap = graph_laplacian(build_level("sierpinski", 1)).to_dense()
+    lap = graph_laplacian(build_level("sierpinski", 1)).toarray()
     np.testing.assert_array_equal(np.diag(lap), [2, 2, 2, 4, 4, 4])
 
 
@@ -88,7 +91,7 @@ def test_laplacian_sierpinski_level1_diagonal():
 def test_laplacian_annihilates_constants_exactly(family, n):
     m = build_level(family, n)
     lap = graph_laplacian(m)
-    np.testing.assert_array_equal(lap.matvec(np.ones(m.num_vertices)), 0.0)
+    np.testing.assert_array_equal(lap @ np.ones(m.num_vertices), 0.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -96,10 +99,10 @@ def test_laplacian_annihilates_constants_exactly(family, n):
 def test_laplacian_symmetric_and_psd(family, n):
     m = build_level(family, n)
     lap = graph_laplacian(m)
-    assert lap.is_symmetric()
+    assert abs(lap - lap.T).max() == 0.0
     rng = np.random.default_rng(42)
     u = rng.normal(size=(100, m.num_vertices))
-    lu = lap.to_csr() @ u.T
+    lu = lap @ u.T
     quad = np.einsum("nk,nk->k", u.T, lu)
     assert quad.min() >= -1e-12 * max(1.0, np.abs(quad).max())
 
@@ -148,36 +151,82 @@ def test_energy_dimension_mismatch():
         energy(lap, np.zeros(4), np.zeros(5))
 
 
-# -- SparseMatrix container -------------------------------------------------------
+# -- _assemble -------------------------------------------------------------------
 
 def test_from_triplets_coalesces_and_sorts():
-    m = SparseMatrix.from_triplets(
-        2, 2, [1, 0, 1, 0], [0, 1, 0, 0], [1.0, 2.0, 3.0, -1.0]
-    )
-    np.testing.assert_array_equal(m.rows, [0, 0, 1])
-    np.testing.assert_array_equal(m.cols, [0, 1, 0])
-    np.testing.assert_array_equal(m.vals, [-1.0, 2.0, 4.0])
+    m = _assemble(2, [1, 0, 1, 0], [0, 1, 0, 0], [1.0, 2.0, 3.0, -1.0])
+    assert m.format == "csr" and m.has_canonical_format
+    coo = m.tocoo()
+    np.testing.assert_array_equal(coo.row, [0, 0, 1])
+    np.testing.assert_array_equal(coo.col, [0, 1, 0])
+    np.testing.assert_array_equal(coo.data, [-1.0, 2.0, 4.0])
 
 
 def test_from_triplets_drops_exact_zeros():
-    m = SparseMatrix.from_triplets(2, 2, [0, 0], [0, 0], [1.0, -1.0])
+    m = _assemble(2, [0, 0], [0, 0], [1.0, -1.0])
     assert m.nnz == 0
 
 
 def test_sparse_rejects_out_of_range():
     with pytest.raises(UsageError):
-        SparseMatrix.from_triplets(2, 2, [2], [0], [1.0])
-
-
-def test_sparse_rejects_unsorted_duplicates():
+        _assemble(2, [2], [0], [1.0])
     with pytest.raises(UsageError):
-        SparseMatrix(2, 2, np.array([0, 0]), np.array([1, 0]), np.array([1.0, 1.0]))
+        _assemble(2, [0], [-1], [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_assemble_rejects_non_finite(bad):
+    with pytest.raises(UsageError, match="finite"):
+        _assemble(2, [0, 1], [0, 1], [1.0, bad])
 
 
 def test_matvec_matches_dense():
     rng = np.random.default_rng(2)
-    dense = rng.normal(size=(4, 6))
+    dense = rng.normal(size=(6, 6))
     rows, cols = np.nonzero(dense)
-    m = SparseMatrix.from_triplets(4, 6, rows, cols, dense[rows, cols])
+    m = _assemble(6, rows, cols, dense[rows, cols])
     x = rng.normal(size=6)
-    np.testing.assert_allclose(m.matvec(x), dense @ x, atol=1e-14)
+    np.testing.assert_allclose(m @ x, dense @ x, atol=1e-14)
+
+
+# -- assembly bit identity ----------------------------------------------------------
+
+# sha256 over (indptr, indices as int64, data as float64) of every level
+# 0..OPERATOR_LEVELS[family] in turn, recorded from the triplet container
+# this assembly replaced.  Summing duplicates in any other order (for
+# example coo_array(...).tocsr()) moves fem_edge diagonals by an ulp.
+OPERATOR_LEVELS = {"koch": 6, "sierpinski": 8, "hata2d": 6, "hata3d": 5}
+OPERATOR_DIGESTS = {
+    "koch": {
+        graph_laplacian: "6db94bd145c2c92e0ebe8331a660b1d2d42b2fb8dfa1b049d36cf4e8a07f434a",
+        fem_edge_stiffness: "cc135b1d3ee1c49c52880a6d6e357d5b1f98172449cccfdb4814a1f0408ffd50",
+    },
+    "sierpinski": {
+        graph_laplacian: "c42eed4a4c93fa1c3aef574a7ad67212d5f80d42728bcef5e5f6e31f4ca22a2b",
+        fem_edge_stiffness: "16c45db04f98095b59f178f78ce29bfe5c885257d9531ed013fef7e4d32527b3",
+        fem_area_stiffness: "f84a52d2577ccc51362c1c1887a4646fe8df929cb76b8f56254d43aa55c41506",
+    },
+    "hata2d": {
+        graph_laplacian: "ab6fafb279bbbe924fb47169b2df856f000f7a2ab0956f9e1330598ea77b104e",
+        fem_edge_stiffness: "70329d3512aa2f2165f147db924a3f38cfecc5ab6b73f18dc1c1c778fb003c6c",
+    },
+    "hata3d": {
+        graph_laplacian: "445ac0ee95e5c3026c5f08bedbbfd9ce5761979ccf54b4f180d5adb2dfa151a5",
+        fem_edge_stiffness: "d005197a8c79f81662a61ed507605ba859366559a11ae70cce283e4785985aef",
+    },
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_operators_are_bit_identical(family):
+    meshes = [build_level(family, n) for n in range(OPERATOR_LEVELS[family] + 1)]
+    assert (meshes[0].num_cells > 0) == (fem_area_stiffness in OPERATOR_DIGESTS[family])
+    for assemble, expected in OPERATOR_DIGESTS[family].items():
+        h = hashlib.sha256()
+        for mesh in meshes:
+            a = assemble(mesh)
+            assert a.format == "csr" and a.has_canonical_format
+            h.update(a.indptr.astype(np.int64).tobytes())
+            h.update(a.indices.astype(np.int64).tobytes())
+            h.update(a.data.astype(np.float64).tobytes())
+        assert h.hexdigest() == expected, assemble.__name__

@@ -52,7 +52,7 @@ def single_edge_mesh(p0, p1):
 
 
 def max_entry_gap(a, b):
-    return np.max(np.abs(a.to_dense() - b.to_dense()))
+    return np.max(np.abs(a.toarray() - b.toarray()))
 
 
 # -- vertex weights -----------------------------------------------------------
@@ -203,36 +203,36 @@ def test_load_length_mismatch():
 def test_single_unit_edge_stiffness():
     m = single_edge_mesh(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     np.testing.assert_array_equal(
-        fem_edge_stiffness(m).matrix.to_dense(), [[1, -1], [-1, 1]]
+        fem_edge_stiffness(m).toarray(), [[1, -1], [-1, 1]]
     )
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_edge_stiffness_identity_sierpinski(n):
     m = build_level("sierpinski", n)
-    a = fem_edge_stiffness(m).matrix
-    lap = graph_laplacian(m).scaled(2.0**n)
-    assert max_entry_gap(a, lap) <= 1e-12 * np.abs(a.vals).max()
+    a = fem_edge_stiffness(m)
+    lap = graph_laplacian(m) * 2.0**n
+    assert max_entry_gap(a, lap) <= 1e-12 * np.abs(a.data).max()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_area_stiffness_identity_sierpinski(n):
     m = build_level("sierpinski", n)
-    a = fem_area_stiffness(m).matrix
-    lap = graph_laplacian(m).scaled(SQRT3 / 6)
-    assert max_entry_gap(a, lap) <= 1e-12 * np.abs(a.vals).max()
+    a = fem_area_stiffness(m)
+    lap = graph_laplacian(m) * (SQRT3 / 6)
+    assert max_entry_gap(a, lap) <= 1e-12 * np.abs(a.data).max()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_edge_stiffness_identity_koch(n):
     m = build_level("koch", n)
-    a = fem_edge_stiffness(m).matrix
-    lap = graph_laplacian(m).scaled(3.0**n)
-    assert max_entry_gap(a, lap) <= 1e-12 * np.abs(a.vals).max()
+    a = fem_edge_stiffness(m)
+    lap = graph_laplacian(m) * 3.0**n
+    assert max_entry_gap(a, lap) <= 1e-12 * np.abs(a.data).max()
 
 
 def test_equilateral_element_values():
-    a = fem_area_stiffness(build_level("sierpinski", 0)).matrix.to_dense()
+    a = fem_area_stiffness(build_level("sierpinski", 0)).toarray()
     np.testing.assert_allclose(np.diag(a), SQRT3 / 3, rtol=1e-14)
     off = a[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, -SQRT3 / 6, rtol=1e-14)
@@ -240,7 +240,7 @@ def test_equilateral_element_values():
 
 def test_right_reference_triangle_element():
     m = single_cell_mesh([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-    a = fem_area_stiffness(m).matrix.to_dense()
+    a = fem_area_stiffness(m).toarray()
     np.testing.assert_allclose(
         a, [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]], atol=1e-15
     )
@@ -257,19 +257,19 @@ def test_random_triangle_element_against_gradient_oracle():
     ref = area * grads @ grads.T
     m = single_cell_mesh(*p)
     np.testing.assert_allclose(
-        fem_area_stiffness(m).matrix.to_dense(), ref, rtol=1e-12
+        fem_area_stiffness(m).toarray(), ref, rtol=1e-12
     )
 
 
 @pytest.mark.parametrize("family,n", [("sierpinski", 3), ("koch", 3), ("hata2d", 3)])
 def test_stiffness_annihilates_constants(family, n):
     m = build_level(family, n)
-    mats = [fem_edge_stiffness(m).matrix]
+    mats = [fem_edge_stiffness(m)]
     if m.num_cells:
-        mats.append(fem_area_stiffness(m).matrix)
+        mats.append(fem_area_stiffness(m))
     for a in mats:
         ones = np.ones(m.num_vertices)
-        assert np.abs(a.matvec(ones)).max() <= 1e-12 * np.abs(a.vals).max()
+        assert np.abs(a @ ones).max() <= 1e-12 * np.abs(a.data).max()
 
 
 def test_zero_length_edge_rejected():

@@ -133,8 +133,7 @@ def test_scaling_neutrality():
         zs = []
         for mesh in (coarse, fine):
             stiff, load = _operator_and_load(mesh, form)
-            scaled = type(stiff)(stiff.matrix.scaled(c), stiff.formulation, stiff.level)
-            zs.append(_solve_model(mesh, scaled, load))
+            zs.append(_solve_model(mesh, stiff * c, load))
         r, excluded = _ratio_statistics(zs[0], zs[1], emb, coarse.interior_indices)
         assert excluded == 0
         ratios[c] = r
@@ -158,14 +157,14 @@ def test_denominator_guard_excludes_near_zeros():
 def test_renormalize_identity_constant():
     stiff = fd_graph_stiffness(build_level("sierpinski", 2))
     out = renormalize(stiff, 1.0, 2)
-    np.testing.assert_array_equal(out.scaled.vals, stiff.matrix.vals)
+    np.testing.assert_array_equal(out.data, stiff.data)
 
 
 def test_renormalize_scales_entries():
     stiff = fd_graph_stiffness(build_level("sierpinski", 2))
     out = renormalize(stiff, 5.0, 2)
-    np.testing.assert_allclose(out.scaled.vals, 25.0 * stiff.matrix.vals, rtol=1e-15)
-    assert out.factor == 25.0
+    np.testing.assert_allclose(out.data, 25.0 * stiff.data, rtol=1e-15)
+    np.testing.assert_array_equal(out.data, stiff.data * 25.0)
 
 
 def test_renormalized_edge_stiffness_relation():
@@ -173,15 +172,28 @@ def test_renormalized_edge_stiffness_relation():
     n = 3
     m = build_level("sierpinski", n)
     out = renormalize(fem_edge_stiffness(m), 1.25, n)
-    lap = graph_laplacian(m).scaled(2.5**n)
-    gap = np.abs(out.scaled.to_dense() - lap.to_dense()).max()
-    assert gap <= 1e-12 * np.abs(out.scaled.vals).max()
+    lap = graph_laplacian(m) * 2.5**n
+    gap = np.abs(out.toarray() - lap.toarray()).max()
+    assert gap <= 1e-12 * np.abs(out.data).max()
 
 
 def test_renormalize_rejects_nonpositive_constant():
     stiff = fd_graph_stiffness(build_level("koch", 1))
     with pytest.raises(UsageError):
         renormalize(stiff, 0.0, 1)
+
+
+@pytest.mark.parametrize("constant, n", [
+    (1e300, 3),     # constant**n overflows
+    (1e-300, 3),    # constant**n underflows to zero
+    (np.inf, 3),
+    (np.inf, 0),    # inf**0 == 1, but the constant itself is not finite
+    (1e154, 2),     # 1e308 is finite, the scaled degree-4 entries are not
+])
+def test_renormalize_rejects_unrepresentable_scaling(constant, n):
+    stiff = fd_graph_stiffness(build_level("sierpinski", 3))
+    with pytest.raises(UsageError, match="finite"):
+        renormalize(stiff, constant, n)
 
 
 # -- solve_online ----------------------------------------------------------------------
@@ -262,9 +274,9 @@ def test_direct_solve_at_sierpinski_level_11():
     sol = solve_online("sierpinski", n, "rfem2d", 1.25, np.zeros(m.num_vertices), h)
     assert m.interior_indices.size == 265_719
     assert sol.values.min() >= 0.0 and sol.values.max() <= 1.0
-    op = renormalize(fem_area_stiffness(m), 1.25, n).scaled
+    op = renormalize(fem_area_stiffness(m), 1.25, n)
     _, a_i0, _, bidx = partition(op, m.boundary_indices)
-    rhs = -a_i0.matvec(np.array([h[int(i)] for i in bidx]))
+    rhs = -(a_i0 @ np.array([h[int(i)] for i in bidx]))
     assert sol.solver_residual <= RESIDUAL_BOUND * max(1.0, np.abs(rhs).max())
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fraclap.errors import SolveError, UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, build_level
-from fraclap.graphs import SparseMatrix, graph_laplacian
+from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.solver import DirichletProblem, linear_solve, partition, solve_dirichlet
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -30,7 +30,7 @@ def path_mesh(n):
 
 def dense_dirichlet_oracle(mesh, operator, load, boundary_values):
     """Independent dense Gaussian-elimination solve of the interior system."""
-    a = operator.to_dense()
+    a = operator.toarray()
     bidx = np.sort(mesh.boundary_indices)
     iidx = np.setdiff1d(np.arange(mesh.num_vertices), bidx)
     u0 = np.array([boundary_values[int(i)] for i in bidx])
@@ -59,7 +59,7 @@ def small_meshes(limit=50):
 def test_partition_sierpinski_level1():
     m = build_level("sierpinski", 1)
     a_ii, a_i0, iidx, bidx = partition(graph_laplacian(m), m.boundary_indices)
-    np.testing.assert_array_equal(np.diag(a_ii.to_dense()), [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(np.diag(a_ii.toarray()), [4.0, 4.0, 4.0])
     assert a_ii.shape == (3, 3) and a_i0.shape == (3, 3)
     np.testing.assert_array_equal(bidx, [0, 1, 2])
     np.testing.assert_array_equal(iidx, [3, 4, 5])
@@ -68,8 +68,8 @@ def test_partition_sierpinski_level1():
 def test_partition_path3():
     m = path_mesh(3)
     a_ii, a_i0, _, _ = partition(graph_laplacian(m), [0, 2])
-    np.testing.assert_array_equal(a_ii.to_dense(), [[2.0]])
-    np.testing.assert_array_equal(a_i0.to_dense(), [[-1.0, -1.0]])
+    np.testing.assert_array_equal(a_ii.toarray(), [[2.0]])
+    np.testing.assert_array_equal(a_i0.toarray(), [[-1.0, -1.0]])
 
 
 def test_partition_rejects_empty_interior():
@@ -87,13 +87,13 @@ def test_partition_rejects_bad_index():
 # -- linear_solve -----------------------------------------------------------------
 
 def test_solve_identity():
-    eye = SparseMatrix.from_triplets(3, 3, range(3), range(3), np.ones(3))
+    eye = _assemble(3, range(3), range(3), np.ones(3))
     b = np.array([3.0, -1.0, 2.0])
     np.testing.assert_allclose(linear_solve(eye, b), b)
 
 
 def test_solve_two_by_two():
-    a = SparseMatrix.from_triplets(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [2, -1, -1, 2])
+    a = _assemble(2, [0, 0, 1, 1], [0, 1, 0, 1], [2, -1, -1, 2])
     np.testing.assert_allclose(linear_solve(a, np.ones(2)), np.ones(2), atol=1e-12)
 
 
@@ -102,13 +102,13 @@ def test_solve_random_spd_against_dense():
     dense = rng.normal(size=(50, 50))
     dense = dense @ dense.T + 50 * np.eye(50)
     rows, cols = np.nonzero(dense)
-    a = SparseMatrix.from_triplets(50, 50, rows, cols, dense[rows, cols])
+    a = _assemble(50, rows, cols, dense[rows, cols])
     b = rng.normal(size=50)
     np.testing.assert_allclose(linear_solve(a, b), np.linalg.solve(dense, b), atol=1e-8)
 
 
 def test_solve_rejects_nonsymmetric():
-    a = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [0, 1, 1], [1.0, 1.0, 1.0])
+    a = _assemble(2, [0, 0, 1], [0, 1, 1], [1.0, 1.0, 1.0])
     with pytest.raises(SolveError):
         linear_solve(a, np.ones(2))
 
@@ -125,7 +125,7 @@ def test_solve_residual_contract():
     a_ii, _, iidx, _ = partition(graph_laplacian(m), m.boundary_indices)
     b = np.ones(iidx.size)
     x = linear_solve(a_ii, b)
-    res = np.abs(a_ii.matvec(x) - b).max()
+    res = np.abs(a_ii @ x - b).max()
     assert res <= 1e-10 * max(1.0, np.abs(b).max())
 
 
