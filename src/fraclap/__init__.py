@@ -44,6 +44,7 @@ from .solver import (
     Solution,
     linear_solve,
     partition,
+    solve_condensed,
     solve_dirichlet,
 )
 
@@ -86,6 +87,7 @@ __all__ = [
     "load_vector",
     "partition",
     "renormalize",
+    "solve_condensed",
     "solve_dirichlet",
     "solve_online",
     "vertex_weights",

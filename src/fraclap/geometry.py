@@ -386,6 +386,25 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
     return _finish_mesh(ifs, mesh.level + 1, cand, edge_cand, cell_cand)
 
 
+def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
+    """(copy, seed vertex) -> vertex of ``mesh``, for a mesh refined from
+    ``seed`` by ``_refine``.
+
+    ``_refine`` stacks the images of the coarser edge list map-major and the
+    copies share no edge, so the edges of level n are ``m**n`` blocks of the
+    seed edges, one per word of maps in lexicographic order.
+    """
+    copies, extra = divmod(mesh.num_edges, seed.num_edges)
+    if extra:
+        raise GeometryError("edge count is not a multiple of the seed's")
+    edges = mesh.edges.reshape(copies, seed.num_edges, 2)
+    table = np.empty((copies, seed.num_vertices), dtype=np.int64)
+    table[:, seed.edges] = edges
+    if not (table[:, seed.edges] == edges).all():
+        raise GeometryError("edges do not follow the copy layout of build_level")
+    return table
+
+
 def iterate(ifs: IFSystem, n: int) -> LevelMesh:
     """Apply the union map ``n`` times to the seed and return the mesh."""
     if n < 0:

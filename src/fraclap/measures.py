@@ -58,6 +58,39 @@ def _cell_areas(mesh: LevelMesh) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
 
 
+def _edge_conductances(mesh: LevelMesh, unit: bool = False) -> np.ndarray:
+    """Per-edge conductances: 1 for the graph operators, 1/L for the
+    one-dimensional linear elements."""
+    if not mesh.num_edges:
+        raise AssemblyError("mesh has no edges")
+    if unit:
+        return np.ones(mesh.num_edges)
+    length = mesh.edge_lengths()
+    if (length <= 0.0).any():
+        raise AssemblyError("zero-length edge")
+    return 1.0 / length
+
+
+def _triangle_matrices(mesh: LevelMesh) -> np.ndarray:
+    """Element matrices of the linear triangle elements, one (3, 3) block
+    per cell in cell-vertex order.
+
+    They come from the constant gradients of the barycentric basis on each
+    triangle: K_ij = (e_i . e_j) / (4 S) with e_i the edge vector opposite
+    vertex i.
+    """
+    if not mesh.num_cells:
+        raise AssemblyError("area formulation requires a mesh with cells")
+    if mesh.dimension != 2:
+        raise AssemblyError("area formulation is only defined for planar meshes")
+    p = mesh.vertices[mesh.cells]
+    area = _cell_areas(mesh)
+    if (area <= 0.0).any():
+        raise AssemblyError("degenerate zero-area cell")
+    e = p[:, (2, 0, 1), :] - p[:, (1, 2, 0), :]
+    return np.einsum("cid,cjd->cij", e, e) / (4.0 * area)[:, None, None]
+
+
 def _require_kind(kind) -> MeasureKind:
     try:
         return MeasureKind(kind)
@@ -136,12 +169,7 @@ def fd_graph_stiffness(mesh: LevelMesh) -> sp.csr_array:
 
 def fem_edge_stiffness(mesh: LevelMesh) -> sp.csr_array:
     """One-dimensional linear elements along edges: 1/L conductances."""
-    if not mesh.num_edges:
-        raise AssemblyError("mesh has no edges")
-    length = mesh.edge_lengths()
-    if (length <= 0.0).any():
-        raise AssemblyError("zero-length edge")
-    wts = 1.0 / length
+    wts = _edge_conductances(mesh)
     n = mesh.num_vertices
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
     rows = np.concatenate([i, j, i, j])
@@ -151,23 +179,8 @@ def fem_edge_stiffness(mesh: LevelMesh) -> sp.csr_array:
 
 
 def fem_area_stiffness(mesh: LevelMesh) -> sp.csr_array:
-    """Linear triangle elements over cells.
-
-    Element matrices come from the constant gradients of the barycentric
-    basis on each triangle: K_ij = (e_i . e_j) / (4 S) with e_i the edge
-    vector opposite vertex i.
-    """
-    if not mesh.num_cells:
-        raise AssemblyError("area formulation requires a mesh with cells")
-    if mesh.dimension != 2:
-        raise AssemblyError("area formulation is only defined for planar meshes")
-    p = mesh.vertices[mesh.cells]
-    area = _cell_areas(mesh)
-    if (area <= 0.0).any():
-        raise AssemblyError("degenerate zero-area cell")
-    e = p[:, (2, 0, 1), :] - p[:, (1, 2, 0), :]
-    local = np.einsum("cid,cjd->cij", e, e) / (4.0 * area)[:, None, None]
-    n = mesh.num_vertices
+    """Linear triangle elements over cells (see ``_triangle_matrices``)."""
+    local = _triangle_matrices(mesh)
     rows = np.repeat(mesh.cells, 3, axis=1).ravel()
     cols = np.tile(mesh.cells, (1, 3)).ravel()
-    return _assemble(n, rows, cols, local.ravel())
+    return _assemble(mesh.num_vertices, rows, cols, local.ravel())

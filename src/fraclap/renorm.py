@@ -5,6 +5,12 @@ boundary data) at two consecutive levels and compare the solutions at the
 shared coarse interior vertices.  The per-vertex ratio of the fine solution
 over the coarse one stabilizes at the renormalization constant of the
 chosen formulation; its statistics are reported per level pair.
+
+Every solve here is on a built-in family, so the model solves and
+``solve_online`` hand the element matrices of the formulation to
+``solver.solve_condensed`` and never assemble or factor a sparse matrix;
+scipy is not imported.  ``renormalize`` still scales an assembled operator
+for callers of ``solver.solve_dirichlet``.
 """
 
 from __future__ import annotations
@@ -18,14 +24,8 @@ import numpy as np
 
 from .errors import SolveError, UsageError
 from .geometry import LevelMesh, _frozen, build_level, embed
-from .measures import (
-    MeasureKind,
-    fd_graph_stiffness,
-    fem_area_stiffness,
-    fem_edge_stiffness,
-    load_vector,
-)
-from .solver import DirichletProblem, Solution, solve_dirichlet
+from .measures import MeasureKind, _edge_conductances, _triangle_matrices, load_vector
+from .solver import Solution, solve_condensed
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -36,6 +36,7 @@ DENOMINATOR_GUARD = 1e-14
 
 ENERGY_FORMULATIONS = ("graph_energy", "fem_edge", "fem_area")
 SOLVE_METHODS = ("rfd", "rfem1d", "rfem2d")
+_METHOD_FORMULATION = {"rfd": "fd", "rfem1d": "fem_edge", "rfem2d": "fem_area"}
 
 
 @dataclass(frozen=True)
@@ -55,29 +56,43 @@ class RenormEstimate:
         object.__setattr__(self, "ratios", _frozen(self.ratios, np.float64))
 
 
-def _operator_and_load(mesh: LevelMesh, formulation: str):
-    ones = np.ones(mesh.num_vertices)
-    if formulation == "fd":
-        return fd_graph_stiffness(mesh), ones
-    if formulation == "graph_energy":
-        return fd_graph_stiffness(mesh), load_vector(mesh, MeasureKind.SELF_SIMILAR, ones)
-    if formulation == "fem_edge":
-        return fem_edge_stiffness(mesh), load_vector(mesh, MeasureKind.EDGE_LENGTH, ones)
+# Edge element matrix of unit conductance: (e_a - e_b)(e_a - e_b)^T.
+_EDGE_ELEMENT = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+_LOAD_MEASURE = {
+    "graph_energy": MeasureKind.SELF_SIMILAR,
+    "fem_edge": MeasureKind.EDGE_LENGTH,
+    "fem_area": MeasureKind.TRIANGLE_AREA,
+}
+
+
+def _elements(mesh: LevelMesh, formulation: str):
+    """Vertex rows (edges or cells) and element matrices whose sum is the
+    formulation's stiffness matrix."""
     if formulation == "fem_area":
-        return fem_area_stiffness(mesh), load_vector(mesh, MeasureKind.TRIANGLE_AREA, ones)
-    raise UsageError(f"unknown formulation {formulation!r}")
+        return mesh.cells, _triangle_matrices(mesh)
+    if formulation not in ("fd", "graph_energy", "fem_edge"):
+        raise UsageError(f"unknown formulation {formulation!r}")
+    conductance = _edge_conductances(mesh, unit=formulation != "fem_edge")
+    return mesh.edges, conductance[:, None, None] * _EDGE_ELEMENT
 
 
-def _solve_model(mesh: LevelMesh, stiffness: sp.csr_array, load: np.ndarray) -> np.ndarray:
-    zero = {int(i): 0.0 for i in mesh.boundary_indices}
-    return solve_dirichlet(DirichletProblem(stiffness, load, zero, mesh)).values
+def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:
+    """fd takes ``g`` pointwise; the weak forms integrate it against the
+    formulation's natural measure."""
+    if formulation == "fd":
+        return g
+    return load_vector(mesh, _LOAD_MEASURE[formulation], g)
 
 
 @functools.lru_cache(maxsize=128)
 def _model_solution(family: str, level: int, formulation: str) -> np.ndarray:
+    """Un-normalized model solution: unit forcing, zero boundary data."""
     mesh = build_level(family, level)
-    stiffness, load = _operator_and_load(mesh, formulation)
-    values = _solve_model(mesh, stiffness, load)
+    elements, local = _elements(mesh, formulation)
+    load = _load(mesh, formulation, np.ones(mesh.num_vertices))
+    zero = {int(i): 0.0 for i in mesh.boundary_indices}
+    values = solve_condensed(mesh, elements, local, load, zero).values
     values.setflags(write=False)
     return values
 
@@ -141,8 +156,9 @@ def estimate_energy_ratio(
     return _estimate(family, n, formulation, formulation)
 
 
-def renormalize(base: sp.csr_array, constant: float, n: int) -> sp.csr_array:
-    """Scale a stiffness matrix by constant**n."""
+def _renormalized(values: np.ndarray, constant: float, n: int) -> np.ndarray:
+    """``values * constant**n``, refusing a scaling that is not finite and
+    nonzero."""
     if not constant > 0:
         raise UsageError("renormalization constant must be positive")
     if n < 0:
@@ -152,10 +168,17 @@ def renormalize(base: sp.csr_array, constant: float, n: int) -> sp.csr_array:
     except OverflowError:
         factor = math.inf
     with np.errstate(over="ignore"):
-        scaled = base * factor
-    if not (math.isfinite(constant) and factor > 0 and np.isfinite(scaled.data).all()):
+        scaled = values * factor
+    if not (math.isfinite(constant) and factor > 0 and np.isfinite(scaled).all()):
         raise UsageError(f"constant**level = {constant:g}**{n} does not scale the "
                          "operator to finite nonzero values")
+    return scaled
+
+
+def renormalize(base: sp.csr_array, constant: float, n: int) -> sp.csr_array:
+    """Scale a stiffness matrix by constant**n."""
+    scaled = base.copy()
+    scaled.data = _renormalized(base.data, constant, n)
     return scaled
 
 
@@ -196,27 +219,20 @@ def solve_online(
     vertices; rfem1d scales the edge stiffness with (by default) half the
     edge-length load, matching the factor-two relation between the
     self-similar and edge-length measures; rfem2d scales the area stiffness
-    with the area load.
+    with the area load.  The element matrices are scaled by constant**n and
+    the problem is solved by condensation.
     """
     if method not in SOLVE_METHODS:
         raise UsageError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
-    if not constant > 0:
-        raise UsageError("renormalization constant must be positive")
     mesh = build_level(family, n)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (mesh.num_vertices,):
         raise UsageError("forcing data length does not match the mesh")
-    if method == "rfd":
-        stiffness = fd_graph_stiffness(mesh)
-        load = g
-    elif method == "rfem1d":
-        stiffness = fem_edge_stiffness(mesh)
-        load = load_vector(mesh, MeasureKind.EDGE_LENGTH, g)
-        if fem_edge_half_load:
-            load = 0.5 * load
-    else:
-        stiffness = fem_area_stiffness(mesh)
-        load = load_vector(mesh, MeasureKind.TRIANGLE_AREA, g)
-    operator = renormalize(stiffness, constant, n)
-    problem = DirichletProblem(operator, load, h, mesh)
-    return solve_dirichlet(problem, method=method, renorm_constant=float(constant))
+    formulation = _METHOD_FORMULATION[method]
+    elements, local = _elements(mesh, formulation)
+    load = _load(mesh, formulation, g)
+    if method == "rfem1d" and fem_edge_half_load:
+        load = 0.5 * load
+    local = _renormalized(local, constant, n)
+    return solve_condensed(mesh, elements, local, load, h,
+                           method=method, renorm_constant=float(constant))

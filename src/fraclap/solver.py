@@ -1,9 +1,19 @@
-"""Dirichlet problems via boundary/interior block partitioning.
+"""Dirichlet problems: the interior block system of a symmetric PSD operator.
 
-Operators are scipy CSR arrays (see ``graphs._assemble``). The interior
-block of the (symmetric PSD) operator is positive definite on connected
-meshes with a nonempty boundary, so the reduced system is solved with a
-sparse direct (SuperLU) factorization at every size.
+Two exact solvers share one contract.  ``solve_dirichlet`` takes any scipy
+CSR operator (see ``graphs._assemble``), partitions it into boundary and
+interior blocks and factors the interior block with SuperLU; scipy is
+imported only there.  ``solve_condensed`` takes a mesh built by
+``geometry.build_level`` and the element matrices whose sum is the
+operator, and solves by self-similar static condensation with numpy alone:
+the m copies of a level meet only at images of the seed vertices, so each
+copy condenses onto its boundary from the leaves up, and the values come
+back down from the Dirichlet data.
+
+Contract: the interior solution ``x`` of ``A x = b`` meets
+``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
+after one step of iterative refinement if the first solve does not, or the
+solve raises ``SolveError``.
 """
 
 from __future__ import annotations
@@ -13,13 +23,30 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SolveError, UsageError
-from .geometry import LevelMesh, _frozen
+from .errors import GeometryError, SolveError, UsageError
+from .geometry import LevelMesh, _copy_table, _frozen, build_level
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-RESIDUAL_BOUND = 1e-10
+# Normwise backward error every solve must meet; a backward-stable solve
+# reaches a few units of roundoff (about 1e-16).
+BACKWARD_ERROR_BOUND = 1e-13
+
+
+def _boundary_data(mesh: LevelMesh, boundary_values) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted boundary indices and their values, checked against the mesh."""
+    expected = set(int(i) for i in mesh.boundary_indices)
+    got = set(int(i) for i in boundary_values)
+    if expected != got:
+        raise UsageError(
+            f"boundary values must cover exactly the boundary indices {sorted(expected)}"
+        )
+    bidx = np.array(sorted(expected), dtype=np.int64)
+    u0 = np.array([boundary_values[int(i)] for i in bidx], dtype=np.float64)
+    if not np.isfinite(u0).all():
+        raise UsageError("boundary values must be finite")
+    return bidx, u0
 
 
 @dataclass(frozen=True)
@@ -40,15 +67,7 @@ class DirichletProblem:
             raise UsageError("operator shape does not match the mesh")
         if load.shape != (n,):
             raise UsageError("load length does not match the mesh")
-        expected = set(int(i) for i in self.mesh.boundary_indices)
-        got = set(int(i) for i in self.boundary_values)
-        if expected != got:
-            raise UsageError(
-                f"boundary values must cover exactly the boundary indices {sorted(expected)}"
-            )
-        values = np.fromiter(self.boundary_values.values(), dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise UsageError("boundary values must be finite")
+        _boundary_data(self.mesh, self.boundary_values)
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "boundary_values", dict(self.boundary_values))
 
@@ -86,34 +105,48 @@ def partition(a: sp.csr_array, boundary):
     return rows[:, interior_idx], rows[:, boundary_idx], interior_idx, boundary_idx
 
 
-def linear_solve(a: sp.csr_array, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` for symmetric positive definite CSR ``A``.
+def _contract_solve(solve, apply, b: np.ndarray, norm_a: float):
+    """``x`` with ``solve(b) ~ A^-1 b`` refined once through ``apply(x) = A x``
+    if needed, and the residual ``|b - A x|_inf`` that meets the contract."""
+    x = solve(b)
+    if not np.isfinite(x).all():
+        raise SolveError("singular interior block")
+    r = b - apply(x)
 
-    Guarantees ``|A x - b|_inf <= 1e-10 * max(1, |b|_inf)`` or raises.
+    def bound():
+        return BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + np.abs(b).max())
+
+    if np.abs(r).max() > bound():
+        x = x + solve(r)
+        r = b - apply(x)
+    residual = float(np.abs(r).max())
+    if not residual <= bound():
+        raise SolveError(f"residual {residual:.3e} exceeds the solver contract "
+                         f"{bound():.3e}")
+    return x, residual
+
+
+def linear_solve(a: sp.csr_array, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``A x = b`` for symmetric positive definite CSR ``A`` with a
+    SuperLU factorization.
+
+    Returns ``x`` and the residual ``|b - A x|_inf``, which meets the
+    module's backward-error contract, or raises ``SolveError``.
     """
     import scipy.sparse.linalg as spla
 
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise UsageError("system dimensions do not agree")
-    if abs(a - a.T).max() > 1e-12 * max(abs(a).max(), 1.0):
+    magnitude = abs(a)
+    if abs(a - a.T).max() > 1e-12 * max(magnitude.max(), 1.0):
         raise SolveError("operator is not symmetric")
-    tol = RESIDUAL_BOUND * max(1.0, float(np.abs(b).max()))
     try:
         lu = spla.splu(a.tocsc())
-        x = lu.solve(b)
     except RuntimeError as exc:
         raise SolveError(f"direct factorization failed: {exc}") from None
-    if not np.isfinite(x).all():
-        raise SolveError("singular interior block")
-    # one step of iterative refinement if rounding left a residual
-    r = b - a @ x
-    if np.abs(r).max() > tol:
-        x = x + lu.solve(r)
-    residual = float(np.abs(b - a @ x).max())
-    if residual > tol:
-        raise SolveError(f"residual {residual:.3e} exceeds the solver contract")
-    return x
+    norm_a = float(magnitude.sum(axis=1).max())
+    return _contract_solve(lu.solve, a.__matmul__, b, norm_a)
 
 
 def solve_dirichlet(
@@ -128,11 +161,163 @@ def solve_dirichlet(
     )
     u0 = np.array([problem.boundary_values[int(i)] for i in boundary_idx])
     rhs = problem.load[interior_idx] - a_i0 @ u0
-    x = linear_solve(a_ii, rhs)
-    residual = float(np.abs(a_ii @ x - rhs).max())
+    x, residual = linear_solve(a_ii, rhs)
     values = np.empty(mesh.num_vertices)
     values[boundary_idx] = u0
     values[interior_idx] = x
+    return Solution(
+        values=values,
+        method=method,
+        level=mesh.level,
+        renorm_constant_applied=renorm_constant,
+        solver_residual=residual,
+    )
+
+
+class _Condensation:
+    """The interior block of ``sum_k local[k]`` over the vertex rows
+    ``elements[k]`` of a ``build_level`` mesh, eliminated copy by copy.
+
+    Leaves are the ``m**n`` copies of the seed.  Going up one depth, the m
+    children of every copy are scattered into the level-1 vertex set V1 and
+    the vertices of V1 outside V0 are eliminated, batched over all copies of
+    that depth.  Each vertex becomes interior at exactly one copy.
+    """
+
+    def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
+        seed, one = build_level(mesh.family, 0), build_level(mesh.family, 1)
+        self.glue = _copy_table(one, seed)  # (child, child vertex) -> V1
+        self.leaves = _copy_table(mesh, seed)
+        nb, nv1, m = seed.num_vertices, one.num_vertices, self.glue.shape[0]
+        if (nb != seed.boundary_indices.size or self.leaves.shape[0] != m**mesh.level
+                or np.bincount(self.glue.ravel(), minlength=nv1).min() == 0):
+            raise GeometryError("mesh is not a self-similar level of its family")
+        self.blocks = _leaf_blocks(self.leaves, elements, local)
+        self.interior = interior
+        ids, schur, self.depths = self.leaves, self.blocks, []
+        for d in range(mesh.level - 1, -1, -1):
+            copies = m**d
+            child = ids.reshape(copies, m * nb)
+            v1 = np.empty((copies, nv1), dtype=np.int64)
+            v1[:, self.glue.ravel()] = child
+            if not (v1[:, self.glue.ravel()] == child).all():
+                raise GeometryError("copies disagree on a shared vertex")
+            children = schur.reshape(copies, m, nb, nb)
+            a = np.zeros((copies, nv1, nv1))
+            for i, g in enumerate(self.glue):
+                a[:, g[:, None], g] += children[:, i]
+            a_ii = a[:, nb:, nb:].copy()
+            try:
+                x_ib = np.linalg.solve(a_ii, a[:, nb:, :nb])
+            except np.linalg.LinAlgError:
+                raise SolveError("singular interior block") from None
+            schur = a[:, :nb, :nb] - a[:, :nb, nb:] @ x_ib
+            self.depths.append((v1, a_ii, x_ib))
+            ids = v1[:, :nb]
+        eliminated = [ids.ravel()] + [v1[:, nb:].ravel() for v1, *_ in self.depths]
+        once = np.bincount(np.concatenate(eliminated), minlength=mesh.num_vertices) == 1
+        if not (once.all() and np.array_equal(np.sort(ids.ravel()), mesh.boundary_indices)):
+            raise GeometryError("copies do not partition the mesh vertices")
+
+    def product(self, u: np.ndarray) -> np.ndarray:
+        """The assembled operator times ``u``: per-leaf products summed per vertex."""
+        ku = np.einsum("wab,wb->wa", self.blocks, u[self.leaves])
+        return np.bincount(self.leaves.ravel(), weights=ku.ravel(), minlength=u.size)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``A_II x`` for an interior vector ``x``."""
+        u = np.zeros(self.interior.size)
+        u[self.interior] = x
+        return self.product(u)[self.interior]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A_II^-1 b``: loads condense up, values come back down."""
+        f = np.zeros(self.interior.size)
+        f[self.interior] = b
+        nb = self.leaves.shape[1]
+        up, loads = np.zeros(self.leaves.shape), []
+        for v1, _, x_ib in self.depths:
+            children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
+            for i, g in enumerate(self.glue):
+                fv[:, g] += children[:, i]
+            f_i = fv[:, nb:] + f[v1[:, nb:]]
+            # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
+            up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib, f_i)
+            loads.append(f_i)
+        u, u_b = np.zeros(f.size), np.zeros((1, nb))
+        for (v1, a_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
+            u_i = np.linalg.solve(a_ii, f_i[..., None])[..., 0]
+            u_i -= np.einsum("wib,wb->wi", x_ib, u_b)
+            u[v1[:, nb:]] = u_i
+            u_b = np.concatenate([u_b, u_i], axis=1)[:, self.glue].reshape(-1, nb)
+        return u[self.interior]
+
+    def norm(self) -> float:
+        """``|A_II|_inf``; exact when no two leaves share a pair of vertices,
+        as on the built-in families, and an upper bound otherwise."""
+        leaves, blocks = self.leaves.ravel(), self.blocks
+        off = abs(blocks) * self.interior[self.leaves][:, None, :]
+        diag = np.diagonal(blocks, axis1=1, axis2=2)
+        off_sum = off.sum(axis=2) - np.diagonal(off, axis1=1, axis2=2)
+        n = self.interior.size
+        row = (abs(np.bincount(leaves, weights=diag.ravel(), minlength=n))
+               + np.bincount(leaves, weights=off_sum.ravel(), minlength=n))
+        return float(row[self.interior].max())
+
+
+def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
+    """Element matrices summed into one seed-sized block per leaf copy."""
+    nleaf, nb = leaves.shape
+    per_leaf, extra = divmod(elements.shape[0], nleaf)
+    if extra:
+        raise GeometryError("element count is not a multiple of the copy count")
+    hit = elements.reshape(nleaf, per_leaf, -1, 1) == leaves[:, None, None, :]
+    if not hit.any(axis=3).all():
+        raise GeometryError("an element lies outside its copy")
+    pos = hit.argmax(axis=3)
+    word = np.arange(nleaf)[:, None, None, None]
+    flat = ((word * nb + pos[..., :, None]) * nb + pos[..., None, :]).ravel()
+    blocks = np.bincount(flat, weights=local.ravel(), minlength=nleaf * nb * nb)
+    return blocks.reshape(nleaf, nb, nb)
+
+
+def solve_condensed(
+    mesh: LevelMesh,
+    elements: np.ndarray,
+    local: np.ndarray,
+    load: np.ndarray,
+    boundary_values: dict[int, float],
+    method: str = "dirichlet",
+    renorm_constant: float | None = None,
+) -> Solution:
+    """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
+    vertices ``elements[k]`` (edges or cells of ``mesh``) by self-similar
+    static condensation, without assembling it and without scipy.
+
+    ``mesh`` must be laid out as ``build_level`` builds it: a mesh whose
+    copies do not glue as its family's level-1 mesh raises ``GeometryError``.
+    """
+    bidx, u0 = _boundary_data(mesh, boundary_values)
+    load = np.asarray(load, dtype=np.float64)
+    if load.shape != (mesh.num_vertices,):
+        raise UsageError("load length does not match the mesh")
+    local = np.asarray(local, dtype=np.float64)
+    magnitude = abs(local).max()
+    if abs(local - local.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
+        raise SolveError("operator is not symmetric")
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[bidx] = False
+    if not interior.any():
+        raise SolveError("empty interior: every vertex is a boundary vertex")
+    cond = _Condensation(mesh, elements, local, interior)
+    norm_a = cond.norm()
+    if not np.isfinite(norm_a):
+        raise UsageError("operator entries are not finite")
+    values = np.zeros(mesh.num_vertices)
+    values[bidx] = u0
+    rhs = load[interior] - cond.product(values)[interior]
+    x, residual = _contract_solve(cond.solve, cond.apply, rhs, norm_a)
+    values[interior] = x
     return Solution(
         values=values,
         method=method,

@@ -294,29 +294,68 @@ def test_unrepresentable_renormalization_exits_two_without_traceback(tmp_path, c
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    "renorm --family sierpinski --method fd --levels 3:9",
+    "renorm --family hata2d --method fd --levels 3:6",
+    "renorm --family koch --method fd --levels 2:6",
+    "solve --family hata3d --level 6 --method rfd --rhs 0 --bc 1,0",
+    "solve --family hata2d --level 8 --method rfd --rhs 0 --bc 1,0",
+    "solve --family koch --level 8 --method rfd --rhs 0 --bc 1,0",
+], ids=["renorm-sierpinski", "renorm-hata2d", "renorm-koch",
+        "solve-hata3d", "solve-hata2d", "solve-koch"])
+def test_fd_commands_with_large_solutions_succeed(tmp_path, command):
+    """fd solutions grow like the constant to the level; these commands
+    exited 3 under the former absolute residual bound."""
+    out = run_fresh("-m", "fraclap.cli", *command.split(), "--out", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
-from fraclap import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        rc = cli.main({argv!r})
-    except SystemExit as exc:
-        rc = exc.code
+{body}
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print(json.dumps([rc, sorted(loaded)]))
 """
 
+_CLI_BODY = """
+    from fraclap import cli
+    try:
+        rc = cli.main({argv!r})
+    except SystemExit as exc:
+        rc = exc.code
+"""
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["generate", "--family", "sierpinski", "--level", "3", "--out", "{out}"], False),
-    (["--help"], False),
-    (["solve", "--family", "sierpinski", "--level", "3", "--method", "rfd",
-      "--constant", "5", "--rhs", "1", "--bc", "1,0,0", "--out", "{out}"], True),
-], ids=["generate", "help", "solve"])
-def test_scipy_is_imported_only_to_factor(tmp_path, argv, loads_scipy):
-    argv = [a.format(out=tmp_path / "out") for a in argv]
-    out = run_fresh("-c", _SCIPY_PROBE.format(argv=argv))
+# the factored path on a caller-supplied CSR operator
+_LINEAR_SOLVE_BODY = """
+    import numpy as np
+    from fraclap import build_level, graph_laplacian, linear_solve, partition
+    mesh = build_level("sierpinski", 3)
+    a_ii = partition(graph_laplacian(mesh), mesh.boundary_indices)[0]
+    x, _ = linear_solve(a_ii, np.ones(a_ii.shape[0]))
+    rc = 0 if np.isfinite(x).all() else 1
+"""
+
+
+@pytest.mark.parametrize("body, loads_scipy", [
+    (_CLI_BODY.format(argv=["generate", "--family", "sierpinski", "--level", "3",
+                            "--out", "{out}"]), False),
+    (_CLI_BODY.format(argv=["--help"]), False),
+    (_CLI_BODY.format(argv=["solve", "--family", "sierpinski", "--level", "3",
+                            "--method", "rfd", "--constant", "5", "--rhs", "1",
+                            "--bc", "1,0,0", "--out", "{out}"]), False),
+    (_CLI_BODY.format(argv=["renorm", "--family", "hata3d", "--method", "fem-edge",
+                            "--levels", "2:4", "--out", "{out}"]), False),
+    (_LINEAR_SOLVE_BODY, True),
+], ids=["generate", "help", "solve", "renorm", "linear_solve"])
+def test_scipy_is_imported_only_to_factor(tmp_path, body, loads_scipy):
+    """Built-in families are solved by condensation with numpy alone; scipy
+    loads only to assemble and factor a CSR operator."""
+    body = body.replace("{out}", str(tmp_path / "out"))
+    out = run_fresh("-c", _SCIPY_PROBE.format(body=body))
     assert out.returncode == 0, out.stderr
     rc, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc == 0
     assert bool(loaded) == loads_scipy, loaded
+    assert ("scipy.sparse.linalg" in loaded) == loads_scipy

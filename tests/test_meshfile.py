@@ -190,12 +190,14 @@ def _solution_cases():
 
 
 # sha256 of write_solution output, recorded with the per-value str.format
-# writer.  The solved cases also pin the solver's output bits.
+# writer.  The solved cases also pin the solver's output bits: they were
+# re-recorded when solve_online moved from the SuperLU factorization to the
+# condensation solver, while the two unsolved cases kept their digests.
 SOLUTION_FILE_DIGESTS = {
-    "sierpinski-4-rfd": "7eb17a3689a3412d56a13561b8ccde7a562b1933d8e3f8e84674f3ab62ecaef0",
-    "sierpinski-4-rfem1d": "2043285a411fec9784c17b197d833a2ec3c42310fabcb9da670aedfd94592ace",
-    "sierpinski-4-rfem2d": "194ec1dd8d37ddb3a900678f133b6a403a817159054848265517d8f4260a82e2",
-    "hata3d-3-rfd": "9c9fece4bb7ff7bdc7128989ca1d0f533f35c4ea57237cd25ddeae5c3bcdf797",
+    "sierpinski-4-rfd": "0ecbc6924f69268f486461ca787ce230f85ff062b7c1c75817d42939c6512750",
+    "sierpinski-4-rfem1d": "b13852c973b1310deab23a511576d4dfca22e9cb0290d9320c2200828ad0e278",
+    "sierpinski-4-rfem2d": "6229a92a75c2dabe04bae474880906833bf43051df1ad73e22cb2c5ddd443945",
+    "hata3d-3-rfd": "b45276cacaef063c14a350ec670e41a9cecdd643cac901436313dfa0f6961256",
     "no-constant": "474e2ed0b5891712470433d8b5f7942bbd2e72a9692757f0b6a3c8fd5fd86623",
     "extra": "a92c1605a1167771636eca968dac3259312218bda4788e5ff9057b3364d7fb7f",
 }

@@ -9,9 +9,10 @@ from fraclap.graphs import graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.renorm import (
     RenormEstimate,
-    _operator_and_load,
+    _elements,
+    _load,
+    _model_solution,
     _ratio_statistics,
-    _solve_model,
     auto_constant,
     default_estimate_pair,
     estimate_energy_ratio,
@@ -19,7 +20,13 @@ from fraclap.renorm import (
     renormalize,
     solve_online,
 )
-from fraclap.solver import RESIDUAL_BOUND, partition
+from fraclap.solver import (
+    BACKWARD_ERROR_BOUND,
+    DirichletProblem,
+    partition,
+    solve_condensed,
+    solve_dirichlet,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -132,8 +139,10 @@ def test_scaling_neutrality():
     for c in (1.0, 7.5):
         zs = []
         for mesh in (coarse, fine):
-            stiff, load = _operator_and_load(mesh, form)
-            zs.append(_solve_model(mesh, stiff * c, load))
+            elements, local = _elements(mesh, form)
+            load = _load(mesh, form, np.ones(mesh.num_vertices))
+            zero = {int(i): 0.0 for i in mesh.boundary_indices}
+            zs.append(solve_condensed(mesh, elements, local * c, load, zero).values)
         r, excluded = _ratio_statistics(zs[0], zs[1], emb, coarse.interior_indices)
         assert excluded == 0
         ratios[c] = r
@@ -197,6 +206,14 @@ def test_renormalize_rejects_unrepresentable_scaling(constant, n):
 
 
 # -- solve_online ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("constant", [1e300, 1e-300, np.inf])
+def test_solve_online_rejects_unrepresentable_scaling(constant):
+    m = build_level("sierpinski", 3)
+    with pytest.raises(UsageError, match="finite"):
+        solve_online("sierpinski", 3, "rfd", constant, np.ones(m.num_vertices),
+                     {0: 1.0, 1: 0.0, 2: 0.0})
+
 
 def _zero_bc(mesh, values=None):
     vals = values if values is not None else [0.0] * mesh.boundary_indices.size
@@ -275,9 +292,34 @@ def test_direct_solve_at_sierpinski_level_11():
     assert m.interior_indices.size == 265_719
     assert sol.values.min() >= 0.0 and sol.values.max() <= 1.0
     op = renormalize(fem_area_stiffness(m), 1.25, n)
-    _, a_i0, _, bidx = partition(op, m.boundary_indices)
+    a_ii, a_i0, iidx, bidx = partition(op, m.boundary_indices)
     rhs = -(a_i0 @ np.array([h[int(i)] for i in bidx]))
-    assert sol.solver_residual <= RESIDUAL_BOUND * max(1.0, np.abs(rhs).max())
+    x = sol.values[iidx]
+    bound = BACKWARD_ERROR_BOUND * (
+        abs(a_ii).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+    assert sol.solver_residual <= bound
+    assert np.abs(rhs - a_ii @ x).max() <= bound
+
+
+@pytest.mark.parametrize("family, level", [
+    ("sierpinski", 9), ("hata2d", 6), ("hata2d", 8), ("hata3d", 5), ("hata3d", 6),
+    ("koch", 6), ("koch", 8),
+])
+def test_fd_model_solves_meet_the_contract(family, level):
+    """|x| grows like the fd constant to the level (4e8 on hata2d level 8), so
+    these failed the former absolute bound |b - Ax| <= 1e-10 max(1, |b|)
+    with either solver; both meet the backward-error bound."""
+    mesh = build_level(family, level)
+    load = np.ones(mesh.num_vertices)
+    zero = {int(i): 0.0 for i in mesh.boundary_indices}
+    operator = fd_graph_stiffness(mesh)
+    factored = solve_dirichlet(DirichletProblem(operator, load, zero, mesh)).values
+    a_ii, _, iidx, _ = partition(operator, mesh.boundary_indices)
+    norm_a = abs(a_ii).sum(axis=1).max()
+    for values in (_model_solution(family, level, "fd"), factored):
+        x = values[iidx]
+        residual = np.abs(load[iidx] - a_ii @ x).max()
+        assert residual <= BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + 1.0)
 
 
 # -- auto constant ------------------------------------------------------------------------

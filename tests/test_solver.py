@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fraclap.errors import SolveError, UsageError
+from fraclap.errors import GeometryError, SolveError, UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, build_level
 from fraclap.graphs import _assemble, graph_laplacian
-from fraclap.solver import DirichletProblem, linear_solve, partition, solve_dirichlet
+from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
+from fraclap.renorm import _elements, _load
+from fraclap.solver import (
+    BACKWARD_ERROR_BOUND,
+    DirichletProblem,
+    linear_solve,
+    partition,
+    solve_condensed,
+    solve_dirichlet,
+)
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -89,12 +98,15 @@ def test_partition_rejects_bad_index():
 def test_solve_identity():
     eye = _assemble(3, range(3), range(3), np.ones(3))
     b = np.array([3.0, -1.0, 2.0])
-    np.testing.assert_allclose(linear_solve(eye, b), b)
+    x, residual = linear_solve(eye, b)
+    np.testing.assert_allclose(x, b)
+    assert residual == np.abs(b - eye @ x).max()
 
 
 def test_solve_two_by_two():
     a = _assemble(2, [0, 0, 1, 1], [0, 1, 0, 1], [2, -1, -1, 2])
-    np.testing.assert_allclose(linear_solve(a, np.ones(2)), np.ones(2), atol=1e-12)
+    x, _ = linear_solve(a, np.ones(2))
+    np.testing.assert_allclose(x, np.ones(2), atol=1e-12)
 
 
 def test_solve_random_spd_against_dense():
@@ -104,7 +116,8 @@ def test_solve_random_spd_against_dense():
     rows, cols = np.nonzero(dense)
     a = _assemble(50, rows, cols, dense[rows, cols])
     b = rng.normal(size=50)
-    np.testing.assert_allclose(linear_solve(a, b), np.linalg.solve(dense, b), atol=1e-8)
+    x, _ = linear_solve(a, b)
+    np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-8)
 
 
 def test_solve_rejects_nonsymmetric():
@@ -124,9 +137,11 @@ def test_solve_residual_contract():
     m = build_level("sierpinski", 5)
     a_ii, _, iidx, _ = partition(graph_laplacian(m), m.boundary_indices)
     b = np.ones(iidx.size)
-    x = linear_solve(a_ii, b)
+    x, residual = linear_solve(a_ii, b)
     res = np.abs(a_ii @ x - b).max()
-    assert res <= 1e-10 * max(1.0, np.abs(b).max())
+    assert residual == res
+    norm_a = abs(a_ii).sum(axis=1).max()
+    assert res <= BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + np.abs(b).max())
 
 
 # -- solve_dirichlet -----------------------------------------------------------------
@@ -258,3 +273,91 @@ def test_problem_rejects_non_finite_boundary_data(bad):
     m = build_level("sierpinski", 1)
     with pytest.raises(UsageError, match="finite"):
         DirichletProblem(graph_laplacian(m), np.zeros(6), {0: bad, 1: 0.0, 2: 0.0}, m)
+
+
+# -- solve_condensed: self-similar static condensation ------------------------
+
+STIFFNESS = {
+    "fd": fd_graph_stiffness,
+    "graph_energy": fd_graph_stiffness,
+    "fem_edge": fem_edge_stiffness,
+    "fem_area": fem_area_stiffness,
+}
+
+
+def _backward_error(a, x, b):
+    """Normwise backward error |b - A x| / (|A| |x| + |b|), infinity norms."""
+    scale = abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    return np.abs(b - a @ x).max() / scale
+
+
+def _oracle_cases():
+    for family in FAMILIES:
+        for formulation in STIFFNESS:
+            if formulation == "fem_area" and family != "sierpinski":
+                continue
+            for level in range(1, 6):
+                yield family, formulation, level
+    # one deep case per family
+    yield from [("sierpinski", "fd", 8), ("koch", "fem_edge", 7),
+                ("hata2d", "fd", 7), ("hata3d", "graph_energy", 7)]
+
+
+@pytest.mark.parametrize("family, formulation, level", list(_oracle_cases()))
+def test_condensation_matches_the_factorization(family, formulation, level):
+    mesh = build_level(family, level)
+    rng = np.random.default_rng(level)
+    load = _load(mesh, formulation, rng.normal(size=mesh.num_vertices))
+    h = {int(i): float(v) for i, v in
+         zip(mesh.boundary_indices, rng.normal(size=mesh.boundary_indices.size))}
+    elements, local = _elements(mesh, formulation)
+    operator = STIFFNESS[formulation](mesh)
+    condensed = solve_condensed(mesh, elements, local, load, h)
+    factored = solve_dirichlet(DirichletProblem(operator, load, h, mesh))
+    a_ii, a_i0, iidx, bidx = partition(operator, mesh.boundary_indices)
+    rhs = load[iidx] - a_i0 @ np.array([h[int(i)] for i in bidx])
+    for sol in (condensed, factored):
+        np.testing.assert_array_equal(sol.values[bidx], [h[int(i)] for i in bidx])
+        assert _backward_error(a_ii, sol.values[iidx], rhs) <= BACKWARD_ERROR_BOUND
+    # both are backward stable, so they differ by about cond(A_II) * 1e-16;
+    # the worst case here, hata3d level 7, reads 6e-9
+    gap = np.abs(condensed.values - factored.values).max()
+    assert gap <= 1e-7 * np.abs(factored.values).max()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_condensation_rejects_permuted_edges(family):
+    mesh = build_level(family, 3)
+    order = np.random.default_rng(5).permutation(mesh.num_edges)
+    permuted = LevelMesh(mesh.family, mesh.level, mesh.vertices, mesh.edges[order],
+                         mesh.cells, mesh.boundary_indices, mesh.dedup_tolerance)
+    h = {int(i): 0.0 for i in mesh.boundary_indices}
+    elements, local = _elements(permuted, "fd")
+    with pytest.raises(GeometryError):
+        solve_condensed(permuted, elements, local, np.ones(mesh.num_vertices), h)
+
+
+def test_condensation_rejects_a_mesh_of_another_level():
+    mesh = build_level("sierpinski", 3)
+    relabeled = LevelMesh(mesh.family, 2, mesh.vertices, mesh.edges, mesh.cells,
+                          mesh.boundary_indices, mesh.dedup_tolerance)
+    elements, local = _elements(relabeled, "fd")
+    with pytest.raises(GeometryError):
+        solve_condensed(relabeled, elements, local, np.zeros(mesh.num_vertices),
+                        {0: 0.0, 1: 0.0, 2: 0.0})
+
+
+def test_condensation_rejects_nonsymmetric_elements():
+    mesh = build_level("koch", 2)
+    elements, local = _elements(mesh, "fd")
+    local = local.copy()
+    local[0, 0, 1] = 0.0
+    with pytest.raises(SolveError, match="symmetric"):
+        solve_condensed(mesh, elements, local, np.zeros(mesh.num_vertices), {0: 1.0, 1: 0.0})
+
+
+def test_condensation_rejects_empty_interior():
+    mesh = build_level("sierpinski", 0)
+    elements, local = _elements(mesh, "fd")
+    with pytest.raises(SolveError, match="empty interior"):
+        solve_condensed(mesh, elements, local, np.zeros(3), {0: 1.0, 1: 0.0, 2: 0.0})
