@@ -7,8 +7,11 @@ the object ``{"family", "level", "dimension", "vertices", "edges", "cells",
 line, each row of ``vertices``/``edges``/``cells`` a nested list, empty
 arrays as ``[]``.  Coordinates are Python float reprs (the shortest decimal
 that reparses to the same double), so they round-trip bit-exactly.  Each
-array is formatted by one ``%`` operation on a row template repeated once
-per row, rather than by the pure-Python JSON encoder.
+block of rows is formatted by one ``%`` operation on a row template repeated
+once per row, rather than by the pure-Python JSON encoder.  Within a block,
+each distinct float bit pattern is formatted once and the string reused
+wherever the value repeats (a deep level has few distinct coordinates); the
+bytes are the same as formatting every value.
 
 Table and solution rows are comma-separated ``%.17g`` values, locale
 independent; a solution file starts with ``# key=value`` header lines and
@@ -27,15 +30,41 @@ from .renorm import RenormEstimate
 from .solver import Solution
 
 _FMT = "{:.17g}"
+# Rows formatted per write: keeps the writers' transient strings and tuples
+# to a few MiB rather than a multiple of the file size.
+_BLOCK_ROWS = 16384
 
 
-def _json_rows(arr: np.ndarray, fmt: str) -> str:
+def _formatted(arr: np.ndarray, fmt: str) -> tuple:
+    """``fmt % v`` for each value of float64 ``arr`` in row-major order,
+    formatting each distinct bit pattern once (so ``-0.0`` stays apart from
+    ``0.0``)."""
+    bits, inverse = np.unique(arr.ravel().view(np.int64), return_inverse=True)
+    strings = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return tuple(strings[inverse].tolist())
+
+
+def _write_rows(fh, arr: np.ndarray, item: str, sep: str, fmt: str) -> None:
+    """Write ``item % tuple(row)`` for each row of ``arr``, joined by ``sep``,
+    ``_BLOCK_ROWS`` rows per write.  A float ``arr`` fills the ``%s`` fields
+    of ``item`` with ``_formatted(block, fmt)``."""
+    for lo in range(0, len(arr), _BLOCK_ROWS):
+        block = arr[lo:lo + _BLOCK_ROWS]
+        values = _formatted(block, fmt) if arr.dtype.kind == "f" else tuple(block.ravel().tolist())
+        fh.write((sep if lo else "") + sep.join([item] * len(block)) % values)
+
+
+def _write_json_rows(fh, arr: np.ndarray, fmt: str) -> None:
     """``arr`` as a value of the top-level object in the ``indent=1`` JSON
     layout; a 2-D array is a list of rows, each a nested list."""
     if arr.size == 0:
-        return "[]"
-    item = fmt if arr.ndim == 1 else "[\n   " + ",\n   ".join([fmt] * arr.shape[1]) + "\n  ]"
-    return "[\n  " + ",\n  ".join([item] * arr.shape[0]) % tuple(arr.ravel().tolist()) + "\n ]"
+        fh.write("[]")
+        return
+    field = "%s" if arr.dtype.kind == "f" else fmt
+    item = field if arr.ndim == 1 else "[\n   " + ",\n   ".join([field] * arr.shape[1]) + "\n  ]"
+    fh.write("[\n  ")
+    _write_rows(fh, arr, item, ",\n  ", fmt)
+    fh.write("\n ]")
 
 
 def write_mesh(mesh: LevelMesh, path) -> None:
@@ -49,7 +78,7 @@ def write_mesh(mesh: LevelMesh, path) -> None:
             ("boundary", mesh.boundary_indices, "%d"),
         ):
             fh.write(f',\n "{key}": ')
-            fh.write(_json_rows(arr, fmt))
+            _write_json_rows(fh, arr, fmt)
         fh.write("\n}\n")
 
 
@@ -95,7 +124,9 @@ def write_table(estimates: list[RenormEstimate], path) -> None:
 
 
 def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> None:
-    """Header metadata lines prefixed '#', then coordinate/value rows."""
+    """Header metadata lines prefixed '#', then coordinate/value rows.  A
+    header key or value containing a line break is a ``UsageError``, raised
+    before the file is opened."""
     meta = {
         "family": mesh.family,
         "level": solution.level,
@@ -106,9 +137,12 @@ def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> Non
     }
     if extra:
         meta.update(extra)
+    header = [f"{key}={value}" for key, value in meta.items()]
+    for line in header:
+        if "\n" in line or "\r" in line:
+            raise UsageError(f"solution header must not contain line breaks, got {line!r}")
     with open(path, "w", encoding="ascii") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
+        for line in header:
+            fh.write(f"# {line}\n")
         rows = np.column_stack([mesh.vertices, solution.values])
-        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
+        _write_rows(fh, rows, ",".join(["%s"] * rows.shape[1]) + "\n", "", "%.17g")

@@ -238,10 +238,7 @@ def test_io_failure_exits_four():
 
 
 def test_module_entry_point_runs():
-    out = subprocess.run(
-        [sys.executable, "-m", "fraclap.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    out = run_fresh("-m", "fraclap.cli", "--help")
     assert out.returncode == 0
     assert "generate" in out.stdout and "renorm" in out.stdout
 
@@ -292,6 +289,19 @@ def test_unrepresentable_renormalization_exits_two_without_traceback(tmp_path, c
     assert out.stderr.startswith("error: ") and "finite" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("rhs, bc", [("x\n+1", "0,0,0"), ("0", "0,0,\n0"), ("x\r+1", "0,0,0")])
+def test_line_break_in_a_header_value_exits_two_without_output(tmp_path, rhs, bc):
+    out = run_fresh(
+        "-m", "fraclap.cli", "solve", "--family", "sierpinski", "--level", "2",
+        "--method", "rfd", "--constant", "5", f"--rhs={rhs}", f"--bc={bc}",
+        "--out", str(tmp_path / "s.csv"),
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "line breaks" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from fraclap import meshfile
 from fraclap.errors import UsageError
-from fraclap.geometry import FAMILIES, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, build_level
 from fraclap.graphs import graph_laplacian
 from fraclap.meshfile import read_mesh, write_mesh, write_solution, write_table
 from fraclap.renorm import estimate_laplacian_ratio, solve_online
@@ -146,22 +150,27 @@ def test_mesh_documents_are_byte_identical(family, tmp_path):
         assert _file_digest(path) == MESH_FILE_DIGESTS[family, n], n
 
 
+def _json_dump(mesh):
+    """The mesh document as ``json.dump(doc, fh, indent=1)`` writes it."""
+    doc = {
+        "family": mesh.family,
+        "level": mesh.level,
+        "dimension": mesh.dimension,
+        "vertices": mesh.vertices.tolist(),
+        "edges": mesh.edges.tolist(),
+        "cells": mesh.cells.tolist(),
+        "boundary": mesh.boundary_indices.tolist(),
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_mesh_document_is_the_json_dump_layout(family, tmp_path):
     path = tmp_path / "mesh.json"
-    for n in (0, 2):
+    for n in (0, 2, 5):
         mesh = build_level(family, n)
         write_mesh(mesh, path)
-        doc = {
-            "family": mesh.family,
-            "level": mesh.level,
-            "dimension": mesh.dimension,
-            "vertices": mesh.vertices.tolist(),
-            "edges": mesh.edges.tolist(),
-            "cells": mesh.cells.tolist(),
-            "boundary": mesh.boundary_indices.tolist(),
-        }
-        assert path.read_text() == json.dumps(doc, indent=1) + "\n", n
+        assert path.read_text() == _json_dump(mesh), n
 
 
 def _solution_cases():
@@ -220,3 +229,56 @@ def test_solution_rows_are_17_digit_values(tmp_path):
         expected = [",".join("{:.17g}".format(c) for c in (*point, value))
                     for point, value in zip(mesh.vertices, sol.values)]
         assert rows == expected
+
+
+# Writer inputs drawn from a small pool so that values repeat: the writers
+# format each distinct bit pattern once, so 0.0 and -0.0 must stay apart.
+# The writers' block size is drawn too, so that rows span block seams.
+_FINITE_POOL = [0.0, -0.0, 5e-324, 1e300, 1 / 3, -2.5]
+_SOLUTION_POOL = _FINITE_POOL + [np.inf, -np.inf, np.nan]
+
+
+def _pooled_case(coords, values, block_rows):
+    """A triangle mesh on ``coords`` (any number of extra vertices), a
+    solution of ``values`` and the writers' block size."""
+    mesh = LevelMesh(family="pool", level=0, vertices=coords,
+                     edges=[[0, 1], [1, 2], [0, 2]], cells=[[0, 1, 2]],
+                     boundary_indices=[0, 1, 2], dedup_tolerance=0.0)
+    sol = Solution(values=values, method="rfd", level=0,
+                   renorm_constant_applied=1.0, solver_residual=0.0)
+    return mesh, sol, block_rows
+
+
+@st.composite
+def _pooled_cases(draw):
+    n = draw(st.integers(3, 30))
+    dim = draw(st.sampled_from([2, 3]))
+    coords = draw(st.lists(st.sampled_from(_FINITE_POOL), min_size=n * dim, max_size=n * dim))
+    values = draw(st.lists(st.sampled_from(_SOLUTION_POOL), min_size=n, max_size=n))
+    return _pooled_case(np.reshape(coords, (n, dim)), np.array(values), draw(st.integers(1, 40)))
+
+
+_SIGNED_ZEROS = _pooled_case(
+    np.array([[0.0, -0.0], [-0.0, 0.0], [5e-324, 0.0]]), np.array([-0.0, 0.0, np.nan]), 2)
+
+
+@given(case=_pooled_cases())
+@example(case=_SIGNED_ZEROS)
+def test_mesh_writer_on_repeated_values_is_the_json_dump(case, tmp_path_factory):
+    mesh, _, block_rows = case
+    path = tmp_path_factory.mktemp("pool") / "mesh.json"
+    with mock.patch.object(meshfile, "_BLOCK_ROWS", block_rows):
+        write_mesh(mesh, path)
+    assert path.read_text() == _json_dump(mesh)
+
+
+@given(case=_pooled_cases())
+@example(case=_SIGNED_ZEROS)
+def test_solution_writer_on_repeated_values_is_per_value_format(case, tmp_path_factory):
+    mesh, sol, block_rows = case
+    path = tmp_path_factory.mktemp("pool") / "solution.csv"
+    with mock.patch.object(meshfile, "_BLOCK_ROWS", block_rows):
+        write_solution(mesh, sol, path)
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert rows == [",".join("{:.17g}".format(c) for c in (*point, value))
+                    for point, value in zip(mesh.vertices.tolist(), sol.values.tolist())]
