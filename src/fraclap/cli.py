@@ -116,6 +116,8 @@ def _cmd_renorm(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    extra = {"rhs": args.rhs, "bc": args.bc}
+    meshfile.check_header(extra)
     if args.level < 0:
         raise UsageError("level must be nonnegative")
     if args.constant is not None and not args.constant > 0:
@@ -141,9 +143,7 @@ def _cmd_solve(args) -> int:
     else:
         constant = args.constant
     solution = solve_online(args.family, args.level, args.method, constant, g, h)
-    meshfile.write_solution(
-        mesh, solution, args.out, extra={"rhs": args.rhs, "bc": args.bc}
-    )
+    meshfile.write_solution(mesh, solution, args.out, extra=extra)
     umin, umax = float(solution.values.min()), float(solution.values.max())
     print(
         f"{args.family} level {args.level} {args.method}: constant {constant:.6g}, "

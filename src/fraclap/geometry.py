@@ -32,6 +32,19 @@ def _frozen(arr, dtype):
     return out
 
 
+def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per undirected edge of a mesh with ``n`` vertices."""
+    a, b = edges[:, 0], edges[:, 1]
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _sorted_columns(cells: np.ndarray):
+    """The smallest, middle and largest vertex of each cell."""
+    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    return lo, a + b + c - lo - hi, hi
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """Contraction ``x -> linear @ x + translation``."""
@@ -145,7 +158,7 @@ class LevelMesh:
             raise GeometryError("self-loop edge")
         # sorted keys of the undirected edges: one sort finds duplicates,
         # and searchsorted looks up the cell sides below
-        ekey = np.sort(np.sort(edges, axis=1) @ np.array([n, 1], dtype=np.int64))
+        ekey = np.sort(_edge_keys(edges, n))
         if (ekey[1:] == ekey[:-1]).any():
             raise GeometryError("duplicate edge")
         if bidx.size and (bidx.min() < 0 or bidx.max() >= n):
@@ -153,10 +166,10 @@ class LevelMesh:
         if cells.size:
             if cells.min() < 0 or cells.max() >= n:
                 raise GeometryError("cell index out of range")
-            srt = np.sort(cells, axis=1)
-            if (srt[:, 0] == srt[:, 1]).any() or (srt[:, 1] == srt[:, 2]).any():
+            lo, mid, hi = _sorted_columns(cells)
+            if (lo == mid).any() or (mid == hi).any():
                 raise GeometryError("degenerate cell with repeated vertex")
-            sides = (srt[:, [0, 1, 0]] * n + srt[:, [1, 2, 2]]).ravel()
+            sides = np.concatenate([lo * n + mid, mid * n + hi, lo * n + hi])
             pos = np.searchsorted(ekey, sides)
             if (pos == ekey.size).any() or (ekey[pos] != sides).any():
                 raise GeometryError("cell vertices not pairwise joined by edges")
@@ -183,7 +196,9 @@ class LevelMesh:
 
     @property
     def interior_indices(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.num_vertices), self.boundary_indices)
+        interior = np.ones(self.num_vertices, dtype=bool)
+        interior[self.boundary_indices] = False
+        return np.flatnonzero(interior)
 
     def edge_lengths(self) -> np.ndarray:
         d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
@@ -311,10 +326,15 @@ def _dedup_or_raise(candidates: np.ndarray, tol: float):
 
 
 def _unique_rows_keyed(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    # np.unique sorts by key; re-sorting the first-occurrence positions
-    # restores discovery order.
-    _, first = np.unique(keys, return_index=True)
-    return rows[np.sort(first)]
+    """The rows whose key is the first occurrence of that key, in order."""
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    repeat = sk[1:] == sk[:-1]
+    if not repeat.any():
+        return rows
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[order[1:][repeat]] = False
+    return rows[keep]
 
 
 def _finish_mesh(ifs, level, cand, edge_cand, cell_cand):
@@ -333,14 +353,12 @@ def _finish_mesh(ifs, level, cand, edge_cand, cell_cand):
     edges = assign[edge_cand]
     if (edges[:, 0] == edges[:, 1]).any():
         raise GeometryError("edge endpoints merged; tolerance misconfigured")
-    ekey = np.sort(edges, axis=1) @ np.array([nv, 1], dtype=np.int64)
-    edges = _unique_rows_keyed(edges, ekey)
+    edges = _unique_rows_keyed(edges, _edge_keys(edges, nv))
 
     if cell_cand is not None and cell_cand.size:
         cells = assign[cell_cand]
-        srt = np.sort(cells, axis=1)
-        ckey = (srt[:, 0] * nv + srt[:, 1]) * nv + srt[:, 2]
-        cells = _unique_rows_keyed(cells, ckey)
+        lo, mid, hi = _sorted_columns(cells)
+        cells = _unique_rows_keyed(cells, (lo * nv + mid) * nv + hi)
     else:
         cells = np.empty((0, 3), dtype=np.int64)
 
@@ -427,10 +445,60 @@ def build_level(family: str, level: int) -> LevelMesh:
     return _refine(builtin_system(family), build_level(family, level - 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _seed_glue(family: str) -> tuple[LevelMesh, np.ndarray]:
+    """The seed mesh of a built-in family and its gluing table
+    ``(child, seed vertex) -> level-1 vertex``."""
+    seed = build_level(family, 0)
+    glue = _copy_table(build_level(family, 1), seed)
+    glue.setflags(write=False)
+    return seed, glue
+
+
+def _embed_by_table(coarse: LevelMesh, fine: LevelMesh):
+    """The fine vertex of each coarse vertex read off the copy tables, or
+    ``None`` when the meshes do not follow the copy layout of ``build_level``
+    or the table does not give a match within half the fine tolerance."""
+    if fine.level != coarse.level + 1 or coarse.family not in FAMILIES:
+        return None
+    seed, glue = _seed_glue(coarse.family)
+    try:
+        coarse_leaves, fine_leaves = _copy_table(coarse, seed), _copy_table(fine, seed)
+    except GeometryError:
+        return None
+    m, nb = glue.shape
+    # level-1 vertex s < nb is seed vertex s: child i's vertex t when glue[i, t] == s
+    hit = glue.ravel() == np.arange(nb)[:, None]
+    if fine_leaves.shape[0] != m * coarse_leaves.shape[0] or not hit.any(axis=1).all():
+        return None
+    child, vertex = np.divmod(hit.argmax(axis=1), nb)
+    idx = np.full(coarse.num_vertices, -1, dtype=np.int64)
+    idx[coarse_leaves] = fine_leaves.reshape(-1, m, nb)[:, child, vertex]
+    if (idx < 0).any():
+        return None
+    gap = fine.vertices[idx] - coarse.vertices
+    half = 0.5 * float(fine.dedup_tolerance)
+    if (np.einsum("ij,ij->i", gap, gap) > half * half).any() or np.bincount(idx).max() > 1:
+        return None
+    return idx
+
+
 def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     """Match every coarse vertex to the coinciding fine vertex.
 
     Accepts ``fine`` at the same level (identity embedding) or one level up.
+
+    Consecutive levels of a built-in family are mapped through the copy
+    tables (``_copy_table``): seed vertex ``s`` of coarse copy ``w`` is
+    vertex ``t`` of fine copy ``w*m + i`` where the level-1 gluing table has
+    ``glue[i, t] == s``, since the copies meet only at images of the seed
+    vertices.  The table map is kept only if it is injective and every pair
+    lies within half the fine dedup tolerance.  The vertices of a mesh built
+    by ``iterate`` or ``build_level`` are more than that tolerance apart, so
+    the table vertex is then the unique nearest one, the vertex the
+    geometric match finds.  Otherwise, and for meshes outside the copy
+    layout, each coarse vertex is matched to the nearest fine vertex within
+    the tolerance by ``_match_core``.
     """
     if fine.family != coarse.family:
         raise GeometryError("cannot embed meshes from different families")
@@ -439,12 +507,14 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
             f"embedding expects fine level in {{{coarse.level}, {coarse.level + 1}}}, "
             f"got {fine.level}"
         )
-    idx, _ = _match_core(fine.vertices, coarse.vertices, float(fine.dedup_tolerance))
-    missing = int((idx < 0).sum())
-    if missing:
-        raise GeometryError(
-            f"{missing} coarse vertices have no fine counterpart; incompatible meshes"
-        )
-    if np.bincount(idx).max(initial=0) > 1:
-        raise GeometryError("embedding is not injective; incompatible meshes")
+    idx = _embed_by_table(coarse, fine)
+    if idx is None:
+        idx, _ = _match_core(fine.vertices, coarse.vertices, float(fine.dedup_tolerance))
+        missing = int((idx < 0).sum())
+        if missing:
+            raise GeometryError(
+                f"{missing} coarse vertices have no fine counterpart; incompatible meshes"
+            )
+        if np.bincount(idx).max(initial=0) > 1:
+            raise GeometryError("embedding is not injective; incompatible meshes")
     return EmbeddingMap(coarse.level, fine.level, idx)

@@ -1,15 +1,33 @@
 """Hot inner-loop kernels: tolerance-based point dedup and matching.
 
 Point merging and matching share one close-pair search.  Each point is
-quantized to a grid cell of size equal to the tolerance, so two points
-within tolerance differ by at most one cell per axis.  Cell coordinates are
-packed into one int64 key (21 bits per axis) and the keys are sorted once.
-For every point, the points in its own cell and in the half of the 3^d
-neighbor cells that lie lexicographically ahead are found by ``searchsorted``
-on the sorted keys; the other half is covered by symmetry.  A pair that
-straddles a cell edge is therefore always found, and a packing collision
-merely adds candidates.  Every candidate pair is then decided by the exact
-squared distance, summed axis by axis, against ``tol**2``.
+quantized to a grid cell of edge ``2**26 * tol``; at the meshes' relative
+tolerance of 1e-9 that is about 1/15 of the shortest edge.  Cell
+coordinates are packed into one int64 key (21 bits per axis) and the keys
+are sorted once, so the points of one cell form a run of equal keys and
+every pair within a run is a candidate.  Two points within ``tol`` differ
+by at most one cell per axis, and when they lie in different cells, each
+is within ``tol`` of the face its cell shares with the other's.  So only
+the points within that band of a face of their cell probe the neighbour
+cells across those faces, and only the half of the 3^d - 1 neighbours that
+lie lexicographically ahead (the other half is covered by symmetry); each
+probe is a ``searchsorted`` on the sorted keys.  Mesh edges are at least
+1e9 tolerances long, so almost no vertex is that close to a face; a
+cloud with many points per cell would instead cost the square of that
+count.
+
+Because the cell edge is a power of two times ``tol``, ``p / cell`` is one
+correctly rounded division, and a band edge ``2**-26`` cells from a face is
+a representable quotient while ``|p / cell| < 2**26``; rounding is
+monotone, so a point within ``tol`` of a face computes within the band.
+The band is still widened by ``2**-50 * (1 + max |p / cell|)`` cells, which
+covers the rounding of that division at the largest coordinate and of the
+squared distance below.  A packing collision merely adds candidates.  Every
+candidate pair is then decided by the exact squared distance, summed axis
+by axis, against ``tol**2``.  The set of pairs returned is therefore every
+pair within ``tol``, as a search of all neighbour cells of every point
+would find it, and dedup and matching, which depend only on that set, are
+unchanged by the face-local probing.
 
 Dedup keeps the first occurrence of each cluster: every point goes to the
 smallest index within ``tol`` of it.  Copies of the pieces of a
@@ -25,6 +43,8 @@ import itertools
 import numpy as np
 
 _KEY_MASK = (1 << 21) - 1
+# Grid cell edge in tolerances: a power of two, so p / cell is one rounding.
+_CELL_TOLS = 2.0**26
 
 
 def _cell_key(q0, q1, q2):
@@ -42,31 +62,44 @@ def _close_pairs(points, tol):
     """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, and their
     squared distances.  A pair may be listed more than once."""
     n, d = points.shape
-    q = np.floor(points / tol).astype(np.int64)
+    cell = _CELL_TOLS * tol
+    u = points / cell
+    q = np.floor(u)
+    frac = u - q
+    # tol in cell units, plus the rounding of p / cell at the largest |p|
+    band = 2.0**-26 + 2.0**-50 * (1.0 + np.abs(u).max(initial=0.0))
+    q = q.astype(np.int64)
     if d == 2:
         q = np.column_stack([q, np.zeros(n, np.int64)])
     key = _cell_key(q[:, 0], q[:, 1], q[:, 2])
     order = np.argsort(key)
-    skey, qs = key[order], q[order]
-    # end[s]: one past the last sorted position sharing the key of position s
-    group_end = np.append(np.flatnonzero(skey[1:] != skey[:-1]) + 1, n)
-    end = np.repeat(group_end, np.diff(group_end, prepend=0))
-    pos = np.arange(n, dtype=np.int64)
-    # same cell: every later position of the group
-    src = [np.repeat(pos, end - pos - 1)]
-    dst = [_ranges(pos + 1, end - pos - 1)]
+    skey = key[order]
+    # same cell: every pair of positions in a run of equal sorted keys
+    run_start = np.append(0, np.flatnonzero(skey[1:] != skey[:-1]) + 1)
+    run_size = np.diff(np.append(run_start, n))
+    multi = run_size > 1
+    pos = _ranges(run_start[multi], run_size[multi])
+    after = np.repeat(run_start[multi] + run_size[multi], run_size[multi]) - pos - 1
+    a = [order[np.repeat(pos, after)]]
+    b = [order[_ranges(pos + 1, after)]]
+    # neighbour cells, probed only from the points near the faces they share
+    near_lo, near_hi = frac <= band, 1.0 - frac <= band
+    rows = np.flatnonzero((near_lo | near_hi).any(axis=1))
+    near_lo, near_hi, qn = near_lo[rows], near_hi[rows], q[rows]
     for off in itertools.product((-1, 0, 1), repeat=d):
         if off <= (0,) * d:
             continue  # the zero offset is above; negative ones by symmetry
+        ok = np.ones(rows.size, dtype=bool)
+        for k, o in enumerate(off):
+            if o:
+                ok &= near_hi[:, k] if o > 0 else near_lo[:, k]
         ox, oy, oz = off + (0,) * (3 - d)
-        needle = _cell_key(qs[:, 0] + ox, qs[:, 1] + oy, qs[:, 2] + oz)
+        needle = _cell_key(qn[ok, 0] + ox, qn[ok, 1] + oy, qn[ok, 2] + oz)
         lo = np.searchsorted(skey, needle)
-        hit = np.flatnonzero(skey[np.minimum(lo, n - 1)] == needle)
-        lo = lo[hit]
-        src.append(np.repeat(hit, end[lo] - lo))
-        dst.append(_ranges(lo, end[lo] - lo))
-    a = order[np.concatenate(src)]
-    b = order[np.concatenate(dst)]
+        count = np.searchsorted(skey, needle, side="right") - lo
+        a.append(np.repeat(rows[ok], count))
+        b.append(order[_ranges(lo, count)])
+    a, b = np.concatenate(a), np.concatenate(b)
     i, j = np.minimum(a, b), np.maximum(a, b)
     dv = points[j] - points[i]
     d2 = dv[:, 0] * dv[:, 0]

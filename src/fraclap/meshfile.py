@@ -123,10 +123,18 @@ def write_table(estimates: list[RenormEstimate], path) -> None:
             )
 
 
+def check_header(meta: dict) -> None:
+    """Refuse, with ``UsageError``, a solution header key or value that
+    contains a line break."""
+    for key, value in meta.items():
+        line = f"{key}={value}"
+        if "\n" in line or "\r" in line:
+            raise UsageError(f"solution header must not contain line breaks, got {line!r}")
+
+
 def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> None:
-    """Header metadata lines prefixed '#', then coordinate/value rows.  A
-    header key or value containing a line break is a ``UsageError``, raised
-    before the file is opened."""
+    """Header metadata lines prefixed '#', then coordinate/value rows.  The
+    header is checked by ``check_header`` before the file is opened."""
     meta = {
         "family": mesh.family,
         "level": solution.level,
@@ -137,12 +145,9 @@ def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> Non
     }
     if extra:
         meta.update(extra)
-    header = [f"{key}={value}" for key, value in meta.items()]
-    for line in header:
-        if "\n" in line or "\r" in line:
-            raise UsageError(f"solution header must not contain line breaks, got {line!r}")
+    check_header(meta)
     with open(path, "w", encoding="ascii") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
         rows = np.column_stack([mesh.vertices, solution.values])
         _write_rows(fh, rows, ",".join(["%s"] * rows.shape[1]) + "\n", "", "%.17g")

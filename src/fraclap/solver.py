@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import LevelMesh, _copy_table, _frozen, build_level
+from .geometry import LevelMesh, _copy_table, _frozen, _seed_glue
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -185,10 +185,10 @@ class _Condensation:
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
-        seed, one = build_level(mesh.family, 0), build_level(mesh.family, 1)
-        self.glue = _copy_table(one, seed)  # (child, child vertex) -> V1
+        seed, self.glue = _seed_glue(mesh.family)  # (child, child vertex) -> V1
         self.leaves = _copy_table(mesh, seed)
-        nb, nv1, m = seed.num_vertices, one.num_vertices, self.glue.shape[0]
+        m, nb = self.glue.shape
+        nv1 = int(self.glue.max()) + 1
         if (nb != seed.boundary_indices.size or self.leaves.shape[0] != m**mesh.level
                 or np.bincount(self.glue.ravel(), minlength=nv1).min() == 0):
             raise GeometryError("mesh is not a self-similar level of its family")
@@ -266,19 +266,27 @@ class _Condensation:
 
 
 def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
-    """Element matrices summed into one seed-sized block per leaf copy."""
+    """Element matrices summed into one seed-sized block per leaf copy.
+
+    The seed positions of the element vertices are read from the first leaf;
+    every other leaf must list its elements in the same order.
+    """
     nleaf, nb = leaves.shape
     per_leaf, extra = divmod(elements.shape[0], nleaf)
     if extra:
         raise GeometryError("element count is not a multiple of the copy count")
-    hit = elements.reshape(nleaf, per_leaf, -1, 1) == leaves[:, None, None, :]
-    if not hit.any(axis=3).all():
+    elements = elements.reshape(nleaf, per_leaf, -1)
+    hit = elements[0, :, :, None] == leaves[0]
+    if not hit.any(axis=2).all():
         raise GeometryError("an element lies outside its copy")
-    pos = hit.argmax(axis=3)
-    word = np.arange(nleaf)[:, None, None, None]
-    flat = ((word * nb + pos[..., :, None]) * nb + pos[..., None, :]).ravel()
-    blocks = np.bincount(flat, weights=local.ravel(), minlength=nleaf * nb * nb)
-    return blocks.reshape(nleaf, nb, nb)
+    pos = hit.argmax(axis=2)
+    if not (leaves[:, pos] == elements).all():
+        raise GeometryError("elements do not follow the copy layout of the first leaf")
+    local = local.reshape(nleaf, per_leaf, *local.shape[1:])
+    blocks = np.zeros((nleaf, nb, nb))
+    for e, a, b in np.ndindex(local.shape[1:]):
+        blocks[:, pos[e, a], pos[e, b]] += local[:, e, a, b]
+    return blocks
 
 
 def solve_condensed(
@@ -296,6 +304,10 @@ def solve_condensed(
 
     ``mesh`` must be laid out as ``build_level`` builds it: a mesh whose
     copies do not glue as its family's level-1 mesh raises ``GeometryError``.
+    ``elements`` must list the same number of elements per leaf copy, in
+    leaf order, and every leaf must list its elements, and the vertices of
+    each, in the order of the first leaf (as the edges and cells of
+    ``build_level`` do); otherwise ``GeometryError`` is raised.
     """
     bidx, u0 = _boundary_data(mesh, boundary_values)
     load = np.asarray(load, dtype=np.float64)

@@ -86,6 +86,23 @@ def test_criterion_05_table_hata():
     _report(5, "hata2d fem-edge ratios equal 1.6667", violations)
 
 
+@pytest.mark.parametrize("cid, family, method, n, constant", [
+    (11, "koch", "fd", 5, 16.0),
+    (12, "koch", "energy", 4, 4.0),
+    (13, "hata3d", "fd", 5, 18.0),
+    (14, "hata3d", "energy", 4, 3.0),
+], ids=["koch-fd", "koch-energy", "hata3d-fd", "hata3d-energy"])
+def test_criteria_11_to_14_koch_and_hata3d_constants(cid, family, method, n, constant):
+    if method == "fd":
+        est = estimate_laplacian_ratio(family, n)
+    else:
+        est = estimate_energy_ratio(family, n, "graph_energy")
+    violations = [f"pair {est.level_pair} {name}={value}"
+                  for name, value in (("max", est.max), ("mean", est.mean), ("min", est.min))
+                  if abs(value - constant) > 1e-3 * constant]
+    _report(cid, f"{family} {method} ratios equal {constant:g}", violations)
+
+
 def test_criterion_06_stiffness_identities():
     violations = []
     for n in range(1, 7):

@@ -291,14 +291,20 @@ def test_unrepresentable_renormalization_exits_two_without_traceback(tmp_path, c
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("rhs, bc", [("x\n+1", "0,0,0"), ("0", "0,0,\n0"), ("x\r+1", "0,0,0")])
-def test_line_break_in_a_header_value_exits_two_without_output(tmp_path, rhs, bc):
+@pytest.mark.parametrize("rhs, bc, constant", [
+    ("x\n+1", "0,0,0", ["--constant", "5"]),
+    ("0", "0,0,\n0", ["--constant", "5"]),
+    ("x\r+1", "0,0,0", ["--constant", "5"]),
+    ("x\n+1", "0,0,0", []),  # refused before the constant is estimated
+], ids=["x\n+1-0,0,0", "0-0,0,\n0", "x\r+1-0,0,0", "x\n+1-0,0,0-estimated"])
+def test_line_break_in_a_header_value_exits_two_without_output(tmp_path, rhs, bc, constant):
     out = run_fresh(
         "-m", "fraclap.cli", "solve", "--family", "sierpinski", "--level", "2",
-        "--method", "rfd", "--constant", "5", f"--rhs={rhs}", f"--bc={bc}",
+        "--method", "rfd", *constant, f"--rhs={rhs}", f"--bc={bc}",
         "--out", str(tmp_path / "s.csv"),
     )
     assert out.returncode == 2
+    assert out.stdout == ""
     assert out.stderr.startswith("error: ") and "line breaks" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "s.csv").exists()

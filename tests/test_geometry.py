@@ -11,12 +11,14 @@ from fraclap.geometry import (
     AffineMap,
     IFSystem,
     LevelMesh,
+    _embed_by_table,
     apply_map,
     build_level,
     builtin_system,
     embed,
     iterate,
 )
+from fraclap.kernels import _match_core
 
 SQRT3 = np.sqrt(3.0)
 
@@ -268,6 +270,34 @@ def test_embed_unmatched_vertices():
     )
     with pytest.raises(GeometryError):
         embed(m, shifted)
+
+
+def _with_vertices_and_edges(mesh, vertices, edges):
+    return LevelMesh(mesh.family, mesh.level, vertices, edges, mesh.cells,
+                     mesh.boundary_indices, mesh.dedup_tolerance)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_embed_outside_the_copy_layout_matches_geometrically(family):
+    coarse, fine = build_level(family, 3), build_level(family, 4)
+    order = np.random.default_rng(9).permutation(fine.num_edges)
+    permuted = _with_vertices_and_edges(fine, fine.vertices, fine.edges[order])
+    assert _embed_by_table(coarse, fine) is not None
+    assert _embed_by_table(coarse, permuted) is None
+    idx, _ = _match_core(fine.vertices, coarse.vertices, fine.dedup_tolerance)
+    np.testing.assert_array_equal(embed(coarse, permuted).index_map, idx)
+    np.testing.assert_array_equal(embed(coarse, fine).index_map, idx)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_embed_rejects_a_shared_vertex_moved_by_twice_the_tolerance(family):
+    coarse, fine = build_level(family, 3), build_level(family, 4)
+    moved = fine.vertices.copy()
+    # a coarse interior vertex shared by two fine copies
+    shared = embed(coarse, fine).index_map[coarse.interior_indices[0]]
+    moved[shared, 0] += 2 * fine.dedup_tolerance
+    with pytest.raises(GeometryError, match="no fine counterpart"):
+        embed(coarse, _with_vertices_and_edges(fine, moved, fine.edges))
 
 
 # -- dedup safety --------------------------------------------------------------

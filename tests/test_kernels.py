@@ -3,8 +3,10 @@ quadratic brute-force oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraclap.kernels import _dedup_core, _match_core
+from fraclap.kernels import _CELL_TOLS, _close_pairs, _dedup_core, _match_core
 
 
 def brute_force_dedup(points, tol):
@@ -161,3 +163,55 @@ def test_match_3d():
     idx, _ = _match_core(ref, ref[::-1].copy(), 1e-12)
     np.testing.assert_array_equal(idx, np.arange(100)[::-1])
 
+
+
+# -- close pairs against brute force -------------------------------------------
+
+# Offsets, in tolerances, of a point from a grid-cell face on one axis, and of
+# a cluster member from its cluster's first point.  Members at 0 on every
+# axis coincide; the others land in the ambiguity band (tol/10, tol], below
+# it or just beyond tol, and a member moved on several axes crosses a corner.
+_FACE_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.01, -0.99)
+_MEMBER_OFFSETS = (0.0, 0.0, 0.05, -0.05, 0.4, -0.4, 0.7, -0.7, 1.0)
+
+
+@st.composite
+def _cell_face_points(draw, dim):
+    """Points on or within ``tol`` of the faces of the ``_close_pairs``
+    cells, in clusters of 1-4, up to about 2**20 cells from the origin."""
+    tol = draw(st.sampled_from([1e-6, 2.0**-40, 3e-9]))
+    cell = _CELL_TOLS * tol
+    far = draw(st.sampled_from([3, 2**20]))
+    points = []
+    for _ in range(draw(st.integers(1, 10))):
+        face = [draw(st.integers(-far, far)) for _ in range(dim)]
+        inside = [draw(st.sampled_from(_FACE_OFFSETS + (0.5 * _CELL_TOLS,))) for _ in range(dim)]
+        first = np.array(face) * cell + np.array(inside) * tol
+        points.append(first)
+        for _ in range(draw(st.integers(0, 3))):
+            step = [draw(st.sampled_from(_MEMBER_OFFSETS)) for _ in range(dim)]
+            points.append(first + np.array(step) * tol)
+    order = draw(st.permutations(range(len(points))))
+    return np.array(points)[order], tol
+
+
+def brute_force_pairs(points, tol):
+    """Every pair ``i < j`` within ``tol``, by the kernel's distance sum."""
+    i, j = np.triu_indices(points.shape[0], k=1)
+    dv = points[j] - points[i]
+    d2 = dv[:, 0] * dv[:, 0]
+    for k in range(1, points.shape[1]):
+        d2 += dv[:, k] * dv[:, k]
+    keep = d2 <= tol * tol
+    return dict(zip(zip(i[keep].tolist(), j[keep].tolist()), d2[keep].tolist()))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_close_pairs_match_brute_force(dim, data):
+    points, tol = data.draw(_cell_face_points(dim))
+    i, j, d2 = _close_pairs(points, tol)
+    found = dict(zip(zip(i.tolist(), j.tolist()), d2.tolist()))
+    assert (i < j).all()
+    assert found == brute_force_pairs(points, tol)

@@ -7,13 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraclap.errors import GeometryError, SolveError, UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level
 from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.renorm import _elements, _load
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     DirichletProblem,
+    _leaf_blocks,
     linear_solve,
     partition,
     solve_condensed,
@@ -335,6 +336,47 @@ def test_condensation_rejects_permuted_edges(family):
     elements, local = _elements(permuted, "fd")
     with pytest.raises(GeometryError):
         solve_condensed(permuted, elements, local, np.ones(mesh.num_vertices), h)
+
+
+@pytest.mark.parametrize("family, formulation", [
+    ("sierpinski", "fd"), ("sierpinski", "fem_area"), ("koch", "fem_edge"),
+    ("hata2d", "graph_energy"), ("hata3d", "fd"),
+])
+def test_leaf_blocks_are_the_per_element_sums(family, formulation):
+    mesh = build_level(family, 4)
+    elements, local = _elements(mesh, formulation)
+    leaves = _copy_table(mesh, build_level(family, 0))
+    # reference: each element added into its leaf's block in element order
+    expected = np.zeros((leaves.shape[0], leaves.shape[1], leaves.shape[1]))
+    per_leaf = elements.shape[0] // leaves.shape[0]
+    for k, (element, matrix) in enumerate(zip(elements, local)):
+        w = k // per_leaf
+        pos = [int(np.flatnonzero(leaves[w] == v)[0]) for v in element]
+        for a, b in np.ndindex(matrix.shape):
+            expected[w, pos[a], pos[b]] += matrix[a, b]
+    assert _leaf_blocks(leaves, elements, local).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family, formulation, swap", [
+    ("sierpinski", "fd", "edges"),         # two edges of one leaf trade places
+    ("koch", "fem_edge", "reversed"),      # one edge lists its ends reversed
+    ("sierpinski", "fem_area", "rotated"),  # one cell lists its corners rotated
+])
+def test_condensation_rejects_elements_out_of_the_first_leaf_order(family, formulation, swap):
+    mesh = build_level(family, 3)
+    elements, local = _elements(mesh, formulation)
+    elements, local = elements.copy(), local.copy()
+    k = elements.shape[0] // 2
+    if swap == "edges":
+        per_leaf = elements.shape[0] // 3**mesh.level
+        k -= k % per_leaf
+        elements[[k, k + 1]], local[[k, k + 1]] = elements[[k + 1, k]], local[[k + 1, k]]
+    else:
+        turn = [1, 0] if swap == "reversed" else [1, 2, 0]
+        elements[k], local[k] = elements[k, turn], local[k][np.ix_(turn, turn)]
+    h = {int(i): 0.0 for i in mesh.boundary_indices}
+    with pytest.raises(GeometryError, match="first leaf"):
+        solve_condensed(mesh, elements, local, np.ones(mesh.num_vertices), h)
 
 
 def test_condensation_rejects_a_mesh_of_another_level():
