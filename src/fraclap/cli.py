@@ -34,7 +34,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_RENORM_METHODS = ("fd", "energy", "fem-edge", "fem-area")
+_RENORM_FORMULATION = {"fd": "fd", "energy": "graph_energy",
+                       "fem-edge": "fem_edge", "fem-area": "fem_area"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ren = sub.add_parser("renorm", help="estimate renormalization constants")
     ren.add_argument("--family", required=True, choices=FAMILIES)
-    ren.add_argument("--method", required=True, choices=_RENORM_METHODS)
+    ren.add_argument("--method", required=True, choices=_RENORM_FORMULATION)
     ren.add_argument("--levels", required=True, metavar="A:B",
                      help="consecutive pairs (A,A+1) .. (B-1,B)")
     ren.add_argument("--out", required=True)
@@ -96,17 +97,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_renorm(args) -> int:
     a, b = _parse_levels(args.levels)
-    estimates = []
-    for n in range(a, b):
-        if args.method == "fd":
-            est = estimate_laplacian_ratio(args.family, n)
-        elif args.method == "energy":
-            est = estimate_energy_ratio(args.family, n, "graph_energy")
-        elif args.method == "fem-edge":
-            est = estimate_energy_ratio(args.family, n, "fem_edge")
-        else:
-            est = estimate_energy_ratio(args.family, n, "fem_area")
-        estimates.append(est)
+    formulation = _RENORM_FORMULATION[args.method]
+    estimates = [
+        estimate_laplacian_ratio(args.family, n) if formulation == "fd"
+        else estimate_energy_ratio(args.family, n, formulation)
+        for n in range(a, b)
+    ]
     meshfile.write_table(estimates, args.out)
     print("pair,max,mean,min,excluded_count")
     for est in estimates:
@@ -122,21 +118,23 @@ def _cmd_solve(args) -> int:
         raise UsageError("level must be nonnegative")
     if args.constant is not None and not args.constant > 0:
         raise UsageError("constant must be positive")
-    mesh = build_level(args.family, args.level)
+    rhs = compile_expression(args.rhs)
     try:
         bc_values = [float(v) for v in args.bc.split(",")]
     except ValueError:
         raise UsageError(f"boundary values must be numbers, got {args.bc!r}") from None
-    boundary = mesh.boundary_indices
-    if len(bc_values) != boundary.size:
+    # every level keeps the seed's boundary vertices, so the seed gives the count
+    nb = build_level(args.family, 0).boundary_indices.size
+    if len(bc_values) != nb:
         raise UsageError(
-            f"{args.family} has {boundary.size} boundary vertices, "
+            f"{args.family} has {nb} boundary vertices, "
             f"got {len(bc_values)} boundary values"
         )
     if not all(math.isfinite(v) for v in bc_values):
         raise UsageError(f"boundary values must be finite, got {args.bc!r}")
-    h = {int(i): v for i, v in zip(boundary, bc_values)}
-    g = compile_expression(args.rhs).evaluate(mesh.vertices)
+    mesh = build_level(args.family, args.level)
+    h = {int(i): v for i, v in zip(mesh.boundary_indices, bc_values)}
+    g = rhs.evaluate(mesh.vertices)
     if args.constant is None:
         constant, pair = auto_constant(args.family, args.method, args.level)
         print(f"estimated constant {constant:.6g} from level pair {pair}")

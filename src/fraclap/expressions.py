@@ -1,21 +1,28 @@
 """Tiny arithmetic expression language for forcing terms.
 
-Grammar (recursive descent):
+Numbers are decimal digits with an optional fraction and exponent (``007``,
+``1.``, ``.25``, ``1.5e-3``; leading zeros allowed; no sign, ``_``, hex or
+imaginary literal), read by ``np.float64``.  Names are ASCII identifiers:
+the coordinates ``x``, ``y``, ``z`` (``z`` only on 3-d meshes) and the
+constants ``pi`` and ``e``; any other name fails at evaluation.  Operators
+are ``+ - * /`` (left associative, ``*`` and ``/`` first), unary minus (no
+unary plus, no ``**``), parentheses, and one-argument calls ``sin(a)``,
+``cos(a)``, ``exp(a)``.  Whitespace, line breaks included, may separate any
+two tokens.  Expressions are evaluated in float64 over all mesh vertices.
 
-    expr   := term    (('+' | '-') term)*
-    term   := unary   (('*' | '/') unary)*
-    unary  := '-' unary | atom
-    atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
-
-Names are the coordinates ``x``, ``y``, ``z`` (``z`` only on 3-d meshes),
-the constants ``pi`` and ``e``, and the functions ``sin``, ``cos``, ``exp``.
-Expressions are evaluated vectorized over all mesh vertices.
+Checking: the lexical gate ``_TOKEN`` must consume the whole text; the
+tokens, each number replaced by its token index, are joined by spaces and
+parsed by ``ast.parse``; a whitelist over ``ast.walk`` refuses every node
+outside the language.  Nesting too deep for the parser (200 levels of
+parentheses) or for the evaluator is a usage error.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,117 +36,36 @@ _TOKEN = re.compile(
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Name, ast.Load, *_BINARY)
+_TOO_DEEP = "expression is nested too deeply"
 
 
 def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise UsageError(f"unexpected character {rest[0]!r} in expression")
-        if m.lastgroup == "num":
-            tokens.append(("num", np.float64(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
+    """The tokens joined by spaces, each number written as its token index,
+    and the number values by token index."""
+    unread = _TOKEN.sub("", text).strip()
+    if unread:
+        raise UsageError(f"unexpected character {unread[0]!r} in expression")
+    matches = list(_TOKEN.finditer(text))
+    numbers = {i: np.float64(m["num"]) for i, m in enumerate(matches) if m["num"]}
+    tokens = (str(i) if i in numbers else m[m.lastgroup] for i, m in enumerate(matches))
+    return " ".join(tokens), numbers
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise UsageError(f"expected {op!r} in expression")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise UsageError(f"trailing input after expression: {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if val not in _FUNCTIONS:
-                    raise UsageError(f"unknown function {val!r}")
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            return ("var", val)
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise UsageError(f"unexpected token {val!r} in expression")
-
-
-def _evaluate(node, env):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        name = node[1]
-        if name in env:
-            return env[name]
-        if name in _CONSTANTS:
-            return _CONSTANTS[name]
-        raise UsageError(f"unknown variable {name!r} for this mesh")
-    if op == "neg":
-        return -_evaluate(node[1], env)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], env))
-    a = _evaluate(node[1], env)
-    b = _evaluate(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b
+def _evaluate(node: ast.expr, env):
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, env)
+    if isinstance(node, ast.Call):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
+    if isinstance(node, ast.Constant):
+        return node.value
+    if node.id in env:
+        return env[node.id]
+    raise UsageError(f"unknown variable {node.id!r} for this mesh")
 
 
 @dataclass(frozen=True)
@@ -147,17 +73,18 @@ class Expression:
     """Compiled forcing expression, evaluated at vertex coordinates."""
 
     source: str
-    _ast: tuple
+    _tree: ast.expr = field(repr=False, compare=False)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        env = {"x": points[:, 0], "y": points[:, 1]}
-        if points.shape[1] == 3:
-            env["z"] = points[:, 2]
+        env = {**_CONSTANTS, **dict(zip("xyz", points.T))}
         # Numbers are np.float64, so 1/0 and exp(1000) give inf instead of
         # raising or warning; the finiteness check below reports them.
         with np.errstate(all="ignore"):
-            out = _evaluate(self._ast, env)
+            try:
+                out = _evaluate(self._tree, env)
+            except RecursionError:
+                raise UsageError(_TOO_DEEP) from None
         out = np.broadcast_to(np.asarray(out, dtype=np.float64), (points.shape[0],))
         if not np.isfinite(out).all():
             raise UsageError(
@@ -168,7 +95,26 @@ class Expression:
 
 def compile_expression(text: str) -> Expression:
     """Parse a forcing expression; raises UsageError on malformed input."""
-    if not text.strip():
-        raise UsageError("empty expression")
-    ast = _Parser(_tokenize(text)).parse()
-    return Expression(text, ast)
+    source, numbers = _tokenize(text)
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError:
+        raise UsageError(f"malformed expression {text!r}") from None
+    except (RecursionError, MemoryError):
+        raise UsageError(_TOO_DEEP) from None
+    # The whitelist; each number's token index is replaced by its value.
+    for node in ast.walk(tree):
+        # type() is exact: True, False and None reach the refusal below
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            node.value = numbers[node.value]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            # ast drops parentheses: the name in (sin)(x) starts after the call
+            if not (isinstance(func, ast.Name) and func.col_offset == node.col_offset
+                    and len(node.args) == 1 and not node.keywords):
+                raise UsageError(f"malformed expression {text!r}")
+            if func.id not in _FUNCTIONS:
+                raise UsageError(f"unknown function {func.id!r}")
+        elif not isinstance(node, _NODES):
+            raise UsageError(f"unsupported syntax in expression {text!r}")
+    return Expression(text, tree.body)

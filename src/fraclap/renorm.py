@@ -107,7 +107,7 @@ def _ratio_statistics(z_coarse, z_fine, embedding, interior_idx):
     return ratios, excluded
 
 
-def _estimate(family: str, n: int, formulation: str, method_tag: str) -> RenormEstimate:
+def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
     if n < 1:
         raise UsageError("estimation requires level >= 1")
     coarse = build_level(family, n)
@@ -128,7 +128,7 @@ def _estimate(family: str, n: int, formulation: str, method_tag: str) -> RenormE
         mean=float(ratios.mean()),
         min=float(ratios.min()),
         direction="fine_over_coarse",
-        method=method_tag,
+        method=formulation,
         excluded_count=excluded,
     )
 
@@ -137,7 +137,7 @@ def estimate_laplacian_ratio(family: str, n: int) -> RenormEstimate:
     """Ratio of un-normalized graph-Laplacian solutions (unit interior load)
     at levels n+1 and n; stabilizes at the operator renormalization constant.
     """
-    return _estimate(family, n, "fd", "fd")
+    return _estimate(family, n, "fd")
 
 
 def estimate_energy_ratio(
@@ -153,7 +153,7 @@ def estimate_energy_ratio(
         raise UsageError(
             f"formulation must be one of {ENERGY_FORMULATIONS}, got {formulation!r}"
         )
-    return _estimate(family, n, formulation, formulation)
+    return _estimate(family, n, formulation)
 
 
 def _renormalized(values: np.ndarray, constant: float, n: int) -> np.ndarray:
@@ -191,16 +191,10 @@ def default_estimate_pair(level: int) -> tuple[int, int]:
 
 def auto_constant(family: str, method: str, level: int):
     """Estimate the constant for ``solve_online`` from a coarser level pair."""
-    pair = default_estimate_pair(level)
-    if method == "rfd":
-        est = estimate_laplacian_ratio(family, pair[0])
-    elif method == "rfem1d":
-        est = estimate_energy_ratio(family, pair[0], "fem_edge")
-    elif method == "rfem2d":
-        est = estimate_energy_ratio(family, pair[0], "fem_area")
-    else:
+    if method not in SOLVE_METHODS:
         raise UsageError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
-    return est.mean, pair
+    pair = default_estimate_pair(level)
+    return _estimate(family, pair[0], _METHOD_FORMULATION[method]).mean, pair
 
 
 def solve_online(

@@ -215,12 +215,33 @@ def test_wrong_boundary_count_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_bad_expression_is_usage_error(tmp_path):
+@pytest.mark.parametrize("rhs", [
+    "sin(",
+    "-" * 3000 + "1",
+    "(" * 300 + "1" + ")" * 300,
+    "0" + "+0" * 5000,
+], ids=["sin(", "3000-unary-minus", "300-parentheses", "5000-term-sum"])
+def test_bad_expression_is_usage_error(tmp_path, capsys, rhs):
     rc = cli.main([
         "solve", "--family", "koch", "--level", "2", "--method", "rfd",
-        "--rhs", "sin(", "--bc", "1,0", "--out", str(tmp_path / "s.csv"),
+        f"--rhs={rhs}", "--bc", "1,0", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rhs, bc", [("sin(", "0,0,0"), ("0", "0,0")])
+def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc):
+    build_level.cache_clear()
+    rc = cli.main([
+        "solve", "--family", "sierpinski", "--level", "11", "--method", "rfd",
+        f"--rhs={rhs}", f"--bc={bc}", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 2
+    # at most the seed, which gives the boundary count
+    assert build_level.cache_info().currsize <= 1
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_numerical_failure_exits_three(tmp_path):

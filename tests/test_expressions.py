@@ -71,11 +71,31 @@ def test_z_rejected_on_planar_mesh():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "1+", "sin x", "foo(x)", "x$", "(x", "1 2", "sin()", "*x"],
+    ["", "1+", "sin x", "foo(x)", "x$", "(x", "1 2", "sin()", "*x",
+     # Python syntax outside the language
+     "+x", "2**3", "1_000", "0x10", "1j", "True", "sin(x=1)", "x#c", "\uff58",
+     "(1,2)", "x<y", "not x", "sin(x,y)", "sin(*x)", "(sin)(x)"],
 )
 def test_malformed_expressions(text):
     with pytest.raises(UsageError):
         compile_expression(text).evaluate(pts2([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("007", lambda x, y: np.float64(7)),
+    ("01.5", lambda x, y: np.float64(1.5)),
+    (" x", lambda x, y: x),
+    ("\tsin (x)", lambda x, y: np.sin(x)),
+    ("1\n+2", lambda x, y: np.float64(1) + np.float64(2)),
+    ("sin\n(x)", lambda x, y: np.sin(x)),
+    pytest.param("(" * 150 + "x" + ")" * 150, lambda x, y: x, id="150-parentheses"),
+    pytest.param("-" * 500 + "x", lambda x, y: x, id="500-unary-minus"),
+])
+def test_accepted_outside_python_syntax_is_bit_exact(text, expected):
+    p = pts2([0.3, -0.7], [1.0, 2.0])
+    got = compile_expression(text).evaluate(p)
+    want = np.broadcast_to(expected(p[:, 0], p[:, 1]), got.shape)
+    assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
 def test_division_by_zero_detected():
