@@ -1,6 +1,6 @@
 """Tiny arithmetic expression language for forcing terms.
 
-Numbers are decimal digits with an optional fraction and exponent (``007``,
+Numbers are ASCII digits with an optional fraction and exponent (``007``,
 ``1.``, ``.25``, ``1.5e-3``; leading zeros allowed; no sign, ``_``, hex or
 imaginary literal), read by ``np.float64``.  Names are ASCII identifiers:
 the coordinates ``x``, ``y``, ``z`` (``z`` only on 3-d meshes) and the
@@ -29,7 +29,8 @@ import numpy as np
 from .errors import UsageError
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/()]))"
 )

@@ -4,6 +4,9 @@ associated energy bilinear form.
 Every operator is a canonical scipy ``csr_array``: sorted indices, no
 duplicate entries and no explicit zeros.  ``_assemble`` builds one from raw
 triplets and imports scipy, so building and writing meshes never loads it.
+``_assemble_elements`` sums element matrices into one: ``graph_laplacian``
+sums the unit edge element ``_EDGE_ELEMENT``, and the fem stiffness builders
+sum the elements of ``measures._elements``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from .geometry import LevelMesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+# Edge element matrix of unit conductance: (e_a - e_b)(e_a - e_b)^T.
+_EDGE_ELEMENT = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
@@ -44,6 +50,15 @@ def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
     return sp.csr_array((summed, (key // n, key % n)), shape=(n, n))
 
 
+def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.csr_array:
+    """CSR sum of the element matrices ``local[k]`` on the vertex rows
+    ``elements[k]``, passed position pair by position pair: all (0, 0)
+    terms, then (0, 1) and so on, each pair in element order."""
+    rows = np.broadcast_to(elements[:, :, None], local.shape)
+    cols = np.broadcast_to(elements[:, None, :], local.shape)
+    return _assemble(n, *(a.transpose(1, 2, 0) for a in (rows, cols, local)))
+
+
 def adjacency(mesh: LevelMesh) -> sp.csr_array:
     """Symmetric 0/1 adjacency matrix of the mesh edges."""
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -62,13 +77,8 @@ def degree(mesh: LevelMesh) -> sp.csr_array:
 
 def graph_laplacian(mesh: LevelMesh) -> sp.csr_array:
     """Degree minus adjacency; symmetric PSD with zero row sums."""
-    n = mesh.num_vertices
-    deg = np.bincount(mesh.edges.ravel(), minlength=n).astype(np.float64)
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    rows = np.concatenate([np.arange(n), i, j])
-    cols = np.concatenate([np.arange(n), j, i])
-    vals = np.concatenate([deg, -np.ones(2 * i.size)])
-    return _assemble(n, rows, cols, vals)
+    local = np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
+    return _assemble_elements(mesh.num_vertices, mesh.edges, local)
 
 
 def energy(lap: sp.csr_array, u: np.ndarray, v: np.ndarray) -> float:

@@ -8,6 +8,10 @@ among the copy's vertices.  The edge-length and triangle-area measures are
 unrescaled Euclidean measures; element integrals of piecewise-linear
 integrands are evaluated in closed form, so the analytic identities between
 the assembled matrices and the graph Laplacian hold to rounding error.
+
+Each formulation is defined once, by its element matrices (``_elements``)
+and its load (``_load``).  ``solver.solve_condensed`` takes them as they are;
+the CSR builders below assemble the same elements (fd: ``graph_laplacian``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import AssemblyError, UsageError
 from .geometry import LevelMesh, _frozen
-from .graphs import _assemble, graph_laplacian
+from .graphs import _EDGE_ELEMENT, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -56,19 +60,6 @@ def _cell_areas(mesh: LevelMesh) -> np.ndarray:
         cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
         return 0.5 * np.abs(cross)
     return 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
-
-
-def _edge_conductances(mesh: LevelMesh, unit: bool = False) -> np.ndarray:
-    """Per-edge conductances: 1 for the graph operators, 1/L for the
-    one-dimensional linear elements."""
-    if not mesh.num_edges:
-        raise AssemblyError("mesh has no edges")
-    if unit:
-        return np.ones(mesh.num_edges)
-    length = mesh.edge_lengths()
-    if (length <= 0.0).any():
-        raise AssemblyError("zero-length edge")
-    return 1.0 / length
 
 
 def _triangle_matrices(mesh: LevelMesh) -> np.ndarray:
@@ -162,6 +153,38 @@ def load_vector(mesh: LevelMesh, kind, g: np.ndarray) -> np.ndarray:
     return b
 
 
+_LOAD_MEASURE = {
+    "graph_energy": MeasureKind.SELF_SIMILAR,
+    "fem_edge": MeasureKind.EDGE_LENGTH,
+    "fem_area": MeasureKind.TRIANGLE_AREA,
+}
+
+
+def _elements(mesh: LevelMesh, formulation: str):
+    """Vertex rows (edges or cells) and element matrices whose sum is the
+    formulation's stiffness matrix."""
+    if formulation == "fem_area":
+        return mesh.cells, _triangle_matrices(mesh)
+    if formulation not in ("fd", "graph_energy", "fem_edge"):
+        raise UsageError(f"unknown formulation {formulation!r}")
+    if not mesh.num_edges:
+        raise AssemblyError("mesh has no edges")
+    if formulation != "fem_edge":
+        return mesh.edges, np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
+    length = mesh.edge_lengths()
+    if (length <= 0.0).any():
+        raise AssemblyError("zero-length edge")
+    return mesh.edges, (1.0 / length)[:, None, None] * _EDGE_ELEMENT
+
+
+def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:
+    """fd takes ``g`` pointwise; the weak forms integrate it against the
+    formulation's natural measure."""
+    if formulation == "fd":
+        return g
+    return load_vector(mesh, _LOAD_MEASURE[formulation], g)
+
+
 def fd_graph_stiffness(mesh: LevelMesh) -> sp.csr_array:
     """The graph Laplacian, used as the finite-difference operator."""
     return graph_laplacian(mesh)
@@ -169,18 +192,9 @@ def fd_graph_stiffness(mesh: LevelMesh) -> sp.csr_array:
 
 def fem_edge_stiffness(mesh: LevelMesh) -> sp.csr_array:
     """One-dimensional linear elements along edges: 1/L conductances."""
-    wts = _edge_conductances(mesh)
-    n = mesh.num_vertices
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([wts, wts, -wts, -wts])
-    return _assemble(n, rows, cols, vals)
+    return _assemble_elements(mesh.num_vertices, *_elements(mesh, "fem_edge"))
 
 
 def fem_area_stiffness(mesh: LevelMesh) -> sp.csr_array:
     """Linear triangle elements over cells (see ``_triangle_matrices``)."""
-    local = _triangle_matrices(mesh)
-    rows = np.repeat(mesh.cells, 3, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, 3)).ravel()
-    return _assemble(mesh.num_vertices, rows, cols, local.ravel())
+    return _assemble_elements(mesh.num_vertices, *_elements(mesh, "fem_area"))

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SolveError, UsageError
-from .geometry import LevelMesh, _frozen, build_level, embed
-from .measures import MeasureKind, _edge_conductances, _triangle_matrices, load_vector
+from .geometry import _frozen, build_level, embed
+from .measures import _elements, _load
 from .solver import Solution, solve_condensed
 
 if TYPE_CHECKING:
@@ -54,35 +54,6 @@ class RenormEstimate:
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", _frozen(self.ratios, np.float64))
-
-
-# Edge element matrix of unit conductance: (e_a - e_b)(e_a - e_b)^T.
-_EDGE_ELEMENT = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-_LOAD_MEASURE = {
-    "graph_energy": MeasureKind.SELF_SIMILAR,
-    "fem_edge": MeasureKind.EDGE_LENGTH,
-    "fem_area": MeasureKind.TRIANGLE_AREA,
-}
-
-
-def _elements(mesh: LevelMesh, formulation: str):
-    """Vertex rows (edges or cells) and element matrices whose sum is the
-    formulation's stiffness matrix."""
-    if formulation == "fem_area":
-        return mesh.cells, _triangle_matrices(mesh)
-    if formulation not in ("fd", "graph_energy", "fem_edge"):
-        raise UsageError(f"unknown formulation {formulation!r}")
-    conductance = _edge_conductances(mesh, unit=formulation != "fem_edge")
-    return mesh.edges, conductance[:, None, None] * _EDGE_ELEMENT
-
-
-def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:
-    """fd takes ``g`` pointwise; the weak forms integrate it against the
-    formulation's natural measure."""
-    if formulation == "fd":
-        return g
-    return load_vector(mesh, _LOAD_MEASURE[formulation], g)
 
 
 @functools.lru_cache(maxsize=128)
@@ -204,17 +175,15 @@ def solve_online(
     constant: float,
     g: np.ndarray,
     h: dict[int, float],
-    *,
-    fem_edge_half_load: bool = True,
 ) -> Solution:
     """Solve the renormalized Dirichlet problem at level ``n``.
 
     rfd scales the graph Laplacian and takes ``g`` pointwise at interior
-    vertices; rfem1d scales the edge stiffness with (by default) half the
-    edge-length load, matching the factor-two relation between the
-    self-similar and edge-length measures; rfem2d scales the area stiffness
-    with the area load.  The element matrices are scaled by constant**n and
-    the problem is solved by condensation.
+    vertices; rfem1d scales the edge stiffness with half the edge-length
+    load, matching the factor-two relation between the self-similar and
+    edge-length measures; rfem2d scales the area stiffness with the area
+    load.  The element matrices are scaled by constant**n and the problem
+    is solved by condensation.
     """
     if method not in SOLVE_METHODS:
         raise UsageError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
@@ -225,8 +194,8 @@ def solve_online(
     formulation = _METHOD_FORMULATION[method]
     elements, local = _elements(mesh, formulation)
     load = _load(mesh, formulation, g)
-    if method == "rfem1d" and fem_edge_half_load:
+    if method == "rfem1d":
         load = 0.5 * load
     local = _renormalized(local, constant, n)
-    return solve_condensed(mesh, elements, local, load, h,
-                           method=method, renorm_constant=float(constant))
+    solution = solve_condensed(mesh, elements, local, load, h)
+    return replace(solution, method=method, renorm_constant_applied=float(constant))

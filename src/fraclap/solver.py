@@ -67,6 +67,8 @@ class DirichletProblem:
             raise UsageError("operator shape does not match the mesh")
         if load.shape != (n,):
             raise UsageError("load length does not match the mesh")
+        if not np.isfinite(load).all():
+            raise UsageError("load must be finite")
         _boundary_data(self.mesh, self.boundary_values)
         object.__setattr__(self, "load", load)
         object.__setattr__(self, "boundary_values", dict(self.boundary_values))
@@ -74,13 +76,14 @@ class DirichletProblem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Nodal solution with solve metadata."""
+    """Nodal solution with solve metadata.  The solvers report a plain
+    Dirichlet solve; ``renorm.solve_online`` stamps its method and constant."""
 
     values: np.ndarray = field(repr=False)
-    method: str
     level: int
-    renorm_constant_applied: float | None
     solver_residual: float
+    method: str = "dirichlet"
+    renorm_constant_applied: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, np.float64))
@@ -149,11 +152,7 @@ def linear_solve(a: sp.csr_array, b: np.ndarray) -> tuple[np.ndarray, float]:
     return _contract_solve(lu.solve, a.__matmul__, b, norm_a)
 
 
-def solve_dirichlet(
-    problem: DirichletProblem,
-    method: str = "dirichlet",
-    renorm_constant: float | None = None,
-) -> Solution:
+def solve_dirichlet(problem: DirichletProblem) -> Solution:
     """Solve the interior block system and report the solution."""
     mesh = problem.mesh
     a_ii, a_i0, interior_idx, boundary_idx = partition(
@@ -165,13 +164,7 @@ def solve_dirichlet(
     values = np.empty(mesh.num_vertices)
     values[boundary_idx] = u0
     values[interior_idx] = x
-    return Solution(
-        values=values,
-        method=method,
-        level=mesh.level,
-        renorm_constant_applied=renorm_constant,
-        solver_residual=residual,
-    )
+    return Solution(values=values, level=mesh.level, solver_residual=residual)
 
 
 class _Condensation:
@@ -295,8 +288,6 @@ def solve_condensed(
     local: np.ndarray,
     load: np.ndarray,
     boundary_values: dict[int, float],
-    method: str = "dirichlet",
-    renorm_constant: float | None = None,
 ) -> Solution:
     """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
     vertices ``elements[k]`` (edges or cells of ``mesh``) by self-similar
@@ -313,6 +304,8 @@ def solve_condensed(
     load = np.asarray(load, dtype=np.float64)
     if load.shape != (mesh.num_vertices,):
         raise UsageError("load length does not match the mesh")
+    if not np.isfinite(load).all():
+        raise UsageError("load must be finite")
     local = np.asarray(local, dtype=np.float64)
     magnitude = abs(local).max()
     if abs(local - local.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
@@ -330,10 +323,4 @@ def solve_condensed(
     rhs = load[interior] - cond.product(values)[interior]
     x, residual = _contract_solve(cond.solve, cond.apply, rhs, norm_a)
     values[interior] = x
-    return Solution(
-        values=values,
-        method=method,
-        level=mesh.level,
-        renorm_constant_applied=renorm_constant,
-        solver_residual=residual,
-    )
+    return Solution(values=values, level=mesh.level, solver_residual=residual)

@@ -28,15 +28,16 @@ def run_fresh(*argv):
 
 def read_solution(path):
     meta, coords, values = {}, [], []
-    for line in open(path):
-        line = line.strip()
-        if line.startswith("#"):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-        elif line:
-            parts = [float(v) for v in line.split(",")]
-            coords.append(parts[:-1])
-            values.append(parts[-1])
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, value = line[2:].partition("=")
+                meta[key] = value
+            elif line:
+                parts = [float(v) for v in line.split(",")]
+                coords.append(parts[:-1])
+                values.append(parts[-1])
     return meta, np.array(coords), np.array(values)
 
 
@@ -220,7 +221,8 @@ def test_wrong_boundary_count_is_usage_error(tmp_path):
     "-" * 3000 + "1",
     "(" * 300 + "1" + ")" * 300,
     "0" + "+0" * 5000,
-], ids=["sin(", "3000-unary-minus", "300-parentheses", "5000-term-sum"])
+    "\u0663",
+], ids=["sin(", "3000-unary-minus", "300-parentheses", "5000-term-sum", "arabic-indic-three"])
 def test_bad_expression_is_usage_error(tmp_path, capsys, rhs):
     rc = cli.main([
         "solve", "--family", "koch", "--level", "2", "--method", "rfd",

@@ -74,7 +74,9 @@ def test_z_rejected_on_planar_mesh():
     ["", "1+", "sin x", "foo(x)", "x$", "(x", "1 2", "sin()", "*x",
      # Python syntax outside the language
      "+x", "2**3", "1_000", "0x10", "1j", "True", "sin(x=1)", "x#c", "\uff58",
-     "(1,2)", "x<y", "not x", "sin(x,y)", "sin(*x)", "(sin)(x)"],
+     "(1,2)", "x<y", "not x", "sin(x,y)", "sin(*x)", "(sin)(x)",
+     # non-ASCII decimal digits: Arabic-Indic three, fullwidth one
+     "\u0663", "\uff11"],
 )
 def test_malformed_expressions(text):
     with pytest.raises(UsageError):

@@ -13,6 +13,7 @@ from fraclap.geometry import LevelMesh, build_level
 from fraclap.graphs import graph_laplacian
 from fraclap.measures import (
     MeasureKind,
+    _elements,
     fem_area_stiffness,
     fem_edge_stiffness,
     load_vector,
@@ -270,6 +271,33 @@ def test_stiffness_annihilates_constants(family, n):
     for a in mats:
         ones = np.ones(m.num_vertices)
         assert np.abs(a @ ones).max() <= 1e-12 * np.abs(a.data).max()
+
+
+def test_stiffness_matches_dense_scatter_on_a_triangle_fan():
+    """A caller mesh whose hub lies in six cells at every cell position, with
+    unequal edges: the CSR assembly equals a dense sum of the elements."""
+    rng = np.random.default_rng(11)
+    k = 6
+    angle = 2 * np.pi * (np.arange(k) + rng.uniform(-0.2, 0.2, k)) / k
+    rim = rng.uniform(0.5, 2.0, k)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    ring = 1 + np.arange(k)
+    fan = np.column_stack([np.zeros(k, dtype=int), ring, np.roll(ring, -1)])
+    cells = np.array([np.roll(c, t % 3) for t, c in enumerate(fan)])
+    mesh = LevelMesh(
+        family="fan",
+        level=0,
+        vertices=np.vstack([[0.1, -0.05], rim]),
+        edges=np.vstack([np.column_stack([np.zeros(k, dtype=int), ring]), fan[:, 1:]]),
+        cells=cells,
+        boundary_indices=ring,
+        dedup_tolerance=1e-9,
+    )
+    for formulation, build in (("fem_edge", fem_edge_stiffness), ("fem_area", fem_area_stiffness)):
+        elements, local = _elements(mesh, formulation)
+        dense = np.zeros((mesh.num_vertices, mesh.num_vertices))
+        np.add.at(dense, (elements[:, :, None], elements[:, None, :]), local)
+        gap = np.abs(build(mesh).toarray() - dense).max()
+        assert gap <= 1e-14 * np.abs(dense).max()
 
 
 def test_zero_length_edge_rejected():

@@ -1,5 +1,6 @@
 """Mesh document round trip and the table/solution writers."""
 
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -88,7 +89,8 @@ def test_solution_file_layout(tmp_path):
         {0: 1.0, 1: 0.0, 2: 0.0},
         mesh,
     )
-    sol = solve_dirichlet(problem, method="rfd", renorm_constant=5.0)
+    sol = dataclasses.replace(solve_dirichlet(problem), method="rfd",
+                              renorm_constant_applied=5.0)
     path = tmp_path / "solution.csv"
     write_solution(mesh, sol, path, extra={"rhs": "0"})
     lines = path.read_text().strip().splitlines()

@@ -6,7 +6,13 @@ import pytest
 from fraclap.errors import AssemblyError, SolveError, UsageError
 from fraclap.geometry import build_level, embed
 from fraclap.graphs import graph_laplacian
-from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
+from fraclap.measures import (
+    MeasureKind,
+    fd_graph_stiffness,
+    fem_area_stiffness,
+    fem_edge_stiffness,
+    load_vector,
+)
 from fraclap.renorm import (
     RenormEstimate,
     _elements,
@@ -239,14 +245,18 @@ def test_doubling_constant_scales_forced_solution():
     np.testing.assert_allclose(u2, u1 / 2.0**n, atol=1e-13)
 
 
-def test_fem_edge_half_load_flag():
-    n = 2
+def test_rfem1d_takes_half_the_edge_length_load():
+    n, c = 2, 1.25
     m = build_level("sierpinski", n)
     g = np.ones(m.num_vertices)
     h = _zero_bc(m)
-    half = solve_online("sierpinski", n, "rfem1d", 1.25, g, h).values
-    full = solve_online("sierpinski", n, "rfem1d", 1.25, g, h,
-                        fem_edge_half_load=False).values
+    half = solve_online("sierpinski", n, "rfem1d", c, g, h).values
+    elements, local = _elements(m, "fem_edge")
+    load = 0.5 * load_vector(m, MeasureKind.EDGE_LENGTH, g)
+    expected = solve_condensed(m, elements, local * c**n, load, h).values
+    np.testing.assert_array_equal(half, expected)
+    # the load is linear in g, so 2 g gives the full edge-length load
+    full = solve_online("sierpinski", n, "rfem1d", c, 2.0 * g, h).values
     np.testing.assert_allclose(full, 2.0 * half, atol=1e-13)
 
 

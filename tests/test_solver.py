@@ -403,3 +403,17 @@ def test_condensation_rejects_empty_interior():
     elements, local = _elements(mesh, "fd")
     with pytest.raises(SolveError, match="empty interior"):
         solve_condensed(mesh, elements, local, np.zeros(3), {0: 1.0, 1: 0.0, 2: 0.0})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", ["condensed", "dirichlet"])
+def test_non_finite_load_is_a_usage_error(solver, bad):
+    mesh = build_level("sierpinski", 2)
+    load = np.ones(mesh.num_vertices)
+    load[mesh.interior_indices[0]] = bad
+    h = {0: 1.0, 1: 0.0, 2: 0.0}
+    with pytest.raises(UsageError, match="load must be finite"):
+        if solver == "condensed":
+            solve_condensed(mesh, *_elements(mesh, "fd"), load, h)
+        else:
+            solve_dirichlet(DirichletProblem(graph_laplacian(mesh), load, h, mesh))
