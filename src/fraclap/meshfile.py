@@ -125,11 +125,13 @@ def write_table(estimates: list[RenormEstimate], path) -> None:
 
 def check_header(meta: dict) -> None:
     """Refuse, with ``UsageError``, a solution header key or value that
-    contains a line break."""
+    contains a line break or is not ASCII, the file's encoding."""
     for key, value in meta.items():
         line = f"{key}={value}"
         if "\n" in line or "\r" in line:
             raise UsageError(f"solution header must not contain line breaks, got {line!r}")
+        if not line.isascii():
+            raise UsageError(f"solution header must be ASCII, got {ascii(line)}")
 
 
 def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> None:

@@ -8,7 +8,9 @@ imported only there.  ``solve_condensed`` takes a mesh built by
 operator, and solves by self-similar static condensation with numpy alone:
 the m copies of a level meet only at images of the seed vertices, so each
 copy condenses onto its boundary from the leaves up, and the values come
-back down from the Dirichlet data.
+back down from the Dirichlet data.  Copies whose blocks are bit-for-bit the
+same share one factorization: per copy only vertex ids and one key are
+kept, and the blocks and factors once per distinct block.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -173,8 +175,15 @@ class _Condensation:
 
     Leaves are the ``m**n`` copies of the seed.  Going up one depth, the m
     children of every copy are scattered into the level-1 vertex set V1 and
-    the vertices of V1 outside V0 are eliminated, batched over all copies of
+    the vertices of V1 outside V0 are eliminated, batched over the copies of
     that depth.  Each vertex becomes interior at exactly one copy.
+
+    Copies whose blocks are bit-for-bit the same share one key: a leaf is
+    keyed by the bits of its element matrices and a copy one depth up by the
+    keys of its m children.  Per copy only vertex ids and the key are kept;
+    the blocks, ``a_ii`` and ``x_ib`` are formed and stored once per key and
+    gathered by key when used, so every value is the one a per-copy
+    elimination computes.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
@@ -185,9 +194,9 @@ class _Condensation:
         if (nb != seed.boundary_indices.size or self.leaves.shape[0] != m**mesh.level
                 or np.bincount(self.glue.ravel(), minlength=nv1).min() == 0):
             raise GeometryError("mesh is not a self-similar level of its family")
-        self.blocks = _leaf_blocks(self.leaves, elements, local)
+        self.keys, self.blocks = _leaf_blocks(self.leaves, elements, local)
         self.interior = interior
-        ids, schur, self.depths = self.leaves, self.blocks, []
+        ids, keys, schur, self.depths = self.leaves, self.keys, self.blocks, []
         for d in range(mesh.level - 1, -1, -1):
             copies = m**d
             child = ids.reshape(copies, m * nb)
@@ -195,8 +204,10 @@ class _Condensation:
             v1[:, self.glue.ravel()] = child
             if not (v1[:, self.glue.ravel()] == child).all():
                 raise GeometryError("copies disagree on a shared vertex")
-            children = schur.reshape(copies, m, nb, nb)
-            a = np.zeros((copies, nv1, nv1))
+            child_keys = keys.reshape(copies, m)
+            keys, first = _distinct(child_keys, schur.shape[0])
+            children = schur.take(child_keys[first], axis=0)
+            a = np.zeros((first.size, nv1, nv1))
             for i, g in enumerate(self.glue):
                 a[:, g[:, None], g] += children[:, i]
             a_ii = a[:, nb:, nb:].copy()
@@ -205,7 +216,7 @@ class _Condensation:
             except np.linalg.LinAlgError:
                 raise SolveError("singular interior block") from None
             schur = a[:, :nb, :nb] - a[:, :nb, nb:] @ x_ib
-            self.depths.append((v1, a_ii, x_ib))
+            self.depths.append((v1, keys, a_ii, x_ib))
             ids = v1[:, :nb]
         eliminated = [ids.ravel()] + [v1[:, nb:].ravel() for v1, *_ in self.depths]
         once = np.bincount(np.concatenate(eliminated), minlength=mesh.num_vertices) == 1
@@ -214,7 +225,7 @@ class _Condensation:
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``: per-leaf products summed per vertex."""
-        ku = np.einsum("wab,wb->wa", self.blocks, u[self.leaves])
+        ku = np.einsum("wab,wb->wa", self.blocks.take(self.keys, axis=0), u[self.leaves])
         return np.bincount(self.leaves.ravel(), weights=ku.ravel(), minlength=u.size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -229,18 +240,19 @@ class _Condensation:
         f[self.interior] = b
         nb = self.leaves.shape[1]
         up, loads = np.zeros(self.leaves.shape), []
-        for v1, _, x_ib in self.depths:
+        for v1, keys, _, x_ib in self.depths:
             children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
             for i, g in enumerate(self.glue):
                 fv[:, g] += children[:, i]
             f_i = fv[:, nb:] + f[v1[:, nb:]]
             # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
-            up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib, f_i)
+            up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib.take(keys, axis=0), f_i)
             loads.append(f_i)
         u, u_b = np.zeros(f.size), np.zeros((1, nb))
-        for (v1, a_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
-            u_i = np.linalg.solve(a_ii, f_i[..., None])[..., 0]
-            u_i -= np.einsum("wib,wb->wi", x_ib, u_b)
+        for (v1, keys, a_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
+            # one solve per copy: a multi-RHS solve per key changes the bits
+            u_i = np.linalg.solve(a_ii.take(keys, axis=0), f_i[..., None])[..., 0]
+            u_i -= np.einsum("wib,wb->wi", x_ib.take(keys, axis=0), u_b)
             u[v1[:, nb:]] = u_i
             u_b = np.concatenate([u_b, u_i], axis=1)[:, self.glue].reshape(-1, nb)
         return u[self.interior]
@@ -248,21 +260,96 @@ class _Condensation:
     def norm(self) -> float:
         """``|A_II|_inf``; exact when no two leaves share a pair of vertices,
         as on the built-in families, and an upper bound otherwise."""
-        leaves, blocks = self.leaves.ravel(), self.blocks
-        off = abs(blocks) * self.interior[self.leaves][:, None, :]
-        diag = np.diagonal(blocks, axis1=1, axis2=2)
-        off_sum = off.sum(axis=2) - np.diagonal(off, axis1=1, axis2=2)
+        def off_diagonal(blocks, mask):
+            off = abs(blocks) * mask[:, None, :]
+            return off.sum(axis=2) - np.diagonal(off, axis1=1, axis2=2)
+
+        leaves, blocks, mask = self.leaves.ravel(), self.blocks, self.interior[self.leaves]
+        # per key for the leaves inside the interior, per leaf for the others
+        off_sum = off_diagonal(blocks, np.ones(blocks.shape[:2], dtype=bool)).take(self.keys, axis=0)
+        edge = np.flatnonzero(~mask.all(axis=1))
+        off_sum[edge] = off_diagonal(blocks.take(self.keys[edge], axis=0), mask[edge])
+        diag = np.diagonal(blocks, axis1=1, axis2=2).take(self.keys, axis=0)
         n = self.interior.size
         row = (abs(np.bincount(leaves, weights=diag.ravel(), minlength=n))
                + np.bincount(leaves, weights=off_sum.ravel(), minlength=n))
         return float(row[self.interior].max())
 
 
-def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
-    """Element matrices summed into one seed-sized block per leaf copy.
+# Fibonacci hashing: an odd multiplier near 2**64 / golden ratio
+_MULTIPLIER = 0x9E3779B97F4A7C15
+_SIGN = np.int64(np.iinfo(np.int64).min)  # the sign bit of a float64's bits
 
-    The seed positions of the element vertices are read from the first leaf;
-    every other leaf must list its elements in the same order.
+
+def _renumber(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``0..k-1`` of the distinct values of the int64 ``code``, and the
+    index of one value of each key.
+
+    Each value is hashed to a slot of a table, which keeps one of the
+    values that reach it; a value equal to the kept one takes its key.
+    Equal values reach the same slot, so a round keys all of them or none,
+    and the values left are hashed again with another multiplier.  No sort
+    is needed.
+    """
+    rep, todo, multiplier = np.empty(code.size, dtype=np.int64), np.arange(code.size), _MULTIPLIER
+    while todo.size:
+        bits = todo.size.bit_length()  # a table of 2**bits > todo.size slots
+        values = code[todo]
+        slot = (values.view(np.uint64) * np.uint64(multiplier)) >> np.uint64(64 - bits)
+        slot = slot.astype(np.intp)
+        table = np.empty(1 << bits, dtype=np.int64)
+        table[slot] = todo
+        kept = table.take(slot)
+        same = code.take(kept) == values
+        rep[todo[same]] = kept[same]
+        todo, multiplier = todo[~same], multiplier + 2
+    seen = np.zeros(code.size, dtype=bool)
+    seen[rep] = True
+    return (np.cumsum(seen) - 1)[rep], np.flatnonzero(seen)
+
+
+def _distinct(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the rows of ``codes`` (entries below ``base``), equal exactly
+    for equal rows, and the index of one row of each key.
+
+    The columns are packed into one int64 in mixed radix, renumbered
+    whenever the next column could overflow it.
+    """
+    code, size = codes[:, 0], base
+    for column in codes.T[1:]:
+        if size * base > 2**62:
+            code, first = _renumber(code)
+            size = first.size
+        code, size = code * base + column, size * base
+    return _renumber(code)
+
+
+def _bit_codes(bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-column codes of the int64 ``bits`` and their base, for
+    ``_distinct``.  A constant column, or one that equals an earlier kept
+    column or its negation in every row, tells no rows apart and is left
+    out (an edge element ``c [[1, -1], [-1, 1]]`` keys on ``c`` alone)."""
+    kept = []
+    for column in bits.T:
+        if (column == column[0]).all():
+            continue
+        if not any(column[0] == c[0] ^ flip and (column == c ^ flip).all()
+                   for c in kept for flip in (0, _SIGN)):
+            kept.append(column)
+    if not kept:
+        return np.zeros((bits.shape[0], 1), dtype=np.int64), 1
+    codes = [_renumber(np.ascontiguousarray(c)) for c in kept]
+    return np.column_stack([key for key, _ in codes]), max(first.size for _, first in codes)
+
+
+def _leaf_blocks(leaves: np.ndarray, elements, local) -> tuple[np.ndarray, np.ndarray]:
+    """Element matrices summed into one seed-sized block per distinct leaf:
+    ``(keys, blocks)``, the block of leaf ``w`` being ``blocks[keys[w]]``.
+
+    Leaves whose element matrices have the same bits share a key; a
+    broadcast stack (stride 0 over its elements) is one block.  The seed
+    positions of the element vertices are read from the first leaf; every
+    other leaf must list its elements in the same order.
     """
     nleaf, nb = leaves.shape
     per_leaf, extra = divmod(elements.shape[0], nleaf)
@@ -276,10 +363,15 @@ def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
     if not (leaves[:, pos] == elements).all():
         raise GeometryError("elements do not follow the copy layout of the first leaf")
     local = local.reshape(nleaf, per_leaf, *local.shape[1:])
-    blocks = np.zeros((nleaf, nb, nb))
+    if local.strides[0] == 0:
+        keys, first = np.zeros(nleaf, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    else:
+        bits = np.ascontiguousarray(local).reshape(nleaf, -1).view(np.int64)
+        keys, first = _distinct(*_bit_codes(bits))
+    blocks = np.zeros((first.size, nb, nb))
     for e, a, b in np.ndindex(local.shape[1:]):
-        blocks[:, pos[e, a], pos[e, b]] += local[:, e, a, b]
-    return blocks
+        blocks[:, pos[e, a], pos[e, b]] += local[first, e, a, b]
+    return keys, blocks
 
 
 def solve_condensed(

@@ -333,6 +333,25 @@ def test_line_break_in_a_header_value_exits_two_without_output(tmp_path, rhs, bc
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("rhs, bc", [("0", "\u0663,0"), ("x\u00a0+1", "1,0")],
+                         ids=["arabic-indic-three-in-bc", "no-break-space-in-rhs"])
+def test_non_ascii_header_value_exits_two_before_building_the_level(tmp_path, capsys, rhs, bc):
+    """The solution header is ASCII; these used to solve and then fail to
+    write it with a UnicodeEncodeError traceback (exit 1)."""
+    build_level.cache_clear()
+    rc = cli.main([
+        "solve", "--family", "koch", "--level", "2", "--method", "rfd", "--constant", "16",
+        f"--rhs={rhs}", f"--bc={bc}", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 2
+    assert build_level.cache_info().currsize == 0
+    assert not (tmp_path / "s.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "ASCII" in captured.err
+    assert captured.err.isascii() and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     "renorm --family sierpinski --method fd --levels 3:9",
     "renorm --family hata2d --method fd --levels 3:6",

@@ -1,6 +1,8 @@
 """Dirichlet solves: partitioning, linear solver contract, maximum
 principle, linearity, symmetry and dense-oracle equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +16,10 @@ from fraclap.renorm import _elements, _load
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     DirichletProblem,
+    _Condensation,
+    _distinct,
     _leaf_blocks,
+    _renumber,
     linear_solve,
     partition,
     solve_condensed,
@@ -354,7 +359,8 @@ def test_leaf_blocks_are_the_per_element_sums(family, formulation):
         pos = [int(np.flatnonzero(leaves[w] == v)[0]) for v in element]
         for a, b in np.ndindex(matrix.shape):
             expected[w, pos[a], pos[b]] += matrix[a, b]
-    assert _leaf_blocks(leaves, elements, local).tobytes() == expected.tobytes()
+    keys, blocks = _leaf_blocks(leaves, elements, local)
+    assert blocks[keys].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("family, formulation, swap", [
@@ -417,3 +423,113 @@ def test_non_finite_load_is_a_usage_error(solver, bad):
             solve_condensed(mesh, *_elements(mesh, "fd"), load, h)
         else:
             solve_dirichlet(DirichletProblem(graph_laplacian(mesh), load, h, mesh))
+
+
+# -- one factorization per distinct block ------------------------------------------
+
+# sha256 of solve_condensed(...).values.tobytes() and the solver residual, for
+# the load of g = 1 + x*y and zero boundary data (or 1, -0.5, 0.25).  Recorded
+# while every copy was still factored on its own; copies with the same bits
+# now share one factorization, and the results must not move by a bit.
+DEEP_CONDENSATION_DIGESTS = {
+    ("sierpinski", 9, "fd", False): (
+        "ca0954129641a9a36d4847c9f35000dded5b9fc3abc7c7b4f71165c10f62d4c2", 3.2189317877850954e-10),
+    ("sierpinski", 9, "fem_area", False): (
+        "223b8250e38c6780942751320e2346cb2ef46de0e60f29cd9376ce910a5cff20", 5.023862524448398e-16),
+    ("koch", 8, "fem_edge", False): (
+        "c7b1c505f66b99ef6360fed78607fecb6d342b42af41855ee73360c0489407c1", 8.191482138864697e-11),
+    ("hata2d", 6, "fd", False): (
+        "621fe0beae3e76d4bcbf8120cbb54bb426ab5196dc302ec413286882f752a76d", 1.6477770259371027e-09),
+    ("hata3d", 6, "fem_edge", False): (
+        "13802e1e9389396501a3139de62fd2c7f00cea0f9bed65ac99429adbe425012c", 1.3851231359801597e-11),
+    ("sierpinski", 10, "fd", True): (
+        "24fcb3ee65c6b866a6e07bd05f4b37ad74fc38ec000f89a9f54c0da292054796", 1.9159545061597782e-09),
+}
+
+
+@pytest.mark.parametrize("family, level, formulation, boundary", list(DEEP_CONDENSATION_DIGESTS))
+def test_deep_condensation_is_bit_identical(family, level, formulation, boundary):
+    mesh = build_level(family, level)
+    load = _load(mesh, formulation, 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1])
+    data = [1.0, -0.5, 0.25] if boundary else [0.0, 0.0, 0.0]
+    h = {int(i): v for i, v in zip(mesh.boundary_indices, data)}
+    solution = solve_condensed(mesh, *_elements(mesh, formulation), load, h)
+    digest, residual = DEEP_CONDENSATION_DIGESTS[family, level, formulation, boundary]
+    assert hashlib.sha256(solution.values.tobytes()).hexdigest() == digest
+    assert solution.solver_residual == residual
+
+
+def _distinct_counts(mesh, elements, local):
+    """Blocks formed at the leaves and at each depth, deepest first."""
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_indices] = False
+    cond = _Condensation(mesh, elements, local, interior)
+    return [cond.blocks.shape[0]] + [a_ii.shape[0] for _, _, a_ii, _ in cond.depths]
+
+
+@pytest.mark.parametrize("formulation", ["fd", "graph_energy"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unit_edge_elements_give_one_block_per_depth(family, formulation):
+    mesh = build_level(family, 6)
+    elements, local = _elements(mesh, formulation)
+    assert local.strides[0] == 0  # the broadcast unit element
+    assert _distinct_counts(mesh, elements, local) == [1] * 7
+    # scaled by constant**n as solve_online does: a full array, keyed by its bits
+    assert _distinct_counts(mesh, elements, local * 5.0**6) == [1] * 7
+
+
+def test_sierpinski_fem_area_distinct_blocks_per_depth():
+    mesh = build_level("sierpinski", 8)
+    counts = _distinct_counts(mesh, *_elements(mesh, "fem_area"))
+    # copies: 6561 leaves, then 2187, 729, ..., 1
+    assert counts == [9, 19, 20, 16, 12, 8, 4, 2, 1]
+
+
+def _same_partition(keys, first, rows):
+    """``keys`` number the distinct rows 0..k-1 and ``first`` holds one row of each."""
+    _, expected = np.unique(rows, axis=0, return_inverse=True)
+    expected = expected.reshape(-1)
+    assert keys.min() == 0 and keys.max() == first.size - 1 == expected.max()
+    # equal keys exactly for equal rows
+    pairs = np.unique(np.column_stack([keys, expected]), axis=0)
+    assert pairs.shape[0] == first.size
+    np.testing.assert_array_equal(keys[first], np.arange(first.size))
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=300), st.integers(0, 2**32))
+def test_renumber_keys_equal_values_alike(picks, seed):
+    # a pool of arbitrary 64-bit patterns, drawn with repeats
+    pool = np.random.default_rng(seed).integers(-2**63, 2**63 - 1, 41, dtype=np.int64, endpoint=True)
+    code = pool[picks]
+    keys, first = _renumber(code)
+    _same_partition(keys, first, code[:, None])
+
+
+def test_renumber_rehashes_values_that_share_a_slot():
+    # 3000 distinct values in an 8192-slot table: hundreds share a slot
+    code = np.random.default_rng(1).integers(0, 2**62, 3000) * 3
+    doubled = np.concatenate([code, code[::-1]])
+    keys, first = _renumber(doubled)
+    assert first.size == 3000
+    np.testing.assert_array_equal(keys[:3000], keys[3000:][::-1])
+    _same_partition(keys, first, doubled[:, None])
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=200),
+       st.sampled_from([4, 2**31, 2**40]))
+def test_distinct_rows_with_and_without_renumbering(rows, scale):
+    # entries below base; a base of 2**40 overflows the packing after one column
+    codes = np.array(rows, dtype=np.int64) * (scale // 4)
+    keys, first = _distinct(codes, scale)
+    _same_partition(keys, first, codes)
+
+
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_condensation_refuses_a_singular_block(broadcast):
+    """All-zero elements: every copy has the same singular block, factored once."""
+    mesh = build_level("sierpinski", 4)
+    zero = np.zeros((mesh.num_edges, 2, 2))
+    local = np.broadcast_to(zero[0], zero.shape) if broadcast else zero
+    h = {int(i): 1.0 for i in mesh.boundary_indices}
+    with pytest.raises(SolveError, match="^singular interior block$"):
+        solve_condensed(mesh, mesh.edges, local, np.ones(mesh.num_vertices), h)
