@@ -20,7 +20,7 @@ import sys
 from . import meshfile
 from .errors import FraclapError, UsageError
 from .expressions import compile_expression
-from .geometry import FAMILIES, build_level
+from .geometry import FAMILIES, build_level, check_level
 from .renorm import (
     SOLVE_METHODS,
     auto_constant,
@@ -84,8 +84,6 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 
 def _cmd_generate(args) -> int:
-    if args.level < 0:
-        raise UsageError("level must be nonnegative")
     mesh = build_level(args.family, args.level)
     meshfile.write_mesh(mesh, args.out)
     print(
@@ -98,6 +96,7 @@ def _cmd_generate(args) -> int:
 def _cmd_renorm(args) -> int:
     a, b = _parse_levels(args.levels)
     formulation = _RENORM_FORMULATION[args.method]
+    check_level(args.family, b)
     estimates = [
         estimate_laplacian_ratio(args.family, n) if formulation == "fd"
         else estimate_energy_ratio(args.family, n, formulation)
@@ -114,8 +113,7 @@ def _cmd_renorm(args) -> int:
 def _cmd_solve(args) -> int:
     extra = {"rhs": args.rhs, "bc": args.bc}
     meshfile.check_header(extra)
-    if args.level < 0:
-        raise UsageError("level must be nonnegative")
+    check_level(args.family, args.level)
     if args.constant is not None and not args.constant > 0:
         raise UsageError("constant must be positive")
     rhs = compile_expression(args.rhs)

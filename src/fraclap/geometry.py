@@ -25,6 +25,10 @@ FAMILIES = ("koch", "sierpinski", "hata2d", "hata3d")
 # magnitude below that.
 RELATIVE_TOLERANCE = 1e-9
 
+# The most vertices ``build_level`` builds: at about 420 B per vertex the
+# build of 2**23 vertices peaks near 3.5 GiB.
+MAX_VERTICES = 2**23
+
 
 def _frozen(arr, dtype):
     out = np.ascontiguousarray(arr, dtype=dtype)
@@ -433,16 +437,60 @@ def iterate(ifs: IFSystem, n: int) -> LevelMesh:
     return mesh
 
 
+@functools.lru_cache(maxsize=None)
+def _growth(family: str) -> tuple[int, int, int]:
+    """The map count m and the vertex counts of levels 0 and 1 of a built-in
+    family, built without ``build_level``, which checks against them."""
+    ifs = builtin_system(family)
+    seed = _seed_mesh(ifs)
+    return len(ifs.maps), seed.num_vertices, _refine(ifs, seed).num_vertices
+
+
+def predicted_vertices(family: str, level: int) -> int:
+    """The vertex count of ``build_level(family, level)``, in Python ints.
+
+    A level is m copies of the one below glued at c = m V_0 - V_1 vertices,
+    so V_{n+1} = m V_n - c, solved from levels 0 and 1.
+    """
+    m, v0, v1 = _growth(family)
+    c = m * v0 - v1
+    return (c + (v0 * (m - 1) - c) * m**int(level)) // (m - 1)
+
+
+def check_level(family: str, level: int) -> None:
+    """Refuse with ``UsageError`` a negative level or one whose predicted
+    vertex count exceeds ``MAX_VERTICES``, before anything is built."""
+    if level < 0:
+        raise UsageError("level must be nonnegative")
+    largest = 0  # counts grow with the level: find the last that fits
+    while predicted_vertices(family, largest + 1) <= MAX_VERTICES:
+        largest += 1
+    if level > largest:
+        raise UsageError(
+            f"{family} level {level} would exceed {MAX_VERTICES} vertices; "
+            f"the largest {family} level allowed is {largest}"
+        )
+
+
 @functools.lru_cache(maxsize=64)
 def build_level(family: str, level: int) -> LevelMesh:
     """Cached ``iterate(builtin_system(family), level)``; meshes are immutable.
 
     Each level refines the cached level below it, so a process builds every
-    level once.
+    level once.  An oversized level is refused by ``check_level``, and a
+    built level whose vertex count is not the predicted one raises
+    ``GeometryError``.
     """
-    if level <= 0:
+    check_level(family, level)
+    if level == 0:
         return iterate(builtin_system(family), level)
-    return _refine(builtin_system(family), build_level(family, level - 1))
+    mesh = _refine(builtin_system(family), build_level(family, level - 1))
+    predicted = predicted_vertices(family, level)
+    if mesh.num_vertices != predicted:
+        raise GeometryError(
+            f"{family} level {level} has {mesh.num_vertices} vertices, predicted {predicted}"
+        )
+    return mesh
 
 
 @functools.lru_cache(maxsize=None)

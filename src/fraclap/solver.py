@@ -10,7 +10,8 @@ the m copies of a level meet only at images of the seed vertices, so each
 copy condenses onto its boundary from the leaves up, and the values come
 back down from the Dirichlet data.  Copies whose blocks are bit-for-bit the
 same share one factorization: per copy only vertex ids and one key are
-kept, and the blocks and factors once per distinct block.
+kept, and the blocks and factors once per distinct block.  Keys number the
+distinct rows of bits, or of child keys, after one stable lexsort.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -180,9 +181,10 @@ class _Condensation:
 
     Copies whose blocks are bit-for-bit the same share one key: a leaf is
     keyed by the bits of its element matrices and a copy one depth up by the
-    keys of its m children.  Per copy only vertex ids and the key are kept;
-    the blocks, ``a_ii`` and ``x_ib`` are formed and stored once per key and
-    gathered by key when used, so every value is the one a per-copy
+    keys of its m children, both numbered by ``_distinct``; the copy of least
+    index stands for its key.  Per copy only vertex ids and the key are
+    kept; the blocks, ``a_ii`` and ``x_ib`` are formed and stored once per
+    key and gathered by key when used, so every value is the one a per-copy
     elimination computes.
     """
 
@@ -205,7 +207,7 @@ class _Condensation:
             if not (v1[:, self.glue.ravel()] == child).all():
                 raise GeometryError("copies disagree on a shared vertex")
             child_keys = keys.reshape(copies, m)
-            keys, first = _distinct(child_keys, schur.shape[0])
+            keys, first = _distinct(child_keys)
             children = schur.take(child_keys[first], axis=0)
             a = np.zeros((first.size, nv1, nv1))
             for i, g in enumerate(self.glue):
@@ -276,70 +278,20 @@ class _Condensation:
         return float(row[self.interior].max())
 
 
-# Fibonacci hashing: an odd multiplier near 2**64 / golden ratio
-_MULTIPLIER = 0x9E3779B97F4A7C15
-_SIGN = np.int64(np.iinfo(np.int64).min)  # the sign bit of a float64's bits
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``0..k-1`` of the rows of the int64 ``rows``, equal exactly for
+    equal rows, and ``first[k]``, the smallest index of a row with key ``k``.
 
-
-def _renumber(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ``0..k-1`` of the distinct values of the int64 ``code``, and the
-    index of one value of each key.
-
-    Each value is hashed to a slot of a table, which keeps one of the
-    values that reach it; a value equal to the kept one takes its key.
-    Equal values reach the same slot, so a round keys all of them or none,
-    and the values left are hashed again with another multiplier.  No sort
-    is needed.
+    One stable lexsort orders the rows; each row that differs from its
+    sorted predecessor starts the next key.
     """
-    rep, todo, multiplier = np.empty(code.size, dtype=np.int64), np.arange(code.size), _MULTIPLIER
-    while todo.size:
-        bits = todo.size.bit_length()  # a table of 2**bits > todo.size slots
-        values = code[todo]
-        slot = (values.view(np.uint64) * np.uint64(multiplier)) >> np.uint64(64 - bits)
-        slot = slot.astype(np.intp)
-        table = np.empty(1 << bits, dtype=np.int64)
-        table[slot] = todo
-        kept = table.take(slot)
-        same = code.take(kept) == values
-        rep[todo[same]] = kept[same]
-        todo, multiplier = todo[~same], multiplier + 2
-    seen = np.zeros(code.size, dtype=bool)
-    seen[rep] = True
-    return (np.cumsum(seen) - 1)[rep], np.flatnonzero(seen)
-
-
-def _distinct(codes: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys of the rows of ``codes`` (entries below ``base``), equal exactly
-    for equal rows, and the index of one row of each key.
-
-    The columns are packed into one int64 in mixed radix, renumbered
-    whenever the next column could overflow it.
-    """
-    code, size = codes[:, 0], base
-    for column in codes.T[1:]:
-        if size * base > 2**62:
-            code, first = _renumber(code)
-            size = first.size
-        code, size = code * base + column, size * base
-    return _renumber(code)
-
-
-def _bit_codes(bits: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-column codes of the int64 ``bits`` and their base, for
-    ``_distinct``.  A constant column, or one that equals an earlier kept
-    column or its negation in every row, tells no rows apart and is left
-    out (an edge element ``c [[1, -1], [-1, 1]]`` keys on ``c`` alone)."""
-    kept = []
-    for column in bits.T:
-        if (column == column[0]).all():
-            continue
-        if not any(column[0] == c[0] ^ flip and (column == c ^ flip).all()
-                   for c in kept for flip in (0, _SIGN)):
-            kept.append(column)
-    if not kept:
-        return np.zeros((bits.shape[0], 1), dtype=np.int64), 1
-    codes = [_renumber(np.ascontiguousarray(c)) for c in kept]
-    return np.column_stack([key for key, _ in codes]), max(first.size for _, first in codes)
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    keys = np.empty(order.size, dtype=np.int64)
+    keys[order] = np.cumsum(new) - 1
+    return keys, order[new]
 
 
 def _leaf_blocks(leaves: np.ndarray, elements, local) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +319,7 @@ def _leaf_blocks(leaves: np.ndarray, elements, local) -> tuple[np.ndarray, np.nd
         keys, first = np.zeros(nleaf, dtype=np.int64), np.zeros(1, dtype=np.int64)
     else:
         bits = np.ascontiguousarray(local).reshape(nleaf, -1).view(np.int64)
-        keys, first = _distinct(*_bit_codes(bits))
+        keys, first = _distinct(bits)
     blocks = np.zeros((first.size, nb, nb))
     for e, a, b in np.ndindex(local.shape[1:]):
         blocks[:, pos[e, a], pos[e, b]] += local[first, e, a, b]

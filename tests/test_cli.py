@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +247,45 @@ def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc
     # at most the seed, which gives the boundary count
     assert build_level.cache_info().currsize <= 1
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "generate --family sierpinski --level 40",
+    "solve --family sierpinski --level 40 --method rfd --rhs 0 --bc 1,0,0",
+    "renorm --family sierpinski --method fd --levels 1:40",
+], ids=["generate", "solve", "renorm"])
+def test_oversized_level_exits_two_before_building(tmp_path, capsys, command):
+    build_level.cache_clear()
+    start = time.perf_counter()
+    rc = cli.main([*command.split(), "--out", str(tmp_path / "out")])
+    assert rc == 2 and time.perf_counter() - start < 1.0
+    # at most the seed, which gives the boundary count
+    assert build_level.cache_info().currsize <= 1
+    assert list(tmp_path.iterdir()) == []
+    assert "the largest sierpinski level allowed is 14" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The ``fraclap ...`` lines of the README's ``sh`` blocks, continuation
+    lines joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("fraclap ")]
+
+
+def test_readme_lists_twelve_commands():
+    assert len(_readme_commands()) == 12
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_succeeds(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv[1:]) == 0
+    out = argv[argv.index("--out") + 1]
+    assert (tmp_path / out).stat().st_size > 0
 
 
 def test_numerical_failure_exits_three(tmp_path):

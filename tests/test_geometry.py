@@ -5,9 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from fraclap import geometry
 from fraclap.errors import GeometryError, UsageError
 from fraclap.geometry import (
     FAMILIES,
+    MAX_VERTICES,
     AffineMap,
     IFSystem,
     LevelMesh,
@@ -15,8 +17,10 @@ from fraclap.geometry import (
     apply_map,
     build_level,
     builtin_system,
+    check_level,
     embed,
     iterate,
+    predicted_vertices,
 )
 from fraclap.kernels import _match_core
 
@@ -445,3 +449,41 @@ def test_build_level_refines_the_cached_coarser_level():
     assert build_level.cache_info().misses == 6
     build_level("sierpinski", 6)
     assert build_level.cache_info().misses == 7
+
+
+# -- size guard ----------------------------------------------------------------
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_predicted_vertices_match_the_built_levels(family):
+    for n in range(7):
+        assert predicted_vertices(family, n) == build_level(family, n).num_vertices
+
+
+@pytest.mark.parametrize("family, largest", [
+    ("sierpinski", 14), ("koch", 11), ("hata2d", 9), ("hata3d", 8),
+])
+def test_check_level_admits_up_to_the_vertex_bound(family, largest):
+    # through the prediction only: nothing this large is built
+    assert predicted_vertices(family, largest) <= MAX_VERTICES
+    assert predicted_vertices(family, largest + 1) > MAX_VERTICES
+    check_level(family, largest)
+    for level in (largest + 1, 40, 10**9):
+        with pytest.raises(UsageError, match=f"largest {family} level allowed is {largest}$"):
+            check_level(family, level)
+    with pytest.raises(UsageError, match="nonnegative"):
+        check_level(family, -1)
+
+
+def test_build_level_refuses_an_oversized_level_before_building():
+    build_level.cache_clear()
+    with pytest.raises(UsageError, match="would exceed"):
+        build_level("sierpinski", 40)
+    assert build_level.cache_info().currsize == 0
+
+
+def test_build_level_checks_the_built_count_against_the_prediction(monkeypatch):
+    real = geometry.predicted_vertices
+    monkeypatch.setattr(geometry, "predicted_vertices",
+                        lambda family, level: real(family, level) + (level == 3))
+    with pytest.raises(GeometryError, match="koch level 3 has 65 vertices, predicted 66"):
+        build_level.__wrapped__("koch", 3)

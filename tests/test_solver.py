@@ -19,7 +19,6 @@ from fraclap.solver import (
     _Condensation,
     _distinct,
     _leaf_blocks,
-    _renumber,
     linear_solve,
     partition,
     solve_condensed,
@@ -496,32 +495,18 @@ def _same_partition(keys, first, rows):
     np.testing.assert_array_equal(keys[first], np.arange(first.size))
 
 
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=300), st.integers(0, 2**32))
-def test_renumber_keys_equal_values_alike(picks, seed):
-    # a pool of arbitrary 64-bit patterns, drawn with repeats
-    pool = np.random.default_rng(seed).integers(-2**63, 2**63 - 1, 41, dtype=np.int64, endpoint=True)
-    code = pool[picks]
-    keys, first = _renumber(code)
-    _same_partition(keys, first, code[:, None])
-
-
-def test_renumber_rehashes_values_that_share_a_slot():
-    # 3000 distinct values in an 8192-slot table: hundreds share a slot
-    code = np.random.default_rng(1).integers(0, 2**62, 3000) * 3
-    doubled = np.concatenate([code, code[::-1]])
-    keys, first = _renumber(doubled)
-    assert first.size == 3000
-    np.testing.assert_array_equal(keys[:3000], keys[3000:][::-1])
-    _same_partition(keys, first, doubled[:, None])
-
-
-@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=200),
-       st.sampled_from([4, 2**31, 2**40]))
-def test_distinct_rows_with_and_without_renumbering(rows, scale):
-    # entries below base; a base of 2**40 overflows the packing after one column
-    codes = np.array(rows, dtype=np.int64) * (scale // 4)
-    keys, first = _distinct(codes, scale)
-    _same_partition(keys, first, codes)
+@given(st.data())
+def test_distinct_rows_share_keys_and_first_is_the_smallest_index(data):
+    # 1 to 6 columns drawn with repeats from a pool of arbitrary 64-bit
+    # patterns; the bits of a negative float64 are a negative int64
+    pool = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=6))
+    ncols = data.draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(pool), min_size=ncols, max_size=ncols)
+    rows = np.array(data.draw(st.lists(row, min_size=1, max_size=200)), dtype=np.int64)
+    keys, first = _distinct(rows)
+    _same_partition(keys, first, rows)
+    smallest = [np.flatnonzero(keys == k)[0] for k in range(first.size)]
+    np.testing.assert_array_equal(first, smallest)
 
 
 @pytest.mark.parametrize("broadcast", [True, False])
