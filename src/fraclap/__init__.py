@@ -40,7 +40,6 @@ from .renorm import (
     solve_online,
 )
 from .solver import (
-    DirichletProblem,
     Solution,
     linear_solve,
     partition,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "AssemblyError",
-    "DirichletProblem",
     "EmbeddingMap",
     "Expression",
     "FAMILIES",

@@ -179,10 +179,13 @@ def _elements(mesh: LevelMesh, formulation: str):
 
 def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:
     """fd takes ``g`` pointwise; the weak forms integrate it against the
-    formulation's natural measure."""
+    formulation's natural measure.  fem_edge takes half the edge-length
+    load, matching the factor-two relation between the self-similar and
+    edge-length measures."""
     if formulation == "fd":
         return g
-    return load_vector(mesh, _LOAD_MEASURE[formulation], g)
+    load = load_vector(mesh, _LOAD_MEASURE[formulation], g)
+    return 0.5 * load if formulation == "fem_edge" else load
 
 
 def fd_graph_stiffness(mesh: LevelMesh) -> sp.csr_array:

@@ -82,6 +82,15 @@ def write_mesh(mesh: LevelMesh, path) -> None:
         fh.write("\n}\n")
 
 
+def _indices(doc: dict, key: str) -> np.ndarray:
+    """The int64 array of ``doc[key]``, refusing any entry that is not a JSON
+    integer (``1.7`` is not truncated, ``true`` is not read as 1)."""
+    arr = np.array(doc[key], dtype=object)
+    if not set(map(type, arr.flat)) <= {int}:
+        raise UsageError(f"malformed mesh document: {key} must be integer indices")
+    return arr.astype(np.int64)
+
+
 def read_mesh(path) -> LevelMesh:
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -90,13 +99,15 @@ def read_mesh(path) -> LevelMesh:
             raise UsageError(f"malformed mesh document: {exc}") from None
     try:
         vertices = np.array(doc["vertices"], dtype=np.float64).reshape(-1, doc["dimension"])
-        edges = np.array(doc["edges"], dtype=np.int64).reshape(-1, 2)
-        cells = np.array(doc["cells"], dtype=np.int64).reshape(-1, 3)
-        boundary = np.array(doc["boundary"], dtype=np.int64)
+        edges = _indices(doc, "edges").reshape(-1, 2)
+        cells = _indices(doc, "cells").reshape(-1, 3)
+        boundary = _indices(doc, "boundary")
         family = str(doc["family"])
         level = int(doc["level"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed mesh document: {exc}") from None
+    if edges.size and (edges.min() < 0 or edges.max() >= vertices.shape[0]):
+        raise UsageError("malformed mesh document: edge index out of range")
     lengths = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
     if lengths.size == 0 or lengths.min() <= 0.0:
         raise UsageError("mesh document has no usable edges")

@@ -10,7 +10,7 @@ Every solve here is on a built-in family, so the model solves and
 ``solve_online`` hand the element matrices of the formulation to
 ``solver.solve_condensed`` and never assemble or factor a sparse matrix;
 scipy is not imported.  ``renormalize`` still scales an assembled operator
-for callers of ``solver.solve_dirichlet``.
+for callers of ``solver.partition`` and ``solver.linear_solve``.
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ def estimate_energy_ratio(
 ) -> RenormEstimate:
     """Ratio of un-normalized weak-form solutions at levels n+1 and n.
 
-    The load comes from the formulation's natural measure with unit data:
-    graph_energy uses the self-similar vertex weights, fem_edge the edge
-    length measure and fem_area the triangle area measure.
+    The load comes from the formulation's natural measure with unit data
+    (``measures._load``): graph_energy uses the self-similar vertex weights,
+    fem_edge half the edge length measure and fem_area the triangle area
+    measure.  A factor common to both loads cancels in the ratios.
     """
     if formulation not in ENERGY_FORMULATIONS:
         raise UsageError(
@@ -178,12 +179,11 @@ def solve_online(
 ) -> Solution:
     """Solve the renormalized Dirichlet problem at level ``n``.
 
-    rfd scales the graph Laplacian and takes ``g`` pointwise at interior
-    vertices; rfem1d scales the edge stiffness with half the edge-length
-    load, matching the factor-two relation between the self-similar and
-    edge-length measures; rfem2d scales the area stiffness with the area
-    load.  The element matrices are scaled by constant**n and the problem
-    is solved by condensation.
+    Each method solves one formulation (``_elements`` and ``_load``): rfd
+    the graph Laplacian with ``g`` taken pointwise, rfem1d the edge
+    stiffness with half the edge-length load, rfem2d the area stiffness
+    with the area load.  The element matrices are scaled by constant**n and
+    the problem is solved by condensation.
     """
     if method not in SOLVE_METHODS:
         raise UsageError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
@@ -194,8 +194,6 @@ def solve_online(
     formulation = _METHOD_FORMULATION[method]
     elements, local = _elements(mesh, formulation)
     load = _load(mesh, formulation, g)
-    if method == "rfem1d":
-        load = 0.5 * load
     local = _renormalized(local, constant, n)
     solution = solve_condensed(mesh, elements, local, load, h)
     return replace(solution, method=method, renorm_constant_applied=float(constant))

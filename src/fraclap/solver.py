@@ -1,17 +1,19 @@
 """Dirichlet problems: the interior block system of a symmetric PSD operator.
 
-Two exact solvers share one contract.  ``solve_dirichlet`` takes any scipy
-CSR operator (see ``graphs._assemble``), partitions it into boundary and
-interior blocks and factors the interior block with SuperLU; scipy is
-imported only there.  ``solve_condensed`` takes a mesh built by
-``geometry.build_level`` and the element matrices whose sum is the
-operator, and solves by self-similar static condensation with numpy alone:
-the m copies of a level meet only at images of the seed vertices, so each
-copy condenses onto its boundary from the leaves up, and the values come
-back down from the Dirichlet data.  Copies whose blocks are bit-for-bit the
-same share one factorization: per copy only vertex ids and one key are
-kept, and the blocks and factors once per distinct block.  Keys number the
-distinct rows of bits, or of child keys, after one stable lexsort.
+A problem is a mesh, the element matrices ``local[k]`` on the vertex rows
+``elements[k]`` whose sum is the operator, a load and the boundary values;
+``_problem`` checks it for both exact solvers, which share one contract.
+``solve_dirichlet`` assembles the operator (``graphs._assemble_elements``)
+and factors its interior block with SuperLU (``partition`` and
+``linear_solve``, which take any CSR operator); scipy is imported only
+there.  ``solve_condensed`` takes a mesh built by ``geometry.build_level``
+and solves by self-similar static condensation with numpy alone: the m
+copies of a level meet only at images of the seed vertices, so each copy
+condenses onto its boundary from the leaves up, and the values come back
+down from the Dirichlet data.  Copies whose blocks are bit-for-bit the same
+share one factorization: per copy only vertex ids and one key are kept, and
+the blocks and factors once per distinct block.  Keys number the distinct
+rows of bits, or of child keys, after one stable lexsort.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -21,6 +23,7 @@ solve raises ``SolveError``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -28,6 +31,7 @@ import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
 from .geometry import LevelMesh, _copy_table, _frozen, _seed_glue
+from .graphs import _assemble_elements
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -37,44 +41,36 @@ if TYPE_CHECKING:
 BACKWARD_ERROR_BOUND = 1e-13
 
 
-def _boundary_data(mesh: LevelMesh, boundary_values) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted boundary indices and their values, checked against the mesh."""
-    expected = set(int(i) for i in mesh.boundary_indices)
-    got = set(int(i) for i in boundary_values)
-    if expected != got:
-        raise UsageError(
-            f"boundary values must cover exactly the boundary indices {sorted(expected)}"
-        )
-    bidx = np.array(sorted(expected), dtype=np.int64)
-    u0 = np.array([boundary_values[int(i)] for i in bidx], dtype=np.float64)
+def _problem(mesh: LevelMesh, local, load, boundary_values):
+    """The checked Dirichlet problem: ``(interior, bidx, u0, local, load)``,
+    the interior vertex mask, the sorted boundary indices and their values,
+    and the element matrices and load as float64 arrays."""
+    try:
+        given = {operator.index(i): boundary_values[i] for i in boundary_values}
+    except TypeError:
+        raise UsageError("boundary value keys must be integer vertex indices") from None
+    # not np.unique: it imports numpy.ma (about 1 MiB) on first use
+    expected = sorted(set(mesh.boundary_indices.tolist()))
+    if given.keys() != set(expected):
+        raise UsageError(f"boundary values must cover exactly the boundary indices {expected}")
+    bidx = np.array(expected, dtype=np.int64)
+    u0 = np.array([given[i] for i in expected], dtype=np.float64)
     if not np.isfinite(u0).all():
         raise UsageError("boundary values must be finite")
-    return bidx, u0
-
-
-@dataclass(frozen=True)
-class DirichletProblem:
-    """Operator, load and boundary data for one solve."""
-
-    operator: sp.csr_array
-    load: np.ndarray
-    boundary_values: dict[int, float]
-    mesh: LevelMesh
-
-    def __post_init__(self):
-        load = _frozen(self.load, np.float64)
-        n = self.mesh.num_vertices
-        if getattr(self.operator, "format", None) != "csr":
-            raise UsageError("operator must be a scipy CSR array")
-        if self.operator.shape != (n, n):
-            raise UsageError("operator shape does not match the mesh")
-        if load.shape != (n,):
-            raise UsageError("load length does not match the mesh")
-        if not np.isfinite(load).all():
-            raise UsageError("load must be finite")
-        _boundary_data(self.mesh, self.boundary_values)
-        object.__setattr__(self, "load", load)
-        object.__setattr__(self, "boundary_values", dict(self.boundary_values))
+    load = np.asarray(load, dtype=np.float64)
+    if load.shape != (mesh.num_vertices,):
+        raise UsageError("load length does not match the mesh")
+    if not np.isfinite(load).all():
+        raise UsageError("load must be finite")
+    local = np.asarray(local, dtype=np.float64)
+    magnitude = abs(local).max()
+    if abs(local - local.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
+        raise SolveError("operator is not symmetric")
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[bidx] = False
+    if not interior.any():
+        raise SolveError("empty interior: every vertex is a boundary vertex")
+    return interior, bidx, u0, local, load
 
 
 @dataclass(frozen=True)
@@ -155,17 +151,17 @@ def linear_solve(a: sp.csr_array, b: np.ndarray) -> tuple[np.ndarray, float]:
     return _contract_solve(lu.solve, a.__matmul__, b, norm_a)
 
 
-def solve_dirichlet(problem: DirichletProblem) -> Solution:
-    """Solve the interior block system and report the solution."""
-    mesh = problem.mesh
-    a_ii, a_i0, interior_idx, boundary_idx = partition(
-        problem.operator, mesh.boundary_indices
-    )
-    u0 = np.array([problem.boundary_values[int(i)] for i in boundary_idx])
-    rhs = problem.load[interior_idx] - a_i0 @ u0
-    x, residual = linear_solve(a_ii, rhs)
+def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
+                    load: np.ndarray, boundary_values: dict[int, float]) -> Solution:
+    """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
+    vertices ``elements[k]`` by assembling it and factoring its interior
+    block with SuperLU; ``mesh`` may be any ``LevelMesh``."""
+    _, bidx, u0, local, load = _problem(mesh, local, load, boundary_values)
+    a = _assemble_elements(mesh.num_vertices, elements, local)
+    a_ii, a_i0, interior_idx, _ = partition(a, bidx)
+    x, residual = linear_solve(a_ii, load[interior_idx] - a_i0 @ u0)
     values = np.empty(mesh.num_vertices)
-    values[boundary_idx] = u0
+    values[bidx] = u0
     values[interior_idx] = x
     return Solution(values=values, level=mesh.level, solver_residual=residual)
 
@@ -326,13 +322,8 @@ def _leaf_blocks(leaves: np.ndarray, elements, local) -> tuple[np.ndarray, np.nd
     return keys, blocks
 
 
-def solve_condensed(
-    mesh: LevelMesh,
-    elements: np.ndarray,
-    local: np.ndarray,
-    load: np.ndarray,
-    boundary_values: dict[int, float],
-) -> Solution:
+def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
+                    load: np.ndarray, boundary_values: dict[int, float]) -> Solution:
     """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
     vertices ``elements[k]`` (edges or cells of ``mesh``) by self-similar
     static condensation, without assembling it and without scipy.
@@ -344,20 +335,7 @@ def solve_condensed(
     each, in the order of the first leaf (as the edges and cells of
     ``build_level`` do); otherwise ``GeometryError`` is raised.
     """
-    bidx, u0 = _boundary_data(mesh, boundary_values)
-    load = np.asarray(load, dtype=np.float64)
-    if load.shape != (mesh.num_vertices,):
-        raise UsageError("load length does not match the mesh")
-    if not np.isfinite(load).all():
-        raise UsageError("load must be finite")
-    local = np.asarray(local, dtype=np.float64)
-    magnitude = abs(local).max()
-    if abs(local - local.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
-        raise SolveError("operator is not symmetric")
-    interior = np.ones(mesh.num_vertices, dtype=bool)
-    interior[bidx] = False
-    if not interior.any():
-        raise SolveError("empty interior: every vertex is a boundary vertex")
+    interior, bidx, u0, local, load = _problem(mesh, local, load, boundary_values)
     cond = _Condensation(mesh, elements, local, interior)
     norm_a = cond.norm()
     if not np.isfinite(norm_a):

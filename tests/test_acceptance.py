@@ -12,6 +12,7 @@ from fraclap.geometry import FAMILIES, build_level
 from fraclap.graphs import graph_laplacian
 from fraclap.measures import (
     MeasureKind,
+    _elements,
     fem_area_stiffness,
     fem_edge_stiffness,
     load_vector,
@@ -22,7 +23,7 @@ from fraclap.renorm import (
     estimate_laplacian_ratio,
     solve_online,
 )
-from fraclap.solver import DirichletProblem, solve_dirichlet
+from fraclap.solver import solve_dirichlet
 
 SQRT3 = np.sqrt(3.0)
 
@@ -159,24 +160,22 @@ def test_criterion_09_property_suite():
             h = {int(i): float(v) for i, v in
                  zip(mesh.boundary_indices,
                      rng.uniform(-1, 2, mesh.boundary_indices.size))}
-            sol = solve_dirichlet(DirichletProblem(
-                graph_laplacian(mesh), np.zeros(mesh.num_vertices), h, mesh))
+            sol = solve_dirichlet(mesh, *_elements(mesh, "fd"), np.zeros(mesh.num_vertices), h)
             hv = np.array(list(h.values()))
             if sol.values.min() < hv.min() - 1e-10 or sol.values.max() > hv.max() + 1e-10:
                 violations.append(f"maximum principle {family} level {level}")
 
     # linearity
     mesh = build_level("sierpinski", 3)
-    lap = graph_laplacian(mesh)
+    elements, local = _elements(mesh, "fd")
     g1, g2 = rng.normal(size=(2, mesh.num_vertices))
     h1 = {int(i): float(rng.normal()) for i in mesh.boundary_indices}
     h2 = {int(i): float(rng.normal()) for i in mesh.boundary_indices}
     alpha, beta = 1.7, -0.4
-    u1 = solve_dirichlet(DirichletProblem(lap, g1, h1, mesh)).values
-    u2 = solve_dirichlet(DirichletProblem(lap, g2, h2, mesh)).values
-    combo = solve_dirichlet(DirichletProblem(
-        lap, alpha * g1 + beta * g2,
-        {k: alpha * h1[k] + beta * h2[k] for k in h1}, mesh)).values
+    u1 = solve_dirichlet(mesh, elements, local, g1, h1).values
+    u2 = solve_dirichlet(mesh, elements, local, g2, h2).values
+    combo = solve_dirichlet(mesh, elements, local, alpha * g1 + beta * g2,
+                            {k: alpha * h1[k] + beta * h2[k] for k in h1}).values
     if np.abs(combo - (alpha * u1 + beta * u2)).max() > 1e-10 * max(
             1.0, np.abs(combo).max()):
         violations.append("linearity")
@@ -184,8 +183,8 @@ def test_criterion_09_property_suite():
     # reflection symmetry under the mirror exchanging the two zero corners
     from fraclap.kernels import _match_core
 
-    sol = solve_dirichlet(DirichletProblem(
-        lap, np.zeros(mesh.num_vertices), {0: 1.0, 1: 0.0, 2: 0.0}, mesh))
+    sol = solve_dirichlet(mesh, elements, local, np.zeros(mesh.num_vertices),
+                          {0: 1.0, 1: 0.0, 2: 0.0})
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
     reflected = mesh.vertices @ np.array([[c, s], [s, -c]]).T
     idx, _ = _match_core(mesh.vertices, np.ascontiguousarray(reflected),
@@ -217,7 +216,7 @@ def test_criterion_09_property_suite():
             h = {int(i): float(v) for i, v in
                  zip(mesh_k.boundary_indices,
                      rng.normal(size=mesh_k.boundary_indices.size))}
-            sol = solve_dirichlet(DirichletProblem(lap_k, load, h, mesh_k)).values
+            sol = solve_dirichlet(mesh_k, *_elements(mesh_k, "fd"), load, h).values
             dense = lap_k.toarray()
             bidx = np.sort(mesh_k.boundary_indices)
             iidx = np.setdiff1d(np.arange(mesh_k.num_vertices), bidx)

@@ -265,14 +265,18 @@ def test_oversized_level_exits_two_before_building(tmp_path, capsys, command):
     assert "the largest sierpinski level allowed is 14" in capsys.readouterr().err
 
 
-def _readme_commands():
-    """The ``fraclap ...`` lines of the README's ``sh`` blocks, continuation
-    lines joined."""
+def _readme_blocks(language):
+    """The code blocks of the README fenced as ``language``."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
-    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        return re.findall(rf"^```{language}\n(.*?)^```", fh.read(), flags=re.M | re.S)
+
+
+def _readme_commands():
+    """The ``fraclap ...`` lines of the README's ``sh`` blocks, continuation
+    lines joined."""
+    lines = "".join(_readme_blocks("sh")).replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines if line.startswith("fraclap ")]
 
 
@@ -286,6 +290,14 @@ def test_readme_command_succeeds(tmp_path, monkeypatch, argv):
     assert cli.main(argv[1:]) == 0
     out = argv[argv.index("--out") + 1]
     assert (tmp_path / out).stat().st_size > 0
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_blocks("python")
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_numerical_failure_exits_three(tmp_path):

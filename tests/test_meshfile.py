@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from fraclap import meshfile
 from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, build_level
-from fraclap.graphs import graph_laplacian
+from fraclap.measures import _elements
 from fraclap.meshfile import read_mesh, write_mesh, write_solution, write_table
 from fraclap.renorm import estimate_laplacian_ratio, solve_online
-from fraclap.solver import DirichletProblem, Solution, solve_dirichlet
+from fraclap.solver import Solution, solve_dirichlet
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -65,6 +65,23 @@ def test_malformed_document_rejected(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("key, row, value", [
+    ("edges", 0, 99),          # out of range: refused before edge lengths are taken
+    ("edges", 0, 1.7),         # not truncated to 1
+    ("edges", 0, True),        # JSON true is not read as 1
+    ("boundary", None, True),
+], ids=["edge-out-of-range", "fractional-edge", "true-edge", "true-boundary"])
+def test_malformed_indices_rejected(tmp_path, key, row, value):
+    path = tmp_path / "mesh.json"
+    write_mesh(build_level("koch", 1), path)
+    doc = json.loads(path.read_text())
+    entries = doc[key] if row is None else doc[key][row]
+    entries[-1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match="malformed mesh document"):
+        read_mesh(path)
+
+
 def test_table_format(tmp_path):
     estimates = [estimate_laplacian_ratio("sierpinski", n) for n in (2, 3)]
     path = tmp_path / "table.csv"
@@ -83,13 +100,9 @@ def test_table_format(tmp_path):
 
 def test_solution_file_layout(tmp_path):
     mesh = build_level("sierpinski", 2)
-    problem = DirichletProblem(
-        graph_laplacian(mesh),
-        np.zeros(mesh.num_vertices),
-        {0: 1.0, 1: 0.0, 2: 0.0},
-        mesh,
-    )
-    sol = dataclasses.replace(solve_dirichlet(problem), method="rfd",
+    solution = solve_dirichlet(mesh, *_elements(mesh, "fd"), np.zeros(mesh.num_vertices),
+                               {0: 1.0, 1: 0.0, 2: 0.0})
+    sol = dataclasses.replace(solution, method="rfd",
                               renorm_constant_applied=5.0)
     path = tmp_path / "solution.csv"
     write_solution(mesh, sol, path, extra={"rhs": "0"})

@@ -28,7 +28,6 @@ from fraclap.renorm import (
 )
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
-    DirichletProblem,
     partition,
     solve_condensed,
     solve_dirichlet,
@@ -283,6 +282,14 @@ def test_solve_online_rejects_unknown_method():
                      np.zeros(m.num_vertices), _zero_bc(m, [1.0, 0.0]))
 
 
+@pytest.mark.parametrize("h", [{0: 1.0, 1: 0.0, 2: 0.0, 2.5: 7.0}, {0.5: 1.0, 1: 0.0, 2: 0.0}],
+                         ids=["extra-float-key", "float-key"])
+def test_solve_online_refuses_boundary_keys_that_are_not_indices(h):
+    m = build_level("sierpinski", 2)
+    with pytest.raises(UsageError, match="integer vertex indices"):
+        solve_online("sierpinski", 2, "rfd", 5.0, np.zeros(m.num_vertices), h)
+
+
 def test_solve_online_boundary_exact():
     m = build_level("sierpinski", 4)
     g = np.ones(m.num_vertices)
@@ -323,7 +330,7 @@ def test_fd_model_solves_meet_the_contract(family, level):
     load = np.ones(mesh.num_vertices)
     zero = {int(i): 0.0 for i in mesh.boundary_indices}
     operator = fd_graph_stiffness(mesh)
-    factored = solve_dirichlet(DirichletProblem(operator, load, zero, mesh)).values
+    factored = solve_dirichlet(mesh, *_elements(mesh, "fd"), load, zero).values
     a_ii, _, iidx, _ = partition(operator, mesh.boundary_indices)
     norm_a = abs(a_ii).sum(axis=1).max()
     for values in (_model_solution(family, level, "fd"), factored):

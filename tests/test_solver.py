@@ -15,7 +15,6 @@ from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_st
 from fraclap.renorm import _elements, _load
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
-    DirichletProblem,
     _Condensation,
     _distinct,
     _leaf_blocks,
@@ -153,23 +152,15 @@ def test_solve_residual_contract():
 
 def test_constants_are_harmonic():
     m = build_level("sierpinski", 2)
-    problem = DirichletProblem(
-        graph_laplacian(m),
-        np.zeros(m.num_vertices),
-        {int(i): 2.5 for i in m.boundary_indices},
-        m,
-    )
-    sol = solve_dirichlet(problem)
+    sol = solve_dirichlet(m, *_elements(m, "fd"), np.zeros(m.num_vertices),
+                          {int(i): 2.5 for i in m.boundary_indices})
     np.testing.assert_allclose(sol.values, 2.5, atol=1e-12)
     assert sol.values[m.boundary_indices[0]] == 2.5  # boundary copied exactly
 
 
 def test_path_interior_is_midpoint_value():
     m = path_mesh(3)
-    problem = DirichletProblem(
-        graph_laplacian(m), np.zeros(3), {0: 0.0, 2: 1.0}, m
-    )
-    sol = solve_dirichlet(problem)
+    sol = solve_dirichlet(m, *_elements(m, "fd"), np.zeros(3), {0: 0.0, 2: 1.0})
     assert sol.values[1] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -178,7 +169,7 @@ def test_sierpinski_level1_against_dense_oracle():
     lap = graph_laplacian(m)
     h = {0: 1.0, 1: 0.0, 2: 0.0}
     load = np.zeros(m.num_vertices)
-    sol = solve_dirichlet(DirichletProblem(lap, load, h, m))
+    sol = solve_dirichlet(m, *_elements(m, "fd"), load, h)
     ref = dense_dirichlet_oracle(m, lap, load, h)
     np.testing.assert_allclose(sol.values, ref, atol=1e-12)
 
@@ -191,7 +182,7 @@ def test_all_small_meshes_against_dense_oracle():
         load = rng.normal(size=m.num_vertices)
         h = {int(i): float(v) for i, v in
              zip(m.boundary_indices, rng.normal(size=m.boundary_indices.size))}
-        sol = solve_dirichlet(DirichletProblem(lap, load, h, m))
+        sol = solve_dirichlet(m, *_elements(m, "fd"), load, h)
         ref = dense_dirichlet_oracle(m, lap, load, h)
         np.testing.assert_allclose(sol.values, ref, atol=1e-10)
         count += 1
@@ -205,9 +196,7 @@ def test_maximum_principle(family, level):
     rng = np.random.default_rng(level)
     h = {int(i): float(v) for i, v in
          zip(m.boundary_indices, rng.uniform(-2, 3, m.boundary_indices.size))}
-    sol = solve_dirichlet(
-        DirichletProblem(graph_laplacian(m), np.zeros(m.num_vertices), h, m)
-    )
+    sol = solve_dirichlet(m, *_elements(m, "fd"), np.zeros(m.num_vertices), h)
     values = np.array(list(h.values()))
     assert sol.values.min() >= values.min() - 1e-10
     assert sol.values.max() <= values.max() + 1e-10
@@ -216,17 +205,15 @@ def test_maximum_principle(family, level):
 @given(alpha=finite_floats, beta=finite_floats)
 def test_solution_linearity(alpha, beta):
     m = build_level("sierpinski", 2)
-    lap = graph_laplacian(m)
+    elements, local = _elements(m, "fd")
     rng = np.random.default_rng(3)
     g1, g2 = rng.normal(size=(2, m.num_vertices))
     h1 = {int(i): float(rng.normal()) for i in m.boundary_indices}
     h2 = {int(i): float(rng.normal()) for i in m.boundary_indices}
-    u1 = solve_dirichlet(DirichletProblem(lap, g1, h1, m)).values
-    u2 = solve_dirichlet(DirichletProblem(lap, g2, h2, m)).values
+    u1 = solve_dirichlet(m, elements, local, g1, h1).values
+    u2 = solve_dirichlet(m, elements, local, g2, h2).values
     combo_h = {k: alpha * h1[k] + beta * h2[k] for k in h1}
-    combo = solve_dirichlet(
-        DirichletProblem(lap, alpha * g1 + beta * g2, combo_h, m)
-    ).values
+    combo = solve_dirichlet(m, elements, local, alpha * g1 + beta * g2, combo_h).values
     scale = max(1.0, np.abs(combo).max())
     assert np.abs(combo - (alpha * u1 + beta * u2)).max() <= 1e-10 * scale
 
@@ -236,9 +223,8 @@ def test_reflection_symmetry_on_sierpinski():
     from fraclap.kernels import _match_core
 
     m = build_level("sierpinski", 3)
-    lap = graph_laplacian(m)
     h = {0: 1.0, 1: 0.0, 2: 0.0}
-    sol = solve_dirichlet(DirichletProblem(lap, np.zeros(m.num_vertices), h, m))
+    sol = solve_dirichlet(m, *_elements(m, "fd"), np.zeros(m.num_vertices), h)
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
     mirror = np.array([[c, s], [s, -c]])
     reflected = m.vertices @ mirror.T
@@ -250,34 +236,49 @@ def test_reflection_symmetry_on_sierpinski():
 
 def test_solution_reports_residual():
     m = build_level("sierpinski", 3)
-    sol = solve_dirichlet(
-        DirichletProblem(
-            graph_laplacian(m), np.ones(m.num_vertices),
-            {int(i): 0.0 for i in m.boundary_indices}, m,
-        )
-    )
+    sol = solve_dirichlet(m, *_elements(m, "fd"), np.ones(m.num_vertices),
+                          {int(i): 0.0 for i in m.boundary_indices})
     assert 0.0 <= sol.solver_residual <= 1e-10
 
 
-def test_problem_requires_complete_boundary_data():
+# Both solvers check a problem with one helper; each case is tried on both.
+SOLVERS = {"condensed": solve_condensed, "dirichlet": solve_dirichlet}
+
+
+def _refuse_on_both(h, match):
     m = build_level("sierpinski", 1)
-    with pytest.raises(UsageError):
-        DirichletProblem(graph_laplacian(m), np.zeros(6), {0: 1.0}, m)
+    for solver in SOLVERS.values():
+        with pytest.raises(UsageError, match=match):
+            solver(m, *_elements(m, "fd"), np.zeros(m.num_vertices), h)
+
+
+def test_problem_requires_complete_boundary_data():
+    _refuse_on_both({0: 1.0}, "exactly the boundary indices")
 
 
 def test_problem_rejects_extra_boundary_data():
-    m = build_level("sierpinski", 1)
-    with pytest.raises(UsageError):
-        DirichletProblem(
-            graph_laplacian(m), np.zeros(6), {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, m
-        )
+    _refuse_on_both({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, "exactly the boundary indices")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_problem_rejects_non_finite_boundary_data(bad):
-    m = build_level("sierpinski", 1)
-    with pytest.raises(UsageError, match="finite"):
-        DirichletProblem(graph_laplacian(m), np.zeros(6), {0: bad, 1: 0.0, 2: 0.0}, m)
+    _refuse_on_both({0: bad, 1: 0.0, 2: 0.0}, "finite")
+
+
+@pytest.mark.parametrize("h", [
+    {0: 1.0, 1: 0.0, 2: 0.0, 2.5: 7.0},  # an extra key that int() maps onto 2
+    {0.5: 1.0, 1: 0.0, 2: 0.0},          # a key that int() maps onto 0
+], ids=["extra-float-key", "float-key"])
+def test_boundary_keys_must_be_vertex_indices(h):
+    _refuse_on_both(h, "integer vertex indices")
+
+
+def test_boundary_keys_may_be_numpy_integers():
+    m = build_level("sierpinski", 2)
+    h = {i: 1.0 for i in m.boundary_indices}  # numpy int64 keys
+    for solver in SOLVERS.values():
+        sol = solver(m, *_elements(m, "fd"), np.zeros(m.num_vertices), h)
+        np.testing.assert_allclose(sol.values, 1.0, atol=1e-12)
 
 
 # -- solve_condensed: self-similar static condensation ------------------------
@@ -315,10 +316,10 @@ def test_condensation_matches_the_factorization(family, formulation, level):
     load = _load(mesh, formulation, rng.normal(size=mesh.num_vertices))
     h = {int(i): float(v) for i, v in
          zip(mesh.boundary_indices, rng.normal(size=mesh.boundary_indices.size))}
-    elements, local = _elements(mesh, formulation)
+    problem = mesh, *_elements(mesh, formulation), load, h
     operator = STIFFNESS[formulation](mesh)
-    condensed = solve_condensed(mesh, elements, local, load, h)
-    factored = solve_dirichlet(DirichletProblem(operator, load, h, mesh))
+    condensed = solve_condensed(*problem)
+    factored = solve_dirichlet(*problem)
     a_ii, a_i0, iidx, bidx = partition(operator, mesh.boundary_indices)
     rhs = load[iidx] - a_i0 @ np.array([h[int(i)] for i in bidx])
     for sol in (condensed, factored):
@@ -418,10 +419,7 @@ def test_non_finite_load_is_a_usage_error(solver, bad):
     load[mesh.interior_indices[0]] = bad
     h = {0: 1.0, 1: 0.0, 2: 0.0}
     with pytest.raises(UsageError, match="load must be finite"):
-        if solver == "condensed":
-            solve_condensed(mesh, *_elements(mesh, "fd"), load, h)
-        else:
-            solve_dirichlet(DirichletProblem(graph_laplacian(mesh), load, h, mesh))
+        SOLVERS[solver](mesh, *_elements(mesh, "fd"), load, h)
 
 
 # -- one factorization per distinct block ------------------------------------------
@@ -450,6 +448,8 @@ DEEP_CONDENSATION_DIGESTS = {
 def test_deep_condensation_is_bit_identical(family, level, formulation, boundary):
     mesh = build_level(family, level)
     load = _load(mesh, formulation, 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1])
+    if formulation == "fem_edge":  # recorded with the whole edge-length load
+        load = 2.0 * load
     data = [1.0, -0.5, 0.25] if boundary else [0.0, 0.0, 0.0]
     h = {int(i): v for i, v in zip(mesh.boundary_indices, data)}
     solution = solve_condensed(mesh, *_elements(mesh, formulation), load, h)
