@@ -9,12 +9,16 @@ Subcommands:
   the per-vertex solution field.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O failure.
+An ``--out`` that cannot be written exits 4 after the usage checks and before
+the requested level is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from . import meshfile
@@ -83,7 +87,30 @@ def _parse_levels(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _check_out(path: str) -> None:
+    """Raise ``OSError`` when ``path`` cannot be opened for writing: it is a
+    directory, an existing file that is not writable, or a new file whose
+    parent is not a writable directory.  Nothing is created."""
+    code = 0
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.exists(parent):
+            code = errno.ENOENT
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            code = errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_generate(args) -> int:
+    check_level(args.family, args.level)
+    _check_out(args.out)
     mesh = build_level(args.family, args.level)
     meshfile.write_mesh(mesh, args.out)
     print(
@@ -97,6 +124,7 @@ def _cmd_renorm(args) -> int:
     a, b = _parse_levels(args.levels)
     formulation = _RENORM_FORMULATION[args.method]
     check_level(args.family, b)
+    _check_out(args.out)
     estimates = [
         estimate_laplacian_ratio(args.family, n) if formulation == "fd"
         else estimate_energy_ratio(args.family, n, formulation)
@@ -130,6 +158,7 @@ def _cmd_solve(args) -> int:
         )
     if not all(math.isfinite(v) for v in bc_values):
         raise UsageError(f"boundary values must be finite, got {args.bc!r}")
+    _check_out(args.out)
     mesh = build_level(args.family, args.level)
     h = {int(i): v for i, v in zip(mesh.boundary_indices, bc_values)}
     g = rhs.evaluate(mesh.vertices)

@@ -25,8 +25,9 @@ FAMILIES = ("koch", "sierpinski", "hata2d", "hata3d")
 # magnitude below that.
 RELATIVE_TOLERANCE = 1e-9
 
-# The most vertices ``build_level`` builds: at about 420 B per vertex the
-# build of 2**23 vertices peaks near 3.5 GiB.
+# The most vertices ``build_level`` builds: building Sierpinski 12 and 13
+# peaks at about 170 B per vertex above the interpreter, so 2**23 vertices
+# peak near 1.4 GiB.
 MAX_VERTICES = 2**23
 
 
@@ -39,7 +40,10 @@ def _frozen(arr, dtype):
 def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     """One int64 key per undirected edge of a mesh with ``n`` vertices."""
     a, b = edges[:, 0], edges[:, 1]
-    return np.minimum(a, b) * n + np.maximum(a, b)
+    key = np.minimum(a, b)
+    key *= n
+    key += np.maximum(a, b)
+    return key
 
 
 def _sorted_columns(cells: np.ndarray):
@@ -73,9 +77,6 @@ class AffineMap:
     @property
     def dimension(self) -> int:
         return self.linear.shape[0]
-
-    def apply_batch(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.linear.T + self.translation
 
 
 def apply_map(m: AffineMap, p) -> np.ndarray:
@@ -162,7 +163,8 @@ class LevelMesh:
             raise GeometryError("self-loop edge")
         # sorted keys of the undirected edges: one sort finds duplicates,
         # and searchsorted looks up the cell sides below
-        ekey = np.sort(_edge_keys(edges, n))
+        ekey = _edge_keys(edges, n)
+        ekey.sort()
         if (ekey[1:] == ekey[:-1]).any():
             raise GeometryError("duplicate edge")
         if bidx.size and (bidx.min() < 0 or bidx.max() >= n):
@@ -173,10 +175,12 @@ class LevelMesh:
             lo, mid, hi = _sorted_columns(cells)
             if (lo == mid).any() or (mid == hi).any():
                 raise GeometryError("degenerate cell with repeated vertex")
-            sides = np.concatenate([lo * n + mid, mid * n + hi, lo * n + hi])
-            pos = np.searchsorted(ekey, sides)
-            if (pos == ekey.size).any() or (ekey[pos] != sides).any():
-                raise GeometryError("cell vertices not pairwise joined by edges")
+            for a, b in ((lo, mid), (mid, hi), (lo, hi)):
+                side = a * n
+                side += b
+                pos = np.searchsorted(ekey, side)
+                if (pos == ekey.size).any() or (ekey[pos] != side).any():
+                    raise GeometryError("cell vertices not pairwise joined by edges")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cells", cells)
@@ -341,34 +345,58 @@ def _unique_rows_keyed(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _finish_mesh(ifs, level, cand, edge_cand, cell_cand):
-    lengths = np.linalg.norm(cand[edge_cand[:, 0]] - cand[edge_cand[:, 1]], axis=1)
-    min_len = lengths.min()
+def _finish_mesh(ifs, level, points, maps, edges, cells):
+    """Merge the candidate vertices of a level and return its mesh.
+
+    The candidates are the boundary points followed by one block per map:
+    the image of ``points`` under that map, or ``points`` itself when
+    ``maps`` is empty.  ``edges`` and ``cells`` index ``points`` and are
+    repeated in every block, in block order.  The candidates live only in
+    this frame, so they are released as soon as the vertices are taken.
+    """
+    nb, (npts, dim) = ifs.boundary_points.shape[0], points.shape
+    offsets = nb + npts * np.arange(max(len(maps), 1), dtype=np.int64)
+    cand = np.empty((nb + offsets.size * npts, dim))
+    cand[:nb] = ifs.boundary_points
+    if not maps:
+        cand[nb:] = points
+    for off, m in zip(offsets, maps):
+        block = cand[off:off + npts]
+        np.matmul(points, m.linear.T, out=block)
+        block += m.translation
+    # the minimum candidate edge length, taken block by block
+    min_len = np.min([
+        np.linalg.norm(cand[off + edges[:, 0]] - cand[off + edges[:, 1]], axis=1).min()
+        for off in offsets
+    ])
     if min_len <= 0.0:
         raise GeometryError("degenerate zero-length edge in construction")
     tol = RELATIVE_TOLERANCE * min_len
     assign, uniq_rows = _dedup_or_raise(cand, tol)
-    nb = ifs.boundary_points.shape[0]
     if not np.array_equal(assign[:nb], np.arange(nb)):
         raise GeometryError("boundary anchor points collapsed during dedup")
     verts = cand[uniq_rows]
+    del cand, uniq_rows
     nv = verts.shape[0]
 
-    edges = assign[edge_cand]
+    edges = _gather_blocks(assign, offsets, edges)
     if (edges[:, 0] == edges[:, 1]).any():
         raise GeometryError("edge endpoints merged; tolerance misconfigured")
     edges = _unique_rows_keyed(edges, _edge_keys(edges, nv))
 
-    if cell_cand is not None and cell_cand.size:
-        cells = assign[cell_cand]
+    if cells.size:
+        cells = _gather_blocks(assign, offsets, cells)
         lo, mid, hi = _sorted_columns(cells)
         cells = _unique_rows_keyed(cells, (lo * nv + mid) * nv + hi)
+        del lo, mid, hi
     else:
         cells = np.empty((0, 3), dtype=np.int64)
+    del assign
 
     incident = np.bincount(edges.ravel(), minlength=nv)
     if (incident[:nb] == 0).any():
         raise GeometryError("a boundary point is not reproduced by the iteration")
+    del incident
     return LevelMesh(
         family=ifs.family_name,
         level=level,
@@ -380,32 +408,31 @@ def _finish_mesh(ifs, level, cand, edge_cand, cell_cand):
     )
 
 
+def _gather_blocks(assign, offsets, rows):
+    """``assign[off + rows]`` for each offset, stacked in offset order."""
+    out = np.empty((offsets.size * rows.shape[0], rows.shape[1]), dtype=np.int64)
+    blocks = out.reshape(offsets.size, *rows.shape)
+    for k, off in enumerate(offsets):
+        np.take(assign, off + rows, out=blocks[k])
+    return out
+
+
 def _seed_mesh(ifs: IFSystem) -> LevelMesh:
+    # one identity block: the boundary points, then the seed edge endpoints
     nb = ifs.boundary_points.shape[0]
     endpoints = np.array([pt for e in ifs.seed_edges for pt in e])
-    cand = np.vstack([ifs.boundary_points, endpoints])
+    points = np.vstack([ifs.boundary_points, endpoints])
     ne = len(ifs.seed_edges)
-    edge_cand = nb + np.arange(2 * ne, dtype=np.int64).reshape(ne, 2)
-    cell_cand = None
+    edges = nb + np.arange(2 * ne, dtype=np.int64).reshape(ne, 2)
+    cells = np.empty((0, 3), dtype=np.int64)
     if ifs.cell_generation:
         # The triangular seed cell is spanned by the three boundary anchors.
-        cell_cand = np.array([[0, 1, 2]], dtype=np.int64)
-    return _finish_mesh(ifs, 0, cand, edge_cand, cell_cand)
+        cells = np.array([[0, 1, 2]], dtype=np.int64)
+    return _finish_mesh(ifs, 0, points, (), edges, cells)
 
 
 def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
-    nb = ifs.boundary_points.shape[0]
-    nv = mesh.num_vertices
-    nmaps = len(ifs.maps)
-    blocks = [ifs.boundary_points]
-    blocks.extend(m.apply_batch(mesh.vertices) for m in ifs.maps)
-    cand = np.vstack(blocks)
-    offsets = nb + np.arange(nmaps, dtype=np.int64) * nv
-    edge_cand = np.vstack([off + mesh.edges for off in offsets])
-    cell_cand = None
-    if mesh.cells.size:
-        cell_cand = np.vstack([off + mesh.cells for off in offsets])
-    return _finish_mesh(ifs, mesh.level + 1, cand, edge_cand, cell_cand)
+    return _finish_mesh(ifs, mesh.level + 1, mesh.vertices, ifs.maps, mesh.edges, mesh.cells)
 
 
 def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:

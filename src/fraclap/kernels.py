@@ -48,7 +48,12 @@ _CELL_TOLS = 2.0**26
 
 
 def _cell_key(q0, q1, q2):
-    return ((q0 & _KEY_MASK) << 42) | ((q1 & _KEY_MASK) << 21) | (q2 & _KEY_MASK)
+    """``(q0 << 42) | (q1 << 21) | q2`` of the low 21 bits of each."""
+    key = q0 & _KEY_MASK
+    for q in (q1, q2):
+        key <<= 21
+        key |= q & _KEY_MASK
+    return key
 
 
 def _ranges(starts, counts):
@@ -62,18 +67,25 @@ def _close_pairs(points, tol):
     """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, and their
     squared distances.  A pair may be listed more than once."""
     n, d = points.shape
+    pad = (0,) * (3 - d)  # a 2-D point's third cell coordinate
     cell = _CELL_TOLS * tol
     u = points / cell
-    q = np.floor(u)
-    frac = u - q
     # tol in cell units, plus the rounding of p / cell at the largest |p|
-    band = 2.0**-26 + 2.0**-50 * (1.0 + np.abs(u).max(initial=0.0))
-    q = q.astype(np.int64)
-    if d == 2:
-        q = np.column_stack([q, np.zeros(n, np.int64)])
-    key = _cell_key(q[:, 0], q[:, 1], q[:, 2])
+    band = 2.0**-26 + 2.0**-50 * (1.0 + max(u.max(initial=0.0), -u.min(initial=0.0)))
+    q = np.floor(u, out=np.empty(u.shape, np.int64), casting="unsafe")
+    frac = np.subtract(u, q, out=u)
+    del u
+    # the points near a face of their cell, which probe the cell across it
+    near_lo = frac <= band
+    near_hi = np.subtract(1.0, frac, out=frac) <= band
+    del frac
+    rows = np.flatnonzero((near_lo | near_hi).any(axis=1))
+    near_lo, near_hi, qn = near_lo[rows], near_hi[rows], q[rows]
+    key = _cell_key(*(q[:, k] for k in range(d)), *pad)
+    del q
     order = np.argsort(key)
     skey = key[order]
+    del key
     # same cell: every pair of positions in a run of equal sorted keys
     run_start = np.append(0, np.flatnonzero(skey[1:] != skey[:-1]) + 1)
     run_size = np.diff(np.append(run_start, n))
@@ -83,9 +95,6 @@ def _close_pairs(points, tol):
     a = [order[np.repeat(pos, after)]]
     b = [order[_ranges(pos + 1, after)]]
     # neighbour cells, probed only from the points near the faces they share
-    near_lo, near_hi = frac <= band, 1.0 - frac <= band
-    rows = np.flatnonzero((near_lo | near_hi).any(axis=1))
-    near_lo, near_hi, qn = near_lo[rows], near_hi[rows], q[rows]
     for off in itertools.product((-1, 0, 1), repeat=d):
         if off <= (0,) * d:
             continue  # the zero offset is above; negative ones by symmetry
@@ -93,8 +102,7 @@ def _close_pairs(points, tol):
         for k, o in enumerate(off):
             if o:
                 ok &= near_hi[:, k] if o > 0 else near_lo[:, k]
-        ox, oy, oz = off + (0,) * (3 - d)
-        needle = _cell_key(qn[ok, 0] + ox, qn[ok, 1] + oy, qn[ok, 2] + oz)
+        needle = _cell_key(*(qn[ok, k] + o for k, o in enumerate(off)), *pad)
         lo = np.searchsorted(skey, needle)
         count = np.searchsorted(skey, needle, side="right") - lo
         a.append(np.repeat(rows[ok], count))

@@ -130,7 +130,8 @@ def estimate_energy_ratio(
 
 def _renormalized(values: np.ndarray, constant: float, n: int) -> np.ndarray:
     """``values * constant**n``, refusing a scaling that is not finite and
-    nonzero."""
+    nonzero.  A broadcast stack (stride 0 over its first axis) scales its one
+    element and stays broadcast."""
     if not constant > 0:
         raise UsageError("renormalization constant must be positive")
     if n < 0:
@@ -139,12 +140,13 @@ def _renormalized(values: np.ndarray, constant: float, n: int) -> np.ndarray:
         factor = float(constant) ** int(n)
     except OverflowError:
         factor = math.inf
+    stacked = values.ndim > 0 and values.strides[0] == 0
     with np.errstate(over="ignore"):
-        scaled = values * factor
+        scaled = (values[:1] if stacked else values) * factor
     if not (math.isfinite(constant) and factor > 0 and np.isfinite(scaled).all()):
         raise UsageError(f"constant**level = {constant:g}**{n} does not scale the "
                          "operator to finite nonzero values")
-    return scaled
+    return np.broadcast_to(scaled, values.shape) if stacked else scaled
 
 
 def renormalize(base: sp.csr_array, constant: float, n: int) -> sp.csr_array:

@@ -63,8 +63,10 @@ def _problem(mesh: LevelMesh, local, load, boundary_values):
     if not np.isfinite(load).all():
         raise UsageError("load must be finite")
     local = np.asarray(local, dtype=np.float64)
-    magnitude = abs(local).max()
-    if abs(local - local.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
+    # a broadcast stack (stride 0 over its elements) is checked on its one matrix
+    one = local[:1] if local.ndim and local.strides[0] == 0 else local
+    magnitude = abs(one).max()
+    if abs(one - one.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
         raise SolveError("operator is not symmetric")
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[bidx] = False

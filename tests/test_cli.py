@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap import cli
+from fraclap import cli, geometry
 from fraclap.geometry import build_level
 from fraclap.meshfile import read_mesh
 from fraclap.renorm import estimate_laplacian_ratio
@@ -312,6 +312,53 @@ def test_io_failure_exits_four():
     rc = cli.main(["generate", "--family", "koch", "--level", "1",
                    "--out", "/nonexistent-dir/mesh.json"])
     assert rc == 4
+
+
+_OUT_COMMANDS = {
+    "generate": ["generate", "--family", "sierpinski", "--level", "5"],
+    "renorm": ["renorm", "--family", "sierpinski", "--method", "fd", "--levels", "4:5"],
+    "solve": ["solve", "--family", "sierpinski", "--level", "5", "--method", "rfd",
+              "--constant", "5", "--rhs", "1", "--bc", "1,0,0"],
+}
+
+
+def _refuse_to_build(monkeypatch):
+    def refine(*args):
+        raise AssertionError("a level was built before --out was checked")
+    geometry.predicted_vertices("sierpinski", 0)  # caches its own levels 0 and 1
+    build_level.cache_clear()
+    monkeypatch.setattr(geometry, "_refine", refine)
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+@pytest.mark.parametrize("where", ["missing dir", "directory", "file as dir"])
+def test_unwritable_out_exits_four_before_building(tmp_path, monkeypatch, capsys,
+                                                   command, where):
+    (tmp_path / "file").write_text("")
+    out = {"missing dir": tmp_path / "missing" / "out",
+           "directory": tmp_path,
+           "file as dir": tmp_path / "file" / "out"}[where]
+    _refuse_to_build(monkeypatch)
+    rc = cli.main([*_OUT_COMMANDS[command], "--out", str(out)])
+    assert rc == 4
+    assert "i/o failure:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_read_only_out_exits_four_before_building(tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    out.write_text("keep")
+    out.chmod(0o444)
+    _refuse_to_build(monkeypatch)
+    assert cli.main([*_OUT_COMMANDS[command], "--out", str(out)]) == 4
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_dev_null_out_is_accepted(command):
+    assert cli.main([*_OUT_COMMANDS[command], "--out", os.devnull]) == 0
 
 
 def test_module_entry_point_runs():

@@ -1,6 +1,7 @@
 """Mesh construction tests: map evaluation, counts, nesting, ordering."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,24 @@ def test_build_level_refines_the_cached_coarser_level():
     assert build_level.cache_info().misses == 6
     build_level("sierpinski", 6)
     assert build_level.cache_info().misses == 7
+
+
+@pytest.mark.parametrize("family, level", [
+    ("koch", 6), ("sierpinski", 7), ("hata2d", 5), ("hata3d", 5),
+])
+def test_build_level_working_set_is_bounded_by_the_new_mesh(family, level):
+    # refining from the cached level below holds at most a few copies of the
+    # new mesh: one candidate array, no stacked copies of edges or cells
+    build_level.cache_clear()
+    build_level(family, level - 1)
+    tracemalloc.start()
+    try:
+        mesh = build_level(family, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = mesh.vertices.nbytes + mesh.edges.nbytes + mesh.cells.nbytes
+    assert peak <= 3.5 * size, peak / size
 
 
 # -- size guard ----------------------------------------------------------------

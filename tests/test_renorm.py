@@ -259,6 +259,28 @@ def test_rfem1d_takes_half_the_edge_length_load():
     np.testing.assert_allclose(full, 2.0 * half, atol=1e-13)
 
 
+def test_solve_online_keeps_the_fd_stack_broadcast(monkeypatch):
+    from fraclap import renorm
+
+    n, c = 4, 5.0
+    mesh = build_level("sierpinski", n)
+    g = mesh.vertices[:, 0].copy()
+    h = {0: 1.0, 1: 0.0, 2: 0.5}
+    handed = []
+
+    def spy(mesh, elements, local, load, boundary_values):
+        handed.append(local)
+        return solve_condensed(mesh, elements, local, load, boundary_values)
+
+    monkeypatch.setattr(renorm, "solve_condensed", spy)
+    sol = solve_online("sierpinski", n, "rfd", c, g, h)
+    (local,) = handed
+    assert local.strides[0] == 0
+    elements, base = _elements(mesh, "fd")
+    dense = solve_condensed(mesh, elements, np.array(base) * c**n, _load(mesh, "fd", g), h)
+    assert np.array_equal(sol.values, dense.values)
+
+
 def test_solve_online_records_metadata():
     m = build_level("koch", 2)
     sol = solve_online("koch", 2, "rfem1d", 16 / 9,

@@ -404,6 +404,15 @@ def test_condensation_rejects_nonsymmetric_elements():
         solve_condensed(mesh, elements, local, np.zeros(mesh.num_vertices), {0: 1.0, 1: 0.0})
 
 
+@pytest.mark.parametrize("solver", [solve_condensed, solve_dirichlet])
+def test_asymmetric_broadcast_stack_is_refused(solver):
+    mesh = build_level("koch", 2)
+    elements, _ = _elements(mesh, "fd")
+    local = np.broadcast_to(np.array([[1.0, -1.0], [-0.5, 1.0]]), (mesh.num_edges, 2, 2))
+    with pytest.raises(SolveError, match="symmetric"):
+        solver(mesh, elements, local, np.zeros(mesh.num_vertices), {0: 1.0, 1: 0.0})
+
+
 def test_condensation_rejects_empty_interior():
     mesh = build_level("sierpinski", 0)
     elements, local = _elements(mesh, "fd")
