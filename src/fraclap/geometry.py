@@ -449,8 +449,10 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     edges = mesh.edges.reshape(copies, seed.num_edges, 2)
     table = np.empty((copies, seed.num_vertices), dtype=np.int64)
     table[:, seed.edges] = edges
-    if not (table[:, seed.edges] == edges).all():
-        raise GeometryError("edges do not follow the copy layout of build_level")
+    # one seed-edge column at a time: no (copies, seed edges, 2) gather
+    for e, (a, b) in enumerate(seed.edges):
+        if not ((table[:, a] == edges[:, e, 0]).all() and (table[:, b] == edges[:, e, 1]).all()):
+            raise GeometryError("edges do not follow the copy layout of build_level")
     return table
 
 

@@ -12,18 +12,23 @@ the assembled matrices and the graph Laplacian hold to rounding error.
 Each formulation is defined once, by its element matrices (``_elements``)
 and its load (``_load``).  ``solver.solve_condensed`` takes them as they are;
 the CSR builders below assemble the same elements (fd: ``graph_laplacian``).
+``_elements`` says which element definition applies to a mesh: fd and
+graph_energy take the unit edge element everywhere, and the weak forms take
+one element per level on a level of a built-in family, and elements from
+coordinates on any other mesh.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import LevelMesh, _frozen
+from .geometry import FAMILIES, LevelMesh, _frozen, build_level, builtin_system
 from .graphs import _EDGE_ELEMENT, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -160,21 +165,98 @@ _LOAD_MEASURE = {
 }
 
 
+# A mesh whose lengths are the similarity's prediction within this relative
+# distance takes the level's one element.  Built levels drift from it by at
+# most about 3e-12 (Koch 9); a moved vertex or another mesh is farther off.
+_LEVEL_FIT = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _seed(family: str) -> tuple[LevelMesh, float]:
+    """The level-0 mesh of a built-in family and ``1/r``, the reciprocal of
+    the one similarity ratio of its maps (3, or 2 for Sierpinski)."""
+    ifs = builtin_system(family)
+    return build_level(family, 0), float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
+
+
+def _level(mesh: LevelMesh):
+    """``(seed, s)``: the level-0 mesh of the built-in family of ``mesh`` and
+    ``s = (1/r)**level``, by which that family's level-``mesh.level``
+    lengths divide the seed's; ``None`` for any other family name."""
+    if mesh.family not in FAMILIES:
+        return None
+    seed, grow = _seed(mesh.family)
+    try:
+        return seed, grow ** int(mesh.level)
+    except OverflowError:
+        return None
+
+
+def _fits(ratios: np.ndarray) -> bool:
+    """Every ratio of coordinate length over predicted length is 1 within
+    ``_LEVEL_FIT``; overwrites ``ratios``."""
+    ratios -= 1.0
+    return bool(np.abs(ratios, out=ratios).max() <= _LEVEL_FIT)
+
+
+def _cell_sides(mesh: LevelMesh) -> np.ndarray:
+    """(cells, 3): the length of the side opposite each cell vertex."""
+    v, c = mesh.vertices, mesh.cells
+    return np.column_stack([
+        np.linalg.norm(v[c[:, (i + 2) % 3]] - v[c[:, (i + 1) % 3]], axis=1) for i in range(3)
+    ])
+
+
+def _edge_elements(mesh: LevelMesh) -> np.ndarray:
+    """The fem-edge elements ``_EDGE_ELEMENT / L``.  When every edge measures
+    ``L0 r**n`` (``_level``; ``L0`` the first seed edge's length) they are
+    the one element ``_EDGE_ELEMENT / (L0 r**n)``, as a stride-0 stack."""
+    length = mesh.edge_lengths()
+    if (length <= 0.0).any():
+        raise AssemblyError("zero-length edge")
+    level = _level(mesh)
+    if level is not None:
+        seed, s = level
+        c = s / seed.edge_lengths()[0]
+        if _fits(length * c):
+            return np.broadcast_to(_EDGE_ELEMENT * c, (mesh.num_edges, 2, 2))
+    return (1.0 / length)[:, None, None] * _EDGE_ELEMENT
+
+
+def _area_elements(mesh: LevelMesh) -> np.ndarray:
+    """The fem-area elements (``_triangle_matrices``).  When every cell has
+    the seed cell's sides times ``r**n``, position by position (``_level``),
+    every cell is similar to the seed cell, and the linear stiffness depends
+    only on the angles: the elements are the seed cell's, as a stride-0
+    stack."""
+    level = _level(mesh) if mesh.num_cells and mesh.dimension == 2 else None
+    if level is not None and level[0].num_cells:
+        seed, s = level
+        if _fits(_cell_sides(mesh) * (s / _cell_sides(seed)[0])):
+            return np.broadcast_to(_triangle_matrices(seed)[0], (mesh.num_cells, 3, 3))
+    return _triangle_matrices(mesh)
+
+
 def _elements(mesh: LevelMesh, formulation: str):
     """Vertex rows (edges or cells) and element matrices whose sum is the
-    formulation's stiffness matrix."""
+    formulation's stiffness matrix.
+
+    fd and graph_energy take the unit edge element on every edge.  fem_edge
+    (``_edge_elements``) and fem_area (``_area_elements``) take one element
+    per level on a mesh whose lengths fit its built-in family's similarity
+    at its level, and elements from coordinates on any other mesh.  Either
+    way a stack of one element is a stride-0 view, which the condensation
+    serves with one block per depth.
+    """
     if formulation == "fem_area":
-        return mesh.cells, _triangle_matrices(mesh)
+        return mesh.cells, _area_elements(mesh)
     if formulation not in ("fd", "graph_energy", "fem_edge"):
         raise UsageError(f"unknown formulation {formulation!r}")
     if not mesh.num_edges:
         raise AssemblyError("mesh has no edges")
     if formulation != "fem_edge":
         return mesh.edges, np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
-    length = mesh.edge_lengths()
-    if (length <= 0.0).any():
-        raise AssemblyError("zero-length edge")
-    return mesh.edges, (1.0 / length)[:, None, None] * _EDGE_ELEMENT
+    return mesh.edges, _edge_elements(mesh)
 
 
 def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:

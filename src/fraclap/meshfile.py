@@ -162,5 +162,10 @@ def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> Non
     with open(path, "w", encoding="ascii") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
-        rows = np.column_stack([mesh.vertices, solution.values])
-        _write_rows(fh, rows, ",".join(["%s"] * rows.shape[1]) + "\n", "", "%.17g")
+        item = ",".join(["%s"] * (mesh.dimension + 1)) + "\n"
+        # stacked one block at a time: a whole (vertices, d + 1) copy would
+        # set the peak of a large solve
+        for lo in range(0, mesh.num_vertices, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            block = np.column_stack([mesh.vertices[rows], solution.values[rows]])
+            _write_rows(fh, block, item, "", "%.17g")

@@ -92,12 +92,14 @@ def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
     if ratios.size == 0:
         raise SolveError("all coarse interior vertices were excluded by the "
                          "near-zero denominator guard")
+    lo, hi = float(ratios.min()), float(ratios.max())
     return RenormEstimate(
         level_pair=(n, n + 1),
         ratios=ratios,
-        max=float(ratios.max()),
-        mean=float(ratios.mean()),
-        min=float(ratios.min()),
+        max=hi,
+        # the rounded mean of near-equal ratios can fall an ulp outside them
+        mean=min(max(float(ratios.mean()), lo), hi),
+        min=lo,
         direction="fine_over_coarse",
         method=formulation,
         excluded_count=excluded,

@@ -12,8 +12,12 @@ copies of a level meet only at images of the seed vertices, so each copy
 condenses onto its boundary from the leaves up, and the values come back
 down from the Dirichlet data.  Copies whose blocks are bit-for-bit the same
 share one factorization: per copy only vertex ids and one key are kept, and
-the blocks and factors once per distinct block.  Keys number the distinct
-rows of bits, or of child keys, after one stable lexsort.
+the blocks and factors once per distinct block.  A stride-0 stack of one
+element, as every built-in formulation passes (``measures._elements``), is
+one block per depth, served to every copy through stride-0 views; the
+leaves of any other stack are keyed by the bits of their elements.  Keys
+number the distinct rows of bits, or of child keys, after one stable
+lexsort.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -49,7 +53,7 @@ def _problem(mesh: LevelMesh, local, load, boundary_values):
         given = {operator.index(i): boundary_values[i] for i in boundary_values}
     except TypeError:
         raise UsageError("boundary value keys must be integer vertex indices") from None
-    # not np.unique: it imports numpy.ma (about 1 MiB) on first use
+    # not np.unique: its plain form imports numpy.ma on first use (numpy 2.4)
     expected = sorted(set(mesh.boundary_indices.tolist()))
     if given.keys() != set(expected):
         raise UsageError(f"boundary values must cover exactly the boundary indices {expected}")
@@ -182,8 +186,9 @@ class _Condensation:
     keys of its m children, both numbered by ``_distinct``; the copy of least
     index stands for its key.  Per copy only vertex ids and the key are
     kept; the blocks, ``a_ii`` and ``x_ib`` are formed and stored once per
-    key and gathered by key when used, so every value is the one a per-copy
-    elimination computes.
+    key and served by key when used (``_gather``: a stride-0 view when a
+    depth has one key, as every built-in formulation gives), so every value
+    is the one a per-copy elimination computes.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
@@ -225,7 +230,7 @@ class _Condensation:
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``: per-leaf products summed per vertex."""
-        ku = np.einsum("wab,wb->wa", self.blocks.take(self.keys, axis=0), u[self.leaves])
+        ku = np.einsum("wab,wb->wa", _gather(self.blocks, self.keys), u[self.leaves])
         return np.bincount(self.leaves.ravel(), weights=ku.ravel(), minlength=u.size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -246,15 +251,16 @@ class _Condensation:
                 fv[:, g] += children[:, i]
             f_i = fv[:, nb:] + f[v1[:, nb:]]
             # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
-            up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib.take(keys, axis=0), f_i)
+            up = fv[:, :nb] - np.einsum("wib,wi->wb", _gather(x_ib, keys), f_i)
             loads.append(f_i)
         u, u_b = np.zeros(f.size), np.zeros((1, nb))
-        for (v1, keys, a_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
+        for d, ((v1, keys, a_ii, x_ib), f_i) in enumerate(zip(self.depths[::-1], loads[::-1])):
             # one solve per copy: a multi-RHS solve per key changes the bits
-            u_i = np.linalg.solve(a_ii.take(keys, axis=0), f_i[..., None])[..., 0]
-            u_i -= np.einsum("wib,wb->wi", x_ib.take(keys, axis=0), u_b)
+            u_i = np.linalg.solve(_gather(a_ii, keys), f_i[..., None])[..., 0]
+            u_i -= np.einsum("wib,wb->wi", _gather(x_ib, keys), u_b)
             u[v1[:, nb:]] = u_i
-            u_b = np.concatenate([u_b, u_i], axis=1)[:, self.glue].reshape(-1, nb)
+            if d + 1 < len(self.depths):  # the leaves' boundary values are not read
+                u_b = np.concatenate([u_b, u_i], axis=1)[:, self.glue].reshape(-1, nb)
         return u[self.interior]
 
     def norm(self) -> float:
@@ -274,6 +280,13 @@ class _Condensation:
         row = (abs(np.bincount(leaves, weights=diag.ravel(), minlength=n))
                + np.bincount(leaves, weights=off_sum.ravel(), minlength=n))
         return float(row[self.interior].max())
+
+
+def _gather(arr: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``arr.take(keys, axis=0)``, a stride-0 view when ``arr`` has one row."""
+    if arr.shape[0] == 1:
+        return np.broadcast_to(arr[0], (keys.size, *arr.shape[1:]))
+    return arr.take(keys, axis=0)
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

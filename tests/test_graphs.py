@@ -194,25 +194,28 @@ def test_matvec_matches_dense():
 # sha256 over (indptr, indices as int64, data as float64) of every level
 # 0..OPERATOR_LEVELS[family] in turn, recorded from the triplet container
 # this assembly replaced.  Summing duplicates in any other order (for
-# example coo_array(...).tocsr()) moves fem_edge diagonals by an ulp.
+# example coo_array(...).tocsr()) moves fem_edge diagonals by an ulp.  The
+# fem_edge and fem_area digests were re-recorded when a built level took one
+# element per level (``measures._elements``) in place of elements from
+# coordinates; the graph_laplacian digests kept theirs.
 OPERATOR_LEVELS = {"koch": 6, "sierpinski": 8, "hata2d": 6, "hata3d": 5}
 OPERATOR_DIGESTS = {
     "koch": {
         graph_laplacian: "6db94bd145c2c92e0ebe8331a660b1d2d42b2fb8dfa1b049d36cf4e8a07f434a",
-        fem_edge_stiffness: "cc135b1d3ee1c49c52880a6d6e357d5b1f98172449cccfdb4814a1f0408ffd50",
+        fem_edge_stiffness: "d7bb07861fdd89617a286093cf0348c711a7c668224edd441db65382ce3f6e61",
     },
     "sierpinski": {
         graph_laplacian: "c42eed4a4c93fa1c3aef574a7ad67212d5f80d42728bcef5e5f6e31f4ca22a2b",
-        fem_edge_stiffness: "16c45db04f98095b59f178f78ce29bfe5c885257d9531ed013fef7e4d32527b3",
-        fem_area_stiffness: "f84a52d2577ccc51362c1c1887a4646fe8df929cb76b8f56254d43aa55c41506",
+        fem_edge_stiffness: "0b9c730d90007014f14a5f0c97cf3d0de8b3e28913f00be35f04eb9e2e9fe144",
+        fem_area_stiffness: "1fd72f27d3fd727e8f9249b17814a7582f002e8776ab68fce8e95a59cd43a8dd",
     },
     "hata2d": {
         graph_laplacian: "ab6fafb279bbbe924fb47169b2df856f000f7a2ab0956f9e1330598ea77b104e",
-        fem_edge_stiffness: "70329d3512aa2f2165f147db924a3f38cfecc5ab6b73f18dc1c1c778fb003c6c",
+        fem_edge_stiffness: "d2ab352a7b440fe8b226d1c6ee4e2e419b57c7eebcab8aa4be04406cfd38dc80",
     },
     "hata3d": {
         graph_laplacian: "445ac0ee95e5c3026c5f08bedbbfd9ce5761979ccf54b4f180d5adb2dfa151a5",
-        fem_edge_stiffness: "d005197a8c79f81662a61ed507605ba859366559a11ae70cce283e4785985aef",
+        fem_edge_stiffness: "12b62a8fc6506f3152f794c96e0f412c4d2dee69ed1d60d474c660adf3cb66bc",
     },
 }
 

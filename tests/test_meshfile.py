@@ -216,11 +216,13 @@ def _solution_cases():
 # sha256 of write_solution output, recorded with the per-value str.format
 # writer.  The solved cases also pin the solver's output bits: they were
 # re-recorded when solve_online moved from the SuperLU factorization to the
-# condensation solver, while the two unsolved cases kept their digests.
+# condensation solver, while the two unsolved cases kept their digests.  The
+# rfem1d and rfem2d digests were re-recorded again when a built level took
+# one element per level (``measures._elements``); rfd kept its digests.
 SOLUTION_FILE_DIGESTS = {
     "sierpinski-4-rfd": "0ecbc6924f69268f486461ca787ce230f85ff062b7c1c75817d42939c6512750",
-    "sierpinski-4-rfem1d": "b13852c973b1310deab23a511576d4dfca22e9cb0290d9320c2200828ad0e278",
-    "sierpinski-4-rfem2d": "6229a92a75c2dabe04bae474880906833bf43051df1ad73e22cb2c5ddd443945",
+    "sierpinski-4-rfem1d": "60740d5678aaced2344ceba6bb408ec848fee427e7fb2b998920b689d3bc082b",
+    "sierpinski-4-rfem2d": "44884e4f1e725cb2ac318105dffc24cc6d1c2033156718632255c3e1e79d91a1",
     "hata3d-3-rfd": "b45276cacaef063c14a350ec670e41a9cecdd643cac901436313dfa0f6961256",
     "no-constant": "474e2ed0b5891712470433d8b5f7942bbd2e72a9692757f0b6a3c8fd5fd86623",
     "extra": "a92c1605a1167771636eca968dac3259312218bda4788e5ff9057b3364d7fb7f",

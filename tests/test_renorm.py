@@ -1,5 +1,7 @@
 """Renormalization estimates and renormalized solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,39 @@ def test_hata3d_fd_positive_and_stable():
     assert abs(a.mean - b.mean) < 0.5
 
 
+# renorm means from elements taken from coordinates, before a built level
+# took one element per level; pairs first:first+len.  The forward error of
+# the ratio grows about 8x per level on Koch, and the largest move measured
+# is 4.7e-7 relative, at Koch 8:9.
+COORDINATE_ELEMENT_MEANS = {
+    ("koch", "fem_edge", 3): [1.7777777777776267, 1.7777777777778765, 1.7777777777257842,
+                              1.7777777780336814, 1.777777791158215, 1.7777780205116476],
+    ("hata2d", "fem_edge", 3): [1.6666666666667962, 1.666666666668849, 1.6666666666215604,
+                                1.6666666668452792],
+    ("sierpinski", "fem_area", 4): [1.2499999999999816, 1.249999999999938, 1.2500000000002742,
+                                    1.2499999999961295, 1.2499999999700193],
+    ("hata3d", "fem_edge", 3): [2.0002643847091095, 2.0000418150392996, 2.000006808246049],
+}
+
+
+@pytest.mark.parametrize("family, formulation, first", list(COORDINATE_ELEMENT_MEANS))
+def test_level_elements_keep_the_renorm_means(family, formulation, first):
+    for n, mean in enumerate(COORDINATE_ELEMENT_MEANS[family, formulation, first], first):
+        est = estimate_energy_ratio(family, n, formulation)
+        assert abs(est.mean - mean) <= 1e-6 * mean, (n, est.mean)
+
+
+def test_koch_fem_edge_mean_at_level_8_is_16_ninths():
+    # 2.4e-7 from 16/9 with elements from coordinates, 6.0e-7 with one
+    # element per level: both are forward error, which grows with the level
+    assert abs(estimate_energy_ratio("koch", 8, "fem_edge").mean - 16.0 / 9.0) <= 1e-6
+
+
 def test_estimate_statistics_ordering():
     est = estimate_laplacian_ratio("hata2d", 2)
+    assert est.max >= est.mean >= est.min
+    # near-equal ratios: their rounded mean exceeded their max by 3 ulp
+    est = estimate_energy_ratio("sierpinski", 3, "fem_area")
     assert est.max >= est.mean >= est.min
 
 
@@ -279,6 +312,29 @@ def test_solve_online_keeps_the_fd_stack_broadcast(monkeypatch):
     elements, base = _elements(mesh, "fd")
     dense = solve_condensed(mesh, elements, np.array(base) * c**n, _load(mesh, "fd", g), h)
     assert np.array_equal(sol.values, dense.values)
+
+
+@pytest.mark.parametrize("family, n, method", [
+    ("sierpinski", 9, "rfd"), ("sierpinski", 9, "rfem1d"), ("sierpinski", 9, "rfem2d"),
+    ("koch", 8, "rfem1d"), ("hata2d", 7, "rfem1d"), ("hata3d", 6, "rfd"), ("hata3d", 6, "rfem1d"),
+])
+def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method):
+    # traced peak above what the solve leaves held, over the mesh's bytes,
+    # with the level built and lazy imports warm; every formulation serves a
+    # depth with one block, so no per-copy stack is formed
+    small = build_level(family, 2)
+    solve_online(family, 2, method, 2.0, np.ones(small.num_vertices), _zero_bc(small))
+    mesh = build_level(family, n)
+    g = np.ones(mesh.num_vertices)
+    h = _zero_bc(mesh, [1.0, 0.5, 0.0])
+    tracemalloc.start()
+    try:
+        solve_online(family, n, method, 2.0, g, h)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = mesh.vertices.nbytes + mesh.edges.nbytes + mesh.cells.nbytes
+    assert peak - held <= 4.0 * size, (peak - held) / size
 
 
 def test_solve_online_records_metadata():

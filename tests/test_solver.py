@@ -12,7 +12,7 @@ from fraclap.errors import GeometryError, SolveError, UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level
 from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
-from fraclap.renorm import _elements, _load
+from fraclap.renorm import _elements, _load, _renormalized
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     _Condensation,
@@ -436,18 +436,20 @@ def test_non_finite_load_is_a_usage_error(solver, bad):
 # sha256 of solve_condensed(...).values.tobytes() and the solver residual, for
 # the load of g = 1 + x*y and zero boundary data (or 1, -0.5, 0.25).  Recorded
 # while every copy was still factored on its own; copies with the same bits
-# now share one factorization, and the results must not move by a bit.
+# now share one factorization, and the results must not move by a bit.  The
+# fem entries were re-recorded when a built level took one element per level
+# (``measures._elements``); the fd entries kept theirs.
 DEEP_CONDENSATION_DIGESTS = {
     ("sierpinski", 9, "fd", False): (
         "ca0954129641a9a36d4847c9f35000dded5b9fc3abc7c7b4f71165c10f62d4c2", 3.2189317877850954e-10),
     ("sierpinski", 9, "fem_area", False): (
-        "223b8250e38c6780942751320e2346cb2ef46de0e60f29cd9376ce910a5cff20", 5.023862524448398e-16),
+        "3d4f1c3f32807e6132cf092496902b04730f9a271c44ea642bee99ffab1faa54", 4.413261883761191e-16),
     ("koch", 8, "fem_edge", False): (
-        "c7b1c505f66b99ef6360fed78607fecb6d342b42af41855ee73360c0489407c1", 8.191482138864697e-11),
+        "8fe24122a8912fe6f4efe8d75beda27d70f481050665baef47c749c79e85e218", 9.212774965648707e-11),
     ("hata2d", 6, "fd", False): (
         "621fe0beae3e76d4bcbf8120cbb54bb426ab5196dc302ec413286882f752a76d", 1.6477770259371027e-09),
     ("hata3d", 6, "fem_edge", False): (
-        "13802e1e9389396501a3139de62fd2c7f00cea0f9bed65ac99429adbe425012c", 1.3851231359801597e-11),
+        "31d0d16f7401b20fbf56561b01ca5a61f1b8ad1c344bbef8da8a96366a10aff6", 1.3368115642231615e-11),
     ("sierpinski", 10, "fd", True): (
         "24fcb3ee65c6b866a6e07bd05f4b37ad74fc38ec000f89a9f54c0da292054796", 1.9159545061597782e-09),
 }
@@ -475,22 +477,33 @@ def _distinct_counts(mesh, elements, local):
     return [cond.blocks.shape[0]] + [a_ii.shape[0] for _, _, a_ii, _ in cond.depths]
 
 
-@pytest.mark.parametrize("formulation", ["fd", "graph_energy"])
-@pytest.mark.parametrize("family", FAMILIES)
+def _one_element_cases():
+    for family in FAMILIES:
+        for formulation in ("fd", "graph_energy", "fem_edge"):
+            yield family, formulation
+    yield "sierpinski", "fem_area"
+
+
+@pytest.mark.parametrize("family, formulation", list(_one_element_cases()))
 def test_unit_edge_elements_give_one_block_per_depth(family, formulation):
     mesh = build_level(family, 6)
     elements, local = _elements(mesh, formulation)
-    assert local.strides[0] == 0  # the broadcast unit element
+    assert local.strides[0] == 0  # one element per level, broadcast
     assert _distinct_counts(mesh, elements, local) == [1] * 7
-    # scaled by constant**n as solve_online does: a full array, keyed by its bits
-    assert _distinct_counts(mesh, elements, local * 5.0**6) == [1] * 7
+    # scaled by constant**n as solve_online does: the stack stays broadcast
+    scaled = _renormalized(local, 5.0, 6)
+    assert scaled.strides[0] == 0
+    assert _distinct_counts(mesh, elements, scaled) == [1] * 7
+    # a full array of equal elements is keyed by its bits, to the same count
+    assert _distinct_counts(mesh, elements, np.array(scaled)) == [1] * 7
 
 
 def test_sierpinski_fem_area_distinct_blocks_per_depth():
     mesh = build_level("sierpinski", 8)
     counts = _distinct_counts(mesh, *_elements(mesh, "fem_area"))
-    # copies: 6561 leaves, then 2187, 729, ..., 1
-    assert counts == [9, 19, 20, 16, 12, 8, 4, 2, 1]
+    # copies: 6561 leaves, then 2187, 729, ..., 1; elements from coordinates
+    # formed up to 20 blocks per depth
+    assert counts == [1] * 9
 
 
 def _same_partition(keys, first, rows):
