@@ -10,14 +10,10 @@ there.  ``solve_condensed`` takes a mesh built by ``geometry.build_level``
 and solves by self-similar static condensation with numpy alone: the m
 copies of a level meet only at images of the seed vertices, so each copy
 condenses onto its boundary from the leaves up, and the values come back
-down from the Dirichlet data.  Copies whose blocks are bit-for-bit the same
-share one factorization: per copy only vertex ids and one key are kept, and
-the blocks and factors once per distinct block.  A stride-0 stack of one
-element, as every built-in formulation passes (``measures._elements``), is
-one block per depth, served to every copy through stride-0 views; the
-leaves of any other stack are keyed by the bits of their elements.  Keys
-number the distinct rows of bits, or of child keys, after one stable
-lexsort.
+down from the Dirichlet data.  A depth holds one block when ``local`` is a
+stride-0 stack, as every built-in formulation passes (``measures._elements``),
+and one block per copy otherwise; either is served to the copies through
+one ``np.broadcast_to`` view.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -45,10 +41,16 @@ if TYPE_CHECKING:
 BACKWARD_ERROR_BOUND = 1e-13
 
 
-def _problem(mesh: LevelMesh, local, load, boundary_values):
-    """The checked Dirichlet problem: ``(interior, bidx, u0, local, load)``,
-    the interior vertex mask, the sorted boundary indices and their values,
-    and the element matrices and load as float64 arrays."""
+def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
+    """The checked Dirichlet problem: ``(interior, bidx, u0, elements, local,
+    load)``, the interior vertex mask, the sorted boundary indices and their
+    values, the element rows, and the element matrices and load as float64
+    arrays."""
+    elements, local = np.asarray(elements), np.asarray(local, dtype=np.float64)
+    k, p = elements.shape if elements.ndim == 2 else (0, 0)
+    if not k * p or local.shape != (k, p, p):
+        raise UsageError(f"elements {elements.shape} and local {local.shape} must be "
+                         "(k, p) and (k, p, p) with k, p >= 1")
     try:
         given = {operator.index(i): boundary_values[i] for i in boundary_values}
     except TypeError:
@@ -66,9 +68,8 @@ def _problem(mesh: LevelMesh, local, load, boundary_values):
         raise UsageError("load length does not match the mesh")
     if not np.isfinite(load).all():
         raise UsageError("load must be finite")
-    local = np.asarray(local, dtype=np.float64)
     # a broadcast stack (stride 0 over its elements) is checked on its one matrix
-    one = local[:1] if local.ndim and local.strides[0] == 0 else local
+    one = local[:1] if local.strides[0] == 0 else local
     magnitude = abs(one).max()
     if abs(one - one.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
         raise SolveError("operator is not symmetric")
@@ -76,7 +77,7 @@ def _problem(mesh: LevelMesh, local, load, boundary_values):
     interior[bidx] = False
     if not interior.any():
         raise SolveError("empty interior: every vertex is a boundary vertex")
-    return interior, bidx, u0, local, load
+    return interior, bidx, u0, elements, local, load
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,8 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
     vertices ``elements[k]`` by assembling it and factoring its interior
     block with SuperLU; ``mesh`` may be any ``LevelMesh``."""
-    _, bidx, u0, local, load = _problem(mesh, local, load, boundary_values)
+    _, bidx, u0, elements, local, load = _problem(mesh, elements, local, load,
+                                                  boundary_values)
     a = _assemble_elements(mesh.num_vertices, elements, local)
     a_ii, a_i0, interior_idx, _ = partition(a, bidx)
     x, residual = linear_solve(a_ii, load[interior_idx] - a_i0 @ u0)
@@ -181,14 +183,10 @@ class _Condensation:
     the vertices of V1 outside V0 are eliminated, batched over the copies of
     that depth.  Each vertex becomes interior at exactly one copy.
 
-    Copies whose blocks are bit-for-bit the same share one key: a leaf is
-    keyed by the bits of its element matrices and a copy one depth up by the
-    keys of its m children, both numbered by ``_distinct``; the copy of least
-    index stands for its key.  Per copy only vertex ids and the key are
-    kept; the blocks, ``a_ii`` and ``x_ib`` are formed and stored once per
-    key and served by key when used (``_gather``: a stride-0 view when a
-    depth has one key, as every built-in formulation gives), so every value
-    is the one a per-copy elimination computes.
+    A depth holds one block, when ``local`` is a stride-0 stack, or one block
+    per copy in copy order.  The leaf blocks, ``a_ii`` and ``x_ib`` are
+    served to the copies through ``np.broadcast_to`` views (stride 0 for one
+    block), so both layouts give the values a per-copy elimination computes.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
@@ -199,9 +197,9 @@ class _Condensation:
         if (nb != seed.boundary_indices.size or self.leaves.shape[0] != m**mesh.level
                 or np.bincount(self.glue.ravel(), minlength=nv1).min() == 0):
             raise GeometryError("mesh is not a self-similar level of its family")
-        self.keys, self.blocks = _leaf_blocks(self.leaves, elements, local)
+        self.blocks = _leaf_blocks(self.leaves, elements, local)
         self.interior = interior
-        ids, keys, schur, self.depths = self.leaves, self.keys, self.blocks, []
+        ids, schur, self.depths = self.leaves, self.blocks, []
         for d in range(mesh.level - 1, -1, -1):
             copies = m**d
             child = ids.reshape(copies, m * nb)
@@ -209,10 +207,9 @@ class _Condensation:
             v1[:, self.glue.ravel()] = child
             if not (v1[:, self.glue.ravel()] == child).all():
                 raise GeometryError("copies disagree on a shared vertex")
-            child_keys = keys.reshape(copies, m)
-            keys, first = _distinct(child_keys)
-            children = schur.take(child_keys[first], axis=0)
-            a = np.zeros((first.size, nv1, nv1))
+            blocks = 1 if schur.shape[0] == 1 else copies
+            children = np.broadcast_to(schur, (blocks * m, nb, nb)).reshape(blocks, m, nb, nb)
+            a = np.zeros((blocks, nv1, nv1))
             for i, g in enumerate(self.glue):
                 a[:, g[:, None], g] += children[:, i]
             a_ii = a[:, nb:, nb:].copy()
@@ -221,7 +218,7 @@ class _Condensation:
             except np.linalg.LinAlgError:
                 raise SolveError("singular interior block") from None
             schur = a[:, :nb, :nb] - a[:, :nb, nb:] @ x_ib
-            self.depths.append((v1, keys, a_ii, x_ib))
+            self.depths.append((v1, a_ii, x_ib))
             ids = v1[:, :nb]
         eliminated = [ids.ravel()] + [v1[:, nb:].ravel() for v1, *_ in self.depths]
         once = np.bincount(np.concatenate(eliminated), minlength=mesh.num_vertices) == 1
@@ -230,7 +227,8 @@ class _Condensation:
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``: per-leaf products summed per vertex."""
-        ku = np.einsum("wab,wb->wa", _gather(self.blocks, self.keys), u[self.leaves])
+        blocks = np.broadcast_to(self.blocks, (*self.leaves.shape, self.leaves.shape[1]))
+        ku = np.einsum("wab,wb->wa", blocks, u[self.leaves])
         return np.bincount(self.leaves.ravel(), weights=ku.ravel(), minlength=u.size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -245,19 +243,22 @@ class _Condensation:
         f[self.interior] = b
         nb = self.leaves.shape[1]
         up, loads = np.zeros(self.leaves.shape), []
-        for v1, keys, _, x_ib in self.depths:
+        for v1, _, x_ib in self.depths:
             children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
             for i, g in enumerate(self.glue):
                 fv[:, g] += children[:, i]
             f_i = fv[:, nb:] + f[v1[:, nb:]]
             # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
-            up = fv[:, :nb] - np.einsum("wib,wi->wb", _gather(x_ib, keys), f_i)
+            x_ib = np.broadcast_to(x_ib, (*f_i.shape, nb))
+            up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib, f_i)
             loads.append(f_i)
         u, u_b = np.zeros(f.size), np.zeros((1, nb))
-        for d, ((v1, keys, a_ii, x_ib), f_i) in enumerate(zip(self.depths[::-1], loads[::-1])):
-            # one solve per copy: a multi-RHS solve per key changes the bits
-            u_i = np.linalg.solve(_gather(a_ii, keys), f_i[..., None])[..., 0]
-            u_i -= np.einsum("wib,wb->wi", _gather(x_ib, keys), u_b)
+        for d, ((v1, a_ii, x_ib), f_i) in enumerate(zip(self.depths[::-1], loads[::-1])):
+            # one solve per copy: a multi-RHS solve per block changes the bits
+            a_ii = np.broadcast_to(a_ii, (*f_i.shape, f_i.shape[1]))
+            x_ib = np.broadcast_to(x_ib, (*f_i.shape, nb))
+            u_i = np.linalg.solve(a_ii, f_i[..., None])[..., 0]
+            u_i -= np.einsum("wib,wb->wi", x_ib, u_b)
             u[v1[:, nb:]] = u_i
             if d + 1 < len(self.depths):  # the leaves' boundary values are not read
                 u_b = np.concatenate([u_b, u_i], axis=1)[:, self.glue].reshape(-1, nb)
@@ -270,49 +271,26 @@ class _Condensation:
             off = abs(blocks) * mask[:, None, :]
             return off.sum(axis=2) - np.diagonal(off, axis1=1, axis2=2)
 
-        leaves, blocks, mask = self.leaves.ravel(), self.blocks, self.interior[self.leaves]
-        # per key for the leaves inside the interior, per leaf for the others
-        off_sum = off_diagonal(blocks, np.ones(blocks.shape[:2], dtype=bool)).take(self.keys, axis=0)
+        leaves, mask = self.leaves.ravel(), self.interior[self.leaves]
+        blocks = np.broadcast_to(self.blocks, (*mask.shape, mask.shape[1]))
+        # per block for the leaves inside the interior, per leaf for the others
+        inner = off_diagonal(self.blocks, np.ones(self.blocks.shape[:2], dtype=bool))
+        off_sum = np.broadcast_to(inner, mask.shape).copy()
         edge = np.flatnonzero(~mask.all(axis=1))
-        off_sum[edge] = off_diagonal(blocks.take(self.keys[edge], axis=0), mask[edge])
-        diag = np.diagonal(blocks, axis1=1, axis2=2).take(self.keys, axis=0)
+        off_sum[edge] = off_diagonal(blocks[edge], mask[edge])
+        diag = np.diagonal(blocks, axis1=1, axis2=2)
         n = self.interior.size
         row = (abs(np.bincount(leaves, weights=diag.ravel(), minlength=n))
                + np.bincount(leaves, weights=off_sum.ravel(), minlength=n))
         return float(row[self.interior].max())
 
 
-def _gather(arr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``arr.take(keys, axis=0)``, a stride-0 view when ``arr`` has one row."""
-    if arr.shape[0] == 1:
-        return np.broadcast_to(arr[0], (keys.size, *arr.shape[1:]))
-    return arr.take(keys, axis=0)
-
-
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ``0..k-1`` of the rows of the int64 ``rows``, equal exactly for
-    equal rows, and ``first[k]``, the smallest index of a row with key ``k``.
-
-    One stable lexsort orders the rows; each row that differs from its
-    sorted predecessor starts the next key.
-    """
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    keys = np.empty(order.size, dtype=np.int64)
-    keys[order] = np.cumsum(new) - 1
-    return keys, order[new]
-
-
-def _leaf_blocks(leaves: np.ndarray, elements, local) -> tuple[np.ndarray, np.ndarray]:
-    """Element matrices summed into one seed-sized block per distinct leaf:
-    ``(keys, blocks)``, the block of leaf ``w`` being ``blocks[keys[w]]``.
-
-    Leaves whose element matrices have the same bits share a key; a
-    broadcast stack (stride 0 over its elements) is one block.  The seed
-    positions of the element vertices are read from the first leaf; every
-    other leaf must list its elements in the same order.
+def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
+    """Element matrices summed into seed-sized leaf blocks: one block when
+    ``local`` is a broadcast stack (stride 0 over its elements), else one
+    per leaf in leaf order.  The seed positions of the element vertices are
+    read from the first leaf; every other leaf must list its elements in
+    the same order.
     """
     nleaf, nb = leaves.shape
     per_leaf, extra = divmod(elements.shape[0], nleaf)
@@ -327,14 +305,11 @@ def _leaf_blocks(leaves: np.ndarray, elements, local) -> tuple[np.ndarray, np.nd
         raise GeometryError("elements do not follow the copy layout of the first leaf")
     local = local.reshape(nleaf, per_leaf, *local.shape[1:])
     if local.strides[0] == 0:
-        keys, first = np.zeros(nleaf, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    else:
-        bits = np.ascontiguousarray(local).reshape(nleaf, -1).view(np.int64)
-        keys, first = _distinct(bits)
-    blocks = np.zeros((first.size, nb, nb))
+        local = local[:1]
+    blocks = np.zeros((local.shape[0], nb, nb))
     for e, a, b in np.ndindex(local.shape[1:]):
-        blocks[:, pos[e, a], pos[e, b]] += local[first, e, a, b]
-    return keys, blocks
+        blocks[:, pos[e, a], pos[e, b]] += local[:, e, a, b]
+    return blocks
 
 
 def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
@@ -350,7 +325,8 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     each, in the order of the first leaf (as the edges and cells of
     ``build_level`` do); otherwise ``GeometryError`` is raised.
     """
-    interior, bidx, u0, local, load = _problem(mesh, local, load, boundary_values)
+    interior, bidx, u0, elements, local, load = _problem(mesh, elements, local, load,
+                                                         boundary_values)
     cond = _Condensation(mesh, elements, local, interior)
     norm_a = cond.norm()
     if not np.isfinite(norm_a):

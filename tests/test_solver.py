@@ -9,14 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraclap.errors import GeometryError, SolveError, UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level, builtin_system
 from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.renorm import _elements, _load, _renormalized
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     _Condensation,
-    _distinct,
     _leaf_blocks,
     linear_solve,
     partition,
@@ -307,17 +306,28 @@ def _oracle_cases():
     # one deep case per family
     yield from [("sierpinski", "fd", 8), ("koch", "fem_edge", 7),
                 ("hata2d", "fd", 7), ("hata3d", "graph_energy", 7)]
+    # a heterogeneous stack per family: random edge conductances
+    yield from [("sierpinski", "conductance", 6), ("koch", "conductance", 5),
+                ("hata2d", "conductance", 5), ("hata3d", "conductance", 4)]
 
 
 @pytest.mark.parametrize("family, formulation, level", list(_oracle_cases()))
 def test_condensation_matches_the_factorization(family, formulation, level):
     mesh = build_level(family, level)
     rng = np.random.default_rng(level)
-    load = _load(mesh, formulation, rng.normal(size=mesh.num_vertices))
+    if formulation == "conductance":  # one block per copy, assembled here by hand
+        c = rng.uniform(0.5, 2.0, mesh.num_edges)
+        elements, local = mesh.edges, c[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        i, j = mesh.edges.T
+        operator = _assemble(mesh.num_vertices, [i, j, i, j], [i, j, j, i], [c, c, -c, -c])
+        load = rng.normal(size=mesh.num_vertices)
+    else:
+        elements, local = _elements(mesh, formulation)
+        operator = STIFFNESS[formulation](mesh)
+        load = _load(mesh, formulation, rng.normal(size=mesh.num_vertices))
     h = {int(i): float(v) for i, v in
          zip(mesh.boundary_indices, rng.normal(size=mesh.boundary_indices.size))}
-    problem = mesh, *_elements(mesh, formulation), load, h
-    operator = STIFFNESS[formulation](mesh)
+    problem = mesh, elements, local, load, h
     condensed = solve_condensed(*problem)
     factored = solve_dirichlet(*problem)
     a_ii, a_i0, iidx, bidx = partition(operator, mesh.boundary_indices)
@@ -359,8 +369,8 @@ def test_leaf_blocks_are_the_per_element_sums(family, formulation):
         pos = [int(np.flatnonzero(leaves[w] == v)[0]) for v in element]
         for a, b in np.ndindex(matrix.shape):
             expected[w, pos[a], pos[b]] += matrix[a, b]
-    keys, blocks = _leaf_blocks(leaves, elements, local)
-    assert blocks[keys].tobytes() == expected.tobytes()
+    blocks = _leaf_blocks(leaves, elements, local)
+    assert np.broadcast_to(blocks, expected.shape).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("family, formulation, swap", [
@@ -413,6 +423,22 @@ def test_asymmetric_broadcast_stack_is_refused(solver):
         solver(mesh, elements, local, np.zeros(mesh.num_vertices), {0: 1.0, 1: 0.0})
 
 
+@pytest.mark.parametrize("stack", ["empty", "2-D local", "short local", "wide local"])
+@pytest.mark.parametrize("solver", ["condensed", "dirichlet"])
+def test_misshapen_element_stacks_are_usage_errors(solver, stack):
+    mesh = build_level("sierpinski", 2)
+    elements, local = _elements(mesh, "fd")
+    elements, local = {
+        "empty": (elements[:0], local[:0]),
+        "2-D local": (elements, local[0]),
+        "short local": (elements, local[:-1]),
+        "wide local": (elements, np.ones((mesh.num_edges, 3, 3))),
+    }[stack]
+    h = {0: 1.0, 1: 0.0, 2: 0.0}
+    with pytest.raises(UsageError, match=r"\(k, p, p\)"):
+        SOLVERS[solver](mesh, elements, local, np.ones(mesh.num_vertices), h)
+
+
 def test_condensation_rejects_empty_interior():
     mesh = build_level("sierpinski", 0)
     elements, local = _elements(mesh, "fd")
@@ -431,12 +457,12 @@ def test_non_finite_load_is_a_usage_error(solver, bad):
         SOLVERS[solver](mesh, *_elements(mesh, "fd"), load, h)
 
 
-# -- one factorization per distinct block ------------------------------------------
+# -- one block per depth, or one per copy -------------------------------------
 
 # sha256 of solve_condensed(...).values.tobytes() and the solver residual, for
 # the load of g = 1 + x*y and zero boundary data (or 1, -0.5, 0.25).  Recorded
-# while every copy was still factored on its own; copies with the same bits
-# now share one factorization, and the results must not move by a bit.  The
+# while every copy was still factored on its own; a stride-0 stack now forms
+# one block per depth, and the results must not move by a bit.  The
 # fem entries were re-recorded when a built level took one element per level
 # (``measures._elements``); the fd entries kept theirs.
 DEEP_CONDENSATION_DIGESTS = {
@@ -469,12 +495,12 @@ def test_deep_condensation_is_bit_identical(family, level, formulation, boundary
     assert solution.solver_residual == residual
 
 
-def _distinct_counts(mesh, elements, local):
+def _block_counts(mesh, elements, local):
     """Blocks formed at the leaves and at each depth, deepest first."""
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.boundary_indices] = False
     cond = _Condensation(mesh, elements, local, interior)
-    return [cond.blocks.shape[0]] + [a_ii.shape[0] for _, _, a_ii, _ in cond.depths]
+    return [cond.blocks.shape[0]] + [a_ii.shape[0] for _, a_ii, _ in cond.depths]
 
 
 def _one_element_cases():
@@ -489,46 +515,29 @@ def test_unit_edge_elements_give_one_block_per_depth(family, formulation):
     mesh = build_level(family, 6)
     elements, local = _elements(mesh, formulation)
     assert local.strides[0] == 0  # one element per level, broadcast
-    assert _distinct_counts(mesh, elements, local) == [1] * 7
+    assert _block_counts(mesh, elements, local) == [1] * 7
     # scaled by constant**n as solve_online does: the stack stays broadcast
     scaled = _renormalized(local, 5.0, 6)
     assert scaled.strides[0] == 0
-    assert _distinct_counts(mesh, elements, scaled) == [1] * 7
-    # a full array of equal elements is keyed by its bits, to the same count
-    assert _distinct_counts(mesh, elements, np.array(scaled)) == [1] * 7
+    assert _block_counts(mesh, elements, scaled) == [1] * 7
+    # a full array of the same elements forms one block per copy
+    full = np.array(scaled)
+    m = len(builtin_system(family).maps)
+    assert _block_counts(mesh, elements, full) == [m**d for d in range(6, -1, -1)]
+    # and gives the bits of the broadcast stack
+    load = _load(mesh, formulation, 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1])
+    h = {int(i): v for i, v in zip(mesh.boundary_indices, [1.0, -0.5, 0.25])}
+    one, per_copy = (solve_condensed(mesh, elements, s, load, h) for s in (scaled, full))
+    assert per_copy.values.tobytes() == one.values.tobytes()
+    assert per_copy.solver_residual == one.solver_residual
 
 
 def test_sierpinski_fem_area_distinct_blocks_per_depth():
     mesh = build_level("sierpinski", 8)
-    counts = _distinct_counts(mesh, *_elements(mesh, "fem_area"))
+    counts = _block_counts(mesh, *_elements(mesh, "fem_area"))
     # copies: 6561 leaves, then 2187, 729, ..., 1; elements from coordinates
     # formed up to 20 blocks per depth
     assert counts == [1] * 9
-
-
-def _same_partition(keys, first, rows):
-    """``keys`` number the distinct rows 0..k-1 and ``first`` holds one row of each."""
-    _, expected = np.unique(rows, axis=0, return_inverse=True)
-    expected = expected.reshape(-1)
-    assert keys.min() == 0 and keys.max() == first.size - 1 == expected.max()
-    # equal keys exactly for equal rows
-    pairs = np.unique(np.column_stack([keys, expected]), axis=0)
-    assert pairs.shape[0] == first.size
-    np.testing.assert_array_equal(keys[first], np.arange(first.size))
-
-
-@given(st.data())
-def test_distinct_rows_share_keys_and_first_is_the_smallest_index(data):
-    # 1 to 6 columns drawn with repeats from a pool of arbitrary 64-bit
-    # patterns; the bits of a negative float64 are a negative int64
-    pool = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=6))
-    ncols = data.draw(st.integers(1, 6))
-    row = st.lists(st.sampled_from(pool), min_size=ncols, max_size=ncols)
-    rows = np.array(data.draw(st.lists(row, min_size=1, max_size=200)), dtype=np.int64)
-    keys, first = _distinct(rows)
-    _same_partition(keys, first, rows)
-    smallest = [np.flatnonzero(keys == k)[0] for k in range(first.size)]
-    np.testing.assert_array_equal(first, smallest)
 
 
 @pytest.mark.parametrize("broadcast", [True, False])
