@@ -124,6 +124,8 @@ def _cmd_renorm(args) -> int:
     a, b = _parse_levels(args.levels)
     formulation = _RENORM_FORMULATION[args.method]
     check_level(args.family, b)
+    if formulation == "fem_area" and not build_level(args.family, 0).num_cells:
+        raise UsageError(f"--method fem-area needs a mesh with cells; {args.family} has none")
     _check_out(args.out)
     estimates = [
         estimate_laplacian_ratio(args.family, n) if formulation == "fd"
@@ -150,7 +152,8 @@ def _cmd_solve(args) -> int:
     except ValueError:
         raise UsageError(f"boundary values must be numbers, got {args.bc!r}") from None
     # every level keeps the seed's boundary vertices, so the seed gives the count
-    nb = build_level(args.family, 0).boundary_indices.size
+    seed = build_level(args.family, 0)
+    nb = seed.boundary_indices.size
     if len(bc_values) != nb:
         raise UsageError(
             f"{args.family} has {nb} boundary vertices, "
@@ -158,6 +161,8 @@ def _cmd_solve(args) -> int:
         )
     if not all(math.isfinite(v) for v in bc_values):
         raise UsageError(f"boundary values must be finite, got {args.bc!r}")
+    if args.method == "rfem2d" and not seed.num_cells:
+        raise UsageError(f"--method rfem2d needs a mesh with cells; {args.family} has none")
     _check_out(args.out)
     mesh = build_level(args.family, args.level)
     h = {int(i): v for i, v in zip(mesh.boundary_indices, bc_values)}

@@ -333,26 +333,18 @@ def _dedup_or_raise(candidates: np.ndarray, tol: float):
     return assign, uniq_rows
 
 
-def _unique_rows_keyed(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The rows whose key is the first occurrence of that key, in order."""
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    repeat = sk[1:] == sk[:-1]
-    if not repeat.any():
-        return rows
-    keep = np.ones(rows.shape[0], dtype=bool)
-    keep[order[1:][repeat]] = False
-    return rows[keep]
-
-
 def _finish_mesh(ifs, level, points, maps, edges, cells):
     """Merge the candidate vertices of a level and return its mesh.
 
     The candidates are the boundary points followed by one block per map:
     the image of ``points`` under that map, or ``points`` itself when
     ``maps`` is empty.  ``edges`` and ``cells`` index ``points`` and are
-    repeated in every block, in block order.  The candidates live only in
-    this frame, so they are released as soon as the vertices are taken.
+    repeated in every block, in block order, and gathered as they are: the
+    copies of a post-critically finite system meet only at vertices, so
+    they share no edge or cell, and a system whose copies share an edge
+    raises ``GeometryError`` ("duplicate edge") from ``LevelMesh``.  The
+    candidates live only in this frame, so they are released as soon as the
+    vertices are taken.
     """
     nb, (npts, dim) = ifs.boundary_points.shape[0], points.shape
     offsets = nb + npts * np.arange(max(len(maps), 1), dtype=np.int64)
@@ -380,17 +372,7 @@ def _finish_mesh(ifs, level, points, maps, edges, cells):
     nv = verts.shape[0]
 
     edges = _gather_blocks(assign, offsets, edges)
-    if (edges[:, 0] == edges[:, 1]).any():
-        raise GeometryError("edge endpoints merged; tolerance misconfigured")
-    edges = _unique_rows_keyed(edges, _edge_keys(edges, nv))
-
-    if cells.size:
-        cells = _gather_blocks(assign, offsets, cells)
-        lo, mid, hi = _sorted_columns(cells)
-        cells = _unique_rows_keyed(cells, (lo * nv + mid) * nv + hi)
-        del lo, mid, hi
-    else:
-        cells = np.empty((0, 3), dtype=np.int64)
+    cells = _gather_blocks(assign, offsets, cells)
     del assign
 
     incident = np.bincount(edges.ravel(), minlength=nv)
@@ -457,7 +439,12 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
 
 
 def iterate(ifs: IFSystem, n: int) -> LevelMesh:
-    """Apply the union map ``n`` times to the seed and return the mesh."""
+    """Apply the union map ``n`` times to the seed and return the mesh.
+
+    Coincident vertices are merged; edges and cells are kept as each copy
+    gives them.  A system whose copies share an edge (a repeated or an
+    overlapping map) raises ``GeometryError``.
+    """
     if n < 0:
         raise UsageError("level must be nonnegative")
     mesh = _seed_mesh(ifs)

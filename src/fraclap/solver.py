@@ -226,10 +226,8 @@ class _Condensation:
             raise GeometryError("copies do not partition the mesh vertices")
 
     def product(self, u: np.ndarray) -> np.ndarray:
-        """The assembled operator times ``u``: per-leaf products summed per vertex."""
-        blocks = np.broadcast_to(self.blocks, (*self.leaves.shape, self.leaves.shape[1]))
-        ku = np.einsum("wab,wb->wa", blocks, u[self.leaves])
-        return np.bincount(self.leaves.ravel(), weights=ku.ravel(), minlength=u.size)
+        """The assembled operator times ``u``."""
+        return _leaf_sum(self.leaves, self.blocks, u)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A_II x`` for an interior vector ``x``."""
@@ -267,22 +265,18 @@ class _Condensation:
     def norm(self) -> float:
         """``|A_II|_inf``; exact when no two leaves share a pair of vertices,
         as on the built-in families, and an upper bound otherwise."""
-        def off_diagonal(blocks, mask):
-            off = abs(blocks) * mask[:, None, :]
-            return off.sum(axis=2) - np.diagonal(off, axis1=1, axis2=2)
+        eye = np.eye(self.leaves.shape[1])
+        diag = _leaf_sum(self.leaves, self.blocks * eye, np.ones(self.interior.size))
+        off = _leaf_sum(self.leaves, abs(self.blocks) * (1.0 - eye), self.interior * 1.0)
+        return float((abs(diag) + off)[self.interior].max())
 
-        leaves, mask = self.leaves.ravel(), self.interior[self.leaves]
-        blocks = np.broadcast_to(self.blocks, (*mask.shape, mask.shape[1]))
-        # per block for the leaves inside the interior, per leaf for the others
-        inner = off_diagonal(self.blocks, np.ones(self.blocks.shape[:2], dtype=bool))
-        off_sum = np.broadcast_to(inner, mask.shape).copy()
-        edge = np.flatnonzero(~mask.all(axis=1))
-        off_sum[edge] = off_diagonal(blocks[edge], mask[edge])
-        diag = np.diagonal(blocks, axis1=1, axis2=2)
-        n = self.interior.size
-        row = (abs(np.bincount(leaves, weights=diag.ravel(), minlength=n))
-               + np.bincount(leaves, weights=off_sum.ravel(), minlength=n))
-        return float(row[self.interior].max())
+
+def _leaf_sum(leaves: np.ndarray, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-leaf products ``blocks[w] @ u[leaves[w]]`` summed per vertex; one
+    block serves every leaf."""
+    blocks = np.broadcast_to(blocks, (*leaves.shape, leaves.shape[1]))
+    ku = np.einsum("wab,wb->wa", blocks, u[leaves])
+    return np.bincount(leaves.ravel(), weights=ku.ravel(), minlength=u.size)
 
 
 def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap import cli, geometry
+from fraclap import cli, geometry, solver
 from fraclap.geometry import build_level
 from fraclap.meshfile import read_mesh
 from fraclap.renorm import estimate_laplacian_ratio
@@ -300,12 +300,15 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_numerical_failure_exits_three(tmp_path):
+def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
+    # a contract no solve can meet forces a real numerical failure
+    monkeypatch.setattr(solver, "BACKWARD_ERROR_BOUND", 0.0)
     rc = cli.main([
-        "solve", "--family", "koch", "--level", "2", "--method", "rfem2d",
-        "--rhs", "0", "--bc", "1,0", "--out", str(tmp_path / "s.csv"),
+        "solve", "--family", "sierpinski", "--level", "3", "--method", "rfd",
+        "--constant", "5", "--rhs", "1", "--bc", "1,0,0", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 3
+    assert "exceeds the solver contract 0.000e+00" in capsys.readouterr().err
 
 
 def test_io_failure_exits_four():
@@ -322,10 +325,10 @@ _OUT_COMMANDS = {
 }
 
 
-def _refuse_to_build(monkeypatch):
+def _refuse_to_build(monkeypatch, family="sierpinski"):
     def refine(*args):
         raise AssertionError("a level was built before --out was checked")
-    geometry.predicted_vertices("sierpinski", 0)  # caches its own levels 0 and 1
+    geometry.predicted_vertices(family, 0)  # caches its own levels 0 and 1
     build_level.cache_clear()
     monkeypatch.setattr(geometry, "_refine", refine)
 
@@ -343,6 +346,24 @@ def test_unwritable_out_exits_four_before_building(tmp_path, monkeypatch, capsys
     assert rc == 4
     assert "i/o failure:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("family", ["koch", "hata2d", "hata3d"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--level", "3", "--method", "rfem2d", "--constant", "2", "--rhs", "1",
+     "--bc", "0,1"],
+    ["solve", "--level", "3", "--method", "rfem2d", "--rhs", "1", "--bc", "0,1"],
+    ["renorm", "--method", "fem-area", "--levels", "2:4"],
+], ids=["solve constant", "solve auto", "renorm"])
+def test_area_formulation_without_cells_exits_two_before_building(
+        tmp_path, monkeypatch, capsys, family, argv):
+    _refuse_to_build(monkeypatch, family)
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--family", family, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "cells" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")

@@ -323,6 +323,30 @@ def test_dedup_ambiguity_is_reported():
         iterate(ifs, 0)
 
 
+def _halving_system(*shifts):
+    # maps x -> x/2 + (s, 0) on the unit segment
+    p, q = np.zeros(2), np.array([1.0, 0.0])
+    maps = tuple(AffineMap(np.eye(2) / 2, np.array([s, 0.0])) for s in shifts)
+    return IFSystem(maps, ((p, q),), np.array([p, q]), "custom")
+
+
+def _sierpinski_with_a_repeated_map():
+    ifs = builtin_system("sierpinski")
+    return IFSystem((*ifs.maps, ifs.maps[0]), ifs.seed_edges, ifs.boundary_points,
+                    "custom", cell_generation=True)
+
+
+@pytest.mark.parametrize("system, level", [
+    (lambda: _halving_system(0.0, 0.5, 0.5), 1),  # the same map twice
+    (lambda: _halving_system(0.0, 0.5, 0.25), 2),  # overlapping maps
+    (_sierpinski_with_a_repeated_map, 1),
+], ids=["repeated map", "overlapping maps", "sierpinski repeated map"])
+def test_copies_sharing_an_edge_are_refused(system, level):
+    # the copies of a level are gathered without merging edges
+    with pytest.raises(GeometryError, match="duplicate edge"):
+        iterate(system(), level)
+
+
 def test_meshes_are_immutable():
     m = build_level("koch", 1)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     _Condensation,
     _leaf_blocks,
+    _problem,
     linear_solve,
     partition,
     solve_condensed,
@@ -339,6 +340,10 @@ def test_condensation_matches_the_factorization(family, formulation, level):
     # the worst case here, hata3d level 7, reads 6e-9
     gap = np.abs(condensed.values - factored.values).max()
     assert gap <= 1e-7 * np.abs(factored.values).max()
+    interior, _, _, elements, local, _ = _problem(*problem)
+    norm = _Condensation(mesh, elements, local, interior).norm()
+    assembled = abs(a_ii).sum(axis=1).max()
+    assert abs(norm - assembled) <= 1e-14 * assembled
 
 
 @pytest.mark.parametrize("family", FAMILIES)
