@@ -163,6 +163,11 @@ def _cmd_solve(args) -> int:
         raise UsageError(f"boundary values must be finite, got {args.bc!r}")
     if args.method == "rfem2d" and not seed.num_cells:
         raise UsageError(f"--method rfem2d needs a mesh with cells; {args.family} has none")
+    if args.level == 0 and not seed.interior_indices.size:
+        raise UsageError(f"{args.family} level 0 has no interior vertex; solve needs level >= 1")
+    # every level starts with the seed's boundary points, so an --rhs that
+    # fails there (an unknown name, a value that is not finite) fails now
+    rhs.evaluate(seed.vertices[seed.boundary_indices])
     _check_out(args.out)
     mesh = build_level(args.family, args.level)
     h = {int(i): v for i, v in zip(mesh.boundary_indices, bc_values)}

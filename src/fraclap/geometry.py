@@ -418,23 +418,24 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
 
 
 def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
-    """(copy, seed vertex) -> vertex of ``mesh``, for a mesh refined from
-    ``seed`` by ``_refine``.
+    """(copy, seed vertex) -> vertex of ``mesh``, read off its edges for a
+    mesh refined from ``seed`` by ``_refine``.
 
     ``_refine`` stacks the images of the coarser edge list map-major and the
     copies share no edge, so the edges of level n are ``m**n`` blocks of the
-    seed edges, one per word of maps in lexicographic order.
+    seed edges, one per word of maps in lexicographic order.  The table is
+    read, not checked: on a mesh laid out otherwise it is wrong, and each
+    consumer checks what it uses.  ``solver._leaf_blocks`` refuses an element
+    outside its leaf, ``solver._Condensation`` copies that disagree on a glued
+    vertex or a vertex not eliminated exactly once, ``solver._contract_solve``
+    a residual over the contract, and ``embed`` a table match farther than
+    half the fine tolerance or not injective.
     """
     copies, extra = divmod(mesh.num_edges, seed.num_edges)
     if extra:
         raise GeometryError("edge count is not a multiple of the seed's")
-    edges = mesh.edges.reshape(copies, seed.num_edges, 2)
     table = np.empty((copies, seed.num_vertices), dtype=np.int64)
-    table[:, seed.edges] = edges
-    # one seed-edge column at a time: no (copies, seed edges, 2) gather
-    for e, (a, b) in enumerate(seed.edges):
-        if not ((table[:, a] == edges[:, e, 0]).all() and (table[:, b] == edges[:, e, 1]).all()):
-            raise GeometryError("edges do not follow the copy layout of build_level")
+    table[:, seed.edges] = mesh.edges.reshape(copies, seed.num_edges, 2)
     return table
 
 
@@ -454,21 +455,28 @@ def iterate(ifs: IFSystem, n: int) -> LevelMesh:
 
 
 @functools.lru_cache(maxsize=None)
-def _growth(family: str) -> tuple[int, int, int]:
-    """The map count m and the vertex counts of levels 0 and 1 of a built-in
-    family, built without ``build_level``, which checks against them."""
+def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
+    """The self-similar structure of a built-in family: ``(seed, glue,
+    grow)``, its level-0 mesh, its gluing table ``(child, seed vertex) ->
+    level-1 vertex`` and ``1/r``, the reciprocal of the one similarity ratio
+    of its maps (3, or 2 for Sierpinski).  Built with ``_seed_mesh`` and
+    ``_refine``, not ``build_level``, which checks against it."""
     ifs = builtin_system(family)
     seed = _seed_mesh(ifs)
-    return len(ifs.maps), seed.num_vertices, _refine(ifs, seed).num_vertices
+    glue = _copy_table(_refine(ifs, seed), seed)
+    glue.setflags(write=False)
+    return seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
 
 
 def predicted_vertices(family: str, level: int) -> int:
     """The vertex count of ``build_level(family, level)``, in Python ints.
 
     A level is m copies of the one below glued at c = m V_0 - V_1 vertices,
-    so V_{n+1} = m V_n - c, solved from levels 0 and 1.
+    so V_{n+1} = m V_n - c, solved from the structure (``_structure``): m
+    children in the gluing table, V_0 seed vertices and V_1 level-1 vertices.
     """
-    m, v0, v1 = _growth(family)
+    seed, glue, _ = _structure(family)
+    m, v0, v1 = glue.shape[0], seed.num_vertices, int(glue.max()) + 1
     c = m * v0 - v1
     return (c + (v0 * (m - 1) - c) * m**int(level)) // (m - 1)
 
@@ -509,23 +517,13 @@ def build_level(family: str, level: int) -> LevelMesh:
     return mesh
 
 
-@functools.lru_cache(maxsize=None)
-def _seed_glue(family: str) -> tuple[LevelMesh, np.ndarray]:
-    """The seed mesh of a built-in family and its gluing table
-    ``(child, seed vertex) -> level-1 vertex``."""
-    seed = build_level(family, 0)
-    glue = _copy_table(build_level(family, 1), seed)
-    glue.setflags(write=False)
-    return seed, glue
-
-
 def _embed_by_table(coarse: LevelMesh, fine: LevelMesh):
     """The fine vertex of each coarse vertex read off the copy tables, or
     ``None`` when the meshes do not follow the copy layout of ``build_level``
     or the table does not give a match within half the fine tolerance."""
     if fine.level != coarse.level + 1 or coarse.family not in FAMILIES:
         return None
-    seed, glue = _seed_glue(coarse.family)
+    seed, glue, _ = _structure(coarse.family)
     try:
         coarse_leaves, fine_leaves = _copy_table(coarse, seed), _copy_table(fine, seed)
     except GeometryError:

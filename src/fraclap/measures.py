@@ -21,14 +21,13 @@ coordinates on any other mesh.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import FAMILIES, LevelMesh, _frozen, build_level, builtin_system
+from .geometry import FAMILIES, LevelMesh, _frozen, _structure
 from .graphs import _EDGE_ELEMENT, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -171,21 +170,14 @@ _LOAD_MEASURE = {
 _LEVEL_FIT = 1e-9
 
 
-@functools.lru_cache(maxsize=None)
-def _seed(family: str) -> tuple[LevelMesh, float]:
-    """The level-0 mesh of a built-in family and ``1/r``, the reciprocal of
-    the one similarity ratio of its maps (3, or 2 for Sierpinski)."""
-    ifs = builtin_system(family)
-    return build_level(family, 0), float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
-
-
 def _level(mesh: LevelMesh):
     """``(seed, s)``: the level-0 mesh of the built-in family of ``mesh`` and
-    ``s = (1/r)**level``, by which that family's level-``mesh.level``
-    lengths divide the seed's; ``None`` for any other family name."""
+    ``s = grow**level``, with ``grow = 1/r`` from ``geometry._structure``, by
+    which that family's level-``mesh.level`` lengths divide the seed's;
+    ``None`` for any other family name."""
     if mesh.family not in FAMILIES:
         return None
-    seed, grow = _seed(mesh.family)
+    seed, _, grow = _structure(mesh.family)
     try:
         return seed, grow ** int(mesh.level)
     except OverflowError:

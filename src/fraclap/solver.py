@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import LevelMesh, _copy_table, _frozen, _seed_glue
+from .geometry import LevelMesh, _copy_table, _frozen, _structure
 from .graphs import _assemble_elements
 
 if TYPE_CHECKING:
@@ -190,7 +190,7 @@ class _Condensation:
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
-        seed, self.glue = _seed_glue(mesh.family)  # (child, child vertex) -> V1
+        seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
         self.leaves = _copy_table(mesh, seed)
         m, nb = self.glue.shape
         nv1 = int(self.glue.max()) + 1

@@ -236,7 +236,11 @@ def test_bad_expression_is_usage_error(tmp_path, capsys, rhs):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("rhs, bc", [("sin(", "0,0,0"), ("0", "0,0")])
+@pytest.mark.parametrize("rhs, bc", [
+    ("sin(", "0,0,0"), ("0", "0,0"),
+    ("z", "0,0,0"),    # no z on a planar family
+    ("1/x", "0,0,0"),  # infinite at the boundary vertex (0, 0)
+])
 def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc):
     build_level.cache_clear()
     rc = cli.main([
@@ -363,6 +367,22 @@ def test_area_formulation_without_cells_exits_two_before_building(
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "cells" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+@pytest.mark.parametrize("constant", [["--constant", "5"], []], ids=["constant", "auto"])
+def test_solve_at_level_zero_exits_two_before_building(tmp_path, monkeypatch, capsys,
+                                                       family, constant):
+    # level 0 is the seed, whose vertices are all boundary vertices
+    _refuse_to_build(monkeypatch, family)
+    out = tmp_path / "s.csv"
+    bc = "0,0,0" if family == "sierpinski" else "0,0"
+    rc = cli.main(["solve", "--family", family, "--level", "0", "--method", "rfd",
+                   *constant, "--rhs", "1", "--bc", bc, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "interior" in err[0]
     assert not out.exists()
 
 

@@ -346,14 +346,20 @@ def test_condensation_matches_the_factorization(family, formulation, level):
     assert abs(norm - assembled) <= 1e-14 * assembled
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_condensation_rejects_permuted_edges(family):
+# the fd cases keep the family alone as their id
+@pytest.mark.parametrize("family, formulation", [
+    *((family, "fd") for family in FAMILIES),
+    ("sierpinski", "fem_edge"), ("sierpinski", "fem_area"), ("koch", "fem_edge"),
+], ids=[*FAMILIES, "sierpinski-fem_edge", "sierpinski-fem_area", "koch-fem_edge"])
+def test_condensation_rejects_permuted_edges(family, formulation):
+    # _copy_table reads the table off the edges without checking it; the
+    # condensation's own checks refuse what it reads from permuted edges
     mesh = build_level(family, 3)
     order = np.random.default_rng(5).permutation(mesh.num_edges)
     permuted = LevelMesh(mesh.family, mesh.level, mesh.vertices, mesh.edges[order],
                          mesh.cells, mesh.boundary_indices, mesh.dedup_tolerance)
     h = {int(i): 0.0 for i in mesh.boundary_indices}
-    elements, local = _elements(permuted, "fd")
+    elements, local = _elements(permuted, formulation)
     with pytest.raises(GeometryError):
         solve_condensed(permuted, elements, local, np.ones(mesh.num_vertices), h)
 
