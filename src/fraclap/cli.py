@@ -21,12 +21,15 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import meshfile
 from .errors import FraclapError, UsageError
 from .expressions import compile_expression
 from .geometry import FAMILIES, build_level, check_level
 from .renorm import (
     SOLVE_METHODS,
+    _renormalized,
     auto_constant,
     estimate_energy_ratio,
     estimate_laplacian_ratio,
@@ -144,8 +147,8 @@ def _cmd_solve(args) -> int:
     extra = {"rhs": args.rhs, "bc": args.bc}
     meshfile.check_header(extra)
     check_level(args.family, args.level)
-    if args.constant is not None and not args.constant > 0:
-        raise UsageError("constant must be positive")
+    if args.constant is not None:  # the scaling solve_online applies, checked up front
+        _renormalized(np.ones(1), args.constant, args.level)
     rhs = compile_expression(args.rhs)
     try:
         bc_values = [float(v) for v in args.bc.split(",")]

@@ -1,33 +1,7 @@
 """Hot inner-loop kernels: tolerance-based point dedup and matching.
 
-Point merging and matching share one close-pair search.  Each point is
-quantized to a grid cell of edge ``2**26 * tol``; at the meshes' relative
-tolerance of 1e-9 that is about 1/15 of the shortest edge.  Cell
-coordinates are packed into one int64 key (21 bits per axis) and the keys
-are sorted once, so the points of one cell form a run of equal keys and
-every pair within a run is a candidate.  Two points within ``tol`` differ
-by at most one cell per axis, and when they lie in different cells, each
-is within ``tol`` of the face its cell shares with the other's.  So only
-the points within that band of a face of their cell probe the neighbour
-cells across those faces, and only the half of the 3^d - 1 neighbours that
-lie lexicographically ahead (the other half is covered by symmetry); each
-probe is a ``searchsorted`` on the sorted keys.  Mesh edges are at least
-1e9 tolerances long, so almost no vertex is that close to a face; a
-cloud with many points per cell would instead cost the square of that
-count.
-
-Because the cell edge is a power of two times ``tol``, ``p / cell`` is one
-correctly rounded division, and a band edge ``2**-26`` cells from a face is
-a representable quotient while ``|p / cell| < 2**26``; rounding is
-monotone, so a point within ``tol`` of a face computes within the band.
-The band is still widened by ``2**-50 * (1 + max |p / cell|)`` cells, which
-covers the rounding of that division at the largest coordinate and of the
-squared distance below.  A packing collision merely adds candidates.  Every
-candidate pair is then decided by the exact squared distance, summed axis
-by axis, against ``tol**2``.  The set of pairs returned is therefore every
-pair within ``tol``, as a search of all neighbour cells of every point
-would find it, and dedup and matching, which depend only on that set, are
-unchanged by the face-local probing.
+Point merging and matching share one close-pair search, a sort and sweep of
+the points' projections onto one fixed direction (see ``_close_pairs``).
 
 Dedup keeps the first occurrence of each cluster: every point goes to the
 smallest index within ``tol`` of it.  Copies of the pieces of a
@@ -38,22 +12,7 @@ at a distance in ``(tol/10, tol]`` is reported as ambiguous; a chained merge
 pair, so an unreported result is exactly the first-occurrence clustering.
 """
 
-import itertools
-
 import numpy as np
-
-_KEY_MASK = (1 << 21) - 1
-# Grid cell edge in tolerances: a power of two, so p / cell is one rounding.
-_CELL_TOLS = 2.0**26
-
-
-def _cell_key(q0, q1, q2):
-    """``(q0 << 42) | (q1 << 21) | q2`` of the low 21 bits of each."""
-    key = q0 & _KEY_MASK
-    for q in (q1, q2):
-        key <<= 21
-        key |= q & _KEY_MASK
-    return key
 
 
 def _ranges(starts, counts):
@@ -63,51 +22,47 @@ def _ranges(starts, counts):
     return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
 
 
+# The sweep direction: (1, sqrt 2, sqrt 5), cut to the dimension and
+# normalised.  Its irrational component ratios keep the lattice-like
+# vertices of a mesh from sharing a projection.
+_DIRECTION = np.array([1.0, np.sqrt(2.0), np.sqrt(5.0)])
+
+
 def _close_pairs(points, tol):
-    """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, and their
-    squared distances.  A pair may be listed more than once."""
-    n, d = points.shape
-    pad = (0,) * (3 - d)  # a 2-D point's third cell coordinate
-    cell = _CELL_TOLS * tol
-    u = points / cell
-    # tol in cell units, plus the rounding of p / cell at the largest |p|
-    band = 2.0**-26 + 2.0**-50 * (1.0 + max(u.max(initial=0.0), -u.min(initial=0.0)))
-    q = np.floor(u, out=np.empty(u.shape, np.int64), casting="unsafe")
-    frac = np.subtract(u, q, out=u)
-    del u
-    # the points near a face of their cell, which probe the cell across it
-    near_lo = frac <= band
-    near_hi = np.subtract(1.0, frac, out=frac) <= band
-    del frac
-    rows = np.flatnonzero((near_lo | near_hi).any(axis=1))
-    near_lo, near_hi, qn = near_lo[rows], near_hi[rows], q[rows]
-    key = _cell_key(*(q[:, k] for k in range(d)), *pad)
-    del q
-    order = np.argsort(key)
-    skey = key[order]
-    del key
-    # same cell: every pair of positions in a run of equal sorted keys
-    run_start = np.append(0, np.flatnonzero(skey[1:] != skey[:-1]) + 1)
-    run_size = np.diff(np.append(run_start, n))
-    multi = run_size > 1
-    pos = _ranges(run_start[multi], run_size[multi])
-    after = np.repeat(run_start[multi] + run_size[multi], run_size[multi]) - pos - 1
-    a = [order[np.repeat(pos, after)]]
-    b = [order[_ranges(pos + 1, after)]]
-    # neighbour cells, probed only from the points near the faces they share
-    for off in itertools.product((-1, 0, 1), repeat=d):
-        if off <= (0,) * d:
-            continue  # the zero offset is above; negative ones by symmetry
-        ok = np.ones(rows.size, dtype=bool)
-        for k, o in enumerate(off):
-            if o:
-                ok &= near_hi[:, k] if o > 0 else near_lo[:, k]
-        needle = _cell_key(*(qn[ok, k] + o for k, o in enumerate(off)), *pad)
-        lo = np.searchsorted(skey, needle)
-        count = np.searchsorted(skey, needle, side="right") - lo
-        a.append(np.repeat(rows[ok], count))
-        b.append(order[_ranges(lo, count)])
-    a, b = np.concatenate(a), np.concatenate(b)
+    """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, each listed
+    once, and their squared distances.
+
+    The points are sorted by their projections ``s`` onto the unit direction
+    ``u``.  Each sorted position whose gap to the next projection is at most
+    a window ``w`` lists the positions up to ``s + w`` (one ``searchsorted``),
+    and every listed pair is decided by its exact squared distance, summed
+    axis by axis, against ``tol**2``.
+
+    No pair within ``tol`` is missed.  Projection never lengthens a distance:
+    ``|u.(p - q)| <= |p - q|``.  Rounding of a gap ``s[k+1] - s[k]`` and of an
+    end ``s + w`` is monotone and every ``s[b]`` is representable, so a pair
+    whose true projection gap is at most ``w`` passes both.  The window
+    therefore only has to cover two rounding errors: that of the
+    projections, a few ulps of ``max |p|``, and that of the squared-distance
+    test, a few ulps of ``tol``.  ``w = tol (1 + 2**-40) + 2**-48 (d + 2)
+    (max |s| + max |p|)`` covers both with a wide margin.  A wider ``w`` only
+    adds candidates, and the exact test discards them.
+
+    The cost is one sort of n floats plus the pairs whose projections fall
+    within ``w``.  Mesh edges are at least 1e9 tolerances long, so on a built
+    level those are the true pairs, or nearly.  Points lying on a hyperplane
+    normal to ``u`` would cost the square of their count.
+    """
+    d = points.shape[1]
+    u = _DIRECTION[:d] / np.linalg.norm(_DIRECTION[:d])
+    proj = points @ u
+    order = np.argsort(proj)
+    s = proj[order]
+    big = np.abs(s).max(initial=0.0) + np.abs(points).max(initial=0.0)
+    w = tol * (1.0 + 2.0**-40) + 2.0**-48 * (d + 2) * big
+    start = np.flatnonzero(s[1:] - s[:-1] <= w)
+    count = np.searchsorted(s, s[start] + w, side="right") - start - 1
+    a, b = order[np.repeat(start, count)], order[_ranges(start + 1, count)]
     i, j = np.minimum(a, b), np.maximum(a, b)
     dv = points[j] - points[i]
     d2 = dv[:, 0] * dv[:, 0]

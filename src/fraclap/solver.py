@@ -250,16 +250,15 @@ class _Condensation:
             x_ib = np.broadcast_to(x_ib, (*f_i.shape, nb))
             up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib, f_i)
             loads.append(f_i)
-        u, u_b = np.zeros(f.size), np.zeros((1, nb))
-        for d, ((v1, a_ii, x_ib), f_i) in enumerate(zip(self.depths[::-1], loads[::-1])):
+        u = np.zeros(f.size)
+        for (v1, a_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
             # one solve per copy: a multi-RHS solve per block changes the bits
             a_ii = np.broadcast_to(a_ii, (*f_i.shape, f_i.shape[1]))
             x_ib = np.broadcast_to(x_ib, (*f_i.shape, nb))
             u_i = np.linalg.solve(a_ii, f_i[..., None])[..., 0]
-            u_i -= np.einsum("wib,wb->wi", x_ib, u_b)
+            # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
+            u_i -= np.einsum("wib,wb->wi", x_ib, u[v1[:, :nb]])
             u[v1[:, nb:]] = u_i
-            if d + 1 < len(self.depths):  # the leaves' boundary values are not read
-                u_b = np.concatenate([u_b, u_i], axis=1)[:, self.glue].reshape(-1, nb)
         return u[self.interior]
 
     def norm(self) -> float:

@@ -236,15 +236,18 @@ def test_bad_expression_is_usage_error(tmp_path, capsys, rhs):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("rhs, bc", [
-    ("sin(", "0,0,0"), ("0", "0,0"),
-    ("z", "0,0,0"),    # no z on a planar family
-    ("1/x", "0,0,0"),  # infinite at the boundary vertex (0, 0)
-])
-def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc):
+@pytest.mark.parametrize("rhs, bc, extra", [
+    ("sin(", "0,0,0", []), ("0", "0,0", []),
+    ("z", "0,0,0", []),    # no z on a planar family
+    ("1/x", "0,0,0", []),  # infinite at the boundary vertex (0, 0)
+    # constant**11 is not a finite nonzero scaling
+    *(("1", "0,0,0", ["--constant", c]) for c in ("1e300", "inf", "1e-300")),
+], ids=["sin(-0,0,0", "0-0,0", "z-0,0,0", "1/x-0,0,0",
+        "constant-1e300", "constant-inf", "constant-1e-300"])
+def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc, extra):
     build_level.cache_clear()
     rc = cli.main([
-        "solve", "--family", "sierpinski", "--level", "11", "--method", "rfd",
+        "solve", "--family", "sierpinski", "--level", "11", "--method", "rfd", *extra,
         f"--rhs={rhs}", f"--bc={bc}", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap.kernels import _CELL_TOLS, _close_pairs, _dedup_core, _match_core
+from fraclap.kernels import _DIRECTION, _close_pairs, _dedup_core, _match_core
 
 
 def brute_force_dedup(points, tol):
@@ -96,9 +96,9 @@ def test_dedup_reports_gray_pair_that_is_not_the_nearest_merge():
 
 
 def grid_edge_clusters(rng, n_clusters, per_cluster, dim, tol):
-    """Clusters centred on grid-cell corners ``k * tol``; each member is
-    ``1e-3 * tol`` off the corner on every axis, so most clusters straddle a
-    cell edge.  Centres are at least five cells apart."""
+    """Clusters centred on the lattice points ``k * tol``; each member is
+    ``1e-3 * tol`` off its centre on every axis.  Centres are at least five
+    tolerances apart."""
     ks = rng.choice(2000, size=(4 * n_clusters, dim)) * 5 - 5000
     ks = np.unique(ks, axis=0)[:n_clusters]
     signs = rng.choice([-1.0, 1.0], size=(ks.shape[0], per_cluster, dim))
@@ -167,30 +167,44 @@ def test_match_3d():
 
 # -- close pairs against brute force -------------------------------------------
 
-# Offsets, in tolerances, of a point from a grid-cell face on one axis, and of
-# a cluster member from its cluster's first point.  Members at 0 on every
-# axis coincide; the others land in the ambiguity band (tol/10, tol], below
-# it or just beyond tol, and a member moved on several axes crosses a corner.
-_FACE_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.01, -0.99)
+# Offsets, in tolerances, of a cluster member from its cluster's first point.
+# Axis steps: members at 0 on every axis coincide; the others land in the
+# ambiguity band (tol/10, tol], below it or just beyond tol.  Steps along
+# +-u, the sweep direction, straddle tol by a few ulps, where a window that
+# does not cover the rounding of the projections drops a pair; some also
+# step across u.
 _MEMBER_OFFSETS = (0.0, 0.0, 0.05, -0.05, 0.4, -0.4, 0.7, -0.7, 1.0)
+_ALONG_OFFSETS = (1.0, 1 + 2.0**-52, 1 - 2.0**-52, 1 + 2.0**-40, 1 - 2.0**-40,
+                  0.999, 0.5, 0.05)
+_ACROSS_OFFSETS = (0.0, 0.0, 0.05, 0.3)
+
+
+def _sweep_frame(dim):
+    """The sweep direction ``u`` and a unit vector perpendicular to it."""
+    u = _DIRECTION[:dim] / np.linalg.norm(_DIRECTION[:dim])
+    v = np.zeros(dim)
+    v[:2] = -u[1], u[0]
+    return u, v / np.linalg.norm(v)
 
 
 @st.composite
-def _cell_face_points(draw, dim):
-    """Points on or within ``tol`` of the faces of the ``_close_pairs``
-    cells, in clusters of 1-4, up to about 2**20 cells from the origin."""
-    tol = draw(st.sampled_from([1e-6, 2.0**-40, 3e-9]))
-    cell = _CELL_TOLS * tol
-    far = draw(st.sampled_from([3, 2**20]))
+def _sweep_points(draw, dim):
+    """Clusters of 1-4 points, members about ``tol`` apart along the sweep
+    direction or the axes, centres up to about 1e3 from the origin."""
+    tol = draw(st.sampled_from([1e-6, 2.0**-40, 3e-9, 1e-12]))
+    far = draw(st.sampled_from([10 * tol, 1.0, 1e3]))
+    u, v = _sweep_frame(dim)
     points = []
     for _ in range(draw(st.integers(1, 10))):
-        face = [draw(st.integers(-far, far)) for _ in range(dim)]
-        inside = [draw(st.sampled_from(_FACE_OFFSETS + (0.5 * _CELL_TOLS,))) for _ in range(dim)]
-        first = np.array(face) * cell + np.array(inside) * tol
+        first = np.array([draw(st.floats(-far, far)) for _ in range(dim)])
         points.append(first)
         for _ in range(draw(st.integers(0, 3))):
-            step = [draw(st.sampled_from(_MEMBER_OFFSETS)) for _ in range(dim)]
-            points.append(first + np.array(step) * tol)
+            if draw(st.booleans()):
+                step = np.array([draw(st.sampled_from(_MEMBER_OFFSETS)) for _ in range(dim)])
+            else:
+                along = draw(st.sampled_from(_ALONG_OFFSETS)) * draw(st.sampled_from([1, -1]))
+                step = along * u + draw(st.sampled_from(_ACROSS_OFFSETS)) * v
+            points.append(first + step * tol)
     order = draw(st.permutations(range(len(points))))
     return np.array(points)[order], tol
 
@@ -210,8 +224,8 @@ def brute_force_pairs(points, tol):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_close_pairs_match_brute_force(dim, data):
-    points, tol = data.draw(_cell_face_points(dim))
+    points, tol = data.draw(_sweep_points(dim))
     i, j, d2 = _close_pairs(points, tol)
     found = dict(zip(zip(i.tolist(), j.tolist()), d2.tolist()))
-    assert (i < j).all()
+    assert (i < j).all() and len(found) == i.size  # each pair listed once
     assert found == brute_force_pairs(points, tol)
