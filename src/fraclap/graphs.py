@@ -6,7 +6,8 @@ duplicate entries and no explicit zeros.  ``_assemble`` builds one from raw
 triplets and imports scipy, so building and writing meshes never loads it.
 ``_assemble_elements`` sums element matrices into one: ``graph_laplacian``
 sums the unit edge element ``_EDGE_ELEMENT``, and the fem stiffness builders
-sum the elements of ``measures._elements``.
+sum the elements of ``measures._elements``.  ``_apply_elements`` applies
+such a sum to a vector unassembled (leaf blocks, mass elements).
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.cs
     rows = np.broadcast_to(elements[:, :, None], local.shape)
     cols = np.broadcast_to(elements[:, None, :], local.shape)
     return _assemble(n, *(a.transpose(1, 2, 0) for a in (rows, cols, local)))
+
+
+def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The products ``local[k] @ u[elements[k]]`` summed per vertex: the sum
+    of the element matrices times ``u``.  One matrix may serve every element."""
+    local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
+    ku = np.einsum("kab,kb->ka", local, u[elements])
+    return np.bincount(elements.ravel(), weights=ku.ravel(), minlength=u.size)
 
 
 def adjacency(mesh: LevelMesh) -> sp.csr_array:

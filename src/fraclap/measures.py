@@ -9,13 +9,13 @@ unrescaled Euclidean measures; element integrals of piecewise-linear
 integrands are evaluated in closed form, so the analytic identities between
 the assembled matrices and the graph Laplacian hold to rounding error.
 
-Each formulation is defined once, by its element matrices (``_elements``)
-and its load (``_load``).  ``solver.solve_condensed`` takes them as they are;
-the CSR builders below assemble the same elements (fd: ``graph_laplacian``).
-``_elements`` says which element definition applies to a mesh: fd and
-graph_energy take the unit edge element everywhere, and the weak forms take
-one element per level on a level of a built-in family, and elements from
-coordinates on any other mesh.
+Each measure is defined once, by its element mass matrices (``_masses``),
+and each formulation by its element matrices (``_elements``) and its load
+(``_load``).  ``solver.solve_condensed`` takes them as they are; the CSR
+builders below assemble the same elements (fd: ``graph_laplacian``).  fd,
+graph_energy and the self-similar measure take one element everywhere; the
+weak forms and the Euclidean measures take one element per level on a level
+of a built-in family, and elements from coordinates on any other mesh.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AssemblyError, UsageError
 from .geometry import FAMILIES, LevelMesh, _frozen, _structure
-from .graphs import _EDGE_ELEMENT, _assemble_elements, graph_laplacian
+from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -58,11 +58,9 @@ class VertexWeights:
 
 def _cell_areas(mesh: LevelMesh) -> np.ndarray:
     p = mesh.vertices[mesh.cells]
-    u = p[:, 1] - p[:, 0]
-    v = p[:, 2] - p[:, 0]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     if mesh.dimension == 2:
-        cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        return 0.5 * np.abs(cross)
+        return 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     return 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
 
 
@@ -86,75 +84,31 @@ def _triangle_matrices(mesh: LevelMesh) -> np.ndarray:
     return np.einsum("cid,cjd->cij", e, e) / (4.0 * area)[:, None, None]
 
 
-def _require_kind(kind) -> MeasureKind:
-    try:
-        return MeasureKind(kind)
-    except ValueError:
-        raise UsageError(f"unknown measure kind {kind!r}") from None
+def load_vector(mesh: LevelMesh, kind, g: np.ndarray) -> np.ndarray:
+    """Right-hand side entries b(x) = integral of (interpolated g) phi_x,
+    summed over the mass elements (``_masses``).
+
+    The self-similar measure uses vertex quadrature; the Euclidean measures
+    integrate the piecewise-linear interpolant of g against the hat function
+    exactly.
+    """
+    rows, local = _masses(mesh, kind)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (mesh.num_vertices,):
+        raise UsageError("nodal data length does not match the mesh")
+    return _apply_elements(rows, local, g)
 
 
 def vertex_weights(mesh: LevelMesh, kind) -> VertexWeights:
-    """Vertex masses of the requested measure.
+    """Vertex masses of the requested measure: the load of g = 1.
 
     self_similar: each level-n copy (cell when present, edge otherwise)
     carries mass 1/#copies, split equally among its vertices.
     edge_length: half the total length of the incident edges.
     triangle_area: a third of the total area of the incident cells.
     """
-    kind = _require_kind(kind)
-    n = mesh.num_vertices
-    w = np.zeros(n)
-    if kind is MeasureKind.SELF_SIMILAR:
-        if mesh.num_cells:
-            mass = 1.0 / mesh.num_cells
-            np.add.at(w, mesh.cells.ravel(), mass / 3.0)
-        else:
-            mass = 1.0 / mesh.num_edges
-            np.add.at(w, mesh.edges.ravel(), mass / 2.0)
-    elif kind is MeasureKind.EDGE_LENGTH:
-        half = 0.5 * mesh.edge_lengths()
-        np.add.at(w, mesh.edges[:, 0], half)
-        np.add.at(w, mesh.edges[:, 1], half)
-    else:
-        if not mesh.num_cells:
-            raise AssemblyError("triangle_area measure requires a mesh with cells")
-        third = _cell_areas(mesh) / 3.0
-        for k in range(3):
-            np.add.at(w, mesh.cells[:, k], third)
-    return VertexWeights(w, kind, mesh.level)
-
-
-def load_vector(mesh: LevelMesh, kind, g: np.ndarray) -> np.ndarray:
-    """Right-hand side entries b(x) = integral of (interpolated g) phi_x.
-
-    The self-similar measure uses vertex quadrature; the Euclidean measures
-    integrate the piecewise-linear interpolant of g against the hat function
-    exactly.
-    """
-    kind = _require_kind(kind)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (mesh.num_vertices,):
-        raise UsageError("nodal data length does not match the mesh")
-    if kind is MeasureKind.SELF_SIMILAR:
-        return vertex_weights(mesh, kind).weights * g
-    b = np.zeros(mesh.num_vertices)
-    if kind is MeasureKind.EDGE_LENGTH:
-        i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-        length = mesh.edge_lengths()
-        # int over one edge of (g_a phi_a + g_b phi_b) phi_a = L (g_a/3 + g_b/6)
-        np.add.at(b, i, length * (g[i] / 3.0 + g[j] / 6.0))
-        np.add.at(b, j, length * (g[j] / 3.0 + g[i] / 6.0))
-        return b
-    if not mesh.num_cells:
-        raise AssemblyError("triangle_area load requires a mesh with cells")
-    area = _cell_areas(mesh)
-    c = mesh.cells
-    gc = g[c]
-    # int over a triangle of (sum g_k phi_k) phi_i = S (2 g_i + g_j + g_k) / 12
-    for i in range(3):
-        contrib = area * (2.0 * gc[:, i] + gc[:, (i + 1) % 3] + gc[:, (i + 2) % 3]) / 12.0
-        np.add.at(b, c[:, i], contrib)
-    return b
+    weights = load_vector(mesh, kind, np.ones(mesh.num_vertices))  # checks ``kind``
+    return VertexWeights(weights, MeasureKind(kind), mesh.level)
 
 
 _LOAD_MEASURE = {
@@ -199,34 +153,63 @@ def _cell_sides(mesh: LevelMesh) -> np.ndarray:
     ])
 
 
-def _edge_elements(mesh: LevelMesh) -> np.ndarray:
-    """The fem-edge elements ``_EDGE_ELEMENT / L``.  When every edge measures
-    ``L0 r**n`` (``_level``; ``L0`` the first seed edge's length) they are
-    the one element ``_EDGE_ELEMENT / (L0 r**n)``, as a stride-0 stack."""
-    length = mesh.edge_lengths()
-    if (length <= 0.0).any():
-        raise AssemblyError("zero-length edge")
+def _edge_level(mesh: LevelMesh, length: np.ndarray):
+    """``c = s / L0`` when every edge ``length`` is ``L0 r**n`` (``_level``;
+    ``L0`` the first seed edge's length), else ``None``: the level's fem-edge
+    element is ``c`` times the unit element, and its length is ``1/c``."""
     level = _level(mesh)
     if level is not None:
         seed, s = level
         c = s / seed.edge_lengths()[0]
         if _fits(length * c):
-            return np.broadcast_to(_EDGE_ELEMENT * c, (mesh.num_edges, 2, 2))
-    return (1.0 / length)[:, None, None] * _EDGE_ELEMENT
+            return c
+    return None
 
 
-def _area_elements(mesh: LevelMesh) -> np.ndarray:
-    """The fem-area elements (``_triangle_matrices``).  When every cell has
-    the seed cell's sides times ``r**n``, position by position (``_level``),
-    every cell is similar to the seed cell, and the linear stiffness depends
-    only on the angles: the elements are the seed cell's, as a stride-0
-    stack."""
+def _cell_level(mesh: LevelMesh):
+    """``(seed, s)`` of ``_level`` when every cell of a planar mesh has the
+    seed cell's sides times ``r**n``, position by position, else ``None``.
+    Every cell is then similar to the seed cell: the linear stiffness, which
+    depends only on the angles, is the seed cell's, and the area is the seed
+    cell's over ``s**2``."""
     level = _level(mesh) if mesh.num_cells and mesh.dimension == 2 else None
     if level is not None and level[0].num_cells:
         seed, s = level
         if _fits(_cell_sides(mesh) * (s / _cell_sides(seed)[0])):
-            return np.broadcast_to(_triangle_matrices(seed)[0], (mesh.num_cells, 3, 3))
-    return _triangle_matrices(mesh)
+            return level
+    return None
+
+
+def _masses(mesh: LevelMesh, kind):
+    """Vertex rows and element mass matrices whose element sum
+    ``sum_k M_k g[rows[k]]`` is the load of ``g`` (``load_vector``).
+
+    self_similar: the diagonal element ``I / (k p)`` on each of the k
+    p-vertex copies (cells when present, edges otherwise); edge_length:
+    ``L [[2, 1], [1, 2]] / 6``; triangle_area: ``S (1 + I) / 12``, the
+    integrals of ``phi_i phi_j``.  On a level that fits its family's
+    similarity (``_edge_level``, ``_cell_level``) L and S are one number,
+    and every stack of one element is a stride-0 view.
+    """
+    try:
+        kind = MeasureKind(kind)
+    except ValueError:
+        raise UsageError(f"unknown measure kind {kind!r}") from None
+    if kind is MeasureKind.SELF_SIMILAR:
+        rows = mesh.cells if mesh.num_cells else mesh.edges
+        k, p = rows.shape
+        return rows, np.broadcast_to(np.eye(p) * (1.0 / k / p), (k, p, p))
+    if kind is MeasureKind.EDGE_LENGTH:
+        rows, unit = mesh.edges, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        size = mesh.edge_lengths()
+        c = _edge_level(mesh, size)
+        size = size if c is None else 1.0 / c
+    else:
+        if not mesh.num_cells:
+            raise AssemblyError("triangle_area measure requires a mesh with cells")
+        rows, unit, level = mesh.cells, (1.0 + np.eye(3)) / 12.0, _cell_level(mesh)
+        size = _cell_areas(mesh) if level is None else _cell_areas(level[0])[0] / level[1] ** 2
+    return rows, np.broadcast_to(np.multiply.outer(size, unit), (*rows.shape, rows.shape[1]))
 
 
 def _elements(mesh: LevelMesh, formulation: str):
@@ -234,21 +217,30 @@ def _elements(mesh: LevelMesh, formulation: str):
     formulation's stiffness matrix.
 
     fd and graph_energy take the unit edge element on every edge.  fem_edge
-    (``_edge_elements``) and fem_area (``_area_elements``) take one element
-    per level on a mesh whose lengths fit its built-in family's similarity
-    at its level, and elements from coordinates on any other mesh.  Either
-    way a stack of one element is a stride-0 view, which the condensation
-    serves with one block per depth.
+    takes ``_EDGE_ELEMENT / L`` and fem_area ``_triangle_matrices``: one
+    element per level on a mesh whose lengths fit its built-in family's
+    similarity at its level (``_edge_level``, ``_cell_level``), and elements
+    from coordinates on any other mesh.  Either way a stack of one element
+    is a stride-0 view, which the condensation serves with one block per
+    depth.
     """
     if formulation == "fem_area":
-        return mesh.cells, _area_elements(mesh)
+        level = _cell_level(mesh)
+        local = _triangle_matrices(mesh) if level is None else _triangle_matrices(level[0])[0]
+        return mesh.cells, np.broadcast_to(local, (mesh.num_cells, 3, 3))
     if formulation not in ("fd", "graph_energy", "fem_edge"):
         raise UsageError(f"unknown formulation {formulation!r}")
     if not mesh.num_edges:
         raise AssemblyError("mesh has no edges")
     if formulation != "fem_edge":
         return mesh.edges, np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
-    return mesh.edges, _edge_elements(mesh)
+    length = mesh.edge_lengths()
+    c = _edge_level(mesh, length)
+    if c is None:
+        if (length <= 0.0).any():
+            raise AssemblyError("zero-length edge")
+        c = (1.0 / length)[:, None, None]
+    return mesh.edges, np.broadcast_to(_EDGE_ELEMENT * c, (mesh.num_edges, 2, 2))
 
 
 def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:

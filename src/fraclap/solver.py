@@ -13,7 +13,8 @@ condenses onto its boundary from the leaves up, and the values come back
 down from the Dirichlet data.  A depth holds one block when ``local`` is a
 stride-0 stack, as every built-in formulation passes (``measures._elements``),
 and one block per copy otherwise; either is served to the copies through
-one ``np.broadcast_to`` view.
+one ``np.broadcast_to`` view.  The leaf blocks are applied unassembled by
+``graphs._apply_elements``, which also sums the loads of ``measures``.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
 from .geometry import LevelMesh, _copy_table, _frozen, _structure
-from .graphs import _assemble_elements
+from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -187,6 +188,8 @@ class _Condensation:
     per copy in copy order.  The leaf blocks, ``a_ii`` and ``x_ib`` are
     served to the copies through ``np.broadcast_to`` views (stride 0 for one
     block), so both layouts give the values a per-copy elimination computes.
+    The row sums of each block are carried up the depths, and each Schur
+    complement takes its diagonal from them, without cancellation.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
@@ -200,6 +203,7 @@ class _Condensation:
         self.blocks = _leaf_blocks(self.leaves, elements, local)
         self.interior = interior
         ids, schur, self.depths = self.leaves, self.blocks, []
+        sums, diag = self.blocks.sum(axis=2), np.arange(nb)  # row sums of ``schur``
         for d in range(mesh.level - 1, -1, -1):
             copies = m**d
             child = ids.reshape(copies, m * nb)
@@ -209,15 +213,25 @@ class _Condensation:
                 raise GeometryError("copies disagree on a shared vertex")
             blocks = 1 if schur.shape[0] == 1 else copies
             children = np.broadcast_to(schur, (blocks * m, nb, nb)).reshape(blocks, m, nb, nb)
-            a = np.zeros((blocks, nv1, nv1))
+            child_sums = np.broadcast_to(sums, (blocks * m, nb)).reshape(blocks, m, nb)
+            a, s = np.zeros((blocks, nv1, nv1)), np.zeros((blocks, nv1))
             for i, g in enumerate(self.glue):
                 a[:, g[:, None], g] += children[:, i]
+                s[:, g] += child_sums[:, i]
             a_ii = a[:, nb:, nb:].copy()
             try:
                 x_ib = np.linalg.solve(a_ii, a[:, nb:, :nb])
             except np.linalg.LinAlgError:
                 raise SolveError("singular interior block") from None
+            # a_bb - a_bi x_ib cancels on the diagonal only (on an M-matrix block
+            # every off-diagonal term has one sign): keep the symmetrized
+            # off-diagonal part, and set the diagonal from the row sums
+            # s_B - x_ib^T s_I of the Schur complement
             schur = a[:, :nb, :nb] - a[:, :nb, nb:] @ x_ib
+            schur = 0.5 * (schur + schur.transpose(0, 2, 1))
+            sums = s[:, :nb] - (s[:, None, nb:] @ x_ib)[:, 0]
+            schur[:, diag, diag] = 0.0
+            schur[:, diag, diag] = sums - schur.sum(axis=2)
             self.depths.append((v1, a_ii, x_ib))
             ids = v1[:, :nb]
         eliminated = [ids.ravel()] + [v1[:, nb:].ravel() for v1, *_ in self.depths]
@@ -227,7 +241,7 @@ class _Condensation:
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``."""
-        return _leaf_sum(self.leaves, self.blocks, u)
+        return _apply_elements(self.leaves, self.blocks, u)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A_II x`` for an interior vector ``x``."""
@@ -265,17 +279,9 @@ class _Condensation:
         """``|A_II|_inf``; exact when no two leaves share a pair of vertices,
         as on the built-in families, and an upper bound otherwise."""
         eye = np.eye(self.leaves.shape[1])
-        diag = _leaf_sum(self.leaves, self.blocks * eye, np.ones(self.interior.size))
-        off = _leaf_sum(self.leaves, abs(self.blocks) * (1.0 - eye), self.interior * 1.0)
+        diag = _apply_elements(self.leaves, self.blocks * eye, np.ones(self.interior.size))
+        off = _apply_elements(self.leaves, abs(self.blocks) * (1.0 - eye), self.interior * 1.0)
         return float((abs(diag) + off)[self.interior].max())
-
-
-def _leaf_sum(leaves: np.ndarray, blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-leaf products ``blocks[w] @ u[leaves[w]]`` summed per vertex; one
-    block serves every leaf."""
-    blocks = np.broadcast_to(blocks, (*leaves.shape, leaves.shape[1]))
-    ku = np.einsum("wab,wb->wa", blocks, u[leaves])
-    return np.bincount(leaves.ravel(), weights=ku.ravel(), minlength=u.size)
 
 
 def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:

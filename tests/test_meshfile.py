@@ -218,12 +218,14 @@ def _solution_cases():
 # re-recorded when solve_online moved from the SuperLU factorization to the
 # condensation solver, while the two unsolved cases kept their digests.  The
 # rfem1d and rfem2d digests were re-recorded again when a built level took
-# one element per level (``measures._elements``); rfd kept its digests.
+# one element per level (``measures._elements``); rfd kept its digests.  The
+# four solved cases were re-recorded once more when the condensation's Schur
+# diagonal came from the carried row sums and the loads from mass elements.
 SOLUTION_FILE_DIGESTS = {
-    "sierpinski-4-rfd": "0ecbc6924f69268f486461ca787ce230f85ff062b7c1c75817d42939c6512750",
-    "sierpinski-4-rfem1d": "60740d5678aaced2344ceba6bb408ec848fee427e7fb2b998920b689d3bc082b",
-    "sierpinski-4-rfem2d": "44884e4f1e725cb2ac318105dffc24cc6d1c2033156718632255c3e1e79d91a1",
-    "hata3d-3-rfd": "b45276cacaef063c14a350ec670e41a9cecdd643cac901436313dfa0f6961256",
+    "sierpinski-4-rfd": "b608945853fe62a7b9eddac7c217382f5a5fecebb9ece17756e603daf861fd2b",
+    "sierpinski-4-rfem1d": "f429fa6f0289db94dbe1f4600ac8a76b40d021e5bb8b4235d5bc16e178b0ae22",
+    "sierpinski-4-rfem2d": "1a23172ebdc69cc7d85d2a22bcecc559cb7d612a3db3592dacbdbabd9a16c1e1",
+    "hata3d-3-rfd": "0b30766d9d706d603d9dfd6f5ca96b6f9325861cc83980030983f11cd553d755",
     "no-constant": "474e2ed0b5891712470433d8b5f7942bbd2e72a9692757f0b6a3c8fd5fd86623",
     "extra": "a92c1605a1167771636eca968dac3259312218bda4788e5ff9057b3364d7fb7f",
 }
