@@ -369,7 +369,9 @@ def test_mesh_rejects_cell_side_without_edge():
 # sha256 of the float64 vertex array, then the int64 edge and cell arrays (C
 # order, native byte order), and of the int64 ``embed(level n - 1, level n)``
 # index map, recorded with the hash-table dedup the sort-based kernels
-# replaced.  Vertex order is part of the mesh contract.
+# replaced (Sierpinski 9 and 10, the levels the benchmark workloads embed,
+# with the sort-based kernels and the copy-table embed).  Vertex order is
+# part of the mesh contract.
 MESH_DIGESTS = {
     ("koch", 0): "686b5a45db540fcf22ee4c4fd041895f1eab53224f786f5ac51e570197885f38",
     ("koch", 1): "0691c662fb19c8075548906af6f9e1a4fb30a3786785b7d4bc3f2871838dd07b",
@@ -389,6 +391,8 @@ MESH_DIGESTS = {
     ("sierpinski", 6): "e144e6e1472d6b78b3bf90b9a49cc422636c040db9dc38da4b4a379765426da2",
     ("sierpinski", 7): "7fca5d818db03f275d228cf698afa0c88aa25f1fe003cc6c4cbd283a116478f0",
     ("sierpinski", 8): "e2bf493e247e1700b859a6637720c10240a0e9446ef1339627dc3fa0b3950064",
+    ("sierpinski", 9): "204f3ec499d40d4c632c0448601e7510b98f41f4eb83b7b5967e6d1f7b74e90e",
+    ("sierpinski", 10): "83e9f10c64a25ac3bc028fad3bf1b348334ab3f5a9cca6915483ab65d3667780",
     ("hata2d", 0): "686b5a45db540fcf22ee4c4fd041895f1eab53224f786f5ac51e570197885f38",
     ("hata2d", 1): "81dec8a74cae439064eb5cf16ed8ef8cd23ec91e3479dff89f50b379bd190c47",
     ("hata2d", 2): "4fcb330c959f992e4be701cf6182652b95224e9a599ccbde2e85751204398d73",
@@ -422,6 +426,8 @@ EMBED_DIGESTS = {
     ("sierpinski", 6): "71885cc12333ff4c85918c2432c74538c3d625c16150b64c7283a8fcca327b19",
     ("sierpinski", 7): "e9eb3eb4f3081ac16b31e53e3682c375dd62f8099923b05e3ccd0beb9f042a41",
     ("sierpinski", 8): "2bd4f2183151c58156f9a0324be74aade4a505fbf3ec1d929068b9f606e132f8",
+    ("sierpinski", 9): "8a0af4ea98b173870b535391f155293779d8eda129e00eaacd0152d3c374ed31",
+    ("sierpinski", 10): "4b57b4589c7cbfc62f9dd56e5f2d5f7e9ba341e8517f0e28ce40776b0a8c88a1",
     ("hata2d", 1): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
     ("hata2d", 2): "502fa18fc9886844b3ade5971d77191f53f1d0950134f13981fd172dd3da37c2",
     ("hata2d", 3): "2df7ae14bc8637340e15dafa53430e3557196489143ad0986ef348341f79cbec",
