@@ -46,6 +46,22 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
+def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``|points[i] - points[j]|`` for each row ``(i, j)`` of ``edges``.
+
+    The squared gaps are summed one axis at a time, in place, so no
+    ``(edges, d)`` array is formed; the result has the bits of
+    ``np.linalg.norm(points[i] - points[j], axis=1)``.
+    """
+    sq = np.zeros(edges.shape[0])
+    for col in points.T:
+        gap = col[edges[:, 0]]
+        gap -= col[edges[:, 1]]
+        gap *= gap
+        sq += gap
+    return np.sqrt(sq, out=sq)
+
+
 def _sorted_columns(cells: np.ndarray):
     """The smallest, middle and largest vertex of each cell."""
     a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
@@ -209,8 +225,7 @@ class LevelMesh:
         return np.flatnonzero(interior)
 
     def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
-        return np.linalg.norm(d, axis=1)
+        return _lengths(self.vertices, self.edges)
 
 
 @dataclass(frozen=True)
@@ -357,10 +372,7 @@ def _finish_mesh(ifs, level, points, maps, edges, cells):
         np.matmul(points, m.linear.T, out=block)
         block += m.translation
     # the minimum candidate edge length, taken block by block
-    min_len = np.min([
-        np.linalg.norm(cand[off + edges[:, 0]] - cand[off + edges[:, 1]], axis=1).min()
-        for off in offsets
-    ])
+    min_len = np.min([_lengths(cand[off:off + npts], edges).min() for off in offsets])
     if min_len <= 0.0:
         raise GeometryError("degenerate zero-length edge in construction")
     tol = RELATIVE_TOLERANCE * min_len
@@ -424,12 +436,12 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     ``_refine`` stacks the images of the coarser edge list map-major and the
     copies share no edge, so the edges of level n are ``m**n`` blocks of the
     seed edges, one per word of maps in lexicographic order.  The table is
-    read, not checked: on a mesh laid out otherwise it is wrong, and each
-    consumer checks what it uses.  ``solver._leaf_blocks`` refuses an element
-    outside its leaf, ``solver._Condensation`` copies that disagree on a glued
-    vertex or a vertex not eliminated exactly once, ``solver._contract_solve``
-    a residual over the contract, and ``embed`` a table match farther than
-    half the fine tolerance or not injective.
+    read, not checked: on a mesh laid out otherwise it is wrong.  It is read
+    by ``_structure``, on a level it refines itself, and by
+    ``solver._Condensation``, which refuses copies that disagree on a glued
+    vertex or a vertex not eliminated exactly once; ``solver._leaf_blocks``
+    refuses an element outside its leaf and ``solver._contract_solve`` a
+    residual over the contract.
     """
     copies, extra = divmod(mesh.num_edges, seed.num_edges)
     if extra:
@@ -517,50 +529,13 @@ def build_level(family: str, level: int) -> LevelMesh:
     return mesh
 
 
-def _embed_by_table(coarse: LevelMesh, fine: LevelMesh):
-    """The fine vertex of each coarse vertex read off the copy tables, or
-    ``None`` when the meshes do not follow the copy layout of ``build_level``
-    or the table does not give a match within half the fine tolerance."""
-    if fine.level != coarse.level + 1 or coarse.family not in FAMILIES:
-        return None
-    seed, glue, _ = _structure(coarse.family)
-    try:
-        coarse_leaves, fine_leaves = _copy_table(coarse, seed), _copy_table(fine, seed)
-    except GeometryError:
-        return None
-    m, nb = glue.shape
-    # level-1 vertex s < nb is seed vertex s: child i's vertex t when glue[i, t] == s
-    hit = glue.ravel() == np.arange(nb)[:, None]
-    if fine_leaves.shape[0] != m * coarse_leaves.shape[0] or not hit.any(axis=1).all():
-        return None
-    child, vertex = np.divmod(hit.argmax(axis=1), nb)
-    idx = np.full(coarse.num_vertices, -1, dtype=np.int64)
-    idx[coarse_leaves] = fine_leaves.reshape(-1, m, nb)[:, child, vertex]
-    if (idx < 0).any():
-        return None
-    gap = fine.vertices[idx] - coarse.vertices
-    half = 0.5 * float(fine.dedup_tolerance)
-    if (np.einsum("ij,ij->i", gap, gap) > half * half).any() or np.bincount(idx).max() > 1:
-        return None
-    return idx
-
-
 def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     """Match every coarse vertex to the coinciding fine vertex.
 
     Accepts ``fine`` at the same level (identity embedding) or one level up.
-
-    Consecutive levels of a built-in family are mapped through the copy
-    tables (``_copy_table``): seed vertex ``s`` of coarse copy ``w`` is
-    vertex ``t`` of fine copy ``w*m + i`` where the level-1 gluing table has
-    ``glue[i, t] == s``, since the copies meet only at images of the seed
-    vertices.  The table map is kept only if it is injective and every pair
-    lies within half the fine dedup tolerance.  The vertices of a mesh built
-    by ``iterate`` or ``build_level`` are more than that tolerance apart, so
-    the table vertex is then the unique nearest one, the vertex the
-    geometric match finds.  Otherwise, and for meshes outside the copy
-    layout, each coarse vertex is matched to the nearest fine vertex within
-    the tolerance by ``_match_core``.
+    Each coarse vertex is matched by ``_match_core`` to the nearest fine
+    vertex within the fine dedup tolerance.  A coarse vertex without one,
+    or a fine vertex matched twice, raises ``GeometryError``.
     """
     if fine.family != coarse.family:
         raise GeometryError("cannot embed meshes from different families")
@@ -569,14 +544,12 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
             f"embedding expects fine level in {{{coarse.level}, {coarse.level + 1}}}, "
             f"got {fine.level}"
         )
-    idx = _embed_by_table(coarse, fine)
-    if idx is None:
-        idx, _ = _match_core(fine.vertices, coarse.vertices, float(fine.dedup_tolerance))
-        missing = int((idx < 0).sum())
-        if missing:
-            raise GeometryError(
-                f"{missing} coarse vertices have no fine counterpart; incompatible meshes"
-            )
-        if np.bincount(idx).max(initial=0) > 1:
-            raise GeometryError("embedding is not injective; incompatible meshes")
+    idx, _ = _match_core(fine.vertices, coarse.vertices, float(fine.dedup_tolerance))
+    missing = int((idx < 0).sum())
+    if missing:
+        raise GeometryError(
+            f"{missing} coarse vertices have no fine counterpart; incompatible meshes"
+        )
+    if np.bincount(idx).max(initial=0) > 1:
+        raise GeometryError("embedding is not injective; incompatible meshes")
     return EmbeddingMap(coarse.level, fine.level, idx)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import FAMILIES, LevelMesh, _frozen, _structure
+from .geometry import FAMILIES, LevelMesh, _frozen, _lengths, _structure
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -147,9 +147,9 @@ def _fits(ratios: np.ndarray) -> bool:
 
 def _cell_sides(mesh: LevelMesh) -> np.ndarray:
     """(cells, 3): the length of the side opposite each cell vertex."""
-    v, c = mesh.vertices, mesh.cells
+    c = mesh.cells
     return np.column_stack([
-        np.linalg.norm(v[c[:, (i + 2) % 3]] - v[c[:, (i + 1) % 3]], axis=1) for i in range(3)
+        _lengths(mesh.vertices, c[:, ((i + 2) % 3, (i + 1) % 3)]) for i in range(3)
     ])
 
 

@@ -25,7 +25,7 @@ import json
 import numpy as np
 
 from .errors import UsageError
-from .geometry import LevelMesh, RELATIVE_TOLERANCE
+from .geometry import LevelMesh, RELATIVE_TOLERANCE, _lengths
 from .renorm import RenormEstimate
 from .solver import Solution
 
@@ -102,13 +102,16 @@ def read_mesh(path) -> LevelMesh:
         edges = _indices(doc, "edges").reshape(-1, 2)
         cells = _indices(doc, "cells").reshape(-1, 3)
         boundary = _indices(doc, "boundary")
-        family = str(doc["family"])
-        level = int(doc["level"])
+        family, level = doc["family"], doc["level"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed mesh document: {exc}") from None
+    if type(family) is not str:
+        raise UsageError("malformed mesh document: family must be a string")
+    if type(level) is not int or level < 0:
+        raise UsageError("malformed mesh document: level must be a nonnegative integer")
     if edges.size and (edges.min() < 0 or edges.max() >= vertices.shape[0]):
         raise UsageError("malformed mesh document: edge index out of range")
-    lengths = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
+    lengths = _lengths(vertices, edges)
     if lengths.size == 0 or lengths.min() <= 0.0:
         raise UsageError("mesh document has no usable edges")
     return LevelMesh(

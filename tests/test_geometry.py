@@ -14,7 +14,6 @@ from fraclap.geometry import (
     AffineMap,
     IFSystem,
     LevelMesh,
-    _embed_by_table,
     apply_map,
     build_level,
     builtin_system,
@@ -218,6 +217,16 @@ def test_edge_lengths(family, base, n):
     np.testing.assert_allclose(lengths, base**-n, rtol=1e-12)
 
 
+@pytest.mark.parametrize("family, n", [
+    ("koch", 9), ("sierpinski", 10), ("hata2d", 8), ("hata3d", 7),
+])
+def test_lengths_have_the_bits_of_the_norm(family, n):
+    # summed one axis at a time, in the order np.linalg.norm sums the row
+    m = build_level(family, n)
+    reference = np.linalg.norm(m.vertices[m.edges[:, 0]] - m.vertices[m.edges[:, 1]], axis=1)
+    assert m.edge_lengths().tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(5))
 def test_boundary_persistence(family, n):
@@ -287,8 +296,6 @@ def test_embed_outside_the_copy_layout_matches_geometrically(family):
     coarse, fine = build_level(family, 3), build_level(family, 4)
     order = np.random.default_rng(9).permutation(fine.num_edges)
     permuted = _with_vertices_and_edges(fine, fine.vertices, fine.edges[order])
-    assert _embed_by_table(coarse, fine) is not None
-    assert _embed_by_table(coarse, permuted) is None
     idx, _ = _match_core(fine.vertices, coarse.vertices, fine.dedup_tolerance)
     np.testing.assert_array_equal(embed(coarse, permuted).index_map, idx)
     np.testing.assert_array_equal(embed(coarse, fine).index_map, idx)

@@ -236,6 +236,23 @@ def test_area_load_working_set():
     assert peak - start <= 4.5 * 2**20, (peak - start) / 2**20
 
 
+def test_edge_elements_working_set():
+    # traced peak above what the call starts from, with the level built and
+    # lazy imports warm: 12.0 MiB with (edges, d) endpoint gathers for the
+    # lengths, 6.0 MiB with the squared gaps summed one axis at a time
+    # (numpy 2.4); the bound leaves 2 MiB of margin over the latter
+    mesh = build_level("koch", 9)
+    _elements(build_level("koch", 2), "fem_edge")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _elements(mesh, "fem_edge")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 8.0 * 2**20, (peak - start) / 2**20
+
+
 # -- stiffness matrices -----------------------------------------------------------
 
 def test_single_unit_edge_stiffness():

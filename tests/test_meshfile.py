@@ -82,6 +82,27 @@ def test_malformed_indices_rejected(tmp_path, key, row, value):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("level", 1.7),
+    ("level", True),
+    ("level", "1"),
+    ("level", -3),
+    ("family", 5),
+    ("family", None),
+], ids=["fractional-level", "true-level", "string-level", "negative-level",
+        "number-family", "null-family"])
+def test_malformed_level_or_family_rejected(tmp_path, key, value):
+    # both fields select the level's elements (measures._level): nothing is
+    # coerced into a level or a family name
+    path = tmp_path / "mesh.json"
+    write_mesh(build_level("koch", 1), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match="malformed mesh document"):
+        read_mesh(path)
+
+
 def test_table_format(tmp_path):
     estimates = [estimate_laplacian_ratio("sierpinski", n) for n in (2, 3)]
     path = tmp_path / "table.csv"
