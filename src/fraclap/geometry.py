@@ -439,7 +439,7 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     read, not checked: on a mesh laid out otherwise it is wrong.  It is read
     by ``_structure``, on a level it refines itself, and by
     ``solver._Condensation``, which refuses copies that disagree on a glued
-    vertex or a vertex not eliminated exactly once; ``solver._leaf_blocks``
+    vertex or a vertex not eliminated exactly once; ``solver._leaf_block``
     refuses an element outside its leaf and ``solver._contract_solve`` a
     residual over the contract.
     """

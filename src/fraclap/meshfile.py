@@ -91,6 +91,16 @@ def _indices(doc: dict, key: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _rows(arr: np.ndarray, key: str, width: int) -> np.ndarray:
+    """``arr`` as ``(n, width)`` rows: ``[]`` is no rows, and any other shape
+    (a flat list, rows of another width) is refused, not reshaped."""
+    if arr.shape == (0,):
+        return arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise UsageError(f"malformed mesh document: {key} must be rows of {width} entries")
+    return arr
+
+
 def read_mesh(path) -> LevelMesh:
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -98,13 +108,17 @@ def read_mesh(path) -> LevelMesh:
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed mesh document: {exc}") from None
     try:
-        vertices = np.array(doc["vertices"], dtype=np.float64).reshape(-1, doc["dimension"])
-        edges = _indices(doc, "edges").reshape(-1, 2)
-        cells = _indices(doc, "cells").reshape(-1, 3)
+        dimension = doc["dimension"]
+        vertices = np.array(doc["vertices"], dtype=np.float64)
+        edges, cells = _indices(doc, "edges"), _indices(doc, "cells")
         boundary = _indices(doc, "boundary")
         family, level = doc["family"], doc["level"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed mesh document: {exc}") from None
+    if type(dimension) is not int or dimension not in (2, 3):
+        raise UsageError("malformed mesh document: dimension must be 2 or 3")
+    vertices = _rows(vertices, "vertices", dimension)
+    edges, cells = _rows(edges, "edges", 2), _rows(cells, "cells", 3)
     if type(family) is not str:
         raise UsageError("malformed mesh document: family must be a string")
     if type(level) is not int or level < 0:

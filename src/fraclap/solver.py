@@ -10,11 +10,11 @@ there.  ``solve_condensed`` takes a mesh built by ``geometry.build_level``
 and solves by self-similar static condensation with numpy alone: the m
 copies of a level meet only at images of the seed vertices, so each copy
 condenses onto its boundary from the leaves up, and the values come back
-down from the Dirichlet data.  A depth holds one block when ``local`` is a
-stride-0 stack, as every built-in formulation passes (``measures._elements``),
-and one block per copy otherwise; either is served to the copies through
-one ``np.broadcast_to`` view.  The leaf blocks are applied unassembled by
-``graphs._apply_elements``, which also sums the loads of ``measures``.
+down from the Dirichlet data.  Every leaf must carry the same element
+matrices, as the stride-0 stacks of every built-in formulation do
+(``measures._elements``): each depth then holds one block, factored once.
+The leaf block is applied unassembled by ``graphs._apply_elements``, which
+also sums the loads of ``measures``.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -179,17 +179,15 @@ class _Condensation:
     """The interior block of ``sum_k local[k]`` over the vertex rows
     ``elements[k]`` of a ``build_level`` mesh, eliminated copy by copy.
 
-    Leaves are the ``m**n`` copies of the seed.  Going up one depth, the m
-    children of every copy are scattered into the level-1 vertex set V1 and
-    the vertices of V1 outside V0 are eliminated, batched over the copies of
-    that depth.  Each vertex becomes interior at exactly one copy.
-
-    A depth holds one block, when ``local`` is a stride-0 stack, or one block
-    per copy in copy order.  The leaf blocks, ``a_ii`` and ``x_ib`` are
-    served to the copies through ``np.broadcast_to`` views (stride 0 for one
-    block), so both layouts give the values a per-copy elimination computes.
-    The row sums of each block are carried up the depths, and each Schur
-    complement takes its diagonal from them, without cancellation.
+    Leaves are the ``m**n`` copies of the seed, and all of them carry one
+    leaf block.  Going up one depth, the m children of a copy are scattered
+    into the level-1 vertex set V1 and the vertices of V1 outside V0 are
+    eliminated.  Every copy of a depth has the same block, so each depth
+    keeps one ``inv_ii = A_II^-1`` and one ``x_ib = inv_ii A_IB``, and both
+    passes of ``solve`` are matrix products over the copies of a depth.
+    Each vertex becomes interior at exactly one copy.  The row sums of the
+    block are carried up the depths, and each Schur complement takes its
+    diagonal from them, without cancellation.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
@@ -200,39 +198,35 @@ class _Condensation:
         if (nb != seed.boundary_indices.size or self.leaves.shape[0] != m**mesh.level
                 or np.bincount(self.glue.ravel(), minlength=nv1).min() == 0):
             raise GeometryError("mesh is not a self-similar level of its family")
-        self.blocks = _leaf_blocks(self.leaves, elements, local)
+        self.block = _leaf_block(self.leaves, elements, local)
         self.interior = interior
-        ids, schur, self.depths = self.leaves, self.blocks, []
-        sums, diag = self.blocks.sum(axis=2), np.arange(nb)  # row sums of ``schur``
+        ids, schur, self.depths = self.leaves, self.block, []
+        sums, diag = self.block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
         for d in range(mesh.level - 1, -1, -1):
-            copies = m**d
-            child = ids.reshape(copies, m * nb)
-            v1 = np.empty((copies, nv1), dtype=np.int64)
+            child = ids.reshape(m**d, m * nb)
+            v1 = np.empty((m**d, nv1), dtype=np.int64)
             v1[:, self.glue.ravel()] = child
             if not (v1[:, self.glue.ravel()] == child).all():
                 raise GeometryError("copies disagree on a shared vertex")
-            blocks = 1 if schur.shape[0] == 1 else copies
-            children = np.broadcast_to(schur, (blocks * m, nb, nb)).reshape(blocks, m, nb, nb)
-            child_sums = np.broadcast_to(sums, (blocks * m, nb)).reshape(blocks, m, nb)
-            a, s = np.zeros((blocks, nv1, nv1)), np.zeros((blocks, nv1))
-            for i, g in enumerate(self.glue):
-                a[:, g[:, None], g] += children[:, i]
-                s[:, g] += child_sums[:, i]
-            a_ii = a[:, nb:, nb:].copy()
+            a, s = np.zeros((nv1, nv1)), np.zeros(nv1)
+            for g in self.glue:
+                a[g[:, None], g] += schur
+                s[g] += sums
             try:
-                x_ib = np.linalg.solve(a_ii, a[:, nb:, :nb])
+                inv_ii = np.linalg.inv(a[nb:, nb:])
             except np.linalg.LinAlgError:
                 raise SolveError("singular interior block") from None
+            x_ib = inv_ii @ a[nb:, :nb]
             # a_bb - a_bi x_ib cancels on the diagonal only (on an M-matrix block
             # every off-diagonal term has one sign): keep the symmetrized
             # off-diagonal part, and set the diagonal from the row sums
             # s_B - x_ib^T s_I of the Schur complement
-            schur = a[:, :nb, :nb] - a[:, :nb, nb:] @ x_ib
-            schur = 0.5 * (schur + schur.transpose(0, 2, 1))
-            sums = s[:, :nb] - (s[:, None, nb:] @ x_ib)[:, 0]
-            schur[:, diag, diag] = 0.0
-            schur[:, diag, diag] = sums - schur.sum(axis=2)
-            self.depths.append((v1, a_ii, x_ib))
+            schur = a[:nb, :nb] - a[:nb, nb:] @ x_ib
+            schur = 0.5 * (schur + schur.T)
+            sums = s[:nb] - s[nb:] @ x_ib
+            schur[diag, diag] = 0.0
+            schur[diag, diag] = sums - schur.sum(axis=1)
+            self.depths.append((v1, inv_ii, x_ib))
             ids = v1[:, :nb]
         eliminated = [ids.ravel()] + [v1[:, nb:].ravel() for v1, *_ in self.depths]
         once = np.bincount(np.concatenate(eliminated), minlength=mesh.num_vertices) == 1
@@ -241,7 +235,7 @@ class _Condensation:
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``."""
-        return _apply_elements(self.leaves, self.blocks, u)
+        return _apply_elements(self.leaves, self.block, u)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A_II x`` for an interior vector ``x``."""
@@ -261,17 +255,13 @@ class _Condensation:
                 fv[:, g] += children[:, i]
             f_i = fv[:, nb:] + f[v1[:, nb:]]
             # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
-            x_ib = np.broadcast_to(x_ib, (*f_i.shape, nb))
-            up = fv[:, :nb] - np.einsum("wib,wi->wb", x_ib, f_i)
+            up = fv[:, :nb] - f_i @ x_ib
             loads.append(f_i)
         u = np.zeros(f.size)
-        for (v1, a_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
-            # one solve per copy: a multi-RHS solve per block changes the bits
-            a_ii = np.broadcast_to(a_ii, (*f_i.shape, f_i.shape[1]))
-            x_ib = np.broadcast_to(x_ib, (*f_i.shape, nb))
-            u_i = np.linalg.solve(a_ii, f_i[..., None])[..., 0]
+        for (v1, inv_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
+            u_i = f_i @ inv_ii.T
             # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
-            u_i -= np.einsum("wib,wb->wi", x_ib, u[v1[:, :nb]])
+            u_i -= u[v1[:, :nb]] @ x_ib.T
             u[v1[:, nb:]] = u_i
         return u[self.interior]
 
@@ -279,17 +269,17 @@ class _Condensation:
         """``|A_II|_inf``; exact when no two leaves share a pair of vertices,
         as on the built-in families, and an upper bound otherwise."""
         eye = np.eye(self.leaves.shape[1])
-        diag = _apply_elements(self.leaves, self.blocks * eye, np.ones(self.interior.size))
-        off = _apply_elements(self.leaves, abs(self.blocks) * (1.0 - eye), self.interior * 1.0)
+        diag = _apply_elements(self.leaves, self.block * eye, np.ones(self.interior.size))
+        off = _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), self.interior * 1.0)
         return float((abs(diag) + off)[self.interior].max())
 
 
-def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
-    """Element matrices summed into seed-sized leaf blocks: one block when
-    ``local`` is a broadcast stack (stride 0 over its elements), else one
-    per leaf in leaf order.  The seed positions of the element vertices are
+def _leaf_block(leaves: np.ndarray, elements, local) -> np.ndarray:
+    """The element matrices of a leaf summed into the one seed-sized block
+    that every leaf carries.  The seed positions of the element vertices are
     read from the first leaf; every other leaf must list its elements in
-    the same order.
+    the same order (``GeometryError``) and carry the same element matrices
+    (``UsageError``), which a stride-0 ``local`` does without a comparison.
     """
     nleaf, nb = leaves.shape
     per_leaf, extra = divmod(elements.shape[0], nleaf)
@@ -303,12 +293,13 @@ def _leaf_blocks(leaves: np.ndarray, elements, local) -> np.ndarray:
     if not (leaves[:, pos] == elements).all():
         raise GeometryError("elements do not follow the copy layout of the first leaf")
     local = local.reshape(nleaf, per_leaf, *local.shape[1:])
-    if local.strides[0] == 0:
-        local = local[:1]
-    blocks = np.zeros((local.shape[0], nb, nb))
+    if local.strides[0] != 0 and not (local == local[:1]).all():
+        raise UsageError("condensation needs the same element matrices on every leaf; "
+                         "solve other stacks with solve_dirichlet")
+    block = np.zeros((nb, nb))
     for e, a, b in np.ndindex(local.shape[1:]):
-        blocks[:, pos[e, a], pos[e, b]] += local[:, e, a, b]
-    return blocks
+        block[pos[e, a], pos[e, b]] += local[0, e, a, b]
+    return block
 
 
 def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
@@ -322,7 +313,10 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     ``elements`` must list the same number of elements per leaf copy, in
     leaf order, and every leaf must list its elements, and the vertices of
     each, in the order of the first leaf (as the edges and cells of
-    ``build_level`` do); otherwise ``GeometryError`` is raised.
+    ``build_level`` do); otherwise ``GeometryError`` is raised.  Every leaf
+    must carry the same element matrices, as the stride-0 stacks of
+    ``measures._elements`` do; other stacks raise ``UsageError`` and go to
+    ``solve_dirichlet``.
     """
     interior, bidx, u0, elements, local, load = _problem(mesh, elements, local, load,
                                                          boundary_values)

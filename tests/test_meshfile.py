@@ -103,6 +103,33 @@ def test_malformed_level_or_family_rejected(tmp_path, key, value):
         read_mesh(path)
 
 
+_PATH_DOCUMENT = {
+    "family": "path", "level": 0, "dimension": 2,
+    "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+    "edges": [[0, 1], [1, 2], [2, 3]], "cells": [], "boundary": [0, 3],
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vertices", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
+    ("edges", [[0, 1, 2], [1, 2, 3]]),
+    ("vertices", [0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0]),
+    ("edges", [0, 1, 1, 2, 2, 3]),
+    ("cells", [0, 1, 2]),
+    ("dimension", 1),
+], ids=["3-d-rows-in-a-planar-document", "edges-of-three", "flat-vertices", "flat-edges",
+        "flat-cells", "dimension-1"])
+def test_rows_of_the_wrong_width_are_refused(tmp_path, key, value):
+    # not reshaped: 4 rows of 3 coordinates are not 6 planar vertices, and
+    # edges [[0, 1, 2], [1, 2, 3]] are not [[0, 1], [2, 1], [2, 3]]
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(_PATH_DOCUMENT))
+    assert read_mesh(path).num_edges == 3
+    path.write_text(json.dumps({**_PATH_DOCUMENT, key: value}))
+    with pytest.raises(UsageError, match="malformed mesh document"):
+        read_mesh(path)
+
+
 def test_table_format(tmp_path):
     estimates = [estimate_laplacian_ratio("sierpinski", n) for n in (2, 3)]
     path = tmp_path / "table.csv"
@@ -241,12 +268,14 @@ def _solution_cases():
 # rfem1d and rfem2d digests were re-recorded again when a built level took
 # one element per level (``measures._elements``); rfd kept its digests.  The
 # four solved cases were re-recorded once more when the condensation's Schur
-# diagonal came from the carried row sums and the loads from mass elements.
+# diagonal came from the carried row sums and the loads from mass elements,
+# and again when each depth kept one inverse and both passes became matrix
+# products (values moved by at most 5.7e-16 relative).
 SOLUTION_FILE_DIGESTS = {
-    "sierpinski-4-rfd": "b608945853fe62a7b9eddac7c217382f5a5fecebb9ece17756e603daf861fd2b",
-    "sierpinski-4-rfem1d": "f429fa6f0289db94dbe1f4600ac8a76b40d021e5bb8b4235d5bc16e178b0ae22",
-    "sierpinski-4-rfem2d": "1a23172ebdc69cc7d85d2a22bcecc559cb7d612a3db3592dacbdbabd9a16c1e1",
-    "hata3d-3-rfd": "0b30766d9d706d603d9dfd6f5ca96b6f9325861cc83980030983f11cd553d755",
+    "sierpinski-4-rfd": "0410c4967a57e025e7a916a21552ff4e39a472a08369cbd599fbc2fd2a07a04b",
+    "sierpinski-4-rfem1d": "b350a5b7881e70fdf7681c4d2a8122c8df8ca89e96d0118f9eda33f172eb2e45",
+    "sierpinski-4-rfem2d": "d10d8ddc1d0217f108d01c43e1092725d87f6fb37adf3dba0accb720ac089e37",
+    "hata3d-3-rfd": "7309a57e02d42e8a32e03152bc6a76f52af35d80e68bd618bf2a1943f7c9fef2",
     "no-constant": "474e2ed0b5891712470433d8b5f7942bbd2e72a9692757f0b6a3c8fd5fd86623",
     "extra": "a92c1605a1167771636eca968dac3259312218bda4788e5ff9057b3364d7fb7f",
 }

@@ -127,16 +127,30 @@ def _level_3_values(family, method, constant, n):
 # solution at the level-3 vertices is the same at every level.  Measured
 # drift from level 3 at the top level: 4.3e-11 (Sierpinski) to 5.3e-7 (Koch
 # rfem1d) with the Schur diagonal formed by subtraction, at most 8.3e-16 with
-# it set from the row sums.
+# it set from the row sums.  The deep cases run at the largest allowed
+# levels, outside tier-1 (``pytest -m deep``).
 @pytest.mark.parametrize("family, method, constant, top", [
     ("sierpinski", "rfd", 5.0, 10), ("sierpinski", "rfem1d", 5 / 4, 10),
     ("sierpinski", "rfem2d", 5 / 4, 10), ("koch", "rfd", 16.0, 9),
     ("koch", "rfem1d", 16 / 9, 9), ("hata2d", "rfem1d", 5 / 3, 8),
+    *(pytest.param(*case, marks=pytest.mark.deep) for case in [
+        ("sierpinski", "rfd", 5.0, 14), ("koch", "rfd", 16.0, 11),
+        ("koch", "rfem1d", 16 / 9, 11), ("hata2d", "rfem1d", 5 / 3, 9),
+    ]),
 ])
 def test_self_similar_solution_does_not_drift_with_the_level(family, method, constant, top):
     coarse = _level_3_values(family, method, constant, 3)
     fine = _level_3_values(family, method, constant, top)
     assert np.abs(fine - coarse).max() <= 1e-12 * np.abs(coarse).max()
+
+
+@pytest.mark.deep
+def test_harmonic_solution_keeps_the_maximum_principle_at_hata3d_level_8():
+    mesh = build_level("hata3d", 8)
+    h = _zero_bc(mesh, [0.0, 1.0])
+    u = solve_online("hata3d", 8, "rfd", 3.0, np.zeros(mesh.num_vertices), h).values
+    assert [u[i] for i in h] == list(h.values())
+    assert 0.0 <= u.min() and u.max() <= 1.0
 
 
 def test_estimate_statistics_ordering():

@@ -9,14 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraclap.errors import GeometryError, SolveError, UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level, builtin_system
+from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level
 from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.renorm import _elements, _load, _renormalized
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     _Condensation,
-    _leaf_blocks,
+    _leaf_block,
     _problem,
     linear_solve,
     partition,
@@ -307,25 +307,15 @@ def _oracle_cases():
     # one deep case per family
     yield from [("sierpinski", "fd", 8), ("koch", "fem_edge", 7),
                 ("hata2d", "fd", 7), ("hata3d", "graph_energy", 7)]
-    # a heterogeneous stack per family: random edge conductances
-    yield from [("sierpinski", "conductance", 6), ("koch", "conductance", 5),
-                ("hata2d", "conductance", 5), ("hata3d", "conductance", 4)]
 
 
 @pytest.mark.parametrize("family, formulation, level", list(_oracle_cases()))
 def test_condensation_matches_the_factorization(family, formulation, level):
     mesh = build_level(family, level)
     rng = np.random.default_rng(level)
-    if formulation == "conductance":  # one block per copy, assembled here by hand
-        c = rng.uniform(0.5, 2.0, mesh.num_edges)
-        elements, local = mesh.edges, c[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        i, j = mesh.edges.T
-        operator = _assemble(mesh.num_vertices, [i, j, i, j], [i, j, j, i], [c, c, -c, -c])
-        load = rng.normal(size=mesh.num_vertices)
-    else:
-        elements, local = _elements(mesh, formulation)
-        operator = STIFFNESS[formulation](mesh)
-        load = _load(mesh, formulation, rng.normal(size=mesh.num_vertices))
+    elements, local = _elements(mesh, formulation)
+    operator = STIFFNESS[formulation](mesh)
+    load = _load(mesh, formulation, rng.normal(size=mesh.num_vertices))
     h = {int(i): float(v) for i, v in
          zip(mesh.boundary_indices, rng.normal(size=mesh.boundary_indices.size))}
     problem = mesh, elements, local, load, h
@@ -344,6 +334,26 @@ def test_condensation_matches_the_factorization(family, formulation, level):
     norm = _Condensation(mesh, elements, local, interior).norm()
     assembled = abs(a_ii).sum(axis=1).max()
     assert abs(norm - assembled) <= 1e-14 * assembled
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_condensation_refuses_unequal_leaf_elements(family):
+    # random edge conductances: the leaves carry different blocks, which the
+    # condensation refuses and the factorization solves
+    mesh = build_level(family, 3)
+    rng = np.random.default_rng(3)
+    c = rng.uniform(0.5, 2.0, mesh.num_edges)
+    local = c[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    load = rng.normal(size=mesh.num_vertices)
+    h = {int(i): float(v) for i, v in
+         zip(mesh.boundary_indices, rng.normal(size=mesh.boundary_indices.size))}
+    with pytest.raises(UsageError, match="solve_dirichlet"):
+        solve_condensed(mesh, mesh.edges, local, load, h)
+    i, j = mesh.edges.T
+    operator = _assemble(mesh.num_vertices, [i, j, i, j], [i, j, j, i], [c, c, -c, -c])
+    factored = solve_dirichlet(mesh, mesh.edges, local, load, h)
+    np.testing.assert_allclose(factored.values, dense_dirichlet_oracle(mesh, operator, load, h),
+                               rtol=1e-10, atol=1e-10)
 
 
 # the fd cases keep the family alone as their id
@@ -380,8 +390,8 @@ def test_leaf_blocks_are_the_per_element_sums(family, formulation):
         pos = [int(np.flatnonzero(leaves[w] == v)[0]) for v in element]
         for a, b in np.ndindex(matrix.shape):
             expected[w, pos[a], pos[b]] += matrix[a, b]
-    blocks = _leaf_blocks(leaves, elements, local)
-    assert np.broadcast_to(blocks, expected.shape).tobytes() == expected.tobytes()
+    assert (expected == expected[:1]).all()  # every leaf carries one block
+    assert _leaf_block(leaves, elements, local).tobytes() == expected[0].tobytes()
 
 
 @pytest.mark.parametrize("family, formulation, swap", [
@@ -468,30 +478,30 @@ def test_non_finite_load_is_a_usage_error(solver, bad):
         SOLVERS[solver](mesh, *_elements(mesh, "fd"), load, h)
 
 
-# -- one block per depth, or one per copy -------------------------------------
+# -- one block per depth --------------------------------------------------------
 
 # sha256 of solve_condensed(...).values.tobytes() and the solver residual, for
-# the load of g = 1 + x*y and zero boundary data (or 1, -0.5, 0.25).  Recorded
-# while every copy was still factored on its own; a stride-0 stack now forms
-# one block per depth, and the results must not move by a bit.  The
-# fem entries were re-recorded when a built level took one element per level
-# (``measures._elements``); the fd entries kept theirs.  Every entry was
-# re-recorded once more when the Schur diagonal came from the carried row
-# sums (``_Condensation``) and the loads from mass elements
-# (``measures._masses``).
+# the load of g = 1 + x*y and zero boundary data (or 1, -0.5, 0.25).  First
+# recorded while every copy was factored on its own; the fem entries were
+# re-recorded when a built level took one element per level
+# (``measures._elements``), and every entry when the Schur diagonal came from
+# the carried row sums (``_Condensation``) and the loads from mass elements
+# (``measures._masses``).  Every entry was re-recorded once more when each
+# depth kept one inverse and both passes became matrix products; the values
+# moved by at most 1.6e-15 relative.
 DEEP_CONDENSATION_DIGESTS = {
     ("sierpinski", 9, "fd", False): (
-        "22c5591ee62f7e1d848987feb263617bbebf356a4926ec37bb05632459ac2752", 3.6248470891564466e-10),
+        "d753e524df189b83f8d0abccb1b48790ecce01aecb199d45886502f00ec7bda9", 2.848523639187306e-10),
     ("sierpinski", 9, "fem_area", False): (
-        "8c8c460cd684a5dee78564ef35df01e51ada15e8e180fe074e932df5f13108c7", 5.023710058517893e-16),
+        "5e2f61c41df8879aa5ae6d246fc51c3bf70f10ab56dab01e1d514432f14871ae", 4.468598546205314e-16),
     ("koch", 8, "fem_edge", False): (
-        "aeaf252f53c18024c0535d63f1a77716c628c674852e0b71dd15117a07420e3d", 7.791945387525256e-11),
+        "e300cdd2a6a81211ea625d11491ce569f8a33584ae7fa0520a121ebaa5f19824", 7.722045352871569e-11),
     ("hata2d", 6, "fd", False): (
-        "51484ae2040ac79c008c14967a55ff24ac1180e1e6fd1e2980004482993e6b54", 1.6477770259371027e-09),
+        "8d4d38a5dd06c55da650c0eea96c91e9a73b22f9d3dc5a35e9ec0ee7c90d104d", 1.460748189074934e-09),
     ("hata3d", 6, "fem_edge", False): (
-        "f8be24957db52b788638ad78f556fa84edbf840c4c26d9b75c346bc958e41a36", 1.2277069118271644e-11),
+        "8f965683a95f1f86ba5b09c8439326366b4d1f21d2fc5a70be23a5de79801047", 1.2075816041567933e-11),
     ("sierpinski", 10, "fd", True): (
-        "788c156cdf3e5b40482b5e8fd58a00eaa1af9ad37b7bff4135f2f31833aca555", 2.1457984278328013e-09),
+        "3b71f141bde2edff1566bdf5f65cb043b213c9a772c7a297946fb143208ec447", 1.9159545061597782e-09),
 }
 
 
@@ -509,14 +519,6 @@ def test_deep_condensation_is_bit_identical(family, level, formulation, boundary
     assert solution.solver_residual == residual
 
 
-def _block_counts(mesh, elements, local):
-    """Blocks formed at the leaves and at each depth, deepest first."""
-    interior = np.ones(mesh.num_vertices, dtype=bool)
-    interior[mesh.boundary_indices] = False
-    cond = _Condensation(mesh, elements, local, interior)
-    return [cond.blocks.shape[0]] + [a_ii.shape[0] for _, a_ii, _ in cond.depths]
-
-
 def _one_element_cases():
     for family in FAMILIES:
         for formulation in ("fd", "graph_energy", "fem_edge"):
@@ -529,29 +531,36 @@ def test_unit_edge_elements_give_one_block_per_depth(family, formulation):
     mesh = build_level(family, 6)
     elements, local = _elements(mesh, formulation)
     assert local.strides[0] == 0  # one element per level, broadcast
-    assert _block_counts(mesh, elements, local) == [1] * 7
     # scaled by constant**n as solve_online does: the stack stays broadcast
     scaled = _renormalized(local, 5.0, 6)
     assert scaled.strides[0] == 0
-    assert _block_counts(mesh, elements, scaled) == [1] * 7
-    # a full array of the same elements forms one block per copy
+    # a full array of the same elements gives the bits of the broadcast stack
     full = np.array(scaled)
-    m = len(builtin_system(family).maps)
-    assert _block_counts(mesh, elements, full) == [m**d for d in range(6, -1, -1)]
-    # and gives the bits of the broadcast stack
     load = _load(mesh, formulation, 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1])
     h = {int(i): v for i, v in zip(mesh.boundary_indices, [1.0, -0.5, 0.25])}
-    one, per_copy = (solve_condensed(mesh, elements, s, load, h) for s in (scaled, full))
-    assert per_copy.values.tobytes() == one.values.tobytes()
-    assert per_copy.solver_residual == one.solver_residual
+    one, dense = (solve_condensed(mesh, elements, s, load, h) for s in (scaled, full))
+    assert dense.values.tobytes() == one.values.tobytes()
+    assert dense.solver_residual == one.solver_residual
 
 
-def test_sierpinski_fem_area_distinct_blocks_per_depth():
-    mesh = build_level("sierpinski", 8)
-    counts = _block_counts(mesh, *_elements(mesh, "fem_area"))
-    # copies: 6561 leaves, then 2187, 729, ..., 1; elements from coordinates
-    # formed up to 20 blocks per depth
-    assert counts == [1] * 9
+def test_solve_factors_nothing(monkeypatch):
+    # one inverse per depth is formed on construction; solve only multiplies
+    mesh = build_level("sierpinski", 5)
+    elements, local = _elements(mesh, "fd")
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_indices] = False
+    calls = []
+    for name in ("solve", "inv"):
+        def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cond = _Condensation(mesh, elements, local, interior)
+    assert len(calls) == mesh.level
+    calls.clear()
+    b = np.ones(int(interior.sum()))
+    cond.solve(cond.solve(b))
+    assert calls == []
 
 
 @pytest.mark.parametrize("broadcast", [True, False])
