@@ -11,12 +11,14 @@ discovery order, and repeated runs produce identical meshes.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError, UsageError
-from .kernels import _dedup_core, _match_core
+from .kernels import _dedup_core
 
 FAMILIES = ("koch", "sierpinski", "hata2d", "hata3d")
 
@@ -35,6 +37,19 @@ def _frozen(arr, dtype):
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _index_array(arr, shape, message):
+    """``arr`` as a frozen int64 array of ``shape``, whose leading -1 stands
+    for any count.  Any empty array is no rows; anything else of another
+    shape, or not of an integer dtype, raises ``GeometryError`` with
+    ``message``: nothing is reshaped or truncated."""
+    arr = np.asarray(arr)
+    if arr.size == 0:
+        arr = arr.reshape(shape)
+    elif arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or arr.dtype.kind not in "iu":
+        raise GeometryError(message)
+    return _frozen(arr, np.int64)
 
 
 def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
@@ -165,14 +180,17 @@ class LevelMesh:
 
     def __post_init__(self):
         verts = _frozen(self.vertices, np.float64)
-        edges = _frozen(np.asarray(self.edges).reshape(-1, 2), np.int64)
-        cells = _frozen(np.asarray(self.cells).reshape(-1, 3), np.int64)
-        bidx = _frozen(self.boundary_indices, np.int64)
+        edges = _index_array(self.edges, (-1, 2), "edges must be integer rows of 2 entries")
+        cells = _index_array(self.cells, (-1, 3), "cells must be integer rows of 3 entries")
+        bidx = _index_array(self.boundary_indices, (-1,), "boundary indices must be 1-D integers")
+        tol = self.dedup_tolerance
         n = verts.shape[0]
         if verts.ndim != 2 or verts.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
         if not np.isfinite(verts).all():
             raise GeometryError("vertex coordinates must be finite")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise GeometryError(f"dedup tolerance must be finite and nonnegative, got {tol!r}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GeometryError("edge index out of range")
         if (edges[:, 0] == edges[:, 1]).any():
@@ -451,6 +469,18 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     return table
 
 
+def _level_index(level) -> int:
+    """``operator.index(level)``; anything else, or a negative level, raises
+    ``UsageError``: 2.7 is not read as level 2."""
+    try:
+        level = operator.index(level)
+    except TypeError:
+        raise UsageError(f"level must be an integer, got {level!r}") from None
+    if level < 0:
+        raise UsageError("level must be nonnegative")
+    return level
+
+
 def iterate(ifs: IFSystem, n: int) -> LevelMesh:
     """Apply the union map ``n`` times to the seed and return the mesh.
 
@@ -458,10 +488,9 @@ def iterate(ifs: IFSystem, n: int) -> LevelMesh:
     gives them.  A system whose copies share an edge (a repeated or an
     overlapping map) raises ``GeometryError``.
     """
-    if n < 0:
-        raise UsageError("level must be nonnegative")
+    n = _level_index(n)
     mesh = _seed_mesh(ifs)
-    for _ in range(int(n)):
+    for _ in range(n):
         mesh = _refine(ifs, mesh)
     return mesh
 
@@ -486,18 +515,19 @@ def predicted_vertices(family: str, level: int) -> int:
     A level is m copies of the one below glued at c = m V_0 - V_1 vertices,
     so V_{n+1} = m V_n - c, solved from the structure (``_structure``): m
     children in the gluing table, V_0 seed vertices and V_1 level-1 vertices.
+    A level that is not a nonnegative integer raises ``UsageError``.
     """
     seed, glue, _ = _structure(family)
     m, v0, v1 = glue.shape[0], seed.num_vertices, int(glue.max()) + 1
     c = m * v0 - v1
-    return (c + (v0 * (m - 1) - c) * m**int(level)) // (m - 1)
+    return (c + (v0 * (m - 1) - c) * m**_level_index(level)) // (m - 1)
 
 
 def check_level(family: str, level: int) -> None:
-    """Refuse with ``UsageError`` a negative level or one whose predicted
-    vertex count exceeds ``MAX_VERTICES``, before anything is built."""
-    if level < 0:
-        raise UsageError("level must be nonnegative")
+    """Refuse with ``UsageError`` a level that is not a nonnegative integer
+    (``_level_index``) or one whose predicted vertex count exceeds
+    ``MAX_VERTICES``, before anything is built."""
+    level = _level_index(level)
     largest = 0  # counts grow with the level: find the last that fits
     while predicted_vertices(family, largest + 1) <= MAX_VERTICES:
         largest += 1
@@ -530,12 +560,15 @@ def build_level(family: str, level: int) -> LevelMesh:
 
 
 def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
-    """Match every coarse vertex to the coinciding fine vertex.
+    """Map every coarse vertex to the coinciding fine vertex.
 
     Accepts ``fine`` at the same level (identity embedding) or one level up.
-    Each coarse vertex is matched by ``_match_core`` to the nearest fine
-    vertex within the fine dedup tolerance.  A coarse vertex without one,
-    or a fine vertex matched twice, raises ``GeometryError``.
+    The fine vertices, then the coarse ones, are merged by the dedup that
+    builds every level (``_dedup_or_raise``) with the fine dedup tolerance,
+    so each coarse vertex goes to the first fine vertex within it.  Two
+    vertices at a distance in ``(tol/10, tol]`` raise its "dedup ambiguity"
+    ``GeometryError``; so does a coarse vertex with no fine vertex within
+    the tolerance, or a fine vertex taken by two coarse ones.
     """
     if fine.family != coarse.family:
         raise GeometryError("cannot embed meshes from different families")
@@ -544,8 +577,11 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
             f"embedding expects fine level in {{{coarse.level}, {coarse.level + 1}}}, "
             f"got {fine.level}"
         )
-    idx, _ = _match_core(fine.vertices, coarse.vertices, float(fine.dedup_tolerance))
-    missing = int((idx < 0).sum())
+    nf = fine.num_vertices
+    assign, uniq_rows = _dedup_or_raise(np.vstack([fine.vertices, coarse.vertices]),
+                                        fine.dedup_tolerance)
+    idx = uniq_rows[assign[nf:]]
+    missing = int((idx >= nf).sum())
     if missing:
         raise GeometryError(
             f"{missing} coarse vertices have no fine counterpart; incompatible meshes"

@@ -1,7 +1,7 @@
-"""Hot inner-loop kernels: tolerance-based point dedup and matching.
+"""Merging points closer than a tolerance.
 
-Point merging and matching share one close-pair search, a sort and sweep of
-the points' projections onto one fixed direction (see ``_close_pairs``).
+Points are merged by one close-pair search, a sort and sweep of their
+projections onto one fixed direction (see ``_close_pairs``).
 
 Dedup keeps the first occurrence of each cluster: every point goes to the
 smallest index within ``tol`` of it.  Copies of the pieces of a
@@ -94,25 +94,4 @@ def _dedup_core(points, tol):
     kept = root == np.arange(n)
     rank = np.cumsum(kept) - 1
     return rank[root], np.flatnonzero(kept), amb_i, amb_j
-
-
-def _match_core(ref, query, tol):
-    """Nearest-reference match within ``tol`` for each query point.
-
-    Returns ``(best_idx, best_d2)``; ``best_idx[i]`` is -1 (and
-    ``best_d2[i]`` infinite) when no reference point lies within ``tol`` of
-    ``query[i]``.  Equidistant references resolve to the smallest index.
-    """
-    m = ref.shape[0]
-    i, j, d2 = _close_pairs(np.vstack([ref, query]), tol)
-    cross = (i < m) & (j >= m)
-    r, qi, d2 = i[cross], j[cross] - m, d2[cross]
-    order = np.lexsort((r, d2, qi))
-    _, head = np.unique(qi[order], return_index=True)
-    first = order[head]
-    best_idx = np.full(query.shape[0], -1, np.int64)
-    best_d2 = np.full(query.shape[0], np.inf, np.float64)
-    best_idx[qi[first]] = r[first]
-    best_d2[qi[first]] = d2[first]
-    return best_idx, best_d2
 

@@ -119,6 +119,8 @@ def read_mesh(path) -> LevelMesh:
         raise UsageError("malformed mesh document: dimension must be 2 or 3")
     vertices = _rows(vertices, "vertices", dimension)
     edges, cells = _rows(edges, "edges", 2), _rows(cells, "cells", 3)
+    if boundary.ndim != 1:
+        raise UsageError("malformed mesh document: boundary must be a list of indices")
     if type(family) is not str:
         raise UsageError("malformed mesh document: family must be a string")
     if type(level) is not int or level < 0:

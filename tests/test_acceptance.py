@@ -8,7 +8,7 @@ see the lines for passing criteria as well).
 import numpy as np
 import pytest
 
-from fraclap.geometry import FAMILIES, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, build_level, embed
 from fraclap.graphs import graph_laplacian
 from fraclap.measures import (
     MeasureKind,
@@ -181,15 +181,14 @@ def test_criterion_09_property_suite():
         violations.append("linearity")
 
     # reflection symmetry under the mirror exchanging the two zero corners
-    from fraclap.kernels import _match_core
-
     sol = solve_dirichlet(mesh, elements, local, np.zeros(mesh.num_vertices),
                           {0: 1.0, 1: 0.0, 2: 0.0})
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
-    reflected = mesh.vertices @ np.array([[c, s], [s, -c]]).T
-    idx, _ = _match_core(mesh.vertices, np.ascontiguousarray(reflected),
-                         mesh.dedup_tolerance)
-    if (idx < 0).any() or np.abs(sol.values[idx] - sol.values).max() > 1e-10:
+    reflected = LevelMesh(mesh.family, mesh.level,
+                          mesh.vertices @ np.array([[c, s], [s, -c]]).T, mesh.edges,
+                          mesh.cells, mesh.boundary_indices, mesh.dedup_tolerance)
+    idx = embed(reflected, mesh).index_map
+    if np.abs(sol.values[idx] - sol.values).max() > 1e-10:
         violations.append("reflection symmetry")
 
     # Laplacian kernel and positive semidefiniteness

@@ -103,6 +103,28 @@ def test_renorm_other_methods(tmp_path, method, expected):
         assert abs(float(line.split(",")[2]) - expected) <= 1e-3
 
 
+# The top level pairs, through the CLI in process (``pytest -m deep``): the
+# exactly self-similar pairs read their constant to rounding at every ratio,
+# and hata3d's mean is near 2.
+@pytest.mark.deep
+@pytest.mark.parametrize("family, method, levels, columns, constant, bound", [
+    ("koch", "fem-edge", "10:11", (1, 3), 16 / 9, 1e-12),
+    ("hata2d", "fem-edge", "8:9", (1, 3), 5 / 3, 1e-12),
+    ("sierpinski", "fem-area", "12:13", (1, 3), 5 / 4, 1e-12),
+    ("hata3d", "fem-edge", "7:8", (2,), 2.0, 1e-3),
+], ids=["koch", "hata2d", "sierpinski", "hata3d"])
+def test_renorm_at_the_top_pair(tmp_path, family, method, levels, columns, constant, bound):
+    out = tmp_path / "table.csv"
+    rc = cli.main(["renorm", "--family", family, "--method", method,
+                   "--levels", levels, "--out", str(out)])
+    assert rc == 0
+    header, row = out.read_text().strip().splitlines()
+    fields = row.split(",")
+    assert fields[0] == levels
+    for k in columns:  # 1 max, 2 mean, 3 min
+        assert abs(float(fields[k]) - constant) <= bound, header.split(",")[k]
+
+
 def test_solve_sierpinski_rows_and_boundary(tmp_path):
     out = tmp_path / "sol.csv"
     rc = cli.main([

@@ -22,7 +22,6 @@ from fraclap.geometry import (
     iterate,
     predicted_vertices,
 )
-from fraclap.kernels import _match_core
 
 SQRT3 = np.sqrt(3.0)
 
@@ -172,6 +171,22 @@ def test_iterate_rejects_negative_level():
         iterate(builtin_system("koch"), -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: iterate(builtin_system("koch"), 2.7),
+    lambda: build_level("koch", 1.5),
+    lambda: build_level("koch", "2"),
+    lambda: check_level("koch", 2.0),
+    lambda: predicted_vertices("koch", 2.7),
+], ids=["iterate-2.7", "build-1.5", "build-string", "check-2.0", "predicted-2.7"])
+def test_a_level_must_be_an_integer(call):
+    # numpy integers are levels; 2.7 is not truncated to 2, 1.5 is not
+    # reported as negative, and "2" raises no TypeError
+    assert build_level("koch", np.int64(2)).num_vertices == 17
+    assert iterate(builtin_system("koch"), np.int32(2)).num_vertices == 17
+    with pytest.raises(UsageError, match="level must be an integer"):
+        call()
+
+
 # -- determinism and self-similarity ------------------------------------------
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -296,7 +311,10 @@ def test_embed_outside_the_copy_layout_matches_geometrically(family):
     coarse, fine = build_level(family, 3), build_level(family, 4)
     order = np.random.default_rng(9).permutation(fine.num_edges)
     permuted = _with_vertices_and_edges(fine, fine.vertices, fine.edges[order])
-    idx, _ = _match_core(fine.vertices, coarse.vertices, fine.dedup_tolerance)
+    # the nearest fine vertex to each coarse one, by brute force
+    dist2 = ((coarse.vertices[:, None, :] - fine.vertices[None, :, :]) ** 2).sum(axis=2)
+    idx = dist2.argmin(axis=1)
+    assert (dist2[np.arange(coarse.num_vertices), idx] <= fine.dedup_tolerance**2).all()
     np.testing.assert_array_equal(embed(coarse, permuted).index_map, idx)
     np.testing.assert_array_equal(embed(coarse, fine).index_map, idx)
 
@@ -309,6 +327,18 @@ def test_embed_rejects_a_shared_vertex_moved_by_twice_the_tolerance(family):
     shared = embed(coarse, fine).index_map[coarse.interior_indices[0]]
     moved[shared, 0] += 2 * fine.dedup_tolerance
     with pytest.raises(GeometryError, match="no fine counterpart"):
+        embed(coarse, _with_vertices_and_edges(fine, moved, fine.edges))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_embed_refuses_a_shared_vertex_in_the_dedup_gray_zone(family):
+    # half a tolerance is within it, but not clearly: the build refuses such
+    # a pair, and so does the embed
+    coarse, fine = build_level(family, 3), build_level(family, 4)
+    moved = fine.vertices.copy()
+    shared = embed(coarse, fine).index_map[coarse.interior_indices[0]]
+    moved[shared, 0] += 0.5 * fine.dedup_tolerance
+    with pytest.raises(GeometryError, match="dedup ambiguity"):
         embed(coarse, _with_vertices_and_edges(fine, moved, fine.edges))
 
 
@@ -369,6 +399,31 @@ def test_mesh_rejects_duplicate_edge():
 def test_mesh_rejects_cell_side_without_edge():
     with pytest.raises(GeometryError, match="pairwise joined"):
         LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2]], [[0, 1, 2]], [0], 1e-9)
+
+
+_PATH_MESH = dict(family="path", level=0,
+                  vertices=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+                  edges=[[0, 1], [1, 2], [2, 3]], cells=[], boundary_indices=[0, 3],
+                  dedup_tolerance=1e-9)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("edges", [[0, 1, 2], [1, 2, 3]], "edges must be integer rows"),
+    ("edges", [0, 1, 1, 2, 2, 3], "edges must be integer rows"),
+    ("edges", [[0.5, 1], [1, 2], [2, 3]], "edges must be integer rows"),
+    ("cells", [[0, 1], [1, 2], [2, 3]], "cells must be integer rows"),
+    ("boundary_indices", [[0], [3]], "boundary indices must be 1-D integers"),
+    ("boundary_indices", [0.7, 3.2], "boundary indices must be 1-D integers"),
+    ("dedup_tolerance", float("nan"), "dedup tolerance must be finite"),
+    ("dedup_tolerance", -1.0, "dedup tolerance must be finite"),
+], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
+        "boundary-rows", "fractional-boundary", "nan-tolerance", "negative-tolerance"])
+def test_mesh_refuses_malformed_arrays(key, value, message):
+    # not reshaped or truncated: edges [[0, 1, 2], [1, 2, 3]] are not
+    # [[0, 1], [2, 1], [2, 3]], and boundary [0.7, 3.2] is not [0, 3]
+    assert LevelMesh(**{**_PATH_MESH, "dedup_tolerance": 0.0}).num_edges == 3
+    with pytest.raises(GeometryError, match=message):
+        LevelMesh(**{**_PATH_MESH, key: value})
 
 
 # -- bit identity --------------------------------------------------------------

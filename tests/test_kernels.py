@@ -1,12 +1,12 @@
-"""Unit tests for the dedup/match kernels, including comparisons with
-quadratic brute-force oracles."""
+"""Unit tests for the dedup kernels, including comparisons with quadratic
+brute-force oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap.kernels import _DIRECTION, _close_pairs, _dedup_core, _match_core
+from fraclap.kernels import _DIRECTION, _close_pairs, _dedup_core
 
 
 def brute_force_dedup(points, tol):
@@ -117,52 +117,6 @@ def test_dedup_merges_clusters_across_cell_edges(dim):
     assert ref_uniq.shape[0] == 80
     np.testing.assert_array_equal(assign, ref_assign)
     np.testing.assert_array_equal(pts[uniq_rows], ref_uniq)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_match_finds_partners_across_cell_edges(dim):
-    rng = np.random.default_rng(31 + dim)
-    tol = 1e-6
-    clusters = grid_edge_clusters(rng, 80, 2, dim, tol).reshape(80, 2, dim)
-    ref, query = clusters[:, 0], clusters[::-1, 1]
-    idx, d2 = _match_core(ref, query, tol)
-    dist2 = ((query[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-    np.testing.assert_array_equal(idx, dist2.argmin(axis=1))
-    np.testing.assert_array_equal(idx, np.arange(80)[::-1])
-    assert d2.max() <= tol * tol
-
-
-def test_match_finds_shared_points():
-    rng = np.random.default_rng(11)
-    ref = rng.uniform(-1, 1, size=(200, 2))
-    perm = rng.permutation(200)[:50]
-    query = ref[perm] + rng.uniform(-1e-12, 1e-12, size=(50, 2))
-    idx, d2 = _match_core(ref, query, 1e-9)
-    np.testing.assert_array_equal(idx, perm)
-    assert d2.max() <= 1e-18
-
-
-def test_match_reports_unmatched():
-    ref = np.array([[0.0, 0.0], [1.0, 0.0]])
-    query = np.array([[0.5, 0.5]])
-    idx, _ = _match_core(ref, query, 1e-9)
-    assert idx[0] == -1
-
-
-def test_match_unmatched_with_unequal_sizes():
-    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-    query = np.array([[1.0, 1.0 + 1e-13], [0.5, 0.5], [0.0, 0.0]])
-    idx, d2 = _match_core(ref, query, 1e-9)
-    np.testing.assert_array_equal(idx, [3, -1, 0])
-    assert d2[1] == np.inf and d2[2] == 0.0
-
-
-def test_match_3d():
-    rng = np.random.default_rng(3)
-    ref = rng.uniform(-1, 1, size=(100, 3))
-    idx, _ = _match_core(ref, ref[::-1].copy(), 1e-12)
-    np.testing.assert_array_equal(idx, np.arange(100)[::-1])
-
 
 
 # -- close pairs against brute force -------------------------------------------

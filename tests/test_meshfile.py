@@ -117,8 +117,9 @@ _PATH_DOCUMENT = {
     ("edges", [0, 1, 1, 2, 2, 3]),
     ("cells", [0, 1, 2]),
     ("dimension", 1),
+    ("boundary", [[0], [3]]),
 ], ids=["3-d-rows-in-a-planar-document", "edges-of-three", "flat-vertices", "flat-edges",
-        "flat-cells", "dimension-1"])
+        "flat-cells", "dimension-1", "boundary-rows"])
 def test_rows_of_the_wrong_width_are_refused(tmp_path, key, value):
     # not reshaped: 4 rows of 3 coordinates are not 6 planar vertices, and
     # edges [[0, 1, 2], [1, 2, 3]] are not [[0, 1], [2, 1], [2, 3]]

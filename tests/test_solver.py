@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraclap.errors import GeometryError, SolveError, UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, build_level, embed
 from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.renorm import _elements, _load, _renormalized
@@ -220,17 +220,14 @@ def test_solution_linearity(alpha, beta):
 
 def test_reflection_symmetry_on_sierpinski():
     # the mirror through a0 and the midpoint of a1 a2 swaps a1 and a2
-    from fraclap.kernels import _match_core
-
     m = build_level("sierpinski", 3)
     h = {0: 1.0, 1: 0.0, 2: 0.0}
     sol = solve_dirichlet(m, *_elements(m, "fd"), np.zeros(m.num_vertices), h)
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
     mirror = np.array([[c, s], [s, -c]])
-    reflected = m.vertices @ mirror.T
-    idx, _ = _match_core(m.vertices, np.ascontiguousarray(reflected),
-                         m.dedup_tolerance)
-    assert (idx >= 0).all()
+    reflected = LevelMesh(m.family, m.level, m.vertices @ mirror.T, m.edges, m.cells,
+                          m.boundary_indices, m.dedup_tolerance)
+    idx = embed(reflected, m).index_map
     np.testing.assert_allclose(sol.values[idx], sol.values, atol=1e-10)
 
 
