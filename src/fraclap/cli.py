@@ -8,9 +8,10 @@ Subcommands:
 * ``fraclap solve``    -- solve a renormalized Dirichlet problem and write
   the per-vertex solution field.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O failure.
-An ``--out`` that cannot be written exits 4 after the usage checks and before
-the requested level is built.
+Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O failure,
+5 memory failure (one ``memory failure:`` line that names the command and
+the allocation that failed).  An ``--out`` that cannot be written exits 4
+after the usage checks and before the requested level is built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_MEMORY = 5
 
 _RENORM_FORMULATION = {"fd": "fd", "energy": "graph_energy",
                        "fem-edge": "fem_edge", "fem-area": "fem_area"}
@@ -210,6 +212,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"memory failure: {args.command}: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, UsageError
-from .kernels import _dedup_core
 
 FAMILIES = ("koch", "sierpinski", "hata2d", "hata3d")
 
@@ -185,6 +184,12 @@ class LevelMesh:
         bidx = _index_array(self.boundary_indices, (-1,), "boundary indices must be 1-D integers")
         tol = self.dedup_tolerance
         n = verts.shape[0]
+        if not isinstance(self.family, str):
+            raise GeometryError(f"family must be a string, got {self.family!r}")
+        try:
+            level = _level_index(self.level)
+        except UsageError as exc:
+            raise GeometryError(str(exc)) from None
         if verts.ndim != 2 or verts.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
         if not np.isfinite(verts).all():
@@ -215,6 +220,7 @@ class LevelMesh:
                 pos = np.searchsorted(ekey, side)
                 if (pos == ekey.size).any() or (ekey[pos] != side).any():
                     raise GeometryError("cell vertices not pairwise joined by edges")
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cells", cells)
@@ -354,16 +360,93 @@ def builtin_system(family: str) -> IFSystem:
     return factory()
 
 
-def _dedup_or_raise(candidates: np.ndarray, tol: float):
+def _ranges(starts, counts):
+    """Concatenated ``arange(s, s + c)`` for each start and count."""
+    total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
+
+
+# The sweep direction: (1, sqrt 2, sqrt 5), cut to the dimension and
+# normalised.  Its irrational component ratios keep the lattice-like
+# vertices of a mesh from sharing a projection.
+_DIRECTION = np.array([1.0, np.sqrt(2.0), np.sqrt(5.0)])
+
+
+def _close_pairs(points, tol):
+    """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, each listed
+    once, and their squared distances.
+
+    The points are sorted by their projections ``s`` onto the unit direction
+    ``u``.  Each sorted position whose gap to the next projection is at most
+    a window ``w`` lists the positions up to ``s + w`` (one ``searchsorted``),
+    and every listed pair is decided by its exact squared distance, summed
+    axis by axis, against ``tol**2``.
+
+    No pair within ``tol`` is missed.  Projection never lengthens a distance:
+    ``|u.(p - q)| <= |p - q|``.  Rounding of a gap ``s[k+1] - s[k]`` and of an
+    end ``s + w`` is monotone and every ``s[b]`` is representable, so a pair
+    whose true projection gap is at most ``w`` passes both.  The window
+    therefore only has to cover two rounding errors: that of the
+    projections, a few ulps of ``max |p|``, and that of the squared-distance
+    test, a few ulps of ``tol``.  ``w = tol (1 + 2**-40) + 2**-48 (d + 2)
+    (max |s| + max |p|)`` covers both with a wide margin.  A wider ``w`` only
+    adds candidates, and the exact test discards them.
+
+    The cost is one sort of n floats plus the pairs whose projections fall
+    within ``w``.  Mesh edges are at least 1e9 tolerances long, so on a built
+    level those are the true pairs, or nearly.  Points lying on a hyperplane
+    normal to ``u`` would cost the square of their count.
+    """
+    d = points.shape[1]
+    u = _DIRECTION[:d] / np.linalg.norm(_DIRECTION[:d])
+    proj = points @ u
+    order = np.argsort(proj)
+    s = proj[order]
+    big = np.abs(s).max(initial=0.0) + np.abs(points).max(initial=0.0)
+    w = tol * (1.0 + 2.0**-40) + 2.0**-48 * (d + 2) * big
+    start = np.flatnonzero(s[1:] - s[:-1] <= w)
+    count = np.searchsorted(s, s[start] + w, side="right") - start - 1
+    a, b = order[np.repeat(start, count)], order[_ranges(start + 1, count)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    dv = points[j] - points[i]
+    d2 = dv[:, 0] * dv[:, 0]
+    for k in range(1, d):
+        d2 += dv[:, k] * dv[:, k]
+    keep = d2 <= tol * tol
+    return i[keep], j[keep], d2[keep]
+
+
+def _dedup(candidates, tol):
+    """Merge the rows of ``candidates`` closer than ``tol``, keeping the first
+    occurrence of each cluster: ``(assign, uniq_rows)``, where ``assign[i]``
+    is the unique-vertex index of row ``i`` and ``uniq_rows`` lists the
+    source row of each unique vertex, so every row goes to the smallest row
+    within ``tol`` of it.
+
+    Copies of the pieces of a post-critically finite set meet only at images
+    of its boundary points, so genuine coincidences lie many orders of
+    magnitude below ``tol``.  A pair at a distance in ``(tol/10, tol]`` raises
+    a "dedup ambiguity" ``GeometryError``, naming the pair with the smallest
+    later row.  A chained merge (``a`` near ``b`` near ``c`` with ``a`` far
+    from ``c``) always contains such a pair, so a result that is returned is
+    exactly the first-occurrence clustering.
+    """
     cand = np.ascontiguousarray(candidates, dtype=np.float64)
-    assign, uniq_rows, amb_i, amb_j = _dedup_core(cand, float(tol))
-    if amb_i >= 0:
-        dist = float(np.linalg.norm(cand[amb_i] - cand[amb_j]))
+    i, j, d2 = _close_pairs(cand, float(tol))
+    gray = np.flatnonzero(d2 > (0.1 * tol) * (0.1 * tol))
+    if gray.size:
+        k = gray[np.lexsort((i[gray], j[gray]))[0]]
+        dist = float(np.linalg.norm(cand[j[k]] - cand[i[k]]))
         raise GeometryError(
             f"dedup ambiguity: vertices {dist:.3e} apart with tolerance {tol:.3e}; "
             "tolerance appears misconfigured for this geometry"
         )
-    return assign, uniq_rows
+    root = np.arange(cand.shape[0], dtype=np.int64)
+    np.minimum.at(root, j, i)
+    kept = root == np.arange(root.size)
+    rank = np.cumsum(kept) - 1
+    return rank[root], np.flatnonzero(kept)
 
 
 def _finish_mesh(ifs, level, points, maps, edges, cells):
@@ -394,7 +477,7 @@ def _finish_mesh(ifs, level, points, maps, edges, cells):
     if min_len <= 0.0:
         raise GeometryError("degenerate zero-length edge in construction")
     tol = RELATIVE_TOLERANCE * min_len
-    assign, uniq_rows = _dedup_or_raise(cand, tol)
+    assign, uniq_rows = _dedup(cand, tol)
     if not np.array_equal(assign[:nb], np.arange(nb)):
         raise GeometryError("boundary anchor points collapsed during dedup")
     verts = cand[uniq_rows]
@@ -564,8 +647,8 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
 
     Accepts ``fine`` at the same level (identity embedding) or one level up.
     The fine vertices, then the coarse ones, are merged by the dedup that
-    builds every level (``_dedup_or_raise``) with the fine dedup tolerance,
-    so each coarse vertex goes to the first fine vertex within it.  Two
+    builds every level (``_dedup``) with the fine dedup tolerance, so each
+    coarse vertex goes to the first fine vertex within it.  Two
     vertices at a distance in ``(tol/10, tol]`` raise its "dedup ambiguity"
     ``GeometryError``; so does a coarse vertex with no fine vertex within
     the tolerance, or a fine vertex taken by two coarse ones.
@@ -578,8 +661,7 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
             f"got {fine.level}"
         )
     nf = fine.num_vertices
-    assign, uniq_rows = _dedup_or_raise(np.vstack([fine.vertices, coarse.vertices]),
-                                        fine.dedup_tolerance)
+    assign, uniq_rows = _dedup(np.vstack([fine.vertices, coarse.vertices]), fine.dedup_tolerance)
     idx = uniq_rows[assign[nf:]]
     missing = int((idx >= nf).sum())
     if missing:

@@ -133,7 +133,7 @@ def _level(mesh: LevelMesh):
         return None
     seed, _, grow = _structure(mesh.family)
     try:
-        return seed, grow ** int(mesh.level)
+        return seed, grow ** mesh.level
     except OverflowError:
         return None
 

@@ -427,6 +427,33 @@ def test_dev_null_out_is_accepted(command):
     assert cli.main([*_OUT_COMMANDS[command], "--out", os.devnull]) == 0
 
 
+# Runs the CLI in a child whose address space is capped 128 MiB above what
+# importing it takes, so only the command's own arrays can exhaust it.
+_UNDER_MEMORY_LIMIT = """
+import resource, sys
+from fraclap import cli
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = size * 1024 + 128 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("level, code", [("3", 0), ("13", 5)])
+def test_memory_failure_exits_five_without_traceback(tmp_path, monkeypatch, level, code):
+    # each OpenBLAS thread reserves address space of its own
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = run_fresh("-c", _UNDER_MEMORY_LIMIT, "generate", "--family", "sierpinski",
+                    "--level", level, "--out", str(tmp_path / "mesh.json"))
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    if code:
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("memory failure: generate: ")
+
+
 def test_module_entry_point_runs():
     out = run_fresh("-m", "fraclap.cli", "--help")
     assert out.returncode == 0

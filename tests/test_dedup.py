@@ -1,12 +1,13 @@
-"""Unit tests for the dedup kernels, including comparisons with quadratic
-brute-force oracles."""
+"""Unit tests for the vertex dedup and its close-pair search, including
+comparisons with quadratic brute-force oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap.kernels import _DIRECTION, _close_pairs, _dedup_core
+from fraclap.errors import GeometryError
+from fraclap.geometry import _DIRECTION, _close_pairs, _dedup
 
 
 def brute_force_dedup(points, tol):
@@ -40,9 +41,8 @@ def test_dedup_matches_brute_force(dim):
     tol = 1e-6
     # jitter far below tol/10 so merges are unambiguous
     pts = clustered_points(rng, 60, 4, dim, spread=1e-9)
-    assign, uniq_rows, amb_i, amb_j = _dedup_core(np.ascontiguousarray(pts), tol)
+    assign, uniq_rows = _dedup(pts, tol)
     ref_assign, ref_uniq = brute_force_dedup(pts, tol)
-    assert amb_i == -1 and amb_j == -1
     assert uniq_rows.size == ref_uniq.shape[0]
     np.testing.assert_array_equal(assign, ref_assign)
     np.testing.assert_allclose(pts[uniq_rows], ref_uniq, rtol=0, atol=0)
@@ -50,38 +50,37 @@ def test_dedup_matches_brute_force(dim):
 
 def test_dedup_keeps_distant_points_separate():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assign, uniq_rows, amb_i, _ = _dedup_core(pts, 1e-9)
+    assign, uniq_rows = _dedup(pts, 1e-9)
     assert uniq_rows.size == 3
     np.testing.assert_array_equal(assign, [0, 1, 2])
-    assert amb_i == -1
 
 
 def test_dedup_flags_gray_zone_merge():
     tol = 1e-6
     pts = np.array([[0.0, 0.0], [0.5 * tol, 0.0]])
-    assign, uniq_rows, amb_i, amb_j = _dedup_core(pts, tol)
-    assert uniq_rows.size == 1
-    assert (amb_i, amb_j) == (1, 0)
+    with pytest.raises(GeometryError, match=r"vertices 5\.000e-07 apart"):
+        _dedup(pts, tol)
 
 
 def test_dedup_clean_merge_below_tenth():
     tol = 1e-6
     pts = np.array([[0.0, 0.0], [0.05 * tol, 0.0]])
-    assign, uniq_rows, amb_i, _ = _dedup_core(pts, tol)
-    assert uniq_rows.size == 1 and amb_i == -1
+    assign, uniq_rows = _dedup(pts, tol)
+    assert uniq_rows.size == 1
+    np.testing.assert_array_equal(assign, [0, 0])
 
 
 def test_dedup_separates_just_over_tolerance():
     tol = 1e-6
     pts = np.array([[0.0, 0.0], [1.001 * tol, 0.0]])
-    _, uniq_rows, amb_i, _ = _dedup_core(pts, tol)
-    assert uniq_rows.size == 2 and amb_i == -1
+    _, uniq_rows = _dedup(pts, tol)
+    assert uniq_rows.size == 2
 
 
 def test_dedup_first_occurrence_order():
     tol = 1e-6
     pts = np.array([[3.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
-    assign, uniq_rows, _, _ = _dedup_core(pts, tol)
+    assign, uniq_rows = _dedup(pts, tol)
     np.testing.assert_array_equal(uniq_rows, [0, 1, 3])
     np.testing.assert_array_equal(assign, [0, 1, 0, 2, 1])
 
@@ -91,8 +90,8 @@ def test_dedup_reports_gray_pair_that_is_not_the_nearest_merge():
     # row 0, so the clustering depends on the tolerance
     tol = 1e-6
     pts = np.array([[0.0, 0.0], [1.05 * tol, 0.0], [0.98 * tol, 0.0]])
-    _, _, amb_i, amb_j = _dedup_core(pts, tol)
-    assert (amb_i, amb_j) == (2, 0)
+    with pytest.raises(GeometryError, match=r"vertices 9\.800e-07 apart"):
+        _dedup(pts, tol)
 
 
 def grid_edge_clusters(rng, n_clusters, per_cluster, dim, tol):
@@ -111,9 +110,8 @@ def test_dedup_merges_clusters_across_cell_edges(dim):
     rng = np.random.default_rng(21 + dim)
     tol = 1e-6
     pts = rng.permutation(grid_edge_clusters(rng, 80, 4, dim, tol))
-    assign, uniq_rows, amb_i, _ = _dedup_core(pts, tol)
+    assign, uniq_rows = _dedup(pts, tol)
     ref_assign, ref_uniq = brute_force_dedup(pts, tol)
-    assert amb_i == -1
     assert ref_uniq.shape[0] == 80
     np.testing.assert_array_equal(assign, ref_assign)
     np.testing.assert_array_equal(pts[uniq_rows], ref_uniq)
@@ -164,7 +162,7 @@ def _sweep_points(draw, dim):
 
 
 def brute_force_pairs(points, tol):
-    """Every pair ``i < j`` within ``tol``, by the kernel's distance sum."""
+    """Every pair ``i < j`` within ``tol``, by ``_close_pairs``'s distance sum."""
     i, j = np.triu_indices(points.shape[0], k=1)
     dv = points[j] - points[i]
     d2 = dv[:, 0] * dv[:, 0]

@@ -416,14 +416,30 @@ _PATH_MESH = dict(family="path", level=0,
     ("boundary_indices", [0.7, 3.2], "boundary indices must be 1-D integers"),
     ("dedup_tolerance", float("nan"), "dedup tolerance must be finite"),
     ("dedup_tolerance", -1.0, "dedup tolerance must be finite"),
+    ("level", 2.7, "level must be an integer"),
+    ("level", "2", "level must be an integer"),
+    ("level", None, "level must be an integer"),
+    ("level", -1, "level must be nonnegative"),
+    ("family", None, "family must be a string"),
+    ("family", 5, "family must be a string"),
 ], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
-        "boundary-rows", "fractional-boundary", "nan-tolerance", "negative-tolerance"])
+        "boundary-rows", "fractional-boundary", "nan-tolerance", "negative-tolerance",
+        "fractional-level", "text-level", "no-level", "negative-level", "no-family",
+        "numeric-family"])
 def test_mesh_refuses_malformed_arrays(key, value, message):
     # not reshaped or truncated: edges [[0, 1, 2], [1, 2, 3]] are not
-    # [[0, 1], [2, 1], [2, 3]], and boundary [0.7, 3.2] is not [0, 3]
+    # [[0, 1], [2, 1], [2, 3]], and boundary [0.7, 3.2] is not [0, 3]; level
+    # 2.7 is not level 2
     assert LevelMesh(**{**_PATH_MESH, "dedup_tolerance": 0.0}).num_edges == 3
     with pytest.raises(GeometryError, match=message):
         LevelMesh(**{**_PATH_MESH, key: value})
+
+
+@pytest.mark.parametrize("level", [np.int64(3), np.uint8(3), 3, 10**400],
+                         ids=["int64", "uint8", "int", "ten-to-the-400"])
+def test_mesh_stores_its_level_as_an_int(level):
+    mesh = LevelMesh(**{**_PATH_MESH, "level": level})
+    assert type(mesh.level) is int and mesh.level == level
 
 
 # -- bit identity --------------------------------------------------------------
