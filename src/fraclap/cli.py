@@ -22,20 +22,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import meshfile
+# the parser needs no numpy: each command imports what it runs
+from . import FAMILIES, SOLVE_METHODS
 from .errors import FraclapError, UsageError
-from .expressions import compile_expression
-from .geometry import FAMILIES, build_level, check_level
-from .renorm import (
-    SOLVE_METHODS,
-    _renormalized,
-    auto_constant,
-    estimate_energy_ratio,
-    estimate_laplacian_ratio,
-    solve_online,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,6 +103,9 @@ def _check_out(path: str) -> None:
 
 
 def _cmd_generate(args) -> int:
+    from . import meshfile
+    from .geometry import build_level, check_level
+
     check_level(args.family, args.level)
     _check_out(args.out)
     mesh = build_level(args.family, args.level)
@@ -126,6 +118,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_renorm(args) -> int:
+    from . import meshfile
+    from .geometry import build_level, check_level
+    from .renorm import estimate_energy_ratio, estimate_laplacian_ratio
+
     a, b = _parse_levels(args.levels)
     formulation = _RENORM_FORMULATION[args.method]
     check_level(args.family, b)
@@ -146,6 +142,13 @@ def _cmd_renorm(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    import numpy as np
+
+    from . import meshfile
+    from .expressions import compile_expression
+    from .geometry import build_level, check_level
+    from .renorm import _renormalized, auto_constant, solve_online
+
     extra = {"rhs": args.rhs, "bc": args.bc}
     meshfile.check_header(extra)
     check_level(args.family, args.level)

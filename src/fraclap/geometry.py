@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import FAMILIES
 from .errors import GeometryError, UsageError
-
-FAMILIES = ("koch", "sierpinski", "hata2d", "hata3d")
 
 # Vertices closer than RELATIVE_TOLERANCE times the current minimum edge
 # length are merged; genuinely coincident points land many orders of
@@ -554,8 +553,10 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
 
 def _level_index(level) -> int:
     """``operator.index(level)``; anything else, or a negative level, raises
-    ``UsageError``: 2.7 is not read as level 2."""
+    ``UsageError``: 2.7 is not read as level 2, nor ``True`` as level 1."""
     try:
+        if isinstance(level, bool):  # operator.index(True) is 1
+            raise TypeError
         level = operator.index(level)
     except TypeError:
         raise UsageError(f"level must be an integer, got {level!r}") from None
@@ -621,7 +622,8 @@ def check_level(family: str, level: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=64)
+# typed: ``True`` equals 1 but is refused, so it must not hit the level-1 entry
+@functools.lru_cache(maxsize=64, typed=True)
 def build_level(family: str, level: int) -> LevelMesh:
     """Cached ``iterate(builtin_system(family), level)``; meshes are immutable.
 
@@ -631,6 +633,7 @@ def build_level(family: str, level: int) -> LevelMesh:
     ``GeometryError``.
     """
     check_level(family, level)
+    level = operator.index(level)  # a numpy level refines the int-keyed level below
     if level == 0:
         return iterate(builtin_system(family), level)
     mesh = _refine(builtin_system(family), build_level(family, level - 1))

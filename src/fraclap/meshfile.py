@@ -21,13 +21,16 @@ then has one ``coordinates...,value`` row per vertex.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import UsageError
 from .geometry import LevelMesh, RELATIVE_TOLERANCE, _lengths
-from .renorm import RenormEstimate
-from .solver import Solution
+
+if TYPE_CHECKING:  # annotations only: writing a mesh loads no solver
+    from .renorm import RenormEstimate
+    from .solver import Solution
 
 _FMT = "{:.17g}"
 # Rows formatted per write: keeps the writers' transient strings and tuples
@@ -35,13 +38,13 @@ _FMT = "{:.17g}"
 _BLOCK_ROWS = 16384
 
 
-def _formatted(arr: np.ndarray, fmt: str) -> tuple:
-    """``fmt % v`` for each value of float64 ``arr`` in row-major order,
-    formatting each distinct bit pattern once (so ``-0.0`` stays apart from
-    ``0.0``)."""
+def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for each value of float64 ``arr``, as a flat object array
+    in row-major order, formatting each distinct bit pattern once (so
+    ``-0.0`` stays apart from ``0.0``)."""
     bits, inverse = np.unique(arr.ravel().view(np.int64), return_inverse=True)
     strings = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return tuple(strings[inverse].tolist())
+    return strings[inverse]
 
 
 def _write_rows(fh, arr: np.ndarray, item: str, sep: str, fmt: str) -> None:
@@ -50,8 +53,8 @@ def _write_rows(fh, arr: np.ndarray, item: str, sep: str, fmt: str) -> None:
     of ``item`` with ``_formatted(block, fmt)``."""
     for lo in range(0, len(arr), _BLOCK_ROWS):
         block = arr[lo:lo + _BLOCK_ROWS]
-        values = _formatted(block, fmt) if arr.dtype.kind == "f" else tuple(block.ravel().tolist())
-        fh.write((sep if lo else "") + sep.join([item] * len(block)) % values)
+        values = _formatted(block, fmt) if arr.dtype.kind == "f" else block.ravel()
+        fh.write((sep if lo else "") + sep.join([item] * len(block)) % tuple(values.tolist()))
 
 
 def _write_json_rows(fh, arr: np.ndarray, fmt: str) -> None:
@@ -181,10 +184,14 @@ def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> Non
     with open(path, "w", encoding="ascii") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
-        item = ",".join(["%s"] * (mesh.dimension + 1)) + "\n"
+        # coordinates repeat, so each distinct one is formatted once; every
+        # value is distinct, so the template formats it
+        d = mesh.dimension
+        item = "%s," * d + "%.17g\n"
         # stacked one block at a time: a whole (vertices, d + 1) copy would
         # set the peak of a large solve
         for lo in range(0, mesh.num_vertices, _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            block = np.column_stack([mesh.vertices[rows], solution.values[rows]])
-            _write_rows(fh, block, item, "", "%.17g")
+            coords = _formatted(mesh.vertices[rows], "%.17g").reshape(-1, d)
+            block = np.column_stack([coords, solution.values[rows].astype(object)])
+            fh.write(item * len(block) % tuple(block.ravel().tolist()))

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
 from .geometry import _frozen, build_level, embed
 from .measures import _elements, _load
@@ -35,7 +36,6 @@ if TYPE_CHECKING:
 DENOMINATOR_GUARD = 1e-14
 
 ENERGY_FORMULATIONS = ("graph_energy", "fem_edge", "fem_area")
-SOLVE_METHODS = ("rfd", "rfem1d", "rfem2d")
 _METHOD_FORMULATION = {"rfd": "fd", "rfem1d": "fem_edge", "rfem2d": "fem_area"}
 
 

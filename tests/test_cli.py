@@ -611,3 +611,66 @@ def test_scipy_is_imported_only_to_factor(tmp_path, body, loads_scipy):
     assert rc == 0
     assert bool(loaded) == loads_scipy, loaded
     assert ("scipy.sparse.linalg" in loaded) == loads_scipy
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from fraclap import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        rc = cli.main({argv!r})
+    except SystemExit as exc:
+        rc = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("fraclap", "numpy"))
+print(json.dumps([rc, loaded]))
+"""
+
+
+_PARSER_ONLY = ["fraclap", "fraclap.cli", "fraclap.errors"]
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (["--help"], 0, _PARSER_ONLY),
+    (["generate", "--family", "nope", "--level", "3", "--out", "{out}"], 2, _PARSER_ONLY),
+    (["generate", "--family", "koch", "--level", "abc", "--out", "{out}"], 2, _PARSER_ONLY),
+    (["generate", "--family", "sierpinski", "--level", "3", "--out", "{out}"], 0,
+     [*_PARSER_ONLY, "fraclap.geometry", "fraclap.meshfile"]),
+], ids=["help", "unknown-family", "text-level", "generate"])
+def test_a_command_loads_only_what_it_runs(tmp_path, argv, code, modules):
+    """Help and argument errors come before numpy loads, and ``generate``
+    loads no solver module."""
+    argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+    out = run_fresh("-c", _STARTUP_PROBE.format(argv=argv))
+    assert out.returncode == 0, out.stderr
+    rc, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert rc == code
+    assert [m for m in loaded if m.startswith("fraclap")] == modules
+    assert ("numpy" in loaded) == (modules != _PARSER_ONLY)
+
+
+_API_PROBE = """
+import importlib, sys
+import fraclap
+assert "numpy" not in sys.modules
+assert set(fraclap.__all__) <= set(dir(fraclap))
+# a submodule is an attribute of the package before anything imports it
+assert fraclap.solver.BACKWARD_ERROR_BOUND > 0
+assert not hasattr(fraclap, "nope")  # hasattr catches AttributeError alone
+star = {}
+exec("from fraclap import *", star)
+assert star.keys() - {"__builtins__"} == set(fraclap.__all__)
+for name in fraclap.__all__:
+    value = getattr(fraclap, name)
+    assert star[name] is value, name
+    if name != "FAMILIES":
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+assert fraclap.geometry.FAMILIES is fraclap.FAMILIES
+assert fraclap.renorm.SOLVE_METHODS is fraclap.SOLVE_METHODS
+"""
+
+
+def test_the_public_names_resolve_on_first_access():
+    """``import fraclap`` loads no numpy; every public name then resolves to
+    the object of its home module."""
+    out = run_fresh("-c", _API_PROBE)
+    assert out.returncode == 0, out.stderr

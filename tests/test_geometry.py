@@ -177,10 +177,12 @@ def test_iterate_rejects_negative_level():
     lambda: build_level("koch", "2"),
     lambda: check_level("koch", 2.0),
     lambda: predicted_vertices("koch", 2.7),
-], ids=["iterate-2.7", "build-1.5", "build-string", "check-2.0", "predicted-2.7"])
+    lambda: build_level("koch", True),
+], ids=["iterate-2.7", "build-1.5", "build-string", "check-2.0", "predicted-2.7", "build-true"])
 def test_a_level_must_be_an_integer(call):
     # numpy integers are levels; 2.7 is not truncated to 2, 1.5 is not
-    # reported as negative, and "2" raises no TypeError
+    # reported as negative, "2" raises no TypeError, and True is not level 1
+    # even with level 1 cached
     assert build_level("koch", np.int64(2)).num_vertices == 17
     assert iterate(builtin_system("koch"), np.int32(2)).num_vertices == 17
     with pytest.raises(UsageError, match="level must be an integer"):
@@ -419,12 +421,13 @@ _PATH_MESH = dict(family="path", level=0,
     ("level", 2.7, "level must be an integer"),
     ("level", "2", "level must be an integer"),
     ("level", None, "level must be an integer"),
+    ("level", True, "level must be an integer"),
     ("level", -1, "level must be nonnegative"),
     ("family", None, "family must be a string"),
     ("family", 5, "family must be a string"),
 ], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
         "boundary-rows", "fractional-boundary", "nan-tolerance", "negative-tolerance",
-        "fractional-level", "text-level", "no-level", "negative-level", "no-family",
+        "fractional-level", "text-level", "no-level", "bool-level", "negative-level", "no-family",
         "numeric-family"])
 def test_mesh_refuses_malformed_arrays(key, value, message):
     # not reshaped or truncated: edges [[0, 1, 2], [1, 2, 3]] are not
