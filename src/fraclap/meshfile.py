@@ -21,12 +21,13 @@ then has one ``coordinates...,value`` row per vertex.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UsageError
-from .geometry import LevelMesh, RELATIVE_TOLERANCE, _lengths
+from .errors import GeometryError, UsageError
+from .geometry import LevelMesh, RELATIVE_TOLERANCE
 
 if TYPE_CHECKING:  # annotations only: writing a mesh loads no solver
     from .renorm import RenormEstimate
@@ -85,63 +86,52 @@ def write_mesh(mesh: LevelMesh, path) -> None:
         fh.write("\n}\n")
 
 
-def _indices(doc: dict, key: str) -> np.ndarray:
-    """The int64 array of ``doc[key]``, refusing any entry that is not a JSON
-    integer (``1.7`` is not truncated, ``true`` is not read as 1)."""
+def _array(doc: dict, key: str, dtype) -> np.ndarray:
+    """``doc[key]`` as an int64 array of JSON integers or a float64 array of
+    JSON numbers, refusing any other entry: ``1.7`` is not truncated to an
+    index, and ``true`` and ``"0.5"`` are not read as 1 and 0.5."""
     arr = np.array(doc[key], dtype=object)
-    if not set(map(type, arr.flat)) <= {int}:
-        raise UsageError(f"malformed mesh document: {key} must be integer indices")
-    return arr.astype(np.int64)
-
-
-def _rows(arr: np.ndarray, key: str, width: int) -> np.ndarray:
-    """``arr`` as ``(n, width)`` rows: ``[]`` is no rows, and any other shape
-    (a flat list, rows of another width) is refused, not reshaped."""
-    if arr.shape == (0,):
-        return arr.reshape(0, width)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise UsageError(f"malformed mesh document: {key} must be rows of {width} entries")
-    return arr
+    kinds, what = ({int}, "integer indices") if dtype is np.int64 else ({int, float}, "numbers")
+    if not set(map(type, arr.flat)) <= kinds:
+        raise UsageError(f"malformed mesh document: {key} must be {what}")
+    return arr.astype(dtype)
 
 
 def read_mesh(path) -> LevelMesh:
+    """The document's mesh.  ``LevelMesh`` checks its structure, and any
+    refusal is a "malformed mesh document" ``UsageError``."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"malformed mesh document: {exc}") from None
     try:
         dimension = doc["dimension"]
-        vertices = np.array(doc["vertices"], dtype=np.float64)
-        edges, cells = _indices(doc, "edges"), _indices(doc, "cells")
-        boundary = _indices(doc, "boundary")
+        vertices = _array(doc, "vertices", np.float64)
+        edges, cells = _array(doc, "edges", np.int64), _array(doc, "cells", np.int64)
+        boundary = _array(doc, "boundary", np.int64)
         family, level = doc["family"], doc["level"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed mesh document: {exc}") from None
-    if type(dimension) is not int or dimension not in (2, 3):
-        raise UsageError("malformed mesh document: dimension must be 2 or 3")
-    vertices = _rows(vertices, "vertices", dimension)
-    edges, cells = _rows(edges, "edges", 2), _rows(cells, "cells", 3)
-    if boundary.ndim != 1:
-        raise UsageError("malformed mesh document: boundary must be a list of indices")
-    if type(family) is not str:
-        raise UsageError("malformed mesh document: family must be a string")
-    if type(level) is not int or level < 0:
-        raise UsageError("malformed mesh document: level must be a nonnegative integer")
-    if edges.size and (edges.min() < 0 or edges.max() >= vertices.shape[0]):
-        raise UsageError("malformed mesh document: edge index out of range")
-    lengths = _lengths(vertices, edges)
-    if lengths.size == 0 or lengths.min() <= 0.0:
-        raise UsageError("mesh document has no usable edges")
-    return LevelMesh(
-        family=family,
-        level=level,
-        vertices=vertices,
-        edges=edges,
-        cells=cells,
-        boundary_indices=boundary,
-        dedup_tolerance=RELATIVE_TOLERANCE * float(lengths.min()),
-    )
+    if type(dimension) is not int or vertices.shape[1:] != (dimension,):
+        raise UsageError("malformed mesh document: each vertex row must have dimension entries")
+    try:
+        # built with no tolerance first: the tolerance needs the checked edges
+        mesh = LevelMesh(
+            family=family,
+            level=level,
+            vertices=vertices,
+            edges=edges,
+            cells=cells,
+            boundary_indices=boundary,
+            dedup_tolerance=0.0,
+        )
+        lengths = mesh.edge_lengths()
+        if lengths.size == 0 or lengths.min() <= 0.0:
+            raise UsageError("mesh document has no usable edges")
+        return replace(mesh, dedup_tolerance=RELATIVE_TOLERANCE * float(lengths.min()))
+    except GeometryError as exc:
+        raise UsageError(f"malformed mesh document: {exc}") from None
 
 
 def write_table(estimates: list[RenormEstimate], path) -> None:

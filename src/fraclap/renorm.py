@@ -192,9 +192,6 @@ def solve_online(
     if method not in SOLVE_METHODS:
         raise UsageError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
     mesh = build_level(family, n)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (mesh.num_vertices,):
-        raise UsageError("forcing data length does not match the mesh")
     formulation = _METHOD_FORMULATION[method]
     elements, local = _elements(mesh, formulation)
     load = _load(mesh, formulation, g)

@@ -57,6 +57,40 @@ def test_affine_map_must_contract():
         AffineMap(np.eye(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("linear, translation, message", [
+    (np.ones((2, 3)) / 10, np.zeros(2), "square matrix"),
+    (np.eye(2) / 2, np.zeros(3), "translation dimension"),
+    (np.eye(2) / 2, np.array([np.nan, 0.0]), "entries must be finite"),
+], ids=["not-square", "translation-dimension", "nan-translation"])
+def test_affine_map_refuses_malformed_parts(linear, translation, message):
+    with pytest.raises(UsageError, match=message):
+        AffineMap(linear, translation)
+
+
+_P, _Q = np.zeros(2), np.array([1.0, 0.0])
+_HALVING_SEGMENT = dict(maps=(AffineMap(np.eye(2) / 2, np.zeros(2)),), seed_edges=((_P, _Q),),
+                        boundary_points=np.array([_P, _Q]), family_name="custom")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("maps", (), "at least one contraction map"),
+    ("maps", (AffineMap(np.eye(2) / 2, np.zeros(2)), AffineMap(np.eye(3) / 2, np.zeros(3))),
+     "share one dimension"),
+    ("boundary_points", np.empty((0, 2)), "nonempty"),
+    ("seed_edges", (), "at least one edge"),
+    ("seed_edges", ((np.zeros(3), np.ones(3) / 2),), "endpoints must match the map dimension"),
+    ("boundary_points", np.array([_P, _Q / 2]), "must be a seed edge endpoint"),
+    ("boundary_points", np.array([_P, _P]), "pairwise distinct"),
+    ("cell_generation", True, "triangular seed boundary"),
+], ids=["no-maps", "mixed-dimensions", "no-boundary-points", "no-seed-edge",
+        "3-d-endpoints", "boundary-point-off-the-seed", "repeated-boundary-point",
+        "cells-from-two-boundary-points"])
+def test_ifs_refuses_malformed_parts(key, value, message):
+    assert IFSystem(**_HALVING_SEGMENT).dimension == 2
+    with pytest.raises(UsageError, match=message):
+        IFSystem(**{**_HALVING_SEGMENT, key: value})
+
+
 # -- builtin families --------------------------------------------------------
 
 def test_builtin_sierpinski_shape():
@@ -425,10 +459,20 @@ _PATH_MESH = dict(family="path", level=0,
     ("level", -1, "level must be nonnegative"),
     ("family", None, "family must be a string"),
     ("family", 5, "family must be a string"),
+    ("vertices", [[0.0], [1.0], [2.0], [3.0]], "vertices must be an"),
+    ("vertices", [[0.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [3.0, 0.0]], "coordinates must be finite"),
+    ("edges", [[0, 1], [1, 2], [2, 4]], "edge index out of range"),
+    ("edges", [[0, 1], [1, 2], [2, -1]], "edge index out of range"),
+    ("edges", [[0, 1], [1, 2], [2, 2]], "self-loop edge"),
+    ("boundary_indices", [0, 4], "boundary index out of range"),
+    ("cells", [[0, 1, 4]], "cell index out of range"),
+    ("cells", [[0, 1, 1]], "degenerate cell"),
 ], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
         "boundary-rows", "fractional-boundary", "nan-tolerance", "negative-tolerance",
         "fractional-level", "text-level", "no-level", "bool-level", "negative-level", "no-family",
-        "numeric-family"])
+        "numeric-family", "one-coordinate", "nan-coordinate", "edge-past-the-vertices",
+        "negative-edge", "self-loop", "boundary-past-the-vertices", "cell-past-the-vertices",
+        "degenerate-cell"])
 def test_mesh_refuses_malformed_arrays(key, value, message):
     # not reshaped or truncated: edges [[0, 1, 2], [1, 2, 3]] are not
     # [[0, 1], [2, 1], [2, 3]], and boundary [0.7, 3.2] is not [0, 3]; level

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fraclap
 from fraclap import meshfile
 from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, build_level
@@ -17,6 +21,8 @@ from fraclap.measures import _elements
 from fraclap.meshfile import read_mesh, write_mesh, write_solution, write_table
 from fraclap.renorm import estimate_laplacian_ratio, solve_online
 from fraclap.solver import Solution, solve_dirichlet
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -31,6 +37,32 @@ def test_mesh_round_trip_is_bit_exact(family, tmp_path):
     np.testing.assert_array_equal(back.edges, mesh.edges)
     np.testing.assert_array_equal(back.cells, mesh.cells)
     np.testing.assert_array_equal(back.boundary_indices, mesh.boundary_indices)
+
+
+# Writes and reads back the largest hata2d document in a child process, so
+# that the read (about 0.8 GiB) adds nothing to this process's cached levels.
+_DEEP_ROUND_TRIP = """
+import sys
+from fraclap.geometry import build_level
+from fraclap.meshfile import read_mesh, write_mesh
+mesh = build_level("hata2d", 9)
+write_mesh(mesh, sys.argv[1])
+back = read_mesh(sys.argv[1])
+for key in ("vertices", "edges", "cells", "boundary_indices"):
+    a, b = getattr(back, key), getattr(mesh, key)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+assert (back.family, back.level) == (mesh.family, mesh.level)
+assert back.dedup_tolerance == mesh.dedup_tolerance
+"""
+
+
+@pytest.mark.deep
+def test_mesh_round_trip_at_hata2d_9_is_bit_exact(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _DEEP_ROUND_TRIP, str(tmp_path / "mesh.json")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def test_mesh_document_fields(tmp_path):
@@ -65,12 +97,25 @@ def test_malformed_document_rejected(tmp_path):
         read_mesh(path)
 
 
+def test_non_ascii_document_rejected(tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(build_level("koch", 1), path)
+    doc = json.loads(path.read_text())
+    doc["family"] = "koch\u00e9"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(UsageError, match="malformed mesh document"):
+        read_mesh(path)
+
+
 @pytest.mark.parametrize("key, row, value", [
     ("edges", 0, 99),          # out of range: refused before edge lengths are taken
     ("edges", 0, 1.7),         # not truncated to 1
     ("edges", 0, True),        # JSON true is not read as 1
     ("boundary", None, True),
-], ids=["edge-out-of-range", "fractional-edge", "true-edge", "true-boundary"])
+    ("vertices", 2, True),     # nor as the coordinate 1.0
+    ("vertices", 2, "0.5"),    # a string is not a coordinate
+], ids=["edge-out-of-range", "fractional-edge", "true-edge", "true-boundary", "true-coordinate",
+        "string-coordinate"])
 def test_malformed_indices_rejected(tmp_path, key, row, value):
     path = tmp_path / "mesh.json"
     write_mesh(build_level("koch", 1), path)
@@ -128,6 +173,30 @@ def test_rows_of_the_wrong_width_are_refused(tmp_path, key, value):
     assert read_mesh(path).num_edges == 3
     path.write_text(json.dumps({**_PATH_DOCUMENT, key: value}))
     with pytest.raises(UsageError, match="malformed mesh document"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"dimension": 1, "vertices": [[0.0], [1.0], [2.0], [3.0]]}, "vertices must be an"),
+    ({"vertices": [[0.0, 0.0], [1.0, 0.0], [float("nan"), 0.0], [3.0, 0.0]]},
+     "vertex coordinates must be finite"),
+    ({"edges": [[0, 1], [1, 2], [2, 4]]}, "edge index out of range"),
+    ({"edges": [[0, 1], [1, 2], [2, -1]]}, "edge index out of range"),
+    ({"edges": [[0, 1], [1, 2], [2, 2]]}, "self-loop edge"),
+    ({"edges": [[0, 1], [1, 2], [2, 3], [1, 0]]}, "duplicate edge"),
+    ({"boundary": [0, 4]}, "boundary index out of range"),
+    ({"cells": [[0, 1, 4]]}, "cell index out of range"),
+    ({"cells": [[0, 1, 1]]}, "degenerate cell"),
+    ({"cells": [[0, 1, 2]]}, "cell vertices not pairwise joined"),
+], ids=["one-coordinate", "nan-coordinate", "edge-past-the-vertices", "negative-edge",
+        "self-loop", "duplicate-edge", "boundary-past-the-vertices", "cell-past-the-vertices",
+        "degenerate-cell", "cell-side-without-edge"])
+def test_mesh_refusals_are_malformed_documents(tmp_path, change, message):
+    # LevelMesh checks the document's structure; each of its refusals is the
+    # reader's usage error, with LevelMesh's reason
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({**_PATH_DOCUMENT, **change}))
+    with pytest.raises(UsageError, match=f"malformed mesh document: {message}"):
         read_mesh(path)
 
 

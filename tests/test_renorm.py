@@ -294,6 +294,16 @@ def test_solve_online_rejects_unrepresentable_scaling(constant):
                      {0: 1.0, 1: 0.0, 2: 0.0})
 
 
+@pytest.mark.parametrize("method", ["rfd", "rfem1d", "rfem2d"])
+def test_solve_online_rejects_forcing_of_the_wrong_length(method):
+    # the load of each method checks it: rfd's in the solver, the weak forms'
+    # in measures.load_vector
+    m = build_level("sierpinski", 2)
+    with pytest.raises(UsageError, match="length does not match the mesh"):
+        solve_online("sierpinski", 2, method, 5.0, np.ones(m.num_vertices - 1),
+                     {0: 1.0, 1: 0.0, 2: 0.0})
+
+
 def _zero_bc(mesh, values=None):
     vals = values if values is not None else [0.0] * mesh.boundary_indices.size
     return {int(i): float(v) for i, v in zip(mesh.boundary_indices, vals)}
