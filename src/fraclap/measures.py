@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import FAMILIES, LevelMesh, _frozen, _lengths, _structure
+from .geometry import FAMILIES, LevelMesh, _frozen, _structure
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -125,59 +125,29 @@ _LEVEL_FIT = 1e-9
 
 
 def _level(mesh: LevelMesh):
-    """``(seed, s)``: the level-0 mesh of the built-in family of ``mesh`` and
-    ``s = grow**level``, with ``grow = 1/r`` from ``geometry._structure``, by
-    which that family's level-``mesh.level`` lengths divide the seed's;
-    ``None`` for any other family name."""
+    """``(seed, c)`` when ``mesh`` is a level of its built-in family: every
+    edge has the length ``1/c = L0 r**n`` within ``_LEVEL_FIT``, with ``L0``
+    the first seed edge's length and ``1/r`` the ``grow`` of
+    ``geometry._structure``; ``None`` for any other mesh.
+
+    The level's fem-edge element is ``c`` times the unit element.  Every
+    seed edge has the length ``L0`` and every side of a seed cell is a seed
+    edge, and every cell side is an edge (``LevelMesh``), so every cell of a
+    level is the seed cell scaled by ``r**n``: its linear stiffness, which
+    depends only on the angles, is the seed cell's, and its area is the seed
+    cell's over ``(c L0)**2``.
+    """
     if mesh.family not in FAMILIES:
         return None
     seed, _, grow = _structure(mesh.family)
     try:
-        return seed, grow ** mesh.level
+        c = grow ** mesh.level / seed.edge_lengths()[0]
     except OverflowError:
         return None
-
-
-def _fits(ratios: np.ndarray) -> bool:
-    """Every ratio of coordinate length over predicted length is 1 within
-    ``_LEVEL_FIT``; overwrites ``ratios``."""
+    ratios = mesh.edge_lengths()
+    ratios *= c
     ratios -= 1.0
-    return bool(np.abs(ratios, out=ratios).max() <= _LEVEL_FIT)
-
-
-def _cell_sides(mesh: LevelMesh) -> np.ndarray:
-    """(cells, 3): the length of the side opposite each cell vertex."""
-    c = mesh.cells
-    return np.column_stack([
-        _lengths(mesh.vertices, c[:, ((i + 2) % 3, (i + 1) % 3)]) for i in range(3)
-    ])
-
-
-def _edge_level(mesh: LevelMesh, length: np.ndarray):
-    """``c = s / L0`` when every edge ``length`` is ``L0 r**n`` (``_level``;
-    ``L0`` the first seed edge's length), else ``None``: the level's fem-edge
-    element is ``c`` times the unit element, and its length is ``1/c``."""
-    level = _level(mesh)
-    if level is not None:
-        seed, s = level
-        c = s / seed.edge_lengths()[0]
-        if _fits(length * c):
-            return c
-    return None
-
-
-def _cell_level(mesh: LevelMesh):
-    """``(seed, s)`` of ``_level`` when every cell of a planar mesh has the
-    seed cell's sides times ``r**n``, position by position, else ``None``.
-    Every cell is then similar to the seed cell: the linear stiffness, which
-    depends only on the angles, is the seed cell's, and the area is the seed
-    cell's over ``s**2``."""
-    level = _level(mesh) if mesh.num_cells and mesh.dimension == 2 else None
-    if level is not None and level[0].num_cells:
-        seed, s = level
-        if _fits(_cell_sides(mesh) * (s / _cell_sides(seed)[0])):
-            return level
-    return None
+    return (seed, c) if np.abs(ratios, out=ratios).max(initial=0.0) <= _LEVEL_FIT else None
 
 
 def _masses(mesh: LevelMesh, kind):
@@ -187,9 +157,9 @@ def _masses(mesh: LevelMesh, kind):
     self_similar: the diagonal element ``I / (k p)`` on each of the k
     p-vertex copies (cells when present, edges otherwise); edge_length:
     ``L [[2, 1], [1, 2]] / 6``; triangle_area: ``S (1 + I) / 12``, the
-    integrals of ``phi_i phi_j``.  On a level that fits its family's
-    similarity (``_edge_level``, ``_cell_level``) L and S are one number,
-    and every stack of one element is a stride-0 view.
+    integrals of ``phi_i phi_j``.  On a level of its family (``_level``)
+    L and S are one number, and every stack of one element is a stride-0
+    view.
     """
     try:
         kind = MeasureKind(kind)
@@ -198,17 +168,22 @@ def _masses(mesh: LevelMesh, kind):
     if kind is MeasureKind.SELF_SIMILAR:
         rows = mesh.cells if mesh.num_cells else mesh.edges
         k, p = rows.shape
+        if not k:
+            raise AssemblyError("mesh has no edges")
         return rows, np.broadcast_to(np.eye(p) * (1.0 / k / p), (k, p, p))
     if kind is MeasureKind.EDGE_LENGTH:
-        rows, unit = mesh.edges, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        size = mesh.edge_lengths()
-        c = _edge_level(mesh, size)
-        size = size if c is None else 1.0 / c
+        rows, unit, level = mesh.edges, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, _level(mesh)
+        size = mesh.edge_lengths() if level is None else 1.0 / level[1]
     else:
         if not mesh.num_cells:
             raise AssemblyError("triangle_area measure requires a mesh with cells")
-        rows, unit, level = mesh.cells, (1.0 + np.eye(3)) / 12.0, _cell_level(mesh)
-        size = _cell_areas(mesh) if level is None else _cell_areas(level[0])[0] / level[1] ** 2
+        rows, unit = mesh.cells, (1.0 + np.eye(3)) / 12.0
+        level = _level(mesh) if mesh.dimension == 2 else None
+        if level is None or not level[0].num_cells:
+            size = _cell_areas(mesh)
+        else:
+            seed, c = level
+            size = _cell_areas(seed)[0] / (c * seed.edge_lengths()[0]) ** 2
     return rows, np.broadcast_to(np.multiply.outer(size, unit), (*rows.shape, rows.shape[1]))
 
 
@@ -218,15 +193,17 @@ def _elements(mesh: LevelMesh, formulation: str):
 
     fd and graph_energy take the unit edge element on every edge.  fem_edge
     takes ``_EDGE_ELEMENT / L`` and fem_area ``_triangle_matrices``: one
-    element per level on a mesh whose lengths fit its built-in family's
-    similarity at its level (``_edge_level``, ``_cell_level``), and elements
-    from coordinates on any other mesh.  Either way a stack of one element
-    is a stride-0 view, which the condensation serves with one block per
-    depth.
+    element per level on a level of a built-in family (``_level``), and
+    elements from coordinates on any other mesh.  Either way a stack of one
+    element is a stride-0 view, which the condensation serves with one block
+    per depth.
     """
     if formulation == "fem_area":
-        level = _cell_level(mesh)
-        local = _triangle_matrices(mesh) if level is None else _triangle_matrices(level[0])[0]
+        level = _level(mesh) if mesh.num_cells and mesh.dimension == 2 else None
+        if level is None or not level[0].num_cells:
+            local = _triangle_matrices(mesh)
+        else:
+            local = _triangle_matrices(level[0])[0]
         return mesh.cells, np.broadcast_to(local, (mesh.num_cells, 3, 3))
     if formulation not in ("fd", "graph_energy", "fem_edge"):
         raise UsageError(f"unknown formulation {formulation!r}")
@@ -234,12 +211,14 @@ def _elements(mesh: LevelMesh, formulation: str):
         raise AssemblyError("mesh has no edges")
     if formulation != "fem_edge":
         return mesh.edges, np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
-    length = mesh.edge_lengths()
-    c = _edge_level(mesh, length)
-    if c is None:
+    level = _level(mesh)
+    if level is None:
+        length = mesh.edge_lengths()
         if (length <= 0.0).any():
             raise AssemblyError("zero-length edge")
         c = (1.0 / length)[:, None, None]
+    else:
+        c = level[1]
     return mesh.edges, np.broadcast_to(_EDGE_ELEMENT * c, (mesh.num_edges, 2, 2))
 
 

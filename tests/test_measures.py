@@ -5,16 +5,18 @@ piecewise-linear integrands; the stiffness identities against scaled graph
 Laplacians are checked entrywise.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fraclap.errors import AssemblyError, UsageError
-from fraclap.geometry import LevelMesh, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, _structure, build_level
 from fraclap.graphs import _EDGE_ELEMENT, graph_laplacian
 from fraclap.measures import (
     MeasureKind,
+    _cell_areas,
     _elements,
     _load,
     _masses,
@@ -107,6 +109,26 @@ def test_triangle_area_requires_cells():
 def test_unknown_measure_kind():
     with pytest.raises(UsageError):
         vertex_weights(build_level("koch", 1), "volume")
+
+
+def _edgeless(family):
+    return LevelMesh(family=family, level=0, vertices=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                     edges=np.empty((0, 2), dtype=np.int64),
+                     cells=np.empty((0, 3), dtype=np.int64),
+                     boundary_indices=np.array([0, 1]), dedup_tolerance=1e-9)
+
+
+@pytest.mark.parametrize("family", ["sierpinski", "caller"])
+def test_self_similar_measure_refuses_a_mesh_without_edges(family):
+    # no copy to give the mass 1 to: an assembly error, not a division by zero
+    with pytest.raises(AssemblyError, match="mesh has no edges"):
+        vertex_weights(_edgeless(family), "self_similar")
+
+
+@pytest.mark.parametrize("family", ["sierpinski", "caller"])
+def test_edge_length_measure_of_a_mesh_without_edges_is_zero(family):
+    weights = vertex_weights(_edgeless(family), "edge_length").weights
+    np.testing.assert_array_equal(weights, [0.0, 0.0])
 
 
 # -- load vectors ---------------------------------------------------------------
@@ -508,3 +530,59 @@ def test_assembly_checks_hold_under_a_built_in_family_name(case, match):
         build = fem_area_stiffness
     with pytest.raises(AssemblyError, match=match):
         build(mesh)
+
+
+# -- what the level fit relies on ---------------------------------------------------
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seed_facts_the_level_fit_relies_on(family):
+    # ``measures._level`` checks edge lengths only; the cells of a level
+    # follow from them only while every seed edge has the first one's length
+    # and every side of a seed cell is a seed edge
+    seed = _structure(family)[0]
+    length = seed.edge_lengths()
+    np.testing.assert_allclose(length, length[0], rtol=1e-15)  # far inside _LEVEL_FIT
+    if family == "sierpinski":
+        assert seed.num_cells == 1
+        sides = {frozenset(seed.cells[0, [i, (i + 1) % 3]].tolist()) for i in range(3)}
+        assert sides <= {frozenset(e) for e in seed.edges.tolist()}
+    else:
+        assert seed.num_cells == 0
+
+
+def _coordinate_masses(mesh):
+    """The triangle-area mass elements S (1 + I) / 12 from coordinate areas."""
+    return _cell_areas(mesh)[:, None, None] * ((1.0 + np.eye(3)) / 12.0)
+
+
+def test_level_fit_needs_a_seed_cell():
+    # a Koch-named level 1 whose edges all have Koch's length 1/3, carrying
+    # two equilateral cells (a rhombus): the edges fit, but Koch's seed has
+    # no cell to take the element and the mass from
+    h = SQRT3 / 6.0
+    mesh = LevelMesh(family="koch", level=1,
+                     vertices=np.array([[0.0, 0.0], [1 / 3, 0.0], [1 / 6, h], [1 / 2, h]]),
+                     edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 2]]),
+                     cells=np.array([[0, 1, 2], [1, 3, 2]]),
+                     boundary_indices=np.array([0, 3]), dedup_tolerance=1e-12)
+    assert _elements(mesh, "fem_edge")[1].strides[0] == 0
+    np.testing.assert_array_equal(_elements(mesh, "fem_area")[1], _triangle_matrices(mesh))
+    np.testing.assert_array_equal(_masses(mesh, MeasureKind.TRIANGLE_AREA)[1],
+                                  _coordinate_masses(mesh))
+
+
+def test_cells_of_a_mesh_whose_edges_do_not_fit_take_coordinates():
+    # Sierpinski 2 plus one edge between two interior vertices: every cell
+    # is still the seed cell scaled by 1/4, but the mesh is not a level, so
+    # its elements and masses come from coordinates
+    mesh = build_level("sierpinski", 2)
+    adjacent = {tuple(sorted(e)) for e in mesh.edges.tolist()}
+    extra = next(pair for pair in itertools.combinations(mesh.interior_indices.tolist(), 2)
+                 if pair not in adjacent)
+    other = _relabeled(mesh, edges=np.vstack([mesh.edges, extra]))
+    _, local = _elements(other, "fem_area")
+    assert local.strides[0] != 0
+    np.testing.assert_array_equal(local, _triangle_matrices(other))
+    _, mass = _masses(other, MeasureKind.TRIANGLE_AREA)
+    assert mass.strides[0] != 0
+    np.testing.assert_array_equal(mass, _coordinate_masses(other))
