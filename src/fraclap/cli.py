@@ -82,11 +82,14 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 
 def _check_out(path: str) -> None:
-    """Raise ``OSError`` when ``path`` cannot be opened for writing: it is a
-    directory, an existing file that is not writable, or a new file whose
-    parent is not a writable directory.  Nothing is created."""
+    """Raise ``OSError`` when ``path`` cannot be opened for writing: it is
+    empty, a directory or a path ending in a separator, an existing file
+    that is not writable, or a new file whose parent is not a writable
+    directory.  Nothing is created."""
     code = 0
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path) or not os.path.basename(path):
         code = errno.EISDIR
     elif os.path.exists(path):
         code = 0 if os.access(path, os.W_OK) else errno.EACCES

@@ -11,7 +11,6 @@ discovery order, and repeated runs produce identical meshes.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -20,9 +19,9 @@ import numpy as np
 from . import FAMILIES
 from .errors import GeometryError, UsageError
 
-# Vertices closer than RELATIVE_TOLERANCE times the current minimum edge
-# length are merged; genuinely coincident points land many orders of
-# magnitude below that.
+# Vertices closer than RELATIVE_TOLERANCE times a mesh's shortest edge are
+# one (the build takes its shortest candidate edge); genuinely coincident
+# points land many orders of magnitude below that.
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
@@ -63,16 +62,23 @@ def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``|points[i] - points[j]|`` for each row ``(i, j)`` of ``edges``.
 
     The squared gaps are summed one axis at a time, in place, so no
-    ``(edges, d)`` array is formed; the result has the bits of
-    ``np.linalg.norm(points[i] - points[j], axis=1)``.
+    ``(edges, d)`` array is formed.  Each gap is scaled by ``2**-e``, with
+    ``e`` the binary exponent of ``max |p|``, before it is squared, and the
+    root by ``2**e``.  That is exact away from underflow, so the result has
+    the bits of ``np.linalg.norm(points[i] - points[j], axis=1)``, and no
+    square overflows: a length is ``inf`` only when it exceeds the largest
+    double.
     """
+    e = int(np.frexp(max(points.max(initial=0.0), -points.min(initial=0.0)))[1])
     sq = np.zeros(edges.shape[0])
-    for col in points.T:
-        gap = col[edges[:, 0]]
-        gap -= col[edges[:, 1]]
-        gap *= gap
-        sq += gap
-    return np.sqrt(sq, out=sq)
+    with np.errstate(over="ignore"):  # a gap overflows only where its length does
+        for col in points.T:
+            gap = col[edges[:, 0]]
+            gap -= col[edges[:, 1]]
+            np.ldexp(gap, -e, out=gap)
+            gap *= gap
+            sq += gap
+        return np.ldexp(np.sqrt(sq, out=sq), e, out=sq)
 
 
 def _sorted_columns(cells: np.ndarray):
@@ -174,14 +180,12 @@ class LevelMesh:
     edges: np.ndarray
     cells: np.ndarray
     boundary_indices: np.ndarray
-    dedup_tolerance: float
 
     def __post_init__(self):
         verts = _frozen(self.vertices, np.float64)
         edges = _index_array(self.edges, (-1, 2), "edges must be integer rows of 2 entries")
         cells = _index_array(self.cells, (-1, 3), "cells must be integer rows of 3 entries")
         bidx = _index_array(self.boundary_indices, (-1,), "boundary indices must be 1-D integers")
-        tol = self.dedup_tolerance
         n = verts.shape[0]
         if not isinstance(self.family, str):
             raise GeometryError(f"family must be a string, got {self.family!r}")
@@ -193,8 +197,6 @@ class LevelMesh:
             raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
         if not np.isfinite(verts).all():
             raise GeometryError("vertex coordinates must be finite")
-        if not (math.isfinite(tol) and tol >= 0):
-            raise GeometryError(f"dedup tolerance must be finite and nonnegative, got {tol!r}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GeometryError("edge index out of range")
         if (edges[:, 0] == edges[:, 1]).any():
@@ -249,6 +251,17 @@ class LevelMesh:
 
     def edge_lengths(self) -> np.ndarray:
         return _lengths(self.vertices, self.edges)
+
+    @functools.cached_property
+    def _edge_range(self) -> tuple[float, float]:
+        """The shortest and longest edge length, (0.0, 0.0) with no edges."""
+        lengths = self.edge_lengths()
+        return (float(lengths.min()), float(lengths.max())) if lengths.size else (0.0, 0.0)
+
+    @property
+    def dedup_tolerance(self) -> float:
+        """``RELATIVE_TOLERANCE`` times the shortest edge, 0.0 with no edges."""
+        return RELATIVE_TOLERANCE * self._edge_range[0]
 
 
 @dataclass(frozen=True)
@@ -498,7 +511,6 @@ def _finish_mesh(ifs, level, points, maps, edges, cells):
         edges=edges,
         cells=cells,
         boundary_indices=np.arange(nb),
-        dedup_tolerance=tol,
     )
 
 

@@ -127,7 +127,7 @@ _LEVEL_FIT = 1e-9
 def _level(mesh: LevelMesh):
     """``(seed, c)`` when ``mesh`` is a level of its built-in family: every
     edge has the length ``1/c = L0 r**n`` within ``_LEVEL_FIT``, with ``L0``
-    the first seed edge's length and ``1/r`` the ``grow`` of
+    the longest seed edge's length and ``1/r`` the ``grow`` of
     ``geometry._structure``; ``None`` for any other mesh.
 
     The level's fem-edge element is ``c`` times the unit element.  Every
@@ -136,18 +136,20 @@ def _level(mesh: LevelMesh):
     level is the seed cell scaled by ``r**n``: its linear stiffness, which
     depends only on the angles, is the seed cell's, and its area is the seed
     cell's over ``(c L0)**2``.
+
+    Only the shortest and the longest edge are read: ``fl(fl(x c) - 1)``
+    never decreases as ``x`` grows, so they decide as every edge would.  A
+    mesh with no edges fits.
     """
     if mesh.family not in FAMILIES:
         return None
     seed, _, grow = _structure(mesh.family)
     try:
-        c = grow ** mesh.level / seed.edge_lengths()[0]
+        c = grow ** mesh.level / seed._edge_range[1]
     except OverflowError:
         return None
-    ratios = mesh.edge_lengths()
-    ratios *= c
-    ratios -= 1.0
-    return (seed, c) if np.abs(ratios, out=ratios).max(initial=0.0) <= _LEVEL_FIT else None
+    fits = not mesh.num_edges or max(abs(x * c - 1.0) for x in mesh._edge_range) <= _LEVEL_FIT
+    return (seed, c) if fits else None
 
 
 def _masses(mesh: LevelMesh, kind):
@@ -183,7 +185,7 @@ def _masses(mesh: LevelMesh, kind):
             size = _cell_areas(mesh)
         else:
             seed, c = level
-            size = _cell_areas(seed)[0] / (c * seed.edge_lengths()[0]) ** 2
+            size = _cell_areas(seed)[0] / (c * seed._edge_range[1]) ** 2
     return rows, np.broadcast_to(np.multiply.outer(size, unit), (*rows.shape, rows.shape[1]))
 
 

@@ -21,13 +21,12 @@ then has one ``coordinates...,value`` row per vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GeometryError, UsageError
-from .geometry import LevelMesh, RELATIVE_TOLERANCE
+from .geometry import LevelMesh
 
 if TYPE_CHECKING:  # annotations only: writing a mesh loads no solver
     from .renorm import RenormEstimate
@@ -99,11 +98,13 @@ def _array(doc: dict, key: str, dtype) -> np.ndarray:
 
 def read_mesh(path) -> LevelMesh:
     """The document's mesh.  ``LevelMesh`` checks its structure, and any
-    refusal is a "malformed mesh document" ``UsageError``."""
+    refusal is a "malformed mesh document" ``UsageError``.  The mesh derives
+    its dedup tolerance from its shortest edge, as a built level does; a
+    document without an edge of positive finite length is refused."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"malformed mesh document: {exc}") from None
     try:
         dimension = doc["dimension"]
@@ -116,22 +117,12 @@ def read_mesh(path) -> LevelMesh:
     if type(dimension) is not int or vertices.shape[1:] != (dimension,):
         raise UsageError("malformed mesh document: each vertex row must have dimension entries")
     try:
-        # built with no tolerance first: the tolerance needs the checked edges
-        mesh = LevelMesh(
-            family=family,
-            level=level,
-            vertices=vertices,
-            edges=edges,
-            cells=cells,
-            boundary_indices=boundary,
-            dedup_tolerance=0.0,
-        )
-        lengths = mesh.edge_lengths()
-        if lengths.size == 0 or lengths.min() <= 0.0:
-            raise UsageError("mesh document has no usable edges")
-        return replace(mesh, dedup_tolerance=RELATIVE_TOLERANCE * float(lengths.min()))
+        mesh = LevelMesh(family, level, vertices, edges, cells, boundary)
     except GeometryError as exc:
         raise UsageError(f"malformed mesh document: {exc}") from None
+    if not 0.0 < mesh.dedup_tolerance < np.inf:
+        raise UsageError("mesh document has no usable edges")
+    return mesh
 
 
 def write_table(estimates: list[RenormEstimate], path) -> None:

@@ -85,9 +85,10 @@ def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
     fine = build_level(family, n + 1)
     if coarse.interior_indices.size == 0:
         raise SolveError(f"level {n} has no interior vertices to compare")
-    embedding = embed(coarse, fine)
+    # solved first: a weak form measures the fine edges that embed then reads
     z_c = _model_solution(family, n, formulation)
     z_f = _model_solution(family, n + 1, formulation)
+    embedding = embed(coarse, fine)
     ratios, excluded = _ratio_statistics(z_c, z_f, embedding, coarse.interior_indices)
     if ratios.size == 0:
         raise SolveError("all coarse interior vertices were excluded by the "

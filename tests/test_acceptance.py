@@ -186,7 +186,7 @@ def test_criterion_09_property_suite():
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
     reflected = LevelMesh(mesh.family, mesh.level,
                           mesh.vertices @ np.array([[c, s], [s, -c]]).T, mesh.edges,
-                          mesh.cells, mesh.boundary_indices, mesh.dedup_tolerance)
+                          mesh.cells, mesh.boundary_indices)
     idx = embed(reflected, mesh).index_map
     if np.abs(sol.values[idx] - sol.values).max() > 1e-10:
         violations.append("reflection symmetry")

@@ -363,15 +363,19 @@ def _refuse_to_build(monkeypatch, family="sierpinski"):
 
 
 @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
-@pytest.mark.parametrize("where", ["missing dir", "directory", "file as dir"])
+@pytest.mark.parametrize("where", ["missing dir", "directory", "file as dir", "empty",
+                                   "new file as dir"])
 def test_unwritable_out_exits_four_before_building(tmp_path, monkeypatch, capsys,
                                                    command, where):
+    # an empty last component ("" or "new/") names no file that open can create
     (tmp_path / "file").write_text("")
-    out = {"missing dir": tmp_path / "missing" / "out",
-           "directory": tmp_path,
-           "file as dir": tmp_path / "file" / "out"}[where]
+    out = {"missing dir": str(tmp_path / "missing" / "out"),
+           "directory": str(tmp_path),
+           "file as dir": str(tmp_path / "file" / "out"),
+           "empty": "",
+           "new file as dir": str(tmp_path / "new") + os.sep}[where]
     _refuse_to_build(monkeypatch)
-    rc = cli.main([*_OUT_COMMANDS[command], "--out", str(out)])
+    rc = cli.main([*_OUT_COMMANDS[command], "--out", out])
     assert rc == 4
     assert "i/o failure:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

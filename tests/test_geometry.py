@@ -11,6 +11,7 @@ from fraclap.errors import GeometryError, UsageError
 from fraclap.geometry import (
     FAMILIES,
     MAX_VERTICES,
+    RELATIVE_TOLERANCE,
     AffineMap,
     IFSystem,
     LevelMesh,
@@ -278,6 +279,18 @@ def test_lengths_have_the_bits_of_the_norm(family, n):
     assert m.edge_lengths().tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("points, length", [
+    ([[0.0, 0.0], [1e200, 0.0]], 1e200),
+    ([[0.0, 0.0, 0.0], [3 * 2.0**600, 0.0, -4 * 2.0**600]], 5 * 2.0**600),
+    ([[-1e308, 0.0], [0.0, 0.0]], 1e308),
+    ([[3 * 2.0**-600, 0.0], [0.0, 4 * 2.0**-600]], 5 * 2.0**-600),
+], ids=["1e200", "3-4-5-times-2-to-the-600", "1e308", "3-4-5-times-2-to-the-minus-600"])
+def test_lengths_of_points_whose_squares_are_not_doubles(points, length):
+    # scaled by a power of two before squaring: no overflow (an error under
+    # this suite's warning filter), no underflow to 0, and the exact length
+    assert geometry._lengths(np.array(points), np.array([[0, 1]])).tolist() == [length]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(5))
 def test_boundary_persistence(family, n):
@@ -331,7 +344,6 @@ def test_embed_unmatched_vertices():
         edges=fine.edges,
         cells=fine.cells,
         boundary_indices=fine.boundary_indices,
-        dedup_tolerance=fine.dedup_tolerance,
     )
     with pytest.raises(GeometryError):
         embed(m, shifted)
@@ -339,7 +351,7 @@ def test_embed_unmatched_vertices():
 
 def _with_vertices_and_edges(mesh, vertices, edges):
     return LevelMesh(mesh.family, mesh.level, vertices, edges, mesh.cells,
-                     mesh.boundary_indices, mesh.dedup_tolerance)
+                     mesh.boundary_indices)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -429,18 +441,17 @@ def test_meshes_are_immutable():
 def test_mesh_rejects_duplicate_edge():
     with pytest.raises(GeometryError, match="duplicate edge"):
         LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2], [1, 0]],
-                  np.empty((0, 3)), [0], 1e-9)
+                  np.empty((0, 3)), [0])
 
 
 def test_mesh_rejects_cell_side_without_edge():
     with pytest.raises(GeometryError, match="pairwise joined"):
-        LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2]], [[0, 1, 2]], [0], 1e-9)
+        LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2]], [[0, 1, 2]], [0])
 
 
 _PATH_MESH = dict(family="path", level=0,
                   vertices=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
-                  edges=[[0, 1], [1, 2], [2, 3]], cells=[], boundary_indices=[0, 3],
-                  dedup_tolerance=1e-9)
+                  edges=[[0, 1], [1, 2], [2, 3]], cells=[], boundary_indices=[0, 3])
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -450,8 +461,6 @@ _PATH_MESH = dict(family="path", level=0,
     ("cells", [[0, 1], [1, 2], [2, 3]], "cells must be integer rows"),
     ("boundary_indices", [[0], [3]], "boundary indices must be 1-D integers"),
     ("boundary_indices", [0.7, 3.2], "boundary indices must be 1-D integers"),
-    ("dedup_tolerance", float("nan"), "dedup tolerance must be finite"),
-    ("dedup_tolerance", -1.0, "dedup tolerance must be finite"),
     ("level", 2.7, "level must be an integer"),
     ("level", "2", "level must be an integer"),
     ("level", None, "level must be an integer"),
@@ -468,7 +477,7 @@ _PATH_MESH = dict(family="path", level=0,
     ("cells", [[0, 1, 4]], "cell index out of range"),
     ("cells", [[0, 1, 1]], "degenerate cell"),
 ], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
-        "boundary-rows", "fractional-boundary", "nan-tolerance", "negative-tolerance",
+        "boundary-rows", "fractional-boundary",
         "fractional-level", "text-level", "no-level", "bool-level", "negative-level", "no-family",
         "numeric-family", "one-coordinate", "nan-coordinate", "edge-past-the-vertices",
         "negative-edge", "self-loop", "boundary-past-the-vertices", "cell-past-the-vertices",
@@ -477,9 +486,17 @@ def test_mesh_refuses_malformed_arrays(key, value, message):
     # not reshaped or truncated: edges [[0, 1, 2], [1, 2, 3]] are not
     # [[0, 1], [2, 1], [2, 3]], and boundary [0.7, 3.2] is not [0, 3]; level
     # 2.7 is not level 2
-    assert LevelMesh(**{**_PATH_MESH, "dedup_tolerance": 0.0}).num_edges == 3
+    assert LevelMesh(**_PATH_MESH).num_edges == 3
     with pytest.raises(GeometryError, match=message):
         LevelMesh(**{**_PATH_MESH, key: value})
+
+
+def test_mesh_derives_its_dedup_tolerance():
+    # one rule for every mesh, built or not: none is passed in
+    assert LevelMesh(**_PATH_MESH).dedup_tolerance == RELATIVE_TOLERANCE * 1.0
+    assert LevelMesh(**{**_PATH_MESH, "edges": []}).dedup_tolerance == 0.0
+    with pytest.raises(TypeError):
+        LevelMesh(**_PATH_MESH, dedup_tolerance=1e-9)
 
 
 @pytest.mark.parametrize("level", [np.int64(3), np.uint8(3), 3, 10**400],

@@ -23,7 +23,6 @@ def path_mesh(n):
         edges=edges,
         cells=np.empty((0, 3), dtype=np.int64),
         boundary_indices=np.array([0, n - 1]),
-        dedup_tolerance=1e-9,
     )
 
 

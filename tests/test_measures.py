@@ -15,9 +15,11 @@ from fraclap.errors import AssemblyError, UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, _structure, build_level
 from fraclap.graphs import _EDGE_ELEMENT, graph_laplacian
 from fraclap.measures import (
+    _LEVEL_FIT,
     MeasureKind,
     _cell_areas,
     _elements,
+    _level,
     _load,
     _masses,
     _triangle_matrices,
@@ -43,7 +45,6 @@ def single_cell_mesh(p0, p1, p2):
         edges=np.array([[0, 1], [1, 2], [2, 0]]),
         cells=np.array([[0, 1, 2]]),
         boundary_indices=np.array([0, 1, 2]),
-        dedup_tolerance=1e-9,
     )
 
 
@@ -55,7 +56,6 @@ def single_edge_mesh(p0, p1):
         edges=np.array([[0, 1]]),
         cells=np.empty((0, 3), dtype=np.int64),
         boundary_indices=np.array([0, 1]),
-        dedup_tolerance=1e-9,
     )
 
 
@@ -115,7 +115,7 @@ def _edgeless(family):
     return LevelMesh(family=family, level=0, vertices=np.array([[0.0, 0.0], [1.0, 0.0]]),
                      edges=np.empty((0, 2), dtype=np.int64),
                      cells=np.empty((0, 3), dtype=np.int64),
-                     boundary_indices=np.array([0, 1]), dedup_tolerance=1e-9)
+                     boundary_indices=np.array([0, 1]))
 
 
 @pytest.mark.parametrize("family", ["sierpinski", "caller"])
@@ -366,7 +366,6 @@ def test_stiffness_matches_dense_scatter_on_a_triangle_fan():
         edges=np.vstack([np.column_stack([np.zeros(k, dtype=int), ring]), fan[:, 1:]]),
         cells=cells,
         boundary_indices=ring,
-        dedup_tolerance=1e-9,
     )
     for formulation, build in (("fem_edge", fem_edge_stiffness), ("fem_area", fem_area_stiffness)):
         elements, local = _elements(mesh, formulation)
@@ -384,7 +383,6 @@ def test_zero_length_edge_rejected():
         edges=np.array([[0, 1]]),
         cells=np.empty((0, 3), dtype=np.int64),
         boundary_indices=np.array([0, 1]),
-        dedup_tolerance=1e-9,
     )
     with pytest.raises(AssemblyError):
         fem_edge_stiffness(m)
@@ -398,7 +396,6 @@ def test_degenerate_cell_rejected():
         edges=np.array([[0, 1], [1, 2], [0, 2]]),
         cells=np.array([[0, 1, 2]]),
         boundary_indices=np.array([0, 2]),
-        dedup_tolerance=1e-9,
     )
     with pytest.raises(AssemblyError):
         fem_area_stiffness(m)
@@ -473,7 +470,7 @@ def test_level_elements_are_exact_scalings_of_the_seed():
 def _relabeled(mesh, **change):
     fields = dict(family=mesh.family, level=mesh.level, vertices=mesh.vertices,
                   edges=mesh.edges, cells=mesh.cells,
-                  boundary_indices=mesh.boundary_indices, dedup_tolerance=mesh.dedup_tolerance)
+                  boundary_indices=mesh.boundary_indices)
     return LevelMesh(**{**fields, **change})
 
 
@@ -508,7 +505,7 @@ def _named_sierpinski(vertices, cells):
     return LevelMesh(family="sierpinski", level=0, vertices=np.array(vertices),
                      edges=np.array([[0, 1], [1, 2], [0, 2]]),
                      cells=np.array(cells, dtype=np.int64).reshape(-1, 3),
-                     boundary_indices=np.array([0, 1, 2]), dedup_tolerance=1e-12)
+                     boundary_indices=np.array([0, 1, 2]))
 
 
 @pytest.mark.parametrize("case, match", [
@@ -537,8 +534,8 @@ def test_assembly_checks_hold_under_a_built_in_family_name(case, match):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_seed_facts_the_level_fit_relies_on(family):
     # ``measures._level`` checks edge lengths only; the cells of a level
-    # follow from them only while every seed edge has the first one's length
-    # and every side of a seed cell is a seed edge
+    # follow from them only while every seed edge has the longest one's
+    # length and every side of a seed cell is a seed edge
     seed = _structure(family)[0]
     length = seed.edge_lengths()
     np.testing.assert_allclose(length, length[0], rtol=1e-15)  # far inside _LEVEL_FIT
@@ -548,6 +545,31 @@ def test_seed_facts_the_level_fit_relies_on(family):
         assert sides <= {frozenset(e) for e in seed.edges.tolist()}
     else:
         assert seed.num_cells == 0
+
+
+@pytest.mark.parametrize("family, level", [
+    ("koch", 4), ("sierpinski", 4), ("hata2d", 3), ("hata3d", 3),
+])
+def test_level_fit_decides_as_every_edge_does(family, level):
+    # the first edge of a built level replaced by one f times as long, to a
+    # new vertex along it, with f straddling 1 - _LEVEL_FIT and 1 + _LEVEL_FIT:
+    # the fit reads the shortest and the longest edge only, and must decide
+    # as the test over every edge does
+    mesh = build_level(family, level)
+    c = _level(mesh)[1]
+    i, j = mesh.edges[0]
+    edges = np.vstack([[i, mesh.num_vertices], mesh.edges[1:]])
+    steps = _LEVEL_FIT * (1.0 + np.linspace(-1e-3, 1e-3, 9))
+    decisions = []
+    for f in np.concatenate([1.0 - steps, 1.0 + steps]):
+        p = mesh.vertices[i] + f * (mesh.vertices[j] - mesh.vertices[i])
+        other = LevelMesh(family, level, np.vstack([mesh.vertices, p]), edges, [],
+                          mesh.boundary_indices)
+        expected = bool(np.abs(other.edge_lengths() * c - 1).max() <= _LEVEL_FIT)
+        assert (_level(other) is not None) == expected, f
+        decisions.append(expected)
+    # each side of the window is crossed
+    assert set(decisions[:9]) == set(decisions[9:]) == {True, False}
 
 
 def _coordinate_masses(mesh):
@@ -564,7 +586,7 @@ def test_level_fit_needs_a_seed_cell():
                      vertices=np.array([[0.0, 0.0], [1 / 3, 0.0], [1 / 6, h], [1 / 2, h]]),
                      edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 2]]),
                      cells=np.array([[0, 1, 2], [1, 3, 2]]),
-                     boundary_indices=np.array([0, 3]), dedup_tolerance=1e-12)
+                     boundary_indices=np.array([0, 3]))
     assert _elements(mesh, "fem_edge")[1].strides[0] == 0
     np.testing.assert_array_equal(_elements(mesh, "fem_area")[1], _triangle_matrices(mesh))
     np.testing.assert_array_equal(_masses(mesh, MeasureKind.TRIANGLE_AREA)[1],

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fraclap
 from fraclap import meshfile
 from fraclap.errors import UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, build_level
+from fraclap.geometry import FAMILIES, RELATIVE_TOLERANCE, LevelMesh, build_level
 from fraclap.measures import _elements
 from fraclap.meshfile import read_mesh, write_mesh, write_solution, write_table
 from fraclap.renorm import estimate_laplacian_ratio, solve_online
@@ -37,6 +37,8 @@ def test_mesh_round_trip_is_bit_exact(family, tmp_path):
     np.testing.assert_array_equal(back.edges, mesh.edges)
     np.testing.assert_array_equal(back.cells, mesh.cells)
     np.testing.assert_array_equal(back.boundary_indices, mesh.boundary_indices)
+    # one rule: both take it from the shortest edge of the mesh
+    assert back.dedup_tolerance == mesh.dedup_tolerance
 
 
 # Writes and reads back the largest hata2d document in a child process, so
@@ -94,6 +96,18 @@ def test_malformed_document_rejected(tmp_path):
         read_mesh(path)
     path.write_text(json.dumps({"family": "x"}))
     with pytest.raises(UsageError):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    json.dumps({"vertices": None}).replace("null", "[" * 50_000 + "]" * 50_000),
+], ids=["nested-document", "nested-vertices"])
+def test_deeply_nested_document_rejected(tmp_path, text):
+    # the decoder's recursion limit is a malformed document, not a crash
+    path = tmp_path / "mesh.json"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="malformed mesh document"):
         read_mesh(path)
 
 
@@ -372,6 +386,29 @@ def test_solution_rows_are_17_digit_values(tmp_path):
 
 # Writer inputs drawn from a small pool so that values repeat: the writers
 # format each distinct bit pattern once, so 0.0 and -0.0 must stay apart.
+@pytest.mark.parametrize("change", [
+    {"edges": []},
+    {"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]},
+    {"vertices": [[-1e308, 0.0], [1e308, 0.0], [-1e308, 1e308], [1e308, 1e308]]},
+], ids=["no-edges", "zero-length-edge", "edges-longer-than-a-double"])
+def test_document_without_usable_edges_is_refused(tmp_path, change):
+    # the dedup tolerance is a positive finite part of the shortest edge
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({**_PATH_DOCUMENT, **change}))
+    with pytest.raises(UsageError, match="mesh document has no usable edges"):
+        read_mesh(path)
+
+
+def test_document_with_far_apart_points_is_read(tmp_path):
+    # a length of 1e200 is a double, although its square is not
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({**_PATH_DOCUMENT, "vertices": [[0.0, 0.0], [1e200, 0.0]],
+                                "edges": [[0, 1]], "boundary": [0, 1]}))
+    mesh = read_mesh(path)
+    assert mesh.edge_lengths().tolist() == [1e200]
+    assert mesh.dedup_tolerance == RELATIVE_TOLERANCE * 1e200
+
+
 # The writers' block size is drawn too, so that rows span block seams.
 _FINITE_POOL = [0.0, -0.0, 5e-324, 1e300, 1 / 3, -2.5]
 _SOLUTION_POOL = _FINITE_POOL + [np.inf, -np.inf, np.nan]
@@ -382,7 +419,7 @@ def _pooled_case(coords, values, block_rows):
     solution of ``values`` and the writers' block size."""
     mesh = LevelMesh(family="pool", level=0, vertices=coords,
                      edges=[[0, 1], [1, 2], [0, 2]], cells=[[0, 1, 2]],
-                     boundary_indices=[0, 1, 2], dedup_tolerance=0.0)
+                     boundary_indices=[0, 1, 2])
     sol = Solution(values=values, method="rfd", level=0,
                    renorm_constant_applied=1.0, solver_residual=0.0)
     return mesh, sol, block_rows

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fraclap import geometry
 from fraclap.errors import AssemblyError, SolveError, UsageError
 from fraclap.geometry import build_level, embed
 from fraclap.graphs import graph_laplacian
@@ -285,6 +286,25 @@ def test_renormalize_rejects_unrepresentable_scaling(constant, n):
 
 
 # -- solve_online ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, method", [
+    ("koch", "rfem1d"), ("sierpinski", "rfem1d"), ("sierpinski", "rfem2d"),
+])
+def test_solve_online_measures_its_level_once(monkeypatch, family, method):
+    # the elements and the load both ask whether the mesh is a level of its
+    # family (``measures._level``); the edges are measured for the first
+    mesh = build_level(family, 4)
+    mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
+    lengths, measured = geometry._lengths, []
+
+    def counting(points, edges):
+        measured.append(points is mesh.vertices)
+        return lengths(points, edges)
+
+    monkeypatch.setattr(geometry, "_lengths", counting)
+    solve_online(family, 4, method, 5.0, np.ones(mesh.num_vertices), _zero_bc(mesh))
+    assert measured.count(True) == 1
+
 
 @pytest.mark.parametrize("constant", [1e300, 1e-300, np.inf])
 def test_solve_online_rejects_unrepresentable_scaling(constant):

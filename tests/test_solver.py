@@ -38,7 +38,6 @@ def path_mesh(n):
         edges=edges,
         cells=np.empty((0, 3), dtype=np.int64),
         boundary_indices=np.array([0, n - 1]),
-        dedup_tolerance=1e-9,
     )
 
 
@@ -227,7 +226,7 @@ def test_reflection_symmetry_on_sierpinski():
     c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
     mirror = np.array([[c, s], [s, -c]])
     reflected = LevelMesh(m.family, m.level, m.vertices @ mirror.T, m.edges, m.cells,
-                          m.boundary_indices, m.dedup_tolerance)
+                          m.boundary_indices)
     idx = embed(reflected, m).index_map
     np.testing.assert_allclose(sol.values[idx], sol.values, atol=1e-10)
 
@@ -365,7 +364,7 @@ def test_condensation_rejects_permuted_edges(family, formulation):
     mesh = build_level(family, 3)
     order = np.random.default_rng(5).permutation(mesh.num_edges)
     permuted = LevelMesh(mesh.family, mesh.level, mesh.vertices, mesh.edges[order],
-                         mesh.cells, mesh.boundary_indices, mesh.dedup_tolerance)
+                         mesh.cells, mesh.boundary_indices)
     h = {int(i): 0.0 for i in mesh.boundary_indices}
     elements, local = _elements(permuted, formulation)
     with pytest.raises(GeometryError):
@@ -417,7 +416,7 @@ def test_condensation_rejects_elements_out_of_the_first_leaf_order(family, formu
 def test_condensation_rejects_a_mesh_of_another_level():
     mesh = build_level("sierpinski", 3)
     relabeled = LevelMesh(mesh.family, 2, mesh.vertices, mesh.edges, mesh.cells,
-                          mesh.boundary_indices, mesh.dedup_tolerance)
+                          mesh.boundary_indices)
     elements, local = _elements(relabeled, "fd")
     with pytest.raises(GeometryError):
         solve_condensed(relabeled, elements, local, np.zeros(mesh.num_vertices),
