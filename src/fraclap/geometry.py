@@ -1,11 +1,11 @@
 """Level meshes of self-similar sets built from iterated affine contractions.
 
 A family is described by an :class:`IFSystem`: a list of affine contraction
-maps, a seed edge set and the seed's boundary points.  ``iterate`` applies
-the union of the maps ``n`` times to the seed, merging coincident vertices,
-and returns a :class:`LevelMesh`.  Vertex ordering is part of the contract:
-boundary vertices come first (in seed order), interior vertices follow in
-discovery order, and repeated runs produce identical meshes.
+maps and its seed, the level-0 :class:`LevelMesh` they refine.  ``iterate``
+applies the union of the maps ``n`` times to the seed, merging coincident
+vertices, and returns a :class:`LevelMesh`.  Vertex ordering is part of the
+contract: boundary vertices come first (in seed order), interior vertices
+follow in discovery order, and repeated runs produce identical meshes.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from . import FAMILIES
 from .errors import GeometryError, UsageError
 
 # Vertices closer than RELATIVE_TOLERANCE times a mesh's shortest edge are
-# one (the build takes its shortest candidate edge); genuinely coincident
-# points land many orders of magnitude below that.
+# one (a refinement merges at the coarse level's tolerance times the least
+# singular value of the maps, a bound on its shortest candidate edge's);
+# genuinely coincident points land many orders of magnitude below that.
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
@@ -125,52 +126,6 @@ def apply_map(m: AffineMap, p) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IFSystem:
-    """Affine maps plus the seed edge set they act on."""
-
-    maps: tuple[AffineMap, ...]
-    seed_edges: tuple[tuple[np.ndarray, np.ndarray], ...]
-    boundary_points: np.ndarray
-    family_name: str
-    cell_generation: bool = False
-
-    def __post_init__(self):
-        if not self.maps:
-            raise UsageError("need at least one contraction map")
-        dim = self.maps[0].dimension
-        if any(m.dimension != dim for m in self.maps):
-            raise UsageError("all maps must share one dimension")
-        bp = _frozen(self.boundary_points, np.float64)
-        if bp.ndim != 2 or bp.shape[1] != dim or bp.shape[0] == 0:
-            raise UsageError("boundary points must be a nonempty (b, d) array")
-        edges = tuple(
-            (_frozen(p, np.float64), _frozen(q, np.float64)) for p, q in self.seed_edges
-        )
-        if not edges:
-            raise UsageError("seed must contain at least one edge")
-        for p, q in edges:
-            if p.shape != (dim,) or q.shape != (dim,):
-                raise UsageError("seed edge endpoints must match the map dimension")
-        endpoints = np.array([pt for e in edges for pt in e])
-        for b in bp:
-            if not (np.linalg.norm(endpoints - b, axis=1) < 1e-12).any():
-                raise UsageError("every boundary point must be a seed edge endpoint")
-        if bp.shape[0] > 1:
-            dists = np.linalg.norm(bp[:, None, :] - bp[None, :, :], axis=2)
-            if (dists + np.eye(bp.shape[0]) <= 1e-12).any():
-                raise UsageError("boundary points must be pairwise distinct")
-        if self.cell_generation and bp.shape[0] != 3:
-            raise UsageError("cell generation requires a triangular seed boundary")
-        object.__setattr__(self, "maps", tuple(self.maps))
-        object.__setattr__(self, "seed_edges", edges)
-        object.__setattr__(self, "boundary_points", bp)
-
-    @property
-    def dimension(self) -> int:
-        return self.maps[0].dimension
-
-
-@dataclass(frozen=True)
 class LevelMesh:
     """Level-``n`` approximation: vertices, edges, optional cells, boundary."""
 
@@ -265,6 +220,40 @@ class LevelMesh:
 
 
 @dataclass(frozen=True)
+class IFSystem:
+    """Affine maps plus the level-0 mesh they refine, its ``seed``, whose
+    boundary vertices are its first vertices.  The system's family and
+    dimension are the seed's."""
+
+    maps: tuple[AffineMap, ...]
+    seed: LevelMesh
+
+    def __post_init__(self):
+        maps, seed = tuple(self.maps), self.seed
+        if not maps:
+            raise UsageError("need at least one contraction map")
+        for k, m in enumerate(maps):
+            if m.dimension != seed.dimension:
+                raise UsageError(f"map {k} has dimension {m.dimension}, the seed {seed.dimension}")
+            if np.linalg.matrix_rank(m.linear) < m.dimension:
+                raise UsageError(f"map {k} has a singular linear part")
+        if seed.level != 0 or not seed.num_edges:
+            raise UsageError("the seed must be a level-0 mesh with at least one edge")
+        nb = seed.boundary_indices.size
+        if not nb or not np.array_equal(seed.boundary_indices, np.arange(nb)):
+            raise UsageError("the seed's boundary indices must be 0, 1, ..., nb - 1 with nb >= 1")
+        if (np.bincount(seed.edges.ravel(), minlength=nb)[:nb] == 0).any():
+            raise UsageError("every boundary vertex must lie on a seed edge")
+        if _close_pairs(seed.vertices, seed.dedup_tolerance)[0].size:
+            raise UsageError("two seed vertices lie within the seed's dedup tolerance")
+        object.__setattr__(self, "maps", maps)
+
+    @property
+    def dimension(self) -> int:
+        return self.seed.dimension
+
+
+@dataclass(frozen=True)
 class EmbeddingMap:
     """For each coarse vertex, the index of the coinciding fine vertex."""
 
@@ -303,18 +292,14 @@ def _koch_system() -> IFSystem:
         AffineMap(_rot2(-np.pi / 3) / 3, np.array([0.5, np.sqrt(3) / 6])),
         AffineMap(i2 / 3, np.array([2 / 3, 0.0])),
     )
-    return IFSystem(maps, ((a, b),), np.array([a, b]), "koch")
+    return IFSystem(maps, LevelMesh("koch", 0, [a, b], [[0, 1]], [], [0, 1]))
 
 
 def _sierpinski_system() -> IFSystem:
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     maps = tuple(AffineMap(np.eye(2) / 2, c / 2) for c in corners)
-    seed = (
-        (corners[0], corners[1]),
-        (corners[1], corners[2]),
-        (corners[2], corners[0]),
-    )
-    return IFSystem(maps, seed, corners, "sierpinski", cell_generation=True)
+    seed = LevelMesh("sierpinski", 0, corners, [[0, 1], [1, 2], [2, 0]], [[0, 1, 2]], [0, 1, 2])
+    return IFSystem(maps, seed)
 
 
 def _hata2d_system() -> IFSystem:
@@ -329,7 +314,7 @@ def _hata2d_system() -> IFSystem:
         AffineMap(r60 / 3, np.array([2 / 3, 0.0])),
         AffineMap(i2 / 3, np.array([2 / 3, 0.0])),
     )
-    return IFSystem(maps, ((p1, p2),), np.array([p1, p2]), "hata2d")
+    return IFSystem(maps, LevelMesh("hata2d", 0, [p1, p2], [[0, 1]], [], [0, 1]))
 
 
 def _hata3d_system() -> IFSystem:
@@ -350,7 +335,7 @@ def _hata3d_system() -> IFSystem:
         AffineMap(_branch_rotation(np.pi, polar) / 3, t2),
         AffineMap(i3 / 3, t2),
     )
-    return IFSystem(maps, ((p1, p2),), np.array([p1, p2]), "hata3d")
+    return IFSystem(maps, LevelMesh("hata3d", 0, [p1, p2], [[0, 1]], [], [0, 1]))
 
 
 _BUILTIN = {
@@ -361,8 +346,10 @@ _BUILTIN = {
 }
 
 
+@functools.cache
 def builtin_system(family: str) -> IFSystem:
-    """Return the predefined system for one of the supported families."""
+    """Return the predefined system for one of the supported families, built
+    once per process: a system is immutable."""
     try:
         factory = _BUILTIN[family]
     except KeyError:
@@ -461,12 +448,15 @@ def _dedup(candidates, tol):
     return rank[root], np.flatnonzero(kept)
 
 
-def _finish_mesh(ifs, level, points, maps, edges, cells):
-    """Merge the candidate vertices of a level and return its mesh.
+def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
+    """The next level of ``mesh``: its images under the maps, merged.
 
-    The candidates are the boundary points followed by one block per map:
-    the image of ``points`` under that map, or ``points`` itself when
-    ``maps`` is empty.  ``edges`` and ``cells`` index ``points`` and are
+    The candidates are the seed's boundary vertices followed by one block
+    per map, the image of ``mesh.vertices`` under that map.  They are merged
+    at the least singular value of the maps' linear parts times the
+    tolerance of ``mesh``, and not measured: a map scales no length by less
+    than that value, so the product is ``RELATIVE_TOLERANCE`` times a lower
+    bound on the shortest candidate edge.  The edges and cells of ``mesh`` are
     repeated in every block, in block order, and gathered as they are: the
     copies of a post-critically finite system meet only at vertices, so
     they share no edge or cell, and a system whose copies share an edge
@@ -474,39 +464,29 @@ def _finish_mesh(ifs, level, points, maps, edges, cells):
     candidates live only in this frame, so they are released as soon as the
     vertices are taken.
     """
-    nb, (npts, dim) = ifs.boundary_points.shape[0], points.shape
-    offsets = nb + npts * np.arange(max(len(maps), 1), dtype=np.int64)
+    seed, points = ifs.seed, mesh.vertices
+    nb, (npts, dim) = seed.boundary_indices.size, points.shape
+    offsets = nb + npts * np.arange(len(ifs.maps), dtype=np.int64)
     cand = np.empty((nb + offsets.size * npts, dim))
-    cand[:nb] = ifs.boundary_points
-    if not maps:
-        cand[nb:] = points
-    for off, m in zip(offsets, maps):
+    cand[:nb] = seed.vertices[:nb]
+    for off, m in zip(offsets, ifs.maps):
         block = cand[off:off + npts]
         np.matmul(points, m.linear.T, out=block)
         block += m.translation
-    # the minimum candidate edge length, taken block by block
-    min_len = np.min([_lengths(cand[off:off + npts], edges).min() for off in offsets])
-    if min_len <= 0.0:
-        raise GeometryError("degenerate zero-length edge in construction")
-    tol = RELATIVE_TOLERANCE * min_len
-    assign, uniq_rows = _dedup(cand, tol)
-    if not np.array_equal(assign[:nb], np.arange(nb)):
-        raise GeometryError("boundary anchor points collapsed during dedup")
+    shrink = min(np.linalg.svd(m.linear, compute_uv=False)[-1] for m in ifs.maps)
+    assign, uniq_rows = _dedup(cand, shrink * mesh.dedup_tolerance)
     verts = cand[uniq_rows]
     del cand, uniq_rows
-    nv = verts.shape[0]
 
-    edges = _gather_blocks(assign, offsets, edges)
-    cells = _gather_blocks(assign, offsets, cells)
+    edges = _gather_blocks(assign, offsets, mesh.edges)
+    cells = _gather_blocks(assign, offsets, mesh.cells)
     del assign
 
-    incident = np.bincount(edges.ravel(), minlength=nv)
-    if (incident[:nb] == 0).any():
+    if (np.bincount(edges.ravel(), minlength=nb)[:nb] == 0).any():
         raise GeometryError("a boundary point is not reproduced by the iteration")
-    del incident
     return LevelMesh(
-        family=ifs.family_name,
-        level=level,
+        family=seed.family,
+        level=mesh.level + 1,
         vertices=verts,
         edges=edges,
         cells=cells,
@@ -521,24 +501,6 @@ def _gather_blocks(assign, offsets, rows):
     for k, off in enumerate(offsets):
         np.take(assign, off + rows, out=blocks[k])
     return out
-
-
-def _seed_mesh(ifs: IFSystem) -> LevelMesh:
-    # one identity block: the boundary points, then the seed edge endpoints
-    nb = ifs.boundary_points.shape[0]
-    endpoints = np.array([pt for e in ifs.seed_edges for pt in e])
-    points = np.vstack([ifs.boundary_points, endpoints])
-    ne = len(ifs.seed_edges)
-    edges = nb + np.arange(2 * ne, dtype=np.int64).reshape(ne, 2)
-    cells = np.empty((0, 3), dtype=np.int64)
-    if ifs.cell_generation:
-        # The triangular seed cell is spanned by the three boundary anchors.
-        cells = np.array([[0, 1, 2]], dtype=np.int64)
-    return _finish_mesh(ifs, 0, points, (), edges, cells)
-
-
-def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
-    return _finish_mesh(ifs, mesh.level + 1, mesh.vertices, ifs.maps, mesh.edges, mesh.cells)
 
 
 def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
@@ -578,14 +540,15 @@ def _level_index(level) -> int:
 
 
 def iterate(ifs: IFSystem, n: int) -> LevelMesh:
-    """Apply the union map ``n`` times to the seed and return the mesh.
+    """Apply the union map ``n`` times to ``ifs.seed`` and return the mesh;
+    level 0 is the seed itself.
 
     Coincident vertices are merged; edges and cells are kept as each copy
     gives them.  A system whose copies share an edge (a repeated or an
     overlapping map) raises ``GeometryError``.
     """
     n = _level_index(n)
-    mesh = _seed_mesh(ifs)
+    mesh = ifs.seed
     for _ in range(n):
         mesh = _refine(ifs, mesh)
     return mesh
@@ -596,13 +559,12 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     """The self-similar structure of a built-in family: ``(seed, glue,
     grow)``, its level-0 mesh, its gluing table ``(child, seed vertex) ->
     level-1 vertex`` and ``1/r``, the reciprocal of the one similarity ratio
-    of its maps (3, or 2 for Sierpinski).  Built with ``_seed_mesh`` and
-    ``_refine``, not ``build_level``, which checks against it."""
+    of its maps (3, or 2 for Sierpinski).  Read from the system's seed and
+    one ``_refine`` of it, not from ``build_level``, which checks against it."""
     ifs = builtin_system(family)
-    seed = _seed_mesh(ifs)
-    glue = _copy_table(_refine(ifs, seed), seed)
+    glue = _copy_table(_refine(ifs, ifs.seed), ifs.seed)
     glue.setflags(write=False)
-    return seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
+    return ifs.seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
 
 
 def predicted_vertices(family: str, level: int) -> int:
@@ -619,14 +581,22 @@ def predicted_vertices(family: str, level: int) -> int:
     return (c + (v0 * (m - 1) - c) * m**_level_index(level)) // (m - 1)
 
 
+@functools.cache
+def _largest_level(family: str) -> int:
+    """The last level of ``family`` whose predicted vertex count is at most
+    ``MAX_VERTICES``, found once per process."""
+    largest = 0  # counts grow with the level: find the last that fits
+    while predicted_vertices(family, largest + 1) <= MAX_VERTICES:
+        largest += 1
+    return largest
+
+
 def check_level(family: str, level: int) -> None:
     """Refuse with ``UsageError`` a level that is not a nonnegative integer
     (``_level_index``) or one whose predicted vertex count exceeds
     ``MAX_VERTICES``, before anything is built."""
     level = _level_index(level)
-    largest = 0  # counts grow with the level: find the last that fits
-    while predicted_vertices(family, largest + 1) <= MAX_VERTICES:
-        largest += 1
+    largest = _largest_level(family)
     if level > largest:
         raise UsageError(
             f"{family} level {level} would exceed {MAX_VERTICES} vertices; "

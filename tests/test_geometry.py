@@ -69,27 +69,35 @@ def test_affine_map_refuses_malformed_parts(linear, translation, message):
 
 
 _P, _Q = np.zeros(2), np.array([1.0, 0.0])
-_HALVING_SEGMENT = dict(maps=(AffineMap(np.eye(2) / 2, np.zeros(2)),), seed_edges=((_P, _Q),),
-                        boundary_points=np.array([_P, _Q]), family_name="custom")
+_HALF = AffineMap(np.eye(2) / 2, np.zeros(2))
+_SEGMENT_SEED = dict(family="custom", level=0, vertices=[_P, _Q], edges=[[0, 1]], cells=[],
+                     boundary_indices=[0, 1])
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("maps", (), "at least one contraction map"),
-    ("maps", (AffineMap(np.eye(2) / 2, np.zeros(2)), AffineMap(np.eye(3) / 2, np.zeros(3))),
-     "share one dimension"),
-    ("boundary_points", np.empty((0, 2)), "nonempty"),
-    ("seed_edges", (), "at least one edge"),
-    ("seed_edges", ((np.zeros(3), np.ones(3) / 2),), "endpoints must match the map dimension"),
-    ("boundary_points", np.array([_P, _Q / 2]), "must be a seed edge endpoint"),
-    ("boundary_points", np.array([_P, _P]), "pairwise distinct"),
-    ("cell_generation", True, "triangular seed boundary"),
-], ids=["no-maps", "mixed-dimensions", "no-boundary-points", "no-seed-edge",
-        "3-d-endpoints", "boundary-point-off-the-seed", "repeated-boundary-point",
-        "cells-from-two-boundary-points"])
-def test_ifs_refuses_malformed_parts(key, value, message):
-    assert IFSystem(**_HALVING_SEGMENT).dimension == 2
+@pytest.mark.parametrize("maps, seed, message", [
+    ((), {}, "at least one contraction map"),
+    ((_HALF, AffineMap(np.eye(3) / 2, np.zeros(3))), {}, "map 1 has dimension 3, the seed 2"),
+    ((_HALF, AffineMap(np.diag([0.5, 0.0]), _Q / 2)), {}, "map 1 has a singular linear part"),
+    ((_HALF,), {"level": 1}, "level-0 mesh"),
+    ((_HALF,), {"boundary_indices": []}, "boundary indices must be 0, 1"),
+    ((_HALF,), {"boundary_indices": [1, 0]}, "boundary indices must be 0, 1"),
+    ((_HALF,), {"vertices": [_P, _Q / 2, _Q], "edges": [[0, 1], [1, 2]],
+                "boundary_indices": [0, 2]}, "boundary indices must be 0, 1"),
+    ((_HALF,), {"edges": []}, "at least one edge"),
+    ((_HALF,), {"vertices": np.eye(3)[:2]}, "map 0 has dimension 2, the seed 3"),
+    ((_HALF,), {"vertices": [_P, _Q / 2, _Q], "edges": [[0, 2]]}, "must lie on a seed edge"),
+    ((_HALF,), {"vertices": [_P, _P, _Q], "edges": [[0, 2], [1, 2]]},
+     "within the seed's dedup tolerance"),
+    # 4e-10 apart, against a tolerance of 1e-9 times the shortest edge (about 0.5)
+    ((_HALF,), {"vertices": [_P, _Q, _Q / 2, _Q / 2 + [4e-10, 0.0]], "edges": [[0, 2], [3, 1]]},
+     "within the seed's dedup tolerance"),
+], ids=["no-maps", "mixed-dimensions", "singular-map", "seed-at-level-1", "no-boundary-points",
+        "boundary-out-of-seed-order", "boundary-not-first", "no-seed-edge", "3-d-endpoints",
+        "boundary-point-off-the-seed", "repeated-boundary-point", "near-coincident-seed-vertices"])
+def test_ifs_refuses_malformed_parts(maps, seed, message):
+    assert IFSystem((_HALF,), LevelMesh(**_SEGMENT_SEED)).dimension == 2
     with pytest.raises(UsageError, match=message):
-        IFSystem(**{**_HALVING_SEGMENT, key: value})
+        IFSystem(maps, LevelMesh(**{**_SEGMENT_SEED, **seed}))
 
 
 # -- builtin families --------------------------------------------------------
@@ -97,32 +105,42 @@ def test_ifs_refuses_malformed_parts(key, value, message):
 def test_builtin_sierpinski_shape():
     ifs = builtin_system("sierpinski")
     assert len(ifs.maps) == 3
-    assert len(ifs.seed_edges) == 3
-    assert ifs.boundary_points.shape == (3, 2)
-    assert ifs.cell_generation
+    assert ifs.seed.family == "sierpinski" and ifs.seed.level == 0
+    assert ifs.seed.edges.tolist() == [[0, 1], [1, 2], [2, 0]]
+    assert ifs.seed.cells.tolist() == [[0, 1, 2]]
+    assert ifs.seed.boundary_indices.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(ifs.seed.vertices, [[0, 0], [1, 0], [0.5, SQRT3 / 2]])
 
 
 def test_builtin_hata2d_shape():
     ifs = builtin_system("hata2d")
     assert len(ifs.maps) == 5
-    assert len(ifs.seed_edges) == 1
-    np.testing.assert_allclose(ifs.boundary_points, [[0, 0], [1, 0]])
+    assert ifs.seed.edges.tolist() == [[0, 1]] and ifs.seed.num_cells == 0
+    np.testing.assert_allclose(ifs.seed.vertices[:2], [[0, 0], [1, 0]])
 
 
 def test_builtin_hata3d_shape():
     ifs = builtin_system("hata3d")
     assert len(ifs.maps) == 6
     assert ifs.dimension == 3
+    np.testing.assert_allclose(ifs.seed.vertices, [[0, 0, 0], [0, 0, 1]])
 
 
 def test_builtin_koch_shape():
     ifs = builtin_system("koch")
-    assert len(ifs.maps) == 4 and not ifs.cell_generation
+    assert len(ifs.maps) == 4 and ifs.seed.num_cells == 0
+    assert ifs.seed.edges.tolist() == [[0, 1]] and ifs.seed.boundary_indices.tolist() == [0, 1]
 
 
 def test_builtin_unknown_family():
     with pytest.raises(UsageError):
         builtin_system("menger")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_builtin_system_is_built_once(family):
+    assert builtin_system(family) is builtin_system(family)
+    assert iterate(builtin_system(family), 0) is builtin_system(family).seed
 
 
 # -- iterate: counts ----------------------------------------------------------
@@ -164,7 +182,7 @@ def brute_force_level(family, n):
     """Independent construction: recursively expand segments, then merge
     endpoint coordinates pairwise."""
     ifs = builtin_system(family)
-    segments = [(np.asarray(p), np.asarray(q)) for p, q in ifs.seed_edges]
+    segments = [(ifs.seed.vertices[i], ifs.seed.vertices[j]) for i, j in ifs.seed.edges]
     for _ in range(n):
         segments = [
             (m.linear @ p + m.translation, m.linear @ q + m.translation)
@@ -297,13 +315,14 @@ def test_boundary_persistence(family, n):
     ifs = builtin_system(family)
     m = build_level(family, n)
     np.testing.assert_allclose(
-        m.vertices[m.boundary_indices], ifs.boundary_points, atol=m.dedup_tolerance
+        m.vertices[m.boundary_indices], ifs.seed.vertices[ifs.seed.boundary_indices],
+        atol=m.dedup_tolerance,
     )
 
 
 def test_vertex_ordering_boundary_first_then_discovery():
     m = build_level("sierpinski", 1)
-    corners = builtin_system("sierpinski").boundary_points
+    corners = builtin_system("sierpinski").seed.vertices
     np.testing.assert_allclose(m.vertices[:3], corners)
     np.testing.assert_allclose(m.vertices[3], (corners[0] + corners[1]) / 2)
     np.testing.assert_allclose(m.vertices[4], (corners[0] + corners[2]) / 2)
@@ -393,32 +412,23 @@ def test_embed_refuses_a_shared_vertex_in_the_dedup_gray_zone(family):
 # -- dedup safety --------------------------------------------------------------
 
 def test_dedup_ambiguity_is_reported():
-    # second seed endpoint sits inside the gray zone (tol/10, tol] of (0, 0)
-    p = np.array([0.0, 0.0])
-    q = np.array([1.0, 0.0])
-    near = np.array([5e-10, 0.0])
-    far = np.array([1.0, 1.0])
-    ifs = IFSystem(
-        maps=(AffineMap(np.eye(2) / 2, np.zeros(2)),),
-        seed_edges=((p, q), (near, far)),
-        boundary_points=np.array([p, q]),
-        family_name="custom",
-    )
+    # the copies of x/2 and x/2 + (0.5 + 2.5e-10, 0) meet 2.5e-10 apart, in
+    # the gray zone (tol/10, tol] of the level-1 tolerance 0.5 * 1e-9
+    ifs = _halving_system(0.0, 0.5 + 2.5e-10)
+    assert iterate(ifs, 0).num_vertices == 2
     with pytest.raises(GeometryError, match="ambiguity"):
-        iterate(ifs, 0)
+        iterate(ifs, 1)
 
 
 def _halving_system(*shifts):
     # maps x -> x/2 + (s, 0) on the unit segment
-    p, q = np.zeros(2), np.array([1.0, 0.0])
     maps = tuple(AffineMap(np.eye(2) / 2, np.array([s, 0.0])) for s in shifts)
-    return IFSystem(maps, ((p, q),), np.array([p, q]), "custom")
+    return IFSystem(maps, LevelMesh(**_SEGMENT_SEED))
 
 
 def _sierpinski_with_a_repeated_map():
     ifs = builtin_system("sierpinski")
-    return IFSystem((*ifs.maps, ifs.maps[0]), ifs.seed_edges, ifs.boundary_points,
-                    "custom", cell_generation=True)
+    return IFSystem((*ifs.maps, ifs.maps[0]), ifs.seed)
 
 
 @pytest.mark.parametrize("system, level", [
@@ -430,6 +440,30 @@ def test_copies_sharing_an_edge_are_refused(system, level):
     # the copies of a level are gathered without merging edges
     with pytest.raises(GeometryError, match="duplicate edge"):
         iterate(system(), level)
+
+
+def test_a_boundary_point_must_be_reproduced():
+    # x/2 alone maps the unit segment onto its first half: (1, 0) is on no level-1 edge
+    with pytest.raises(GeometryError, match="not reproduced by the iteration"):
+        iterate(_halving_system(0.0), 1)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_scaled_system_gives_the_built_in_mesh(family, scale):
+    # tolerances follow the seed's scale: no absolute threshold refuses the
+    # system or merges its vertices
+    ifs, mesh = builtin_system(family), build_level(family, 3)
+    seed = ifs.seed
+    scaled = IFSystem(
+        tuple(AffineMap(m.linear, scale * m.translation) for m in ifs.maps),
+        LevelMesh(seed.family, 0, scale * seed.vertices, seed.edges, seed.cells,
+                  seed.boundary_indices),
+    )
+    got = iterate(scaled, 3)
+    for name in ("edges", "cells", "boundary_indices"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(mesh, name))
+    np.testing.assert_allclose(got.vertices, scale * mesh.vertices, rtol=0, atol=1e-13 * scale)
 
 
 def test_meshes_are_immutable():
