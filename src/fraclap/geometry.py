@@ -89,7 +89,7 @@ def _sorted_columns(cells: np.ndarray):
     return lo, a + b + c - lo - hi, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap:
     """Contraction ``x -> linear @ x + translation``."""
 
@@ -125,7 +125,7 @@ def apply_map(m: AffineMap, p) -> np.ndarray:
     return m.linear @ p + m.translation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelMesh:
     """Level-``n`` approximation: vertices, edges, optional cells, boundary."""
 
@@ -219,7 +219,7 @@ class LevelMesh:
         return RELATIVE_TOLERANCE * self._edge_range[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IFSystem:
     """Affine maps plus the level-0 mesh they refine, its ``seed``, whose
     boundary vertices are its first vertices.  The system's family and
@@ -253,7 +253,7 @@ class IFSystem:
         return self.seed.dimension
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingMap:
     """For each coarse vertex, the index of the coinciding fine vertex."""
 
@@ -512,10 +512,8 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     seed edges, one per word of maps in lexicographic order.  The table is
     read, not checked: on a mesh laid out otherwise it is wrong.  It is read
     by ``_structure``, on a level it refines itself, and by
-    ``solver._Condensation``, which refuses copies that disagree on a glued
-    vertex or a vertex not eliminated exactly once; ``solver._leaf_block``
-    refuses an element outside its leaf and ``solver._contract_solve`` a
-    residual over the contract.
+    ``solver._Condensation``, which takes only a mesh with the topology of
+    ``build_level``'s level; the tests check that layout on every family.
     """
     copies, extra = divmod(mesh.num_edges, seed.num_edges)
     if extra:

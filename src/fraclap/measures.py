@@ -40,7 +40,7 @@ class MeasureKind(str, enum.Enum):
     TRIANGLE_AREA = "triangle_area"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexWeights:
     """Per-vertex masses of one measure on one level mesh."""
 

@@ -39,7 +39,7 @@ ENERGY_FORMULATIONS = ("graph_energy", "fem_edge", "fem_area")
 _METHOD_FORMULATION = {"rfd": "fd", "rfem1d": "fem_edge", "rfem2d": "fem_area"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenormEstimate:
     """Ratio field and statistics for one consecutive level pair."""
 

@@ -6,20 +6,20 @@ A problem is a mesh, the element matrices ``local[k]`` on the vertex rows
 ``solve_dirichlet`` assembles the operator (``graphs._assemble_elements``)
 and factors its interior block with SuperLU (``partition`` and
 ``linear_solve``, which take any CSR operator); scipy is imported only
-there.  ``solve_condensed`` takes a mesh built by ``geometry.build_level``
-and solves by self-similar static condensation with numpy alone: the m
-copies of a level meet only at images of the seed vertices, so each copy
-condenses onto its boundary from the leaves up, and the values come back
-down from the Dirichlet data.  Every leaf must carry the same element
-matrices, as the stride-0 stacks of every built-in formulation do
-(``measures._elements``): each depth then holds one block, factored once.
-The leaf block is applied unassembled by ``graphs._apply_elements``, which
-also sums the loads of ``measures``.
+there.  ``solve_condensed`` takes a level as ``geometry.build_level`` builds
+it, with its edges or cells as elements, and solves by self-similar static
+condensation with numpy alone: the m copies of a level meet only at images
+of the seed vertices, so each copy condenses onto its boundary from the
+leaves up, and the values come back down from the Dirichlet data.  Every
+leaf must carry the same element matrices, as the stride-0 stacks of every
+built-in formulation do (``measures._elements``): each depth then holds one
+block, factored once.  The leaf block is applied unassembled by
+``graphs._apply_elements``, which also sums the loads of ``measures``.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
 after one step of iterative refinement if the first solve does not, or the
-solve raises ``SolveError``.
+solve raises ``SolveError``, which names data that overflow double precision.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import LevelMesh, _copy_table, _frozen, _structure
+from .geometry import LevelMesh, _copy_table, _frozen, _structure, build_level
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -81,7 +81,7 @@ def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
     return interior, bidx, u0, elements, local, load
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Nodal solution with solve metadata.  The solvers report a plain
     Dirichlet solve; ``renorm.solve_online`` stamps its method and constant."""
@@ -117,22 +117,25 @@ def partition(a: sp.csr_array, boundary):
 
 def _contract_solve(solve, apply, b: np.ndarray, norm_a: float):
     """``x`` with ``solve(b) ~ A^-1 b`` refined once through ``apply(x) = A x``
-    if needed, and the residual ``|b - A x|_inf`` that meets the contract."""
-    x = solve(b)
-    if not np.isfinite(x).all():
-        raise SolveError("singular interior block")
-    r = b - apply(x)
-
-    def bound():
-        return BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + np.abs(b).max())
-
-    if np.abs(r).max() > bound():
-        x = x + solve(r)
+    if needed, and the residual ``|b - A x|_inf`` that meets the contract.
+    Data that overflow double precision give a residual or bound that is not
+    finite: numpy's warnings are off, and one ``SolveError`` says so."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve(b)
         r = b - apply(x)
-    residual = float(np.abs(r).max())
-    if not residual <= bound():
-        raise SolveError(f"residual {residual:.3e} exceeds the solver contract "
-                         f"{bound():.3e}")
+
+        def bound():
+            return BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + np.abs(b).max())
+
+        if np.abs(r).max() > bound():
+            x = x + solve(r)
+            r = b - apply(x)
+        residual, limit = float(np.abs(r).max()), float(bound())
+    # the bound is finite only when b and x are
+    if not (np.isfinite(residual) and np.isfinite(limit)):
+        raise SolveError("the data overflow double precision")
+    if not residual <= limit:
+        raise SolveError(f"residual {residual:.3e} exceeds the solver contract {limit:.3e}")
     return x, residual
 
 
@@ -168,7 +171,9 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
                                                   boundary_values)
     a = _assemble_elements(mesh.num_vertices, elements, local)
     a_ii, a_i0, interior_idx, _ = partition(a, bidx)
-    x, residual = linear_solve(a_ii, load[interior_idx] - a_i0 @ u0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _contract_solve reports overflow
+        rhs = load[interior_idx] - a_i0 @ u0
+    x, residual = linear_solve(a_ii, rhs)
     values = np.empty(mesh.num_vertices)
     values[bidx] = u0
     values[interior_idx] = x
@@ -176,38 +181,45 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
 
 
 class _Condensation:
-    """The interior block of ``sum_k local[k]`` over the vertex rows
-    ``elements[k]`` of a ``build_level`` mesh, eliminated copy by copy.
+    """The interior block of ``sum_k local[k]`` over the edges or cells of a
+    built level, eliminated copy by copy.
 
-    Leaves are the ``m**n`` copies of the seed, and all of them carry one
-    leaf block.  Going up one depth, the m children of a copy are scattered
-    into the level-1 vertex set V1 and the vertices of V1 outside V0 are
-    eliminated.  Every copy of a depth has the same block, so each depth
-    keeps one ``inv_ii = A_II^-1`` and one ``x_ib = inv_ii A_IB``, and both
-    passes of ``solve`` are matrix products over the copies of a depth.
-    Each vertex becomes interior at exactly one copy.  The row sums of the
-    block are carried up the depths, and each Schur complement takes its
-    diagonal from them, without cancellation.
+    The mesh must be ``build_level(mesh.family, mesh.level)`` or have its
+    edges, cells and boundary indices (vertices are not compared), and the
+    elements must be the mesh's edges (p = 2) or cells (p = 3); anything
+    else raises ``GeometryError``.  A built level is m copies of the level
+    below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``),
+    each listing its elements at the seed's edge or cell positions, and all
+    of them carry one leaf block.  Going up one depth, the m children of a
+    copy are scattered into the level-1 vertex set V1 and the vertices of V1
+    outside V0 are eliminated.  Every copy of a depth has the same block, so
+    each depth keeps one ``inv_ii = A_II^-1`` and one ``x_ib = inv_ii A_IB``,
+    and both passes of ``solve`` are matrix products over the copies of a
+    depth.  The row sums of the block are carried up the depths, and each
+    Schur complement takes its diagonal from them, without cancellation.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
         seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
+        built = build_level(mesh.family, mesh.level)
+        p = elements.shape[1]
+        rows, pos = (mesh.edges, seed.edges) if p == 2 else (mesh.cells, seed.cells)
+        built_topology = mesh is built or all(
+            np.array_equal(getattr(mesh, a), getattr(built, a))
+            for a in ("edges", "cells", "boundary_indices"))
+        if not (built_topology and (elements is rows or np.array_equal(elements, rows))):
+            raise GeometryError("condensation needs the edges or cells of a level as "
+                                "build_level builds it; solve other meshes with solve_dirichlet")
         self.leaves = _copy_table(mesh, seed)
+        self.block = _leaf_block(pos, seed.num_vertices, local)
+        self.interior = interior
         m, nb = self.glue.shape
         nv1 = int(self.glue.max()) + 1
-        if (nb != seed.boundary_indices.size or self.leaves.shape[0] != m**mesh.level
-                or np.bincount(self.glue.ravel(), minlength=nv1).min() == 0):
-            raise GeometryError("mesh is not a self-similar level of its family")
-        self.block = _leaf_block(self.leaves, elements, local)
-        self.interior = interior
         ids, schur, self.depths = self.leaves, self.block, []
         sums, diag = self.block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
         for d in range(mesh.level - 1, -1, -1):
-            child = ids.reshape(m**d, m * nb)
             v1 = np.empty((m**d, nv1), dtype=np.int64)
-            v1[:, self.glue.ravel()] = child
-            if not (v1[:, self.glue.ravel()] == child).all():
-                raise GeometryError("copies disagree on a shared vertex")
+            v1[:, self.glue.ravel()] = ids.reshape(m**d, m * nb)
             a, s = np.zeros((nv1, nv1)), np.zeros(nv1)
             for g in self.glue:
                 a[g[:, None], g] += schur
@@ -228,10 +240,6 @@ class _Condensation:
             schur[diag, diag] = sums - schur.sum(axis=1)
             self.depths.append((v1, inv_ii, x_ib))
             ids = v1[:, :nb]
-        eliminated = [ids.ravel()] + [v1[:, nb:].ravel() for v1, *_ in self.depths]
-        once = np.bincount(np.concatenate(eliminated), minlength=mesh.num_vertices) == 1
-        if not (once.all() and np.array_equal(np.sort(ids.ravel()), mesh.boundary_indices)):
-            raise GeometryError("copies do not partition the mesh vertices")
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``."""
@@ -266,55 +274,40 @@ class _Condensation:
         return u[self.interior]
 
     def norm(self) -> float:
-        """``|A_II|_inf``; exact when no two leaves share a pair of vertices,
-        as on the built-in families, and an upper bound otherwise."""
+        """``|A_II|_inf``, exact: the leaves of a built level share no pair of
+        vertices, so no two leaf blocks add into one off-diagonal entry."""
         eye = np.eye(self.leaves.shape[1])
         diag = _apply_elements(self.leaves, self.block * eye, np.ones(self.interior.size))
         off = _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), self.interior * 1.0)
         return float((abs(diag) + off)[self.interior].max())
 
 
-def _leaf_block(leaves: np.ndarray, elements, local) -> np.ndarray:
-    """The element matrices of a leaf summed into the one seed-sized block
-    that every leaf carries.  The seed positions of the element vertices are
-    read from the first leaf; every other leaf must list its elements in
-    the same order (``GeometryError``) and carry the same element matrices
+def _leaf_block(pos: np.ndarray, nb: int, local) -> np.ndarray:
+    """The ``nb``-square block that every leaf carries: the element matrices
+    of a leaf summed, in element order, at the seed positions ``pos`` of its
+    elements (the seed's edges or cells).  ``local`` lists the elements leaf
+    after leaf.  Every leaf must carry the same element matrices
     (``UsageError``), which a stride-0 ``local`` does without a comparison.
     """
-    nleaf, nb = leaves.shape
-    per_leaf, extra = divmod(elements.shape[0], nleaf)
-    if extra:
-        raise GeometryError("element count is not a multiple of the copy count")
-    elements = elements.reshape(nleaf, per_leaf, -1)
-    hit = elements[0, :, :, None] == leaves[0]
-    if not hit.any(axis=2).all():
-        raise GeometryError("an element lies outside its copy")
-    pos = hit.argmax(axis=2)
-    if not (leaves[:, pos] == elements).all():
-        raise GeometryError("elements do not follow the copy layout of the first leaf")
-    local = local.reshape(nleaf, per_leaf, *local.shape[1:])
+    local = local.reshape(-1, *pos.shape, pos.shape[1])
     if local.strides[0] != 0 and not (local == local[:1]).all():
         raise UsageError("condensation needs the same element matrices on every leaf; "
                          "solve other stacks with solve_dirichlet")
     block = np.zeros((nb, nb))
-    for e, a, b in np.ndindex(local.shape[1:]):
-        block[pos[e, a], pos[e, b]] += local[0, e, a, b]
+    np.add.at(block, (pos[:, :, None], pos[:, None, :]), local[0])
     return block
 
 
 def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
                     load: np.ndarray, boundary_values: dict[int, float]) -> Solution:
     """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
-    vertices ``elements[k]`` (edges or cells of ``mesh``) by self-similar
-    static condensation, without assembling it and without scipy.
+    vertices ``elements[k]`` by self-similar static condensation, without
+    assembling it and without scipy.
 
-    ``mesh`` must be laid out as ``build_level`` builds it: a mesh whose
-    copies do not glue as its family's level-1 mesh raises ``GeometryError``.
-    ``elements`` must list the same number of elements per leaf copy, in
-    leaf order, and every leaf must list its elements, and the vertices of
-    each, in the order of the first leaf (as the edges and cells of
-    ``build_level`` do); otherwise ``GeometryError`` is raised.  Every leaf
-    must carry the same element matrices, as the stride-0 stacks of
+    ``mesh`` must be ``build_level(mesh.family, mesh.level)`` or have its
+    edges, cells and boundary indices, and ``elements`` must be its edges or
+    its cells; otherwise ``GeometryError`` is raised.  Every leaf must carry
+    the same element matrices, as the stride-0 stacks of
     ``measures._elements`` do; other stacks raise ``UsageError`` and go to
     ``solve_dirichlet``.
     """
@@ -326,7 +319,8 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
         raise UsageError("operator entries are not finite")
     values = np.zeros(mesh.num_vertices)
     values[bidx] = u0
-    rhs = load[interior] - cond.product(values)[interior]
+    with np.errstate(over="ignore", invalid="ignore"):  # _contract_solve reports overflow
+        rhs = load[interior] - cond.product(values)[interior]
     x, residual = _contract_solve(cond.solve, cond.apply, rhs, norm_a)
     values[interior] = x
     return Solution(values=values, level=mesh.level, solver_residual=residual)

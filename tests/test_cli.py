@@ -125,6 +125,30 @@ def test_renorm_at_the_top_pair(tmp_path, family, method, levels, columns, const
         assert abs(float(fields[k]) - constant) <= bound, header.split(",")[k]
 
 
+# solve at the largest allowed level of each family (``pytest -m deep``),
+# each in a fresh child so the caches of one case do not stack on another's:
+# with a zero load the values lie within the boundary values (the maximum
+# principle), read off the printed range, not off the large solution file
+@pytest.mark.deep
+@pytest.mark.parametrize("family, level, method", [
+    ("sierpinski", 14, "rfd"), ("koch", 11, "rfem1d"), ("hata2d", 9, "rfd"),
+    ("hata3d", 8, "rfem1d"),
+], ids=["sierpinski", "koch", "hata2d", "hata3d"])
+def test_solve_at_the_largest_level(tmp_path, family, level, method):
+    assert geometry._largest_level(family) == level
+    nb = build_level(family, 0).boundary_indices.size
+    # three decimals print exactly in the range's six significant digits
+    data = np.round(np.random.default_rng(level).uniform(-1.0, 1.0, nb), 3).tolist()
+    out_path = tmp_path / "u.csv"
+    out = run_fresh("-m", "fraclap.cli", "solve", "--family", family, "--level", str(level),
+                    "--method", method, "--rhs", "0", "--bc=" + ",".join(map(str, data)),
+                    "--out", str(out_path))
+    out_path.unlink(missing_ok=True)
+    assert out.returncode == 0, out.stderr
+    umin, umax = map(float, re.search(r"range \[(\S+), (\S+)\]", out.stdout).groups())
+    assert min(data) <= umin <= umax <= max(data)
+
+
 def test_solve_sierpinski_rows_and_boundary(tmp_path):
     out = tmp_path / "sol.csv"
     rc = cli.main([
@@ -509,6 +533,19 @@ def test_unrepresentable_renormalization_exits_two_without_traceback(tmp_path, c
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and "finite" in out.stderr
     assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("rhs, bc", [("1e308", "0,0,0"), ("1", "1e308,-1e308,0")],
+                         ids=["load", "boundary"])
+def test_overflowing_data_exits_three_with_one_line(tmp_path, rhs, bc):
+    # finite data whose solve overflows double precision: no block is singular
+    out = run_fresh(
+        "-m", "fraclap.cli", "solve", "--family", "sierpinski", "--level", "3",
+        "--method", "rfd", "--rhs", rhs, "--bc", bc, "--out", str(tmp_path / "o.csv"),
+    )
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["numerical failure: the data overflow double precision"]
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Mesh construction tests: map evaluation, counts, nesting, ordering."""
 
+import copy
 import hashlib
 import tracemalloc
 
@@ -712,3 +713,27 @@ def test_build_level_checks_the_built_count_against_the_prediction(monkeypatch):
                         lambda family, level: real(family, level) + (level == 3))
     with pytest.raises(GeometryError, match="koch level 3 has 65 vertices, predicted 66"):
         build_level.__wrapped__("koch", 3)
+
+
+def test_array_holding_records_compare_by_identity():
+    # a field-wise == of arrays has no single truth value, and arrays do not
+    # hash: the records that hold them compare by identity and hash by it
+    from fraclap.measures import vertex_weights
+    from fraclap.renorm import estimate_laplacian_ratio
+    from fraclap.solver import Solution
+
+    mesh = build_level("koch", 2)
+    assert mesh != iterate(builtin_system("koch"), 2)
+    records = [
+        mesh,
+        builtin_system("koch"),
+        builtin_system("koch").maps[0],
+        embed(build_level("koch", 1), mesh),
+        vertex_weights(mesh, "edge_length"),
+        estimate_laplacian_ratio("koch", 1),
+        Solution(values=np.zeros(2), level=0, solver_residual=0.0),
+    ]
+    for record in records:
+        twin = copy.copy(record)
+        assert record == record and record != twin
+        assert hash(record) == hash(record) != hash(twin)

@@ -13,6 +13,7 @@ from fraclap.errors import GeometryError, SolveError, UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, _structure, build_level, embed
 from fraclap.graphs import _assemble, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
+from fraclap.meshfile import read_mesh, write_mesh
 from fraclap.renorm import _elements, _load, _renormalized
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
@@ -378,7 +379,8 @@ def test_condensation_rejects_permuted_edges(family, formulation):
 def test_leaf_blocks_are_the_per_element_sums(family, formulation):
     mesh = build_level(family, 4)
     elements, local = _elements(mesh, formulation)
-    leaves = _copy_table(mesh, build_level(family, 0))
+    seed = build_level(family, 0)
+    leaves = _copy_table(mesh, seed)
     # reference: each element added into its leaf's block in element order
     expected = np.zeros((leaves.shape[0], leaves.shape[1], leaves.shape[1]))
     per_leaf = elements.shape[0] // leaves.shape[0]
@@ -388,13 +390,15 @@ def test_leaf_blocks_are_the_per_element_sums(family, formulation):
         for a, b in np.ndindex(matrix.shape):
             expected[w, pos[a], pos[b]] += matrix[a, b]
     assert (expected == expected[:1]).all()  # every leaf carries one block
-    assert _leaf_block(leaves, elements, local).tobytes() == expected[0].tobytes()
+    pos = seed.cells if formulation == "fem_area" else seed.edges
+    assert _leaf_block(pos, seed.num_vertices, local).tobytes() == expected[0].tobytes()
 
 
 @pytest.mark.parametrize("family, formulation, swap", [
     ("sierpinski", "fd", "edges"),         # two edges of one leaf trade places
     ("koch", "fem_edge", "reversed"),      # one edge lists its ends reversed
     ("sierpinski", "fem_area", "rotated"),  # one cell lists its corners rotated
+    ("sierpinski", "fd", "subset"),        # one edge of every leaf
 ])
 def test_condensation_rejects_elements_out_of_the_first_leaf_order(family, formulation, swap):
     mesh = build_level(family, 3)
@@ -405,12 +409,79 @@ def test_condensation_rejects_elements_out_of_the_first_leaf_order(family, formu
         per_leaf = elements.shape[0] // 3**mesh.level
         k -= k % per_leaf
         elements[[k, k + 1]], local[[k, k + 1]] = elements[[k + 1, k]], local[[k + 1, k]]
+    elif swap == "subset":
+        elements, local = elements[::3], local[::3]
     else:
         turn = [1, 0] if swap == "reversed" else [1, 2, 0]
         elements[k], local[k] = elements[k, turn], local[k][np.ix_(turn, turn)]
     h = {int(i): 0.0 for i in mesh.boundary_indices}
-    with pytest.raises(GeometryError, match="first leaf"):
+    with pytest.raises(GeometryError, match="edges or cells of a level as build_level builds it"):
         solve_condensed(mesh, elements, local, np.ones(mesh.num_vertices), h)
+
+
+def _assert_glues_and_partitions(mesh):
+    """The layout the condensation takes from a built level: every leaf
+    lists its edges and cells at the seed's positions, the copies agree on
+    every glued vertex at every depth, every vertex is eliminated exactly
+    once, and the top copy's seed vertices are the boundary."""
+    seed, glue, _ = _structure(mesh.family)
+    (m, nb), nv1 = glue.shape, int(glue.max()) + 1
+    ids = _copy_table(mesh, seed)
+    for rows, pos in ((mesh.edges, seed.edges), (mesh.cells, seed.cells)):
+        assert (ids[:, pos] == rows.reshape(ids.shape[0], *pos.shape)).all()
+    eliminated = []
+    for d in range(mesh.level - 1, -1, -1):
+        child = ids.reshape(m**d, m * nb)
+        v1 = np.empty((m**d, nv1), dtype=np.int64)
+        v1[:, glue.ravel()] = child
+        assert (v1[:, glue.ravel()] == child).all()
+        eliminated.append(v1[:, nb:].ravel())
+        ids = v1[:, :nb]
+    counts = np.bincount(np.concatenate([ids.ravel(), *eliminated]), minlength=mesh.num_vertices)
+    assert (counts == 1).all()
+    assert ids.ravel().tolist() == mesh.boundary_indices.tolist()
+
+
+@pytest.mark.parametrize("family, level", [
+    (family, level) for family in FAMILIES for level in range(1, 6 if family == "hata3d" else 7)
+])
+def test_built_levels_glue_and_partition(family, level):
+    _assert_glues_and_partitions(build_level(family, level))
+
+
+def test_glue_and_partition_fail_with_two_edges_of_one_leaf_swapped():
+    mesh = build_level("sierpinski", 3)
+    edges = mesh.edges.copy()
+    edges[[3, 4]] = edges[[4, 3]]  # the first two edges of the second leaf
+    swapped = LevelMesh(mesh.family, mesh.level, mesh.vertices, edges, mesh.cells,
+                        mesh.boundary_indices)
+    with pytest.raises(AssertionError):
+        _assert_glues_and_partitions(swapped)
+    # the condensation refuses it by its topology alone
+    h = {int(i): 0.0 for i in mesh.boundary_indices}
+    with pytest.raises(GeometryError, match="as build_level builds it"):
+        solve_condensed(swapped, *_elements(swapped, "fd"), np.ones(mesh.num_vertices), h)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_condensation_takes_any_mesh_equal_to_the_built_level(tmp_path, family):
+    mesh = build_level(family, 4)
+    rng = np.random.default_rng(4)
+    load = rng.normal(size=mesh.num_vertices)
+    h = dict(zip(mesh.boundary_indices.tolist(), rng.normal(size=mesh.boundary_indices.size)))
+    write_mesh(mesh, tmp_path / "mesh.json")
+    moved = mesh.vertices + rng.uniform(0.1, 0.2, mesh.vertices.shape)
+    others = [
+        LevelMesh(mesh.family, mesh.level, mesh.vertices, mesh.edges, mesh.cells,
+                  mesh.boundary_indices),
+        read_mesh(tmp_path / "mesh.json"),
+        LevelMesh(mesh.family, mesh.level, moved, mesh.edges, mesh.cells, mesh.boundary_indices),
+    ]
+    expected = solve_condensed(mesh, *_elements(mesh, "fd"), load, h).values
+    for other in others:
+        assert other is not mesh
+        values = solve_condensed(other, *_elements(other, "fd"), load, h).values
+        assert values.tobytes() == expected.tobytes()
 
 
 def test_condensation_rejects_a_mesh_of_another_level():
@@ -650,3 +721,18 @@ def test_condensation_refuses_a_singular_block(broadcast):
     h = {int(i): 1.0 for i in mesh.boundary_indices}
     with pytest.raises(SolveError, match="^singular interior block$"):
         solve_condensed(mesh, mesh.edges, local, np.ones(mesh.num_vertices), h)
+
+
+@pytest.mark.parametrize("load, data", [(1e308, (0.0, 0.0, 0.0)), (1.0, (1e308, -1e308, 0.0))],
+                         ids=["load", "boundary"])
+@pytest.mark.parametrize("solver", ["condensed", "dirichlet"])
+def test_overflowing_data_is_a_solve_error(solver, load, data):
+    # no block is singular: the rfd operator of Sierpinski 3 with data near
+    # the largest double overflows on the way, and the suite turns numpy's
+    # overflow warnings into errors
+    mesh = build_level("sierpinski", 3)
+    elements, local = _elements(mesh, "fd")
+    h = dict(zip(mesh.boundary_indices.tolist(), data))
+    with pytest.raises(SolveError, match="^the data overflow double precision$"):
+        SOLVERS[solver](mesh, elements, _renormalized(local, 5.0, mesh.level),
+                        np.full(mesh.num_vertices, load), h)
