@@ -137,10 +137,7 @@ def _cmd_renorm(args) -> int:
         for n in range(a, b)
     ]
     meshfile.write_table(estimates, args.out)
-    print("pair,max,mean,min,excluded_count")
-    for est in estimates:
-        print(f"{est.level_pair[0]}:{est.level_pair[1]},{est.max:.6g},"
-              f"{est.mean:.6g},{est.min:.6g},{est.excluded_count}")
+    print(meshfile._table(estimates, "%.6g"), end="")
     return EXIT_OK
 
 
@@ -199,9 +196,25 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _join_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with ``--bc``, ``--rhs`` or ``--constant`` joined by ``=`` to a
+    next token that starts with ``-`` and is no option, nor the start of one:
+    ``--bc -1,0`` reads as ``--bc=-1,0``; ``--bc --out f`` stays an error."""
+    commands = parser._subparsers._group_actions[0].choices.values()
+    options = [s for sub in commands for a in sub._actions for s in a.option_strings]
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in ("--bc", "--rhs", "--constant") and token.startswith("-")
+                and not any(s.startswith(token.partition("=")[0]) for s in options)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(parser, sys.argv[1:] if argv is None else argv))
     handler = {
         "generate": _cmd_generate,
         "renorm": _cmd_renorm,

@@ -6,12 +6,11 @@ the object ``{"family", "level", "dimension", "vertices", "edges", "cells",
 "boundary"}`` (in that key order), followed by a newline: one value per
 line, each row of ``vertices``/``edges``/``cells`` a nested list, empty
 arrays as ``[]``.  Coordinates are Python float reprs (the shortest decimal
-that reparses to the same double), so they round-trip bit-exactly.  Each
-block of rows is formatted by one ``%`` operation on a row template repeated
-once per row, rather than by the pure-Python JSON encoder.  Within a block,
-each distinct float bit pattern is formatted once and the string reused
-wherever the value repeats (a deep level has few distinct coordinates); the
-bytes are the same as formatting every value.
+that reparses to the same double), so they round-trip bit-exactly.  The
+mesh and solution rows go through one block loop (``_write_rows``), not the
+pure-Python JSON encoder: one ``%`` operation per block on a row template
+repeated once per row, with each distinct coordinate of the block formatted
+once (a deep level has few); the bytes are those of formatting every value.
 
 Table and solution rows are comma-separated ``%.17g`` values, locale
 independent; a solution file starts with ``# key=value`` header lines and
@@ -32,10 +31,7 @@ if TYPE_CHECKING:  # annotations only: writing a mesh loads no solver
     from .renorm import RenormEstimate
     from .solver import Solution
 
-_FMT = "{:.17g}"
-# Rows formatted per write: keeps the writers' transient strings and tuples
-# to a few MiB rather than a multiple of the file size.
-_BLOCK_ROWS = 16384
+_BLOCK_ROWS = 16384  # rows formatted per write (``_write_rows``)
 
 
 def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
@@ -47,41 +43,38 @@ def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
     return strings[inverse]
 
 
-def _write_rows(fh, arr: np.ndarray, item: str, sep: str, fmt: str) -> None:
-    """Write ``item % tuple(row)`` for each row of ``arr``, joined by ``sep``,
-    ``_BLOCK_ROWS`` rows per write.  A float ``arr`` fills the ``%s`` fields
-    of ``item`` with ``_formatted(block, fmt)``."""
+def _write_rows(fh, item: str, sep: str, arr: np.ndarray, fmt: str, last) -> None:
+    """Write ``item % row`` for each row of ``arr``, joined by ``sep``, in
+    blocks of ``_BLOCK_ROWS`` rows: a whole ``(vertices, d + 1)`` copy would
+    set the peak of a large solve.  A float row's fields are the strings of
+    ``_formatted(block, fmt)``, since coordinates repeat.  Unless ``last``
+    is None, ``item`` formats each row's entry of ``last`` first, as it is
+    (solution values are distinct), and escapes the row's fields as ``%%s``."""
     for lo in range(0, len(arr), _BLOCK_ROWS):
         block = arr[lo:lo + _BLOCK_ROWS]
-        values = _formatted(block, fmt) if arr.dtype.kind == "f" else block.ravel()
-        fh.write((sep if lo else "") + sep.join([item] * len(block)) % tuple(values.tolist()))
-
-
-def _write_json_rows(fh, arr: np.ndarray, fmt: str) -> None:
-    """``arr`` as a value of the top-level object in the ``indent=1`` JSON
-    layout; a 2-D array is a list of rows, each a nested list."""
-    if arr.size == 0:
-        fh.write("[]")
-        return
-    field = "%s" if arr.dtype.kind == "f" else fmt
-    item = field if arr.ndim == 1 else "[\n   " + ",\n   ".join([field] * arr.shape[1]) + "\n  ]"
-    fh.write("[\n  ")
-    _write_rows(fh, arr, item, ",\n  ", fmt)
-    fh.write("\n ]")
+        fields = _formatted(block, fmt) if arr.dtype.kind == "f" else block.ravel()
+        rows = sep.join([item] * len(block))
+        if last is not None:
+            rows %= tuple(last[lo:lo + _BLOCK_ROWS].tolist())
+        fh.write((sep if lo else "") + rows % tuple(fields.tolist()))
 
 
 def write_mesh(mesh: LevelMesh, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write('{\n "family": %s,\n "level": %s,\n "dimension": %s' % (
             json.dumps(mesh.family), json.dumps(mesh.level), json.dumps(mesh.dimension)))
-        for key, arr, fmt in (
-            ("vertices", mesh.vertices, "%r"),
+        for key, arr, field in (
+            ("vertices", mesh.vertices, "%s"),
             ("edges", mesh.edges, "%d"),
             ("cells", mesh.cells, "%d"),
             ("boundary", mesh.boundary_indices, "%d"),
         ):
-            fh.write(f',\n "{key}": ')
-            _write_json_rows(fh, arr, fmt)
+            # a 2-D array is a list of rows, each a nested list; an empty one is []
+            item = field if arr.ndim == 1 else (
+                "[\n   %s\n  ]" % ",\n   ".join([field] * arr.shape[1]))
+            fh.write(f',\n "{key}": [' + ("\n  " if arr.size else ""))
+            _write_rows(fh, item, ",\n  ", arr, "%r", None)
+            fh.write("\n ]" if arr.size else "]")
         fh.write("\n}\n")
 
 
@@ -125,16 +118,18 @@ def read_mesh(path) -> LevelMesh:
     return mesh
 
 
+def _table(estimates: list[RenormEstimate], fmt: str) -> str:
+    """The header line, then a row per level pair, with ``fmt`` for its values."""
+    row = f"%d:%d,{fmt},{fmt},{fmt},%d\n"
+    return "pair,max,mean,min,excluded_count\n" + "".join(
+        row % (*est.level_pair, est.max, est.mean, est.min, est.excluded_count)
+        for est in estimates)
+
+
 def write_table(estimates: list[RenormEstimate], path) -> None:
-    """One row per level pair: pair, max, mean, min, excluded_count."""
+    """``_table`` with ``%.17g`` values."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("pair,max,mean,min,excluded_count\n")
-        for est in estimates:
-            a, b = est.level_pair
-            fh.write(
-                f"{a}:{b},{_FMT.format(est.max)},{_FMT.format(est.mean)},"
-                f"{_FMT.format(est.min)},{est.excluded_count}\n"
-            )
+        fh.write(_table(estimates, "%.17g"))
 
 
 def check_header(meta: dict) -> None:
@@ -151,28 +146,18 @@ def check_header(meta: dict) -> None:
 def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> None:
     """Header metadata lines prefixed '#', then coordinate/value rows.  The
     header is checked by ``check_header`` before the file is opened."""
+    constant = solution.renorm_constant_applied
     meta = {
         "family": mesh.family,
         "level": solution.level,
         "method": solution.method,
-        "constant": "" if solution.renorm_constant_applied is None
-        else _FMT.format(solution.renorm_constant_applied),
-        "residual": _FMT.format(solution.solver_residual),
+        "constant": "" if constant is None else "%.17g" % constant,
+        "residual": "%.17g" % solution.solver_residual,
     }
     if extra:
         meta.update(extra)
     check_header(meta)
     with open(path, "w", encoding="ascii") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        # coordinates repeat, so each distinct one is formatted once; every
-        # value is distinct, so the template formats it
-        d = mesh.dimension
-        item = "%s," * d + "%.17g\n"
-        # stacked one block at a time: a whole (vertices, d + 1) copy would
-        # set the peak of a large solve
-        for lo in range(0, mesh.num_vertices, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            coords = _formatted(mesh.vertices[rows], "%.17g").reshape(-1, d)
-            block = np.column_stack([coords, solution.values[rows].astype(object)])
-            fh.write(item * len(block) % tuple(block.ravel().tolist()))
+        fh.write("".join(f"# {key}={value}\n" for key, value in meta.items()))
+        _write_rows(fh, "%%s," * mesh.dimension + "%.17g\n", "", mesh.vertices, "%.17g",
+                    solution.values)

@@ -149,6 +149,58 @@ def test_solve_at_the_largest_level(tmp_path, family, level, method):
     assert min(data) <= umin <= umax <= max(data)
 
 
+# Runs the command line, then reports the process's peak RSS on stderr: its
+# VmHWM, since Linux carries ru_maxrss across exec from the forking parent.
+_WITH_PEAK = """
+import sys
+from fraclap import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")), end="", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+# generate at the largest allowed level of each family (``pytest -m deep``),
+# each in a fresh child.  The document is streamed, never read with
+# read_mesh (about 5x the file size; Sierpinski 14's file is 993 MiB): its
+# head up to the seed's boundary points, its vertex row count and its
+# boundary list.  Each child's peak is in the report of ``pytest -m deep -rP``.
+@pytest.mark.deep
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("family, level", [
+    ("sierpinski", 14), ("koch", 11), ("hata2d", 9), ("hata3d", 8),
+], ids=["sierpinski", "koch", "hata2d", "hata3d"])
+def test_generate_at_the_largest_level(tmp_path, family, level):
+    assert geometry._largest_level(family) == level
+    seed = build_level(family, 0)
+    nb = seed.boundary_indices.size
+    path = tmp_path / "mesh.json"
+    out = run_fresh("-c", _WITH_PEAK, "generate", "--family", family, "--level", str(level),
+                    "--out", str(path))
+    # every level starts with the seed's boundary points, in the json.dump layout
+    head = json.dumps({"family": family, "level": level, "dimension": seed.dimension,
+                       "vertices": seed.vertices[seed.boundary_indices].tolist()}, indent=1)
+    head = head[:head.rindex("\n ]")].encode()
+    rows = nb
+    try:
+        assert out.returncode == 0, out.stderr
+        print(f"generate {family} {level}: peak {int(out.stderr.split()[-2]) // 1024} MiB")
+        with open(path, "rb") as fh:
+            assert fh.read(len(head)) == head
+            for line in fh:
+                if line == b"  [\n":
+                    rows += 1
+                elif line.startswith(b" ]"):
+                    break
+            fh.seek(-4096, os.SEEK_END)
+            tail = fh.read().decode()
+    finally:
+        path.unlink(missing_ok=True)
+    assert rows == geometry.predicted_vertices(family, level)
+    assert json.loads("{" + tail[tail.rindex('"boundary"'):])["boundary"] == list(range(nb))
+
+
 def test_solve_sierpinski_rows_and_boundary(tmp_path):
     out = tmp_path / "sol.csv"
     rc = cli.main([
@@ -280,6 +332,41 @@ def test_bad_expression_is_usage_error(tmp_path, capsys, rhs):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# negative values as separate tokens, as a shell user types them
+@pytest.mark.parametrize("family, values", [
+    ("koch", ["--rhs", "-x", "--bc", "-0.5,0.2"]),
+    ("hata2d", ["--rhs", "-1e-3", "--bc", "-1,0", "--constant", "15"]),
+    ("sierpinski", ["--bc", "-1,-2e0,.5", "--rhs", "--x"]),
+], ids=["koch", "hata2d", "sierpinski"])
+def test_negative_values_as_separate_tokens_are_the_equals_form(tmp_path, family, values):
+    def solve(argv, name):
+        out = tmp_path / name
+        assert cli.main(["solve", "--family", family, "--level", "3", "--method", "rfd",
+                         *argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    joined = [f"{k}={v}" for k, v in zip(values[::2], values[1::2])]
+    assert solve(values, "tokens.csv") == solve(joined, "equals.csv")
+
+
+def test_negative_constant_as_a_separate_token_is_one_usage_error(tmp_path, capsys):
+    rc = cli.main(["solve", "--family", "koch", "--level", "3", "--method", "rfd",
+                   "--rhs", "0", "--bc", "0,1", "--constant", "-2e0",
+                   "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: renormalization constant must be positive\n"
+
+
+@pytest.mark.parametrize("option", ["--out", "--o", "-h"])
+def test_an_option_after_bc_is_not_its_value(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", "--family", "koch", "--level", "3", "--method", "rfd",
+                  "--rhs", "0", "--bc", option, str(tmp_path / "s.csv")])
+    assert err.value.code == 2
+    assert "argument --bc: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rhs, bc, extra", [

@@ -19,7 +19,7 @@ from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, RELATIVE_TOLERANCE, LevelMesh, build_level
 from fraclap.measures import _elements
 from fraclap.meshfile import read_mesh, write_mesh, write_solution, write_table
-from fraclap.renorm import estimate_laplacian_ratio, solve_online
+from fraclap.renorm import RenormEstimate, estimate_laplacian_ratio, solve_online
 from fraclap.solver import Solution, solve_dirichlet
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
@@ -228,6 +228,20 @@ def test_table_format(tmp_path):
         assert float(vmean) == est.mean
         assert float(vmin) == est.min
         assert int(excl) == est.excluded_count
+    # the whole text, against str.format, with hand-made rows of values that
+    # no estimate gives; a reference rather than a digest, since the
+    # estimates' bits depend on the BLAS kernel
+    estimates += [
+        RenormEstimate(level_pair=(4, 5), ratios=np.zeros(1), max=np.inf, mean=np.nan,
+                       min=-0.0, excluded_count=7),
+        RenormEstimate(level_pair=(5, 6), ratios=np.zeros(1), max=5e-324, mean=-np.inf,
+                       min=1 / 3, excluded_count=0),
+    ]
+    write_table(estimates, path)
+    assert path.read_text() == "pair,max,mean,min,excluded_count\n" + "".join(
+        "{}:{},{:.17g},{:.17g},{:.17g},{}\n".format(
+            *est.level_pair, est.max, est.mean, est.min, est.excluded_count)
+        for est in estimates)
 
 
 def test_solution_file_layout(tmp_path):
