@@ -26,9 +26,12 @@ from .errors import GeometryError, UsageError
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
-# peaks at about 170 B per vertex above the interpreter, so 2**23 vertices
-# peak near 1.4 GiB.
+# peaks at about 130 B per vertex above the interpreter, so 2**23 vertices
+# peak near 1.0 GiB.
 MAX_VERTICES = 2**23
+
+# Index arrays are int32: every index lies below this.
+_INDEX_END = 2**31
 
 
 def _frozen(arr, dtype):
@@ -37,23 +40,28 @@ def _frozen(arr, dtype):
     return out
 
 
-def _index_array(arr, shape, message):
-    """``arr`` as a frozen int64 array of ``shape``, whose leading -1 stands
-    for any count.  Any empty array is no rows; anything else of another
-    shape, or not of an integer dtype, raises ``GeometryError`` with
-    ``message``: nothing is reshaped or truncated."""
+def _index_array(arr, shape, n, message, name):
+    """``arr`` as a frozen int32 array of ``shape``, whose leading -1 stands
+    for any count, with every entry in ``range(n)`` and below ``_INDEX_END``.
+    Any empty array is no rows; anything else of another shape, or not of an
+    integer dtype, raises ``GeometryError`` with ``message``, and an entry
+    out of range raises "``name`` index out of range": nothing is reshaped,
+    truncated or wrapped (the range is checked before the cast)."""
     arr = np.asarray(arr)
     if arr.size == 0:
         arr = arr.reshape(shape)
     elif arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or arr.dtype.kind not in "iu":
         raise GeometryError(message)
-    return _frozen(arr, np.int64)
+    elif arr.min() < 0 or arr.max() >= min(n, _INDEX_END):
+        raise GeometryError(f"{name} index out of range")
+    return _frozen(arr, np.int32)
 
 
 def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per undirected edge of a mesh with ``n`` vertices."""
+    """One int64 key per undirected edge of a mesh with ``n`` vertices,
+    widened before the product, which overflows int32 above 46,341 vertices."""
     a, b = edges[:, 0], edges[:, 1]
-    key = np.minimum(a, b)
+    key = np.minimum(a, b, dtype=np.int64)
     key *= n
     key += np.maximum(a, b)
     return key
@@ -127,7 +135,11 @@ def apply_map(m: AffineMap, p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LevelMesh:
-    """Level-``n`` approximation: vertices, edges, optional cells, boundary."""
+    """Level-``n`` approximation: vertices, edges, optional cells, boundary.
+
+    Vertices are float64; edges, cells and boundary indices are int32, which
+    address every level ``build_level`` admits (``MAX_VERTICES``): an index
+    of ``2**31`` or more is out of range."""
 
     family: str
     level: int
@@ -138,10 +150,13 @@ class LevelMesh:
 
     def __post_init__(self):
         verts = _frozen(self.vertices, np.float64)
-        edges = _index_array(self.edges, (-1, 2), "edges must be integer rows of 2 entries")
-        cells = _index_array(self.cells, (-1, 3), "cells must be integer rows of 3 entries")
-        bidx = _index_array(self.boundary_indices, (-1,), "boundary indices must be 1-D integers")
         n = verts.shape[0]
+        edges = _index_array(self.edges, (-1, 2), n, "edges must be integer rows of 2 entries",
+                             "edge")
+        cells = _index_array(self.cells, (-1, 3), n, "cells must be integer rows of 3 entries",
+                             "cell")
+        bidx = _index_array(self.boundary_indices, (-1,), n,
+                            "boundary indices must be 1-D integers", "boundary")
         if not isinstance(self.family, str):
             raise GeometryError(f"family must be a string, got {self.family!r}")
         try:
@@ -152,8 +167,6 @@ class LevelMesh:
             raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
         if not np.isfinite(verts).all():
             raise GeometryError("vertex coordinates must be finite")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise GeometryError("edge index out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise GeometryError("self-loop edge")
         # sorted keys of the undirected edges: one sort finds duplicates,
@@ -162,16 +175,13 @@ class LevelMesh:
         ekey.sort()
         if (ekey[1:] == ekey[:-1]).any():
             raise GeometryError("duplicate edge")
-        if bidx.size and (bidx.min() < 0 or bidx.max() >= n):
-            raise GeometryError("boundary index out of range")
         if cells.size:
-            if cells.min() < 0 or cells.max() >= n:
-                raise GeometryError("cell index out of range")
             lo, mid, hi = _sorted_columns(cells)
             if (lo == mid).any() or (mid == hi).any():
                 raise GeometryError("degenerate cell with repeated vertex")
             for a, b in ((lo, mid), (mid, hi), (lo, hi)):
-                side = a * n
+                side = a.astype(np.int64)  # widened before the product, as in _edge_keys
+                side *= n
                 side += b
                 pos = np.searchsorted(ekey, side)
                 if (pos == ekey.size).any() or (ekey[pos] != side).any():
@@ -262,7 +272,8 @@ class EmbeddingMap:
     index_map: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index_map", _frozen(self.index_map, np.int64))
+        object.__setattr__(self, "index_map", _index_array(
+            self.index_map, (-1,), _INDEX_END, "index map must be 1-D integers", "fine vertex"))
 
 
 def _rot2(theta: float) -> np.ndarray:
@@ -444,7 +455,7 @@ def _dedup(candidates, tol):
     root = np.arange(cand.shape[0], dtype=np.int64)
     np.minimum.at(root, j, i)
     kept = root == np.arange(root.size)
-    rank = np.cumsum(kept) - 1
+    rank = np.cumsum(kept, dtype=np.int32) - 1
     return rank[root], np.flatnonzero(kept)
 
 
@@ -482,7 +493,8 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
     cells = _gather_blocks(assign, offsets, mesh.cells)
     del assign
 
-    if (np.bincount(edges.ravel(), minlength=nb)[:nb] == 0).any():
+    # the boundary entries alone: bincount would copy every int32 entry to intp
+    if (np.bincount(edges[edges < nb], minlength=nb) == 0).any():
         raise GeometryError("a boundary point is not reproduced by the iteration")
     return LevelMesh(
         family=seed.family,
@@ -495,11 +507,12 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
 
 
 def _gather_blocks(assign, offsets, rows):
-    """``assign[off + rows]`` for each offset, stacked in offset order."""
-    out = np.empty((offsets.size * rows.shape[0], rows.shape[1]), dtype=np.int64)
+    """``assign[off + rows]`` for each offset, stacked in offset order, each
+    block taken from the slice ``assign[off:]``, with no ``off + rows``."""
+    out = np.empty((offsets.size * rows.shape[0], rows.shape[1]), dtype=np.int32)
     blocks = out.reshape(offsets.size, *rows.shape)
     for k, off in enumerate(offsets):
-        np.take(assign, off + rows, out=blocks[k])
+        np.take(assign[off:], rows, out=blocks[k])
     return out
 
 
@@ -514,11 +527,19 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     by ``_structure``, on a level it refines itself, and by
     ``solver._Condensation``, which takes only a mesh with the topology of
     ``build_level``'s level; the tests check that layout on every family.
+
+    A seed whose one cell, or else one edge, lists its vertices in order
+    (Sierpinski's cell, the one-edge seeds) makes that row the table's, so
+    the table is the mesh's own cells or edges, not a copy.
     """
+    order = np.arange(seed.num_vertices)
+    for pos, rows in ((seed.cells, mesh.cells), (seed.edges, mesh.edges)):
+        if pos.shape[0] == 1 and np.array_equal(pos[0], order):
+            return rows
     copies, extra = divmod(mesh.num_edges, seed.num_edges)
     if extra:
         raise GeometryError("edge count is not a multiple of the seed's")
-    table = np.empty((copies, seed.num_vertices), dtype=np.int64)
+    table = np.empty((copies, seed.num_vertices), dtype=np.int32)
     table[:, seed.edges] = mesh.edges.reshape(copies, seed.num_edges, 2)
     return table
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # annotations only: writing a mesh loads no solver
     from .renorm import RenormEstimate
     from .solver import Solution
 
-_BLOCK_ROWS = 16384  # rows formatted per write (``_write_rows``)
+_BLOCK_ROWS = 4096  # rows formatted per write (``_write_rows``)
 
 
 def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
@@ -81,7 +81,8 @@ def write_mesh(mesh: LevelMesh, path) -> None:
 def _array(doc: dict, key: str, dtype) -> np.ndarray:
     """``doc[key]`` as an int64 array of JSON integers or a float64 array of
     JSON numbers, refusing any other entry: ``1.7`` is not truncated to an
-    index, and ``true`` and ``"0.5"`` are not read as 1 and 0.5."""
+    index, and ``true`` and ``"0.5"`` are not read as 1 and 0.5.  ``LevelMesh``
+    checks the indices' range, then keeps them as int32."""
     arr = np.array(doc[key], dtype=object)
     kinds, what = ({int}, "integer indices") if dtype is np.int64 else ({int, float}, "numbers")
     if not set(map(type, arr.flat)) <= kinds:
@@ -90,10 +91,11 @@ def _array(doc: dict, key: str, dtype) -> np.ndarray:
 
 
 def read_mesh(path) -> LevelMesh:
-    """The document's mesh.  ``LevelMesh`` checks its structure, and any
-    refusal is a "malformed mesh document" ``UsageError``.  The mesh derives
-    its dedup tolerance from its shortest edge, as a built level does; a
-    document without an edge of positive finite length is refused."""
+    """The document's mesh, with int32 indices as a built level's.
+    ``LevelMesh`` checks its structure, and any refusal is a "malformed mesh
+    document" ``UsageError``.  The mesh derives its dedup tolerance from its
+    shortest edge, as a built level does; a document without an edge of
+    positive finite length is refused."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)

@@ -188,7 +188,8 @@ class _Condensation:
     edges, cells and boundary indices (vertices are not compared), and the
     elements must be the mesh's edges (p = 2) or cells (p = 3); anything
     else raises ``GeometryError``.  A built level is m copies of the level
-    below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``),
+    below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``:
+    the mesh's own cells or edges, but for a seed laid out otherwise),
     each listing its elements at the seed's edge or cell positions, and all
     of them carry one leaf block.  Going up one depth, the m children of a
     copy are scattered into the level-1 vertex set V1 and the vertices of V1
@@ -218,7 +219,7 @@ class _Condensation:
         ids, schur, self.depths = self.leaves, self.block, []
         sums, diag = self.block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
         for d in range(mesh.level - 1, -1, -1):
-            v1 = np.empty((m**d, nv1), dtype=np.int64)
+            v1 = np.empty((m**d, nv1), dtype=np.int32)
             v1[:, self.glue.ravel()] = ids.reshape(m**d, m * nb)
             a, s = np.zeros((nv1, nv1)), np.zeros(nv1)
             for g in self.glue:
@@ -256,11 +257,13 @@ class _Condensation:
         f = np.zeros(self.interior.size)
         f[self.interior] = b
         nb = self.leaves.shape[1]
-        up, loads = np.zeros(self.leaves.shape), []
+        up, loads = None, []  # the leaves condense no interior: nothing goes up
         for v1, _, x_ib in self.depths:
-            children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
-            for i, g in enumerate(self.glue):
-                fv[:, g] += children[:, i]
+            fv = np.zeros(v1.shape)
+            if up is not None:
+                children = up.reshape(v1.shape[0], -1, nb)
+                for i, g in enumerate(self.glue):
+                    fv[:, g] += children[:, i]
             f_i = fv[:, nb:] + f[v1[:, nb:]]
             # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
             up = fv[:, :nb] - f_i @ x_ib

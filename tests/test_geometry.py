@@ -484,6 +484,23 @@ def test_mesh_rejects_cell_side_without_edge():
         LevelMesh("custom", 0, np.eye(3)[:, :2], [[0, 1], [1, 2]], [[0, 1, 2]], [0])
 
 
+def test_mesh_checks_hold_where_the_keys_pass_int32():
+    # Sierpinski 10 has 88,575 vertices, so the keys a * n + b of its last
+    # edges and cell sides pass 2**31: formed in int32 they would wrap.
+    # Edge k is a side of the last cell, between two of the last vertices.
+    mesh = build_level("sierpinski", 10)
+    n, edges, cells, bidx = mesh.num_vertices, mesh.edges, mesh.cells, mesh.boundary_indices
+    k = mesh.num_edges - 3
+    assert n == 88_575 and int(edges[k].min()) * n > 2**31
+    args = (mesh.family, mesh.level, mesh.vertices)
+    assert LevelMesh(*args, edges, cells, bidx).num_edges == mesh.num_edges
+    repeated = np.concatenate([edges, edges[k:k + 1, ::-1]])
+    with pytest.raises(GeometryError, match="duplicate edge"):
+        LevelMesh(*args, repeated, cells, bidx)
+    with pytest.raises(GeometryError, match="not pairwise joined"):
+        LevelMesh(*args, np.delete(edges, k, axis=0), cells, bidx)
+
+
 _PATH_MESH = dict(family="path", level=0,
                   vertices=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
                   edges=[[0, 1], [1, 2], [2, 3]], cells=[], boundary_indices=[0, 3])
@@ -507,20 +524,22 @@ _PATH_MESH = dict(family="path", level=0,
     ("vertices", [[0.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [3.0, 0.0]], "coordinates must be finite"),
     ("edges", [[0, 1], [1, 2], [2, 4]], "edge index out of range"),
     ("edges", [[0, 1], [1, 2], [2, -1]], "edge index out of range"),
+    ("edges", [[0, 1], [1, 2], [2**32 + 2, 3]], "edge index out of range"),
     ("edges", [[0, 1], [1, 2], [2, 2]], "self-loop edge"),
     ("boundary_indices", [0, 4], "boundary index out of range"),
+    ("boundary_indices", [0, 2**32 + 3], "boundary index out of range"),
     ("cells", [[0, 1, 4]], "cell index out of range"),
     ("cells", [[0, 1, 1]], "degenerate cell"),
 ], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
         "boundary-rows", "fractional-boundary",
         "fractional-level", "text-level", "no-level", "bool-level", "negative-level", "no-family",
         "numeric-family", "one-coordinate", "nan-coordinate", "edge-past-the-vertices",
-        "negative-edge", "self-loop", "boundary-past-the-vertices", "cell-past-the-vertices",
-        "degenerate-cell"])
+        "negative-edge", "edge-past-int32", "self-loop", "boundary-past-the-vertices",
+        "boundary-past-int32", "cell-past-the-vertices", "degenerate-cell"])
 def test_mesh_refuses_malformed_arrays(key, value, message):
-    # not reshaped or truncated: edges [[0, 1, 2], [1, 2, 3]] are not
-    # [[0, 1], [2, 1], [2, 3]], and boundary [0.7, 3.2] is not [0, 3]; level
-    # 2.7 is not level 2
+    # not reshaped, truncated or wrapped: edges [[0, 1, 2], [1, 2, 3]] are not
+    # [[0, 1], [2, 1], [2, 3]], boundary [0.7, 3.2] is not [0, 3], and the
+    # int32 indices do not read 2**32 + 2 as 2; level 2.7 is not level 2
     assert LevelMesh(**_PATH_MESH).num_edges == 3
     with pytest.raises(GeometryError, match=message):
         LevelMesh(**{**_PATH_MESH, key: value})
@@ -543,10 +562,10 @@ def test_mesh_stores_its_level_as_an_int(level):
 
 # -- bit identity --------------------------------------------------------------
 
-# sha256 of the float64 vertex array, then the int64 edge and cell arrays (C
-# order, native byte order), and of the int64 ``embed(level n - 1, level n)``
-# index map, recorded with the hash-table dedup the sort-based kernels
-# replaced (Sierpinski 9 and 10, the levels the benchmark workloads embed,
+# sha256 of the float64 vertex array, then the edge and cell arrays as int64
+# values (C order, native byte order), and of the ``embed(level n - 1, level
+# n)`` index map as int64 values, recorded with the hash-table dedup the
+# sort-based kernels replaced (Sierpinski 9 and 10, the levels the benchmark workloads embed,
 # with the sort-based kernels and the copy-table embed).  Vertex order is
 # part of the mesh contract.
 MESH_DIGESTS = {
@@ -622,9 +641,11 @@ EMBED_DIGESTS = {
 
 
 def _digest(*arrays):
+    """sha256 of the arrays' bytes, integer arrays widened to int64: the
+    digests were recorded when indices were int64, and hash the values."""
     h = hashlib.sha256()
     for a in arrays:
-        h.update(a.tobytes())
+        h.update((a.astype(np.int64) if a.dtype.kind in "iu" else a).tobytes())
     return h.hexdigest()
 
 
@@ -634,9 +655,13 @@ def test_meshes_and_embeddings_are_bit_identical(family):
     prev = None
     for n in range(top + 1):
         m = build_level(family, n)
+        assert (m.vertices.dtype, m.edges.dtype, m.cells.dtype, m.boundary_indices.dtype) == (
+            np.float64, np.int32, np.int32, np.int32), n
         assert _digest(m.vertices, m.edges, m.cells) == MESH_DIGESTS[family, n], n
         if prev is not None:
-            assert _digest(embed(prev, m).index_map) == EMBED_DIGESTS[family, n], n
+            index_map = embed(prev, m).index_map
+            assert index_map.dtype == np.int32, n
+            assert _digest(index_map) == EMBED_DIGESTS[family, n], n
         prev = m
 
 

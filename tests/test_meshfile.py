@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -196,6 +197,7 @@ def test_rows_of_the_wrong_width_are_refused(tmp_path, key, value):
      "vertex coordinates must be finite"),
     ({"edges": [[0, 1], [1, 2], [2, 4]]}, "edge index out of range"),
     ({"edges": [[0, 1], [1, 2], [2, -1]]}, "edge index out of range"),
+    ({"edges": [[0, 1], [1, 2], [2**32 + 2, 3]]}, "edge index out of range"),
     ({"edges": [[0, 1], [1, 2], [2, 2]]}, "self-loop edge"),
     ({"edges": [[0, 1], [1, 2], [2, 3], [1, 0]]}, "duplicate edge"),
     ({"boundary": [0, 4]}, "boundary index out of range"),
@@ -203,8 +205,8 @@ def test_rows_of_the_wrong_width_are_refused(tmp_path, key, value):
     ({"cells": [[0, 1, 1]]}, "degenerate cell"),
     ({"cells": [[0, 1, 2]]}, "cell vertices not pairwise joined"),
 ], ids=["one-coordinate", "nan-coordinate", "edge-past-the-vertices", "negative-edge",
-        "self-loop", "duplicate-edge", "boundary-past-the-vertices", "cell-past-the-vertices",
-        "degenerate-cell", "cell-side-without-edge"])
+        "edge-past-int32", "self-loop", "duplicate-edge", "boundary-past-the-vertices",
+        "cell-past-the-vertices", "degenerate-cell", "cell-side-without-edge"])
 def test_mesh_refusals_are_malformed_documents(tmp_path, change, message):
     # LevelMesh checks the document's structure; each of its refusals is the
     # reader's usage error, with LevelMesh's reason
@@ -426,6 +428,22 @@ def test_document_with_far_apart_points_is_read(tmp_path):
 # The writers' block size is drawn too, so that rows span block seams.
 _FINITE_POOL = [0.0, -0.0, 5e-324, 1e300, 1 / 3, -2.5]
 _SOLUTION_POOL = _FINITE_POOL + [np.inf, -np.inf, np.nan]
+
+
+def test_write_solution_working_set_at_hata3d_6(tmp_path):
+    # the writer formats _BLOCK_ROWS rows at a time, so what it adds to the
+    # process is a block's strings: 2.3 MiB at 4,096 rows, 7.1 MiB at 16,384
+    mesh = build_level("hata3d", 6)
+    sol = solve_online("hata3d", 6, "rfd", 2.0, np.ones(mesh.num_vertices), {0: 0.0, 1: 1.0})
+    path = tmp_path / "solution.csv"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_solution(mesh, sol, path, extra={"rhs": "1", "bc": "0,1"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 3 * 2**20, (peak - start) / 2**20
 
 
 def _pooled_case(coords, values, block_rows):

@@ -408,6 +408,28 @@ def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method):
     assert peak - held <= 4.0 * size, (peak - held) / size
 
 
+def test_solve_online_working_set_at_sierpinski_10():
+    # the benchmark's largest solve, in bytes per vertex above what the
+    # process held (about 89 with int32 indices and the mesh's own cells as
+    # the leaf table; 109 with int64 indices and a copied table), with the
+    # level built, its edge range measured and lazy imports warm
+    small = build_level("sierpinski", 2)
+    solve_online("sierpinski", 2, "rfem2d", 1.25, np.ones(small.num_vertices), _zero_bc(small))
+    mesh = build_level("sierpinski", 10)
+    assert (mesh.edges.dtype, mesh.cells.dtype) == (np.int32, np.int32)
+    assert mesh.dedup_tolerance > 0.0
+    g = np.sin(mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1])
+    h = _zero_bc(mesh, [1.0, 0.5, 0.0])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve_online("sierpinski", 10, "rfem2d", 1.25, g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 100 * mesh.num_vertices, (peak - start) / mesh.num_vertices
+
+
 def test_solve_online_records_metadata():
     m = build_level("koch", 2)
     sol = solve_online("koch", 2, "rfem1d", 16 / 9,
