@@ -507,41 +507,35 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
 
 
 def _gather_blocks(assign, offsets, rows):
-    """``assign[off + rows]`` for each offset, stacked in offset order, each
-    block taken from the slice ``assign[off:]``, with no ``off + rows``."""
+    """``assign[off + rows]`` for each offset, stacked in offset order."""
     out = np.empty((offsets.size * rows.shape[0], rows.shape[1]), dtype=np.int32)
     blocks = out.reshape(offsets.size, *rows.shape)
     for k, off in enumerate(offsets):
-        np.take(assign[off:], rows, out=blocks[k])
+        np.take(assign, off + rows, out=blocks[k])
     return out
 
 
 def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
-    """(copy, seed vertex) -> vertex of ``mesh``, read off its edges for a
-    mesh refined from ``seed`` by ``_refine``.
+    """(copy, seed vertex) -> vertex of ``mesh``, for a mesh refined from
+    ``seed`` by ``_refine``: the mesh's own cells, or its edges for a seed
+    without cells.
 
-    ``_refine`` stacks the images of the coarser edge list map-major and the
-    copies share no edge, so the edges of level n are ``m**n`` blocks of the
-    seed edges, one per word of maps in lexicographic order.  The table is
-    read, not checked: on a mesh laid out otherwise it is wrong.  It is read
-    by ``_structure``, on a level it refines itself, and by
-    ``solver._Condensation``, which takes only a mesh with the topology of
-    ``build_level``'s level; the tests check that layout on every family.
-
-    A seed whose one cell, or else one edge, lists its vertices in order
-    (Sierpinski's cell, the one-edge seeds) makes that row the table's, so
-    the table is the mesh's own cells or edges, not a copy.
+    ``_refine`` stacks the images of the coarser edge and cell lists
+    map-major, so the cells (edges) of level n are the ``m**n`` images of the
+    seed's cells (edges), one block per word of maps in lexicographic order.
+    A seed of one cell, or else one edge, that lists its vertices in order
+    makes each image a row of the table; any other seed raises
+    ``GeometryError``.  The table is read, not checked: on a mesh laid out
+    otherwise it is wrong.  It is read by ``_structure``, on a level it
+    refines itself, and by ``solver._Condensation``, which takes only a mesh
+    with the topology of ``build_level``'s level; the tests check that
+    layout on every family.
     """
-    order = np.arange(seed.num_vertices)
-    for pos, rows in ((seed.cells, mesh.cells), (seed.edges, mesh.edges)):
-        if pos.shape[0] == 1 and np.array_equal(pos[0], order):
-            return rows
-    copies, extra = divmod(mesh.num_edges, seed.num_edges)
-    if extra:
-        raise GeometryError("edge count is not a multiple of the seed's")
-    table = np.empty((copies, seed.num_vertices), dtype=np.int32)
-    table[:, seed.edges] = mesh.edges.reshape(copies, seed.num_edges, 2)
-    return table
+    rows, pos = (mesh.cells, seed.cells) if seed.num_cells else (mesh.edges, seed.edges)
+    if pos.shape[0] != 1 or not np.array_equal(pos[0], np.arange(seed.num_vertices)):
+        raise GeometryError("a copy table needs a seed of one cell or edge "
+                            "listing its vertices in order")
+    return rows
 
 
 def _level_index(level) -> int:

@@ -189,7 +189,7 @@ class _Condensation:
     elements must be the mesh's edges (p = 2) or cells (p = 3); anything
     else raises ``GeometryError``.  A built level is m copies of the level
     below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``:
-    the mesh's own cells or edges, but for a seed laid out otherwise),
+    the mesh's own cells or edges),
     each listing its elements at the seed's edge or cell positions, and all
     of them carry one leaf block.  Going up one depth, the m children of a
     copy are scattered into the level-1 vertex set V1 and the vertices of V1
@@ -257,13 +257,12 @@ class _Condensation:
         f = np.zeros(self.interior.size)
         f[self.interior] = b
         nb = self.leaves.shape[1]
-        up, loads = None, []  # the leaves condense no interior: nothing goes up
+        # the leaves condense no interior: a read-only zero view goes up
+        up, loads = np.broadcast_to(0.0, self.leaves.shape), []
         for v1, _, x_ib in self.depths:
-            fv = np.zeros(v1.shape)
-            if up is not None:
-                children = up.reshape(v1.shape[0], -1, nb)
-                for i, g in enumerate(self.glue):
-                    fv[:, g] += children[:, i]
+            children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
+            for i, g in enumerate(self.glue):
+                fv[:, g] += children[:, i]
             f_i = fv[:, nb:] + f[v1[:, nb:]]
             # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
             up = fv[:, :nb] - f_i @ x_ib

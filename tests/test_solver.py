@@ -463,6 +463,19 @@ def test_glue_and_partition_fail_with_two_edges_of_one_leaf_swapped():
         solve_condensed(swapped, *_elements(swapped, "fd"), np.ones(mesh.num_vertices), h)
 
 
+def test_copy_table_refuses_a_seed_it_cannot_read_off_the_mesh():
+    # the table is the mesh's own cells or edges: a seed of two edges, or of
+    # one edge listing its ends reversed, has no such table
+    mesh, seed = build_level("koch", 2), build_level("koch", 0)
+    path = LevelMesh("path", 0, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1], [1, 2]], [],
+                     [0, 2])
+    turned = LevelMesh("koch", 0, seed.vertices, [[1, 0]], [], seed.boundary_indices)
+    assert _copy_table(mesh, seed) is mesh.edges
+    for other in (path, turned):
+        with pytest.raises(GeometryError, match="copy table needs a seed"):
+            _copy_table(mesh, other)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_condensation_takes_any_mesh_equal_to_the_built_level(tmp_path, family):
     mesh = build_level(family, 4)
