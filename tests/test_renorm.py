@@ -1,5 +1,6 @@
 """Renormalization estimates and renormalized solves."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from fraclap.measures import (
     fem_edge_stiffness,
     load_vector,
 )
+from fraclap.meshfile import write_table
 from fraclap.renorm import (
     RenormEstimate,
     _elements,
@@ -105,6 +107,34 @@ def test_level_elements_keep_the_renorm_means(family, formulation, first):
     for n, mean in enumerate(COORDINATE_ELEMENT_MEANS[family, formulation, first], first):
         est = estimate_energy_ratio(family, n, formulation)
         assert abs(est.mean - mean) <= 1e-6 * mean, (n, est.mean)
+
+
+# sha256 of write_table output over the level pairs a:b, recorded with the
+# geometric ``embed`` as the estimator's coarse-to-fine map.  Like
+# SOLUTION_FILE_DIGESTS they hold the bits of the condensation's BLAS
+# products on the OpenBLAS kernel that recorded them (SkylakeX); another
+# kernel sums in another order (ROADMAP item 1).
+RENORM_TABLE_DIGESTS = {
+    ("sierpinski", "fd", 3, 7): "c37ee2569d50cc741312ea2fb60cbf9895bd9b20b9346ff99143ab3067fe3ea6",
+    ("sierpinski", "fem_area", 3, 6):
+        "65096973e53bd97c98b2425a784dce7e5a5335401902584e5f57fcdba5ad7d86",
+    ("sierpinski", "graph_energy", 3, 6):
+        "501d9f7fa7aa440355c3c3ae0bdaba34d32133827a0337eeaef3a5af8e9f8ad7",
+    ("koch", "fem_edge", 3, 7): "526b2b6819d6ef8e74a460a46d081f445a10427d9d5ec1473c9f387de927b1c6",
+    ("hata2d", "fd", 2, 5): "375ae73d1deeeb8ae917125252edbee9e5b0b9f672311a17ecf745023daa0f48",
+    ("hata3d", "fem_edge", 2, 5):
+        "2dfa7078dc98a768a14f7b0b00c6608f7ff63d1c00c1c681d0c0d7d56e28b699",
+}
+
+
+@pytest.mark.parametrize("family, formulation, a, b", list(RENORM_TABLE_DIGESTS))
+def test_renorm_tables_are_byte_identical(tmp_path, family, formulation, a, b):
+    path = tmp_path / "renorm.csv"
+    write_table([estimate_laplacian_ratio(family, n) if formulation == "fd"
+                 else estimate_energy_ratio(family, n, formulation)
+                 for n in range(a, b)], path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == RENORM_TABLE_DIGESTS[family, formulation, a, b]
 
 
 def test_koch_fem_edge_mean_at_level_8_is_16_ninths():
