@@ -527,9 +527,10 @@ def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
     makes each image a row of the table; any other seed raises
     ``GeometryError``.  The table is read, not checked: on a mesh laid out
     otherwise it is wrong.  It is read by ``_structure``, on a level it
-    refines itself, and by ``solver._Condensation``, which takes only a mesh
-    with the topology of ``build_level``'s level; the tests check that
-    layout on every family.
+    refines itself, by ``solver._Condensation``, which takes only a mesh
+    with the topology of ``build_level``'s level, and by
+    ``_table_embedding``, which checks the map it reads against the
+    coordinates; the tests check that layout on every family.
     """
     rows, pos = (mesh.cells, seed.cells) if seed.num_cells else (mesh.edges, seed.edges)
     if pos.shape[0] != 1 or not np.array_equal(pos[0], np.arange(seed.num_vertices)):
@@ -578,6 +579,48 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     glue = _copy_table(_refine(ifs, ifs.seed), ifs.seed)
     glue.setflags(write=False)
     return ifs.seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
+
+
+def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
+    """``embed(coarse, fine)`` for consecutive built levels of a family, read
+    off their copy tables (``_copy_table``) instead of searched for.
+
+    Copy ``w`` of the coarse level is copies ``w m + j`` of the fine one,
+    and child ``j``'s seed vertex ``k`` is seed vertex ``s`` wherever
+    ``glue[j, k] == s`` (``_structure``).  So for each ``s`` one such
+    ``(j, k)`` maps column ``s`` of the coarse table onto rows ``j::m`` of
+    column ``k`` of the fine one.  The map is checked in O(coarse vertices):
+    every coarse vertex is mapped, no two onto one fine vertex, and each
+    lies within ``fine.dedup_tolerance`` of its image; anything else raises
+    ``GeometryError``.
+    """
+    if fine.family != coarse.family or fine.level != coarse.level + 1:
+        raise GeometryError("a table embedding maps a level onto the next of its family")
+    seed, glue, _ = _structure(coarse.family)
+    tc, tf = _copy_table(coarse, seed), _copy_table(fine, seed)
+    m = glue.shape[0]
+    if tf.shape[0] != m * tc.shape[0]:
+        raise GeometryError("the fine level does not hold m copies of the coarse level")
+    index_map = np.full(coarse.num_vertices, -1, dtype=np.int32)
+    for s in range(seed.num_vertices):  # a built-in seed's vertices are all boundary
+        j, k = np.argwhere(glue == s)[0]
+        index_map[tc[:, s]] = tf[j::m, k]
+    if (index_map < 0).any():
+        raise GeometryError("a coarse vertex lies on no copy; incompatible meshes")
+    taken = np.sort(index_map)
+    if (taken[1:] == taken[:-1]).any():
+        raise GeometryError("embedding is not injective; incompatible meshes")
+    sq = np.zeros(coarse.num_vertices)
+    for c, f in zip(coarse.vertices.T, fine.vertices.T):
+        gap = f[index_map]
+        gap -= c
+        gap *= gap
+        sq += gap
+    tol = fine.dedup_tolerance
+    if (sq > tol * tol).any():
+        raise GeometryError("a coarse vertex lies farther than the dedup tolerance "
+                            "from its copy-table image; incompatible meshes")
+    return EmbeddingMap(coarse.level, fine.level, index_map)
 
 
 def predicted_vertices(family: str, level: int) -> int:

@@ -7,7 +7,8 @@ triplets and imports scipy, so building and writing meshes never loads it.
 ``_assemble_elements`` sums element matrices into one: ``graph_laplacian``
 sums the unit edge element ``_EDGE_ELEMENT``, and the fem stiffness builders
 sum the elements of ``measures._elements``.  ``_apply_elements`` applies
-such a sum to a vector unassembled (leaf blocks, mass elements).
+such a sum to a vector unassembled (leaf blocks, mass elements), a fixed
+block of elements at a time, with the bits of one whole-mesh pass.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ if TYPE_CHECKING:
 
 # Edge element matrix of unit conductance: (e_a - e_b)(e_a - e_b)^T.
 _EDGE_ELEMENT = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+_APPLY_ROWS = 16384  # elements per block (``_apply_elements``)
 
 
 def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
@@ -62,10 +65,20 @@ def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.cs
 
 def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The products ``local[k] @ u[elements[k]]`` summed per vertex: the sum
-    of the element matrices times ``u``.  One matrix may serve every element."""
+    of the element matrices times ``u``.  One matrix may serve every element.
+
+    The elements go ``_APPLY_ROWS`` at a time, so no whole-mesh
+    ``(elements, p)`` gather, product or intp index copy is formed.  Each
+    block's products are added into one zeroed output by ``np.add.at``, in
+    element order, so every vertex sums its terms in the order of one
+    ``np.bincount`` over all elements, and the result has its bits."""
     local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
-    ku = np.einsum("kab,kb->ka", local, u[elements])
-    return np.bincount(elements.ravel(), weights=ku.ravel(), minlength=u.size)
+    out = np.zeros(u.size)
+    for lo in range(0, len(elements), _APPLY_ROWS):
+        rows = elements[lo:lo + _APPLY_ROWS]
+        ku = np.einsum("kab,kb->ka", local[lo:lo + _APPLY_ROWS], u[rows])
+        np.add.at(out, rows.ravel(), ku.ravel())
+    return out
 
 
 def adjacency(mesh: LevelMesh) -> sp.csr_array:

@@ -4,7 +4,9 @@ The estimators solve the un-normalized model problem (unit forcing, zero
 boundary data) at two consecutive levels and compare the solutions at the
 shared coarse interior vertices.  The per-vertex ratio of the fine solution
 over the coarse one stabilizes at the renormalization constant of the
-chosen formulation; its statistics are reported per level pair.
+chosen formulation; its statistics are reported per level pair.  The
+coarse-to-fine vertex map is read off the copy tables of the two levels
+(``geometry._table_embedding``), not searched for by coordinates.
 
 Every solve here is on a built-in family, so the model solves and
 ``solve_online`` hand the element matrices of the formulation to
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
-from .geometry import _frozen, build_level, embed
+from .geometry import _frozen, _table_embedding, build_level
 from .measures import _elements, _load
 from .solver import Solution, solve_condensed
 
@@ -83,13 +85,15 @@ def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
         raise UsageError("estimation requires level >= 1")
     coarse = build_level(family, n)
     fine = build_level(family, n + 1)
-    if coarse.interior_indices.size == 0:
+    interior = coarse.interior_indices
+    if interior.size == 0:
         raise SolveError(f"level {n} has no interior vertices to compare")
-    # solved first: a weak form measures the fine edges that embed then reads
+    # solved first: a weak form measures the fine edges whose shortest sets
+    # the tolerance that the table embedding then checks against
     z_c = _model_solution(family, n, formulation)
     z_f = _model_solution(family, n + 1, formulation)
-    embedding = embed(coarse, fine)
-    ratios, excluded = _ratio_statistics(z_c, z_f, embedding, coarse.interior_indices)
+    embedding = _table_embedding(coarse, fine)
+    ratios, excluded = _ratio_statistics(z_c, z_f, embedding, interior)
     if ratios.size == 0:
         raise SolveError("all coarse interior vertices were excluded by the "
                          "near-zero denominator guard")

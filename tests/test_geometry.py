@@ -1,6 +1,7 @@
 """Mesh construction tests: map evaluation, counts, nesting, ordering."""
 
 import copy
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -16,6 +17,7 @@ from fraclap.geometry import (
     AffineMap,
     IFSystem,
     LevelMesh,
+    _table_embedding,
     apply_map,
     build_level,
     builtin_system,
@@ -399,6 +401,47 @@ def test_embed_rejects_a_shared_vertex_moved_by_twice_the_tolerance(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_table_embedding_refuses_a_shared_vertex_moved_by_twice_the_tolerance(family):
+    coarse, fine = build_level(family, 3), build_level(family, 4)
+    moved = fine.vertices.copy()
+    shared = embed(coarse, fine).index_map[coarse.interior_indices[0]]
+    moved[shared, 0] += 2 * fine.dedup_tolerance
+    with pytest.raises(GeometryError, match="farther than the dedup tolerance"):
+        _table_embedding(coarse, _with_vertices_and_edges(fine, moved, fine.edges))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_table_embedding_refuses_swapped_copy_table_rows(family):
+    coarse, fine = build_level(family, 3), build_level(family, 4)
+    key = "cells" if fine.num_cells else "edges"
+    rows = getattr(fine, key).copy()
+    rows[[0, -1]] = rows[[-1, 0]]  # the first and the last copy trade places
+    with pytest.raises(GeometryError, match="farther than the dedup tolerance"):
+        _table_embedding(coarse, dataclasses.replace(fine, **{key: rows}))
+
+
+def test_table_embedding_refuses_a_vertex_off_the_table_or_taken_twice():
+    coarse, fine = build_level("sierpinski", 3), build_level("sierpinski", 4)
+    extra = np.vstack([coarse.vertices, [[2.0, 2.0]]])  # on no cell
+    with pytest.raises(GeometryError, match="lies on no copy"):
+        _table_embedding(dataclasses.replace(coarse, vertices=extra), fine)
+    cells = fine.cells.copy()
+    # rows -1 and 2 are child 2 of the last and of the first coarse copy
+    cells[-1] = cells[2]
+    with pytest.raises(GeometryError, match="not injective"):
+        _table_embedding(coarse, dataclasses.replace(fine, cells=cells))
+
+
+def test_table_embedding_maps_a_level_onto_the_next_only():
+    coarse = build_level("koch", 2)
+    for fine in (coarse, build_level("koch", 4), build_level("hata2d", 3)):
+        with pytest.raises(GeometryError, match="onto the next of its family"):
+            _table_embedding(coarse, fine)
+    with pytest.raises(GeometryError, match="does not hold m copies"):
+        _table_embedding(coarse, dataclasses.replace(build_level("koch", 4), level=3))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_embed_refuses_a_shared_vertex_in_the_dedup_gray_zone(family):
     # half a tolerance is within it, but not clearly: the build refuses such
     # a pair, and so does the embed
@@ -662,6 +705,8 @@ def test_meshes_and_embeddings_are_bit_identical(family):
             index_map = embed(prev, m).index_map
             assert index_map.dtype == np.int32, n
             assert _digest(index_map) == EMBED_DIGESTS[family, n], n
+            table_map = _table_embedding(prev, m).index_map
+            assert table_map.dtype == np.int32 and np.array_equal(table_map, index_map), n
         prev = m
 
 

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, build_level
-from fraclap.graphs import _assemble, adjacency, degree, energy, graph_laplacian
+from fraclap.graphs import (
+    _APPLY_ROWS,
+    _apply_elements,
+    _assemble,
+    adjacency,
+    degree,
+    energy,
+    graph_laplacian,
+)
 from fraclap.measures import fem_area_stiffness, fem_edge_stiffness
 
 
@@ -186,6 +194,31 @@ def test_matvec_matches_dense():
     m = _assemble(6, rows, cols, dense[rows, cols])
     x = rng.normal(size=6)
     np.testing.assert_allclose(m @ x, dense @ x, atol=1e-14)
+
+
+# -- unassembled element sums -------------------------------------------------------
+
+def _bincount_apply(elements, local, u):
+    """The whole-mesh formula the blocked ``_apply_elements`` replaced."""
+    local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
+    ku = np.einsum("kab,kb->ka", local, u[elements])
+    return np.bincount(elements.ravel(), weights=ku.ravel(), minlength=u.size)
+
+
+# the first level of each family with more edges (and cells) than one block
+@pytest.mark.parametrize("family, level", [("sierpinski", 9), ("koch", 8), ("hata2d", 7),
+                                           ("hata3d", 6)])
+def test_blocked_element_sums_keep_the_bincount_bits(family, level):
+    mesh = build_level(family, level)
+    rng = np.random.default_rng(level)
+    u = rng.normal(size=mesh.num_vertices)
+    for rows in (mesh.edges, mesh.cells) if mesh.num_cells else (mesh.edges,):
+        k, p = rows.shape
+        assert k > _APPLY_ROWS
+        for local in (np.broadcast_to(rng.normal(size=(p, p)), (k, p, p)),
+                      rng.normal(size=(k, p, p))):
+            got = _apply_elements(rows, local, u)
+            assert got.tobytes() == _bincount_apply(rows, local, u).tobytes(), (p, local.strides)
 
 
 # -- assembly bit identity ----------------------------------------------------------

@@ -275,6 +275,27 @@ def test_edge_elements_working_set():
     assert peak - start <= 8.0 * 2**20, (peak - start) / 2**20
 
 
+def test_edge_load_working_set():
+    # traced peak above what the call starts from, with the level built, its
+    # edge range cached and lazy imports warm: 10.0 MiB with whole-mesh
+    # (edges, 2) gathers and products and an intp copy of the edges for
+    # np.bincount, 4.0 MiB with the element sums applied in blocks of
+    # _APPLY_ROWS edges (numpy 2.4); the bound leaves 2 MiB of margin
+    mesh = build_level("koch", 9)
+    assert mesh.dedup_tolerance > 0  # caches the edge range that _level reads
+    g = 1.0 + mesh.vertices[:, 0]
+    small = build_level("koch", 2)
+    _load(small, "fem_edge", np.ones(small.num_vertices))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _load(mesh, "fem_edge", g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 6.0 * 2**20, (peak - start) / 2**20
+
+
 # -- stiffness matrices -----------------------------------------------------------
 
 def test_single_unit_edge_stiffness():
