@@ -396,18 +396,11 @@ def test_embed_rejects_a_shared_vertex_moved_by_twice_the_tolerance(family):
     # a coarse interior vertex shared by two fine copies
     shared = embed(coarse, fine).index_map[coarse.interior_indices[0]]
     moved[shared, 0] += 2 * fine.dedup_tolerance
+    moved = _with_vertices_and_edges(fine, moved, fine.edges)
     with pytest.raises(GeometryError, match="no fine counterpart"):
-        embed(coarse, _with_vertices_and_edges(fine, moved, fine.edges))
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_table_embedding_refuses_a_shared_vertex_moved_by_twice_the_tolerance(family):
-    coarse, fine = build_level(family, 3), build_level(family, 4)
-    moved = fine.vertices.copy()
-    shared = embed(coarse, fine).index_map[coarse.interior_indices[0]]
-    moved[shared, 0] += 2 * fine.dedup_tolerance
+        embed(coarse, moved)
     with pytest.raises(GeometryError, match="farther than the dedup tolerance"):
-        _table_embedding(coarse, _with_vertices_and_edges(fine, moved, fine.edges))
+        _table_embedding(coarse, moved)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
