@@ -26,12 +26,16 @@ from .errors import GeometryError, UsageError
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
-# peaks at about 130 B per vertex above the interpreter, so 2**23 vertices
-# peak near 1.0 GiB.
+# peaks at about 85 B per vertex above the interpreter, so 2**23 vertices
+# peak near 0.7 GiB.
 MAX_VERTICES = 2**23
 
 # Index arrays are int32: every index lies below this.
 _INDEX_END = 2**31
+
+# Rows per block of a refine's gathers, of the mesh checks and of the
+# close-pair scan: none forms a whole-mesh index or mask temporary.
+_SCAN_ROWS = 4096
 
 
 def _frozen(arr, dtype):
@@ -57,13 +61,21 @@ def _index_array(arr, shape, n, message, name):
     return _frozen(arr, np.int32)
 
 
+def _blocks(n: int):
+    """Slices of ``_SCAN_ROWS`` rows covering ``range(n)``."""
+    return (slice(lo, lo + _SCAN_ROWS) for lo in range(0, n, _SCAN_ROWS))
+
+
 def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per undirected edge of a mesh with ``n`` vertices,
-    widened before the product, which overflows int32 above 46,341 vertices."""
+    """One int64 key ``min * n + max`` per undirected edge ``(a, b)`` of a
+    mesh with ``n`` vertices, widened before the product, which overflows
+    int32 above 46,341 vertices.  It is summed as ``min * (n - 1) + a + b``,
+    which adds the int32 columns in place: no second whole-edge array."""
     a, b = edges[:, 0], edges[:, 1]
     key = np.minimum(a, b, dtype=np.int64)
-    key *= n
-    key += np.maximum(a, b)
+    key *= n - 1
+    key += a
+    key += b
     return key
 
 
@@ -167,22 +179,26 @@ class LevelMesh:
             raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
         if not np.isfinite(verts).all():
             raise GeometryError("vertex coordinates must be finite")
-        if (edges[:, 0] == edges[:, 1]).any():
+        if any((edges[b, 0] == edges[b, 1]).any() for b in _blocks(len(edges))):
             raise GeometryError("self-loop edge")
         # sorted keys of the undirected edges: one sort finds duplicates,
         # and searchsorted looks up the cell sides below
         ekey = _edge_keys(edges, n)
         ekey.sort()
-        if (ekey[1:] == ekey[:-1]).any():
+        if any((ekey[1:][b] == ekey[:-1][b]).any() for b in _blocks(len(ekey) - 1)):
             raise GeometryError("duplicate edge")
-        if cells.size:
-            lo, mid, hi = _sorted_columns(cells)
+        # block by block: every degenerate cell is refused before any side
+        # is looked up
+        for b in _blocks(len(cells)):
+            lo, mid, hi = _sorted_columns(cells[b])
             if (lo == mid).any() or (mid == hi).any():
                 raise GeometryError("degenerate cell with repeated vertex")
-            for a, b in ((lo, mid), (mid, hi), (lo, hi)):
+        for b in _blocks(len(cells)):
+            lo, mid, hi = _sorted_columns(cells[b])
+            for a, c in ((lo, mid), (mid, hi), (lo, hi)):
                 side = a.astype(np.int64)  # widened before the product, as in _edge_keys
                 side *= n
-                side += b
+                side += c
                 pos = np.searchsorted(ekey, side)
                 if (pos == ekey.size).any() or (ekey[pos] != side).any():
                     raise GeometryError("cell vertices not pairwise joined by edges")
@@ -404,18 +420,22 @@ def _close_pairs(points, tol):
     adds candidates, and the exact test discards them.
 
     The cost is one sort of n floats plus the pairs whose projections fall
-    within ``w``.  Mesh edges are at least 1e9 tolerances long, so on a built
+    within ``w``; the projections are sorted in place and their gaps tested
+    ``_SCAN_ROWS`` at a time, so the whole-point arrays are ``s`` and its
+    ``argsort``.  Mesh edges are at least 1e9 tolerances long, so on a built
     level those are the true pairs, or nearly.  Points lying on a hyperplane
     normal to ``u`` would cost the square of their count.
     """
     d = points.shape[1]
     u = _DIRECTION[:d] / np.linalg.norm(_DIRECTION[:d])
-    proj = points @ u
-    order = np.argsort(proj)
-    s = proj[order]
-    big = np.abs(s).max(initial=0.0) + np.abs(points).max(initial=0.0)
+    s = points @ u
+    order = np.argsort(s)
+    s.sort()  # in place: the values of s[order]
+    big = max(-s[0], s[-1]) if s.size else 0.0
+    big += max(points.max(initial=0.0), -points.min(initial=0.0))
     w = tol * (1.0 + 2.0**-40) + 2.0**-48 * (d + 2) * big
-    start = np.flatnonzero(s[1:] - s[:-1] <= w)
+    start = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        b.start + np.flatnonzero(s[1:][b] - s[:-1][b] <= w) for b in _blocks(s.size - 1)])
     count = np.searchsorted(s, s[start] + w, side="right") - start - 1
     a, b = order[np.repeat(start, count)], order[_ranges(start + 1, count)]
     i, j = np.minimum(a, b), np.maximum(a, b)
@@ -452,11 +472,17 @@ def _dedup(candidates, tol):
             f"dedup ambiguity: vertices {dist:.3e} apart with tolerance {tol:.3e}; "
             "tolerance appears misconfigured for this geometry"
         )
-    root = np.arange(cand.shape[0], dtype=np.int64)
-    np.minimum.at(root, j, i)
-    kept = root == np.arange(root.size)
-    rank = np.cumsum(kept, dtype=np.int32) - 1
-    return rank[root], np.flatnonzero(kept)
+    kept = np.ones(cand.shape[0], dtype=bool)
+    kept[j] = False
+    assign = np.cumsum(kept, dtype=np.int32)
+    assign -= 1
+    # each later row of a pair goes where the smallest row within tol of
+    # it goes: arrays of the pairs' size, none of the candidates'
+    later, at = np.unique(j, return_inverse=True)
+    root = later.copy()
+    np.minimum.at(root, at, i)
+    assign[later] = assign[root]
+    return assign, np.flatnonzero(kept)
 
 
 def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
@@ -472,22 +498,26 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
     copies of a post-critically finite system meet only at vertices, so
     they share no edge or cell, and a system whose copies share an edge
     raises ``GeometryError`` ("duplicate edge") from ``LevelMesh``.  The
-    candidates live only in this frame, so they are released as soon as the
-    vertices are taken.
+    candidate array becomes the vertex array: the kept rows move to its
+    front in place, so no second copy of the vertices is made.
     """
     seed, points = ifs.seed, mesh.vertices
     nb, (npts, dim) = seed.boundary_indices.size, points.shape
+    shrink = min(np.linalg.svd(m.linear, compute_uv=False)[-1] for m in ifs.maps)
+    tol = shrink * mesh.dedup_tolerance  # measured (once per mesh) before cand is made
     offsets = nb + npts * np.arange(len(ifs.maps), dtype=np.int64)
     cand = np.empty((nb + offsets.size * npts, dim))
     cand[:nb] = seed.vertices[:nb]
     for off, m in zip(offsets, ifs.maps):
-        block = cand[off:off + npts]
-        np.matmul(points, m.linear.T, out=block)
-        block += m.translation
-    shrink = min(np.linalg.svd(m.linear, compute_uv=False)[-1] for m in ifs.maps)
-    assign, uniq_rows = _dedup(cand, shrink * mesh.dedup_tolerance)
-    verts = cand[uniq_rows]
-    del cand, uniq_rows
+        np.matmul(points, m.linear.T, out=cand[off:off + npts])
+        cand[off:off + npts] += m.translation
+    assign, uniq_rows = _dedup(cand, tol)
+    # the kept rows move to the front in place, a block at a time: row k
+    # comes from row uniq_rows[k] >= k, which no earlier block overwrote
+    verts = cand[:uniq_rows.size]
+    for b in _blocks(uniq_rows.size):
+        verts[b] = cand[uniq_rows[b]]
+    del uniq_rows
 
     edges = _gather_blocks(assign, offsets, mesh.edges)
     cells = _gather_blocks(assign, offsets, mesh.cells)
@@ -507,11 +537,16 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
 
 
 def _gather_blocks(assign, offsets, rows):
-    """``assign[off + rows]`` for each offset, stacked in offset order."""
+    """``assign[off + rows]`` for each offset, stacked in offset order.
+
+    The rows go ``_SCAN_ROWS`` at a time: ``np.take`` turns its indices
+    into intp and buffers its ``out``, so a whole ``off + rows`` would cost
+    two such copies."""
     out = np.empty((offsets.size * rows.shape[0], rows.shape[1]), dtype=np.int32)
-    blocks = out.reshape(offsets.size, *rows.shape)
+    stack = out.reshape(offsets.size, *rows.shape)
     for k, off in enumerate(offsets):
-        np.take(assign, off + rows, out=blocks[k])
+        for b in _blocks(rows.shape[0]):
+            np.take(assign, off + rows[b], out=stack[k, b])
     return out
 
 

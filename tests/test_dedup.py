@@ -1,11 +1,14 @@
 """Unit tests for the vertex dedup and its close-pair search, including
 comparisons with quadratic brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclap import geometry
 from fraclap.errors import GeometryError
 from fraclap.geometry import _DIRECTION, _close_pairs, _dedup
 
@@ -162,22 +165,33 @@ def _sweep_points(draw, dim):
 
 
 def brute_force_pairs(points, tol):
-    """Every pair ``i < j`` within ``tol``, by ``_close_pairs``'s distance sum."""
+    """Every pair ``i < j`` within ``tol``, by ``_close_pairs``'s distance
+    sum, in its order: by the sorted position of the pair's first point
+    along the sweep, then of its second."""
+    u = _DIRECTION[:points.shape[1]] / np.linalg.norm(_DIRECTION[:points.shape[1]])
+    rank = np.empty(points.shape[0], dtype=np.intp)
+    rank[np.argsort(points @ u)] = np.arange(points.shape[0])
     i, j = np.triu_indices(points.shape[0], k=1)
     dv = points[j] - points[i]
     d2 = dv[:, 0] * dv[:, 0]
     for k in range(1, points.shape[1]):
         d2 += dv[:, k] * dv[:, k]
     keep = d2 <= tol * tol
-    return dict(zip(zip(i[keep].tolist(), j[keep].tolist()), d2[keep].tolist()))
+    i, j, d2 = i[keep], j[keep], d2[keep]
+    order = np.lexsort((np.maximum(rank[i], rank[j]), np.minimum(rank[i], rank[j])))
+    return i[order], j[order], d2[order]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=150)
 @given(data=st.data())
 def test_close_pairs_match_brute_force(dim, data):
+    # blocks of a few rows, so that the gap scan crosses block seams: the
+    # same pairs, each listed once, in the same order, with the same bits
     points, tol = data.draw(_sweep_points(dim))
-    i, j, d2 = _close_pairs(points, tol)
-    found = dict(zip(zip(i.tolist(), j.tolist()), d2.tolist()))
-    assert (i < j).all() and len(found) == i.size  # each pair listed once
-    assert found == brute_force_pairs(points, tol)
+    with mock.patch.object(geometry, "_SCAN_ROWS", data.draw(st.integers(1, 4))):
+        i, j, d2 = _close_pairs(points, tol)
+    ref_i, ref_j, ref_d2 = brute_force_pairs(points, tol)
+    np.testing.assert_array_equal(i, ref_i)
+    np.testing.assert_array_equal(j, ref_j)
+    assert d2.tobytes() == ref_d2.tobytes()
