@@ -79,8 +79,9 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """``|points[i] - points[j]|`` for each row ``(i, j)`` of ``edges``.
+def _length_blocks(points: np.ndarray, edges: np.ndarray):
+    """``|points[i] - points[j]|`` for the rows ``(i, j)`` of ``edges``,
+    yielded ``_SCAN_ROWS`` rows at a time, so no whole-edge gather is made.
 
     The squared gaps are summed one axis at a time, in place, so no
     ``(edges, d)`` array is formed.  Each gap is scaled by ``2**-e``, with
@@ -91,15 +92,26 @@ def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     double.
     """
     e = int(np.frexp(max(points.max(initial=0.0), -points.min(initial=0.0)))[1])
-    sq = np.zeros(edges.shape[0])
-    with np.errstate(over="ignore"):  # a gap overflows only where its length does
-        for col in points.T:
-            gap = col[edges[:, 0]]
-            gap -= col[edges[:, 1]]
-            np.ldexp(gap, -e, out=gap)
-            gap *= gap
-            sq += gap
-        return np.ldexp(np.sqrt(sq, out=sq), e, out=sq)
+    for b in _blocks(edges.shape[0]):
+        rows = edges[b]
+        sq = np.zeros(rows.shape[0])
+        with np.errstate(over="ignore"):  # a gap overflows only where its length does
+            for col in points.T:
+                gap = col[rows[:, 0]]
+                gap -= col[rows[:, 1]]
+                np.ldexp(gap, -e, out=gap)
+                gap *= gap
+                sq += gap
+            np.ldexp(np.sqrt(sq, out=sq), e, out=sq)
+        yield sq
+
+
+def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The lengths of ``_length_blocks``, in one array."""
+    out = np.empty(edges.shape[0])
+    for b, lengths in zip(_blocks(out.size), _length_blocks(points, edges)):
+        out[b] = lengths
+    return out
 
 
 def _sorted_columns(cells: np.ndarray):
@@ -235,9 +247,12 @@ class LevelMesh:
 
     @functools.cached_property
     def _edge_range(self) -> tuple[float, float]:
-        """The shortest and longest edge length, (0.0, 0.0) with no edges."""
-        lengths = self.edge_lengths()
-        return (float(lengths.min()), float(lengths.max())) if lengths.size else (0.0, 0.0)
+        """The shortest and longest edge length, (0.0, 0.0) with no edges,
+        taken block by block: no whole-edge array is made."""
+        if not self.num_edges:
+            return (0.0, 0.0)
+        ranges = [(b.min(), b.max()) for b in _length_blocks(self.vertices, self.edges)]
+        return (float(min(r[0] for r in ranges)), float(max(r[1] for r in ranges)))
 
     @property
     def dedup_tolerance(self) -> float:

@@ -18,15 +18,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import UsageError
-from .geometry import LevelMesh
+from .geometry import LevelMesh, _blocks
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Edge element matrix of unit conductance: (e_a - e_b)(e_a - e_b)^T.
 _EDGE_ELEMENT = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-_APPLY_ROWS = 16384  # elements per block (``_apply_elements``)
 
 
 def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
@@ -63,20 +61,24 @@ def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.cs
     return _assemble(n, *(a.transpose(1, 2, 0) for a in (rows, cols, local)))
 
 
-def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The products ``local[k] @ u[elements[k]]`` summed per vertex: the sum
-    of the element matrices times ``u``.  One matrix may serve every element.
+    of the element matrices times ``u``, added into ``out`` when it is
+    given.  One matrix may serve every element.
 
-    The elements go ``_APPLY_ROWS`` at a time, so no whole-mesh
+    The elements go ``geometry._SCAN_ROWS`` at a time, so no whole-mesh
     ``(elements, p)`` gather, product or intp index copy is formed.  Each
-    block's products are added into one zeroed output by ``np.add.at``, in
-    element order, so every vertex sums its terms in the order of one
-    ``np.bincount`` over all elements, and the result has its bits."""
+    block's products are added into one output (zeroed when not given) by
+    ``np.add.at``, in element order, so every vertex sums its terms in the
+    order of one ``np.bincount`` over all elements, and the result has its
+    bits."""
     local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
-    out = np.zeros(u.size)
-    for lo in range(0, len(elements), _APPLY_ROWS):
-        rows = elements[lo:lo + _APPLY_ROWS]
-        ku = np.einsum("kab,kb->ka", local[lo:lo + _APPLY_ROWS], u[rows])
+    if out is None:
+        out = np.zeros(u.size)
+    for s in _blocks(len(elements)):
+        rows = elements[s]
+        ku = np.einsum("kab,kb->ka", local[s], u[rows])
         np.add.at(out, rows.ravel(), ku.ravel())
     return out
 

@@ -14,12 +14,18 @@ leaves up, and the values come back down from the Dirichlet data.  Every
 leaf must carry the same element matrices, as the stride-0 stacks of every
 built-in formulation do (``measures._elements``): each depth then holds one
 block, factored once.  The leaf block is applied unassembled by
-``graphs._apply_elements``, which also sums the loads of ``measures``.
+``graphs._apply_elements``, which also sums the loads of ``measures``.  The
+condensation works on whole-length vectors that hold zero on the boundary,
+a block of copies at a time, so it needs a few vectors of the mesh's length
+beyond the problem; ``linear_solve`` and ``solve_dirichlet`` keep
+interior-length vectors.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
 after one step of iterative refinement if the first solve does not, or the
 solve raises ``SolveError``, which names data that overflow double precision.
+It reads on the interior: a whole-length vector's zero boundary entries add
+nothing to its norm.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import geometry
 from .errors import GeometryError, SolveError, UsageError
 from .geometry import LevelMesh, _copy_table, _frozen, _structure, build_level
 from .graphs import _apply_elements, _assemble_elements
@@ -43,10 +50,9 @@ BACKWARD_ERROR_BOUND = 1e-13
 
 
 def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
-    """The checked Dirichlet problem: ``(interior, bidx, u0, elements, local,
-    load)``, the interior vertex mask, the sorted boundary indices and their
-    values, the element rows, and the element matrices and load as float64
-    arrays."""
+    """The checked Dirichlet problem: ``(bidx, u0, elements, local, load)``,
+    the sorted boundary indices and their values, the element rows, and the
+    element matrices and load as float64 arrays."""
     elements, local = np.asarray(elements), np.asarray(local, dtype=np.float64)
     k, p = elements.shape if elements.ndim == 2 else (0, 0)
     if not k * p or local.shape != (k, p, p):
@@ -74,11 +80,9 @@ def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
     magnitude = abs(one).max()
     if abs(one - one.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
         raise SolveError("operator is not symmetric")
-    interior = np.ones(mesh.num_vertices, dtype=bool)
-    interior[bidx] = False
-    if not interior.any():
+    if bidx.size == mesh.num_vertices:  # distinct indices, each in range
         raise SolveError("empty interior: every vertex is a boundary vertex")
-    return interior, bidx, u0, elements, local, load
+    return bidx, u0, elements, local, load
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,22 +119,31 @@ def partition(a: sp.csr_array, boundary):
     return rows[:, interior_idx], rows[:, boundary_idx], interior_idx, boundary_idx
 
 
+def _abs_max(v: np.ndarray) -> float:
+    """``np.abs(v).max()`` without a copy of ``v``: the larger of ``v.max()``
+    and ``-v.min()``, a zero made positive; a NaN entry gives NaN."""
+    return float(np.maximum(v.max(), -v.min())) + 0.0
+
+
 def _contract_solve(solve, apply, b: np.ndarray, norm_a: float):
     """``x`` with ``solve(b) ~ A^-1 b`` refined once through ``apply(x) = A x``
     if needed, and the residual ``|b - A x|_inf`` that meets the contract.
-    Data that overflow double precision give a residual or bound that is not
-    finite: numpy's warnings are off, and one ``SolveError`` says so."""
+    The residual and the refined ``x`` are formed in place.  Data that
+    overflow double precision give a residual or bound that is not finite:
+    numpy's warnings are off, and one ``SolveError`` says so."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = solve(b)
-        r = b - apply(x)
+        r = apply(x)
+        np.subtract(b, r, out=r)
 
         def bound():
-            return BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + np.abs(b).max())
+            return BACKWARD_ERROR_BOUND * (norm_a * _abs_max(x) + _abs_max(b))
 
-        if np.abs(r).max() > bound():
-            x = x + solve(r)
-            r = b - apply(x)
-        residual, limit = float(np.abs(r).max()), float(bound())
+        if _abs_max(r) > bound():
+            x += solve(r)
+            r = apply(x)
+            np.subtract(b, r, out=r)
+        residual, limit = _abs_max(r), float(bound())
     # the bound is finite only when b and x are
     if not (np.isfinite(residual) and np.isfinite(limit)):
         raise SolveError("the data overflow double precision")
@@ -167,8 +180,7 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
     vertices ``elements[k]`` by assembling it and factoring its interior
     block with SuperLU; ``mesh`` may be any ``LevelMesh``."""
-    _, bidx, u0, elements, local, load = _problem(mesh, elements, local, load,
-                                                  boundary_values)
+    bidx, u0, elements, local, load = _problem(mesh, elements, local, load, boundary_values)
     a = _assemble_elements(mesh.num_vertices, elements, local)
     a_ii, a_i0, interior_idx, _ = partition(a, bidx)
     with np.errstate(over="ignore", invalid="ignore"):  # _contract_solve reports overflow
@@ -194,13 +206,15 @@ class _Condensation:
     of them carry one leaf block.  Going up one depth, the m children of a
     copy are scattered into the level-1 vertex set V1 and the vertices of V1
     outside V0 are eliminated.  Every copy of a depth has the same block, so
-    each depth keeps one ``inv_ii = A_II^-1`` and one ``x_ib = inv_ii A_IB``,
-    and both passes of ``solve`` are matrix products over the copies of a
-    depth.  The row sums of the block are carried up the depths, and each
+    each depth keeps one ``inv_ii = A_II^-1`` and one ``x_ib = inv_ii A_IB``;
+    the V1 vertices of its copies are read off the leaves a block at a time
+    (``_rows``), and both passes of ``solve`` are matrix products over those
+    blocks.  The row sums of the block are carried up the depths, and each
     Schur complement takes its diagonal from them, without cancellation.
+    Vectors are whole-length and zero on the boundary.
     """
 
-    def __init__(self, mesh: LevelMesh, elements, local, interior: np.ndarray):
+    def __init__(self, mesh: LevelMesh, elements, local):
         seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
         built = build_level(mesh.family, mesh.level)
         p = elements.shape[1]
@@ -213,14 +227,18 @@ class _Condensation:
                                 "build_level builds it; solve other meshes with solve_dirichlet")
         self.leaves = _copy_table(mesh, seed)
         self.block = _leaf_block(pos, seed.num_vertices, local)
-        self.interior = interior
+        self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
         m, nb = self.glue.shape
-        nv1 = int(self.glue.max()) + 1
-        ids, schur, self.depths = self.leaves, self.block, []
+        self.nv1 = nv1 = int(self.glue.max()) + 1
+        # vertex j of V0 is child vertex k of child i, for the last (i, k)
+        # that the glue sends to j: the one whose write ``_rows`` keeps
+        last = {int(j): divmod(f, nb) for f, j in enumerate(self.glue.ravel()) if j < nb}
+        corners = [last[j] for j in range(nb)]
+        # a leaf's V0 is its own vertices: vertex positions[j] of leaf offsets[j]
+        offsets, positions = [0] * nb, list(range(nb))
+        schur, self.depths = self.block, []
         sums, diag = self.block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
         for d in range(mesh.level - 1, -1, -1):
-            v1 = np.empty((m**d, nv1), dtype=np.int32)
-            v1[:, self.glue.ravel()] = ids.reshape(m**d, m * nb)
             a, s = np.zeros((nv1, nv1)), np.zeros(nv1)
             for g in self.glue:
                 a[g[:, None], g] += schur
@@ -239,49 +257,96 @@ class _Condensation:
             sums = s[:nb] - s[nb:] @ x_ib
             schur[diag, diag] = 0.0
             schur[diag, diag] = sums - schur.sum(axis=1)
-            self.depths.append((v1, inv_ii, x_ib))
-            ids = v1[:, :nb]
+            step = m ** (mesh.level - 1 - d)  # leaves per child
+            self.depths.append((m**d, (step, offsets, positions), inv_ii, x_ib))
+            offsets, positions = ([i * step + offsets[k] for i, k in corners],
+                                  [positions[k] for _, k in corners])
+
+    def _rows(self, s: slice, step: int, offsets, positions) -> np.ndarray:
+        """The V1 vertices of the copies ``s`` of a depth whose children have
+        ``step`` leaves each: every child's V0, read off the leaves (child c
+        has leaves ``c * step`` on, and its vertex j is vertex
+        ``positions[j]`` of its leaf ``offsets[j]``), scattered by the glue.
+        No depth keeps a table of its copies."""
+        m, nb = self.glue.shape
+        lo, hi = s.start * m * step, s.stop * m * step
+        child = np.empty(((s.stop - s.start) * m, nb), dtype=self.leaves.dtype)
+        for j in range(nb):
+            child[:, j] = self.leaves[lo + offsets[j]:hi:step, positions[j]]
+        rows = np.empty((s.stop - s.start, self.nv1), dtype=child.dtype)
+        rows[:, self.glue.ravel()] = child.reshape(len(rows), m * nb)
+        return rows
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``."""
         return _apply_elements(self.leaves, self.block, u)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``A_II x`` for an interior vector ``x``."""
-        u = np.zeros(self.interior.size)
-        u[self.interior] = x
-        return self.product(u)[self.interior]
+        """``A_II x`` for a whole-length ``x`` that is zero on the boundary:
+        the product with its boundary rows set to zero."""
+        y = self.product(x)
+        y[self.boundary] = 0.0
+        return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A_II^-1 b``: loads condense up, values come back down."""
-        f = np.zeros(self.interior.size)
-        f[self.interior] = b
-        nb = self.leaves.shape[1]
+        """``A_II^-1 b`` for a whole-length ``b``, whose boundary entries are
+        not read; the result is zero on the boundary (the top level's V0,
+        which no depth eliminates).  Loads condense up, values come back
+        down, each depth in blocks of copies (``_copy_blocks``).  A vertex
+        is eliminated at one depth only, so its condensed load waits in the
+        result until the way down replaces it by its value."""
+        m, nb = self.glue.shape
+        u = np.zeros(b.size)
         # the leaves condense no interior: a read-only zero view goes up
-        up, loads = np.broadcast_to(0.0, self.leaves.shape), []
-        for v1, _, x_ib in self.depths:
-            children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
-            for i, g in enumerate(self.glue):
-                fv[:, g] += children[:, i]
-            f_i = fv[:, nb:] + f[v1[:, nb:]]
-            # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
-            up = fv[:, :nb] - f_i @ x_ib
-            loads.append(f_i)
-        u = np.zeros(f.size)
-        for (v1, inv_ii, x_ib), f_i in zip(self.depths[::-1], loads[::-1]):
-            u_i = f_i @ inv_ii.T
-            # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
-            u_i -= u[v1[:, :nb]] @ x_ib.T
-            u[v1[:, nb:]] = u_i
-        return u[self.interior]
+        up = np.broadcast_to(0.0, self.leaves.shape)
+        for copies, table, _, x_ib in self.depths:
+            below, up = up, np.empty((copies, nb))
+            for s in _copy_blocks(copies):
+                rows = self._rows(s, *table)
+                children = below[s.start * m:s.stop * m].reshape(len(rows), m, nb)
+                fv = np.zeros(rows.shape)
+                for i, g in enumerate(self.glue):
+                    fv[:, g] += children[:, i]
+                f_i = fv[:, nb:] + b[rows[:, nb:]]
+                # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
+                np.subtract(fv[:, :nb], f_i @ x_ib, out=up[s])
+                u[rows[:, nb:]] = f_i
+        for copies, table, inv_ii, x_ib in self.depths[::-1]:
+            for s in _copy_blocks(copies):
+                rows = self._rows(s, *table)
+                u_i = u[rows[:, nb:]] @ inv_ii.T
+                # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
+                u_i -= u[rows[:, :nb]] @ x_ib.T
+                u[rows[:, nb:]] = u_i
+        return u
 
     def norm(self) -> float:
-        """``|A_II|_inf``, exact: the leaves of a built level share no pair of
-        vertices, so no two leaf blocks add into one off-diagonal entry."""
+        """``|A_II|_inf``, exact for any symmetric leaf block: the leaves of a
+        built level share no pair of vertices, so no two leaf blocks add into
+        one off-diagonal entry.  One whole-length vector takes the diagonal,
+        then its magnitude, then the off-diagonal magnitudes at interior
+        columns; the boundary rows are zeroed before the maximum."""
         eye = np.eye(self.leaves.shape[1])
-        diag = _apply_elements(self.leaves, self.block * eye, np.ones(self.interior.size))
-        off = _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), self.interior * 1.0)
-        return float((abs(diag) + off)[self.interior].max())
+        interior = np.ones(self.size)  # einsum casts a bool vector slowly
+        interior[self.boundary] = 0.0
+        rows = _apply_elements(self.leaves, self.block * eye, interior)
+        np.abs(rows, out=rows)
+        _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), interior, out=rows)
+        rows[self.boundary] = 0.0
+        return float(rows.max())
+
+
+def _copy_blocks(n: int):
+    """Slices of ``geometry._SCAN_ROWS`` copies (two at least) covering
+    ``range(n)``, the last one taking a one-copy tail.  numpy multiplies a
+    one-row matrix by gemv, whose bits differ from gemm's, so only a depth
+    of one copy has a one-row block: each block's products keep the bits of
+    one product over the whole depth."""
+    step, lo = max(geometry._SCAN_ROWS, 2), 0
+    while lo < n:
+        hi = lo + step if n - lo - step >= 2 else n
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _leaf_block(pos: np.ndarray, nb: int, local) -> np.ndarray:
@@ -313,16 +378,16 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     ``measures._elements`` do; other stacks raise ``UsageError`` and go to
     ``solve_dirichlet``.
     """
-    interior, bidx, u0, elements, local, load = _problem(mesh, elements, local, load,
-                                                         boundary_values)
-    cond = _Condensation(mesh, elements, local, interior)
+    bidx, u0, elements, local, load = _problem(mesh, elements, local, load, boundary_values)
+    cond = _Condensation(mesh, elements, local)
     norm_a = cond.norm()
     if not np.isfinite(norm_a):
         raise UsageError("operator entries are not finite")
     values = np.zeros(mesh.num_vertices)
     values[bidx] = u0
     with np.errstate(over="ignore", invalid="ignore"):  # _contract_solve reports overflow
-        rhs = load[interior] - cond.product(values)[interior]
+        rhs = np.subtract(load, cond.product(values), out=values)
+    rhs[bidx] = 0.0
     x, residual = _contract_solve(cond.solve, cond.apply, rhs, norm_a)
-    values[interior] = x
-    return Solution(values=values, level=mesh.level, solver_residual=residual)
+    x[bidx] = u0
+    return Solution(values=x, level=mesh.level, solver_residual=residual)

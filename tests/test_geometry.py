@@ -786,6 +786,26 @@ def test_refine_gathers_rows_a_block_at_a_time():
     assert peak - out.nbytes <= 2**18, peak - out.nbytes
 
 
+@pytest.mark.parametrize("family, level", [("koch", 9), ("sierpinski", 10)])
+def test_edge_range_working_set(family, level):
+    # traced peak of the shortest and longest edge above the start: one block
+    # of geometry._SCAN_ROWS edges, about 43 B per row (numpy 2.4: 171 and
+    # 167 KiB), where the whole-edge gathers took 6.07 and 4.12 MiB
+    mesh = build_level(family, level)
+    mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        shortest, longest = mesh._edge_range
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 48 * geometry._SCAN_ROWS, (peak - start) / 2**10
+    lengths = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]],
+                             axis=1)
+    assert (shortest, longest) == (lengths.min(), lengths.max())
+
+
 # -- size guard ----------------------------------------------------------------
 
 @pytest.mark.parametrize("family", FAMILIES)

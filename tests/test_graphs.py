@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraclap.errors import UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, build_level
+from fraclap.geometry import FAMILIES, LevelMesh, _SCAN_ROWS, build_level
 from fraclap.graphs import (
-    _APPLY_ROWS,
     _apply_elements,
     _assemble,
     adjacency,
@@ -214,7 +213,7 @@ def test_blocked_element_sums_keep_the_bincount_bits(family, level):
     u = rng.normal(size=mesh.num_vertices)
     for rows in (mesh.edges, mesh.cells) if mesh.num_cells else (mesh.edges,):
         k, p = rows.shape
-        assert k > _APPLY_ROWS
+        assert k > _SCAN_ROWS
         for local in (np.broadcast_to(rng.normal(size=(p, p)), (k, p, p)),
                       rng.normal(size=(k, p, p))):
             got = _apply_elements(rows, local, u)

@@ -243,8 +243,11 @@ def test_zero_length_edge_has_zero_mass():
 def test_area_load_working_set():
     # traced peak above what the call starts from, with the level built and
     # lazy imports warm: 6.08 MiB with per-cell areas and three np.add.at
-    # passes, 3.60 MiB with one mass element per level (numpy 2.4)
+    # passes, 4.12 MiB with one mass element per level while the edge range
+    # that _level reads gathered every edge, 0.96 MiB with that range taken
+    # in blocks (numpy 2.4)
     mesh = build_level("sierpinski", 10)
+    mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
     g = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
     small = build_level("sierpinski", 2)
     _load(small, "fem_area", np.ones(small.num_vertices))
@@ -255,7 +258,7 @@ def test_area_load_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 4.5 * 2**20, (peak - start) / 2**20
+    assert peak - start <= 1.5 * 2**20, (peak - start) / 2**20
 
 
 def test_edge_elements_working_set():
@@ -280,7 +283,7 @@ def test_edge_load_working_set():
     # edge range cached and lazy imports warm: 10.0 MiB with whole-mesh
     # (edges, 2) gathers and products and an intp copy of the edges for
     # np.bincount, 4.0 MiB with the element sums applied in blocks of
-    # _APPLY_ROWS edges (numpy 2.4); the bound leaves 2 MiB of margin
+    # geometry._SCAN_ROWS edges (numpy 2.4); the bound leaves 2 MiB of margin
     mesh = build_level("koch", 9)
     assert mesh.dedup_tolerance > 0  # caches the edge range that _level reads
     g = 1.0 + mesh.vertices[:, 0]

@@ -325,13 +325,14 @@ def test_solve_online_measures_its_level_once(monkeypatch, family, method):
     # family (``measures._level``); the edges are measured for the first
     mesh = build_level(family, 4)
     mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
-    lengths, measured = geometry._lengths, []
+    lengths, measured = geometry._length_blocks, []
 
     def counting(points, edges):
         measured.append(points is mesh.vertices)
         return lengths(points, edges)
 
-    monkeypatch.setattr(geometry, "_lengths", counting)
+    # every edge length is measured by _length_blocks, whole arrays too
+    monkeypatch.setattr(geometry, "_length_blocks", counting)
     solve_online(family, 4, method, 5.0, np.ones(mesh.num_vertices), _zero_bc(mesh))
     assert measured.count(True) == 1
 
@@ -416,18 +417,25 @@ def test_solve_online_keeps_the_fd_stack_broadcast(monkeypatch):
 
 
 @pytest.mark.parametrize("family, n, method, bound", [
-    ("sierpinski", 9, "rfd", 159), ("sierpinski", 9, "rfem1d", 159),
-    ("sierpinski", 9, "rfem2d", 159), ("koch", 8, "rfem1d", 95), ("hata2d", 7, "rfem1d", 95),
-    ("hata3d", 6, "rfd", 127), ("hata3d", 6, "rfem1d", 127), ("sierpinski", 10, "rfem2d", 100),
+    ("sierpinski", 9, "rfd", 45), ("sierpinski", 9, "rfem1d", 54),
+    ("sierpinski", 9, "rfem2d", 54), ("koch", 8, "rfem1d", 43), ("hata2d", 7, "rfem1d", 42),
+    ("hata3d", 6, "rfd", 41), ("hata3d", 6, "rfem1d", 50), ("sierpinski", 10, "rfem2d", 43),
+    ("sierpinski", 10, "rfd", 35),
 ], ids=["sierpinski-9-rfd", "sierpinski-9-rfem1d", "sierpinski-9-rfem2d", "koch-8-rfem1d",
-        "hata2d-7-rfem1d", "hata3d-6-rfd", "hata3d-6-rfem1d", "sierpinski-10-rfem2d"])
+        "hata2d-7-rfem1d", "hata3d-6-rfd", "hata3d-6-rfem1d", "sierpinski-10-rfem2d",
+        "sierpinski-10-rfd"])
 def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method, bound):
     # traced peak above what the solve leaves held, in bytes per vertex, with
     # the level built and lazy imports warm; every formulation serves a depth
-    # with one block, so no per-copy stack is formed.  The bound is four
-    # times the int32 mesh's bytes per vertex, rounded down, but at
-    # Sierpinski 10, the benchmark's largest solve: 100 B, where 89 are
-    # measured and int64 indices with a copied leaf table take 109
+    # with one block, so no per-copy stack is formed.  The solve keeps the
+    # load, the right-hand side, the solution and about one more
+    # whole-length vector (the residual, or the loads that the copies of
+    # the two deepest depths pass up); the rest is blocks of
+    # geometry._SCAN_ROWS copies or elements.  Each bound is the figure
+    # measured on whole-length vectors (numpy 2.4) plus about a tenth:
+    # 40.5, 48.5, 48.5, 38.4, 37.0, 36.7, 44.7, 38.8 and 30.8 B in order,
+    # where the interior-length solve took 75.9, 83.9, 83.9, 71.8, 71.1,
+    # 63.6, 71.6, 73.1 and 65.1
     small = build_level(family, 2)
     solve_online(family, 2, method, 2.0, np.ones(small.num_vertices), _zero_bc(small))
     mesh = build_level(family, n)

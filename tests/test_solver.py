@@ -3,15 +3,17 @@ principle, linearity, symmetry and dense-oracle equivalence."""
 
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fraclap import geometry
 from fraclap.errors import GeometryError, SolveError, UsageError
 from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, _structure, build_level, embed
-from fraclap.graphs import _assemble, graph_laplacian
+from fraclap.graphs import _apply_elements, _assemble, _assemble_elements, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.meshfile import read_mesh, write_mesh
 from fraclap.renorm import _elements, _load, _renormalized
@@ -328,8 +330,8 @@ def test_condensation_matches_the_factorization(family, formulation, level):
     # the worst case here, hata3d level 7, reads 6e-9
     gap = np.abs(condensed.values - factored.values).max()
     assert gap <= 1e-7 * np.abs(factored.values).max()
-    interior, _, _, elements, local, _ = _problem(*problem)
-    norm = _Condensation(mesh, elements, local, interior).norm()
+    _, _, elements, local, _ = _problem(*problem)
+    norm = _Condensation(mesh, elements, local).norm()
     assembled = abs(a_ii).sum(axis=1).max()
     assert abs(norm - assembled) <= 1e-14 * assembled
 
@@ -709,20 +711,109 @@ def test_solve_factors_nothing(monkeypatch):
     # one inverse per depth is formed on construction; solve only multiplies
     mesh = build_level("sierpinski", 5)
     elements, local = _elements(mesh, "fd")
-    interior = np.ones(mesh.num_vertices, dtype=bool)
-    interior[mesh.boundary_indices] = False
     calls = []
     for name in ("solve", "inv"):
         def counted(*args, _f=getattr(np.linalg, name), **kwargs):
             calls.append(name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    cond = _Condensation(mesh, elements, local, interior)
+    cond = _Condensation(mesh, elements, local)
     assert len(calls) == mesh.level
     calls.clear()
-    b = np.ones(int(interior.sum()))
+    b = np.ones(mesh.num_vertices)  # whole-length; its boundary entries are not read
     cond.solve(cond.solve(b))
     assert calls == []
+
+
+# The interior-length apply and solve that the whole-length methods
+# replaced, kept here as the reference for their bits: a zero vector with
+# the interior scattered in, each depth's V1 table built whole, and every
+# product taken over all copies of a depth at once.
+def _interior_apply(cond, interior, x):
+    u = np.zeros(interior.size)
+    u[interior] = x
+    return cond.product(u)[interior]
+
+
+def _v1_tables(cond):
+    m, nb = cond.glue.shape
+    ids, tables = cond.leaves, []
+    for copies, *_ in cond.depths:
+        v1 = np.empty((copies, cond.nv1), dtype=np.int32)
+        v1[:, cond.glue.ravel()] = ids.reshape(copies, m * nb)
+        tables.append(v1)
+        ids = v1[:, :nb]
+    return tables
+
+
+def _interior_solve(cond, interior, b):
+    f = np.zeros(interior.size)
+    f[interior] = b
+    nb = cond.leaves.shape[1]
+    up, loads, tables = np.broadcast_to(0.0, cond.leaves.shape), [], _v1_tables(cond)
+    for v1, (_, _, _, x_ib) in zip(tables, cond.depths):
+        children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
+        for i, g in enumerate(cond.glue):
+            fv[:, g] += children[:, i]
+        f_i = fv[:, nb:] + f[v1[:, nb:]]
+        up = fv[:, :nb] - f_i @ x_ib
+        loads.append(f_i)
+    u = np.zeros(f.size)
+    for v1, (_, _, inv_ii, x_ib), f_i in zip(tables[::-1], cond.depths[::-1], loads[::-1]):
+        u_i = f_i @ inv_ii.T
+        u_i -= u[v1[:, :nb]] @ x_ib.T
+        u[v1[:, nb:]] = u_i
+    return u[interior]
+
+
+@pytest.mark.parametrize("family, formulation, level", [
+    (family, formulation, level) for family, formulation in _one_element_cases()
+    for level in range(1, 7)
+])
+def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level):
+    mesh = build_level(family, level)
+    elements, local = _elements(mesh, formulation)
+    cond = _Condensation(mesh, elements, local)
+    for v1, (copies, table, *_) in zip(_v1_tables(cond), cond.depths):
+        assert np.array_equal(cond._rows(slice(0, copies), *table), v1)
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_indices] = False
+    bidx = mesh.boundary_indices
+    rng = np.random.default_rng(level)
+    b = rng.normal(size=mesh.num_vertices)
+    b[bidx] = np.nan  # never read
+    x = rng.normal(size=mesh.num_vertices)
+    x[bidx] = 0.0
+    expected = _interior_solve(cond, interior, b[interior])
+    # blocks of one to three rows (two at least, see _copy_blocks) cross
+    # the seams between blocks on every depth of more than a few copies
+    for rows in (1, 2, 3, geometry._SCAN_ROWS):
+        with mock.patch.object(geometry, "_SCAN_ROWS", rows):
+            got = cond.solve(b)
+        assert got[interior].tobytes() == expected.tobytes(), rows
+        assert got[bidx].tobytes() == bytes(got.itemsize * bidx.size)  # +0.0
+    got = cond.apply(x)
+    assert got[interior].tobytes() == _interior_apply(cond, interior, x[interior]).tobytes()
+    assert got[bidx].tobytes() == bytes(got.itemsize * bidx.size)
+
+
+@pytest.mark.parametrize("level", [2, 3, 5])
+def test_condensation_norm_is_exact_with_a_negative_diagonal(level):
+    # a symmetric cell element whose diagonal has both signs: where two
+    # leaves meet, their diagonal entries cancel in A_ii, so one pass of
+    # |block| over the leaves would overstate those rows
+    mesh = build_level("sierpinski", level)
+    element = np.array([[-3.0, 0.1, 0.2], [0.1, 1.0, 0.3], [0.2, 0.3, 1.5]])
+    local = np.broadcast_to(element, (mesh.num_cells, 3, 3))
+    cond = _Condensation(mesh, mesh.cells, local)
+    a = _assemble_elements(mesh.num_vertices, mesh.cells, local)
+    a_ii = partition(a, mesh.boundary_indices)[0]
+    assembled = abs(a_ii).sum(axis=1).max()
+    assert abs(cond.norm() - assembled) <= 1e-14 * assembled
+    interior = np.ones(mesh.num_vertices)
+    interior[mesh.boundary_indices] = 0.0
+    one_pass = _apply_elements(mesh.cells, abs(element), interior)[interior > 0].max()
+    assert one_pass > 1.5 * assembled
 
 
 @pytest.mark.parametrize("broadcast", [True, False])
