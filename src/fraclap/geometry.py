@@ -62,8 +62,16 @@ def _index_array(arr, shape, n, message, name):
 
 
 def _blocks(n: int):
-    """Slices of ``_SCAN_ROWS`` rows covering ``range(n)``."""
-    return (slice(lo, lo + _SCAN_ROWS) for lo in range(0, n, _SCAN_ROWS))
+    """Slices of ``_SCAN_ROWS`` rows (two at least) covering ``range(n)``,
+    the last one taking a one-row tail.  numpy multiplies a one-row matrix
+    by gemv, whose bits differ from gemm's, so only ``n == 1`` gives a
+    one-row block: each block's products keep the bits of one product over
+    all ``n`` rows."""
+    step, lo = max(_SCAN_ROWS, 2), 0
+    while lo < n:
+        hi = lo + step if n - lo - step >= 2 else n
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
@@ -112,13 +120,6 @@ def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     for b, lengths in zip(_blocks(out.size), _length_blocks(points, edges)):
         out[b] = lengths
     return out
-
-
-def _sorted_columns(cells: np.ndarray):
-    """The smallest, middle and largest vertex of each cell."""
-    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    return lo, a + b + c - lo - hi, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,18 +202,15 @@ class LevelMesh:
             raise GeometryError("duplicate edge")
         # block by block: every degenerate cell is refused before any side
         # is looked up
+        sides = ([0, 1], [1, 2], [0, 2])
         for b in _blocks(len(cells)):
-            lo, mid, hi = _sorted_columns(cells[b])
-            if (lo == mid).any() or (mid == hi).any():
+            if any((cells[b, i] == cells[b, j]).any() for i, j in sides):
                 raise GeometryError("degenerate cell with repeated vertex")
         for b in _blocks(len(cells)):
-            lo, mid, hi = _sorted_columns(cells[b])
-            for a, c in ((lo, mid), (mid, hi), (lo, hi)):
-                side = a.astype(np.int64)  # widened before the product, as in _edge_keys
-                side *= n
-                side += c
-                pos = np.searchsorted(ekey, side)
-                if (pos == ekey.size).any() or (ekey[pos] != side).any():
+            for side in sides:
+                key = _edge_keys(cells[b][:, side], n)
+                pos = np.searchsorted(ekey, key)
+                if (pos == ekey.size).any() or (ekey[pos] != key).any():
                     raise GeometryError("cell vertices not pairwise joined by edges")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "vertices", verts)

@@ -3,7 +3,8 @@ associated energy bilinear form.
 
 Every operator is a canonical scipy ``csr_array``: sorted indices, no
 duplicate entries and no explicit zeros.  ``_assemble`` builds one from raw
-triplets and imports scipy, so building and writing meshes never loads it.
+triplets, whose duplicates scipy sums, and imports scipy, so building and
+writing meshes never loads it.
 ``_assemble_elements`` sums element matrices into one: ``graph_laplacian``
 sums the unit edge element ``_EDGE_ELEMENT``, and the fem stiffness builders
 sum the elements of ``measures._elements``.  ``_apply_elements`` applies
@@ -28,8 +29,8 @@ _EDGE_ELEMENT = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
-    """Square ``n`` x ``n`` CSR array from triplets: duplicates are summed
-    in input order (stable sort on ``row*n+col``) and exact zeros dropped."""
+    """Square ``n`` x ``n`` CSR array from triplets: scipy's coo-to-csr
+    conversion sums the duplicates, and exact zeros are dropped."""
     import scipy.sparse as sp
 
     n = int(n)
@@ -42,23 +43,17 @@ def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
         raise UsageError("triplet index out of range")
     if not np.isfinite(vals).all():
         raise UsageError("matrix values must be finite")
-    key = rows * n + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    summed = np.add.reduceat(vals[order], start) if vals.size else vals
-    keep = summed != 0.0
-    key, summed = key[start][keep], summed[keep]
-    return sp.csr_array((summed, (key // n, key % n)), shape=(n, n))
+    a = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    a.eliminate_zeros()
+    return a
 
 
 def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.csr_array:
     """CSR sum of the element matrices ``local[k]`` on the vertex rows
-    ``elements[k]``, passed position pair by position pair: all (0, 0)
-    terms, then (0, 1) and so on, each pair in element order."""
+    ``elements[k]``."""
     rows = np.broadcast_to(elements[:, :, None], local.shape)
     cols = np.broadcast_to(elements[:, None, :], local.shape)
-    return _assemble(n, *(a.transpose(1, 2, 0) for a in (rows, cols, local)))
+    return _assemble(n, rows, cols, local)
 
 
 def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray,

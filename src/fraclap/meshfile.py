@@ -25,13 +25,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, UsageError
-from .geometry import LevelMesh
+from .geometry import LevelMesh, _blocks
 
 if TYPE_CHECKING:  # annotations only: writing a mesh loads no solver
     from .renorm import RenormEstimate
     from .solver import Solution
-
-_BLOCK_ROWS = 4096  # rows formatted per write (``_write_rows``)
 
 
 def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
@@ -45,18 +43,18 @@ def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
 
 def _write_rows(fh, item: str, sep: str, arr: np.ndarray, fmt: str, last) -> None:
     """Write ``item % row`` for each row of ``arr``, joined by ``sep``, in
-    blocks of ``_BLOCK_ROWS`` rows: a whole ``(vertices, d + 1)`` copy would
+    blocks of ``geometry._blocks``: a whole ``(vertices, d + 1)`` copy would
     set the peak of a large solve.  A float row's fields are the strings of
     ``_formatted(block, fmt)``, since coordinates repeat.  Unless ``last``
     is None, ``item`` formats each row's entry of ``last`` first, as it is
     (solution values are distinct), and escapes the row's fields as ``%%s``."""
-    for lo in range(0, len(arr), _BLOCK_ROWS):
-        block = arr[lo:lo + _BLOCK_ROWS]
+    for b in _blocks(len(arr)):
+        block = arr[b]
         fields = _formatted(block, fmt) if arr.dtype.kind == "f" else block.ravel()
         rows = sep.join([item] * len(block))
         if last is not None:
-            rows %= tuple(last[lo:lo + _BLOCK_ROWS].tolist())
-        fh.write((sep if lo else "") + rows % tuple(fields.tolist()))
+            rows %= tuple(last[b].tolist())
+        fh.write((sep if b.start else "") + rows % tuple(fields.tolist()))
 
 
 def write_mesh(mesh: LevelMesh, path) -> None:

@@ -36,9 +36,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import geometry
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import LevelMesh, _copy_table, _frozen, _structure, build_level
+from .geometry import (FAMILIES, LevelMesh, _blocks, _copy_table, _frozen, _largest_level,
+                       _structure, build_level)
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -215,16 +215,19 @@ class _Condensation:
     """
 
     def __init__(self, mesh: LevelMesh, elements, local):
-        seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
-        built = build_level(mesh.family, mesh.level)
+        # no level is built for a family or level that build_level refuses
+        known = mesh.family in FAMILIES and mesh.level <= _largest_level(mesh.family)
+        built = build_level(mesh.family, mesh.level) if known else None
         p = elements.shape[1]
-        rows, pos = (mesh.edges, seed.edges) if p == 2 else (mesh.cells, seed.cells)
-        built_topology = mesh is built or all(
+        rows = mesh.edges if p == 2 else mesh.cells
+        built_topology = mesh is built or known and all(
             np.array_equal(getattr(mesh, a), getattr(built, a))
             for a in ("edges", "cells", "boundary_indices"))
         if not (built_topology and (elements is rows or np.array_equal(elements, rows))):
             raise GeometryError("condensation needs the edges or cells of a level as "
                                 "build_level builds it; solve other meshes with solve_dirichlet")
+        seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
+        pos = seed.edges if p == 2 else seed.cells
         self.leaves = _copy_table(mesh, seed)
         self.block = _leaf_block(pos, seed.num_vertices, local)
         self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
@@ -292,7 +295,7 @@ class _Condensation:
         """``A_II^-1 b`` for a whole-length ``b``, whose boundary entries are
         not read; the result is zero on the boundary (the top level's V0,
         which no depth eliminates).  Loads condense up, values come back
-        down, each depth in blocks of copies (``_copy_blocks``).  A vertex
+        down, each depth in blocks of copies (``geometry._blocks``).  A vertex
         is eliminated at one depth only, so its condensed load waits in the
         result until the way down replaces it by its value."""
         m, nb = self.glue.shape
@@ -301,7 +304,7 @@ class _Condensation:
         up = np.broadcast_to(0.0, self.leaves.shape)
         for copies, table, _, x_ib in self.depths:
             below, up = up, np.empty((copies, nb))
-            for s in _copy_blocks(copies):
+            for s in _blocks(copies):
                 rows = self._rows(s, *table)
                 children = below[s.start * m:s.stop * m].reshape(len(rows), m, nb)
                 fv = np.zeros(rows.shape)
@@ -312,7 +315,7 @@ class _Condensation:
                 np.subtract(fv[:, :nb], f_i @ x_ib, out=up[s])
                 u[rows[:, nb:]] = f_i
         for copies, table, inv_ii, x_ib in self.depths[::-1]:
-            for s in _copy_blocks(copies):
+            for s in _blocks(copies):
                 rows = self._rows(s, *table)
                 u_i = u[rows[:, nb:]] @ inv_ii.T
                 # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
@@ -334,19 +337,6 @@ class _Condensation:
         _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), interior, out=rows)
         rows[self.boundary] = 0.0
         return float(rows.max())
-
-
-def _copy_blocks(n: int):
-    """Slices of ``geometry._SCAN_ROWS`` copies (two at least) covering
-    ``range(n)``, the last one taking a one-copy tail.  numpy multiplies a
-    one-row matrix by gemv, whose bits differ from gemm's, so only a depth
-    of one copy has a one-row block: each block's products keep the bits of
-    one product over the whole depth."""
-    step, lo = max(geometry._SCAN_ROWS, 2), 0
-    while lo < n:
-        hi = lo + step if n - lo - step >= 2 else n
-        yield slice(lo, hi)
-        lo = hi
 
 
 def _leaf_block(pos: np.ndarray, nb: int, local) -> np.ndarray:

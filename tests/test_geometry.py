@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -538,17 +537,31 @@ def test_mesh_checks_hold_where_the_keys_pass_int32():
         LevelMesh(*args, np.delete(edges, k, axis=0), cells, bidx)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_blocks_cover_the_rows_with_no_one_row_block(rows):
+    # numpy multiplies a one-row matrix by gemv, whose bits differ from
+    # gemm's: only a single row is a block of one
+    with mock.patch.object(geometry, "_SCAN_ROWS", rows):
+        for n in range(13):
+            blocks = list(geometry._blocks(n))
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            sizes = [b.stop - b.start for b in blocks]
+            assert sizes == [1] if n == 1 else all(2 <= k <= max(rows, 2) + 1 for k in sizes)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("edges, cells, message", [
     ([[0, 1], [1, 2], [2, 3], [3, 3]], [], "self-loop edge"),
     ([[0, 1], [2, 3], [1, 2], [3, 2]], [], "duplicate edge"),
-    ([[0, 1], [1, 2], [2, 0]], [[0, 1, 2], [0, 1, 3], [1, 1, 2]], "degenerate cell"),
+    ([[0, 1], [1, 2], [2, 0]], [[0, 1, 2], [0, 1, 3], [0, 1, 2], [0, 1, 2], [1, 1, 2]],
+     "degenerate cell"),
     ([[0, 1], [1, 2], [2, 0]], [[0, 1, 2], [0, 1, 2], [0, 1, 3]], "not pairwise joined"),
 ], ids=["self-loop", "duplicate-edge", "degenerate-after-a-missing-side", "missing-side"])
 def test_mesh_checks_cross_block_seams(rows, edges, cells, message):
     # every check goes block by block: a duplicate whose sorted keys straddle
     # a seam is found, and a degenerate cell is refused before an earlier
-    # cell's missing side is looked up, as the unblocked checks did
+    # cell's missing side is looked up, as the unblocked checks did (a block
+    # has two rows at least: five cells put the two in different blocks)
     with mock.patch.object(geometry, "_SCAN_ROWS", rows):
         with pytest.raises(GeometryError, match=message):
             LevelMesh("custom", 0, np.eye(4)[:, :3], edges, cells, [0])
@@ -752,55 +765,43 @@ def test_build_level_refines_the_cached_coarser_level():
     ("koch", 6, 2.25), ("sierpinski", 7, 2.45), ("hata2d", 5, 2.25), ("hata3d", 5, 1.95),
     ("sierpinski", 10, 1.6), ("koch", 8, 1.55), ("hata3d", 6, 1.5),
 ], ids=["koch-6", "sierpinski-7", "hata2d-5", "hata3d-5", "sierpinski-10", "koch-8", "hata3d-6"])
-def test_build_level_working_set_is_bounded_by_the_new_mesh(family, level, bound):
+def test_build_level_working_set_is_bounded_by_the_new_mesh(family, level, bound, traced):
     # refining from the cached level below holds the candidates with their
     # sort (the pair scan), then the new mesh with its sorted edge keys (the
     # checks), and one block of work: the candidates become the vertices,
     # and no whole-mesh index array is gathered
     build_level.cache_clear()
     build_level(family, level - 1)
-    tracemalloc.start()
-    try:
+    with traced:
         mesh = build_level(family, level)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     size = mesh.vertices.nbytes + mesh.edges.nbytes + mesh.cells.nbytes
-    assert peak <= bound * size, peak / size
+    assert traced.peak <= bound * size, traced.peak / size
 
 
-def test_refine_gathers_rows_a_block_at_a_time():
+def test_refine_gathers_rows_a_block_at_a_time(traced):
     # np.take turns its indices into intp and buffers its out: given a map's
     # whole copy of the coarse edges, it holds 1,385 KiB beyond the output
     # here, and given a block of rows at a time, 130 KiB (numpy 2.4)
     coarse = build_level("sierpinski", 9)
     offsets = 3 + coarse.num_vertices * np.arange(3, dtype=np.int64)
     assign = np.arange(3 + 3 * coarse.num_vertices, dtype=np.int32)
-    tracemalloc.start()
-    try:
+    with traced:
         out = geometry._gather_blocks(assign, offsets, coarse.edges)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert np.array_equal(out, np.concatenate([off + coarse.edges for off in offsets]))
-    assert peak - out.nbytes <= 2**18, peak - out.nbytes
+    assert traced.peak - out.nbytes <= 2**18, traced.peak - out.nbytes
 
 
 @pytest.mark.parametrize("family, level", [("koch", 9), ("sierpinski", 10)])
-def test_edge_range_working_set(family, level):
+def test_edge_range_working_set(family, level, traced):
     # traced peak of the shortest and longest edge above the start: one block
     # of geometry._SCAN_ROWS edges, about 43 B per row (numpy 2.4: 171 and
     # 167 KiB), where the whole-edge gathers took 6.07 and 4.12 MiB
     mesh = build_level(family, level)
     mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with traced:
         shortest, longest = mesh._edge_range
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 48 * geometry._SCAN_ROWS, (peak - start) / 2**10
+    assert traced.peak - traced.start <= 48 * geometry._SCAN_ROWS, (
+        (traced.peak - traced.start) / 2**10)
     lengths = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]],
                              axis=1)
     assert (shortest, longest) == (lengths.min(), lengths.max())

@@ -224,11 +224,11 @@ def test_blocked_element_sums_keep_the_bincount_bits(family, level):
 
 # sha256 over (indptr, indices as int64, data as float64) of every level
 # 0..OPERATOR_LEVELS[family] in turn, recorded from the triplet container
-# this assembly replaced.  Summing duplicates in any other order (for
-# example coo_array(...).tocsr()) moves fem_edge diagonals by an ulp.  The
-# fem_edge and fem_area digests were re-recorded when a built level took one
-# element per level (``measures._elements``) in place of elements from
-# coordinates; the graph_laplacian digests kept theirs.
+# this assembly replaced.  The fem_edge and fem_area digests were re-recorded
+# when a built level took one element per level (``measures._elements``) in
+# place of elements from coordinates; the graph_laplacian digests kept
+# theirs.  Every entry of these operators sums equal values or at most two
+# terms, so the order in which scipy sums the duplicates moves no bit.
 OPERATOR_LEVELS = {"koch": 6, "sierpinski": 8, "hata2d": 6, "hata3d": 5}
 OPERATOR_DIGESTS = {
     "koch": {

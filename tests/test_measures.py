@@ -6,7 +6,6 @@ Laplacians are checked entrywise.
 """
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,7 +239,7 @@ def test_zero_length_edge_has_zero_mass():
     np.testing.assert_allclose(b, expected, rtol=1e-15)
 
 
-def test_area_load_working_set():
+def test_area_load_working_set(traced):
     # traced peak above what the call starts from, with the level built and
     # lazy imports warm: 6.08 MiB with per-cell areas and three np.add.at
     # passes, 4.12 MiB with one mass element per level while the edge range
@@ -251,52 +250,38 @@ def test_area_load_working_set():
     g = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
     small = build_level("sierpinski", 2)
     _load(small, "fem_area", np.ones(small.num_vertices))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with traced:
         _load(mesh, "fem_area", g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 1.5 * 2**20, (peak - start) / 2**20
+    assert traced.peak - traced.start <= 1.5 * 2**20, (traced.peak - traced.start) / 2**20
 
 
-def test_edge_elements_working_set():
+def test_edge_elements_working_set(traced):
     # traced peak above what the call starts from, with the level built and
     # lazy imports warm: 12.0 MiB with (edges, d) endpoint gathers for the
     # lengths, 6.0 MiB with the squared gaps summed one axis at a time
     # (numpy 2.4); the bound leaves 2 MiB of margin over the latter
     mesh = build_level("koch", 9)
     _elements(build_level("koch", 2), "fem_edge")
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with traced:
         _elements(mesh, "fem_edge")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 8.0 * 2**20, (peak - start) / 2**20
+    assert traced.peak - traced.start <= 8.0 * 2**20, (traced.peak - traced.start) / 2**20
 
 
-def test_edge_load_working_set():
+def test_edge_load_working_set(traced):
     # traced peak above what the call starts from, with the level built, its
     # edge range cached and lazy imports warm: 10.0 MiB with whole-mesh
     # (edges, 2) gathers and products and an intp copy of the edges for
     # np.bincount, 4.0 MiB with the element sums applied in blocks of
-    # geometry._SCAN_ROWS edges (numpy 2.4); the bound leaves 2 MiB of margin
+    # geometry._SCAN_ROWS edges, 2.19 MiB with the fem-edge halving done in
+    # place (numpy 2.4); the bound leaves about 0.8 MiB of margin
     mesh = build_level("koch", 9)
     assert mesh.dedup_tolerance > 0  # caches the edge range that _level reads
     g = 1.0 + mesh.vertices[:, 0]
     small = build_level("koch", 2)
     _load(small, "fem_edge", np.ones(small.num_vertices))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with traced:
         _load(mesh, "fem_edge", g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 6.0 * 2**20, (peak - start) / 2**20
+    assert traced.peak - traced.start <= 3.0 * 2**20, (traced.peak - traced.start) / 2**20
 
 
 # -- stiffness matrices -----------------------------------------------------------

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fraclap
-from fraclap import meshfile
+from fraclap import geometry
 from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, RELATIVE_TOLERANCE, LevelMesh, build_level
 from fraclap.measures import _elements
@@ -430,20 +429,16 @@ _FINITE_POOL = [0.0, -0.0, 5e-324, 1e300, 1 / 3, -2.5]
 _SOLUTION_POOL = _FINITE_POOL + [np.inf, -np.inf, np.nan]
 
 
-def test_write_solution_working_set_at_hata3d_6(tmp_path):
-    # the writer formats _BLOCK_ROWS rows at a time, so what it adds to the
-    # process is a block's strings: 2.3 MiB at 4,096 rows, 7.1 MiB at 16,384
+def test_write_solution_working_set_at_hata3d_6(tmp_path, traced):
+    # the writer formats geometry._SCAN_ROWS rows at a time, so what it adds
+    # to the process is a block's strings: 2.3 MiB at 4,096 rows, 7.1 MiB at
+    # 16,384
     mesh = build_level("hata3d", 6)
     sol = solve_online("hata3d", 6, "rfd", 2.0, np.ones(mesh.num_vertices), {0: 0.0, 1: 1.0})
     path = tmp_path / "solution.csv"
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with traced:
         write_solution(mesh, sol, path, extra={"rhs": "1", "bc": "0,1"})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 3 * 2**20, (peak - start) / 2**20
+    assert traced.peak - traced.start <= 3 * 2**20, (traced.peak - traced.start) / 2**20
 
 
 def _pooled_case(coords, values, block_rows):
@@ -475,7 +470,7 @@ _SIGNED_ZEROS = _pooled_case(
 def test_mesh_writer_on_repeated_values_is_the_json_dump(case, tmp_path_factory):
     mesh, _, block_rows = case
     path = tmp_path_factory.mktemp("pool") / "mesh.json"
-    with mock.patch.object(meshfile, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(geometry, "_SCAN_ROWS", block_rows):
         write_mesh(mesh, path)
     assert path.read_text() == _json_dump(mesh)
 
@@ -485,7 +480,7 @@ def test_mesh_writer_on_repeated_values_is_the_json_dump(case, tmp_path_factory)
 def test_solution_writer_on_repeated_values_is_per_value_format(case, tmp_path_factory):
     mesh, sol, block_rows = case
     path = tmp_path_factory.mktemp("pool") / "solution.csv"
-    with mock.patch.object(meshfile, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(geometry, "_SCAN_ROWS", block_rows):
         write_solution(mesh, sol, path)
     rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert rows == [",".join("{:.17g}".format(c) for c in (*point, value))

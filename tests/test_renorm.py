@@ -1,7 +1,6 @@
 """Renormalization estimates and renormalized solves."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,7 +423,7 @@ def test_solve_online_keeps_the_fd_stack_broadcast(monkeypatch):
 ], ids=["sierpinski-9-rfd", "sierpinski-9-rfem1d", "sierpinski-9-rfem2d", "koch-8-rfem1d",
         "hata2d-7-rfem1d", "hata3d-6-rfd", "hata3d-6-rfem1d", "sierpinski-10-rfem2d",
         "sierpinski-10-rfd"])
-def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method, bound):
+def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method, bound, traced):
     # traced peak above what the solve leaves held, in bytes per vertex, with
     # the level built and lazy imports warm; every formulation serves a depth
     # with one block, so no per-copy stack is formed.  The solve keeps the
@@ -441,13 +440,10 @@ def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method, boun
     mesh = build_level(family, n)
     g = np.ones(mesh.num_vertices)
     h = _zero_bc(mesh, [1.0, 0.5, 0.0])
-    tracemalloc.start()
-    try:
+    with traced:
         solve_online(family, n, method, 2.0, g, h)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - held <= bound * mesh.num_vertices, (peak - held) / mesh.num_vertices
+    assert traced.peak - traced.held <= bound * mesh.num_vertices, (
+        (traced.peak - traced.held) / mesh.num_vertices)
 
 
 def test_solve_online_records_metadata():

@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 
 from fraclap import geometry
 from fraclap.errors import GeometryError, SolveError, UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, _copy_table, _structure, build_level, embed
+from fraclap.geometry import (
+    FAMILIES,
+    AffineMap,
+    IFSystem,
+    LevelMesh,
+    _copy_table,
+    _structure,
+    build_level,
+    embed,
+    iterate,
+)
 from fraclap.graphs import _apply_elements, _assemble, _assemble_elements, graph_laplacian
 from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
 from fraclap.meshfile import read_mesh, write_mesh
@@ -421,6 +431,25 @@ def test_condensation_rejects_elements_out_of_the_first_leaf_order(family, formu
         solve_condensed(mesh, elements, local, np.ones(mesh.num_vertices), h)
 
 
+@pytest.mark.parametrize("case", ["caller-family", "right-gasket", "level-40"])
+def test_condensation_rejects_a_mesh_that_no_built_level_matches(case):
+    # build_level refuses the family or the level: the mesh is no built level
+    if case == "right-gasket":  # the README's caller system, level 3
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        seed = LevelMesh("right-gasket", 0, corners, [[0, 1], [1, 2], [2, 0]], [[0, 1, 2]],
+                         [0, 1, 2])
+        mesh = iterate(IFSystem(tuple(AffineMap(np.eye(2) / 2, c / 2) for c in corners), seed), 3)
+    else:
+        built = build_level("sierpinski", 3)
+        family, level = ("caller", 3) if case == "caller-family" else ("sierpinski", 40)
+        mesh = LevelMesh(family, level, built.vertices, built.edges, built.cells,
+                         built.boundary_indices)
+    elements, local = _elements(mesh, "fd")
+    h = {int(i): 0.0 for i in mesh.boundary_indices}
+    with pytest.raises(GeometryError, match="edges or cells of a level as build_level builds it"):
+        solve_condensed(mesh, elements, local, np.ones(mesh.num_vertices), h)
+
+
 def _assert_glues_and_partitions(mesh):
     """The layout the condensation takes from a built level: every leaf
     lists its edges and cells at the seed's positions, the copies agree on
@@ -785,7 +814,7 @@ def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level)
     x = rng.normal(size=mesh.num_vertices)
     x[bidx] = 0.0
     expected = _interior_solve(cond, interior, b[interior])
-    # blocks of one to three rows (two at least, see _copy_blocks) cross
+    # blocks of one to three rows (two at least, see geometry._blocks) cross
     # the seams between blocks on every depth of more than a few copies
     for rows in (1, 2, 3, geometry._SCAN_ROWS):
         with mock.patch.object(geometry, "_SCAN_ROWS", rows):
