@@ -123,7 +123,7 @@ def _cmd_generate(args) -> int:
 def _cmd_renorm(args) -> int:
     from . import meshfile
     from .geometry import build_level, check_level
-    from .renorm import estimate_energy_ratio, estimate_laplacian_ratio
+    from .renorm import _estimates
 
     a, b = _parse_levels(args.levels)
     formulation = _RENORM_FORMULATION[args.method]
@@ -131,11 +131,7 @@ def _cmd_renorm(args) -> int:
     if formulation == "fem_area" and not build_level(args.family, 0).num_cells:
         raise UsageError(f"--method fem-area needs a mesh with cells; {args.family} has none")
     _check_out(args.out)
-    estimates = [
-        estimate_laplacian_ratio(args.family, n) if formulation == "fd"
-        else estimate_energy_ratio(args.family, n, formulation)
-        for n in range(a, b)
-    ]
+    estimates = list(_estimates(args.family, a, b, formulation))
     meshfile.write_table(estimates, args.out)
     print(meshfile._table(estimates, "%.6g"), end="")
     return EXIT_OK
@@ -177,15 +173,20 @@ def _cmd_solve(args) -> int:
     # fails there (an unknown name, a value that is not finite) fails now
     rhs.evaluate(seed.vertices[seed.boundary_indices])
     _check_out(args.out)
+    # the constant is estimated first, from levels (n - 2, n - 1), or (1, 2)
+    # below level 3, so level n refines from the last of them or is it; only
+    # level 1 is neither, so it is built first and held through the estimate
+    mesh = build_level(args.family, args.level) if args.level == 1 else None
+    constant = args.constant
+    if constant is None:
+        constant, pair = auto_constant(args.family, args.method, args.level)
     mesh = build_level(args.family, args.level)
     h = {int(i): v for i, v in zip(mesh.boundary_indices, bc_values)}
-    g = rhs.evaluate(mesh.vertices)
+    # handed to solve_online, not kept: it lets go of g once the load exists
+    g = [rhs.evaluate(mesh.vertices)]
     if args.constant is None:
-        constant, pair = auto_constant(args.family, args.method, args.level)
         print(f"estimated constant {constant:.6g} from level pair {pair}")
-    else:
-        constant = args.constant
-    solution = solve_online(args.family, args.level, args.method, constant, g, h)
+    solution = solve_online(args.family, args.level, args.method, constant, g.pop(), h)
     meshfile.write_solution(mesh, solution, args.out, extra=extra)
     umin, umax = float(solution.values.min()), float(solution.values.max())
     print(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import GeometryError, UsageError
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
-# peaks at about 85 B per vertex above the interpreter, so 2**23 vertices
-# peak near 0.7 GiB.
+# peaks at about 67 B per vertex above the interpreter, so 2**23 vertices
+# peak near 0.5 GiB.
 MAX_VERTICES = 2**23
 
 # Index arrays are int32: every index lies below this.
@@ -498,8 +499,11 @@ def _dedup(candidates, tol):
     return assign, np.flatnonzero(kept)
 
 
-def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
-    """The next level of ``mesh``: its images under the maps, merged.
+def _refine(ifs: IFSystem, held: list[LevelMesh]) -> LevelMesh:
+    """The next level of the one mesh in ``held``: its images under the
+    maps, merged.  The mesh is taken out of ``held`` and let go of once the
+    candidates, edges and cells are gathered, before ``LevelMesh`` checks
+    the new level, so it outlives the refine only where a caller holds it.
 
     The candidates are the seed's boundary vertices followed by one block
     per map, the image of ``mesh.vertices`` under that map.  They are merged
@@ -514,6 +518,7 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
     candidate array becomes the vertex array: the kept rows move to its
     front in place, so no second copy of the vertices is made.
     """
+    mesh = held.pop()
     seed, points = ifs.seed, mesh.vertices
     nb, (npts, dim) = seed.boundary_indices.size, points.shape
     shrink = min(np.linalg.svd(m.linear, compute_uv=False)[-1] for m in ifs.maps)
@@ -534,14 +539,15 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
 
     edges = _gather_blocks(assign, offsets, mesh.edges)
     cells = _gather_blocks(assign, offsets, mesh.cells)
-    del assign
+    level = mesh.level + 1
+    del assign, mesh, points
 
     # the boundary entries alone: bincount would copy every int32 entry to intp
     if (np.bincount(edges[edges < nb], minlength=nb) == 0).any():
         raise GeometryError("a boundary point is not reproduced by the iteration")
     return LevelMesh(
         family=seed.family,
-        level=mesh.level + 1,
+        level=level,
         vertices=verts,
         edges=edges,
         cells=cells,
@@ -610,10 +616,10 @@ def iterate(ifs: IFSystem, n: int) -> LevelMesh:
     overlapping map) raises ``GeometryError``.
     """
     n = _level_index(n)
-    mesh = ifs.seed
+    held = [ifs.seed]
     for _ in range(n):
-        mesh = _refine(ifs, mesh)
-    return mesh
+        held.append(_refine(ifs, held))
+    return held.pop()
 
 
 @functools.lru_cache(maxsize=None)
@@ -624,7 +630,7 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     of its maps (3, or 2 for Sierpinski).  Read from the system's seed and
     one ``_refine`` of it, not from ``build_level``, which checks against it."""
     ifs = builtin_system(family)
-    glue = _copy_table(_refine(ifs, ifs.seed), ifs.seed)
+    glue = _copy_table(_refine(ifs, [ifs.seed]), ifs.seed)
     glue.setflags(write=False)
     return ifs.seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
 
@@ -708,27 +714,42 @@ def check_level(family: str, level: int) -> None:
         )
 
 
-# typed: ``True`` equals 1 but is refused, so it must not hit the level-1 entry
-@functools.lru_cache(maxsize=64, typed=True)
-def build_level(family: str, level: int) -> LevelMesh:
-    """Cached ``iterate(builtin_system(family), level)``; meshes are immutable.
+# The built levels that something still references, by (family, level),
+# and the last level ``build_level`` returned in each family, which alone
+# it keeps: the next refine and the next pair of a renorm start from it.
+_LEVELS = weakref.WeakValueDictionary()
+_LAST = {}
 
-    Each level refines the cached level below it, so a process builds every
-    level once.  An oversized level is refused by ``check_level``, and a
-    built level whose vertex count is not the predicted one raises
-    ``GeometryError``.
+
+def build_level(family: str, level: int) -> LevelMesh:
+    """``iterate(builtin_system(family), level)``; meshes are immutable.
+
+    A level that something still references is returned as it is.  Any
+    other is refined from the finest such level below it, or from the
+    seed, and each level refined on the way is let go of once the next one
+    is gathered.  Beyond what its callers hold, the process keeps only the
+    last level returned in each family, where the next refine and the next
+    pair of a renorm start.  An oversized level is refused by
+    ``check_level`` on every call, and a built level whose vertex count is
+    not the predicted one raises ``GeometryError``.
     """
     check_level(family, level)
-    level = operator.index(level)  # a numpy level refines the int-keyed level below
-    if level == 0:
-        return iterate(builtin_system(family), level)
-    mesh = _refine(builtin_system(family), build_level(family, level - 1))
-    predicted = predicted_vertices(family, level)
-    if mesh.num_vertices != predicted:
-        raise GeometryError(
-            f"{family} level {level} has {mesh.num_vertices} vertices, predicted {predicted}"
-        )
-    return mesh
+    level = operator.index(level)  # a numpy level finds the int-keyed level
+    below = level
+    while below and (family, below) not in _LEVELS:
+        below -= 1
+    ifs = builtin_system(family)
+    held = [_LEVELS.get((family, below), ifs.seed)]
+    _LAST.pop(family, None)  # a level held nowhere else goes once refined
+    while held[0].level < level:
+        held.append(_refine(ifs, held))
+        n, count = held[0].level, held[0].num_vertices
+        predicted = predicted_vertices(family, n)
+        if count != predicted:
+            raise GeometryError(f"{family} level {n} has {count} vertices, predicted {predicted}")
+        _LEVELS[family, n] = held[0]
+    _LAST[family] = held[0]
+    return held.pop()
 
 
 def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:

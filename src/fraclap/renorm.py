@@ -17,7 +17,6 @@ for callers of ``solver.partition`` and ``solver.linear_solve``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
-from .geometry import _frozen, _table_embedding, build_level
+from .geometry import LevelMesh, _frozen, _table_embedding, build_level
 from .measures import _elements, _load
 from .solver import Solution, solve_condensed
 
@@ -58,10 +57,8 @@ class RenormEstimate:
         object.__setattr__(self, "ratios", _frozen(self.ratios, np.float64))
 
 
-@functools.lru_cache(maxsize=128)
-def _model_solution(family: str, level: int, formulation: str) -> np.ndarray:
+def _model_solution(mesh: LevelMesh, formulation: str) -> np.ndarray:
     """Un-normalized model solution: unit forcing, zero boundary data."""
-    mesh = build_level(family, level)
     elements, local = _elements(mesh, formulation)
     load = _load(mesh, formulation, np.ones(mesh.num_vertices))
     zero = {int(i): 0.0 for i in mesh.boundary_indices}
@@ -80,35 +77,46 @@ def _ratio_statistics(z_coarse, z_fine, embedding, interior_idx):
     return ratios, excluded
 
 
-def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
-    if n < 1:
+def _estimates(family: str, a: int, b: int, formulation: str):
+    """The estimates of the pairs ``(a, a+1)`` .. ``(b-1, b)``, in order.
+    Each pair hands its fine level and model solution to the next as its
+    coarse ones, so every level is built and solved once, and nothing is
+    kept once the generator ends or is dropped."""
+    if a < 1:
         raise UsageError("estimation requires level >= 1")
-    coarse = build_level(family, n)
-    fine = build_level(family, n + 1)
-    interior = coarse.interior_indices
-    if interior.size == 0:
-        raise SolveError(f"level {n} has no interior vertices to compare")
-    # solved first: a weak form measures the fine edges whose shortest sets
-    # the tolerance that the table embedding then checks against
-    z_c = _model_solution(family, n, formulation)
-    z_f = _model_solution(family, n + 1, formulation)
-    embedding = _table_embedding(coarse, fine)
-    ratios, excluded = _ratio_statistics(z_c, z_f, embedding, interior)
-    if ratios.size == 0:
-        raise SolveError("all coarse interior vertices were excluded by the "
-                         "near-zero denominator guard")
-    lo, hi = float(ratios.min()), float(ratios.max())
-    return RenormEstimate(
-        level_pair=(n, n + 1),
-        ratios=ratios,
-        max=hi,
-        # the rounded mean of near-equal ratios can fall an ulp outside them
-        mean=min(max(float(ratios.mean()), lo), hi),
-        min=lo,
-        direction="fine_over_coarse",
-        method=formulation,
-        excluded_count=excluded,
-    )
+    coarse, z_c = build_level(family, a), None
+    for n in range(a, b):
+        fine = build_level(family, n + 1)
+        interior = coarse.interior_indices
+        if interior.size == 0:
+            raise SolveError(f"level {n} has no interior vertices to compare")
+        # solved first: a weak form measures the fine edges whose shortest sets
+        # the tolerance that the table embedding then checks against
+        if z_c is None:
+            z_c = _model_solution(coarse, formulation)
+        z_f = _model_solution(fine, formulation)
+        embedding = _table_embedding(coarse, fine)
+        ratios, excluded = _ratio_statistics(z_c, z_f, embedding, interior)
+        if ratios.size == 0:
+            raise SolveError("all coarse interior vertices were excluded by the "
+                             "near-zero denominator guard")
+        lo, hi = float(ratios.min()), float(ratios.max())
+        coarse, z_c = fine, z_f
+        yield RenormEstimate(
+            level_pair=(n, n + 1),
+            ratios=ratios,
+            max=hi,
+            # the rounded mean of near-equal ratios can fall an ulp outside them
+            mean=min(max(float(ratios.mean()), lo), hi),
+            min=lo,
+            direction="fine_over_coarse",
+            method=formulation,
+            excluded_count=excluded,
+        )
+
+
+def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
+    return next(_estimates(family, n, n + 1, formulation))
 
 
 def estimate_laplacian_ratio(family: str, n: int) -> RenormEstimate:
@@ -200,6 +208,7 @@ def solve_online(
     formulation = _METHOD_FORMULATION[method]
     elements, local = _elements(mesh, formulation)
     load = _load(mesh, formulation, g)
+    del g  # a weak form's load is a new vector: a caller's g that is handed over goes here
     local = _renormalized(local, constant, n)
     solution = solve_condensed(mesh, elements, local, load, h)
     return replace(solution, method=method, renorm_constant_applied=float(constant))

@@ -1,7 +1,10 @@
 import tracemalloc
+import weakref
 
 import hypothesis
 import pytest
+
+from fraclap import FAMILIES, geometry
 
 hypothesis.settings.register_profile(
     "fraclap", deadline=None, max_examples=25, derandomize=True
@@ -27,3 +30,24 @@ class _Traced:
 @pytest.fixture
 def traced():
     return _Traced()
+
+
+@pytest.fixture
+def refines(monkeypatch):
+    """The ``(family, level)`` of every level ``geometry._refine`` makes
+    from here on, in order, with no level built beforehand: the level store
+    starts empty, and each family's structure, which refines its seed once
+    per process, is made first."""
+    for family in FAMILIES:
+        geometry._structure(family)
+    monkeypatch.setattr(geometry, "_LEVELS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(geometry, "_LAST", {})
+    made, refine = [], geometry._refine
+
+    def counted(ifs, held):
+        mesh = refine(ifs, held)
+        made.append((mesh.family, mesh.level))
+        return mesh
+
+    monkeypatch.setattr(geometry, "_refine", counted)
+    return made

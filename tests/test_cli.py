@@ -7,12 +7,13 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 import fraclap
-from fraclap import cli, geometry, solver
+from fraclap import cli, geometry, renorm, solver
 from fraclap.geometry import build_level, predicted_vertices
 from fraclap.meshfile import read_mesh
 from fraclap.renorm import estimate_laplacian_ratio
@@ -103,28 +104,6 @@ def test_renorm_other_methods(tmp_path, method, expected):
         assert abs(float(line.split(",")[2]) - expected) <= 1e-3
 
 
-# The top level pairs, through the CLI in process (``pytest -m deep``): the
-# exactly self-similar pairs read their constant to rounding at every ratio,
-# and hata3d's mean is near 2.
-@pytest.mark.deep
-@pytest.mark.parametrize("family, method, levels, columns, constant, bound", [
-    ("koch", "fem-edge", "10:11", (1, 3), 16 / 9, 1e-12),
-    ("hata2d", "fem-edge", "8:9", (1, 3), 5 / 3, 1e-12),
-    ("sierpinski", "fem-area", "12:13", (1, 3), 5 / 4, 1e-12),
-    ("hata3d", "fem-edge", "7:8", (2,), 2.0, 1e-3),
-], ids=["koch", "hata2d", "sierpinski", "hata3d"])
-def test_renorm_at_the_top_pair(tmp_path, family, method, levels, columns, constant, bound):
-    out = tmp_path / "table.csv"
-    rc = cli.main(["renorm", "--family", family, "--method", method,
-                   "--levels", levels, "--out", str(out)])
-    assert rc == 0
-    header, row = out.read_text().strip().splitlines()
-    fields = row.split(",")
-    assert fields[0] == levels
-    for k in columns:  # 1 max, 2 mean, 3 min
-        assert abs(float(fields[k]) - constant) <= bound, header.split(",")[k]
-
-
 # Runs the command line, then reports the process's peak RSS on stderr: its
 # VmHWM, since Linux carries ru_maxrss across exec from the forking parent.
 _WITH_PEAK = """
@@ -137,20 +116,55 @@ sys.exit(code)
 """
 
 
+# renorm at the largest allowed pair of each family (``pytest -m deep``),
+# each in a fresh child: the exactly self-similar pairs read their constant
+# to rounding at every ratio, and hata3d's mean is near 2.  The pair holds
+# its two levels and their model solutions, and nothing else: each child's
+# peak is in the report of ``pytest -m deep -rP``, and its bytes per
+# predicted vertex of the finer level stay under a bound: 104.2, 82.2, 87.4
+# and 96.8 B measured, where a cache of every level built and solved took
+# 112.1, 83.6, 88.3 and 98.6 B (2-core Linux VM, Python 3.11, numpy 2.4).
+@pytest.mark.deep
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("family, method, levels, columns, constant, bound, peak_bound", [
+    ("koch", "fem-edge", "10:11", (1, 3), 16 / 9, 1e-12, 87),
+    ("hata2d", "fem-edge", "8:9", (1, 3), 5 / 3, 1e-12, 92),
+    ("sierpinski", "fem-area", "13:14", (1, 3), 5 / 4, 1e-12, 110),
+    ("hata3d", "fem-edge", "7:8", (2,), 2.0, 1e-3, 102),
+], ids=["koch", "hata2d", "sierpinski", "hata3d"])
+def test_renorm_at_the_top_pair(tmp_path, family, method, levels, columns, constant, bound,
+                                peak_bound):
+    top = int(levels.split(":")[1])
+    assert geometry._largest_level(family) == top
+    out = tmp_path / "table.csv"
+    child = run_fresh("-c", _WITH_PEAK, "renorm", "--family", family, "--method", method,
+                      "--levels", levels, "--out", str(out))
+    assert child.returncode == 0, child.stderr
+    header, row = out.read_text().strip().splitlines()
+    fields = row.split(",")
+    assert fields[0] == levels
+    for k in columns:  # 1 max, 2 mean, 3 min
+        assert abs(float(fields[k]) - constant) <= bound, header.split(",")[k]
+    peak = int(child.stderr.split()[-2]) * 1024  # VmHWM is in kB
+    print(f"renorm {family} {levels} {method}: peak {peak // 2**20} MiB")
+    vertices = predicted_vertices(family, top)
+    assert peak <= peak_bound * vertices, peak / vertices
+
+
 # solve at the largest allowed level of each family (``pytest -m deep``),
-# each in a fresh child so the caches of one case do not stack on another's:
+# each in a fresh child, whose peak is the command's own:
 # with a zero load the values lie within the boundary values (the maximum
 # principle), read off the printed range, not off the large solution file.
 # Each child's peak is in the report of ``pytest -m deep -rP``, and its
-# bytes per predicted vertex stay under a bound: 112.3, 89.8, 87.0 and
-# 107.5 B measured on whole-length solve vectors, where the interior-length
-# solve took 137.0, 119.3, 123.9 and 144.6 B (2-core Linux VM, Python 3.11,
-# numpy 2.4).
+# bytes per predicted vertex stay under a bound: 80.9, 69.8, 81.1 and
+# 93.3 B measured with each level let go of once the next is refined, where
+# a cache of every level built took 112.2, 90.7, 87.5 and 107.1 B (2-core
+# Linux VM, Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, level, method, bound", [
-    ("sierpinski", 14, "rfd", 118), ("koch", 11, "rfem1d", 95), ("hata2d", 9, "rfd", 92),
-    ("hata3d", 8, "rfem1d", 113),
+    ("sierpinski", 14, "rfd", 85), ("koch", 11, "rfem1d", 74), ("hata2d", 9, "rfd", 86),
+    ("hata3d", 8, "rfem1d", 98),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])
 def test_solve_at_the_largest_level(tmp_path, family, level, method, bound):
     assert geometry._largest_level(family) == level
@@ -176,12 +190,14 @@ def test_solve_at_the_largest_level(tmp_path, family, level, method, bound):
 # read_mesh (about 5x the file size; Sierpinski 14's file is 993 MiB): its
 # head up to the seed's boundary points, its vertex row count and its
 # boundary list.  Each child's peak is in the report of ``pytest -m deep -rP``,
-# and its bytes per predicted vertex stay under a bound: 86.7, 51.5, 60.7 and
-# 74.3 B measured (2-core Linux VM, Python 3.11, numpy 2.4).
+# and its bytes per predicted vertex stay under a bound: 66.6, 48.0, 56.7 and
+# 67.7 B measured with each level let go of once the next is refined, where
+# a cache of every level built took 86.7, 51.3, 61.1 and 73.6 B (2-core
+# Linux VM, Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, level, bound", [
-    ("sierpinski", 14, 96), ("koch", 11, 58), ("hata2d", 9, 68), ("hata3d", 8, 83),
+    ("sierpinski", 14, 74), ("koch", 11, 54), ("hata2d", 9, 64), ("hata3d", 8, 76),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])
 def test_generate_at_the_largest_level(tmp_path, family, level, bound):
     assert geometry._largest_level(family) == level
@@ -391,15 +407,15 @@ def test_an_option_after_bc_is_not_its_value(tmp_path, capsys, option):
     *(("1", "0,0,0", ["--constant", c]) for c in ("1e300", "inf", "1e-300")),
 ], ids=["sin(-0,0,0", "0-0,0", "z-0,0,0", "1/x-0,0,0",
         "constant-1e300", "constant-inf", "constant-1e-300"])
-def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc, extra):
-    build_level.cache_clear()
+def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, refines, rhs, bc,
+                                                                extra):
     rc = cli.main([
         "solve", "--family", "sierpinski", "--level", "11", "--method", "rfd", *extra,
         f"--rhs={rhs}", f"--bc={bc}", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 2
-    # at most the seed, which gives the boundary count
-    assert build_level.cache_info().currsize <= 1
+    # at most the seed, which gives the boundary count and is refined by nothing
+    assert refines == []
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -408,13 +424,12 @@ def test_solve_refuses_bad_rhs_or_bc_before_building_the_level(tmp_path, rhs, bc
     "solve --family sierpinski --level 40 --method rfd --rhs 0 --bc 1,0,0",
     "renorm --family sierpinski --method fd --levels 1:40",
 ], ids=["generate", "solve", "renorm"])
-def test_oversized_level_exits_two_before_building(tmp_path, capsys, command):
-    build_level.cache_clear()
+def test_oversized_level_exits_two_before_building(tmp_path, capsys, refines, command):
     start = time.perf_counter()
     rc = cli.main([*command.split(), "--out", str(tmp_path / "out")])
     assert rc == 2 and time.perf_counter() - start < 1.0
-    # at most the seed, which gives the boundary count
-    assert build_level.cache_info().currsize <= 1
+    # at most the seed, which gives the boundary count and is refined by nothing
+    assert refines == []
     assert list(tmp_path.iterdir()) == []
     assert "the largest sierpinski level allowed is 14" in capsys.readouterr().err
 
@@ -479,19 +494,10 @@ _OUT_COMMANDS = {
 }
 
 
-def _refuse_to_build(monkeypatch, family="sierpinski"):
-    def refine(*args):
-        raise AssertionError("a level was built before --out was checked")
-    geometry.predicted_vertices(family, 0)  # caches its own levels 0 and 1
-    build_level.cache_clear()
-    monkeypatch.setattr(geometry, "_refine", refine)
-
-
 @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
 @pytest.mark.parametrize("where", ["missing dir", "directory", "file as dir", "empty",
                                    "new file as dir"])
-def test_unwritable_out_exits_four_before_building(tmp_path, monkeypatch, capsys,
-                                                   command, where):
+def test_unwritable_out_exits_four_before_building(tmp_path, capsys, refines, command, where):
     # an empty last component ("" or "new/") names no file that open can create
     (tmp_path / "file").write_text("")
     out = {"missing dir": str(tmp_path / "missing" / "out"),
@@ -499,9 +505,8 @@ def test_unwritable_out_exits_four_before_building(tmp_path, monkeypatch, capsys
            "file as dir": str(tmp_path / "file" / "out"),
            "empty": "",
            "new file as dir": str(tmp_path / "new") + os.sep}[where]
-    _refuse_to_build(monkeypatch)
     rc = cli.main([*_OUT_COMMANDS[command], "--out", out])
-    assert rc == 4
+    assert rc == 4 and refines == []
     assert "i/o failure:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
@@ -514,11 +519,10 @@ def test_unwritable_out_exits_four_before_building(tmp_path, monkeypatch, capsys
     ["renorm", "--method", "fem-area", "--levels", "2:4"],
 ], ids=["solve constant", "solve auto", "renorm"])
 def test_area_formulation_without_cells_exits_two_before_building(
-        tmp_path, monkeypatch, capsys, family, argv):
-    _refuse_to_build(monkeypatch, family)
+        tmp_path, capsys, refines, family, argv):
     out = tmp_path / "out"
     rc = cli.main([*argv, "--family", family, "--out", str(out)])
-    assert rc == 2
+    assert rc == 2 and refines == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "cells" in err[0]
     assert not out.exists()
@@ -526,15 +530,14 @@ def test_area_formulation_without_cells_exits_two_before_building(
 
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 @pytest.mark.parametrize("constant", [["--constant", "5"], []], ids=["constant", "auto"])
-def test_solve_at_level_zero_exits_two_before_building(tmp_path, monkeypatch, capsys,
-                                                       family, constant):
+def test_solve_at_level_zero_exits_two_before_building(tmp_path, capsys, refines, family,
+                                                       constant):
     # level 0 is the seed, whose vertices are all boundary vertices
-    _refuse_to_build(monkeypatch, family)
     out = tmp_path / "s.csv"
     bc = "0,0,0" if family == "sierpinski" else "0,0"
     rc = cli.main(["solve", "--family", family, "--level", "0", "--method", "rfd",
                    *constant, "--rhs", "1", "--bc", bc, "--out", str(out)])
-    assert rc == 2
+    assert rc == 2 and refines == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "interior" in err[0]
     assert not out.exists()
@@ -542,18 +545,73 @@ def test_solve_at_level_zero_exits_two_before_building(tmp_path, monkeypatch, ca
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
 @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
-def test_read_only_out_exits_four_before_building(tmp_path, monkeypatch, command):
+def test_read_only_out_exits_four_before_building(tmp_path, refines, command):
     out = tmp_path / "out"
     out.write_text("keep")
     out.chmod(0o444)
-    _refuse_to_build(monkeypatch)
-    assert cli.main([*_OUT_COMMANDS[command], "--out", str(out)]) == 4
+    assert cli.main([*_OUT_COMMANDS[command], "--out", str(out)]) == 4 and refines == []
     assert out.read_text() == "keep"
 
 
 @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
 def test_dev_null_out_is_accepted(command):
     assert cli.main([*_OUT_COMMANDS[command], "--out", os.devnull]) == 0
+
+
+def _bc(family):
+    return "--bc=" + ",".join(["0.5"] * build_level(family, 0).boundary_indices.size)
+
+
+def _each_family_commands(family):
+    """``(argv, top)``: commands at small levels of ``family``, and the
+    finest level each one reads."""
+    cells = bool(build_level(family, 0).num_cells)
+    renorm_methods = ["fd", "energy", "fem-edge", *["fem-area"] * cells]
+    solve_methods = ["rfd", "rfem1d", *["rfem2d"] * cells]
+    return [
+        (["generate", "--level", "4"], 4),
+        *((["renorm", "--method", m, "--levels", "2:4"], 4) for m in renorm_methods),
+        *((["solve", "--level", str(n), "--method", m, "--rhs", "1 + x"], max(n, 2))
+          for m in solve_methods for n in (1, 2, 3, 5)),
+        (["solve", "--level", "4", "--method", "rfd", "--constant", "3", "--rhs", "1"], 4),
+    ]
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_commands_refine_each_level_once(tmp_path, refines, family):
+    # the levels a command reads come from one chain of refines, whatever
+    # the estimate's pair: (1, 2) below level 3, (n - 2, n - 1) from it on
+    for argv, top in _each_family_commands(family):
+        del refines[:]
+        geometry._LAST.clear()
+        extra = [_bc(family)] if argv[0] == "solve" else []
+        rc = cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")])
+        assert rc == 0, argv
+        assert refines == [(family, n) for n in range(1, top + 1)], argv
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+@pytest.mark.parametrize("argv, top", [
+    (["renorm", "--method", "fem-edge", "--levels", "2:5"], 5),
+    (["solve", "--level", "5", "--method", "rfem1d", "--rhs", "1 + x"], 5),
+    (["solve", "--level", "5", "--method", "rfd", "--rhs", "0"], 5),
+], ids=["renorm", "solve-rfem1d", "solve-rfd"])
+def test_commands_keep_only_their_top_level(tmp_path, monkeypatch, refines, family, argv, top):
+    # once a command returns, the level it ended on is the one level of its
+    # family still alive, and no model solution is
+    solved, model = [], renorm._model_solution
+
+    def kept(*args):
+        values = model(*args)
+        solved.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(renorm, "_model_solution", kept)
+    extra = [_bc(family)] if argv[0] == "solve" else []
+    assert cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(geometry._LEVELS) == [(family, top)]
+    assert len(solved) == (4 if argv[0] == "renorm" else 2)
+    assert [ref() for ref in solved] == [None] * len(solved)
 
 
 # Runs the CLI in a child whose address space is capped 128 MiB above what
@@ -671,16 +729,16 @@ def test_line_break_in_a_header_value_exits_two_without_output(tmp_path, rhs, bc
 
 @pytest.mark.parametrize("rhs, bc", [("0", "\u0663,0"), ("x\u00a0+1", "1,0")],
                          ids=["arabic-indic-three-in-bc", "no-break-space-in-rhs"])
-def test_non_ascii_header_value_exits_two_before_building_the_level(tmp_path, capsys, rhs, bc):
+def test_non_ascii_header_value_exits_two_before_building_the_level(tmp_path, capsys, refines,
+                                                                    rhs, bc):
     """The solution header is ASCII; these used to solve and then fail to
     write it with a UnicodeEncodeError traceback (exit 1)."""
-    build_level.cache_clear()
     rc = cli.main([
         "solve", "--family", "koch", "--level", "2", "--method", "rfd", "--constant", "16",
         f"--rhs={rhs}", f"--bc={bc}", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 2
-    assert build_level.cache_info().currsize == 0
+    assert refines == [] and geometry._LAST == {}  # not even the seed was asked for
     assert not (tmp_path / "s.csv").exists()
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -186,10 +186,11 @@ def brute_force_pairs(points, tol):
 @settings(max_examples=150)
 @given(data=st.data())
 def test_close_pairs_match_brute_force(dim, data):
-    # blocks of a few rows, so that the gap scan crosses block seams: the
-    # same pairs, each listed once, in the same order, with the same bits
+    # blocks of a few rows (two at least), so that the gap scan crosses block
+    # seams: the same pairs, each listed once, in the same order, with the
+    # same bits
     points, tol = data.draw(_sweep_points(dim))
-    with mock.patch.object(geometry, "_SCAN_ROWS", data.draw(st.integers(1, 4))):
+    with mock.patch.object(geometry, "_SCAN_ROWS", data.draw(st.integers(2, 5))):
         i, j, d2 = _close_pairs(points, tol)
     ref_i, ref_j, ref_d2 = brute_force_pairs(points, tol)
     np.testing.assert_array_equal(i, ref_i)

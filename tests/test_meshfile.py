@@ -42,7 +42,7 @@ def test_mesh_round_trip_is_bit_exact(family, tmp_path):
 
 
 # Writes and reads back the largest hata2d document in a child process, so
-# that the read (about 0.8 GiB) adds nothing to this process's cached levels.
+# that the read (about 0.8 GiB) adds nothing to this process's peak.
 _DEEP_ROUND_TRIP = """
 import sys
 from fraclap.geometry import build_level
