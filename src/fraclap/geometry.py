@@ -88,26 +88,35 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _length_blocks(points: np.ndarray, edges: np.ndarray):
-    """``|points[i] - points[j]|`` for the rows ``(i, j)`` of ``edges``,
-    yielded ``_SCAN_ROWS`` rows at a time, so no whole-edge gather is made.
+def _abs_max(v: np.ndarray) -> float:
+    """``np.abs(v).max()`` without a copy of ``v``, 0.0 for an empty ``v``:
+    the larger of ``v.max()`` and ``-v.min()``, a zero made positive; a NaN
+    entry gives NaN."""
+    return float(np.maximum(v.max(initial=0.0), -v.min(initial=0.0))) + 0.0
+
+
+def _distance_blocks(p: np.ndarray, i, j, q: np.ndarray | None = None):
+    """``|p[i] - q[j]|`` for the index arrays ``i`` and ``j`` (``q`` is ``p``
+    unless given), yielded ``_SCAN_ROWS`` rows at a time, so no whole-pair
+    gather is made.
 
     The squared gaps are summed one axis at a time, in place, so no
-    ``(edges, d)`` array is formed.  Each gap is scaled by ``2**-e``, with
-    ``e`` the binary exponent of ``max |p|``, before it is squared, and the
-    root by ``2**e``.  That is exact away from underflow, so the result has
-    the bits of ``np.linalg.norm(points[i] - points[j], axis=1)``, and no
-    square overflows: a length is ``inf`` only when it exceeds the largest
-    double.
+    ``(pairs, d)`` array is formed.  Each gap is scaled by ``2**-e``, with
+    ``e`` the binary exponent of the larger of ``max |p|`` and ``max |q|``,
+    before it is squared, and the root by ``2**e``.  That is exact away from
+    underflow, so the result has the bits of ``np.linalg.norm(p[i] - q[j],
+    axis=1)``, and no square overflows: a distance is ``inf`` only when it
+    exceeds the largest double.  Every distance check of this module uses
+    it, against a tolerance that is never squared.
     """
-    e = int(np.frexp(max(points.max(initial=0.0), -points.min(initial=0.0)))[1])
-    for b in _blocks(edges.shape[0]):
-        rows = edges[b]
-        sq = np.zeros(rows.shape[0])
-        with np.errstate(over="ignore"):  # a gap overflows only where its length does
-            for col in points.T:
-                gap = col[rows[:, 0]]
-                gap -= col[rows[:, 1]]
+    q = p if q is None else q
+    e = int(np.frexp(max(_abs_max(p), _abs_max(q)))[1])
+    for b in _blocks(len(i)):
+        sq = np.zeros(b.stop - b.start)
+        with np.errstate(over="ignore"):  # a gap overflows only where its distance does
+            for pc, qc in zip(p.T, q.T):
+                gap = pc[i[b]]
+                gap -= qc[j[b]]
                 np.ldexp(gap, -e, out=gap)
                 gap *= gap
                 sq += gap
@@ -115,11 +124,11 @@ def _length_blocks(points: np.ndarray, edges: np.ndarray):
         yield sq
 
 
-def _lengths(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The lengths of ``_length_blocks``, in one array."""
-    out = np.empty(edges.shape[0])
-    for b, lengths in zip(_blocks(out.size), _length_blocks(points, edges)):
-        out[b] = lengths
+def _distances(p: np.ndarray, i, j, q: np.ndarray | None = None) -> np.ndarray:
+    """The distances of ``_distance_blocks``, in one array."""
+    out = np.empty(len(i))
+    for b, dist in zip(_blocks(out.size), _distance_blocks(p, i, j, q)):
+        out[b] = dist
     return out
 
 
@@ -242,7 +251,7 @@ class LevelMesh:
         return np.flatnonzero(interior)
 
     def edge_lengths(self) -> np.ndarray:
-        return _lengths(self.vertices, self.edges)
+        return _distances(self.vertices, *self.edges.T)
 
     @functools.cached_property
     def _edge_range(self) -> tuple[float, float]:
@@ -250,7 +259,7 @@ class LevelMesh:
         taken block by block: no whole-edge array is made."""
         if not self.num_edges:
             return (0.0, 0.0)
-        ranges = [(b.min(), b.max()) for b in _length_blocks(self.vertices, self.edges)]
+        ranges = [(b.min(), b.max()) for b in _distance_blocks(self.vertices, *self.edges.T)]
         return (float(min(r[0] for r in ranges)), float(max(r[1] for r in ranges)))
 
     @property
@@ -415,23 +424,23 @@ _DIRECTION = np.array([1.0, np.sqrt(2.0), np.sqrt(5.0)])
 
 def _close_pairs(points, tol):
     """Row pairs ``(i, j)`` with ``i < j`` at most ``tol`` apart, each listed
-    once, and their squared distances.
+    once, and their distances.
 
     The points are sorted by their projections ``s`` onto the unit direction
     ``u``.  Each sorted position whose gap to the next projection is at most
     a window ``w`` lists the positions up to ``s + w`` (one ``searchsorted``),
-    and every listed pair is decided by its exact squared distance, summed
-    axis by axis, against ``tol**2``.
+    and every listed pair is decided by its distance (``_distance_blocks``)
+    against ``tol``.
 
     No pair within ``tol`` is missed.  Projection never lengthens a distance:
     ``|u.(p - q)| <= |p - q|``.  Rounding of a gap ``s[k+1] - s[k]`` and of an
     end ``s + w`` is monotone and every ``s[b]`` is representable, so a pair
     whose true projection gap is at most ``w`` passes both.  The window
     therefore only has to cover two rounding errors: that of the
-    projections, a few ulps of ``max |p|``, and that of the squared-distance
-    test, a few ulps of ``tol``.  ``w = tol (1 + 2**-40) + 2**-48 (d + 2)
+    projections, a few ulps of ``max |p|``, and that of the distance test, a
+    few ulps of ``tol``.  ``w = tol (1 + 2**-40) + 2**-48 (d + 2)
     (max |s| + max |p|)`` covers both with a wide margin.  A wider ``w`` only
-    adds candidates, and the exact test discards them.
+    adds candidates, and the distance test discards them.
 
     The cost is one sort of n floats plus the pairs whose projections fall
     within ``w``; the projections are sorted in place and their gaps tested
@@ -446,19 +455,16 @@ def _close_pairs(points, tol):
     order = np.argsort(s)
     s.sort()  # in place: the values of s[order]
     big = max(-s[0], s[-1]) if s.size else 0.0
-    big += max(points.max(initial=0.0), -points.min(initial=0.0))
+    big += _abs_max(points)
     w = tol * (1.0 + 2.0**-40) + 2.0**-48 * (d + 2) * big
     start = np.concatenate([np.empty(0, dtype=np.intp)] + [
         b.start + np.flatnonzero(s[1:][b] - s[:-1][b] <= w) for b in _blocks(s.size - 1)])
     count = np.searchsorted(s, s[start] + w, side="right") - start - 1
     a, b = order[np.repeat(start, count)], order[_ranges(start + 1, count)]
     i, j = np.minimum(a, b), np.maximum(a, b)
-    dv = points[j] - points[i]
-    d2 = dv[:, 0] * dv[:, 0]
-    for k in range(1, d):
-        d2 += dv[:, k] * dv[:, k]
-    keep = d2 <= tol * tol
-    return i[keep], j[keep], d2[keep]
+    dist = _distances(points, i, j)
+    keep = dist <= tol
+    return i[keep], j[keep], dist[keep]
 
 
 def _dedup(candidates, tol):
@@ -477,13 +483,12 @@ def _dedup(candidates, tol):
     exactly the first-occurrence clustering.
     """
     cand = np.ascontiguousarray(candidates, dtype=np.float64)
-    i, j, d2 = _close_pairs(cand, float(tol))
-    gray = np.flatnonzero(d2 > (0.1 * tol) * (0.1 * tol))
+    i, j, dist = _close_pairs(cand, float(tol))
+    gray = np.flatnonzero(dist > 0.1 * tol)
     if gray.size:
         k = gray[np.lexsort((i[gray], j[gray]))[0]]
-        dist = float(np.linalg.norm(cand[j[k]] - cand[i[k]]))
         raise GeometryError(
-            f"dedup ambiguity: vertices {dist:.3e} apart with tolerance {tol:.3e}; "
+            f"dedup ambiguity: vertices {dist[k]:.3e} apart with tolerance {tol:.3e}; "
             "tolerance appears misconfigured for this geometry"
         )
     kept = np.ones(cand.shape[0], dtype=bool)
@@ -635,18 +640,26 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     return ifs.seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
 
 
+def _corners(glue: np.ndarray) -> list[tuple[int, int]]:
+    """Where each seed vertex ``s`` of a copy sits among its children, in
+    seed order: the first ``(child, child vertex)`` that the gluing table
+    (``_structure``) sends to ``s``; every such pair names the same vertex."""
+    nb = glue.shape[1]
+    return [divmod(int(np.flatnonzero(glue.ravel() == s)[0]), nb) for s in range(nb)]
+
+
 def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     """``embed(coarse, fine)`` for consecutive built levels of a family, read
     off their copy tables (``_copy_table``) instead of searched for.
 
     Copy ``w`` of the coarse level is copies ``w m + j`` of the fine one,
     and child ``j``'s seed vertex ``k`` is seed vertex ``s`` wherever
-    ``glue[j, k] == s`` (``_structure``).  So for each ``s`` one such
-    ``(j, k)`` maps column ``s`` of the coarse table onto rows ``j::m`` of
-    column ``k`` of the fine one.  The map is checked in O(coarse vertices):
-    every coarse vertex is mapped, no two onto one fine vertex, and each
-    lies within ``fine.dedup_tolerance`` of its image; anything else raises
-    ``GeometryError``.
+    ``glue[j, k] == s`` (``_structure``).  So for each ``s`` its corner
+    ``(j, k)`` (``_corners``) maps column ``s`` of the coarse table onto
+    rows ``j::m`` of column ``k`` of the fine one.  The map is checked in
+    O(coarse vertices): every coarse vertex is mapped, no two onto one fine
+    vertex, and each lies within ``fine.dedup_tolerance`` of its image, a
+    block at a time; anything else raises ``GeometryError``.
     """
     if fine.family != coarse.family or fine.level != coarse.level + 1:
         raise GeometryError("a table embedding maps a level onto the next of its family")
@@ -656,22 +669,16 @@ def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     if tf.shape[0] != m * tc.shape[0]:
         raise GeometryError("the fine level does not hold m copies of the coarse level")
     index_map = np.full(coarse.num_vertices, -1, dtype=np.int32)
-    for s in range(seed.num_vertices):  # a built-in seed's vertices are all boundary
-        j, k = np.argwhere(glue == s)[0]
+    for s, (j, k) in enumerate(_corners(glue)):
         index_map[tc[:, s]] = tf[j::m, k]
     if (index_map < 0).any():
         raise GeometryError("a coarse vertex lies on no copy; incompatible meshes")
     taken = np.sort(index_map)
     if (taken[1:] == taken[:-1]).any():
         raise GeometryError("embedding is not injective; incompatible meshes")
-    sq = np.zeros(coarse.num_vertices)
-    for c, f in zip(coarse.vertices.T, fine.vertices.T):
-        gap = f[index_map]
-        gap -= c
-        gap *= gap
-        sq += gap
-    tol = fine.dedup_tolerance
-    if (sq > tol * tol).any():
+    tol, rows = fine.dedup_tolerance, np.arange(coarse.num_vertices, dtype=np.int32)
+    if any((dist > tol).any()
+           for dist in _distance_blocks(coarse.vertices, rows, index_map, fine.vertices)):
         raise GeometryError("a coarse vertex lies farther than the dedup tolerance "
                             "from its copy-table image; incompatible meshes")
     return EmbeddingMap(coarse.level, fine.level, index_map)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
-from .geometry import LevelMesh, _frozen, _table_embedding, build_level
+from .geometry import LevelMesh, _abs_max, _frozen, _table_embedding, build_level
 from .measures import _elements, _load
 from .solver import Solution, solve_condensed
 
@@ -70,7 +70,7 @@ def _model_solution(mesh: LevelMesh, formulation: str) -> np.ndarray:
 def _ratio_statistics(z_coarse, z_fine, embedding, interior_idx):
     den = z_coarse[interior_idx]
     num = z_fine[embedding.index_map[interior_idx]]
-    scale = float(np.abs(z_coarse).max())
+    scale = _abs_max(z_coarse)
     keep = np.abs(den) >= DENOMINATOR_GUARD * scale
     excluded = int(interior_idx.size - keep.sum())
     ratios = num[keep] / den[keep]
@@ -86,16 +86,17 @@ def _estimates(family: str, a: int, b: int, formulation: str):
         raise UsageError("estimation requires level >= 1")
     coarse, z_c = build_level(family, a), None
     for n in range(a, b):
-        fine = build_level(family, n + 1)
         interior = coarse.interior_indices
         if interior.size == 0:
             raise SolveError(f"level {n} has no interior vertices to compare")
-        # solved first: a weak form measures the fine edges whose shortest sets
-        # the tolerance that the table embedding then checks against
         if z_c is None:
             z_c = _model_solution(coarse, formulation)
-        z_f = _model_solution(fine, formulation)
+        fine = build_level(family, n + 1)
+        # the coarse level goes before the fine solve; the fine edges are
+        # measured once (``_edge_range`` is cached), whichever reads them first
         embedding = _table_embedding(coarse, fine)
+        del coarse
+        z_f = _model_solution(fine, formulation)
         ratios, excluded = _ratio_statistics(z_c, z_f, embedding, interior)
         if ratios.size == 0:
             raise SolveError("all coarse interior vertices were excluded by the "

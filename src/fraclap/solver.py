@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import (FAMILIES, LevelMesh, _blocks, _copy_table, _frozen, _largest_level,
-                       _structure, build_level)
+from .geometry import (FAMILIES, LevelMesh, _abs_max, _blocks, _copy_table, _corners, _frozen,
+                       _largest_level, _structure, build_level)
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -77,8 +77,7 @@ def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
         raise UsageError("load must be finite")
     # a broadcast stack (stride 0 over its elements) is checked on its one matrix
     one = local[:1] if local.strides[0] == 0 else local
-    magnitude = abs(one).max()
-    if abs(one - one.transpose(0, 2, 1)).max() > 1e-12 * max(magnitude, 1.0):
+    if _abs_max(one - one.transpose(0, 2, 1)) > 1e-12 * max(_abs_max(one), 1.0):
         raise SolveError("operator is not symmetric")
     if bidx.size == mesh.num_vertices:  # distinct indices, each in range
         raise SolveError("empty interior: every vertex is a boundary vertex")
@@ -117,12 +116,6 @@ def partition(a: sp.csr_array, boundary):
         raise SolveError("empty interior: every vertex is a boundary vertex")
     rows = a[interior_idx]
     return rows[:, interior_idx], rows[:, boundary_idx], interior_idx, boundary_idx
-
-
-def _abs_max(v: np.ndarray) -> float:
-    """``np.abs(v).max()`` without a copy of ``v``: the larger of ``v.max()``
-    and ``-v.min()``, a zero made positive; a NaN entry gives NaN."""
-    return float(np.maximum(v.max(), -v.min())) + 0.0
 
 
 def _contract_solve(solve, apply, b: np.ndarray, norm_a: float):
@@ -233,10 +226,8 @@ class _Condensation:
         self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
         m, nb = self.glue.shape
         self.nv1 = nv1 = int(self.glue.max()) + 1
-        # vertex j of V0 is child vertex k of child i, for the last (i, k)
-        # that the glue sends to j: the one whose write ``_rows`` keeps
-        last = {int(j): divmod(f, nb) for f, j in enumerate(self.glue.ravel()) if j < nb}
-        corners = [last[j] for j in range(nb)]
+        # vertex j of V0 is child vertex k of child i, for the corner (i, k) of j
+        corners = _corners(self.glue)
         # a leaf's V0 is its own vertices: vertex positions[j] of leaf offsets[j]
         offsets, positions = [0] * nb, list(range(nb))
         schur, self.depths = self.block, []

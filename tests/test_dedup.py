@@ -165,21 +165,18 @@ def _sweep_points(draw, dim):
 
 
 def brute_force_pairs(points, tol):
-    """Every pair ``i < j`` within ``tol``, by ``_close_pairs``'s distance
-    sum, in its order: by the sorted position of the pair's first point
-    along the sweep, then of its second."""
+    """Every pair ``i < j`` within ``tol``, by the norm of its difference,
+    in ``_close_pairs``'s order: by the sorted position of the pair's first
+    point along the sweep, then of its second."""
     u = _DIRECTION[:points.shape[1]] / np.linalg.norm(_DIRECTION[:points.shape[1]])
     rank = np.empty(points.shape[0], dtype=np.intp)
     rank[np.argsort(points @ u)] = np.arange(points.shape[0])
     i, j = np.triu_indices(points.shape[0], k=1)
-    dv = points[j] - points[i]
-    d2 = dv[:, 0] * dv[:, 0]
-    for k in range(1, points.shape[1]):
-        d2 += dv[:, k] * dv[:, k]
-    keep = d2 <= tol * tol
-    i, j, d2 = i[keep], j[keep], d2[keep]
+    dist = np.linalg.norm(points[j] - points[i], axis=1)
+    keep = dist <= tol
+    i, j, dist = i[keep], j[keep], dist[keep]
     order = np.lexsort((np.maximum(rank[i], rank[j]), np.minimum(rank[i], rank[j])))
-    return i[order], j[order], d2[order]
+    return i[order], j[order], dist[order]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -191,8 +188,8 @@ def test_close_pairs_match_brute_force(dim, data):
     # same bits
     points, tol = data.draw(_sweep_points(dim))
     with mock.patch.object(geometry, "_SCAN_ROWS", data.draw(st.integers(2, 5))):
-        i, j, d2 = _close_pairs(points, tol)
-    ref_i, ref_j, ref_d2 = brute_force_pairs(points, tol)
+        i, j, dist = _close_pairs(points, tol)
+    ref_i, ref_j, ref_dist = brute_force_pairs(points, tol)
     np.testing.assert_array_equal(i, ref_i)
     np.testing.assert_array_equal(j, ref_j)
-    assert d2.tobytes() == ref_d2.tobytes()
+    assert dist.tobytes() == ref_dist.tobytes()

@@ -309,7 +309,7 @@ def test_lengths_have_the_bits_of_the_norm(family, n):
 def test_lengths_of_points_whose_squares_are_not_doubles(points, length):
     # scaled by a power of two before squaring: no overflow (an error under
     # this suite's warning filter), no underflow to 0, and the exact length
-    assert geometry._lengths(np.array(points), np.array([[0, 1]])).tolist() == [length]
+    assert geometry._distances(np.array(points), [0], [1]).tolist() == [length]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -485,22 +485,49 @@ def test_a_boundary_point_must_be_reproduced():
         iterate(_halving_system(0.0), 1)
 
 
+def _scaled_system(family, scale):
+    """The built-in system conjugated by ``x -> scale x``: the same linear
+    parts, the translations and the seed's vertices times ``scale``."""
+    ifs = builtin_system(family)
+    return IFSystem(tuple(AffineMap(m.linear, scale * m.translation) for m in ifs.maps),
+                    dataclasses.replace(ifs.seed, vertices=scale * ifs.seed.vertices))
+
+
 @pytest.mark.parametrize("scale", [1e-13, 1e13])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_scaled_system_gives_the_built_in_mesh(family, scale):
     # tolerances follow the seed's scale: no absolute threshold refuses the
     # system or merges its vertices
-    ifs, mesh = builtin_system(family), build_level(family, 3)
-    seed = ifs.seed
-    scaled = IFSystem(
-        tuple(AffineMap(m.linear, scale * m.translation) for m in ifs.maps),
-        LevelMesh(seed.family, 0, scale * seed.vertices, seed.edges, seed.cells,
-                  seed.boundary_indices),
-    )
-    got = iterate(scaled, 3)
+    mesh = build_level(family, 3)
+    got = iterate(_scaled_system(family, scale), 3)
     for name in ("edges", "cells", "boundary_indices"):
         np.testing.assert_array_equal(getattr(got, name), getattr(mesh, name))
     np.testing.assert_allclose(got.vertices, scale * mesh.vertices, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("family, scale, top", [
+    *(pytest.param(family, scale, 6, id=f"{family}-{name}") for family in FAMILIES
+      for scale, name in [(2.0**600, "2**600"), (2.0**-600, "2**-600")]),
+    # tol**2 was inf here: pairs in the sweep window but far apart merged,
+    # and level 8 lost 10 vertices with no error
+    pytest.param("hata3d", 2.0**700, 8, id="hata3d-2**700", marks=pytest.mark.deep),
+])
+def test_a_system_scaled_by_a_power_of_two_gives_the_built_levels_exactly(family, scale, top):
+    # a power of two scales every product and sum exactly, so every distance
+    # check must decide as at scale 1: none may square a gap or a tolerance,
+    # whose square overflows (an error under this suite's warning filter) or
+    # underflows to zero
+    prev = None
+    for n in range(top + 1):
+        got, mesh = iterate(_scaled_system(family, scale), n), build_level(family, n)
+        for name in ("edges", "cells", "boundary_indices"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(mesh, name))
+        assert np.array_equal(got.vertices, scale * mesh.vertices), n
+        assert got.dedup_tolerance == scale * mesh.dedup_tolerance, n
+        if prev is not None:
+            np.testing.assert_array_equal(_table_embedding(prev[0], got).index_map,
+                                          _table_embedding(prev[1], mesh).index_map)
+        prev = got, mesh
 
 
 def test_meshes_are_immutable():

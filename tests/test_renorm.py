@@ -1,11 +1,12 @@
 """Renormalization estimates and renormalized solves."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
-from fraclap import geometry
+from fraclap import geometry, renorm
 from fraclap.errors import AssemblyError, SolveError, UsageError
 from fraclap.geometry import build_level, embed
 from fraclap.graphs import graph_laplacian
@@ -196,6 +197,24 @@ def test_estimate_requires_level_one():
         estimate_laplacian_ratio("sierpinski", 0)
 
 
+@pytest.mark.parametrize("formulation", ["fd", "fem_area"])
+def test_estimates_let_go_of_the_coarse_level_before_the_fine_solve(monkeypatch, refines,
+                                                                    formulation):
+    # the table embedding reads the coarse level, the fine solve does not;
+    # every level here is built by this test alone (``refines``)
+    solve, levels, alive = renorm._model_solution, {}, []
+
+    def watched(mesh, formulation):
+        below = levels.get(mesh.level - 1)
+        alive.append(below is not None and below() is not None)
+        levels[mesh.level] = weakref.ref(mesh)
+        return solve(mesh, formulation)
+
+    monkeypatch.setattr(renorm, "_model_solution", watched)
+    assert len(list(renorm._estimates("sierpinski", 2, 5, formulation))) == 3
+    assert sorted(levels) == [2, 3, 4, 5] and alive == [False] * 4
+
+
 def test_estimate_rejects_unknown_formulation():
     with pytest.raises(UsageError):
         estimate_energy_ratio("sierpinski", 2, "spectral")
@@ -324,14 +343,14 @@ def test_solve_online_measures_its_level_once(monkeypatch, family, method):
     # family (``measures._level``); the edges are measured for the first
     mesh = build_level(family, 4)
     mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
-    lengths, measured = geometry._length_blocks, []
+    distances, measured = geometry._distance_blocks, []
 
-    def counting(points, edges):
-        measured.append(points is mesh.vertices)
-        return lengths(points, edges)
+    def counting(p, i, j, q=None):
+        measured.append(p is mesh.vertices)
+        return distances(p, i, j, q)
 
-    # every edge length is measured by _length_blocks, whole arrays too
-    monkeypatch.setattr(geometry, "_length_blocks", counting)
+    # every edge length is measured by _distance_blocks, whole arrays too
+    monkeypatch.setattr(geometry, "_distance_blocks", counting)
     solve_online(family, 4, method, 5.0, np.ones(mesh.num_vertices), _zero_bc(mesh))
     assert measured.count(True) == 1
 
