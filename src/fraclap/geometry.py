@@ -574,28 +574,32 @@ def _gather_blocks(assign, offsets, rows):
     return out
 
 
-def _copy_table(mesh: LevelMesh, seed: LevelMesh) -> np.ndarray:
-    """(copy, seed vertex) -> vertex of ``mesh``, for a mesh refined from
-    ``seed`` by ``_refine``: the mesh's own cells, or its edges for a seed
-    without cells.
+def _copy_table(mesh: LevelMesh) -> np.ndarray:
+    """(copy, seed vertex) -> vertex of ``mesh``, for a mesh laid out as
+    ``build_level(mesh.family, mesh.level)``: the mesh's own cells, or its
+    edges for a family whose seed has no cells.
 
     ``_refine`` stacks the images of the coarser edge and cell lists
     map-major, so the cells (edges) of level n are the ``m**n`` images of the
-    seed's cells (edges), one block per word of maps in lexicographic order.
-    A seed of one cell, or else one edge, that lists its vertices in order
-    makes each image a row of the table; any other seed raises
-    ``GeometryError``.  The table is read, not checked: on a mesh laid out
-    otherwise it is wrong.  It is read by ``_structure``, on a level it
-    refines itself, by ``solver._Condensation``, which takes only a mesh
-    with the topology of ``build_level``'s level, and by
-    ``_table_embedding``, which checks the map it reads against the
-    coordinates; the tests check that layout on every family.
+    seed's cells (edges), one block per word of maps in lexicographic order,
+    and each image is a row of the table (``_structure`` refuses any other
+    seed).  This is the one check of that layout.  A level held in the
+    level store, or the family's seed, passes as it is.  Any other mesh
+    needs a built-in family, a level ``build_level`` admits and the
+    predicted vertex count, checked before anything is built, and then the
+    edges, cells and boundary indices of the built level; anything else
+    raises ``GeometryError``.  Coordinates are not part of the layout.
     """
-    rows, pos = (mesh.cells, seed.cells) if seed.num_cells else (mesh.edges, seed.edges)
-    if pos.shape[0] != 1 or not np.array_equal(pos[0], np.arange(seed.num_vertices)):
-        raise GeometryError("a copy table needs a seed of one cell or edge "
-                            "listing its vertices in order")
-    return rows
+    family, level = mesh.family, mesh.level
+    layout = operator.attrgetter("edges", "cells", "boundary_indices")
+    if family not in FAMILIES or not (
+            mesh is builtin_system(family).seed or _LEVELS.get((family, level)) is mesh
+            or level <= _largest_level(family)
+            and mesh.num_vertices == predicted_vertices(family, level)
+            and all(map(np.array_equal, layout(mesh), layout(build_level(family, level))))):
+        raise GeometryError("a copy table needs the vertex count, boundary, edges or cells "
+                            "of a level as build_level builds it")
+    return mesh.cells if mesh.num_cells else mesh.edges
 
 
 def _level_index(level) -> int:
@@ -633,10 +637,16 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     grow)``, its level-0 mesh, its gluing table ``(child, seed vertex) ->
     level-1 vertex`` and ``1/r``, the reciprocal of the one similarity ratio
     of its maps (3, or 2 for Sierpinski).  Read from the system's seed and
-    one ``_refine`` of it, not from ``build_level``, which checks against it."""
+    one ``_refine`` of it, not from ``build_level``, which checks against it.
+    A seed that is not one cell, or else one edge, listing its vertices in
+    order has no copy table (``_copy_table``) and raises ``GeometryError``."""
     ifs = builtin_system(family)
-    glue = _copy_table(_refine(ifs, [ifs.seed]), ifs.seed)
-    glue.setflags(write=False)
+    pos = ifs.seed.cells if ifs.seed.num_cells else ifs.seed.edges
+    if pos.tolist() != [list(range(ifs.seed.num_vertices))]:
+        raise GeometryError("a copy table needs a seed of one cell or edge "
+                            "listing its vertices in order")
+    level1 = _refine(ifs, [ifs.seed])
+    glue = level1.cells if level1.num_cells else level1.edges
     return ifs.seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
 
 
@@ -656,26 +666,20 @@ def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     and child ``j``'s seed vertex ``k`` is seed vertex ``s`` wherever
     ``glue[j, k] == s`` (``_structure``).  So for each ``s`` its corner
     ``(j, k)`` (``_corners``) maps column ``s`` of the coarse table onto
-    rows ``j::m`` of column ``k`` of the fine one.  The map is checked in
-    O(coarse vertices): every coarse vertex is mapped, no two onto one fine
-    vertex, and each lies within ``fine.dedup_tolerance`` of its image, a
-    block at a time; anything else raises ``GeometryError``.
+    rows ``j::m`` of column ``k`` of the fine one.  Both levels pass the
+    layout check of ``_copy_table``, so the map is the built levels' map;
+    coordinates are not part of that layout, and each coarse vertex must
+    lie within ``fine.dedup_tolerance`` of its image, checked a block at a
+    time.  Anything else raises ``GeometryError``.
     """
     if fine.family != coarse.family or fine.level != coarse.level + 1:
         raise GeometryError("a table embedding maps a level onto the next of its family")
-    seed, glue, _ = _structure(coarse.family)
-    tc, tf = _copy_table(coarse, seed), _copy_table(fine, seed)
+    tc, tf = _copy_table(coarse), _copy_table(fine)
+    glue = _structure(coarse.family)[1]
     m = glue.shape[0]
-    if tf.shape[0] != m * tc.shape[0]:
-        raise GeometryError("the fine level does not hold m copies of the coarse level")
     index_map = np.full(coarse.num_vertices, -1, dtype=np.int32)
     for s, (j, k) in enumerate(_corners(glue)):
         index_map[tc[:, s]] = tf[j::m, k]
-    if (index_map < 0).any():
-        raise GeometryError("a coarse vertex lies on no copy; incompatible meshes")
-    taken = np.sort(index_map)
-    if (taken[1:] == taken[:-1]).any():
-        raise GeometryError("embedding is not injective; incompatible meshes")
     tol, rows = fine.dedup_tolerance, np.arange(coarse.num_vertices, dtype=np.int32)
     if any((dist > tol).any()
            for dist in _distance_blocks(coarse.vertices, rows, index_map, fine.vertices)):

@@ -5,9 +5,10 @@ Every operator is a canonical scipy ``csr_array``: sorted indices, no
 duplicate entries and no explicit zeros.  ``_assemble`` builds one from raw
 triplets, whose duplicates scipy sums, and imports scipy, so building and
 writing meshes never loads it.
-``_assemble_elements`` sums element matrices into one: ``graph_laplacian``
-sums the unit edge element ``_EDGE_ELEMENT``, and the fem stiffness builders
-sum the elements of ``measures._elements``.  ``_apply_elements`` applies
+``_assemble_elements`` sums element matrices into one: ``adjacency``,
+``degree`` and ``graph_laplacian`` (the unit edge element ``_EDGE_ELEMENT``)
+sum one 2 x 2 element over the edges, and the fem stiffness builders sum
+the elements of ``measures._elements``.  ``_apply_elements`` applies
 such a sum to a vector unassembled (leaf blocks, mass elements), a fixed
 block of elements at a time, with the bits of one whole-mesh pass.
 """
@@ -50,7 +51,8 @@ def _assemble(n: int, rows, cols, vals) -> sp.csr_array:
 
 def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.csr_array:
     """CSR sum of the element matrices ``local[k]`` on the vertex rows
-    ``elements[k]``."""
+    ``elements[k]``.  One matrix may serve every element."""
+    local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
     rows = np.broadcast_to(elements[:, :, None], local.shape)
     cols = np.broadcast_to(elements[:, None, :], local.shape)
     return _assemble(n, rows, cols, local)
@@ -80,24 +82,17 @@ def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray,
 
 def adjacency(mesh: LevelMesh) -> sp.csr_array:
     """Symmetric 0/1 adjacency matrix of the mesh edges."""
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    return _assemble(mesh.num_vertices, rows, cols, np.ones(rows.size))
+    return _assemble_elements(mesh.num_vertices, mesh.edges, 1.0 - np.eye(2))
 
 
 def degree(mesh: LevelMesh) -> sp.csr_array:
     """Diagonal matrix of vertex degrees (counted from the edge list)."""
-    n = mesh.num_vertices
-    deg = np.bincount(mesh.edges.ravel(), minlength=n).astype(np.float64)
-    idx = np.arange(n)
-    return _assemble(n, idx, idx, deg)
+    return _assemble_elements(mesh.num_vertices, mesh.edges, np.eye(2))
 
 
 def graph_laplacian(mesh: LevelMesh) -> sp.csr_array:
     """Degree minus adjacency; symmetric PSD with zero row sums."""
-    local = np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
-    return _assemble_elements(mesh.num_vertices, mesh.edges, local)
+    return _assemble_elements(mesh.num_vertices, mesh.edges, _EDGE_ELEMENT)
 
 
 def energy(lap: sp.csr_array, u: np.ndarray, v: np.ndarray) -> float:

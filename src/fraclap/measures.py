@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import FAMILIES, LevelMesh, _frozen, _structure
+from .geometry import FAMILIES, LevelMesh, _abs_max, _frozen, _structure
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -56,10 +56,10 @@ class VertexWeights:
         return float(self.weights.sum())
 
 
-def _cell_areas(mesh: LevelMesh) -> np.ndarray:
-    p = mesh.vertices[mesh.cells]
+def _cell_areas(p: np.ndarray) -> np.ndarray:
+    """The areas of the triangles with the corners ``p[:, 0..2]``."""
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    if mesh.dimension == 2:
+    if p.shape[2] == 2:
         return 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     return 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
 
@@ -70,14 +70,17 @@ def _triangle_matrices(mesh: LevelMesh) -> np.ndarray:
 
     They come from the constant gradients of the barycentric basis on each
     triangle: K_ij = (e_i . e_j) / (4 S) with e_i the edge vector opposite
-    vertex i.
+    vertex i.  K is scale-free, so the corners are scaled by ``2**-e`` (``e``
+    the binary exponent of ``max |vertices|``) before any product: that is
+    exact, and no product of gaps overflows or underflows to a zero area.
     """
     if not mesh.num_cells:
         raise AssemblyError("area formulation requires a mesh with cells")
     if mesh.dimension != 2:
         raise AssemblyError("area formulation is only defined for planar meshes")
     p = mesh.vertices[mesh.cells]
-    area = _cell_areas(mesh)
+    np.ldexp(p, -int(np.frexp(_abs_max(mesh.vertices))[1]), out=p)
+    area = _cell_areas(p)
     if (area <= 0.0).any():
         raise AssemblyError("degenerate zero-area cell")
     e = p[:, (2, 0, 1), :] - p[:, (1, 2, 0), :]
@@ -182,10 +185,10 @@ def _masses(mesh: LevelMesh, kind):
         rows, unit = mesh.cells, (1.0 + np.eye(3)) / 12.0
         level = _level(mesh) if mesh.dimension == 2 else None
         if level is None or not level[0].num_cells:
-            size = _cell_areas(mesh)
+            size = _cell_areas(mesh.vertices[mesh.cells])
         else:
             seed, c = level
-            size = _cell_areas(seed)[0] / (c * seed._edge_range[1]) ** 2
+            size = _cell_areas(seed.vertices[seed.cells])[0] / (c * seed._edge_range[1]) ** 2
     return rows, np.broadcast_to(np.multiply.outer(size, unit), (*rows.shape, rows.shape[1]))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
-from .geometry import LevelMesh, _abs_max, _frozen, _table_embedding, build_level
+from .geometry import LevelMesh, _abs_max, _frozen, _level_index, _table_embedding, build_level
 from .measures import _elements, _load
 from .solver import Solution, solve_condensed
 
@@ -145,15 +145,15 @@ def estimate_energy_ratio(
 
 
 def _renormalized(values: np.ndarray, constant: float, n: int) -> np.ndarray:
-    """``values * constant**n``, refusing a scaling that is not finite and
+    """``values * constant**n``, refusing a level that is not a nonnegative
+    integer (``geometry._level_index``) and a scaling that is not finite and
     nonzero.  A broadcast stack (stride 0 over its first axis) scales its one
     element and stays broadcast."""
     if not constant > 0:
         raise UsageError("renormalization constant must be positive")
-    if n < 0:
-        raise UsageError("level must be nonnegative")
+    n = _level_index(n)
     try:
-        factor = float(constant) ** int(n)
+        factor = float(constant) ** n
     except OverflowError:
         factor = math.inf
     stacked = values.ndim > 0 and values.strides[0] == 0

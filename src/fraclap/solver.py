@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import (FAMILIES, LevelMesh, _abs_max, _blocks, _copy_table, _corners, _frozen,
-                       _largest_level, _structure, build_level)
+from .geometry import LevelMesh, _abs_max, _blocks, _copy_table, _corners, _frozen, _structure
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -189,8 +188,9 @@ class _Condensation:
     """The interior block of ``sum_k local[k]`` over the edges or cells of a
     built level, eliminated copy by copy.
 
-    The mesh must be ``build_level(mesh.family, mesh.level)`` or have its
-    edges, cells and boundary indices (vertices are not compared), and the
+    The mesh must pass the layout check of ``_copy_table``: be
+    ``build_level(mesh.family, mesh.level)`` or have its vertex count,
+    edges, cells and boundary indices (coordinates are not compared).  The
     elements must be the mesh's edges (p = 2) or cells (p = 3); anything
     else raises ``GeometryError``.  A built level is m copies of the level
     below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``:
@@ -208,20 +208,14 @@ class _Condensation:
     """
 
     def __init__(self, mesh: LevelMesh, elements, local):
-        # no level is built for a family or level that build_level refuses
-        known = mesh.family in FAMILIES and mesh.level <= _largest_level(mesh.family)
-        built = build_level(mesh.family, mesh.level) if known else None
+        self.leaves = _copy_table(mesh)
         p = elements.shape[1]
         rows = mesh.edges if p == 2 else mesh.cells
-        built_topology = mesh is built or known and all(
-            np.array_equal(getattr(mesh, a), getattr(built, a))
-            for a in ("edges", "cells", "boundary_indices"))
-        if not (built_topology and (elements is rows or np.array_equal(elements, rows))):
+        if not (elements is rows or np.array_equal(elements, rows)):
             raise GeometryError("condensation needs the edges or cells of a level as "
                                 "build_level builds it; solve other meshes with solve_dirichlet")
         seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
         pos = seed.edges if p == 2 else seed.cells
-        self.leaves = _copy_table(mesh, seed)
         self.block = _leaf_block(pos, seed.num_vertices, local)
         self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
         m, nb = self.glue.shape
@@ -353,11 +347,11 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     assembling it and without scipy.
 
     ``mesh`` must be ``build_level(mesh.family, mesh.level)`` or have its
-    edges, cells and boundary indices, and ``elements`` must be its edges or
-    its cells; otherwise ``GeometryError`` is raised.  Every leaf must carry
-    the same element matrices, as the stride-0 stacks of
-    ``measures._elements`` do; other stacks raise ``UsageError`` and go to
-    ``solve_dirichlet``.
+    vertex count, edges, cells and boundary indices (``geometry._copy_table``),
+    and ``elements`` must be its edges or its cells; otherwise
+    ``GeometryError`` is raised.  Every leaf must carry the same element
+    matrices, as the stride-0 stacks of ``measures._elements`` do; other
+    stacks raise ``UsageError`` and go to ``solve_dirichlet``.
     """
     bidx, u0, elements, local, load = _problem(mesh, elements, local, load, boundary_values)
     cond = _Condensation(mesh, elements, local)

@@ -1,16 +1,21 @@
 """Command line behavior: outputs, consistency with the library, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraclap
 from fraclap import cli, geometry, renorm, solver
@@ -874,3 +879,112 @@ def test_the_public_names_resolve_on_first_access():
     the object of its home module."""
     out = run_fresh("-c", _API_PROBE)
     assert out.returncode == 0, out.stderr
+
+
+# -- the command line as a property: every well-formed solve succeeds, and
+# every refusal is one line with its code ------------------------------------
+
+def _run_main(argv):
+    """``cli.main(argv)`` in process: its code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# numbers in repr and exponent forms, never negative: the sign is unary minus
+_NUMBERS = st.one_of(st.floats(0.0, 100.0).map(repr),
+                     st.builds("{}e{}".format, st.integers(0, 99), st.integers(-3, 1)))
+_VALUES = st.floats(-1e3, 1e3).map(repr)
+
+
+@st.composite
+def _expressions(draw, coordinates):
+    """A sum of products of numbers, coordinates, ``pi``, ``e`` and one-level
+    ``sin``, ``cos`` and ``exp`` calls, any term negated: finite at every
+    vertex, since no coordinate exceeds 1 in magnitude."""
+    atoms = st.one_of(_NUMBERS, st.sampled_from([*coordinates, "pi", "e"]))
+    factors = st.one_of(atoms, st.builds("{}({})".format,
+                                         st.sampled_from(["sin", "cos", "exp"]), atoms))
+    terms = draw(st.lists(st.lists(factors, min_size=1, max_size=2).map("*".join),
+                          min_size=1, max_size=3))
+    text = ""
+    for k, term in enumerate(terms):
+        sign = draw(st.sampled_from(["", "-"] if k == 0 else [" + ", " - ", " + -"]))
+        text += sign + term
+    return text
+
+
+@st.composite
+def _solve_commands(draw):
+    """``(argv without --out, family, level, boundary values)`` of a
+    well-formed ``solve``: a level from 1 to 3, a method the family admits,
+    an ``--rhs`` in its coordinates, ``--bc`` of either sign and
+    ``--constant`` present or absent, each value a separate token."""
+    family = draw(st.sampled_from(geometry.FAMILIES))
+    seed = build_level(family, 0)
+    level = draw(st.integers(1, 3))
+    method = draw(st.sampled_from(["rfd", "rfem1d", *(["rfem2d"] if seed.num_cells else [])]))
+    bc = draw(st.lists(_VALUES, min_size=seed.boundary_indices.size,
+                       max_size=seed.boundary_indices.size))
+    argv = ["solve", "--family", family, "--level", str(level), "--method", method,
+            "--rhs", draw(_expressions("xyz"[:seed.dimension])), "--bc", ",".join(bc)]
+    constant = draw(st.none() | st.floats(0.5, 8.0).map(repr))
+    if constant is not None:
+        argv += ["--constant", constant]
+    return argv, family, level, [float(v) for v in bc]
+
+
+@st.composite
+def _malformed_solve_commands(draw):
+    """A well-formed ``solve`` with one defect: a wrong boundary count, an
+    unknown name, a value that is not finite, a bad level, or rfem2d on a
+    family without cells."""
+    argv, family, _, bc = draw(_solve_commands())
+    seed = build_level(family, 0)
+    defect = draw(st.sampled_from(["count", "name", "finite", "level", "cells"]))
+    if defect == "count":
+        count = draw(st.sampled_from([n for n in (1, len(bc) - 1, len(bc) + 1, len(bc) + 2)
+                                      if n > 0 and n != len(bc)]))
+        argv[argv.index("--bc") + 1] = ",".join(["0.5"] * count)
+    elif defect == "name":
+        name = draw(st.sampled_from(["w", "t", "rho", *("z" if seed.dimension == 2 else "")]))
+        argv[argv.index("--rhs") + 1] += f" + {name}"
+    elif defect == "finite":
+        bad = draw(st.sampled_from(["inf", "-inf", "nan"]))
+        if draw(st.booleans()):
+            argv[argv.index("--bc") + 1] = ",".join([bad, *map(repr, bc[1:])])
+        else:
+            argv += ["--constant", bad]
+    elif defect == "level":
+        top = geometry._largest_level(family)
+        argv[argv.index("--level") + 1] = str(draw(st.sampled_from([-1, top + 1, top + 9])))
+    else:
+        no_cells = [f for f in geometry.FAMILIES if not build_level(f, 0).num_cells]
+        argv[argv.index("--family") + 1] = draw(st.sampled_from(no_cells))
+        argv[argv.index("--method") + 1] = "rfem2d"
+        argv[argv.index("--bc") + 1] = "0,0"
+    return argv
+
+
+@settings(max_examples=50)
+@given(_solve_commands())
+def test_every_well_formed_solve_succeeds(command):
+    argv, family, level, bc = command
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "u.csv")
+        code, _, err = _run_main([*argv, "--out", out])
+        assert code == 0, err
+        _, coords, values = read_solution(out)
+    assert len(values) == len(coords) == predicted_vertices(family, level)
+    assert values[:len(bc)].tolist() == bc  # the boundary comes first, in seed order
+
+
+@settings(max_examples=50)
+@given(_malformed_solve_commands())
+def test_every_malformed_solve_is_one_usage_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_main([*argv, "--out", os.path.join(tmp, "u.csv")])
+        assert os.listdir(tmp) == []
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err

@@ -403,25 +403,29 @@ def test_embed_rejects_a_shared_vertex_moved_by_twice_the_tolerance(family):
         _table_embedding(coarse, moved)
 
 
+# the refusal of a mesh that is not laid out as its built level (_copy_table)
+_LAYOUT = "copy table needs .* as build_level builds it"
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_table_embedding_refuses_swapped_copy_table_rows(family):
     coarse, fine = build_level(family, 3), build_level(family, 4)
     key = "cells" if fine.num_cells else "edges"
     rows = getattr(fine, key).copy()
     rows[[0, -1]] = rows[[-1, 0]]  # the first and the last copy trade places
-    with pytest.raises(GeometryError, match="farther than the dedup tolerance"):
+    with pytest.raises(GeometryError, match=_LAYOUT):
         _table_embedding(coarse, dataclasses.replace(fine, **{key: rows}))
 
 
 def test_table_embedding_refuses_a_vertex_off_the_table_or_taken_twice():
     coarse, fine = build_level("sierpinski", 3), build_level("sierpinski", 4)
     extra = np.vstack([coarse.vertices, [[2.0, 2.0]]])  # on no cell
-    with pytest.raises(GeometryError, match="lies on no copy"):
+    with pytest.raises(GeometryError, match=_LAYOUT):
         _table_embedding(dataclasses.replace(coarse, vertices=extra), fine)
     cells = fine.cells.copy()
     # rows -1 and 2 are child 2 of the last and of the first coarse copy
     cells[-1] = cells[2]
-    with pytest.raises(GeometryError, match="not injective"):
+    with pytest.raises(GeometryError, match=_LAYOUT):
         _table_embedding(coarse, dataclasses.replace(fine, cells=cells))
 
 
@@ -430,8 +434,21 @@ def test_table_embedding_maps_a_level_onto_the_next_only():
     for fine in (coarse, build_level("koch", 4), build_level("hata2d", 3)):
         with pytest.raises(GeometryError, match="onto the next of its family"):
             _table_embedding(coarse, fine)
-    with pytest.raises(GeometryError, match="does not hold m copies"):
+    with pytest.raises(GeometryError, match=_LAYOUT):
         _table_embedding(coarse, dataclasses.replace(build_level("koch", 4), level=3))
+
+
+def test_copy_table_passes_a_held_level_without_a_build(monkeypatch):
+    mesh, seed = build_level("sierpinski", 3), build_level("sierpinski", 0)
+    build_level("sierpinski", 2)  # the last level returned is not the mesh
+    last = dict(geometry._LAST)
+    monkeypatch.setattr(geometry, "build_level", None)  # a build would raise TypeError
+    assert geometry._copy_table(mesh) is mesh.cells
+    assert geometry._copy_table(seed) is seed.cells
+    assert geometry._LAST == last
+    # an equal mesh that the store does not hold is compared with a build
+    with pytest.raises(TypeError):
+        geometry._copy_table(dataclasses.replace(mesh))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

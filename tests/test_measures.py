@@ -415,6 +415,20 @@ def test_area_stiffness_requires_cells():
         fem_area_stiffness(build_level("koch", 2))
 
 
+# the scales of the power-of-two system tests in test_geometry, and 2**±1000
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000],
+                         ids=["2**600", "2**-600", "2**1000", "2**-1000"])
+def test_triangle_matrices_of_a_scaled_mesh_keep_their_bits(scale):
+    # K is scale-free and a power of two scales every gap exactly: a product
+    # of raw gaps overflowed (an error under this suite's warning filter) or
+    # underflowed to a "degenerate zero-area cell"
+    for n in range(5):
+        mesh = build_level("sierpinski", n)
+        scaled = LevelMesh(mesh.family, n, scale * mesh.vertices, mesh.edges, mesh.cells,
+                           mesh.boundary_indices)
+        assert _triangle_matrices(scaled).tobytes() == _triangle_matrices(mesh).tobytes()
+
+
 # -- one element per level ----------------------------------------------------------
 
 def _coordinate_elements(mesh, formulation):
@@ -583,7 +597,7 @@ def test_level_fit_decides_as_every_edge_does(family, level):
 
 def _coordinate_masses(mesh):
     """The triangle-area mass elements S (1 + I) / 12 from coordinate areas."""
-    return _cell_areas(mesh)[:, None, None] * ((1.0 + np.eye(3)) / 12.0)
+    return _cell_areas(mesh.vertices[mesh.cells])[:, None, None] * ((1.0 + np.eye(3)) / 12.0)
 
 
 def test_level_fit_needs_a_seed_cell():

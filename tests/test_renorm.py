@@ -333,6 +333,18 @@ def test_renormalize_rejects_unrepresentable_scaling(constant, n):
         renormalize(stiff, constant, n)
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.5, "level must be an integer"),   # int(n) once scaled it by 2**2
+    (True, "level must be an integer"),  # and this by 2**1
+    (-1, "level must be nonnegative"),
+])
+def test_renormalize_takes_its_level_by_the_one_level_rule(n, message):
+    stiff = fd_graph_stiffness(build_level("koch", 1))
+    with pytest.raises(UsageError, match=message):
+        renormalize(stiff, 2.0, n)
+    assert renormalize(stiff, 2.0, np.int64(2)).data.tobytes() == (4.0 * stiff.data).tobytes()
+
+
 # -- solve_online ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("family, method", [

@@ -392,7 +392,7 @@ def test_leaf_blocks_are_the_per_element_sums(family, formulation):
     mesh = build_level(family, 4)
     elements, local = _elements(mesh, formulation)
     seed = build_level(family, 0)
-    leaves = _copy_table(mesh, seed)
+    leaves = _copy_table(mesh)
     # reference: each element added into its leaf's block in element order
     expected = np.zeros((leaves.shape[0], leaves.shape[1], leaves.shape[1]))
     per_leaf = elements.shape[0] // leaves.shape[0]
@@ -457,7 +457,8 @@ def _assert_glues_and_partitions(mesh):
     once, and the top copy's seed vertices are the boundary."""
     seed, glue, _ = _structure(mesh.family)
     (m, nb), nv1 = glue.shape, int(glue.max()) + 1
-    ids = _copy_table(mesh, seed)
+    # the raw rows, as _copy_table returns them once the layout is checked
+    ids = mesh.cells if seed.num_cells else mesh.edges
     for rows, pos in ((mesh.edges, seed.edges), (mesh.cells, seed.cells)):
         assert (ids[:, pos] == rows.reshape(ids.shape[0], *pos.shape)).all()
     eliminated = []
@@ -494,17 +495,38 @@ def test_glue_and_partition_fail_with_two_edges_of_one_leaf_swapped():
         solve_condensed(swapped, *_elements(swapped, "fd"), np.ones(mesh.num_vertices), h)
 
 
-def test_copy_table_refuses_a_seed_it_cannot_read_off_the_mesh():
+def test_copy_table_refuses_a_seed_it_cannot_read_off_the_mesh(monkeypatch):
     # the table is the mesh's own cells or edges: a seed of two edges, or of
-    # one edge listing its ends reversed, has no such table
-    mesh, seed = build_level("koch", 2), build_level("koch", 0)
-    path = LevelMesh("path", 0, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1], [1, 2]], [],
-                     [0, 2])
-    turned = LevelMesh("koch", 0, seed.vertices, [[1, 0]], [], seed.boundary_indices)
-    assert _copy_table(mesh, seed) is mesh.edges
-    for other in (path, turned):
+    # one edge listing its ends reversed, has no such table, and _structure
+    # refuses it once per family
+    mesh, koch = build_level("koch", 2), geometry.builtin_system("koch")
+    assert _copy_table(mesh) is mesh.edges
+    path = LevelMesh("path", 0, [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]], [[0, 2], [2, 1]], [],
+                     [0, 1])
+    turned = LevelMesh("turned", 0, koch.seed.vertices, [[1, 0]], [], [0, 1])
+    # uncached, so no system of this test outlives it
+    monkeypatch.setattr(geometry, "builtin_system", geometry.builtin_system.__wrapped__)
+    for seed in (path, turned):
+        monkeypatch.setitem(geometry._BUILTIN, seed.family,
+                            lambda seed=seed: IFSystem(koch.maps, seed))
         with pytest.raises(GeometryError, match="copy table needs a seed"):
-            _copy_table(mesh, other)
+            _structure(seed.family)
+
+
+def test_a_level_with_an_isolated_vertex_is_refused_by_every_copy_table_reader(monkeypatch):
+    # one vertex more than the level predicts makes a singular system, which
+    # at zero load would solve with residual 0: it is refused before
+    # anything is built
+    mesh, fine = build_level("sierpinski", 3), build_level("sierpinski", 4)
+    extra = LevelMesh(mesh.family, mesh.level, np.vstack([mesh.vertices, [[2.0, 2.0]]]),
+                      mesh.edges, mesh.cells, mesh.boundary_indices)
+    elements, local = _elements(extra, "fd")
+    monkeypatch.setattr(geometry, "build_level", None)  # a build would raise TypeError
+    for load in (np.zeros(extra.num_vertices), np.ones(extra.num_vertices)):
+        with pytest.raises(GeometryError, match="as build_level builds it"):
+            solve_condensed(extra, elements, local, load, {0: 0.0, 1: 0.0, 2: 0.0})
+    with pytest.raises(GeometryError, match="as build_level builds it"):
+        geometry._table_embedding(extra, fine)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -691,7 +713,7 @@ def _harmonic_extension(mesh, boundary_values):
     from the leaves (``_copy_table``), glued up one depth at a time."""
     seed, glue, _ = _structure(mesh.family)
     (m, nb), nv1 = glue.shape, int(glue.max()) + 1
-    ids, words = _copy_table(mesh, seed), []
+    ids, words = _copy_table(mesh), []
     for d in range(mesh.level - 1, -1, -1):
         v1 = np.empty((m**d, nv1), dtype=np.int64)
         v1[:, glue.ravel()] = ids.reshape(m**d, m * nb)
