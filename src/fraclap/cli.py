@@ -174,7 +174,7 @@ def _cmd_solve(args) -> int:
     rhs.evaluate(seed.vertices[seed.boundary_indices])
     _check_out(args.out)
     # the constant is estimated first, from levels (n - 2, n - 1), or (1, 2)
-    # below level 3, so level n refines from the last of them or is it; only
+    # below level 3, so level n is glued from the last of them or is it; only
     # level 1 is neither, so it is built first and held through the estimate
     mesh = build_level(args.family, args.level) if args.level == 1 else None
     constant = args.constant

@@ -3,9 +3,11 @@
 A family is described by an :class:`IFSystem`: a list of affine contraction
 maps and its seed, the level-0 :class:`LevelMesh` they refine.  ``iterate``
 applies the union of the maps ``n`` times to the seed, merging coincident
-vertices, and returns a :class:`LevelMesh`.  Vertex ordering is part of the
-contract: boundary vertices come first (in seed order), interior vertices
-follow in discovery order, and repeated runs produce identical meshes.
+vertices, and returns a :class:`LevelMesh`; ``build_level`` glues the same
+meshes from a built-in family's gluing table, with no search.  Vertex
+ordering is part of the contract: boundary vertices come first (in seed
+order), interior vertices follow in discovery order, and repeated runs
+produce identical meshes.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from .errors import GeometryError, UsageError
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
-# peaks at about 67 B per vertex above the interpreter, so 2**23 vertices
-# peak near 0.5 GiB.
+# peaks at about 58 B per vertex above the interpreter (numpy 2.4), so
+# 2**23 vertices peak near 0.45 GiB.
 MAX_VERTICES = 2**23
 
 # Index arrays are int32: every index lies below this.
 _INDEX_END = 2**31
 
-# Rows per block of a refine's gathers, of the mesh checks and of the
-# close-pair scan: none forms a whole-mesh index or mask temporary.
+# Rows per block of a glue's products and gathers, of the mesh checks and of
+# the close-pair scan: none forms a whole-mesh index or mask temporary.
 _SCAN_ROWS = 4096
 
 
@@ -504,74 +506,73 @@ def _dedup(candidates, tol):
     return assign, np.flatnonzero(kept)
 
 
-def _refine(ifs: IFSystem, held: list[LevelMesh]) -> LevelMesh:
-    """The next level of the one mesh in ``held``: its images under the
-    maps, merged.  The mesh is taken out of ``held`` and let go of once the
-    candidates, edges and cells are gathered, before ``LevelMesh`` checks
-    the new level, so it outlives the refine only where a caller holds it.
+def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
+    """The next level of ``mesh``, found geometrically: ``iterate``'s step,
+    and ``_structure``'s for level 1 (``build_level`` glues, ``_glue``).
 
-    The candidates are the seed's boundary vertices followed by one block
-    per map, the image of ``mesh.vertices`` under that map.  They are merged
-    at the least singular value of the maps' linear parts times the
-    tolerance of ``mesh``, and not measured: a map scales no length by less
-    than that value, so the product is ``RELATIVE_TOLERANCE`` times a lower
-    bound on the shortest candidate edge.  The edges and cells of ``mesh`` are
-    repeated in every block, in block order, and gathered as they are: the
-    copies of a post-critically finite system meet only at vertices, so
-    they share no edge or cell, and a system whose copies share an edge
-    raises ``GeometryError`` ("duplicate edge") from ``LevelMesh``.  The
-    candidate array becomes the vertex array: the kept rows move to its
-    front in place, so no second copy of the vertices is made.
+    The candidates, the seed's boundary vertices and then the image of
+    ``mesh.vertices`` under each map, are merged at the least singular value
+    of the maps' linear parts times the tolerance of ``mesh``: a map scales
+    no length by less, so that is ``RELATIVE_TOLERANCE`` times a lower bound
+    on the shortest candidate edge.  Every copy keeps the edges and cells of
+    ``mesh`` as it gives them: the copies of a post-critically finite system
+    meet only at vertices, and a system whose copies share an edge raises
+    ``GeometryError`` ("duplicate edge") from ``LevelMesh``.
     """
-    mesh = held.pop()
     seed, points = ifs.seed, mesh.vertices
-    nb, (npts, dim) = seed.boundary_indices.size, points.shape
+    nb = seed.boundary_indices.size
     shrink = min(np.linalg.svd(m.linear, compute_uv=False)[-1] for m in ifs.maps)
-    tol = shrink * mesh.dedup_tolerance  # measured (once per mesh) before cand is made
-    offsets = nb + npts * np.arange(len(ifs.maps), dtype=np.int64)
-    cand = np.empty((nb + offsets.size * npts, dim))
-    cand[:nb] = seed.vertices[:nb]
-    for off, m in zip(offsets, ifs.maps):
-        np.matmul(points, m.linear.T, out=cand[off:off + npts])
-        cand[off:off + npts] += m.translation
-    assign, uniq_rows = _dedup(cand, tol)
-    # the kept rows move to the front in place, a block at a time: row k
-    # comes from row uniq_rows[k] >= k, which no earlier block overwrote
-    verts = cand[:uniq_rows.size]
-    for b in _blocks(uniq_rows.size):
-        verts[b] = cand[uniq_rows[b]]
-    del uniq_rows
-
-    edges = _gather_blocks(assign, offsets, mesh.edges)
-    cells = _gather_blocks(assign, offsets, mesh.cells)
-    level = mesh.level + 1
-    del assign, mesh, points
-
-    # the boundary entries alone: bincount would copy every int32 entry to intp
+    cand = np.concatenate([seed.vertices[:nb],
+                           *(points @ m.linear.T + m.translation for m in ifs.maps)])
+    assign, uniq_rows = _dedup(cand, shrink * mesh.dedup_tolerance)
+    offsets = nb + len(points) * np.arange(len(ifs.maps))[:, None, None]
+    edges = assign[offsets + mesh.edges].reshape(-1, 2)
     if (np.bincount(edges[edges < nb], minlength=nb) == 0).any():
         raise GeometryError("a boundary point is not reproduced by the iteration")
-    return LevelMesh(
-        family=seed.family,
-        level=level,
-        vertices=verts,
-        edges=edges,
-        cells=cells,
-        boundary_indices=np.arange(nb),
-    )
+    return LevelMesh(seed.family, mesh.level + 1, cand[uniq_rows], edges,
+                     assign[offsets + mesh.cells].reshape(-1, 3), np.arange(nb))
 
 
-def _gather_blocks(assign, offsets, rows):
-    """``assign[off + rows]`` for each offset, stacked in offset order.
+def _glue(held: list[LevelMesh]) -> LevelMesh:
+    """The next level of the built level in ``held``: ``m`` copies of it,
+    joined by its family's gluing table ``glue`` (``_structure``), with no
+    search.  The level leaves ``held`` before ``LevelMesh`` checks the new one.
 
-    The rows go ``_SCAN_ROWS`` at a time: ``np.take`` turns its indices
-    into intp and buffers its ``out``, so a whole ``off + rows`` would cost
-    two such copies."""
-    out = np.empty((offsets.size * rows.shape[0], rows.shape[1]), dtype=np.int32)
-    stack = out.reshape(offsets.size, *rows.shape)
-    for k, off in enumerate(offsets):
-        for b in _blocks(rows.shape[0]):
-            np.take(assign, off + rows[b], out=stack[k, b])
-    return out
+    Copy ``i``'s vertex ``v < nb`` is level-1 vertex ``g = glue[i, v]``,
+    moved past the interiors of the copies before the first that names
+    ``g`` (none for a boundary vertex); its other vertices are new, after the
+    level-1 vertices that copies 0..i name: ``_refine``'s first-occurrence
+    order.  Copies are written last to first, so a shared vertex keeps its
+    first copy's bits (a built-in seed's boundary points map onto themselves
+    exactly).  Every product and gather is of one ``_blocks`` block."""
+    mesh = held.pop()
+    seed, glue, _ = _structure(mesh.family)
+    maps, (m, nb) = builtin_system(mesh.family).maps, glue.shape
+    inner = mesh.num_vertices - nb
+    first = np.unique(glue, return_index=True)[1] // nb  # each level-1 vertex's first copy
+    heads = glue + np.where(glue < nb, 0, first[glue] * inner)
+    offsets = [int(np.count_nonzero(first[nb:] <= i)) + i * inner for i in range(m)]
+
+    def placed(i, rows):  # where copy i's vertices ``rows`` go
+        out = rows + offsets[i]
+        low = rows < nb
+        out[low] = heads[i, rows[low]]
+        return out
+
+    verts = np.empty((first.size + m * inner, seed.dimension))
+    edges, cells = (np.empty((m, *rows.shape), np.int32) for rows in (mesh.edges, mesh.cells))
+    for i in reversed(range(m)):
+        for b in _blocks(mesh.num_vertices):
+            image = mesh.vertices[b] @ maps[i].linear.T
+            image += maps[i].translation
+            verts[placed(i, np.arange(b.start, b.stop))] = image
+        for rows, out in ((mesh.edges, edges), (mesh.cells, cells)):
+            for b in _blocks(len(rows)):
+                out[i, b] = placed(i, rows[b])
+    level = mesh.level + 1
+    del mesh, rows, image  # the coarse level and the last blocks go before the checks
+    return LevelMesh(seed.family, level, verts, edges.reshape(-1, 2), cells.reshape(-1, 3),
+                     np.arange(nb))
 
 
 def _copy_table(mesh: LevelMesh) -> np.ndarray:
@@ -579,7 +580,7 @@ def _copy_table(mesh: LevelMesh) -> np.ndarray:
     ``build_level(mesh.family, mesh.level)``: the mesh's own cells, or its
     edges for a family whose seed has no cells.
 
-    ``_refine`` stacks the images of the coarser edge and cell lists
+    ``_glue`` stacks the copies of the coarser edge and cell lists
     map-major, so the cells (edges) of level n are the ``m**n`` images of the
     seed's cells (edges), one block per word of maps in lexicographic order,
     and each image is a row of the table (``_structure`` refuses any other
@@ -618,17 +619,14 @@ def _level_index(level) -> int:
 
 def iterate(ifs: IFSystem, n: int) -> LevelMesh:
     """Apply the union map ``n`` times to ``ifs.seed`` and return the mesh;
-    level 0 is the seed itself.
-
-    Coincident vertices are merged; edges and cells are kept as each copy
-    gives them.  A system whose copies share an edge (a repeated or an
-    overlapping map) raises ``GeometryError``.
-    """
-    n = _level_index(n)
-    held = [ifs.seed]
-    for _ in range(n):
-        held.append(_refine(ifs, held))
-    return held.pop()
+    level 0 is the seed itself.  Each level is found geometrically
+    (``_refine``): coincident vertices are merged, and edges and cells kept
+    as each copy gives them; a system whose copies share an edge (a repeated
+    or an overlapping map) raises ``GeometryError``."""
+    mesh = ifs.seed
+    for _ in range(_level_index(n)):
+        mesh = _refine(ifs, mesh)
+    return mesh
 
 
 @functools.lru_cache(maxsize=None)
@@ -636,18 +634,20 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     """The self-similar structure of a built-in family: ``(seed, glue,
     grow)``, its level-0 mesh, its gluing table ``(child, seed vertex) ->
     level-1 vertex`` and ``1/r``, the reciprocal of the one similarity ratio
-    of its maps (3, or 2 for Sierpinski).  Read from the system's seed and
-    one ``_refine`` of it, not from ``build_level``, which checks against it.
-    A seed that is not one cell, or else one edge, listing its vertices in
-    order has no copy table (``_copy_table``) and raises ``GeometryError``."""
+    of its maps (3, or 2 for Sierpinski).  Read off the seed's one geometric
+    refine (``_refine``); ``build_level`` glues every level by it (``_glue``).
+    A seed that is not one cell, or else one edge, listing all its vertices
+    in order, all of them boundary vertices, has no copy table
+    (``_copy_table``) and raises ``GeometryError``."""
     ifs = builtin_system(family)
-    pos = ifs.seed.cells if ifs.seed.num_cells else ifs.seed.edges
-    if pos.tolist() != [list(range(ifs.seed.num_vertices))]:
+    seed = ifs.seed
+    pos = seed.cells if seed.num_cells else seed.edges
+    if pos.tolist() != [seed.boundary_indices.tolist()] or pos.size != seed.num_vertices:
         raise GeometryError("a copy table needs a seed of one cell or edge "
                             "listing its vertices in order")
-    level1 = _refine(ifs, [ifs.seed])
+    level1 = _refine(ifs, seed)
     glue = level1.cells if level1.num_cells else level1.edges
-    return ifs.seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
+    return seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
 
 
 def _corners(glue: np.ndarray) -> list[tuple[int, int]]:
@@ -727,38 +727,33 @@ def check_level(family: str, level: int) -> None:
 
 # The built levels that something still references, by (family, level),
 # and the last level ``build_level`` returned in each family, which alone
-# it keeps: the next refine and the next pair of a renorm start from it.
+# it keeps: the next glue and the next pair of a renorm start from it.
 _LEVELS = weakref.WeakValueDictionary()
 _LAST = {}
 
 
 def build_level(family: str, level: int) -> LevelMesh:
-    """``iterate(builtin_system(family), level)``; meshes are immutable.
+    """``iterate(builtin_system(family), level)``, bit for bit; meshes are
+    immutable.
 
     A level that something still references is returned as it is.  Any
-    other is refined from the finest such level below it, or from the
-    seed, and each level refined on the way is let go of once the next one
-    is gathered.  Beyond what its callers hold, the process keeps only the
-    last level returned in each family, where the next refine and the next
-    pair of a renorm start.  An oversized level is refused by
-    ``check_level`` on every call, and a built level whose vertex count is
-    not the predicted one raises ``GeometryError``.
+    other is glued (``_glue``, no search) from the finest such level below
+    it, or from the seed, and each level glued on the way is let go of once
+    the next one is gathered.  Beyond what its callers hold, the process
+    keeps only the last level returned in each family, where the next glue
+    and the next pair of a renorm start.  An oversized level is refused by
+    ``check_level`` on every call.
     """
     check_level(family, level)
     level = operator.index(level)  # a numpy level finds the int-keyed level
     below = level
     while below and (family, below) not in _LEVELS:
         below -= 1
-    ifs = builtin_system(family)
-    held = [_LEVELS.get((family, below), ifs.seed)]
-    _LAST.pop(family, None)  # a level held nowhere else goes once refined
+    held = [_LEVELS.get((family, below), builtin_system(family).seed)]
+    _LAST.pop(family, None)  # a level held nowhere else goes once glued
     while held[0].level < level:
-        held.append(_refine(ifs, held))
-        n, count = held[0].level, held[0].num_vertices
-        predicted = predicted_vertices(family, n)
-        if count != predicted:
-            raise GeometryError(f"{family} level {n} has {count} vertices, predicted {predicted}")
-        _LEVELS[family, n] = held[0]
+        held.append(_glue(held))
+        _LEVELS[family, held[0].level] = held[0]
     _LAST[family] = held[0]
     return held.pop()
 
@@ -767,8 +762,8 @@ def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     """Map every coarse vertex to the coinciding fine vertex.
 
     Accepts ``fine`` at the same level (identity embedding) or one level up.
-    The fine vertices, then the coarse ones, are merged by the dedup that
-    builds every level (``_dedup``) with the fine dedup tolerance, so each
+    The fine vertices, then the coarse ones, are merged by the dedup of the
+    geometric refine (``_dedup``) with the fine dedup tolerance, so each
     coarse vertex goes to the first fine vertex within it.  Two
     vertices at a distance in ``(tol/10, tol]`` raise its "dedup ambiguity"
     ``GeometryError``; so does a coarse vertex with no fine vertex within

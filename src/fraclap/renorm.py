@@ -117,6 +117,7 @@ def _estimates(family: str, a: int, b: int, formulation: str):
 
 
 def _estimate(family: str, n: int, formulation: str) -> RenormEstimate:
+    n = _level_index(n)  # 2.7 is not level 2, nor "2" a TypeError
     return next(_estimates(family, n, n + 1, formulation))
 
 
@@ -174,8 +175,9 @@ def renormalize(base: sp.csr_array, constant: float, n: int) -> sp.csr_array:
 
 def default_estimate_pair(level: int) -> tuple[int, int]:
     """Pre-processing pair for a solve at ``level``: the two largest feasible
-    levels below it, falling back to (1, 2) for small levels."""
-    a = max(1, int(level) - 2)
+    levels below it, falling back to (1, 2) for small levels; a level that
+    is not an integer raises ``UsageError`` (``geometry._level_index``)."""
+    a = max(1, _level_index(level) - 2)
     return (a, a + 1)
 
 

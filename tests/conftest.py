@@ -34,20 +34,21 @@ def traced():
 
 @pytest.fixture
 def refines(monkeypatch):
-    """The ``(family, level)`` of every level ``geometry._refine`` makes
-    from here on, in order, with no level built beforehand: the level store
-    starts empty, and each family's structure, which refines its seed once
+    """The ``(family, level)`` of every level ``geometry._glue`` makes, the
+    one step by which ``build_level`` makes each level, from here on, in
+    order, with no level built beforehand: the level store starts empty,
+    and each family's structure, which refines its seed geometrically once
     per process, is made first."""
     for family in FAMILIES:
         geometry._structure(family)
     monkeypatch.setattr(geometry, "_LEVELS", weakref.WeakValueDictionary())
     monkeypatch.setattr(geometry, "_LAST", {})
-    made, refine = [], geometry._refine
+    made, glue = [], geometry._glue
 
-    def counted(ifs, held):
-        mesh = refine(ifs, held)
+    def counted(held):
+        mesh = glue(held)
         made.append((mesh.family, mesh.level))
         return mesh
 
-    monkeypatch.setattr(geometry, "_refine", counted)
+    monkeypatch.setattr(geometry, "_glue", counted)
     return made

@@ -126,9 +126,10 @@ sys.exit(code)
 # to rounding at every ratio, and hata3d's mean is near 2.  The pair holds
 # its two levels and their model solutions, and nothing else: each child's
 # peak is in the report of ``pytest -m deep -rP``, and its bytes per
-# predicted vertex of the finer level stay under a bound: 104.2, 82.2, 87.4
-# and 96.8 B measured, where a cache of every level built and solved took
-# 112.1, 83.6, 88.3 and 98.6 B (2-core Linux VM, Python 3.11, numpy 2.4).
+# predicted vertex of the finer level stay under a bound: 76.5, 80.6, 87.5
+# and 90.5 B measured with each level glued from its gluing table, where the
+# geometric refine took 76.5, 87.8, 93.6 and 97.1 B (2-core Linux VM,
+# Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, method, levels, columns, constant, bound, peak_bound", [
@@ -161,10 +162,10 @@ def test_renorm_at_the_top_pair(tmp_path, family, method, levels, columns, const
 # with a zero load the values lie within the boundary values (the maximum
 # principle), read off the printed range, not off the large solution file.
 # Each child's peak is in the report of ``pytest -m deep -rP``, and its
-# bytes per predicted vertex stay under a bound: 80.9, 69.8, 81.1 and
-# 93.3 B measured with each level let go of once the next is refined, where
-# a cache of every level built took 112.2, 90.7, 87.5 and 107.1 B (2-core
-# Linux VM, Python 3.11, numpy 2.4).
+# bytes per predicted vertex stay under a bound: 79.5, 69.8, 74.2 and
+# 86.4 B measured with each level glued from its gluing table and let go of
+# once the next is glued, where the geometric refine took 81.0, 70.0, 74.7
+# and 93.8 B (2-core Linux VM, Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, level, method, bound", [
@@ -195,10 +196,10 @@ def test_solve_at_the_largest_level(tmp_path, family, level, method, bound):
 # read_mesh (about 5x the file size; Sierpinski 14's file is 993 MiB): its
 # head up to the seed's boundary points, its vertex row count and its
 # boundary list.  Each child's peak is in the report of ``pytest -m deep -rP``,
-# and its bytes per predicted vertex stay under a bound: 66.6, 48.0, 56.7 and
-# 67.7 B measured with each level let go of once the next is refined, where
-# a cache of every level built took 86.7, 51.3, 61.1 and 73.6 B (2-core
-# Linux VM, Python 3.11, numpy 2.4).
+# and its bytes per predicted vertex stay under a bound: 62.8, 42.2, 51.6 and
+# 63.5 B measured with each level glued from its gluing table and let go of
+# once the next is glued, where the geometric refine took 66.8, 48.3, 57.6
+# and 68.7 B (2-core Linux VM, Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, level, bound", [
@@ -595,6 +596,24 @@ def test_commands_refine_each_level_once(tmp_path, refines, family):
         assert refines == [(family, n) for n in range(1, top + 1)], argv
 
 
+def _searched(*args):
+    raise AssertionError("a vertex search ran")
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_no_command_searches_for_a_vertex(tmp_path, monkeypatch, refines, family):
+    # past each family's structure, made first (``refines``), every level a
+    # command reads is glued from the gluing table: nothing refines
+    # geometrically, merges close vertices or scans for them
+    for name in ("_refine", "_dedup", "_close_pairs"):
+        monkeypatch.setattr(geometry, name, _searched)
+    for argv, _ in _each_family_commands(family):
+        geometry._LAST.clear()
+        extra = [_bc(family)] if argv[0] == "solve" else []
+        rc = cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")])
+        assert rc == 0, argv
+
+
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 @pytest.mark.parametrize("argv, top", [
     (["renorm", "--method", "fem-edge", "--levels", "2:5"], 5),
@@ -885,10 +904,14 @@ def test_the_public_names_resolve_on_first_access():
 # every refusal is one line with its code ------------------------------------
 
 def _run_main(argv):
-    """``cli.main(argv)`` in process: its code, stdout and stderr."""
+    """``cli.main(argv)`` in process: its code, a parser refusal's too, its
+    stdout and its stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -988,3 +1011,97 @@ def test_every_malformed_solve_is_one_usage_error_line(argv):
         assert os.listdir(tmp) == []
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+# -- generate and renorm as properties: every well-formed command writes its
+# documented rows, and every refusal is one line with its code ---------------
+
+@st.composite
+def _generate_commands(draw):
+    """``(argv without --out, family, level)`` of a well-formed ``generate``:
+    any family at a level from 0 to 3."""
+    family, level = draw(st.sampled_from(geometry.FAMILIES)), draw(st.integers(0, 3))
+    return ["generate", "--family", family, "--level", str(level)], family, level
+
+
+@st.composite
+def _renorm_commands(draw):
+    """``(argv without --out, family, A, B)`` of a well-formed ``renorm``: a
+    method the family admits and levels ``1 <= A < B <= 4``."""
+    family = draw(st.sampled_from(geometry.FAMILIES))
+    cells = bool(build_level(family, 0).num_cells)
+    method = draw(st.sampled_from(["fd", "energy", "fem-edge", *["fem-area"] * cells]))
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(a + 1, 4))
+    return ["renorm", "--family", family, "--method", method, "--levels", f"{a}:{b}"], a, b
+
+
+@st.composite
+def _malformed_generate_or_renorm_commands(draw):
+    """A well-formed ``generate`` or ``renorm`` with one defect: an unknown
+    family or method, a level that is not an integer, negative or oversized,
+    a level range that is not ``A:B`` with ``1 <= A < B``, or fem-area on a
+    family without cells."""
+    argv = draw(st.one_of(_generate_commands(), _renorm_commands()))[0]
+    top = geometry._largest_level(argv[argv.index("--family") + 1])
+    bad = {"--family": ["cantor", "Koch", ""]}
+    if argv[0] == "generate":
+        bad["--level"] = ["-1", "-7", str(top + 1), str(top + 9), "2.5", "two", "0x2"]
+    else:
+        bad["--method"] = ["rfd", "fem", "area"]
+        bad["--levels"] = ["", "3", "2:2", "3:2", "0:2", "a:b", "1:2:3", "1.5:3", f"2:{top + 1}"]
+        bad["cells"] = [f for f in geometry.FAMILIES if not build_level(f, 0).num_cells]
+    option = draw(st.sampled_from(sorted(bad)))
+    value = draw(st.sampled_from(bad[option]))
+    if option == "cells":
+        argv[argv.index("--family") + 1], argv[argv.index("--method") + 1] = value, "fem-area"
+    else:
+        argv[argv.index(option) + 1] = value
+    return argv
+
+
+@settings(max_examples=20)
+@given(_generate_commands())
+def test_every_well_formed_generate_writes_its_level(command):
+    argv, family, level = command
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "mesh.json")
+        code, printed, err = _run_main([*argv, "--out", out])
+        assert code == 0, err
+        mesh = read_mesh(out)
+    assert mesh.num_vertices == predicted_vertices(family, level)
+    assert mesh.boundary_indices.tolist() == list(range(build_level(family, 0).num_vertices))
+    assert printed == (f"{family} level {level}: {mesh.num_vertices} vertices, "
+                       f"{mesh.num_edges} edges, {mesh.num_cells} cells -> {out}\n")
+
+
+@settings(max_examples=20)
+@given(_renorm_commands())
+def test_every_well_formed_renorm_writes_a_row_per_pair(command):
+    argv, a, b = command
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "table.csv")
+        code, printed, err = _run_main([*argv, "--out", out])
+        assert code == 0, err
+        with open(out) as fh:
+            written = fh.read().splitlines()
+    pairs = [f"{n}:{n + 1}" for n in range(a, b)]
+    for table in (written, printed.splitlines()):
+        assert table[0] == "pair,max,mean,min,excluded_count"
+        assert [row.split(",")[0] for row in table[1:]] == pairs
+    for row in written[1:]:
+        vmax, vmean, vmin = map(float, row.split(",")[1:4])
+        assert vmin <= vmean <= vmax
+
+
+@settings(max_examples=30)
+@given(_malformed_generate_or_renorm_commands())
+def test_every_malformed_generate_or_renorm_is_one_usage_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_main([*argv, "--out", os.path.join(tmp, "out")])
+        assert os.listdir(tmp) == []
+    # a parser refusal prints its usage first
+    lines = err.splitlines()
+    assert (code, out) == (2, ""), err
+    assert [line for line in lines if "error:" in line] == lines[-1:], err
+    assert lines[0].startswith(("error:", "usage:")), err

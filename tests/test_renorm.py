@@ -565,6 +565,21 @@ def test_default_estimate_pair():
     assert default_estimate_pair(1) == (1, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda level: default_estimate_pair(level),
+    lambda level: auto_constant("koch", "rfd", level),
+    lambda level: estimate_laplacian_ratio("koch", level),
+    lambda level: estimate_energy_ratio("koch", level, "fem_edge"),
+], ids=["pair", "auto", "laplacian", "energy"])
+@pytest.mark.parametrize("level", [2.7, "5", True, None])
+def test_estimates_take_their_level_by_the_one_level_rule(call, level):
+    # int() once read 2.7 as the pair (1, 2) and "5" as (3, 4), and "2"
+    # reached a bare TypeError: each is refused as solve_online refuses it
+    with pytest.raises(UsageError, match="level must be an integer"):
+        call(level)
+    assert default_estimate_pair(np.int64(5)) == (3, 4)
+
+
 def test_auto_constant_matches_estimator():
     c, pair = auto_constant("sierpinski", "rfd", 5)
     assert pair == (3, 4)
