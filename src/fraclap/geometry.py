@@ -29,8 +29,8 @@ from .errors import GeometryError, UsageError
 RELATIVE_TOLERANCE = 1e-9
 
 # The most vertices ``build_level`` builds: building Sierpinski 12 and 13
-# peaks at about 58 B per vertex above the interpreter (numpy 2.4), so
-# 2**23 vertices peak near 0.45 GiB.
+# peaks at about 54 B per vertex above the interpreter (numpy 2.4), the
+# level beside the one below it, so 2**23 vertices peak near 0.42 GiB.
 MAX_VERTICES = 2**23
 
 # Index arrays are int32: every index lies below this.
@@ -97,28 +97,25 @@ def _abs_max(v: np.ndarray) -> float:
     return float(np.maximum(v.max(initial=0.0), -v.min(initial=0.0))) + 0.0
 
 
-def _distance_blocks(p: np.ndarray, i, j, q: np.ndarray | None = None):
-    """``|p[i] - q[j]|`` for the index arrays ``i`` and ``j`` (``q`` is ``p``
-    unless given), yielded ``_SCAN_ROWS`` rows at a time, so no whole-pair
-    gather is made.
+def _distance_blocks(p: np.ndarray, i, j):
+    """``|p[i] - p[j]|`` for the index arrays ``i`` and ``j``, yielded
+    ``_SCAN_ROWS`` rows at a time, so no whole-pair gather is made.
 
     The squared gaps are summed one axis at a time, in place, so no
     ``(pairs, d)`` array is formed.  Each gap is scaled by ``2**-e``, with
-    ``e`` the binary exponent of the larger of ``max |p|`` and ``max |q|``,
-    before it is squared, and the root by ``2**e``.  That is exact away from
-    underflow, so the result has the bits of ``np.linalg.norm(p[i] - q[j],
-    axis=1)``, and no square overflows: a distance is ``inf`` only when it
-    exceeds the largest double.  Every distance check of this module uses
-    it, against a tolerance that is never squared.
-    """
-    q = p if q is None else q
-    e = int(np.frexp(max(_abs_max(p), _abs_max(q)))[1])
+    ``e`` the binary exponent of ``max |p|``, before it is squared, and the
+    root by ``2**e``.  That is exact away from underflow, so the result has
+    the bits of ``np.linalg.norm(p[i] - p[j], axis=1)``, and no square
+    overflows: a distance is ``inf`` only when it exceeds the largest
+    double.  Every distance check of this module uses it, against a
+    tolerance that is never squared."""
+    e = int(np.frexp(_abs_max(p))[1])
     for b in _blocks(len(i)):
         sq = np.zeros(b.stop - b.start)
         with np.errstate(over="ignore"):  # a gap overflows only where its distance does
-            for pc, qc in zip(p.T, q.T):
-                gap = pc[i[b]]
-                gap -= qc[j[b]]
+            for col in p.T:
+                gap = col[i[b]]
+                gap -= col[j[b]]
                 np.ldexp(gap, -e, out=gap)
                 gap *= gap
                 sq += gap
@@ -126,10 +123,10 @@ def _distance_blocks(p: np.ndarray, i, j, q: np.ndarray | None = None):
         yield sq
 
 
-def _distances(p: np.ndarray, i, j, q: np.ndarray | None = None) -> np.ndarray:
+def _distances(p: np.ndarray, i, j) -> np.ndarray:
     """The distances of ``_distance_blocks``, in one array."""
     out = np.empty(len(i))
-    for b, dist in zip(_blocks(out.size), _distance_blocks(p, i, j, q)):
+    for b, dist in zip(_blocks(out.size), _distance_blocks(p, i, j)):
         out[b] = dist
     return out
 
@@ -186,6 +183,8 @@ class LevelMesh:
     boundary_indices: np.ndarray
 
     def __post_init__(self):
+        if np.asarray(self.vertices).dtype.kind not in "iuf":  # no text, bool, complex, object
+            raise GeometryError("vertex coordinates must be real numbers")
         verts = _frozen(self.vertices, np.float64)
         n = verts.shape[0]
         edges = _index_array(self.edges, (-1, 2), n, "edges must be integer rows of 2 entries",
@@ -533,10 +532,9 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
                      assign[offsets + mesh.cells].reshape(-1, 3), np.arange(nb))
 
 
-def _glue(held: list[LevelMesh]) -> LevelMesh:
-    """The next level of the built level in ``held``: ``m`` copies of it,
-    joined by its family's gluing table ``glue`` (``_structure``), with no
-    search.  The level leaves ``held`` before ``LevelMesh`` checks the new one.
+def _glue(mesh: LevelMesh) -> LevelMesh:
+    """The next level of the built level ``mesh``: ``m`` copies of it joined
+    by its family's gluing table ``glue`` (``_structure``), with no search.
 
     Copy ``i``'s vertex ``v < nb`` is level-1 vertex ``g = glue[i, v]``,
     moved past the interiors of the copies before the first that names
@@ -544,8 +542,16 @@ def _glue(held: list[LevelMesh]) -> LevelMesh:
     level-1 vertices that copies 0..i name: ``_refine``'s first-occurrence
     order.  Copies are written last to first, so a shared vertex keeps its
     first copy's bits (a built-in seed's boundary points map onto themselves
-    exactly).  Every product and gather is of one ``_blocks`` block."""
-    mesh = held.pop()
+    exactly).  Every product and gather is of one ``_blocks`` block.
+
+    The new level skips ``LevelMesh``'s checks, which hold by induction.
+    ``_structure`` admits only a seed that is one cell or edge listing all
+    its vertices, so two copies sharing two vertices would give the checked
+    level-1 ``_refine`` a duplicate edge: two glue rows share one entry at
+    most.  Each copy is placed injectively, its interior at fresh indices
+    below the new count and its V0 at its glue row's distinct entries, so no
+    self-loop, repeated cell vertex, duplicate edge, cell side that is not
+    an edge or index out of range appears at any level."""
     seed, glue, _ = _structure(mesh.family)
     maps, (m, nb) = builtin_system(mesh.family).maps, glue.shape
     inner = mesh.num_vertices - nb
@@ -569,10 +575,12 @@ def _glue(held: list[LevelMesh]) -> LevelMesh:
         for rows, out in ((mesh.edges, edges), (mesh.cells, cells)):
             for b in _blocks(len(rows)):
                 out[i, b] = placed(i, rows[b])
-    level = mesh.level + 1
-    del mesh, rows, image  # the coarse level and the last blocks go before the checks
-    return LevelMesh(seed.family, level, verts, edges.reshape(-1, 2), cells.reshape(-1, 3),
-                     np.arange(nb))
+    glued = object.__new__(LevelMesh)  # no checks: see the induction above
+    vars(glued).update(family=seed.family, level=mesh.level + 1, vertices=_frozen(verts, float),
+                       edges=_frozen(edges.reshape(-1, 2), np.int32),
+                       cells=_frozen(cells.reshape(-1, 3), np.int32),
+                       boundary_indices=seed.boundary_indices)
+    return glued
 
 
 def _copy_table(mesh: LevelMesh) -> np.ndarray:
@@ -584,13 +592,13 @@ def _copy_table(mesh: LevelMesh) -> np.ndarray:
     map-major, so the cells (edges) of level n are the ``m**n`` images of the
     seed's cells (edges), one block per word of maps in lexicographic order,
     and each image is a row of the table (``_structure`` refuses any other
-    seed).  This is the one check of that layout.  A level held in the
-    level store, or the family's seed, passes as it is.  Any other mesh
-    needs a built-in family, a level ``build_level`` admits and the
-    predicted vertex count, checked before anything is built, and then the
-    edges, cells and boundary indices of the built level; anything else
-    raises ``GeometryError``.  Coordinates are not part of the layout.
-    """
+    seed).  This is the one check of that layout.  A level in the level
+    store was glued so (``_glue``) and the seed is its one row: either
+    passes as it is.  Any other mesh needs a built-in family, a level
+    ``build_level`` admits and the predicted vertex count, checked before
+    anything is built, and then the edges, cells and boundary indices of
+    the built level, or raises ``GeometryError``.  Coordinates are not part
+    of the layout."""
     family, level = mesh.family, mesh.level
     layout = operator.attrgetter("edges", "cells", "boundary_indices")
     if family not in FAMILIES or not (
@@ -667,24 +675,16 @@ def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     ``glue[j, k] == s`` (``_structure``).  So for each ``s`` its corner
     ``(j, k)`` (``_corners``) maps column ``s`` of the coarse table onto
     rows ``j::m`` of column ``k`` of the fine one.  Both levels pass the
-    layout check of ``_copy_table``, so the map is the built levels' map;
-    coordinates are not part of that layout, and each coarse vertex must
-    lie within ``fine.dedup_tolerance`` of its image, checked a block at a
-    time.  Anything else raises ``GeometryError``.
-    """
+    layout check of ``_copy_table``, so this is the structure's map
+    (``_glue``), no coordinate is read, and anything else raises
+    ``GeometryError``."""
     if fine.family != coarse.family or fine.level != coarse.level + 1:
         raise GeometryError("a table embedding maps a level onto the next of its family")
     tc, tf = _copy_table(coarse), _copy_table(fine)
     glue = _structure(coarse.family)[1]
-    m = glue.shape[0]
     index_map = np.full(coarse.num_vertices, -1, dtype=np.int32)
     for s, (j, k) in enumerate(_corners(glue)):
-        index_map[tc[:, s]] = tf[j::m, k]
-    tol, rows = fine.dedup_tolerance, np.arange(coarse.num_vertices, dtype=np.int32)
-    if any((dist > tol).any()
-           for dist in _distance_blocks(coarse.vertices, rows, index_map, fine.vertices)):
-        raise GeometryError("a coarse vertex lies farther than the dedup tolerance "
-                            "from its copy-table image; incompatible meshes")
+        index_map[tc[:, s]] = tf[j::len(glue), k]
     return EmbeddingMap(coarse.level, fine.level, index_map)
 
 
@@ -749,13 +749,13 @@ def build_level(family: str, level: int) -> LevelMesh:
     below = level
     while below and (family, below) not in _LEVELS:
         below -= 1
-    held = [_LEVELS.get((family, below), builtin_system(family).seed)]
+    mesh = _LEVELS.get((family, below), builtin_system(family).seed)
     _LAST.pop(family, None)  # a level held nowhere else goes once glued
-    while held[0].level < level:
-        held.append(_glue(held))
-        _LEVELS[family, held[0].level] = held[0]
-    _LAST[family] = held[0]
-    return held.pop()
+    while mesh.level < level:
+        mesh = _glue(mesh)
+        _LEVELS[family, mesh.level] = mesh
+    _LAST[family] = mesh
+    return mesh
 
 
 def embed(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:

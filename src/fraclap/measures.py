@@ -135,10 +135,10 @@ def _level(mesh: LevelMesh):
 
     The level's fem-edge element is ``c`` times the unit element.  Every
     seed edge has the length ``L0`` and every side of a seed cell is a seed
-    edge, and every cell side is an edge (``LevelMesh``), so every cell of a
-    level is the seed cell scaled by ``r**n``: its linear stiffness, which
-    depends only on the angles, is the seed cell's, and its area is the seed
-    cell's over ``(c L0)**2``.
+    edge, and a level's cells are copies of the seed cell (``geometry._glue``),
+    so every cell of a level is the seed cell scaled by ``r**n``: its linear
+    stiffness, which depends only on the angles, is the seed cell's, and its
+    area is the seed cell's over ``(c L0)**2``.
 
     Only the shortest and the longest edge are read: ``fl(fl(x c) - 1)``
     never decreases as ``x`` grows, so they decide as every edge would.  A

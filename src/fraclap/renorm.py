@@ -92,10 +92,8 @@ def _estimates(family: str, a: int, b: int, formulation: str):
         if z_c is None:
             z_c = _model_solution(coarse, formulation)
         fine = build_level(family, n + 1)
-        # the coarse level goes before the fine solve; the fine edges are
-        # measured once (``_edge_range`` is cached), whichever reads them first
         embedding = _table_embedding(coarse, fine)
-        del coarse
+        del coarse  # the coarse level goes before the fine solve
         z_f = _model_solution(fine, formulation)
         ratios, excluded = _ratio_statistics(z_c, z_f, embedding, interior)
         if ratios.size == 0:

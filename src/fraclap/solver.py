@@ -310,10 +310,11 @@ class _Condensation:
 
     def norm(self) -> float:
         """``|A_II|_inf``, exact for any symmetric leaf block: the leaves of a
-        built level share no pair of vertices, so no two leaf blocks add into
-        one off-diagonal entry.  One whole-length vector takes the diagonal,
-        then its magnitude, then the off-diagonal magnitudes at interior
-        columns; the boundary rows are zeroed before the maximum."""
+        built level share no pair of vertices (``geometry._glue``), so no two
+        leaf blocks add into one off-diagonal entry.  One whole-length vector
+        takes the diagonal, then its magnitude, then the off-diagonal
+        magnitudes at interior columns; the boundary rows are zeroed before
+        the maximum."""
         eye = np.eye(self.leaves.shape[1])
         interior = np.ones(self.size)  # einsum casts a bool vector slowly
         interior[self.boundary] = 0.0

@@ -45,8 +45,8 @@ def refines(monkeypatch):
     monkeypatch.setattr(geometry, "_LAST", {})
     made, glue = [], geometry._glue
 
-    def counted(held):
-        mesh = glue(held)
+    def counted(coarse):
+        mesh = glue(coarse)
         made.append((mesh.family, mesh.level))
         return mesh
 

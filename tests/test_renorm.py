@@ -215,6 +215,23 @@ def test_estimates_let_go_of_the_coarse_level_before_the_fine_solve(monkeypatch,
     assert sorted(levels) == [2, 3, 4, 5] and alive == [False] * 4
 
 
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_fd_estimates_measure_no_edge(monkeypatch, refines, family):
+    # the map is read off the copy tables and the fd elements and load take
+    # no length, so no level's edges are measured (``_edge_range`` stays
+    # uncached); every level here is built by this test alone (``refines``)
+    solve, solved = renorm._model_solution, []
+
+    def kept(mesh, formulation):
+        solved.append(mesh)
+        return solve(mesh, formulation)
+
+    monkeypatch.setattr(renorm, "_model_solution", kept)
+    assert len(list(renorm._estimates(family, 1, 4, "fd"))) == 3
+    assert [mesh.level for mesh in solved] == [1, 2, 3, 4]
+    assert not any("_edge_range" in vars(mesh) for mesh in solved)
+
+
 def test_estimate_rejects_unknown_formulation():
     with pytest.raises(UsageError):
         estimate_energy_ratio("sierpinski", 2, "spectral")
@@ -357,9 +374,9 @@ def test_solve_online_measures_its_level_once(monkeypatch, family, method):
     mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
     distances, measured = geometry._distance_blocks, []
 
-    def counting(p, i, j, q=None):
+    def counting(p, i, j):
         measured.append(p is mesh.vertices)
-        return distances(p, i, j, q)
+        return distances(p, i, j)
 
     # every edge length is measured by _distance_blocks, whole arrays too
     monkeypatch.setattr(geometry, "_distance_blocks", counting)
