@@ -42,9 +42,12 @@ _SCAN_ROWS = 4096
 
 
 def _frozen(arr, dtype):
+    """``arr`` as a contiguous ``dtype`` view of a read-only owner, which
+    numpy, unlike the owner, refuses to make writable again.  An ``arr``
+    that is itself a view is frozen as it is; its owner is left alone."""
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
-    return out
+    return out.view()
 
 
 def _index_array(arr, shape, n, message, name):
@@ -54,7 +57,10 @@ def _index_array(arr, shape, n, message, name):
     integer dtype, raises ``GeometryError`` with ``message``, and an entry
     out of range raises "``name`` index out of range": nothing is reshaped,
     truncated or wrapped (the range is checked before the cast)."""
-    arr = np.asarray(arr)
+    try:
+        arr = np.asarray(arr)
+    except ValueError:  # ragged rows
+        raise GeometryError(message) from None
     if arr.size == 0:
         arr = arr.reshape(shape)
     elif arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or arr.dtype.kind not in "iu":
@@ -183,9 +189,15 @@ class LevelMesh:
     boundary_indices: np.ndarray
 
     def __post_init__(self):
-        if np.asarray(self.vertices).dtype.kind not in "iuf":  # no text, bool, complex, object
+        try:
+            verts = np.asarray(self.vertices)
+        except ValueError:  # ragged rows, refused as a shape
+            verts = np.empty(0)
+        if verts.dtype.kind not in "iuf":  # no text, bool, complex, object
             raise GeometryError("vertex coordinates must be real numbers")
-        verts = _frozen(self.vertices, np.float64)
+        if verts.ndim != 2 or verts.shape[1] not in (2, 3):
+            raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
+        verts = _frozen(verts, np.float64)
         n = verts.shape[0]
         edges = _index_array(self.edges, (-1, 2), n, "edges must be integer rows of 2 entries",
                              "edge")
@@ -199,8 +211,6 @@ class LevelMesh:
             level = _level_index(self.level)
         except UsageError as exc:
             raise GeometryError(str(exc)) from None
-        if verts.ndim != 2 or verts.shape[1] not in (2, 3):
-            raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
         if not np.isfinite(verts).all():
             raise GeometryError("vertex coordinates must be finite")
         if any((edges[b, 0] == edges[b, 1]).any() for b in _blocks(len(edges))):
@@ -255,18 +265,11 @@ class LevelMesh:
         return _distances(self.vertices, *self.edges.T)
 
     @functools.cached_property
-    def _edge_range(self) -> tuple[float, float]:
-        """The shortest and longest edge length, (0.0, 0.0) with no edges,
-        taken block by block: no whole-edge array is made."""
-        if not self.num_edges:
-            return (0.0, 0.0)
-        ranges = [(b.min(), b.max()) for b in _distance_blocks(self.vertices, *self.edges.T)]
-        return (float(min(r[0] for r in ranges)), float(max(r[1] for r in ranges)))
-
-    @property
     def dedup_tolerance(self) -> float:
-        """``RELATIVE_TOLERANCE`` times the shortest edge, 0.0 with no edges."""
-        return RELATIVE_TOLERANCE * self._edge_range[0]
+        """``RELATIVE_TOLERANCE`` times the shortest edge, 0.0 with no edges,
+        measured once and block by block: no whole-edge array is made."""
+        blocks = _distance_blocks(self.vertices, *self.edges.T)
+        return RELATIVE_TOLERANCE * float(min((b.min() for b in blocks), default=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,35 +580,45 @@ def _glue(mesh: LevelMesh) -> LevelMesh:
                 out[i, b] = placed(i, rows[b])
     glued = object.__new__(LevelMesh)  # no checks: see the induction above
     vars(glued).update(family=seed.family, level=mesh.level + 1, vertices=_frozen(verts, float),
-                       edges=_frozen(edges.reshape(-1, 2), np.int32),
-                       cells=_frozen(cells.reshape(-1, 3), np.int32),
+                       edges=_frozen(edges, np.int32).reshape(-1, 2),
+                       cells=_frozen(cells, np.int32).reshape(-1, 3),
                        boundary_indices=seed.boundary_indices)
     return glued
 
 
+def _built(mesh: LevelMesh) -> LevelMesh | None:
+    """``build_level(mesh.family, mesh.level)`` when ``mesh`` is laid out as
+    that level, else ``None``: the one rule for "is this mesh a built level?".
+
+    The seed, and a level in the level store (glued by ``_glue``), pass as
+    they are.  Any other mesh needs a built-in family, a level
+    ``build_level`` admits and the predicted vertex count, checked before
+    anything is built, and then the built level's edges, cells and boundary
+    indices.  Coordinates are not part of the layout."""
+    family, level = mesh.family, mesh.level
+    if family not in FAMILIES:
+        return None
+    if mesh is builtin_system(family).seed or _LEVELS.get((family, level)) is mesh:
+        return mesh
+    if level > _largest_level(family) or mesh.num_vertices != predicted_vertices(family, level):
+        return None
+    built = build_level(family, level)
+    layout = operator.attrgetter("edges", "cells", "boundary_indices")
+    return built if all(map(np.array_equal, layout(mesh), layout(built))) else None
+
+
 def _copy_table(mesh: LevelMesh) -> np.ndarray:
     """(copy, seed vertex) -> vertex of ``mesh``, for a mesh laid out as
-    ``build_level(mesh.family, mesh.level)``: the mesh's own cells, or its
-    edges for a family whose seed has no cells.
+    ``build_level(mesh.family, mesh.level)`` (``_built``): the mesh's own
+    cells, or its edges for a family whose seed has no cells; any other mesh
+    raises ``GeometryError``.
 
     ``_glue`` stacks the copies of the coarser edge and cell lists
     map-major, so the cells (edges) of level n are the ``m**n`` images of the
     seed's cells (edges), one block per word of maps in lexicographic order,
     and each image is a row of the table (``_structure`` refuses any other
-    seed).  This is the one check of that layout.  A level in the level
-    store was glued so (``_glue``) and the seed is its one row: either
-    passes as it is.  Any other mesh needs a built-in family, a level
-    ``build_level`` admits and the predicted vertex count, checked before
-    anything is built, and then the edges, cells and boundary indices of
-    the built level, or raises ``GeometryError``.  Coordinates are not part
-    of the layout."""
-    family, level = mesh.family, mesh.level
-    layout = operator.attrgetter("edges", "cells", "boundary_indices")
-    if family not in FAMILIES or not (
-            mesh is builtin_system(family).seed or _LEVELS.get((family, level)) is mesh
-            or level <= _largest_level(family)
-            and mesh.num_vertices == predicted_vertices(family, level)
-            and all(map(np.array_equal, layout(mesh), layout(build_level(family, level))))):
+    seed)."""
+    if _built(mesh) is None:
         raise GeometryError("a copy table needs the vertex count, boundary, edges or cells "
                             "of a level as build_level builds it")
     return mesh.cells if mesh.num_cells else mesh.edges

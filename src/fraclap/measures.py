@@ -14,8 +14,9 @@ and each formulation by its element matrices (``_elements``) and its load
 (``_load``).  ``solver.solve_condensed`` takes them as they are; the CSR
 builders below assemble the same elements (fd: ``graph_laplacian``).  fd,
 graph_energy and the self-similar measure take one element everywhere; the
-weak forms and the Euclidean measures take one element per level on a level
-of a built-in family, and elements from coordinates on any other mesh.
+weak forms and the Euclidean measures take one element per level on a
+built level, coordinates included, decided by the structure with no edge
+measured (``_level``), and elements from coordinates on any other mesh.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import FAMILIES, LevelMesh, _abs_max, _frozen, _structure
+from .geometry import LevelMesh, _abs_max, _built, _frozen, _structure
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -121,17 +122,12 @@ _LOAD_MEASURE = {
 }
 
 
-# A mesh whose lengths are the similarity's prediction within this relative
-# distance takes the level's one element.  Built levels drift from it by at
-# most about 3e-12 (Koch 9); a moved vertex or another mesh is farther off.
-_LEVEL_FIT = 1e-9
-
-
 def _level(mesh: LevelMesh):
-    """``(seed, c)`` when ``mesh`` is a level of its built-in family: every
-    edge has the length ``1/c = L0 r**n`` within ``_LEVEL_FIT``, with ``L0``
-    the longest seed edge's length and ``1/r`` the ``grow`` of
-    ``geometry._structure``; ``None`` for any other mesh.
+    """``(seed, c)`` when ``mesh`` is its family's built level with its
+    coordinates (``geometry._built``), ``None`` for any other mesh.  ``1/c =
+    L0 r**n`` is the length of every edge of the level, with ``L0`` the
+    longest seed edge's length and ``1/r`` the ``grow`` of
+    ``geometry._structure``; no edge of ``mesh`` is measured.
 
     The level's fem-edge element is ``c`` times the unit element.  Every
     seed edge has the length ``L0`` and every side of a seed cell is a seed
@@ -139,20 +135,12 @@ def _level(mesh: LevelMesh):
     so every cell of a level is the seed cell scaled by ``r**n``: its linear
     stiffness, which depends only on the angles, is the seed cell's, and its
     area is the seed cell's over ``(c L0)**2``.
-
-    Only the shortest and the longest edge are read: ``fl(fl(x c) - 1)``
-    never decreases as ``x`` grows, so they decide as every edge would.  A
-    mesh with no edges fits.
     """
-    if mesh.family not in FAMILIES:
+    built = _built(mesh)
+    if built is None or built is not mesh and not np.array_equal(built.vertices, mesh.vertices):
         return None
     seed, _, grow = _structure(mesh.family)
-    try:
-        c = grow ** mesh.level / seed._edge_range[1]
-    except OverflowError:
-        return None
-    fits = not mesh.num_edges or max(abs(x * c - 1.0) for x in mesh._edge_range) <= _LEVEL_FIT
-    return (seed, c) if fits else None
+    return seed, grow ** mesh.level / float(seed.edge_lengths().max())
 
 
 def _masses(mesh: LevelMesh, kind):
@@ -162,9 +150,8 @@ def _masses(mesh: LevelMesh, kind):
     self_similar: the diagonal element ``I / (k p)`` on each of the k
     p-vertex copies (cells when present, edges otherwise); edge_length:
     ``L [[2, 1], [1, 2]] / 6``; triangle_area: ``S (1 + I) / 12``, the
-    integrals of ``phi_i phi_j``.  On a level of its family (``_level``)
-    L and S are one number, and every stack of one element is a stride-0
-    view.
+    integrals of ``phi_i phi_j``.  On a built level (``_level``) L and S
+    are one number, and every stack of one element is a stride-0 view.
     """
     try:
         kind = MeasureKind(kind)
@@ -182,13 +169,12 @@ def _masses(mesh: LevelMesh, kind):
     else:
         if not mesh.num_cells:
             raise AssemblyError("triangle_area measure requires a mesh with cells")
-        rows, unit = mesh.cells, (1.0 + np.eye(3)) / 12.0
-        level = _level(mesh) if mesh.dimension == 2 else None
-        if level is None or not level[0].num_cells:
+        rows, unit, level = mesh.cells, (1.0 + np.eye(3)) / 12.0, _level(mesh)
+        if level is None:
             size = _cell_areas(mesh.vertices[mesh.cells])
         else:
             seed, c = level
-            size = _cell_areas(seed.vertices[seed.cells])[0] / (c * seed._edge_range[1]) ** 2
+            size = _cell_areas(seed.vertices[seed.cells])[0] / (c * seed.edge_lengths().max()) ** 2
     return rows, np.broadcast_to(np.multiply.outer(size, unit), (*rows.shape, rows.shape[1]))
 
 
@@ -198,17 +184,13 @@ def _elements(mesh: LevelMesh, formulation: str):
 
     fd and graph_energy take the unit edge element on every edge.  fem_edge
     takes ``_EDGE_ELEMENT / L`` and fem_area ``_triangle_matrices``: one
-    element per level on a level of a built-in family (``_level``), and
-    elements from coordinates on any other mesh.  Either way a stack of one
-    element is a stride-0 view, which the condensation serves with one block
-    per depth.
+    element per level on a built level (``_level``), and elements from
+    coordinates on any other mesh.  Either way a stack of one element is a
+    stride-0 view, which the condensation serves with one block per depth.
     """
     if formulation == "fem_area":
-        level = _level(mesh) if mesh.num_cells and mesh.dimension == 2 else None
-        if level is None or not level[0].num_cells:
-            local = _triangle_matrices(mesh)
-        else:
-            local = _triangle_matrices(level[0])[0]
+        level = _level(mesh)
+        local = _triangle_matrices(mesh) if level is None else _triangle_matrices(level[0])[0]
         return mesh.cells, np.broadcast_to(local, (mesh.num_cells, 3, 3))
     if formulation not in ("fd", "graph_energy", "fem_edge"):
         raise UsageError(f"unknown formulation {formulation!r}")

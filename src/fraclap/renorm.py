@@ -62,9 +62,7 @@ def _model_solution(mesh: LevelMesh, formulation: str) -> np.ndarray:
     elements, local = _elements(mesh, formulation)
     load = _load(mesh, formulation, np.ones(mesh.num_vertices))
     zero = {int(i): 0.0 for i in mesh.boundary_indices}
-    values = solve_condensed(mesh, elements, local, load, zero).values
-    values.setflags(write=False)
-    return values
+    return solve_condensed(mesh, elements, local, load, zero).values
 
 
 def _ratio_statistics(z_coarse, z_fine, embedding, interior_idx):

@@ -188,7 +188,7 @@ class _Condensation:
     """The interior block of ``sum_k local[k]`` over the edges or cells of a
     built level, eliminated copy by copy.
 
-    The mesh must pass the layout check of ``_copy_table``: be
+    The mesh must pass the layout rule of ``_copy_table`` (``_built``): be
     ``build_level(mesh.family, mesh.level)`` or have its vertex count,
     edges, cells and boundary indices (coordinates are not compared).  The
     elements must be the mesh's edges (p = 2) or cells (p = 3); anything

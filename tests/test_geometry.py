@@ -546,15 +546,19 @@ def test_a_system_scaled_by_a_power_of_two_gives_the_built_levels_exactly(family
 
 
 def test_meshes_are_immutable():
-    # every array of a glued level is read-only, the empty cells of a family
-    # without cells and the boundary it shares with the seed too
+    # every array of a glued level and of the seed is read-only, the empty
+    # cells of a family without cells and the boundary a level shares with
+    # the seed too, and none can be made writable again: each is a view of
+    # a read-only owner, on which numpy refuses the write flag
     for family in FAMILIES:
-        m = build_level(family, 2)
-        for name in ("vertices", "edges", "cells", "boundary_indices"):
-            arr = getattr(m, name)
-            assert not arr.flags.writeable, (family, name)
-            with pytest.raises(ValueError):
-                arr[...] = 0
+        for m in (build_level(family, 2), builtin_system(family).seed):
+            for name in ("vertices", "edges", "cells", "boundary_indices"):
+                arr = getattr(m, name)
+                assert not arr.flags.writeable, (family, m.level, name)
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
 
 def test_mesh_rejects_duplicate_edge():
@@ -650,6 +654,11 @@ _PATH_MESH = dict(family="path", level=0,
     ("boundary_indices", [0, 2**32 + 3], "boundary index out of range"),
     ("cells", [[0, 1, 4]], "cell index out of range"),
     ("cells", [[0, 1, 1]], "degenerate cell"),
+    ("vertices", [[0.0, 0.0], [1.0], [2.0, 0.0], [3.0, 0.0]], "vertices must be an"),
+    ("vertices", 5.0, "vertices must be an"),
+    ("edges", [[0, 1], [1], [2, 3]], "edges must be integer rows"),
+    ("cells", [[0, 1, 2], [1, 2]], "cells must be integer rows"),
+    ("boundary_indices", [[0], [3, 1]], "boundary indices must be 1-D integers"),
 ], ids=["edges-of-three", "flat-edges", "fractional-edge", "cells-of-two",
         "boundary-rows", "fractional-boundary",
         "fractional-level", "text-level", "no-level", "bool-level", "negative-level", "no-family",
@@ -657,7 +666,9 @@ _PATH_MESH = dict(family="path", level=0,
         "text-vertices", "bool-vertices", "complex-vertices", "object-vertices",
         "edge-past-the-vertices",
         "negative-edge", "edge-past-int32", "self-loop", "boundary-past-the-vertices",
-        "boundary-past-int32", "cell-past-the-vertices", "degenerate-cell"])
+        "boundary-past-int32", "cell-past-the-vertices", "degenerate-cell",
+        "ragged-vertices", "scalar-vertices", "ragged-edges", "ragged-cells",
+        "ragged-boundary"])
 def test_mesh_refuses_malformed_arrays(key, value, message):
     # not reshaped, truncated or wrapped: edges [[0, 1, 2], [1, 2, 3]] are not
     # [[0, 1], [2, 1], [2, 3]], boundary [0.7, 3.2] is not [0, 3], and the
@@ -910,19 +921,19 @@ def test_cold_build_holds_the_level_alone(family, level, peak, traced, refines):
 
 
 @pytest.mark.parametrize("family, level", [("koch", 9), ("sierpinski", 10)])
-def test_edge_range_working_set(family, level, traced):
-    # traced peak of the shortest and longest edge above the start: one block
-    # of geometry._SCAN_ROWS edges, about 43 B per row (numpy 2.4: 171 and
-    # 167 KiB), where the whole-edge gathers took 6.07 and 4.12 MiB
+def test_dedup_tolerance_working_set(family, level, traced):
+    # traced peak of the shortest edge above the start: one block of
+    # geometry._SCAN_ROWS edges, about 41 B per row (numpy 2.4: 165 KiB
+    # each), where the whole-edge gathers took 6.07 and 4.12 MiB
     mesh = build_level(family, level)
-    mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
+    mesh.__dict__.pop("dedup_tolerance", None)  # as if nothing had measured it yet
     with traced:
-        shortest, longest = mesh._edge_range
+        tolerance = mesh.dedup_tolerance
     assert traced.peak - traced.start <= 48 * geometry._SCAN_ROWS, (
         (traced.peak - traced.start) / 2**10)
     lengths = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]],
                              axis=1)
-    assert (shortest, longest) == (lengths.min(), lengths.max())
+    assert tolerance == RELATIVE_TOLERANCE * lengths.min()
 
 
 # -- size guard ----------------------------------------------------------------

@@ -11,10 +11,16 @@ import numpy as np
 import pytest
 
 from fraclap.errors import AssemblyError, UsageError
-from fraclap.geometry import FAMILIES, LevelMesh, _structure, build_level
+from fraclap.geometry import (
+    FAMILIES,
+    LevelMesh,
+    _structure,
+    build_level,
+    builtin_system,
+    iterate,
+)
 from fraclap.graphs import _EDGE_ELEMENT, graph_laplacian
 from fraclap.measures import (
-    _LEVEL_FIT,
     MeasureKind,
     _cell_areas,
     _elements,
@@ -27,6 +33,7 @@ from fraclap.measures import (
     load_vector,
     vertex_weights,
 )
+from fraclap.meshfile import read_mesh, write_mesh
 
 SQRT3 = np.sqrt(3.0)
 
@@ -243,10 +250,10 @@ def test_area_load_working_set(traced):
     # traced peak above what the call starts from, with the level built and
     # lazy imports warm: 6.08 MiB with per-cell areas and three np.add.at
     # passes, 4.12 MiB with one mass element per level while the edge range
-    # that _level reads gathered every edge, 0.96 MiB with that range taken
-    # in blocks (numpy 2.4)
+    # that _level read gathered every edge, 0.96 MiB with that range taken
+    # in blocks (numpy 2.4); _level measures no edge
     mesh = build_level("sierpinski", 10)
-    mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
+    mesh.__dict__.pop("dedup_tolerance", None)  # as if nothing had measured it yet
     g = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
     small = build_level("sierpinski", 2)
     _load(small, "fem_area", np.ones(small.num_vertices))
@@ -268,14 +275,13 @@ def test_edge_elements_working_set(traced):
 
 
 def test_edge_load_working_set(traced):
-    # traced peak above what the call starts from, with the level built, its
-    # edge range cached and lazy imports warm: 10.0 MiB with whole-mesh
-    # (edges, 2) gathers and products and an intp copy of the edges for
-    # np.bincount, 4.0 MiB with the element sums applied in blocks of
-    # geometry._SCAN_ROWS edges, 2.19 MiB with the fem-edge halving done in
-    # place (numpy 2.4); the bound leaves about 0.8 MiB of margin
+    # traced peak above what the call starts from, with the level built and
+    # lazy imports warm: 10.0 MiB with whole-mesh (edges, 2) gathers and
+    # products and an intp copy of the edges for np.bincount, 4.0 MiB with
+    # the element sums applied in blocks of geometry._SCAN_ROWS edges, 2.19
+    # MiB with the fem-edge halving done in place (numpy 2.4); the bound
+    # leaves about 0.8 MiB of margin
     mesh = build_level("koch", 9)
-    assert mesh.dedup_tolerance > 0  # caches the edge range that _level reads
     g = 1.0 + mesh.vertices[:, 0]
     small = build_level("koch", 2)
     _load(small, "fem_edge", np.ones(small.num_vertices))
@@ -490,6 +496,35 @@ def test_level_elements_are_exact_scalings_of_the_seed():
     np.testing.assert_array_equal(area[0], _triangle_matrices(build_level("sierpinski", 0))[0])
 
 
+def _equal_copy(mesh, how, tmp_path):
+    """A mesh equal to ``mesh`` field by field, made another way."""
+    if how == "fields":
+        return LevelMesh(mesh.family, mesh.level, mesh.vertices, mesh.edges, mesh.cells,
+                         mesh.boundary_indices)
+    if how == "read_mesh":
+        write_mesh(mesh, tmp_path / "mesh.json")
+        return read_mesh(tmp_path / "mesh.json")
+    return iterate(builtin_system(mesh.family), mesh.level)
+
+
+@pytest.mark.parametrize("how", ["fields", "read_mesh", "iterate"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_equal_copies_take_the_level_element(tmp_path, family, how):
+    # a copy whose coordinates are the built level's bits is that level
+    # (``geometry._built``): it takes the one element and the one mass
+    # element, with the built level's bits
+    mesh = build_level(family, 4)
+    other = _equal_copy(mesh, how, tmp_path)
+    assert other is not mesh
+    formulations = ["fem_edge", "fem_area"] if mesh.num_cells else ["fem_edge"]
+    for formulation in formulations:
+        (_, local), (_, want) = _elements(other, formulation), _elements(mesh, formulation)
+        assert local.strides[0] == 0 and local.tobytes() == want.tobytes(), formulation
+        kind = _KIND[formulation]
+        (_, mass), (_, want) = _masses(other, kind), _masses(mesh, kind)
+        assert mass.strides[0] == 0 and mass.tobytes() == want.tobytes(), kind
+
+
 def _relabeled(mesh, **change):
     fields = dict(family=mesh.family, level=mesh.level, vertices=mesh.vertices,
                   edges=mesh.edges, cells=mesh.cells,
@@ -502,15 +537,20 @@ _RELABELS = {"family": {"family": "caller"}, "level": {"level": 3},
 
 
 @pytest.mark.parametrize("formulation", ["fem_edge", "fem_area"])
-@pytest.mark.parametrize("change", ["moved", *_RELABELS])
+@pytest.mark.parametrize("change", ["moved", "one_ulp", "translated", *_RELABELS])
 def test_other_meshes_keep_coordinate_elements(formulation, change):
+    # a level whose coordinates are not the built level's bits is another
+    # mesh, however close: one vertex moved by 1e-6 or by one ulp, or every
+    # vertex translated by (1, 1)
     mesh = build_level("sierpinski", 4)
-    if change == "moved":  # one interior vertex moved by 1e-6
-        vertices = mesh.vertices.copy()
-        vertices[mesh.interior_indices[7]] += [1e-6, 0.0]
-        other = _relabeled(mesh, vertices=vertices)
-    else:
-        other = _relabeled(mesh, **_RELABELS[change])
+    vertices, k = mesh.vertices.copy(), mesh.interior_indices[7]
+    if change == "moved":
+        vertices[k] += [1e-6, 0.0]
+    elif change == "one_ulp":
+        vertices[k, 0] = np.nextafter(vertices[k, 0], np.inf)
+    elif change == "translated":
+        vertices += 1.0
+    other = _relabeled(mesh, vertices=vertices, **_RELABELS.get(change, {}))
     _, local = _elements(other, formulation)
     assert local.strides[0] != 0
     np.testing.assert_array_equal(local, _coordinate_elements(other, formulation))
@@ -552,16 +592,17 @@ def test_assembly_checks_hold_under_a_built_in_family_name(case, match):
         build(mesh)
 
 
-# -- what the level fit relies on ---------------------------------------------------
+# -- what the level element relies on -------------------------------------------------
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_seed_facts_the_level_fit_relies_on(family):
-    # ``measures._level`` checks edge lengths only; the cells of a level
-    # follow from them only while every seed edge has the longest one's
-    # length and every side of a seed cell is a seed edge
+def test_seed_facts_the_level_element_relies_on(family):
+    # ``measures._level`` scales the seed's longest edge and takes the seed
+    # cell's element; every edge and cell of a level is that only while
+    # every seed edge has the longest one's length and every side of a seed
+    # cell is a seed edge
     seed = _structure(family)[0]
     length = seed.edge_lengths()
-    np.testing.assert_allclose(length, length[0], rtol=1e-15)  # far inside _LEVEL_FIT
+    np.testing.assert_allclose(length, length[0], rtol=1e-15)
     if family == "sierpinski":
         assert seed.num_cells == 1
         sides = {frozenset(seed.cells[0, [i, (i + 1) % 3]].tolist()) for i in range(3)}
@@ -570,47 +611,24 @@ def test_seed_facts_the_level_fit_relies_on(family):
         assert seed.num_cells == 0
 
 
-@pytest.mark.parametrize("family, level", [
-    ("koch", 4), ("sierpinski", 4), ("hata2d", 3), ("hata3d", 3),
-])
-def test_level_fit_decides_as_every_edge_does(family, level):
-    # the first edge of a built level replaced by one f times as long, to a
-    # new vertex along it, with f straddling 1 - _LEVEL_FIT and 1 + _LEVEL_FIT:
-    # the fit reads the shortest and the longest edge only, and must decide
-    # as the test over every edge does
-    mesh = build_level(family, level)
-    c = _level(mesh)[1]
-    i, j = mesh.edges[0]
-    edges = np.vstack([[i, mesh.num_vertices], mesh.edges[1:]])
-    steps = _LEVEL_FIT * (1.0 + np.linspace(-1e-3, 1e-3, 9))
-    decisions = []
-    for f in np.concatenate([1.0 - steps, 1.0 + steps]):
-        p = mesh.vertices[i] + f * (mesh.vertices[j] - mesh.vertices[i])
-        other = LevelMesh(family, level, np.vstack([mesh.vertices, p]), edges, [],
-                          mesh.boundary_indices)
-        expected = bool(np.abs(other.edge_lengths() * c - 1).max() <= _LEVEL_FIT)
-        assert (_level(other) is not None) == expected, f
-        decisions.append(expected)
-    # each side of the window is crossed
-    assert set(decisions[:9]) == set(decisions[9:]) == {True, False}
-
-
 def _coordinate_masses(mesh):
     """The triangle-area mass elements S (1 + I) / 12 from coordinate areas."""
     return _cell_areas(mesh.vertices[mesh.cells])[:, None, None] * ((1.0 + np.eye(3)) / 12.0)
 
 
-def test_level_fit_needs_a_seed_cell():
+def test_a_koch_named_rhombus_takes_coordinate_elements():
     # a Koch-named level 1 whose edges all have Koch's length 1/3, carrying
-    # two equilateral cells (a rhombus): the edges fit, but Koch's seed has
-    # no cell to take the element and the mass from
+    # two equilateral cells (a rhombus): it is not laid out as Koch's level
+    # 1, so its elements and masses come from its coordinates
     h = SQRT3 / 6.0
     mesh = LevelMesh(family="koch", level=1,
                      vertices=np.array([[0.0, 0.0], [1 / 3, 0.0], [1 / 6, h], [1 / 2, h]]),
                      edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 2]]),
                      cells=np.array([[0, 1, 2], [1, 3, 2]]),
                      boundary_indices=np.array([0, 3]))
-    assert _elements(mesh, "fem_edge")[1].strides[0] == 0
+    assert _level(mesh) is None
+    np.testing.assert_array_equal(_elements(mesh, "fem_edge")[1],
+                                  _coordinate_elements(mesh, "fem_edge"))
     np.testing.assert_array_equal(_elements(mesh, "fem_area")[1], _triangle_matrices(mesh))
     np.testing.assert_array_equal(_masses(mesh, MeasureKind.TRIANGLE_AREA)[1],
                                   _coordinate_masses(mesh))

@@ -16,6 +16,7 @@ from fraclap.measures import (
     fem_area_stiffness,
     fem_edge_stiffness,
     load_vector,
+    vertex_weights,
 )
 from fraclap.meshfile import write_table
 from fraclap.renorm import (
@@ -192,6 +193,25 @@ def test_estimate_statistics_ordering():
     assert est.max >= est.mean >= est.min
 
 
+def test_results_cannot_be_made_writable():
+    # each is a view of a read-only owner, on which numpy refuses the write
+    # flag: a write through it would change a result that another caller holds
+    mesh = build_level("sierpinski", 3)
+    h = _zero_bc(mesh)
+    results = [
+        solve_online("sierpinski", 3, "rfd", 5.0, np.ones(mesh.num_vertices), h).values,
+        _model_solution(mesh, "fd"),
+        estimate_laplacian_ratio("sierpinski", 2).ratios,
+        embed(build_level("sierpinski", 2), mesh).index_map,
+        geometry._table_embedding(build_level("sierpinski", 2), mesh).index_map,
+        vertex_weights(mesh, MeasureKind.SELF_SIMILAR).weights,
+    ]
+    for k, values in enumerate(results):
+        assert not values.flags.writeable, k
+        with pytest.raises(ValueError):
+            values.setflags(write=True)
+
+
 def test_estimate_requires_level_one():
     with pytest.raises(UsageError):
         estimate_laplacian_ratio("sierpinski", 0)
@@ -215,11 +235,25 @@ def test_estimates_let_go_of_the_coarse_level_before_the_fine_solve(monkeypatch,
     assert sorted(levels) == [2, 3, 4, 5] and alive == [False] * 4
 
 
-@pytest.mark.parametrize("family", geometry.FAMILIES)
-def test_fd_estimates_measure_no_edge(monkeypatch, refines, family):
-    # the map is read off the copy tables and the fd elements and load take
-    # no length, so no level's edges are measured (``_edge_range`` stays
-    # uncached); every level here is built by this test alone (``refines``)
+_ADMITTED = [(family, formulation) for family in geometry.FAMILIES
+             for formulation in ("fd", "graph_energy", "fem_edge", "fem_area")
+             if formulation != "fem_area" or family == "sierpinski"]
+
+
+def _counting_distances(monkeypatch):
+    """The point arrays that ``geometry._distance_blocks`` measures from
+    now on: every edge length is measured by it, whole arrays too."""
+    distances, measured = geometry._distance_blocks, []
+
+    def counting(p, i, j):
+        measured.append(p)
+        return distances(p, i, j)
+
+    monkeypatch.setattr(geometry, "_distance_blocks", counting)
+    return measured
+
+
+def _assert_estimates_measure_no_edge(monkeypatch, family, formulation):
     solve, solved = renorm._model_solution, []
 
     def kept(mesh, formulation):
@@ -227,9 +261,25 @@ def test_fd_estimates_measure_no_edge(monkeypatch, refines, family):
         return solve(mesh, formulation)
 
     monkeypatch.setattr(renorm, "_model_solution", kept)
-    assert len(list(renorm._estimates(family, 1, 4, "fd"))) == 3
+    measured = _counting_distances(monkeypatch)
+    assert len(list(renorm._estimates(family, 1, 4, formulation))) == 3
     assert [mesh.level for mesh in solved] == [1, 2, 3, 4]
-    assert not any("_edge_range" in vars(mesh) for mesh in solved)
+    assert not any(p is mesh.vertices for p in measured for mesh in solved)
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_fd_estimates_measure_no_edge(monkeypatch, refines, family):
+    # the map is read off the copy tables and the fd elements and load take
+    # no length, so no level's edges are measured; every level here is
+    # built by this test alone (``refines``)
+    _assert_estimates_measure_no_edge(monkeypatch, family, "fd")
+
+
+@pytest.mark.parametrize("family, formulation", [case for case in _ADMITTED if case[1] != "fd"])
+def test_weak_form_estimates_measure_no_edge(monkeypatch, refines, family, formulation):
+    # the elements and loads of a built level come from its structure
+    # (``measures._level``), so no level's edges are measured either
+    _assert_estimates_measure_no_edge(monkeypatch, family, formulation)
 
 
 def test_estimate_rejects_unknown_formulation():
@@ -365,23 +415,17 @@ def test_renormalize_takes_its_level_by_the_one_level_rule(n, message):
 # -- solve_online ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("family, method", [
-    ("koch", "rfem1d"), ("sierpinski", "rfem1d"), ("sierpinski", "rfem2d"),
+    (family, method) for family, formulation in _ADMITTED
+    for method, f in renorm._METHOD_FORMULATION.items() if f == formulation
 ])
-def test_solve_online_measures_its_level_once(monkeypatch, family, method):
-    # the elements and the load both ask whether the mesh is a level of its
-    # family (``measures._level``); the edges are measured for the first
+def test_solve_online_measures_no_edge(monkeypatch, refines, family, method):
+    # the elements and the load of a built level come from its structure
+    # (``measures._level``): no edge of the level is measured; the level is
+    # built by this test alone (``refines``), so nothing was cached on it
     mesh = build_level(family, 4)
-    mesh.__dict__.pop("_edge_range", None)  # as if nothing had measured it yet
-    distances, measured = geometry._distance_blocks, []
-
-    def counting(p, i, j):
-        measured.append(p is mesh.vertices)
-        return distances(p, i, j)
-
-    # every edge length is measured by _distance_blocks, whole arrays too
-    monkeypatch.setattr(geometry, "_distance_blocks", counting)
+    measured = _counting_distances(monkeypatch)
     solve_online(family, 4, method, 5.0, np.ones(mesh.num_vertices), _zero_bc(mesh))
-    assert measured.count(True) == 1
+    assert not any(p is mesh.vertices for p in measured)
 
 
 @pytest.mark.parametrize("constant", [1e300, 1e-300, np.inf])

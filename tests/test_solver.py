@@ -548,6 +548,13 @@ def test_condensation_takes_any_mesh_equal_to_the_built_level(tmp_path, family):
         assert other is not mesh
         values = solve_condensed(other, *_elements(other, "fd"), load, h).values
         assert values.tobytes() == expected.tobytes()
+    # the read-back copy is the level, coordinates and all: it takes the
+    # level's weak-form elements too
+    back = others[1]
+    for formulation in ["fem_edge", "fem_area"][:1 + bool(mesh.num_cells)]:
+        expected = solve_condensed(mesh, *_elements(mesh, formulation), load, h).values
+        values = solve_condensed(back, *_elements(back, formulation), load, h).values
+        assert values.tobytes() == expected.tobytes(), formulation
 
 
 def test_condensation_rejects_a_mesh_of_another_level():
