@@ -51,7 +51,7 @@ def _frozen(arr, dtype):
 
 
 def _index_array(arr, shape, n, message, name):
-    """``arr`` as a frozen int32 array of ``shape``, whose leading -1 stands
+    """``arr`` as a frozen int32 copy of ``shape``, whose leading -1 stands
     for any count, with every entry in ``range(n)`` and below ``_INDEX_END``.
     Any empty array is no rows; anything else of another shape, or not of an
     integer dtype, raises ``GeometryError`` with ``message``, and an entry
@@ -67,7 +67,7 @@ def _index_array(arr, shape, n, message, name):
         raise GeometryError(message)
     elif arr.min() < 0 or arr.max() >= min(n, _INDEX_END):
         raise GeometryError(f"{name} index out of range")
-    return _frozen(arr, np.int32)
+    return _frozen(np.array(arr, np.int32, order="C"), np.int32)
 
 
 def _blocks(n: int):
@@ -179,7 +179,8 @@ class LevelMesh:
 
     Vertices are float64; edges, cells and boundary indices are int32, which
     address every level ``build_level`` admits (``MAX_VERTICES``): an index
-    of ``2**31`` or more is out of range."""
+    of ``2**31`` or more is out of range.  A mesh keeps frozen copies of the
+    arrays its caller hands it, so no caller array changes it later."""
 
     family: str
     level: int
@@ -197,7 +198,7 @@ class LevelMesh:
             raise GeometryError("vertex coordinates must be real numbers")
         if verts.ndim != 2 or verts.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (N, 2) or (N, 3) array")
-        verts = _frozen(verts, np.float64)
+        verts = _frozen(np.array(verts, np.float64, order="C"), np.float64)  # its own copy
         n = verts.shape[0]
         edges = _index_array(self.edges, (-1, 2), n, "edges must be integer rows of 2 entries",
                              "edge")
@@ -558,7 +559,7 @@ def _glue(mesh: LevelMesh) -> LevelMesh:
     seed, glue, _ = _structure(mesh.family)
     maps, (m, nb) = builtin_system(mesh.family).maps, glue.shape
     inner = mesh.num_vertices - nb
-    first = np.unique(glue, return_index=True)[1] // nb  # each level-1 vertex's first copy
+    first = _first_places(glue)[0]  # each level-1 vertex's first copy
     heads = glue + np.where(glue < nb, 0, first[glue] * inner)
     offsets = [int(np.count_nonzero(first[nb:] <= i)) + i * inner for i in range(m)]
 
@@ -594,7 +595,8 @@ def _built(mesh: LevelMesh) -> LevelMesh | None:
     they are.  Any other mesh needs a built-in family, a level
     ``build_level`` admits and the predicted vertex count, checked before
     anything is built, and then the built level's edges, cells and boundary
-    indices.  Coordinates are not part of the layout."""
+    indices (coordinates are not part of the layout).  A level no one holds
+    is glued from the seed for the comparison alone, and is not kept."""
     family, level = mesh.family, mesh.level
     if family not in FAMILIES:
         return None
@@ -602,16 +604,23 @@ def _built(mesh: LevelMesh) -> LevelMesh | None:
         return mesh
     if level > _largest_level(family) or mesh.num_vertices != predicted_vertices(family, level):
         return None
-    built = build_level(family, level)
+    built = _LEVELS.get((family, level), builtin_system(family).seed)
+    while built.level < level:
+        built = _glue(built)
     layout = operator.attrgetter("edges", "cells", "boundary_indices")
     return built if all(map(np.array_equal, layout(mesh), layout(built))) else None
 
 
+def _element_rows(mesh: LevelMesh, p: int = 0) -> np.ndarray:
+    """``mesh``'s rows of ``p``-vertex elements (edges for 2, else cells), or
+    with no ``p`` the rows that are its copies: cells, or edges when it has none."""
+    return mesh.edges if p == 2 or not (p or mesh.num_cells) else mesh.cells
+
+
 def _copy_table(mesh: LevelMesh) -> np.ndarray:
     """(copy, seed vertex) -> vertex of ``mesh``, for a mesh laid out as
-    ``build_level(mesh.family, mesh.level)`` (``_built``): the mesh's own
-    cells, or its edges for a family whose seed has no cells; any other mesh
-    raises ``GeometryError``.
+    ``build_level(mesh.family, mesh.level)`` (``_built``): the rows that are
+    its copies (``_element_rows``); any other mesh raises ``GeometryError``.
 
     ``_glue`` stacks the copies of the coarser edge and cell lists
     map-major, so the cells (edges) of level n are the ``m**n`` images of the
@@ -621,7 +630,7 @@ def _copy_table(mesh: LevelMesh) -> np.ndarray:
     if _built(mesh) is None:
         raise GeometryError("a copy table needs the vertex count, boundary, edges or cells "
                             "of a level as build_level builds it")
-    return mesh.cells if mesh.num_cells else mesh.edges
+    return _element_rows(mesh)
 
 
 def _level_index(level) -> int:
@@ -662,42 +671,47 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     (``_copy_table``) and raises ``GeometryError``."""
     ifs = builtin_system(family)
     seed = ifs.seed
-    pos = seed.cells if seed.num_cells else seed.edges
+    pos = _element_rows(seed)
     if pos.tolist() != [seed.boundary_indices.tolist()] or pos.size != seed.num_vertices:
         raise GeometryError("a copy table needs a seed of one cell or edge "
                             "listing its vertices in order")
-    level1 = _refine(ifs, seed)
-    glue = level1.cells if level1.num_cells else level1.edges
-    return seed, glue, float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
+    grow = float(1.0 / np.linalg.norm(ifs.maps[0].linear, 2))
+    return seed, _element_rows(_refine(ifs, seed)), grow
 
 
-def _corners(glue: np.ndarray) -> list[tuple[int, int]]:
-    """Where each seed vertex ``s`` of a copy sits among its children, in
-    seed order: the first ``(child, child vertex)`` that the gluing table
-    (``_structure``) sends to ``s``; every such pair names the same vertex."""
-    nb = glue.shape[1]
-    return [divmod(int(np.flatnonzero(glue.ravel() == s)[0]), nb) for s in range(nb)]
+def _first_places(glue: np.ndarray):
+    """Two arrays: the first ``(child, child vertex)`` in ``glue`` of each level-1 vertex."""
+    return np.divmod(np.unique(glue, return_index=True)[1], glue.shape[1])
+
+
+def _corner_reader(table: np.ndarray, family: str, height: int):
+    """``read(s)``: the V0 of the copies ``s`` (a slice) ``height`` levels
+    above the leaves of a built level of ``family``, one strided read of its
+    copy table ``table`` per column.  Copies meet only at images of V0: a
+    copy's vertex ``s`` is vertex ``k`` of child ``i`` for ``s``'s first
+    place ``(i, k)`` (``_first_places``), and so on down to a leaf."""
+    glue = _structure(family)[1]
+    (m, nb), step = glue.shape, 1
+    child, vertex = (c[:nb] for c in _first_places(glue))
+    offsets, positions = np.zeros(nb, np.int64), np.arange(nb)
+    for _ in range(height):
+        offsets, positions, step = child * step + offsets[vertex], positions[vertex], step * m
+    return lambda s: np.column_stack([table[s.start * step + o:s.stop * step:step, k]
+                                      for o, k in zip(offsets.tolist(), positions.tolist())])
 
 
 def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
     """``embed(coarse, fine)`` for consecutive built levels of a family, read
-    off their copy tables (``_copy_table``) instead of searched for.
-
-    Copy ``w`` of the coarse level is copies ``w m + j`` of the fine one,
-    and child ``j``'s seed vertex ``k`` is seed vertex ``s`` wherever
-    ``glue[j, k] == s`` (``_structure``).  So for each ``s`` its corner
-    ``(j, k)`` (``_corners``) maps column ``s`` of the coarse table onto
-    rows ``j::m`` of column ``k`` of the fine one.  Both levels pass the
-    layout check of ``_copy_table``, so this is the structure's map
-    (``_glue``), no coordinate is read, and anything else raises
-    ``GeometryError``."""
+    off their copy tables (``_copy_table``), whose layout check both levels
+    pass: coarse copy ``w`` is fine copies ``w m + j``, so the map is the
+    corner reader one level above the fine leaves (``_corner_reader``).  No
+    coordinate is read; anything else raises ``GeometryError``."""
     if fine.family != coarse.family or fine.level != coarse.level + 1:
         raise GeometryError("a table embedding maps a level onto the next of its family")
-    tc, tf = _copy_table(coarse), _copy_table(fine)
-    glue = _structure(coarse.family)[1]
+    tc, read = _copy_table(coarse), _corner_reader(_copy_table(fine), fine.family, 1)
     index_map = np.full(coarse.num_vertices, -1, dtype=np.int32)
-    for s, (j, k) in enumerate(_corners(glue)):
-        index_map[tc[:, s]] = tf[j::len(glue), k]
+    for b in _blocks(len(tc)):
+        index_map[tc[b]] = read(b)
     return EmbeddingMap(coarse.level, fine.level, index_map)
 
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import LevelMesh, _abs_max, _built, _frozen, _structure
+from .geometry import LevelMesh, _abs_max, _built, _element_rows, _frozen, _structure
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -158,7 +158,7 @@ def _masses(mesh: LevelMesh, kind):
     except ValueError:
         raise UsageError(f"unknown measure kind {kind!r}") from None
     if kind is MeasureKind.SELF_SIMILAR:
-        rows = mesh.cells if mesh.num_cells else mesh.edges
+        rows = _element_rows(mesh)
         k, p = rows.shape
         if not k:
             raise AssemblyError("mesh has no edges")

@@ -16,9 +16,9 @@ built-in formulation do (``measures._elements``): each depth then holds one
 block, factored once.  The leaf block is applied unassembled by
 ``graphs._apply_elements``, which also sums the loads of ``measures``.  The
 condensation works on whole-length vectors that hold zero on the boundary,
-a block of copies at a time, so it needs a few vectors of the mesh's length
-beyond the problem; ``linear_solve`` and ``solve_dirichlet`` keep
-interior-length vectors.
+a block of copies at a time (``geometry._corner_reader``), so it needs a few
+vectors of the mesh's length beyond the problem; ``linear_solve`` and
+``solve_dirichlet`` keep interior-length vectors.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import LevelMesh, _abs_max, _blocks, _copy_table, _corners, _frozen, _structure
+from .geometry import (LevelMesh, _abs_max, _blocks, _copy_table, _corner_reader, _element_rows,
+                       _frozen, _structure)
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -46,6 +47,18 @@ if TYPE_CHECKING:
 # Normwise backward error every solve must meet; a backward-stable solve
 # reaches a few units of roundoff (about 1e-16).
 BACKWARD_ERROR_BOUND = 1e-13
+
+
+def _check_symmetric(gap: float, size: float) -> None:
+    """Refuse an operator ``A`` with ``max |A - A^T| > 1e-12 max(|A|, 1)``."""
+    if gap > 1e-12 * max(size, 1.0):
+        raise SolveError("operator is not symmetric")
+
+
+def _check_interior(size: int) -> None:
+    """Refuse a problem with no interior vertex (``size`` of them)."""
+    if not size:
+        raise SolveError("empty interior: every vertex is a boundary vertex")
 
 
 def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
@@ -76,10 +89,8 @@ def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
         raise UsageError("load must be finite")
     # a broadcast stack (stride 0 over its elements) is checked on its one matrix
     one = local[:1] if local.strides[0] == 0 else local
-    if _abs_max(one - one.transpose(0, 2, 1)) > 1e-12 * max(_abs_max(one), 1.0):
-        raise SolveError("operator is not symmetric")
-    if bidx.size == mesh.num_vertices:  # distinct indices, each in range
-        raise SolveError("empty interior: every vertex is a boundary vertex")
+    _check_symmetric(_abs_max(one - one.transpose(0, 2, 1)), _abs_max(one))
+    _check_interior(mesh.num_vertices - bidx.size)  # distinct indices, each in range
     return bidx, u0, elements, local, load
 
 
@@ -111,8 +122,7 @@ def partition(a: sp.csr_array, boundary):
     if boundary_idx.size and (boundary_idx.min() < 0 or boundary_idx.max() >= n):
         raise UsageError("boundary index out of range")
     interior_idx = np.setdiff1d(np.arange(n), boundary_idx)
-    if interior_idx.size == 0:
-        raise SolveError("empty interior: every vertex is a boundary vertex")
+    _check_interior(interior_idx.size)
     rows = a[interior_idx]
     return rows[:, interior_idx], rows[:, boundary_idx], interior_idx, boundary_idx
 
@@ -157,8 +167,7 @@ def linear_solve(a: sp.csr_array, b: np.ndarray) -> tuple[np.ndarray, float]:
     if a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise UsageError("system dimensions do not agree")
     magnitude = abs(a)
-    if abs(a - a.T).max() > 1e-12 * max(magnitude.max(), 1.0):
-        raise SolveError("operator is not symmetric")
+    _check_symmetric(abs(a - a.T).max(), magnitude.max())
     try:
         lu = spla.splu(a.tocsc())
     except RuntimeError as exc:
@@ -193,8 +202,7 @@ class _Condensation:
     edges, cells and boundary indices (coordinates are not compared).  The
     elements must be the mesh's edges (p = 2) or cells (p = 3); anything
     else raises ``GeometryError``.  A built level is m copies of the level
-    below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``:
-    the mesh's own cells or edges),
+    below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``),
     each listing its elements at the seed's edge or cell positions, and all
     of them carry one leaf block.  Going up one depth, the m children of a
     copy are scattered into the level-1 vertex set V1 and the vertices of V1
@@ -210,20 +218,15 @@ class _Condensation:
     def __init__(self, mesh: LevelMesh, elements, local):
         self.leaves = _copy_table(mesh)
         p = elements.shape[1]
-        rows = mesh.edges if p == 2 else mesh.cells
+        rows = _element_rows(mesh, p)
         if not (elements is rows or np.array_equal(elements, rows)):
             raise GeometryError("condensation needs the edges or cells of a level as "
                                 "build_level builds it; solve other meshes with solve_dirichlet")
         seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
-        pos = seed.edges if p == 2 else seed.cells
-        self.block = _leaf_block(pos, seed.num_vertices, local)
+        self.block = _leaf_block(_element_rows(seed, p), seed.num_vertices, local)
         self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
         m, nb = self.glue.shape
         self.nv1 = nv1 = int(self.glue.max()) + 1
-        # vertex j of V0 is child vertex k of child i, for the corner (i, k) of j
-        corners = _corners(self.glue)
-        # a leaf's V0 is its own vertices: vertex positions[j] of leaf offsets[j]
-        offsets, positions = [0] * nb, list(range(nb))
         schur, self.depths = self.block, []
         sums, diag = self.block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
         for d in range(mesh.level - 1, -1, -1):
@@ -245,24 +248,15 @@ class _Condensation:
             sums = s[:nb] - s[nb:] @ x_ib
             schur[diag, diag] = 0.0
             schur[diag, diag] = sums - schur.sum(axis=1)
-            step = m ** (mesh.level - 1 - d)  # leaves per child
-            self.depths.append((m**d, (step, offsets, positions), inv_ii, x_ib))
-            offsets, positions = ([i * step + offsets[k] for i, k in corners],
-                                  [positions[k] for _, k in corners])
+            read = _corner_reader(self.leaves, mesh.family, mesh.level - 1 - d)
+            self.depths.append((m**d, read, inv_ii, x_ib))
 
-    def _rows(self, s: slice, step: int, offsets, positions) -> np.ndarray:
-        """The V1 vertices of the copies ``s`` of a depth whose children have
-        ``step`` leaves each: every child's V0, read off the leaves (child c
-        has leaves ``c * step`` on, and its vertex j is vertex
-        ``positions[j]`` of its leaf ``offsets[j]``), scattered by the glue.
-        No depth keeps a table of its copies."""
-        m, nb = self.glue.shape
-        lo, hi = s.start * m * step, s.stop * m * step
-        child = np.empty(((s.stop - s.start) * m, nb), dtype=self.leaves.dtype)
-        for j in range(nb):
-            child[:, j] = self.leaves[lo + offsets[j]:hi:step, positions[j]]
+    def _rows(self, s: slice, read) -> np.ndarray:
+        """The V1 vertices of the copies ``s`` of a depth: their children's V0,
+        read by the depth's corner reader ``read``, scattered by the glue."""
+        child = read(slice(s.start * len(self.glue), s.stop * len(self.glue)))
         rows = np.empty((s.stop - s.start, self.nv1), dtype=child.dtype)
-        rows[:, self.glue.ravel()] = child.reshape(len(rows), m * nb)
+        rows[:, self.glue.ravel()] = child.reshape(len(rows), -1)
         return rows
 
     def product(self, u: np.ndarray) -> np.ndarray:
@@ -287,10 +281,10 @@ class _Condensation:
         u = np.zeros(b.size)
         # the leaves condense no interior: a read-only zero view goes up
         up = np.broadcast_to(0.0, self.leaves.shape)
-        for copies, table, _, x_ib in self.depths:
+        for copies, read, _, x_ib in self.depths:
             below, up = up, np.empty((copies, nb))
             for s in _blocks(copies):
-                rows = self._rows(s, *table)
+                rows = self._rows(s, read)
                 children = below[s.start * m:s.stop * m].reshape(len(rows), m, nb)
                 fv = np.zeros(rows.shape)
                 for i, g in enumerate(self.glue):
@@ -299,9 +293,9 @@ class _Condensation:
                 # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
                 np.subtract(fv[:, :nb], f_i @ x_ib, out=up[s])
                 u[rows[:, nb:]] = f_i
-        for copies, table, inv_ii, x_ib in self.depths[::-1]:
+        for copies, read, inv_ii, x_ib in self.depths[::-1]:
             for s in _blocks(copies):
-                rows = self._rows(s, *table)
+                rows = self._rows(s, read)
                 u_i = u[rows[:, nb:]] @ inv_ii.T
                 # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
                 u_i -= u[rows[:, :nb]] @ x_ib.T

@@ -436,6 +436,25 @@ def test_table_embedding_maps_a_level_onto_the_next_only():
         _table_embedding(coarse, dataclasses.replace(build_level("koch", 4), level=3))
 
 
+@pytest.mark.parametrize("how", ["owner", "slice"])
+def test_a_caller_mesh_keeps_its_own_arrays(how):
+    # the caller's owner array set writable again, or a larger array whose
+    # leading rows the mesh was handed, changes nothing in the mesh
+    big = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    v = big[:3] if how == "slice" else big[:3].copy()
+    edges, bidx = np.array([[0, 1], [1, 2]], np.int32), np.array([0, 2], np.int32)
+    mesh = LevelMesh("x", 0, v, edges, [], bidx)
+    for arr in (v, edges, bidx):
+        arr.setflags(write=True)
+    big[1, 0] = v[1, 0] = 7.0
+    edges[0] = [1, 0]
+    bidx[1] = 1
+    assert mesh.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    assert mesh.edges.tolist() == [[0, 1], [1, 2]] and mesh.boundary_indices.tolist() == [0, 2]
+    assert not any(a.flags.writeable for a in (mesh.vertices, mesh.edges, mesh.cells,
+                                               mesh.boundary_indices))
+
+
 def test_copy_table_passes_a_held_level_without_a_build(monkeypatch):
     mesh, seed = build_level("sierpinski", 3), build_level("sierpinski", 0)
     build_level("sierpinski", 2)  # the last level returned is not the mesh
@@ -444,9 +463,12 @@ def test_copy_table_passes_a_held_level_without_a_build(monkeypatch):
     assert geometry._copy_table(mesh) is mesh.cells
     assert geometry._copy_table(seed) is seed.cells
     assert geometry._LAST == last
-    # an equal mesh that the store does not hold is compared with a build
-    with pytest.raises(TypeError):
-        geometry._copy_table(dataclasses.replace(mesh))
+    # an equal mesh is compared with the held level: no build, no glue, and
+    # the kept level stays
+    monkeypatch.setattr(geometry, "_glue", None)
+    equal = dataclasses.replace(mesh)
+    assert geometry._copy_table(equal) is equal.cells
+    assert geometry._LAST == last
 
 
 @pytest.mark.parametrize("family", FAMILIES)

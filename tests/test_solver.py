@@ -832,8 +832,8 @@ def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level)
     mesh = build_level(family, level)
     elements, local = _elements(mesh, formulation)
     cond = _Condensation(mesh, elements, local)
-    for v1, (copies, table, *_) in zip(_v1_tables(cond), cond.depths):
-        assert np.array_equal(cond._rows(slice(0, copies), *table), v1)
+    for v1, (copies, read, *_) in zip(_v1_tables(cond), cond.depths):
+        assert np.array_equal(cond._rows(slice(0, copies), read), v1)
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.boundary_indices] = False
     bidx = mesh.boundary_indices
@@ -853,6 +853,28 @@ def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level)
     got = cond.apply(x)
     assert got[interior].tobytes() == _interior_apply(cond, interior, x[interior]).tobytes()
     assert got[bidx].tobytes() == bytes(got.itemsize * bidx.size)
+
+
+@pytest.mark.parametrize("family, level", [
+    (family, level) for family in FAMILIES for level in range(1, 7)
+])
+def test_corner_reader_reads_every_depth_and_the_table_embedding(family, level):
+    # the one corner reader, read in blocks of three rows that cross the
+    # seams, gives the V0 columns of the reference V1 tables at every height
+    # above the leaves, and at height 1 the map that embed searches for
+    mesh = build_level(family, level)
+    cond = _Condensation(mesh, *_elements(mesh, "fd"))
+    nb = cond.leaves.shape[1]
+    for height, v0 in enumerate([cond.leaves, *(v1[:, :nb] for v1 in _v1_tables(cond))]):
+        read = geometry._corner_reader(cond.leaves, family, height)
+        with mock.patch.object(geometry, "_SCAN_ROWS", 3):
+            got = np.concatenate([read(b) for b in geometry._blocks(len(v0))])
+        assert np.array_equal(got, v0), height
+    coarse = build_level(family, level - 1)
+    table = _copy_table(coarse)
+    index_map = np.full(coarse.num_vertices, -1)
+    index_map[table] = geometry._corner_reader(cond.leaves, family, 1)(slice(0, len(table)))
+    assert index_map.tolist() == embed(coarse, mesh).index_map.tolist()
 
 
 @pytest.mark.parametrize("level", [2, 3, 5])
