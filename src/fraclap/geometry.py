@@ -50,6 +50,21 @@ def _frozen(arr, dtype):
     return out.view()
 
 
+def _kept(arr, dtype):
+    """``arr`` for a result to hold: ``_frozen(arr)`` when the owner of its
+    memory is already read-only, so numpy refuses the write flag on every
+    view of it, and otherwise a frozen copy, so a caller that holds the
+    owner, or sets it writable again, cannot change the result.  A vector
+    that its maker freezes before handing it over is kept without a copy."""
+    arr = np.asarray(arr)
+    owner = arr
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if owner.flags.writeable:
+        arr = np.array(arr, dtype, order="C")
+    return _frozen(arr, dtype)
+
+
 def _index_array(arr, shape, n, message, name):
     """``arr`` as a frozen int32 copy of ``shape``, whose leading -1 stands
     for any count, with every entry in ``range(n)`` and below ``_INDEX_END``.

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import LevelMesh, _abs_max, _built, _element_rows, _frozen, _structure
+from .geometry import LevelMesh, _abs_max, _built, _element_rows, _kept, _structure
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -50,7 +50,7 @@ class VertexWeights:
     level: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(self.weights, np.float64))
+        object.__setattr__(self, "weights", _kept(self.weights, np.float64))
 
     @property
     def total(self) -> float:
@@ -112,6 +112,7 @@ def vertex_weights(mesh: LevelMesh, kind) -> VertexWeights:
     triangle_area: a third of the total area of the incident cells.
     """
     weights = load_vector(mesh, kind, np.ones(mesh.num_vertices))  # checks ``kind``
+    weights.setflags(write=False)  # handed over: VertexWeights keeps it without a copy
     return VertexWeights(weights, MeasureKind(kind), mesh.level)
 
 

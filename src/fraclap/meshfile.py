@@ -19,7 +19,6 @@ then has one ``coordinates...,value`` row per vertex.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,6 +57,8 @@ def _write_rows(fh, item: str, sep: str, arr: np.ndarray, fmt: str, last) -> Non
 
 
 def write_mesh(mesh: LevelMesh, path) -> None:
+    import json  # here and in read_mesh alone: a table or a solution needs none
+
     with open(path, "w", encoding="ascii") as fh:
         fh.write('{\n "family": %s,\n "level": %s,\n "dimension": %s' % (
             json.dumps(mesh.family), json.dumps(mesh.level), json.dumps(mesh.dimension)))
@@ -94,6 +95,8 @@ def read_mesh(path) -> LevelMesh:
     document" ``UsageError``.  The mesh derives its dedup tolerance from its
     shortest edge, as a built level does; a document without an edge of
     positive finite length is refused."""
+    import json
+
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
-from .geometry import LevelMesh, _abs_max, _frozen, _level_index, _table_embedding, build_level
+from .geometry import LevelMesh, _abs_max, _kept, _level_index, _table_embedding, build_level
 from .measures import _elements, _load
 from .solver import Solution, solve_condensed
 
@@ -54,7 +54,7 @@ class RenormEstimate:
     excluded_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "ratios", _frozen(self.ratios, np.float64))
+        object.__setattr__(self, "ratios", _kept(self.ratios, np.float64))
 
 
 def _model_solution(mesh: LevelMesh, formulation: str) -> np.ndarray:
@@ -98,6 +98,7 @@ def _estimates(family: str, a: int, b: int, formulation: str):
             raise SolveError("all coarse interior vertices were excluded by the "
                              "near-zero denominator guard")
         lo, hi = float(ratios.min()), float(ratios.max())
+        ratios.setflags(write=False)  # handed over: RenormEstimate keeps it without a copy
         coarse, z_c = fine, z_f
         yield RenormEstimate(
             level_pair=(n, n + 1),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
 from .geometry import (LevelMesh, _abs_max, _blocks, _copy_table, _corner_reader, _element_rows,
-                       _frozen, _structure)
+                       _kept, _structure)
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -106,7 +106,7 @@ class Solution:
     renorm_constant_applied: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
+        object.__setattr__(self, "values", _kept(self.values, np.float64))
 
 
 def partition(a: sp.csr_array, boundary):
@@ -190,6 +190,7 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     values = np.empty(mesh.num_vertices)
     values[bidx] = u0
     values[interior_idx] = x
+    values.setflags(write=False)  # handed over: Solution keeps it without a copy
     return Solution(values=values, level=mesh.level, solver_residual=residual)
 
 
@@ -360,4 +361,5 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     rhs[bidx] = 0.0
     x, residual = _contract_solve(cond.solve, cond.apply, rhs, norm_a)
     x[bidx] = u0
+    x.setflags(write=False)  # handed over: Solution keeps it without a copy
     return Solution(values=x, level=mesh.level, solver_residual=residual)

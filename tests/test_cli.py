@@ -1,6 +1,7 @@
 """Command line behavior: outputs, consistency with the library, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -109,15 +110,19 @@ def test_renorm_other_methods(tmp_path, method, expected):
         assert abs(float(line.split(",")[2]) - expected) <= 1e-3
 
 
-# Runs the command line, then reports the process's peak RSS on stderr: its
-# VmHWM, since Linux carries ru_maxrss across exec from the forking parent.
+# Runs the command line through the process entry, collector off, then
+# reports the process's peak RSS on stderr as it exits: its VmHWM, since
+# Linux carries ru_maxrss across exec from the forking parent.
 _WITH_PEAK = """
-import sys
+import atexit, sys
 from fraclap import cli
-code = cli.main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    print(next(line for line in fh if line.startswith("VmHWM:")), end="", file=sys.stderr)
-sys.exit(code)
+
+def peak():
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")), end="", file=sys.stderr)
+
+atexit.register(peak)
+cli.run()
 """
 
 
@@ -671,6 +676,67 @@ def test_module_entry_point_runs():
     assert "generate" in out.stdout and "renorm" in out.stdout
 
 
+def _record_entry(monkeypatch):
+    """Replace ``gc.disable``, ``gc.freeze`` and ``sys.exit`` with recorders
+    that append to the returned list; the exit still raises ``SystemExit``."""
+    events = []
+
+    def exit_(code=0):
+        events.append(("exit", code))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(gc, "disable", lambda: events.append("disable"))
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "exit", exit_)
+    return events
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_run_exits_with_the_code_of_main_with_the_collector_off(monkeypatch, code):
+    events = _record_entry(monkeypatch)
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or code)
+    with pytest.raises(SystemExit):
+        cli.run()
+    assert events == ["disable", "main", "freeze", ("exit", code)]
+
+
+def test_run_freezes_when_main_raises(monkeypatch):
+    events = _record_entry(monkeypatch)
+
+    def main():
+        events.append("main")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.run()
+    assert events == ["disable", "main", "freeze"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["generate", "--bogus"], 2),
+], ids=["help", "bad-option"])
+def test_run_freezes_on_the_parsers_own_exit(monkeypatch, argv, code):
+    events = _record_entry(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["fraclap", *argv])
+    with pytest.raises(SystemExit):
+        cli.run()
+    assert events == ["disable", ("exit", code), "freeze"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.main(["generate", "--family", "koch", "--level", "2",
+                         "--out", str(tmp_path / "mesh.json")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 @pytest.mark.parametrize("rhs", ["1/0", "x/0", "exp(1000)"])
 def test_non_finite_rhs_exits_two_without_traceback_or_warning(tmp_path, rhs):
     out = run_fresh(
@@ -837,32 +903,42 @@ def test_scipy_is_imported_only_to_factor(tmp_path, body, loads_scipy):
     assert ("scipy.sparse.linalg" in loaded) == loads_scipy
 
 
+# json is read before the probe imports it to print its report
 _STARTUP_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from fraclap import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         rc = cli.main({argv!r})
     except SystemExit as exc:
         rc = exc.code
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("fraclap", "numpy"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("fraclap", "numpy", "json"))
+import json
 print(json.dumps([rc, loaded]))
 """
 
 
 _PARSER_ONLY = ["fraclap", "fraclap.cli", "fraclap.errors"]
+_SOLVERS = ["fraclap.geometry", "fraclap.graphs", "fraclap.measures", "fraclap.meshfile",
+            "fraclap.renorm", "fraclap.solver"]
 
 
-@pytest.mark.parametrize("argv, code, modules", [
-    (["--help"], 0, _PARSER_ONLY),
-    (["generate", "--family", "nope", "--level", "3", "--out", "{out}"], 2, _PARSER_ONLY),
-    (["generate", "--family", "koch", "--level", "abc", "--out", "{out}"], 2, _PARSER_ONLY),
+@pytest.mark.parametrize("argv, code, modules, loads_json", [
+    (["--help"], 0, _PARSER_ONLY, False),
+    (["generate", "--family", "nope", "--level", "3", "--out", "{out}"], 2, _PARSER_ONLY, False),
+    (["generate", "--family", "koch", "--level", "abc", "--out", "{out}"], 2, _PARSER_ONLY,
+     False),
     (["generate", "--family", "sierpinski", "--level", "3", "--out", "{out}"], 0,
-     [*_PARSER_ONLY, "fraclap.geometry", "fraclap.meshfile"]),
-], ids=["help", "unknown-family", "text-level", "generate"])
-def test_a_command_loads_only_what_it_runs(tmp_path, argv, code, modules):
-    """Help and argument errors come before numpy loads, and ``generate``
-    loads no solver module."""
+     [*_PARSER_ONLY, "fraclap.geometry", "fraclap.meshfile"], True),
+    (["renorm", "--family", "koch", "--method", "fd", "--levels", "2:3", "--out", "{out}"], 0,
+     [*_PARSER_ONLY, *_SOLVERS], False),
+    (["solve", "--family", "sierpinski", "--level", "3", "--method", "rfd", "--rhs", "1 + x",
+      "--bc", "0,0,1", "--out", "{out}"], 0,
+     [*_PARSER_ONLY, "fraclap.expressions", *_SOLVERS], False),
+], ids=["help", "unknown-family", "text-level", "generate", "renorm", "solve"])
+def test_a_command_loads_only_what_it_runs(tmp_path, argv, code, modules, loads_json):
+    """Help and argument errors come before numpy loads, ``generate`` loads
+    no solver module, and only the mesh document loads json."""
     argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
     out = run_fresh("-c", _STARTUP_PROBE.format(argv=argv))
     assert out.returncode == 0, out.stderr
@@ -870,6 +946,7 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv, code, modules):
     assert rc == code
     assert [m for m in loaded if m.startswith("fraclap")] == modules
     assert ("numpy" in loaded) == (modules != _PARSER_ONLY)
+    assert ("json" in loaded) == loads_json
 
 
 _API_PROBE = """

@@ -12,6 +12,7 @@ from fraclap.geometry import build_level, embed
 from fraclap.graphs import graph_laplacian
 from fraclap.measures import (
     MeasureKind,
+    VertexWeights,
     fd_graph_stiffness,
     fem_area_stiffness,
     fem_edge_stiffness,
@@ -34,6 +35,7 @@ from fraclap.renorm import (
 )
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
+    Solution,
     partition,
     solve_condensed,
     solve_dirichlet,
@@ -210,6 +212,23 @@ def test_results_cannot_be_made_writable():
         assert not values.flags.writeable, k
         with pytest.raises(ValueError):
             values.setflags(write=True)
+
+
+@pytest.mark.parametrize("wrap, name, value", [
+    (lambda x: Solution(x, 0, 0.0), "values", 5.0),
+    (lambda x: VertexWeights(x, MeasureKind.SELF_SIMILAR, 0), "weights", 7.0),
+    (lambda x: RenormEstimate((1, 2), x), "ratios", 9.0),
+], ids=["Solution", "VertexWeights", "RenormEstimate"])
+def test_a_result_keeps_its_own_copy_of_a_caller_array(wrap, name, value):
+    # the caller's array set writable again and written changes nothing in
+    # the result; an array whose owner is already read-only is kept as it is
+    x = np.zeros(3)
+    kept = getattr(wrap(x), name)
+    x.setflags(write=True)
+    x[0] = value
+    assert kept.tolist() == [0.0, 0.0, 0.0] and not kept.flags.writeable
+    x.setflags(write=False)
+    assert np.shares_memory(getattr(wrap(x[1:]), name), x)
 
 
 def test_estimate_requires_level_one():
