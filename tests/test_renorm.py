@@ -146,6 +146,66 @@ def test_koch_fem_edge_mean_at_level_8_is_16_ninths():
     assert abs(estimate_energy_ratio("koch", 8, "fem_edge").mean - 16.0 / 9.0) <= 1e-12
 
 
+# -- the estimator against the two-level path --------------------------------------
+
+def _reference_model_solution(mesh, formulation):
+    """The un-normalized model solution on a built level (unit data, zero
+    boundary data), solved by the condensation on the whole level."""
+    elements, local = _elements(mesh, formulation)
+    load = _load(mesh, formulation, np.ones(mesh.num_vertices))
+    zero = {int(i): 0.0 for i in mesh.boundary_indices}
+    return solve_condensed(mesh, elements, local, load, zero).values
+
+
+def _reference_ratios(family, n, formulation):
+    """``(ratios, excluded)`` of the pair ``(n, n + 1)`` by the two-level
+    path: both levels built and solved, the coarse-to-fine map read off
+    their copy tables (the corner reader one level above the fine leaves),
+    and the ratios gathered at the coarse interior vertices with
+    ``DENOMINATOR_GUARD``."""
+    coarse, fine = build_level(family, n), build_level(family, n + 1)
+    z_c, z_f = (_reference_model_solution(mesh, formulation) for mesh in (coarse, fine))
+    table = geometry._copy_table(coarse)
+    index_map = np.full(coarse.num_vertices, -1)
+    index_map[table] = geometry._corner_reader(geometry._copy_table(fine), family, 1)(
+        slice(0, len(table)))
+    interior = coarse.interior_indices
+    den, num = z_c[interior], z_f[index_map[interior]]
+    keep = np.abs(den) >= renorm.DENOMINATOR_GUARD * np.abs(z_c).max()
+    return num[keep] / den[keep], int(interior.size - keep.sum())
+
+
+def _assert_estimates_match_the_reference(family, formulation, a, b):
+    for n, est in enumerate(renorm._estimates(family, a, b, formulation), a):
+        ratios, excluded = _reference_ratios(family, n, formulation)
+        assert est.level_pair == (n, n + 1)
+        assert est.ratios.tobytes() == ratios.tobytes(), n
+        lo, hi = ratios.min(), ratios.max()
+        assert (est.max, est.min, est.excluded_count) == (hi, lo, excluded), n
+        assert est.mean == min(max(ratios.mean(), lo), hi), n
+
+
+# the largest coarse level of the tier-1 pairs, and the top admitted pair's
+_BIT_LEVELS = {"sierpinski": (9, 13), "koch": (7, 10), "hata2d": (6, 8), "hata3d": (5, 7)}
+_FORMULATIONS = [(family, formulation) for family in geometry.FAMILIES
+                 for formulation in ("fd", "graph_energy", "fem_edge", "fem_area")
+                 if formulation != "fem_area" or family == "sierpinski"]
+
+
+@pytest.mark.parametrize("family, formulation", _FORMULATIONS)
+def test_estimates_are_bit_identical_to_the_two_level_path(family, formulation):
+    # every pair from (1, 2) up: 90 pairs over the 13 family x formulation pairs
+    _assert_estimates_match_the_reference(family, formulation, 1, _BIT_LEVELS[family][0] + 1)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("family, formulation", _FORMULATIONS)
+def test_top_pair_estimates_are_bit_identical_to_the_two_level_path(family, formulation):
+    top = _BIT_LEVELS[family][1]
+    assert geometry._largest_level(family) == top + 1
+    _assert_estimates_match_the_reference(family, formulation, top, top + 1)
+
+
 def _level_3_values(family, method, constant, n):
     """The renormalized solution of g = 1, zero boundary data at level n, at
     the level-3 vertices, through the embeddings of consecutive levels."""
