@@ -6,13 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
-from fraclap import geometry, renorm
+from fraclap import cli, geometry, measures, renorm
 from fraclap.errors import AssemblyError, SolveError, UsageError
 from fraclap.geometry import build_level, embed
-from fraclap.graphs import graph_laplacian
+from fraclap.graphs import _apply_elements, graph_laplacian
 from fraclap.measures import (
+    _LOAD_MEASURE,
     MeasureKind,
     VertexWeights,
+    _masses,
     fd_graph_stiffness,
     fem_area_stiffness,
     fem_edge_stiffness,
@@ -36,6 +38,7 @@ from fraclap.renorm import (
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     Solution,
+    _Condensation,
     partition,
     solve_condensed,
     solve_dirichlet,
@@ -204,6 +207,79 @@ def test_top_pair_estimates_are_bit_identical_to_the_two_level_path(family, form
     top = _BIT_LEVELS[family][1]
     assert geometry._largest_level(family) == top + 1
     _assert_estimates_match_the_reference(family, formulation, top, top + 1)
+
+
+def _v1_load(family, level, formulation):
+    """The model load (unit data) of ``build_level(family, level)`` at the
+    vertices of V1 outside V0, summed on V1 (each child a seed) with the
+    level's one mass element."""
+    seed, glue, _ = geometry._structure(family)
+    nb, nv1 = glue.shape[1], int(glue.max()) + 1
+    if formulation == "fd":
+        return np.ones(nv1 - nb)
+    _, mass = _masses(build_level(family, level), _LOAD_MEASURE[formulation])
+    assert mass.strides[0] == 0  # one element on the whole level
+    p = mass.shape[1]
+    rows = glue[:, geometry._element_rows(seed, p)].reshape(-1, p)
+    load = _apply_elements(rows, mass[0], np.ones(nv1))[nb:]
+    return 0.5 * load if formulation == "fem_edge" else load
+
+
+def _assert_new_vertices_take_the_v1_load(family, formulation, top):
+    # a vertex new in a copy of any depth lies in as many elements of the
+    # level as in V1, so its load is the V1 row, bit for bit
+    for n in range(1, top + 1):
+        mesh = build_level(family, n)
+        load = _load(mesh, formulation, np.ones(mesh.num_vertices))
+        cond = _Condensation(mesh, *_elements(mesh, formulation))
+        row, nb = _v1_load(family, n, formulation), mesh.boundary_indices.size
+        for copies, read, _, _ in cond.depths:
+            new = cond._rows(slice(0, copies), read)[:, nb:]
+            assert load[new].tobytes() == np.tile(row, (copies, 1)).tobytes(), (n, copies)
+
+
+@pytest.mark.parametrize("family, formulation", _FORMULATIONS)
+def test_new_vertices_of_every_copy_take_the_v1_load(family, formulation):
+    # built levels 1-8 as admitted; the deep suite runs the rest
+    _assert_new_vertices_take_the_v1_load(family, formulation, min(8, _BIT_LEVELS[family][0] + 1))
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("family, formulation",
+                         [case for case in _FORMULATIONS if case[0] in ("hata2d", "hata3d")])
+def test_new_vertices_of_every_copy_take_the_v1_load_up_to_level_8(family, formulation):
+    _assert_new_vertices_take_the_v1_load(family, formulation, 8)
+
+
+# -- refusals of the estimator ---------------------------------------------------------
+
+def test_estimate_refuses_the_first_level_past_the_vertex_bound():
+    with pytest.raises(UsageError, match="sierpinski level 15 would exceed"):
+        estimate_laplacian_ratio("sierpinski", 15)
+
+
+@pytest.mark.deep
+def test_estimates_refuse_a_level_past_the_vertex_bound_when_they_reach_it():
+    estimates = renorm._estimates("sierpinski", 13, 16, "fd")
+    assert next(estimates).level_pair == (13, 14)
+    with pytest.raises(UsageError, match="sierpinski level 15 would exceed"):
+        next(estimates)
+
+
+def test_fem_area_estimate_on_a_family_without_cells_names_the_cells():
+    with pytest.raises(AssemblyError, match=r"^area formulation requires a mesh with cells$"):
+        estimate_energy_ratio("koch", 2, "fem_area")
+
+
+def test_a_singular_depth_block_is_refused(monkeypatch, tmp_path, capsys):
+    # a zero edge element leaves every interior block zero
+    monkeypatch.setattr(measures, "_EDGE_ELEMENT", np.zeros((2, 2)))
+    with pytest.raises(SolveError, match=r"^singular interior block$"):
+        estimate_laplacian_ratio("sierpinski", 2)
+    argv = ["renorm", "--family", "koch", "--method", "fem-edge", "--levels", "1:3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "renorm.csv")]) == 3
+    assert capsys.readouterr().err == "numerical failure: singular interior block\n"
+    assert not (tmp_path / "renorm.csv").exists()
 
 
 def _level_3_values(family, method, constant, n):
