@@ -126,13 +126,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_renorm(args) -> int:
     from . import meshfile
-    from .geometry import build_level, check_level
+    from .geometry import builtin_system, check_level
     from .renorm import _estimates
 
     a, b = _parse_levels(args.levels)
     formulation = _RENORM_FORMULATION[args.method]
     check_level(args.family, b)
-    if formulation == "fem_area" and not build_level(args.family, 0).num_cells:
+    if formulation == "fem_area" and not builtin_system(args.family).seed.num_cells:
         raise UsageError(f"--method fem-area needs a mesh with cells; {args.family} has none")
     _check_out(args.out)
     estimates = list(_estimates(args.family, a, b, formulation))
@@ -177,10 +177,7 @@ def _cmd_solve(args) -> int:
     # fails there (an unknown name, a value that is not finite) fails now
     rhs.evaluate(seed.vertices[seed.boundary_indices])
     _check_out(args.out)
-    # the constant is estimated first, from levels (n - 2, n - 1), or (1, 2)
-    # below level 3, so level n is glued from the last of them or is it; only
-    # level 1 is neither, so it is built first and held through the estimate
-    mesh = build_level(args.family, args.level) if args.level == 1 else None
+    # the estimate builds no level: level n is the one level solve glues
     constant = args.constant
     if constant is None:
         constant, pair = auto_constant(args.family, args.method, args.level)

@@ -574,9 +574,8 @@ def _glue(mesh: LevelMesh) -> LevelMesh:
     seed, glue, _ = _structure(mesh.family)
     maps, (m, nb) = builtin_system(mesh.family).maps, glue.shape
     inner = mesh.num_vertices - nb
-    first = _first_places(glue)[0]  # each level-1 vertex's first copy
-    heads = glue + np.where(glue < nb, 0, first[glue] * inner)
-    offsets = [int(np.count_nonzero(first[nb:] <= i)) + i * inner for i in range(m)]
+    place, offsets = _layout(glue, inner)
+    heads = place[glue]
 
     def placed(i, rows):  # where copy i's vertices ``rows`` go
         out = rows + offsets[i]
@@ -584,7 +583,7 @@ def _glue(mesh: LevelMesh) -> LevelMesh:
         out[low] = heads[i, rows[low]]
         return out
 
-    verts = np.empty((first.size + m * inner, seed.dimension))
+    verts = np.empty((place.size + m * inner, seed.dimension))
     edges, cells = (np.empty((m, *rows.shape), np.int32) for rows in (mesh.edges, mesh.cells))
     for i in reversed(range(m)):
         for b in _blocks(mesh.num_vertices):
@@ -611,7 +610,7 @@ def _built(mesh: LevelMesh) -> LevelMesh | None:
     ``build_level`` admits and the predicted vertex count, checked before
     anything is built, and then the built level's edges, cells and boundary
     indices (coordinates are not part of the layout).  A level no one holds
-    is glued from the seed for the comparison alone, and is not kept."""
+    is glued (``build_level``) for the comparison alone, and is not kept."""
     family, level = mesh.family, mesh.level
     if family not in FAMILIES:
         return None
@@ -619,9 +618,7 @@ def _built(mesh: LevelMesh) -> LevelMesh | None:
         return mesh
     if level > _largest_level(family) or mesh.num_vertices != predicted_vertices(family, level):
         return None
-    built = _LEVELS.get((family, level), builtin_system(family).seed)
-    while built.level < level:
-        built = _glue(built)
+    built = build_level(family, level)
     layout = operator.attrgetter("edges", "cells", "boundary_indices")
     return built if all(map(np.array_equal, layout(mesh), layout(built))) else None
 
@@ -699,6 +696,16 @@ def _first_places(glue: np.ndarray):
     return np.divmod(np.unique(glue, return_index=True)[1], glue.shape[1])
 
 
+def _layout(glue: np.ndarray, inner: int):
+    """``(place, offsets)``: ``_glue`` puts level-1 vertex ``g`` at
+    ``place[g]`` and copy ``i``'s vertex ``v >= nb`` at ``v + offsets[i]``
+    when each copy has ``inner`` vertices past V0 (``_first_places``)."""
+    nb, first = glue.shape[1], _first_places(glue)[0]
+    place = np.arange(first.size)
+    place[nb:] += first[nb:] * inner
+    return place, [int(np.count_nonzero(first[nb:] <= i)) + i * inner for i in range(len(glue))]
+
+
 def _corner_reader(table: np.ndarray, family: str, height: int):
     """``read(s)``: the V0 of the copies ``s`` (a slice) ``height`` levels
     above the leaves of a built level of ``family``, one strided read of its
@@ -713,21 +720,6 @@ def _corner_reader(table: np.ndarray, family: str, height: int):
         offsets, positions, step = child * step + offsets[vertex], positions[vertex], step * m
     return lambda s: np.column_stack([table[s.start * step + o:s.stop * step:step, k]
                                       for o, k in zip(offsets.tolist(), positions.tolist())])
-
-
-def _table_embedding(coarse: LevelMesh, fine: LevelMesh) -> EmbeddingMap:
-    """``embed(coarse, fine)`` for consecutive built levels of a family, read
-    off their copy tables (``_copy_table``), whose layout check both levels
-    pass: coarse copy ``w`` is fine copies ``w m + j``, so the map is the
-    corner reader one level above the fine leaves (``_corner_reader``).  No
-    coordinate is read; anything else raises ``GeometryError``."""
-    if fine.family != coarse.family or fine.level != coarse.level + 1:
-        raise GeometryError("a table embedding maps a level onto the next of its family")
-    tc, read = _copy_table(coarse), _corner_reader(_copy_table(fine), fine.family, 1)
-    index_map = np.full(coarse.num_vertices, -1, dtype=np.int32)
-    for b in _blocks(len(tc)):
-        index_map[tc[b]] = read(b)
-    return EmbeddingMap(coarse.level, fine.level, index_map)
 
 
 def predicted_vertices(family: str, level: int) -> int:
@@ -767,11 +759,8 @@ def check_level(family: str, level: int) -> None:
         )
 
 
-# The built levels that something still references, by (family, level),
-# and the last level ``build_level`` returned in each family, which alone
-# it keeps: the next glue and the next pair of a renorm start from it.
+# The built levels that something still references, by (family, level).
 _LEVELS = weakref.WeakValueDictionary()
-_LAST = {}
 
 
 def build_level(family: str, level: int) -> LevelMesh:
@@ -781,10 +770,9 @@ def build_level(family: str, level: int) -> LevelMesh:
     A level that something still references is returned as it is.  Any
     other is glued (``_glue``, no search) from the finest such level below
     it, or from the seed, and each level glued on the way is let go of once
-    the next one is gathered.  Beyond what its callers hold, the process
-    keeps only the last level returned in each family, where the next glue
-    and the next pair of a renorm start.  An oversized level is refused by
-    ``check_level`` on every call.
+    the next one is gathered; the process keeps no level that its callers
+    do not hold.  An oversized level is refused by ``check_level`` on every
+    call.
     """
     check_level(family, level)
     level = operator.index(level)  # a numpy level finds the int-keyed level
@@ -792,11 +780,9 @@ def build_level(family: str, level: int) -> LevelMesh:
     while below and (family, below) not in _LEVELS:
         below -= 1
     mesh = _LEVELS.get((family, below), builtin_system(family).seed)
-    _LAST.pop(family, None)  # a level held nowhere else goes once glued
     while mesh.level < level:
         mesh = _glue(mesh)
         _LEVELS[family, mesh.level] = mesh
-    _LAST[family] = mesh
     return mesh
 
 

@@ -14,9 +14,10 @@ and each formulation by its element matrices (``_elements``) and its load
 (``_load``).  ``solver.solve_condensed`` takes them as they are; the CSR
 builders below assemble the same elements (fd: ``graph_laplacian``).  fd,
 graph_energy and the self-similar measure take one element everywhere; the
-weak forms and the Euclidean measures take one element per level on a
-built level, coordinates included, decided by the structure with no edge
-measured (``_level``), and elements from coordinates on any other mesh.
+weak forms and the Euclidean measures take one element per level, read off
+the structure with no level built or edge measured (``_level_forms``, which
+the renorm estimates read too), on a built level with its coordinates
+(``_level``), and elements from coordinates on any other mesh.
 """
 
 from __future__ import annotations
@@ -121,27 +122,44 @@ _LOAD_MEASURE = {
     "fem_edge": MeasureKind.EDGE_LENGTH,
     "fem_area": MeasureKind.TRIANGLE_AREA,
 }
+_WEAK_FORM = {kind: formulation for formulation, kind in _LOAD_MEASURE.items()}
+
+# The unit mass elements of the edge-length and triangle-area measures.
+_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+_AREA_MASS = (1.0 + np.eye(3)) / 12.0
 
 
-def _level(mesh: LevelMesh):
-    """``(seed, c)`` when ``mesh`` is its family's built level with its
-    coordinates (``geometry._built``), ``None`` for any other mesh.  ``1/c =
-    L0 r**n`` is the length of every edge of the level, with ``L0`` the
-    longest seed edge's length and ``1/r`` the ``grow`` of
-    ``geometry._structure``; no edge of ``mesh`` is measured.
-
-    The level's fem-edge element is ``c`` times the unit element.  Every
-    seed edge has the length ``L0`` and every side of a seed cell is a seed
-    edge, and a level's cells are copies of the seed cell (``geometry._glue``),
-    so every cell of a level is the seed cell scaled by ``r**n``: its linear
-    stiffness, which depends only on the angles, is the seed cell's, and its
-    area is the seed cell's over ``(c L0)**2``.
-    """
+def _level(mesh: LevelMesh) -> LevelMesh | None:
+    """``mesh``'s built level when ``mesh`` is its family's built level with
+    its coordinates (``geometry._built``), ``None`` for any other mesh: its
+    elements and masses are then ``_level_forms``', with no edge measured."""
     built = _built(mesh)
     if built is None or built is not mesh and not np.array_equal(built.vertices, mesh.vertices):
         return None
-    seed, _, grow = _structure(mesh.family)
-    return seed, grow ** mesh.level / float(seed.edge_lengths().max())
+    return built
+
+
+def _level_forms(family: str, level: int, formulation: str):
+    """``(local, mass)``: the one element matrix of ``formulation`` on
+    ``build_level(family, level)`` and the one mass element of its load
+    measure (``None`` for fd), with no level built.  ``1/c = L0 r**n`` is
+    the length of every edge of the level, ``L0`` the longest seed edge's
+    and ``1/r`` the ``grow`` of ``geometry._structure``.  Every seed edge
+    has the length ``L0`` and every side of a seed cell is a seed edge, and
+    a level's cells are copies of the seed cell (``geometry._glue``), so
+    every cell of a level is the seed cell scaled by ``r**n``: its linear
+    stiffness, which depends only on the angles, is the seed cell's, and
+    its area is the seed cell's over ``(c L0)**2``."""
+    seed, glue, grow = _structure(family)
+    length = float(seed.edge_lengths().max())
+    c = grow ** level / length
+    if formulation == "fem_area":
+        local = _triangle_matrices(seed)[0]  # refuses a seed without cells first
+        return local, _cell_areas(seed.vertices[seed.cells])[0] / (c * length) ** 2 * _AREA_MASS
+    if formulation == "fem_edge":
+        return _EDGE_ELEMENT * c, 1.0 / c * _EDGE_MASS
+    p = _element_rows(seed).shape[1]
+    return _EDGE_ELEMENT, None if formulation == "fd" else np.eye(p) * (1.0 / len(glue)**level / p)
 
 
 def _masses(mesh: LevelMesh, kind):
@@ -164,19 +182,16 @@ def _masses(mesh: LevelMesh, kind):
         if not k:
             raise AssemblyError("mesh has no edges")
         return rows, np.broadcast_to(np.eye(p) * (1.0 / k / p), (k, p, p))
-    if kind is MeasureKind.EDGE_LENGTH:
-        rows, unit, level = mesh.edges, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, _level(mesh)
-        size = mesh.edge_lengths() if level is None else 1.0 / level[1]
+    if kind is MeasureKind.TRIANGLE_AREA and not mesh.num_cells:
+        raise AssemblyError("triangle_area measure requires a mesh with cells")
+    rows = mesh.edges if kind is MeasureKind.EDGE_LENGTH else mesh.cells
+    if _level(mesh):
+        mass = _level_forms(mesh.family, mesh.level, _WEAK_FORM[kind])[1]
+    elif kind is MeasureKind.EDGE_LENGTH:
+        mass = np.multiply.outer(mesh.edge_lengths(), _EDGE_MASS)
     else:
-        if not mesh.num_cells:
-            raise AssemblyError("triangle_area measure requires a mesh with cells")
-        rows, unit, level = mesh.cells, (1.0 + np.eye(3)) / 12.0, _level(mesh)
-        if level is None:
-            size = _cell_areas(mesh.vertices[mesh.cells])
-        else:
-            seed, c = level
-            size = _cell_areas(seed.vertices[seed.cells])[0] / (c * seed.edge_lengths().max()) ** 2
-    return rows, np.broadcast_to(np.multiply.outer(size, unit), (*rows.shape, rows.shape[1]))
+        mass = np.multiply.outer(_cell_areas(mesh.vertices[mesh.cells]), _AREA_MASS)
+    return rows, np.broadcast_to(mass, (*rows.shape, rows.shape[1]))
 
 
 def _elements(mesh: LevelMesh, formulation: str):
@@ -190,24 +205,23 @@ def _elements(mesh: LevelMesh, formulation: str):
     stride-0 view, which the condensation serves with one block per depth.
     """
     if formulation == "fem_area":
-        level = _level(mesh)
-        local = _triangle_matrices(mesh) if level is None else _triangle_matrices(level[0])[0]
+        local = (_level_forms(mesh.family, mesh.level, formulation)[0] if _level(mesh)
+                 else _triangle_matrices(mesh))
         return mesh.cells, np.broadcast_to(local, (mesh.num_cells, 3, 3))
     if formulation not in ("fd", "graph_energy", "fem_edge"):
         raise UsageError(f"unknown formulation {formulation!r}")
     if not mesh.num_edges:
         raise AssemblyError("mesh has no edges")
     if formulation != "fem_edge":
-        return mesh.edges, np.broadcast_to(_EDGE_ELEMENT, (mesh.num_edges, 2, 2))
-    level = _level(mesh)
-    if level is None:
+        local = _EDGE_ELEMENT
+    elif _level(mesh):
+        local = _level_forms(mesh.family, mesh.level, formulation)[0]
+    else:
         length = mesh.edge_lengths()
         if (length <= 0.0).any():
             raise AssemblyError("zero-length edge")
-        c = (1.0 / length)[:, None, None]
-    else:
-        c = level[1]
-    return mesh.edges, np.broadcast_to(_EDGE_ELEMENT * c, (mesh.num_edges, 2, 2))
+        local = _EDGE_ELEMENT * (1.0 / length)[:, None, None]
+    return mesh.edges, np.broadcast_to(local, (mesh.num_edges, 2, 2))
 
 
 def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:

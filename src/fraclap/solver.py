@@ -13,12 +13,14 @@ of the seed vertices, so each copy condenses onto its boundary from the
 leaves up, and the values come back down from the Dirichlet data.  Every
 leaf must carry the same element matrices, as the stride-0 stacks of every
 built-in formulation do (``measures._elements``): each depth then holds one
-block, factored once.  The leaf block is applied unassembled by
-``graphs._apply_elements``, which also sums the loads of ``measures``.  The
-condensation works on whole-length vectors that hold zero on the boundary,
-a block of copies at a time (``geometry._corner_reader``), so it needs a few
-vectors of the mesh's length beyond the problem; ``linear_solve`` and
-``solve_dirichlet`` keep interior-length vectors.
+block, factored once (``_depth_blocks``, which needs the leaf block and the
+gluing table alone, so the renorm estimates read it with no level built).
+The leaf block is applied unassembled by ``graphs._apply_elements``, which
+also sums the loads of ``measures``.  The condensation works on
+whole-length vectors that hold zero on the boundary, a block of copies at
+a time (``geometry._corner_reader``), so it needs a few vectors of the
+mesh's length beyond the problem; ``linear_solve`` and ``solve_dirichlet``
+keep interior-length vectors.
 
 Contract: the interior solution ``x`` of ``A x = b`` meets
 ``|b - A x|_inf <= BACKWARD_ERROR_BOUND * (|A|_inf |x|_inf + |b|_inf)``,
@@ -226,31 +228,10 @@ class _Condensation:
         seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
         self.block = _leaf_block(_element_rows(seed, p), seed.num_vertices, local)
         self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
-        m, nb = self.glue.shape
-        self.nv1 = nv1 = int(self.glue.max()) + 1
-        schur, self.depths = self.block, []
-        sums, diag = self.block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
-        for d in range(mesh.level - 1, -1, -1):
-            a, s = np.zeros((nv1, nv1)), np.zeros(nv1)
-            for g in self.glue:
-                a[g[:, None], g] += schur
-                s[g] += sums
-            try:
-                inv_ii = np.linalg.inv(a[nb:, nb:])
-            except np.linalg.LinAlgError:
-                raise SolveError("singular interior block") from None
-            x_ib = inv_ii @ a[nb:, :nb]
-            # a_bb - a_bi x_ib cancels on the diagonal only (on an M-matrix block
-            # every off-diagonal term has one sign): keep the symmetrized
-            # off-diagonal part, and set the diagonal from the row sums
-            # s_B - x_ib^T s_I of the Schur complement
-            schur = a[:nb, :nb] - a[:nb, nb:] @ x_ib
-            schur = 0.5 * (schur + schur.T)
-            sums = s[:nb] - s[nb:] @ x_ib
-            schur[diag, diag] = 0.0
-            schur[diag, diag] = sums - schur.sum(axis=1)
-            read = _corner_reader(self.leaves, mesh.family, mesh.level - 1 - d)
-            self.depths.append((m**d, read, inv_ii, x_ib))
+        self.nv1, m = int(self.glue.max()) + 1, len(self.glue)
+        depths = _depth_blocks(self.block, self.glue, mesh.level)
+        self.depths = [(m ** (mesh.level - 1 - h), _corner_reader(self.leaves, mesh.family, h), *d)
+                       for h, d in enumerate(depths)]
 
     def _rows(self, s: slice, read) -> np.ndarray:
         """The V1 vertices of the copies ``s`` of a depth: their children's V0,
@@ -318,6 +299,35 @@ class _Condensation:
         _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), interior, out=rows)
         rows[self.boundary] = 0.0
         return float(rows.max())
+
+
+def _depth_blocks(block: np.ndarray, glue: np.ndarray, depths: int):
+    """``(inv_ii, x_ib)`` of ``depths`` depths above leaves that carry
+    ``block``, from the leaves up (``_Condensation``); the Schur complement
+    of each is the next one's block.  A singular interior block raises
+    ``SolveError``."""
+    nb, nv1 = glue.shape[1], int(glue.max()) + 1
+    schur, sums, diag = block, block.sum(axis=1), np.arange(nb)  # row sums of ``schur``
+    for _ in range(depths):
+        a, s = np.zeros((nv1, nv1)), np.zeros(nv1)
+        for g in glue:
+            a[g[:, None], g] += schur
+            s[g] += sums
+        try:
+            inv_ii = np.linalg.inv(a[nb:, nb:])
+        except np.linalg.LinAlgError:
+            raise SolveError("singular interior block") from None
+        x_ib = inv_ii @ a[nb:, :nb]
+        # a_bb - a_bi x_ib cancels on the diagonal only (on an M-matrix block
+        # every off-diagonal term has one sign): keep the symmetrized
+        # off-diagonal part, and set the diagonal from the row sums
+        # s_B - x_ib^T s_I of the Schur complement
+        schur = a[:nb, :nb] - a[:nb, nb:] @ x_ib
+        schur = 0.5 * (schur + schur.T)
+        sums = s[:nb] - s[nb:] @ x_ib
+        schur[diag, diag] = 0.0
+        schur[diag, diag] = sums - schur.sum(axis=1)
+        yield inv_ii, x_ib
 
 
 def _leaf_block(pos: np.ndarray, nb: int, local) -> np.ndarray:

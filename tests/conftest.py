@@ -4,7 +4,7 @@ import weakref
 import hypothesis
 import pytest
 
-from fraclap import FAMILIES, geometry
+from fraclap import FAMILIES, geometry, renorm
 
 hypothesis.settings.register_profile(
     "fraclap", deadline=None, max_examples=25, derandomize=True
@@ -42,7 +42,6 @@ def refines(monkeypatch):
     for family in FAMILIES:
         geometry._structure(family)
     monkeypatch.setattr(geometry, "_LEVELS", weakref.WeakValueDictionary())
-    monkeypatch.setattr(geometry, "_LAST", {})
     made, glue = [], geometry._glue
 
     def counted(coarse):
@@ -52,3 +51,20 @@ def refines(monkeypatch):
 
     monkeypatch.setattr(geometry, "_glue", counted)
     return made
+
+
+def _refused(*args):
+    raise AssertionError("a level was built, glued, searched for, embedded or solved")
+
+
+@pytest.fixture
+def builds_nothing(monkeypatch):
+    """From here on every way to a level raises: ``build_level``, the glue,
+    the geometric refine and its dedup, and with them ``embed`` and the
+    condensed solve that ``renorm`` calls.  Each family's structure, which
+    refines its seed geometrically once per process, is made first."""
+    for family in FAMILIES:
+        geometry._structure(family)
+    for name in ("build_level", "_glue", "_refine", "_dedup", "embed"):
+        monkeypatch.setattr(geometry, name, _refused)
+    monkeypatch.setattr(renorm, "solve_condensed", _refused)

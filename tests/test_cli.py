@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -128,13 +127,14 @@ cli.run()
 
 # renorm at the largest allowed pair of each family (``pytest -m deep``),
 # each in a fresh child: the exactly self-similar pairs read their constant
-# to rounding at every ratio, and hata3d's mean is near 2.  The pair holds
-# its two levels and their model solutions, and nothing else: each child's
+# to rounding at every ratio, and hata3d's mean is near 2.  No level is
+# built: the child holds the two model solutions at the coarse interior
+# and the V0 values of two depths of one level's copies.  Each child's
 # peak is in the report of ``pytest -m deep -rP``, and its bytes per
-# predicted vertex of the finer level stay under a bound: 76.5, 80.6, 87.5
-# and 90.5 B measured with each level glued from its gluing table, where the
-# geometric refine took 76.5, 87.8, 93.6 and 97.1 B (2-core Linux VM,
-# Python 3.11, numpy 2.4).
+# predicted vertex of the finer level stay under a bound, set when both
+# levels were built and solved (76.5, 80.6, 87.5 and 90.5 B then); with no
+# level built they measure 16.2, 22.8, 13.2 and 24.8 B, most of it the
+# interpreter and numpy (2-core Linux VM, Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, method, levels, columns, constant, bound, peak_bound", [
@@ -160,6 +160,26 @@ def test_renorm_at_the_top_pair(tmp_path, family, method, levels, columns, const
     print(f"renorm {family} {levels} {method}: peak {peak // 2**20} MiB")
     vertices = predicted_vertices(family, top)
     assert peak <= peak_bound * vertices, peak / vertices
+
+
+# renorm Sierpinski fd 12:14 through the process entry (``pytest -m deep``),
+# which built and solved levels 12 to 14 and peaked at 600 MiB: with no
+# level built its VmHWM read 113.1 MiB in each of five runs (2-core Linux
+# VM, Python 3.11, numpy 2.4), and the bound is 150 MiB.
+@pytest.mark.deep
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_renorm_sierpinski_12_to_14_peak(tmp_path):
+    out = tmp_path / "table.csv"
+    child = run_fresh("-c", _WITH_PEAK, "renorm", "--family", "sierpinski", "--method", "fd",
+                      "--levels", "12:14", "--out", str(out))
+    assert child.returncode == 0, child.stderr
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["12:13", "13:14"]
+    for row in rows:  # max, mean and min read 5 to rounding
+        assert all(abs(float(x) - 5.0) <= 1e-12 for x in row[1:4]), row
+    peak = int(child.stderr.split()[-2]) * 1024  # VmHWM is in kB
+    print(f"renorm sierpinski 12:14 fd: peak {peak / 2**20:.1f} MiB")
+    assert peak <= 150 * 2**20, peak / 2**20
 
 
 # solve at the largest allowed level of each family (``pytest -m deep``),
@@ -575,14 +595,14 @@ def _bc(family):
 
 def _each_family_commands(family):
     """``(argv, top)``: commands at small levels of ``family``, and the
-    finest level each one reads."""
+    level each one builds (0: none)."""
     cells = bool(build_level(family, 0).num_cells)
     renorm_methods = ["fd", "energy", "fem-edge", *["fem-area"] * cells]
     solve_methods = ["rfd", "rfem1d", *["rfem2d"] * cells]
     return [
         (["generate", "--level", "4"], 4),
-        *((["renorm", "--method", m, "--levels", "2:4"], 4) for m in renorm_methods),
-        *((["solve", "--level", str(n), "--method", m, "--rhs", "1 + x"], max(n, 2))
+        *((["renorm", "--method", m, "--levels", "2:4"], 0) for m in renorm_methods),
+        *((["solve", "--level", str(n), "--method", m, "--rhs", "1 + x"], n)
           for m in solve_methods for n in (1, 2, 3, 5)),
         (["solve", "--level", "4", "--method", "rfd", "--constant", "3", "--rhs", "1"], 4),
     ]
@@ -590,11 +610,11 @@ def _each_family_commands(family):
 
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 def test_commands_refine_each_level_once(tmp_path, refines, family):
-    # the levels a command reads come from one chain of refines, whatever
-    # the estimate's pair: (1, 2) below level 3, (n - 2, n - 1) from it on
+    # the level a command reads comes from one chain of refines, whatever
+    # the estimate's pair: the estimates build no level, so renorm glues
+    # nothing and solve glues its own level once
     for argv, top in _each_family_commands(family):
         del refines[:]
-        geometry._LAST.clear()
         extra = [_bc(family)] if argv[0] == "solve" else []
         rc = cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")])
         assert rc == 0, argv
@@ -613,7 +633,6 @@ def test_no_command_searches_for_a_vertex(tmp_path, monkeypatch, refines, family
     for name in ("_refine", "_dedup", "_close_pairs"):
         monkeypatch.setattr(geometry, name, _searched)
     for argv, _ in _each_family_commands(family):
-        geometry._LAST.clear()
         extra = [_bc(family)] if argv[0] == "solve" else []
         rc = cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")])
         assert rc == 0, argv
@@ -621,26 +640,33 @@ def test_no_command_searches_for_a_vertex(tmp_path, monkeypatch, refines, family
 
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 @pytest.mark.parametrize("argv, top", [
-    (["renorm", "--method", "fem-edge", "--levels", "2:5"], 5),
+    (["renorm", "--method", "fem-edge", "--levels", "2:5"], 0),
     (["solve", "--level", "5", "--method", "rfem1d", "--rhs", "1 + x"], 5),
     (["solve", "--level", "5", "--method", "rfd", "--rhs", "0"], 5),
 ], ids=["renorm", "solve-rfem1d", "solve-rfd"])
 def test_commands_keep_only_their_top_level(tmp_path, monkeypatch, refines, family, argv, top):
-    # once a command returns, the level it ended on is the one level of its
-    # family still alive, and no model solution is
-    solved, model = [], renorm._model_solution
+    # while solve solves, its own level is the one level of its family
+    # alive; renorm builds none, and once a command returns none is alive
+    alive, solve = [], renorm.solve_online
 
-    def kept(*args):
-        values = model(*args)
-        solved.append(weakref.ref(values))
-        return values
+    def watched(*args):
+        alive.append(sorted(geometry._LEVELS))
+        return solve(*args)
 
-    monkeypatch.setattr(renorm, "_model_solution", kept)
+    monkeypatch.setattr(renorm, "solve_online", watched)
     extra = [_bc(family)] if argv[0] == "solve" else []
     assert cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")]) == 0
-    assert sorted(geometry._LEVELS) == [(family, top)]
-    assert len(solved) == (4 if argv[0] == "renorm" else 2)
-    assert [ref() for ref in solved] == [None] * len(solved)
+    assert alive == ([[(family, top)]] if top else [])
+    assert list(geometry._LEVELS) == []
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_renorm_builds_no_level(tmp_path, builds_nothing, family):
+    # every estimate is read off the family's structure
+    methods = ["fd", "energy", "fem-edge", *["fem-area"] * (family == "sierpinski")]
+    for method in methods:
+        argv = ["renorm", "--family", family, "--method", method, "--levels", "1:6"]
+        assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0, method
 
 
 # Runs the CLI in a child whose address space is capped 128 MiB above what
@@ -819,8 +845,8 @@ def test_line_break_in_a_header_value_exits_two_without_output(tmp_path, rhs, bc
 
 @pytest.mark.parametrize("rhs, bc", [("0", "\u0663,0"), ("x\u00a0+1", "1,0")],
                          ids=["arabic-indic-three-in-bc", "no-break-space-in-rhs"])
-def test_non_ascii_header_value_exits_two_before_building_the_level(tmp_path, capsys, refines,
-                                                                    rhs, bc):
+def test_non_ascii_header_value_exits_two_before_building_the_level(tmp_path, capsys,
+                                                                    builds_nothing, rhs, bc):
     """The solution header is ASCII; these used to solve and then fail to
     write it with a UnicodeEncodeError traceback (exit 1)."""
     rc = cli.main([
@@ -828,7 +854,7 @@ def test_non_ascii_header_value_exits_two_before_building_the_level(tmp_path, ca
         f"--rhs={rhs}", f"--bc={bc}", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 2
-    assert refines == [] and geometry._LAST == {}  # not even the seed was asked for
+    # not even the seed was asked for (``builds_nothing``)
     assert not (tmp_path / "s.csv").exists()
     captured = capsys.readouterr()
     assert captured.out == ""

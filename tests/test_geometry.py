@@ -17,7 +17,6 @@ from fraclap.geometry import (
     AffineMap,
     IFSystem,
     LevelMesh,
-    _table_embedding,
     apply_map,
     build_level,
     builtin_system,
@@ -406,34 +405,25 @@ _LAYOUT = "copy table needs .* as build_level builds it"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_table_embedding_refuses_swapped_copy_table_rows(family):
-    coarse, fine = build_level(family, 3), build_level(family, 4)
+def test_copy_table_refuses_swapped_copy_rows(family):
+    fine = build_level(family, 4)
     key = "cells" if fine.num_cells else "edges"
     rows = getattr(fine, key).copy()
     rows[[0, -1]] = rows[[-1, 0]]  # the first and the last copy trade places
     with pytest.raises(GeometryError, match=_LAYOUT):
-        _table_embedding(coarse, dataclasses.replace(fine, **{key: rows}))
+        geometry._copy_table(dataclasses.replace(fine, **{key: rows}))
 
 
-def test_table_embedding_refuses_a_vertex_off_the_table_or_taken_twice():
+def test_copy_table_refuses_a_vertex_off_the_table_or_taken_twice():
     coarse, fine = build_level("sierpinski", 3), build_level("sierpinski", 4)
     extra = np.vstack([coarse.vertices, [[2.0, 2.0]]])  # on no cell
     with pytest.raises(GeometryError, match=_LAYOUT):
-        _table_embedding(dataclasses.replace(coarse, vertices=extra), fine)
+        geometry._copy_table(dataclasses.replace(coarse, vertices=extra))
     cells = fine.cells.copy()
     # rows -1 and 2 are child 2 of the last and of the first coarse copy
     cells[-1] = cells[2]
     with pytest.raises(GeometryError, match=_LAYOUT):
-        _table_embedding(coarse, dataclasses.replace(fine, cells=cells))
-
-
-def test_table_embedding_maps_a_level_onto_the_next_only():
-    coarse = build_level("koch", 2)
-    for fine in (coarse, build_level("koch", 4), build_level("hata2d", 3)):
-        with pytest.raises(GeometryError, match="onto the next of its family"):
-            _table_embedding(coarse, fine)
-    with pytest.raises(GeometryError, match=_LAYOUT):
-        _table_embedding(coarse, dataclasses.replace(build_level("koch", 4), level=3))
+        geometry._copy_table(dataclasses.replace(fine, cells=cells))
 
 
 @pytest.mark.parametrize("how", ["owner", "slice"])
@@ -457,18 +447,15 @@ def test_a_caller_mesh_keeps_its_own_arrays(how):
 
 def test_copy_table_passes_a_held_level_without_a_build(monkeypatch):
     mesh, seed = build_level("sierpinski", 3), build_level("sierpinski", 0)
-    build_level("sierpinski", 2)  # the last level returned is not the mesh
-    last = dict(geometry._LAST)
+    # an equal mesh is compared with the held level: no glue
+    monkeypatch.setattr(geometry, "_glue", None)  # a glue would raise TypeError
+    equal = dataclasses.replace(mesh)
+    assert geometry._copy_table(equal) is equal.cells
+    assert geometry._LEVELS["sierpinski", 3] is mesh
+    # the level itself and the seed are not even looked up
     monkeypatch.setattr(geometry, "build_level", None)  # a build would raise TypeError
     assert geometry._copy_table(mesh) is mesh.cells
     assert geometry._copy_table(seed) is seed.cells
-    assert geometry._LAST == last
-    # an equal mesh is compared with the held level: no build, no glue, and
-    # the kept level stays
-    monkeypatch.setattr(geometry, "_glue", None)
-    equal = dataclasses.replace(mesh)
-    assert geometry._copy_table(equal) is equal.cells
-    assert geometry._LAST == last
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -562,8 +549,8 @@ def test_a_system_scaled_by_a_power_of_two_gives_the_built_levels_exactly(family
         assert np.array_equal(got.vertices, scale * mesh.vertices), n
         assert got.dedup_tolerance == scale * mesh.dedup_tolerance, n
         if prev is not None:
-            np.testing.assert_array_equal(_table_embedding(prev[0], got).index_map,
-                                          _table_embedding(prev[1], mesh).index_map)
+            np.testing.assert_array_equal(embed(prev[0], got).index_map,
+                                          embed(prev[1], mesh).index_map)
         prev = got, mesh
 
 
@@ -817,8 +804,6 @@ def test_meshes_and_embeddings_are_bit_identical(family):
             index_map = embed(prev, m).index_map
             assert index_map.dtype == np.int32, n
             assert _digest(index_map) == EMBED_DIGESTS[family, n], n
-            table_map = _table_embedding(prev, m).index_map
-            assert table_map.dtype == np.int32 and np.array_equal(table_map, index_map), n
         prev = m
 
 
@@ -887,7 +872,7 @@ def test_glue_follows_its_gluing_table(monkeypatch, family, mutate):
 
 
 def test_build_level_refines_the_cached_coarser_level(refines):
-    build_level("sierpinski", 5)
+    coarse = build_level("sierpinski", 5)  # held, so level 6 is glued from it
     assert refines == [("sierpinski", n) for n in range(1, 6)]
     build_level("sierpinski", 6)
     assert refines[5:] == [("sierpinski", 6)]
@@ -897,10 +882,8 @@ def test_build_level_returns_a_held_level_as_it_is(refines):
     # a level that only its caller holds is found again, as the condensation's
     # ``mesh is built`` test needs, and nothing else keeps it once dropped
     mesh = build_level("koch", 5)
-    geometry._LAST.clear()
     assert build_level("koch", 5) is mesh
     assert refines == [("koch", n) for n in range(1, 6)]
-    geometry._LAST.clear()
     del mesh
     assert list(geometry._LEVELS) == []
 
@@ -916,9 +899,9 @@ def test_build_level_returns_a_held_level_as_it_is(refines):
 ], ids=["koch-6", "sierpinski-7", "hata2d-5", "hata3d-5", "sierpinski-10", "koch-8", "hata3d-6"])
 def test_build_level_working_set_is_bounded_by_the_new_mesh(family, level, bound, traced,
                                                            refines):
-    # gluing from the kept level below holds the new mesh and one block of
+    # gluing from the held level below holds the new mesh and one block of
     # work: no whole-mesh index array is gathered
-    build_level(family, level - 1)
+    below = build_level(family, level - 1)  # held: the glue starts from it
     with traced:
         mesh = build_level(family, level)
     size = mesh.vertices.nbytes + mesh.edges.nbytes + mesh.cells.nbytes
@@ -984,7 +967,7 @@ def test_check_level_admits_up_to_the_vertex_bound(family, largest):
 def test_build_level_refuses_an_oversized_level_before_building(refines):
     with pytest.raises(UsageError, match="would exceed"):
         build_level("sierpinski", 40)
-    assert refines == [] and geometry._LAST == {}
+    assert refines == [] and list(geometry._LEVELS) == []
 
 
 def test_array_holding_records_compare_by_identity():

@@ -528,15 +528,15 @@ def test_equal_copies_take_the_level_element(tmp_path, family, how):
 
 def test_a_caller_copy_does_not_become_the_kept_level(refines, tmp_path):
     # the copy is compared with a level glued for the comparison alone: the
-    # level store and the family's kept level stay as they were
+    # level store stays as it was, holding the one level its caller holds
     write_mesh(build_level("sierpinski", 8), tmp_path / "mesh.json")
     kept = build_level("sierpinski", 2)
     copy = read_mesh(tmp_path / "mesh.json")
     assert sorted(geometry._LEVELS) == [("sierpinski", 2)]
     _, local = _elements(copy, "fem_edge")
     assert local.strides[0] == 0  # the level's one element
-    assert geometry._LAST == {"sierpinski": kept}
     assert sorted(geometry._LEVELS) == [("sierpinski", 2)]
+    assert geometry._LEVELS["sierpinski", 2] is kept
 
 
 def _relabeled(mesh, **change):

@@ -1,7 +1,6 @@
 """Renormalization estimates and renormalized solves."""
 
 import hashlib
-import weakref
 
 import numpy as np
 import pytest
@@ -26,8 +25,6 @@ from fraclap.renorm import (
     RenormEstimate,
     _elements,
     _load,
-    _model_solution,
-    _ratio_statistics,
     auto_constant,
     default_estimate_pair,
     estimate_energy_ratio,
@@ -161,11 +158,11 @@ def _reference_model_solution(mesh, formulation):
 
 
 def _reference_ratios(family, n, formulation):
-    """``(ratios, excluded)`` of the pair ``(n, n + 1)`` by the two-level
-    path: both levels built and solved, the coarse-to-fine map read off
-    their copy tables (the corner reader one level above the fine leaves),
-    and the ratios gathered at the coarse interior vertices with
-    ``DENOMINATOR_GUARD``."""
+    """``(ratios, excluded, den, num)`` of the pair ``(n, n + 1)`` by the
+    two-level path: both levels built and solved, the coarse-to-fine map
+    read off their copy tables (the corner reader one level above the fine
+    leaves), the two solutions ``den`` and ``num`` gathered at the coarse
+    interior vertices, and the ratios kept by ``DENOMINATOR_GUARD``."""
     coarse, fine = build_level(family, n), build_level(family, n + 1)
     z_c, z_f = (_reference_model_solution(mesh, formulation) for mesh in (coarse, fine))
     table = geometry._copy_table(coarse)
@@ -175,12 +172,17 @@ def _reference_ratios(family, n, formulation):
     interior = coarse.interior_indices
     den, num = z_c[interior], z_f[index_map[interior]]
     keep = np.abs(den) >= renorm.DENOMINATOR_GUARD * np.abs(z_c).max()
-    return num[keep] / den[keep], int(interior.size - keep.sum())
+    return num[keep] / den[keep], int(interior.size - keep.sum()), den, num
 
 
 def _assert_estimates_match_the_reference(family, formulation, a, b):
     for n, est in enumerate(renorm._estimates(family, a, b, formulation), a):
-        ratios, excluded = _reference_ratios(family, n, formulation)
+        ratios, excluded, den, num = _reference_ratios(family, n, formulation)
+        # the model values themselves, not only their ratios: a factor
+        # common to both levels would cancel in these
+        for level, values in ((n, den), (n + 1, num)):
+            assert renorm._model_values(family, n, level, formulation).tobytes() == (
+                values.tobytes()), (n, level)
         assert est.level_pair == (n, n + 1)
         assert est.ratios.tobytes() == ratios.tobytes(), n
         lo, hi = ratios.min(), ratios.max()
@@ -338,10 +340,8 @@ def test_results_cannot_be_made_writable():
     h = _zero_bc(mesh)
     results = [
         solve_online("sierpinski", 3, "rfd", 5.0, np.ones(mesh.num_vertices), h).values,
-        _model_solution(mesh, "fd"),
         estimate_laplacian_ratio("sierpinski", 2).ratios,
         embed(build_level("sierpinski", 2), mesh).index_map,
-        geometry._table_embedding(build_level("sierpinski", 2), mesh).index_map,
         vertex_weights(mesh, MeasureKind.SELF_SIMILAR).weights,
     ]
     for k, values in enumerate(results):
@@ -373,21 +373,17 @@ def test_estimate_requires_level_one():
 
 
 @pytest.mark.parametrize("formulation", ["fd", "fem_area"])
-def test_estimates_let_go_of_the_coarse_level_before_the_fine_solve(monkeypatch, refines,
+def test_estimates_let_go_of_the_coarse_level_before_the_fine_solve(builds_nothing,
                                                                     formulation):
-    # the table embedding reads the coarse level, the fine solve does not;
-    # every level here is built by this test alone (``refines``)
-    solve, levels, alive = renorm._model_solution, {}, []
-
-    def watched(mesh, formulation):
-        below = levels.get(mesh.level - 1)
-        alive.append(below is not None and below() is not None)
-        levels[mesh.level] = weakref.ref(mesh)
-        return solve(mesh, formulation)
-
-    monkeypatch.setattr(renorm, "_model_solution", watched)
+    # no level is built for an estimate, so none is held past its pair
     assert len(list(renorm._estimates("sierpinski", 2, 5, formulation))) == 3
-    assert sorted(levels) == [2, 3, 4, 5] and alive == [False] * 4
+
+
+@pytest.mark.parametrize("method", renorm.SOLVE_METHODS)
+def test_auto_constant_builds_no_level(builds_nothing, method):
+    for family in geometry.FAMILIES if method != "rfem2d" else ["sierpinski"]:
+        for level in (1, 2, 6):
+            assert np.isfinite(auto_constant(family, method, level)[0])
 
 
 _ADMITTED = [(family, formulation) for family in geometry.FAMILIES
@@ -409,31 +405,25 @@ def _counting_distances(monkeypatch):
 
 
 def _assert_estimates_measure_no_edge(monkeypatch, family, formulation):
-    solve, solved = renorm._model_solution, []
-
-    def kept(mesh, formulation):
-        solved.append(mesh)
-        return solve(mesh, formulation)
-
-    monkeypatch.setattr(renorm, "_model_solution", kept)
+    # no level is built: the seed's edges are the only ones measured
     measured = _counting_distances(monkeypatch)
     assert len(list(renorm._estimates(family, 1, 4, formulation))) == 3
-    assert [mesh.level for mesh in solved] == [1, 2, 3, 4]
-    assert not any(p is mesh.vertices for p in measured for mesh in solved)
+    assert geometry._LEVELS.get((family, 4)) is None
+    seed = geometry._structure(family)[0]
+    assert all(p is seed.vertices for p in measured)
 
 
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 def test_fd_estimates_measure_no_edge(monkeypatch, refines, family):
-    # the map is read off the copy tables and the fd elements and load take
-    # no length, so no level's edges are measured; every level here is
-    # built by this test alone (``refines``)
+    # the fd elements and load take no length; the level store starts empty
+    # (``refines``)
     _assert_estimates_measure_no_edge(monkeypatch, family, "fd")
 
 
 @pytest.mark.parametrize("family, formulation", [case for case in _ADMITTED if case[1] != "fd"])
 def test_weak_form_estimates_measure_no_edge(monkeypatch, refines, family, formulation):
-    # the elements and loads of a built level come from its structure
-    # (``measures._level``), so no level's edges are measured either
+    # the elements and loads of a level come from its structure
+    # (``measures._level_forms``), so no level's edges are measured either
     _assert_estimates_measure_no_edge(monkeypatch, family, formulation)
 
 
@@ -493,22 +483,19 @@ def test_scaling_neutrality():
             load = _load(mesh, form, np.ones(mesh.num_vertices))
             zero = {int(i): 0.0 for i in mesh.boundary_indices}
             zs.append(solve_condensed(mesh, elements, local * c, load, zero).values)
-        r, excluded = _ratio_statistics(zs[0], zs[1], emb, coarse.interior_indices)
-        assert excluded == 0
-        ratios[c] = r
+        interior = coarse.interior_indices
+        ratios[c] = zs[1][emb.index_map[interior]] / zs[0][interior]
     np.testing.assert_allclose(ratios[7.5], ratios[1.0], rtol=1e-12)
 
 
-def test_denominator_guard_excludes_near_zeros():
-    z_c = np.array([1.0, 1e-20, 2.0, 0.5])
-    z_f = np.ones(4)
+def test_denominator_guard_excludes_near_zeros(monkeypatch):
+    def model_values(family, n, level, formulation):
+        return np.array([1.0, 1e-20, 2.0, 0.5]) if level == n else np.ones(4)
 
-    class FakeEmb:
-        index_map = np.arange(4)
-
-    ratios, excluded = _ratio_statistics(z_c, z_f, FakeEmb, np.arange(4))
-    assert excluded == 1
-    assert ratios.size == 3
+    monkeypatch.setattr(renorm, "_model_values", model_values)
+    est = estimate_laplacian_ratio("sierpinski", 2)
+    assert est.excluded_count == 1
+    assert est.ratios.tolist() == [1.0, 0.5, 2.0]
 
 
 # -- renormalize --------------------------------------------------------------------
@@ -767,7 +754,7 @@ def test_fd_model_solves_meet_the_contract(family, level):
     factored = solve_dirichlet(mesh, *_elements(mesh, "fd"), load, zero).values
     a_ii, _, iidx, _ = partition(operator, mesh.boundary_indices)
     norm_a = abs(a_ii).sum(axis=1).max()
-    for values in (_model_solution(mesh, "fd"), factored):
+    for values in (_reference_model_solution(mesh, "fd"), factored):
         x = values[iidx]
         residual = np.abs(load[iidx] - a_ii @ x).max()
         assert residual <= BACKWARD_ERROR_BOUND * (norm_a * np.abs(x).max() + 1.0)

@@ -517,7 +517,7 @@ def test_a_level_with_an_isolated_vertex_is_refused_by_every_copy_table_reader(m
     # one vertex more than the level predicts makes a singular system, which
     # at zero load would solve with residual 0: it is refused before
     # anything is built
-    mesh, fine = build_level("sierpinski", 3), build_level("sierpinski", 4)
+    mesh = build_level("sierpinski", 3)
     extra = LevelMesh(mesh.family, mesh.level, np.vstack([mesh.vertices, [[2.0, 2.0]]]),
                       mesh.edges, mesh.cells, mesh.boundary_indices)
     elements, local = _elements(extra, "fd")
@@ -526,7 +526,7 @@ def test_a_level_with_an_isolated_vertex_is_refused_by_every_copy_table_reader(m
         with pytest.raises(GeometryError, match="as build_level builds it"):
             solve_condensed(extra, elements, local, load, {0: 0.0, 1: 0.0, 2: 0.0})
     with pytest.raises(GeometryError, match="as build_level builds it"):
-        geometry._table_embedding(extra, fine)
+        geometry._copy_table(extra)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
