@@ -555,13 +555,12 @@ def _glue(mesh: LevelMesh) -> LevelMesh:
     """The next level of the built level ``mesh``: ``m`` copies of it joined
     by its family's gluing table ``glue`` (``_structure``), with no search.
 
-    Copy ``i``'s vertex ``v < nb`` is level-1 vertex ``g = glue[i, v]``,
-    moved past the interiors of the copies before the first that names
-    ``g`` (none for a boundary vertex); its other vertices are new, after the
-    level-1 vertices that copies 0..i name: ``_refine``'s first-occurrence
-    order.  Copies are written last to first, so a shared vertex keeps its
-    first copy's bits (a built-in seed's boundary points map onto themselves
-    exactly).  Every product and gather is of one ``_blocks`` block.
+    Copy ``i``'s vertex ``v < nb`` is level-1 vertex ``g = glue[i, v]``, and
+    its other vertices are new; ``_layout`` places both in ``_refine``'s
+    first-occurrence order.  Copies are written last to first, so a shared
+    vertex keeps its first copy's bits (a built-in seed's boundary points
+    map onto themselves exactly).  Every product and gather is of one
+    ``_blocks`` block.
 
     The new level skips ``LevelMesh``'s checks, which hold by induction.
     ``_structure`` admits only a seed that is one cell or edge listing all
@@ -691,35 +690,38 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     return seed, _element_rows(_refine(ifs, seed)), grow
 
 
-def _first_places(glue: np.ndarray):
-    """Two arrays: the first ``(child, child vertex)`` in ``glue`` of each level-1 vertex."""
-    return np.divmod(np.unique(glue, return_index=True)[1], glue.shape[1])
-
-
 def _layout(glue: np.ndarray, inner: int):
     """``(place, offsets)``: ``_glue`` puts level-1 vertex ``g`` at
     ``place[g]`` and copy ``i``'s vertex ``v >= nb`` at ``v + offsets[i]``
-    when each copy has ``inner`` vertices past V0 (``_first_places``)."""
-    nb, first = glue.shape[1], _first_places(glue)[0]
-    place = np.arange(first.size)
-    place[nb:] += first[nb:] * inner
-    return place, [int(np.count_nonzero(first[nb:] <= i)) + i * inner for i in range(len(glue))]
+    when each copy has ``inner`` vertices past V0.  A new level-1 vertex
+    follows the interiors of the copies before the first that names it, and
+    copy ``i``'s interior the new level-1 vertices that copies 0..i name."""
+    nb = glue.shape[1]
+    child = np.unique(glue, return_index=True)[1] // nb
+    place = np.arange(child.size)
+    place[nb:] += child[nb:] * inner
+    return place, [int(np.count_nonzero(child[nb:] <= i)) + i * inner for i in range(len(glue))]
 
 
-def _corner_reader(table: np.ndarray, family: str, height: int):
-    """``read(s)``: the V0 of the copies ``s`` (a slice) ``height`` levels
-    above the leaves of a built level of ``family``, one strided read of its
-    copy table ``table`` per column.  Copies meet only at images of V0: a
-    copy's vertex ``s`` is vertex ``k`` of child ``i`` for ``s``'s first
-    place ``(i, k)`` (``_first_places``), and so on down to a leaf."""
+def _copy_starts(family: str, level: int, upward: bool = False):
+    """The depths of ``build_level(family, level)`` from the top, or from the
+    leaves up with ``upward``: ``(first, new)``, copy ``w`` of the depth (in
+    copy-table order) having its new level-1 vertices at ``first[w] + new``
+    (``_layout``).  Each depth's starts are derived from the last one's, so
+    one is held at a time: a child's are its parent's plus the glue's offset."""
     glue = _structure(family)[1]
-    (m, nb), step = glue.shape, 1
-    child, vertex = (c[:nb] for c in _first_places(glue))
-    offsets, positions = np.zeros(nb, np.int64), np.arange(nb)
-    for _ in range(height):
-        offsets, positions, step = child * step + offsets[vertex], positions[vertex], step * m
-    return lambda s: np.column_stack([table[s.start * step + o:s.stop * step:step, k]
-                                      for o, k in zip(offsets.tolist(), positions.tolist())])
+    m, nb = glue.shape
+    layouts = [_layout(glue, predicted_vertices(family, level - d - 1) - nb) for d in range(level)]
+    first = np.zeros(1, np.int64)
+    for d in range(level):
+        if not upward:
+            yield first, layouts[d][0][nb:]
+        if d + 1 < level:
+            first = (first[:, None] + layouts[d][1]).ravel()
+    for d in reversed(range(level)) if upward else ():
+        yield first, layouts[d][0][nb:]
+        if d:
+            first = first[::m] - layouts[d - 1][1][0]
 
 
 def predicted_vertices(family: str, level: int) -> int:

@@ -6,16 +6,17 @@ shared coarse interior vertices.  The per-vertex ratio of the fine solution
 over the coarse one stabilizes at the renormalization constant of the
 chosen formulation; its statistics are reported per level pair.  No level
 is built: every copy of a depth condenses the model load alike, so both
-solutions are read off the family's structure (``_model_values``; Kigami,
-*Analysis on Fractals*, 3.1-3.2; Strichartz, *Differential Equations on
-Fractals*, 1.3-1.4).
+solutions are read off the family's structure by the condensation's depth
+blocks and way down (``_model_values``; Kigami, *Analysis on Fractals*,
+3.1-3.2; Strichartz, *Differential Equations on Fractals*, 1.3-1.4).
 
 Contract: the estimate forms no residual.  Its model values are those of
 ``solver.solve_condensed`` on the built levels, bit for bit, as the tests
 check on every pair up to Sierpinski 9:10, Koch 7:8, hata2d 6:7 and hata3d
-5:6 and on the largest admitted pairs.  Entrywise, the condensed model
-solve was within 4.1 eps of an exact rational solution on all 13 family
-and formulation pairs at small levels, and within 6.2 eps at Koch fem-edge 7.
+5:6 and on the largest admitted pairs.  With nonnegative data that solve is
+entrywise within 2 eps per level of an exact rational solution, as the
+tests check on all 13 family and formulation pairs (at most 4.1 eps at
+Sierpinski 5, Koch 5, hata2d 4 and hata3d 4, and 6.5 eps in the deep suite).
 
 ``solve_online`` hands the element matrices of the formulation to
 ``solver.solve_condensed`` and never assembles or factors a sparse matrix;
@@ -33,11 +34,11 @@ import numpy as np
 
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
-from .geometry import (_abs_max, _blocks, _element_rows, _kept, _layout, _level_index, _structure,
+from .geometry import (_abs_max, _copy_starts, _element_rows, _kept, _level_index, _structure,
                        build_level, check_level, predicted_vertices)
 from .graphs import _apply_elements
 from .measures import _elements, _level_forms, _load
-from .solver import Solution, _depth_blocks, _leaf_block, solve_condensed
+from .solver import Solution, _depth_blocks, _extend, _leaf_block, solve_condensed
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -75,11 +76,12 @@ def _model_values(family: str, n: int, level: int, formulation: str) -> np.ndarr
     a depth condenses its children's rows and the load summed on V1 with
     the level's mass element, one row per depth, formed on one row at the
     top and two below as ``_Condensation.solve`` forms it (``_blocks``).
-    Down, in the blocks of ``solve``: a copy's new values are ``u_i - v0 @
-    x_ib.T`` for its V0 values, placed where ``_glue`` puts them (``_layout``)."""
+    Down: the condensation's way down (``_extend``) over the top ``n``
+    depths, each copy's new values the depth's one row less ``v0 @ x_ib.T``,
+    placed by level ``n``'s layout (``_copy_starts``)."""
     check_level(family, level)
     seed, glue, _ = _structure(family)
-    (m, nb), nv1 = glue.shape, int(glue.max()) + 1
+    nb, nv1 = glue.shape[1], int(glue.max()) + 1
     local, mass = _level_forms(family, level, formulation)
     pos = _element_rows(seed, len(local))
     block = _leaf_block(pos, nb, np.broadcast_to(local, (len(pos), *local.shape)))
@@ -94,20 +96,9 @@ def _model_values(family: str, n: int, level: int, formulation: str) -> np.ndarr
             fv[g] += up
         f_i = np.repeat(fv[None, nb:] + load[nb:], 1 if h == level - 1 else 2, axis=0)
         up = fv[:nb] - (f_i @ x_ib)[0]
-        depths.append(((f_i @ inv_ii.T)[0], x_ib))
-    out = np.empty(predicted_vertices(family, n) - nb)
-    v0, base, offsets = np.zeros((1, nb)), np.full(1, -nb), [0]
-    for d, (u_i, x_ib) in enumerate(depths[::-1][:n]):
-        base = (base[:, None] + offsets).ravel()  # where each copy's vertices start, less nb
-        place, offsets = _layout(glue, predicted_vertices(family, n - d - 1) - nb)
-        below = np.empty((m ** (d + 1) if d + 1 < n else 0, nb))
-        for s in _blocks(m**d):
-            new = u_i - v0[s] @ x_ib.T
-            out[base[s, None] + place[nb:]] = new
-            if d + 1 < n:
-                below[s.start * m:s.stop * m] = np.hstack([v0[s], new])[:, glue].reshape(-1, nb)
-        v0 = below
-    return out
+        depths.append((lambda rows, u_i=(f_i @ inv_ii.T)[0]: u_i, x_ib))
+    starts = ((first - nb, new) for first, new in _copy_starts(family, n))
+    return _extend(np.empty(predicted_vertices(family, n) - nb), glue, starts, depths[::-1][:n])
 
 
 def _estimates(family: str, a: int, b: int, formulation: str):

@@ -13,12 +13,13 @@ of the seed vertices, so each copy condenses onto its boundary from the
 leaves up, and the values come back down from the Dirichlet data.  Every
 leaf must carry the same element matrices, as the stride-0 stacks of every
 built-in formulation do (``measures._elements``): each depth then holds one
-block, factored once (``_depth_blocks``, which needs the leaf block and the
-gluing table alone, so the renorm estimates read it with no level built).
-The leaf block is applied unassembled by ``graphs._apply_elements``, which
-also sums the loads of ``measures``.  The condensation works on
-whole-length vectors that hold zero on the boundary, a block of copies at
-a time (``geometry._corner_reader``), so it needs a few vectors of the
+block, factored once (``_depth_blocks``).  The blocks and the way down
+(``_extend``) need only the leaf block and the gluing table
+(``geometry._copy_starts``), so the renorm estimates share them with no
+level built.  The leaf block is applied unassembled by
+``graphs._apply_elements``, which also sums the loads of ``measures``.
+The condensation works on whole-length vectors that hold zero on the
+boundary, a block of copies at a time, so it needs a few vectors of the
 mesh's length beyond the problem; ``linear_solve`` and ``solve_dirichlet``
 keep interior-length vectors.
 
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import (LevelMesh, _abs_max, _blocks, _copy_table, _corner_reader, _element_rows,
+from .geometry import (LevelMesh, _abs_max, _blocks, _copy_starts, _copy_table, _element_rows,
                        _kept, _structure)
 from .graphs import _apply_elements, _assemble_elements
 
@@ -200,22 +201,21 @@ class _Condensation:
     """The interior block of ``sum_k local[k]`` over the edges or cells of a
     built level, eliminated copy by copy.
 
-    The mesh must pass the layout rule of ``_copy_table`` (``_built``): be
-    ``build_level(mesh.family, mesh.level)`` or have its vertex count,
-    edges, cells and boundary indices (coordinates are not compared).  The
-    elements must be the mesh's edges (p = 2) or cells (p = 3); anything
-    else raises ``GeometryError``.  A built level is m copies of the level
-    below, so its leaves are the ``m**n`` copies of the seed (``_copy_table``),
-    each listing its elements at the seed's edge or cell positions, and all
-    of them carry one leaf block.  Going up one depth, the m children of a
-    copy are scattered into the level-1 vertex set V1 and the vertices of V1
-    outside V0 are eliminated.  Every copy of a depth has the same block, so
-    each depth keeps one ``inv_ii = A_II^-1`` and one ``x_ib = inv_ii A_IB``;
-    the V1 vertices of its copies are read off the leaves a block at a time
-    (``_rows``), and both passes of ``solve`` are matrix products over those
-    blocks.  The row sums of the block are carried up the depths, and each
-    Schur complement takes its diagonal from them, without cancellation.
-    Vectors are whole-length and zero on the boundary.
+    The mesh and elements must be as ``solve_condensed`` takes them, or
+    ``GeometryError`` is raised (coordinates are not compared).  A built
+    level is m copies of the level below, so its leaves are the ``m**n``
+    copies of the seed (``_copy_table``), each listing its elements at the
+    seed's edge or cell positions, and all of them carry one leaf block,
+    which ``product`` and ``norm`` apply.  Going up one depth, the m children
+    of a copy are summed into the level-1 vertex set V1 by the glue and the
+    vertices of V1 outside V0 are eliminated.  Every copy of a depth has the
+    same block, so each depth keeps one ``inv_ii = A_II^-1`` and one ``x_ib =
+    inv_ii A_IB`` (``depths``, from the leaves up).  The new V1 vertices of
+    its copies lie where the glue puts them (``geometry._copy_starts``), so
+    no depth reads the leaves, and both passes of ``solve`` are matrix
+    products over blocks of copies.  The row sums of the block are carried
+    up the depths, and each Schur complement takes its diagonal from them,
+    without cancellation.  Vectors are whole-length and zero on the boundary.
     """
 
     def __init__(self, mesh: LevelMesh, elements, local):
@@ -228,18 +228,8 @@ class _Condensation:
         seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
         self.block = _leaf_block(_element_rows(seed, p), seed.num_vertices, local)
         self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
-        self.nv1, m = int(self.glue.max()) + 1, len(self.glue)
-        depths = _depth_blocks(self.block, self.glue, mesh.level)
-        self.depths = [(m ** (mesh.level - 1 - h), _corner_reader(self.leaves, mesh.family, h), *d)
-                       for h, d in enumerate(depths)]
-
-    def _rows(self, s: slice, read) -> np.ndarray:
-        """The V1 vertices of the copies ``s`` of a depth: their children's V0,
-        read by the depth's corner reader ``read``, scattered by the glue."""
-        child = read(slice(s.start * len(self.glue), s.stop * len(self.glue)))
-        rows = np.empty((s.stop - s.start, self.nv1), dtype=child.dtype)
-        rows[:, self.glue.ravel()] = child.reshape(len(rows), -1)
-        return rows
+        self.family, self.level, self.nv1 = mesh.family, mesh.level, int(self.glue.max()) + 1
+        self.depths = list(_depth_blocks(self.block, self.glue, mesh.level))
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``."""
@@ -256,33 +246,28 @@ class _Condensation:
         """``A_II^-1 b`` for a whole-length ``b``, whose boundary entries are
         not read; the result is zero on the boundary (the top level's V0,
         which no depth eliminates).  Loads condense up, values come back
-        down, each depth in blocks of copies (``geometry._blocks``).  A vertex
-        is eliminated at one depth only, so its condensed load waits in the
-        result until the way down replaces it by its value."""
+        down (``_extend``), each depth in blocks of copies (``geometry._blocks``).
+        A vertex is eliminated at one depth only, so its condensed load waits
+        in the result until the way down replaces it by its value."""
         m, nb = self.glue.shape
         u = np.zeros(b.size)
         # the leaves condense no interior: a read-only zero view goes up
         up = np.broadcast_to(0.0, self.leaves.shape)
-        for copies, read, _, x_ib in self.depths:
-            below, up = up, np.empty((copies, nb))
-            for s in _blocks(copies):
-                rows = self._rows(s, read)
-                children = below[s.start * m:s.stop * m].reshape(len(rows), m, nb)
-                fv = np.zeros(rows.shape)
-                for i, g in enumerate(self.glue):
-                    fv[:, g] += children[:, i]
-                f_i = fv[:, nb:] + b[rows[:, nb:]]
+        for (first, new), (_, x_ib) in zip(_copy_starts(self.family, self.level, upward=True),
+                                           self.depths):
+            below, up = up, np.empty((len(first), nb))
+            for s in _blocks(len(first)):
+                rows = first[s, None] + new
+                fv = np.zeros((len(rows), self.nv1))
+                for i, g in enumerate(self.glue):  # child i of each copy
+                    fv[:, g] += below[s.start * m + i:s.stop * m:m]
+                f_i = fv[:, nb:] + b[rows]
                 # A_BI A_II^-1 f_I = (A_II^-1 A_IB)^T f_I by symmetry
                 np.subtract(fv[:, :nb], f_i @ x_ib, out=up[s])
-                u[rows[:, nb:]] = f_i
-        for copies, read, inv_ii, x_ib in self.depths[::-1]:
-            for s in _blocks(copies):
-                rows = self._rows(s, read)
-                u_i = u[rows[:, nb:]] @ inv_ii.T
-                # a copy's V0 is mesh boundary (zero) or solved at a shallower depth
-                u_i -= u[rows[:, :nb]] @ x_ib.T
-                u[rows[:, nb:]] = u_i
-        return u
+                u[rows] = f_i
+        down = [(lambda rows, inv_ii=inv_ii: u[rows] @ inv_ii.T, x_ib)
+                for inv_ii, x_ib in self.depths[::-1]]
+        return _extend(u, self.glue, _copy_starts(self.family, self.level), down)
 
     def norm(self) -> float:
         """``|A_II|_inf``, exact for any symmetric leaf block: the leaves of a
@@ -299,6 +284,27 @@ class _Condensation:
         _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), interior, out=rows)
         rows[self.boundary] = 0.0
         return float(rows.max())
+
+
+def _extend(out: np.ndarray, glue: np.ndarray, starts, depths) -> np.ndarray:
+    """The way down of a condensation, from the top, a block of copies at a
+    time (``_blocks``): copy ``w`` of a depth ``(interior, x_ib)``, whose new
+    V1 vertices are ``rows = first[w] + new`` for the depth's ``(first, new)``
+    in ``starts`` (``geometry._copy_starts``), takes ``interior(rows) - v0 @
+    x_ib.T`` there for its V0 values ``v0``.  The top's V0 values are zero;
+    every other copy's are its parent's V1 values, carried by the glue."""
+    m, nb = glue.shape
+    v0 = np.zeros((1, nb))
+    for d, ((first, new), (interior, x_ib)) in enumerate(zip(starts, depths), 1):
+        below = np.empty((m * len(first) if d < len(depths) else 0, nb))
+        for s in _blocks(len(first)):
+            rows = first[s, None] + new
+            values = interior(rows) - v0[s] @ x_ib.T
+            out[rows] = values
+            if len(below):
+                below[s.start * m:s.stop * m] = np.hstack([v0[s], values])[:, glue].reshape(-1, nb)
+        v0 = below
+    return out
 
 
 def _depth_blocks(block: np.ndarray, glue: np.ndarray, depths: int):

@@ -35,7 +35,6 @@ from fraclap.renorm import (
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     Solution,
-    _Condensation,
     partition,
     solve_condensed,
     solve_dirichlet,
@@ -157,6 +156,27 @@ def _reference_model_solution(mesh, formulation):
     return solve_condensed(mesh, elements, local, load, zero).values
 
 
+def _first_places(glue):
+    """Two arrays: the first ``(child, child vertex)`` in ``glue`` of each level-1 vertex."""
+    return np.divmod(np.unique(glue, return_index=True)[1], glue.shape[1])
+
+
+def _corner_reader(table, family, height):
+    """``read(s)``: the V0 of the copies ``s`` (a slice) ``height`` levels
+    above the leaves of a built level of ``family``, one strided read of its
+    copy table ``table`` per column.  Copies meet only at images of V0: a
+    copy's vertex ``s`` is vertex ``k`` of child ``i`` for ``s``'s first
+    place ``(i, k)`` (``_first_places``), and so on down to a leaf."""
+    glue = geometry._structure(family)[1]
+    (m, nb), step = glue.shape, 1
+    child, vertex = (c[:nb] for c in _first_places(glue))
+    offsets, positions = np.zeros(nb, np.int64), np.arange(nb)
+    for _ in range(height):
+        offsets, positions, step = child * step + offsets[vertex], positions[vertex], step * m
+    return lambda s: np.column_stack([table[s.start * step + o:s.stop * step:step, k]
+                                      for o, k in zip(offsets.tolist(), positions.tolist())])
+
+
 def _reference_ratios(family, n, formulation):
     """``(ratios, excluded, den, num)`` of the pair ``(n, n + 1)`` by the
     two-level path: both levels built and solved, the coarse-to-fine map
@@ -167,7 +187,7 @@ def _reference_ratios(family, n, formulation):
     z_c, z_f = (_reference_model_solution(mesh, formulation) for mesh in (coarse, fine))
     table = geometry._copy_table(coarse)
     index_map = np.full(coarse.num_vertices, -1)
-    index_map[table] = geometry._corner_reader(geometry._copy_table(fine), family, 1)(
+    index_map[table] = _corner_reader(geometry._copy_table(fine), family, 1)(
         slice(0, len(table)))
     interior = coarse.interior_indices
     den, num = z_c[interior], z_f[index_map[interior]]
@@ -233,10 +253,9 @@ def _assert_new_vertices_take_the_v1_load(family, formulation, top):
     for n in range(1, top + 1):
         mesh = build_level(family, n)
         load = _load(mesh, formulation, np.ones(mesh.num_vertices))
-        cond = _Condensation(mesh, *_elements(mesh, formulation))
-        row, nb = _v1_load(family, n, formulation), mesh.boundary_indices.size
-        for copies, read, _, _ in cond.depths:
-            new = cond._rows(slice(0, copies), read)[:, nb:]
+        row = _v1_load(family, n, formulation)
+        for first, places in geometry._copy_starts(family, n):
+            new, copies = first[:, None] + places, len(first)
             assert load[new].tobytes() == np.tile(row, (copies, 1)).tobytes(), (n, copies)
 
 

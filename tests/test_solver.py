@@ -30,6 +30,7 @@ from fraclap.renorm import _elements, _load, _renormalized
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     _Condensation,
+    _extend,
     _leaf_block,
     _problem,
     linear_solve,
@@ -37,6 +38,8 @@ from fraclap.solver import (
     solve_condensed,
     solve_dirichlet,
 )
+
+from test_renorm import _corner_reader
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -686,50 +689,68 @@ def test_unit_edge_elements_give_one_block_per_depth(family, formulation):
 
 # -- the harmonic extension rule: an exact oracle for zero loads -------------
 
-def _harmonic_extension_matrix(family):
-    """``H = -L_II^-1 L_IB`` of the level-1 graph Laplacian ``L`` of a family,
-    in exact rationals by Gauss-Jordan elimination: row ``t`` gives the
-    harmonic value at level-1 vertex ``nb + t`` from the values at the ``nb``
-    seed vertices."""
-    seed, glue, _ = _structure(family)
-    nb, nv1 = glue.shape[1], int(glue.max()) + 1
-    lap = [[Fraction(0)] * nv1 for _ in range(nv1)]
-    for a, b in glue[:, seed.edges].reshape(-1, 2).tolist():
-        lap[a][a] += 1
-        lap[b][b] += 1
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    rows = [lap[i][nb:] + [-v for v in lap[i][:nb]] for i in range(nb, nv1)]  # [L_II | -L_IB]
-    for c in range(nv1 - nb):
-        p = next(r for r in range(c, nv1 - nb) if rows[r][c])
+def _exact_solve(a, rhs):
+    """``a^-1 rhs`` for a nonsingular square matrix ``a`` of rationals and the
+    rows ``rhs``, by Gauss-Jordan elimination on ``[a | rhs]`` in exact
+    arithmetic, as an object array of ``Fraction``."""
+    n = len(a)
+    rows = [list(a[i]) + list(rhs[i]) for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
         rows[c], rows[p] = rows[p], rows[c]
         pivot = rows[c][c]
         rows[c] = [v / pivot for v in rows[c]]
-        for r in range(nv1 - nb):
+        for r in range(n):
             factor = rows[r][c]
             if r != c and factor:
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[c])]
-    return [row[nv1 - nb:] for row in rows]
+    return np.array([row[n:] for row in rows], dtype=object)
+
+
+def _harmonic_extension_matrix(family):
+    """``H = -L_II^-1 L_IB`` of the level-1 graph Laplacian ``L`` of a family,
+    in exact rationals (``_exact_solve``): row ``t`` gives the harmonic value
+    at level-1 vertex ``nb + t`` from the values at the ``nb`` seed vertices."""
+    seed, glue, _ = _structure(family)
+    nb, nv1 = glue.shape[1], int(glue.max()) + 1
+    lap = np.full((nv1, nv1), Fraction(0), dtype=object)
+    for a, b in glue[:, seed.edges].reshape(-1, 2).tolist():
+        lap[[a, b], [a, b]] += 1
+        lap[[a, b], [b, a]] -= 1
+    return _exact_solve(lap[nb:, nb:], -lap[nb:, :nb]).tolist()
+
+
+def _v1_tables(leaves, glue):
+    """The level-1 vertices of every copy of a built level with the copy
+    table ``leaves`` and the gluing table ``glue``, one table per depth from
+    the leaves up: read off the leaves and glued up one depth at a time, not
+    laid out by ``geometry._layout``."""
+    (m, nb), nv1 = glue.shape, int(glue.max()) + 1
+    ids, tables = leaves, []
+    while len(ids) > 1:
+        v1 = np.empty((len(ids) // m, nv1), dtype=np.int64)
+        v1[:, glue.ravel()] = ids.reshape(len(v1), m * nb)
+        tables.append(v1)
+        ids = v1[:, :nb]
+    return tables
+
+
+def _words(mesh):
+    """``_v1_tables`` of a built level: the level-1 vertices of every word of maps."""
+    return _v1_tables(_copy_table(mesh), _structure(mesh.family)[1])
 
 
 def _harmonic_extension(mesh, boundary_values):
     """The harmonic function of a built level with the given values on its
     boundary, extended one copy at a time from the root down: the level-1
-    vertices of every word of maps take ``H`` (``_harmonic_extension_matrix``)
-    times the values at the word's seed vertices.  The words' vertices come
-    from the leaves (``_copy_table``), glued up one depth at a time."""
-    seed, glue, _ = _structure(mesh.family)
-    (m, nb), nv1 = glue.shape, int(glue.max()) + 1
-    ids, words = _copy_table(mesh), []
-    for d in range(mesh.level - 1, -1, -1):
-        v1 = np.empty((m**d, nv1), dtype=np.int64)
-        v1[:, glue.ravel()] = ids.reshape(m**d, m * nb)
-        words.append(v1)
-        ids = v1[:, :nb]
+    vertices of every word of maps (``_words``) take ``H``
+    (``_harmonic_extension_matrix``) times the values at the word's seed
+    vertices."""
+    nb = mesh.boundary_indices.size
     h = np.array(_harmonic_extension_matrix(mesh.family), dtype=np.float64)
     u = np.full(mesh.num_vertices, np.nan)
-    u[ids.ravel()] = boundary_values
-    for v1 in words[::-1]:
+    u[mesh.boundary_indices] = boundary_values
+    for v1 in _words(mesh)[::-1]:
         u[v1[:, nb:]] = u[v1[:, :nb]] @ h.T
     return u
 
@@ -765,6 +786,68 @@ def test_harmonic_solution_is_the_harmonic_extension(family, formulation, level)
     assert np.abs(u - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+# -- an exact rational reference for the condensed solve -------------------
+
+def _exact_condensed(mesh, local, load, boundary_values):
+    """The exact solution, in ``Fraction``, of the Dirichlet problem that
+    ``solve_condensed`` solves on a built level whose leaves all carry the
+    element matrix ``local[0]``: the same condensation in exact arithmetic,
+    from the leaf block summed exactly and the float data read exactly.  Each
+    depth's block is eliminated by ``_exact_solve``, and each copy's
+    vertices are read off the leaves (``_words``)."""
+    seed, glue, _ = _structure(mesh.family)
+    nb, nv1 = glue.shape[1], int(glue.max()) + 1
+    pos = geometry._element_rows(seed, local.shape[1])
+    exact = np.vectorize(Fraction, otypes=[object])
+    schur = np.full((nb, nb), Fraction(0), dtype=object)
+    for rows in pos:
+        schur[np.ix_(rows, rows)] += exact(local[0])
+    f, words, depths = exact(load), _words(mesh), []
+    up = np.full((len(_copy_table(mesh)), nb), Fraction(0), dtype=object)
+    for v1 in words:
+        a = np.full((nv1, nv1), Fraction(0), dtype=object)
+        fv = np.full((len(v1), nv1), Fraction(0), dtype=object)
+        for i, g in enumerate(glue):
+            a[np.ix_(g, g)] += schur
+            fv[:, g] += up[i::len(glue)]
+        inv_ii, x_ib = np.hsplit(_exact_solve(a[nb:, nb:], np.hstack(
+            [np.eye(nv1 - nb, dtype=int), a[nb:, :nb]])), [nv1 - nb])
+        schur = a[:nb, :nb] - a[:nb, nb:] @ x_ib
+        f_i = fv[:, nb:] + f[v1[:, nb:]]
+        up = fv[:, :nb] - f_i @ x_ib
+        depths.append((inv_ii, x_ib, f_i))
+    u = np.full(mesh.num_vertices, None, dtype=object)
+    u[mesh.boundary_indices] = exact(np.array(boundary_values))
+    for v1, (inv_ii, x_ib, f_i) in zip(words[::-1], depths[::-1]):
+        u[v1[:, nb:]] = f_i @ inv_ii.T - u[v1[:, :nb]] @ x_ib.T
+    return u
+
+
+# Measured: at most 4.1 eps at the tier-1 levels and 6.5 eps at the deep
+# ones; with the Schur diagonal formed by subtraction, 136 to 24,700 eps at tier-1.
+_EXACT_LEVELS = {"sierpinski": (5, 7), "koch": (5, 7), "hata2d": (4, 6), "hata3d": (4, 5)}
+
+
+@pytest.mark.parametrize("family, formulation, level", [
+    *((family, form, _EXACT_LEVELS[family][0]) for family, form in _one_element_cases()),
+    *(pytest.param(family, form, _EXACT_LEVELS[family][1], marks=pytest.mark.deep)
+      for family, form in _one_element_cases()),
+])
+def test_condensed_solve_is_within_a_few_eps_of_the_exact_solution(family, formulation, level):
+    # nonnegative data: the solution is positive inside, and each entry is
+    # compared with its own exact value
+    mesh = build_level(family, level)
+    elements, local = _elements(mesh, formulation)
+    rng = np.random.default_rng(level)
+    load = _load(mesh, formulation, rng.uniform(size=mesh.num_vertices))
+    data = rng.uniform(size=mesh.boundary_indices.size)
+    h = dict(zip(mesh.boundary_indices.tolist(), data.tolist()))
+    u = solve_condensed(mesh, elements, local, load, h).values
+    exact = _exact_condensed(mesh, local, load, data)
+    error = np.array([abs(Fraction(a) - b) / b for a, b in zip(u.tolist(), exact)], dtype=float)
+    assert error.max() <= 2 * level * np.finfo(float).eps
+
+
 def test_solve_factors_nothing(monkeypatch):
     # one inverse per depth is formed on construction; solve only multiplies
     mesh = build_level("sierpinski", 5)
@@ -793,23 +876,13 @@ def _interior_apply(cond, interior, x):
     return cond.product(u)[interior]
 
 
-def _v1_tables(cond):
-    m, nb = cond.glue.shape
-    ids, tables = cond.leaves, []
-    for copies, *_ in cond.depths:
-        v1 = np.empty((copies, cond.nv1), dtype=np.int32)
-        v1[:, cond.glue.ravel()] = ids.reshape(copies, m * nb)
-        tables.append(v1)
-        ids = v1[:, :nb]
-    return tables
-
-
 def _interior_solve(cond, interior, b):
     f = np.zeros(interior.size)
     f[interior] = b
     nb = cond.leaves.shape[1]
-    up, loads, tables = np.broadcast_to(0.0, cond.leaves.shape), [], _v1_tables(cond)
-    for v1, (_, _, _, x_ib) in zip(tables, cond.depths):
+    tables = _v1_tables(cond.leaves, cond.glue)
+    up, loads = np.broadcast_to(0.0, cond.leaves.shape), []
+    for v1, (_, x_ib) in zip(tables, cond.depths):
         children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
         for i, g in enumerate(cond.glue):
             fv[:, g] += children[:, i]
@@ -817,7 +890,7 @@ def _interior_solve(cond, interior, b):
         up = fv[:, :nb] - f_i @ x_ib
         loads.append(f_i)
     u = np.zeros(f.size)
-    for v1, (_, _, inv_ii, x_ib), f_i in zip(tables[::-1], cond.depths[::-1], loads[::-1]):
+    for v1, (inv_ii, x_ib), f_i in zip(tables[::-1], cond.depths[::-1], loads[::-1]):
         u_i = f_i @ inv_ii.T
         u_i -= u[v1[:, :nb]] @ x_ib.T
         u[v1[:, nb:]] = u_i
@@ -832,8 +905,9 @@ def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level)
     mesh = build_level(family, level)
     elements, local = _elements(mesh, formulation)
     cond = _Condensation(mesh, elements, local)
-    for v1, (copies, read, *_) in zip(_v1_tables(cond), cond.depths):
-        assert np.array_equal(cond._rows(slice(0, copies), read), v1)
+    nb = mesh.boundary_indices.size
+    for v1, (first, new) in zip(_words(mesh), geometry._copy_starts(family, level, upward=True)):
+        assert np.array_equal(first[:, None] + new, v1[:, nb:])
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.boundary_indices] = False
     bidx = mesh.boundary_indices
@@ -855,25 +929,80 @@ def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level)
     assert got[bidx].tobytes() == bytes(got.itemsize * bidx.size)
 
 
+class _Recorder:
+    """An ``x_ib`` for ``_extend`` whose product with each block's V0 values
+    records them and is zero."""
+
+    __array_ufunc__ = None  # so ``v0 @ x_ib.T`` calls __rmatmul__
+
+    def __init__(self, width):
+        self.width, self.v0 = width, []
+
+    @property
+    def T(self):
+        return self
+
+    def __rmatmul__(self, v0):
+        self.v0.append(v0.copy())
+        return np.zeros((len(v0), self.width))
+
+
+@pytest.mark.parametrize("family, level", [
+    (family, level) for family in FAMILIES for level in range(1, 7)
+])
+def test_the_walk_places_every_copy_where_the_leaves_put_it(family, level):
+    # the way down, in blocks of three rows that cross the seams, takes each
+    # copy's new vertices at the new columns of the V1 tables read off the
+    # leaves, and carries to each copy the values at their V0 columns (zero
+    # on the boundary)
+    mesh = build_level(family, level)
+    glue = _structure(family)[1]
+    nb, tables = glue.shape[1], _words(mesh)[::-1]
+    values = np.arange(mesh.num_vertices, dtype=float)
+    values[mesh.boundary_indices] = 0.0
+    seen = [[] for _ in tables]
+
+    def interior(rows, d):
+        seen[d].append(rows)
+        return values[rows]
+
+    probes = [_Recorder(glue.max() + 1 - nb) for _ in tables]
+    depths = [(lambda rows, d=d: interior(rows, d), probe) for d, probe in enumerate(probes)]
+    with mock.patch.object(geometry, "_SCAN_ROWS", 3):
+        out = _extend(values.copy(), glue, geometry._copy_starts(family, level), depths)
+    assert out.tobytes() == values.tobytes()
+    for d, v1 in enumerate(tables):
+        assert np.array_equal(np.concatenate(seen[d]), v1[:, nb:]), d
+        assert np.array_equal(np.concatenate(probes[d].v0), values[v1[:, :nb]]), d
+    # level n - 1's walk, placed at level n: the map embed searches for
+    coarse = build_level(family, level - 1)
+    index_map = np.full(coarse.num_vertices, -1)
+    for (cf, cn), (ff, fn) in zip(geometry._copy_starts(family, level - 1),
+                                  geometry._copy_starts(family, level)):
+        index_map[cf[:, None] + cn] = ff[:, None] + fn
+    inside = coarse.interior_indices
+    assert index_map[inside].tolist() == embed(coarse, mesh).index_map[inside].tolist()
+
+
 @pytest.mark.parametrize("family, level", [
     (family, level) for family in FAMILIES for level in range(1, 7)
 ])
 def test_corner_reader_reads_every_depth_and_the_table_embedding(family, level):
-    # the one corner reader, read in blocks of three rows that cross the
-    # seams, gives the V0 columns of the reference V1 tables at every height
-    # above the leaves, and at height 1 the map that embed searches for
+    # the corner reader of the two-level renorm reference (test_renorm), read
+    # in blocks of three rows that cross the seams, gives the V0 columns of
+    # the V1 tables at every height above the leaves, and at height 1 the
+    # map that embed searches for
     mesh = build_level(family, level)
-    cond = _Condensation(mesh, *_elements(mesh, "fd"))
-    nb = cond.leaves.shape[1]
-    for height, v0 in enumerate([cond.leaves, *(v1[:, :nb] for v1 in _v1_tables(cond))]):
-        read = geometry._corner_reader(cond.leaves, family, height)
+    leaves, nb = _copy_table(mesh), mesh.boundary_indices.size
+    for height, v0 in enumerate([leaves, *(v1[:, :nb] for v1 in _words(mesh))]):
+        read = _corner_reader(leaves, family, height)
         with mock.patch.object(geometry, "_SCAN_ROWS", 3):
             got = np.concatenate([read(b) for b in geometry._blocks(len(v0))])
         assert np.array_equal(got, v0), height
     coarse = build_level(family, level - 1)
     table = _copy_table(coarse)
     index_map = np.full(coarse.num_vertices, -1)
-    index_map[table] = geometry._corner_reader(cond.leaves, family, 1)(slice(0, len(table)))
+    index_map[table] = _corner_reader(leaves, family, 1)(slice(0, len(table)))
     assert index_map.tolist() == embed(coarse, mesh).index_map.tolist()
 
 
