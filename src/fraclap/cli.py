@@ -146,7 +146,8 @@ def _cmd_solve(args) -> int:
 
     from . import meshfile
     from .expressions import compile_expression
-    from .geometry import build_level, check_level
+    from .geometry import (_template_level, _vertex_blocks, build_level, check_level,
+                           predicted_vertices)
     from .renorm import _renormalized, auto_constant, solve_online
 
     extra = {"rhs": args.rhs, "bc": args.bc}
@@ -177,18 +178,23 @@ def _cmd_solve(args) -> int:
     # fails there (an unknown name, a value that is not finite) fails now
     rhs.evaluate(seed.vertices[seed.boundary_indices])
     _check_out(args.out)
-    # the estimate builds no level: level n is the one level solve glues
+    # the estimate builds no level, and solve none above the template that
+    # its coordinate blocks map, held for the load and for the file
     constant = args.constant
     if constant is None:
         constant, pair = auto_constant(args.family, args.method, args.level)
-    mesh = build_level(args.family, args.level)
-    h = {int(i): v for i, v in zip(mesh.boundary_indices, bc_values)}
+    template = build_level(args.family, _template_level(args.family, args.level))
     # handed to solve_online, not kept: it lets go of g once the load exists
-    g = [rhs.evaluate(mesh.vertices)]
+    g = [np.empty(predicted_vertices(args.family, args.level))]
+    for b, rows in _vertex_blocks(args.family, args.level):
+        g[0][b] = rhs.evaluate(rows)
+    h = {int(i): v for i, v in zip(seed.boundary_indices, bc_values)}
     if args.constant is None:
         print(f"estimated constant {constant:.6g} from level pair {pair}")
     solution = solve_online(args.family, args.level, args.method, constant, g.pop(), h)
-    meshfile.write_solution(mesh, solution, args.out, extra=extra)
+    meshfile._write_solution(args.family, template.dimension,
+                             _vertex_blocks(args.family, args.level), solution, args.out,
+                             extra=extra)
     umin, umax = float(solution.values.min()), float(solution.values.max())
     print(
         f"{args.family} level {args.level} {args.method}: constant {constant:.6g}, "

@@ -8,11 +8,18 @@ meshes from a built-in family's gluing table, with no search.  Vertex
 ordering is part of the contract: boundary vertices come first (in seed
 order), interior vertices follow in discovery order, and repeated runs
 produce identical meshes.
+
+A built level's vertex order is a walk of its copy tree, so what a solve
+reads of a level comes from the tree with no level built: the copies of
+each depth and the copy table a block at a time (``_depth_walk``), and the
+coordinates a block at a time from a small template level
+(``_vertex_blocks``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -573,7 +580,7 @@ def _glue(mesh: LevelMesh) -> LevelMesh:
     seed, glue, _ = _structure(mesh.family)
     maps, (m, nb) = builtin_system(mesh.family).maps, glue.shape
     inner = mesh.num_vertices - nb
-    place, offsets = _layout(glue, inner)
+    place, offsets = _layout(mesh.family, mesh.level + 1)
     heads = place[glue]
 
     def placed(i, rows):  # where copy i's vertices ``rows`` go
@@ -690,38 +697,147 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     return seed, _element_rows(_refine(ifs, seed)), grow
 
 
-def _layout(glue: np.ndarray, inner: int):
-    """``(place, offsets)``: ``_glue`` puts level-1 vertex ``g`` at
-    ``place[g]`` and copy ``i``'s vertex ``v >= nb`` at ``v + offsets[i]``
-    when each copy has ``inner`` vertices past V0.  A new level-1 vertex
+@functools.lru_cache(maxsize=None)
+def _layout(family: str, level: int):
+    """``(place, offsets)``, immutable and made once per process: ``_glue``
+    puts level-1 vertex ``g`` of level ``level >= 1`` of ``family`` at
+    ``place[g]`` and copy ``i``'s vertex ``v >= nb`` at ``v + offsets[i]``,
+    each copy (a level ``level - 1``) having ``inner`` vertices past V0.  A new level-1 vertex
     follows the interiors of the copies before the first that names it, and
     copy ``i``'s interior the new level-1 vertices that copies 0..i name."""
+    glue = _structure(family)[1]
     nb = glue.shape[1]
+    inner = predicted_vertices(family, level - 1) - nb
     child = np.unique(glue, return_index=True)[1] // nb
     place = np.arange(child.size)
     place[nb:] += child[nb:] * inner
-    return place, [int(np.count_nonzero(child[nb:] <= i)) + i * inner for i in range(len(glue))]
+    return _frozen(place, np.int64), tuple(int(np.count_nonzero(child[nb:] <= i)) + i * inner
+                                           for i in range(len(glue)))
+
+
+def _depth_walk(family: str, level: int, depth: int, corners: bool = True):
+    """The copies of depth ``depth`` of ``build_level(family, level)`` (the
+    level itself is depth 0, its ``m**level`` leaves depth ``level``) in
+    copy-table order, a block at a time: ``(s, v0, first)``, copy ``w`` of
+    the depth (``s.start <= w < s.stop``) having its seed vertices (V0) at
+    ``v0[w - s.start]`` and, above the leaves, its new level-1 vertices at
+    ``first[w - s.start] + new`` (``_copy_starts``).  At depth ``level`` the
+    ``v0`` rows are those of the copy table (``_copy_table``).  With no
+    ``corners``, ``v0`` is None.
+
+    Each block holds the children of at most ``_SCAN_ROWS // m`` copies of
+    the parent depth, walked the same way: a child's V0 vertices are its
+    parent's V1 vertices at its glue row, and its start is its parent's plus
+    the glue's offset (``_layout``).  So one block of each depth above is
+    held, and each block but the top's one copy has two copies at least (no
+    product of a block is a one-row product, ``_blocks``)."""
+    glue = _structure(family)[1]
+    m, nb = glue.shape
+    if not depth:
+        yield slice(0, 1), np.arange(nb)[None] if corners else None, np.zeros(1, np.int64)
+        return
+    place, offsets = _layout(family, level - depth + 1)
+    step, lo, rows = max(_SCAN_ROWS // m, 1), 0, glue.tolist()
+    for _, v0, first in _depth_walk(family, level, depth - 1, corners):
+        for k in range(0, len(first), step):  # the children of ``step`` parents at a time
+            parents, kids = first[k:k + step], None
+            starts = np.empty((len(parents), m), np.int64)
+            for i in range(m):  # column by column: no gather
+                np.add(parents, offsets[i], out=starts[:, i])
+            if corners:
+                kids = np.empty((len(parents), m, nb), np.int64)
+                for i, row in enumerate(rows):
+                    for a, g in enumerate(row):  # child i's seed vertex a is level-1 vertex g
+                        if g < nb:
+                            kids[:, i, a] = v0[k:k + step, g]
+                        else:
+                            np.add(parents, place[g], out=kids[:, i, a])
+                kids = kids.reshape(-1, nb)
+            yield slice(lo, lo + starts.size), kids, starts.ravel()
+            lo += starts.size
 
 
 def _copy_starts(family: str, level: int, upward: bool = False):
     """The depths of ``build_level(family, level)`` from the top, or from the
-    leaves up with ``upward``: ``(first, new)``, copy ``w`` of the depth (in
-    copy-table order) having its new level-1 vertices at ``first[w] + new``
-    (``_layout``).  Each depth's starts are derived from the last one's, so
-    one is held at a time: a child's are its parent's plus the glue's offset."""
-    glue = _structure(family)[1]
-    m, nb = glue.shape
-    layouts = [_layout(glue, predicted_vertices(family, level - d - 1) - nb) for d in range(level)]
-    first = np.zeros(1, np.int64)
-    for d in range(level):
-        if not upward:
-            yield first, layouts[d][0][nb:]
-        if d + 1 < level:
-            first = (first[:, None] + layouts[d][1]).ravel()
-    for d in reversed(range(level)) if upward else ():
-        yield first, layouts[d][0][nb:]
-        if d:
-            first = first[::m] - layouts[d - 1][1][0]
+    leaves up with ``upward``: ``(walk, new)``, each copy of a block
+    ``(s, v0, first)`` of the depth's walk (``_depth_walk``) having its new
+    level-1 vertices at ``first[:, None] + new`` (``_layout``); ``v0`` is None."""
+    nb = _structure(family)[1].shape[1]
+    for d in reversed(range(level)) if upward else range(level):
+        yield _depth_walk(family, level, d, corners=False), _layout(family, level - d)[0][nb:]
+
+
+def _leaf_rows(family: str, level: int):
+    """The copy table of ``build_level(family, level)`` (``_copy_table``),
+    a block of rows at a time, read off the depth walk (``_depth_walk``)."""
+    return (v0 for _, v0, _ in _depth_walk(family, level, level))
+
+
+def _template_level(family: str, level: int) -> int:
+    """The level that ``_vertex_blocks`` maps: the largest up to ``level``
+    with at most ``_SCAN_ROWS`` vertices, or the seed's."""
+    t = 0
+    while t < level and predicted_vertices(family, t + 1) <= _SCAN_ROWS:
+        t += 1
+    return t
+
+
+def _vertex_blocks(family: str, level: int):
+    """The vertices of ``build_level(family, level)``, bit for bit, in the
+    blocks ``b`` of ``_blocks``: ``(b, rows)``, with no level above the
+    template (``_template_level``) built.
+
+    A level's vertex order is a pre-order walk of its copy tree (``_layout``):
+    its boundary, then for each copy ``i`` the new level-1 vertices that ``i``
+    names first, then ``i``'s interior, laid out the same way one level down.
+    The copies at the template's level are the template's interior under
+    the maps of their word; every other vertex is a level-1 vertex of some
+    copy, whose bits are those of the first child naming it in that copy's
+    own level (written last to first, as ``_glue`` writes them).  Every row
+    is mapped as ``_glue`` maps it, innermost map first, ``rows @ L.T`` then
+    ``+= t``, and never as a one-row product: the level-1 vertices of a
+    copy are mapped all together, and the template with its boundary."""
+    seed, glue, _ = _structure(family)
+    maps, (m, nb) = builtin_system(family).maps, glue.shape
+    t = _template_level(family, level)
+    template = build_level(family, t).vertices
+    child = np.unique(glue, return_index=True)[1] // nb  # the first child naming each vertex
+    news = [np.flatnonzero(child[nb:] == i) + nb for i in range(m)]
+
+    def mapped(rows, word):  # the maps of ``word``, innermost (last) first
+        for i in reversed(word):
+            rows = rows @ maps[i].linear.T
+            for col, shift in zip(rows.T, maps[i].translation.tolist()):
+                col += shift  # ``rows += translation`` a column at a time: the same sums
+        return rows
+
+    tables, corners = {}, template[:nb]
+    for n in range(t + 1, level + 1):  # level n's level-1 vertices, in its own frame
+        tables[n] = np.empty((glue.max() + 1, seed.dimension))
+        for i in reversed(range(m)):
+            tables[n][glue[i]] = mapped(corners, [i])
+        corners = tables[n][:nb]
+
+    def pieces(n, word):  # the interior of the copy of level n at ``word``
+        v1 = mapped(tables[n], word)
+        for i in range(m):
+            yield v1[news[i]]
+            if n - 1 > t:
+                yield from pieces(n - 1, [*word, i])
+            else:
+                yield mapped(template, [*word, i])[nb:]
+
+    source = itertools.chain([corners], pieces(level, [])) if level > t else iter([template])
+    rows, at = next(source), 0
+    for b in _blocks(predicted_vertices(family, level)):
+        out, filled = np.empty((b.stop - b.start, seed.dimension)), 0
+        while filled < len(out):
+            if at == len(rows):
+                rows, at = next(source), 0
+            k = min(len(out) - filled, len(rows) - at)
+            out[filled:filled + k] = rows[at:at + k]
+            filled, at = filled + k, at + k
+        yield b, out
 
 
 def predicted_vertices(family: str, level: int) -> int:

@@ -58,24 +58,31 @@ def _assemble_elements(n: int, elements: np.ndarray, local: np.ndarray) -> sp.cs
     return _assemble(n, rows, cols, local)
 
 
-def _apply_elements(elements: np.ndarray, local: np.ndarray, u: np.ndarray,
+def _apply_elements(elements, local: np.ndarray, u: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """The products ``local[k] @ u[elements[k]]`` summed per vertex: the sum
     of the element matrices times ``u``, added into ``out`` when it is
-    given.  One matrix may serve every element.
+    given.  One matrix may serve every element.  ``elements`` is an array of
+    rows, or an iterable of blocks of rows that one matrix serves (the copy
+    table as ``geometry._leaf_rows`` yields it).
 
-    The elements go ``geometry._SCAN_ROWS`` at a time, so no whole-mesh
+    An array goes ``geometry._SCAN_ROWS`` rows at a time, so no whole-mesh
     ``(elements, p)`` gather, product or intp index copy is formed.  Each
     block's products are added into one output (zeroed when not given) by
     ``np.add.at``, in element order, so every vertex sums its terms in the
     order of one ``np.bincount`` over all elements, and the result has its
     bits."""
-    local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
     if out is None:
         out = np.zeros(u.size)
-    for s in _blocks(len(elements)):
-        rows = elements[s]
-        ku = np.einsum("kab,kb->ka", local[s], u[rows])
+    if isinstance(elements, np.ndarray):
+        local = np.broadcast_to(local, (*elements.shape, elements.shape[1]))
+        blocks = ((elements[s], local[s]) for s in _blocks(len(elements)))
+    else:
+        blocks = ((rows, np.broadcast_to(local, (*rows.shape, rows.shape[1])))
+                  for rows in elements)
+    for rows, matrices in blocks:
+        # C order, as from an array: einsum's order of summation follows the layout
+        ku = np.einsum("kab,kb->ka", matrices, np.ascontiguousarray(u[rows]))
         np.add.at(out, rows.ravel(), ku.ravel())
     return out
 

@@ -17,7 +17,9 @@ graph_energy and the self-similar measure take one element everywhere; the
 weak forms and the Euclidean measures take one element per level, read off
 the structure with no level built or edge measured (``_level_forms``, which
 the renorm estimates read too), on a built level with its coordinates
-(``_level``), and elements from coordinates on any other mesh.
+(``_level``), and elements from coordinates on any other mesh.  A solve's
+load on a level that is never built sums the one mass element over the
+copy table's rows as the copy tree's walk yields them (``_level_load``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import LevelMesh, _abs_max, _built, _element_rows, _kept, _structure
+from .geometry import (LevelMesh, _abs_max, _built, _element_rows, _kept, _leaf_rows, _structure,
+                       predicted_vertices)
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -234,6 +237,25 @@ def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:
     load = load_vector(mesh, _LOAD_MEASURE[formulation], g)
     if formulation == "fem_edge":
         load *= 0.5  # in place: halving is exact, so the bits are 0.5 * load's
+    return load
+
+
+def _level_load(family: str, level: int, formulation: str, g: np.ndarray) -> np.ndarray:
+    """``_load`` on ``build_level(family, level)``, bit for bit, with no level
+    built: the one mass element of ``_level_forms`` on the level's edges or
+    cells, in their order, as the copy table's rows give them
+    (``geometry._leaf_rows``; each row lists a leaf's seed edges or cell)."""
+    if formulation == "fd":
+        return g
+    mass = _level_forms(family, level, formulation)[1]
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (predicted_vertices(family, level),):
+        raise UsageError("nodal data length does not match the mesh")
+    pos = _element_rows(_structure(family)[0], len(mass))
+    rows = (leaves[:, pos].reshape(-1, len(mass)) for leaves in _leaf_rows(family, level))
+    load = _apply_elements(rows, mass, g)
+    if formulation == "fem_edge":
+        load *= 0.5  # as in _load
     return load
 
 

@@ -11,6 +11,8 @@ mesh and solution rows go through one block loop (``_write_rows``), not the
 pure-Python JSON encoder: one ``%`` operation per block on a row template
 repeated once per row, with each distinct coordinate of the block formatted
 once (a deep level has few); the bytes are those of formatting every value.
+The blocks come from an array or, for ``solve``, which holds no level, from
+the coordinates that ``geometry._vertex_blocks`` makes.
 
 Table and solution rows are comma-separated ``%.17g`` values, locale
 independent; a solution file starts with ``# key=value`` header lines and
@@ -40,16 +42,21 @@ def _formatted(arr: np.ndarray, fmt: str) -> np.ndarray:
     return strings[inverse]
 
 
-def _write_rows(fh, item: str, sep: str, arr: np.ndarray, fmt: str, last) -> None:
-    """Write ``item % row`` for each row of ``arr``, joined by ``sep``, in
-    blocks of ``geometry._blocks``: a whole ``(vertices, d + 1)`` copy would
+def _row_blocks(arr: np.ndarray):
+    """``(b, arr[b])`` for the blocks ``b`` of ``geometry._blocks``."""
+    return ((b, arr[b]) for b in _blocks(len(arr)))
+
+
+def _write_rows(fh, item: str, sep: str, blocks, fmt: str, last) -> None:
+    """Write ``item % row`` for each row of the ``(b, rows)`` ``blocks`` of an
+    array (``_row_blocks``, or ``geometry._vertex_blocks`` for a level's
+    coordinates), joined by ``sep``: a whole ``(vertices, d + 1)`` copy would
     set the peak of a large solve.  A float row's fields are the strings of
-    ``_formatted(block, fmt)``, since coordinates repeat.  Unless ``last``
-    is None, ``item`` formats each row's entry of ``last`` first, as it is
+    ``_formatted(rows, fmt)``, since coordinates repeat.  Unless ``last`` is
+    None, ``item`` formats each row's entry of ``last`` first, as it is
     (solution values are distinct), and escapes the row's fields as ``%%s``."""
-    for b in _blocks(len(arr)):
-        block = arr[b]
-        fields = _formatted(block, fmt) if arr.dtype.kind == "f" else block.ravel()
+    for b, block in blocks:
+        fields = _formatted(block, fmt) if block.dtype.kind == "f" else block.ravel()
         rows = sep.join([item] * len(block))
         if last is not None:
             rows %= tuple(last[b].tolist())
@@ -72,7 +79,7 @@ def write_mesh(mesh: LevelMesh, path) -> None:
             item = field if arr.ndim == 1 else (
                 "[\n   %s\n  ]" % ",\n   ".join([field] * arr.shape[1]))
             fh.write(f',\n "{key}": [' + ("\n  " if arr.size else ""))
-            _write_rows(fh, item, ",\n  ", arr, "%r", None)
+            _write_rows(fh, item, ",\n  ", _row_blocks(arr), "%r", None)
             fh.write("\n ]" if arr.size else "]")
         fh.write("\n}\n")
 
@@ -149,9 +156,18 @@ def check_header(meta: dict) -> None:
 def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> None:
     """Header metadata lines prefixed '#', then coordinate/value rows.  The
     header is checked by ``check_header`` before the file is opened."""
+    _write_solution(mesh.family, mesh.dimension, _row_blocks(mesh.vertices), solution, path,
+                    extra)
+
+
+def _write_solution(family: str, dimension: int, coordinates, solution: Solution, path,
+                    extra=None) -> None:
+    """``write_solution`` with the coordinates as ``(b, rows)`` blocks
+    (``_write_rows``): ``solve`` writes a level's rows as
+    ``geometry._vertex_blocks`` makes them, and holds no level."""
     constant = solution.renorm_constant_applied
     meta = {
-        "family": mesh.family,
+        "family": family,
         "level": solution.level,
         "method": solution.method,
         "constant": "" if constant is None else "%.17g" % constant,
@@ -162,5 +178,5 @@ def write_solution(mesh: LevelMesh, solution: Solution, path, extra=None) -> Non
     check_header(meta)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("".join(f"# {key}={value}\n" for key, value in meta.items()))
-        _write_rows(fh, "%%s," * mesh.dimension + "%.17g\n", "", mesh.vertices, "%.17g",
+        _write_rows(fh, "%%s," * dimension + "%.17g\n", "", coordinates, "%.17g",
                     solution.values)

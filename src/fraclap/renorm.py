@@ -18,10 +18,11 @@ entrywise within 2 eps per level of an exact rational solution, as the
 tests check on all 13 family and formulation pairs (at most 4.1 eps at
 Sierpinski 5, Koch 5, hata2d 4 and hata3d 4, and 6.5 eps in the deep suite).
 
-``solve_online`` hands the element matrices of the formulation to
-``solver.solve_condensed`` and never assembles or factors a sparse matrix;
-scipy is not imported.  ``renormalize`` still scales an assembled operator
-for callers of ``solver.partition`` and ``solver.linear_solve``.
+``solve_online`` hands the one element matrix of the formulation and its
+load to the condensation (``solver._solve_level``), with no level built,
+and never assembles or factors a sparse matrix; scipy is not imported.
+``renormalize`` still scales an assembled operator for callers of
+``solver.partition`` and ``solver.linear_solve``.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ import numpy as np
 from . import SOLVE_METHODS
 from .errors import SolveError, UsageError
 from .geometry import (_abs_max, _copy_starts, _element_rows, _kept, _level_index, _structure,
-                       build_level, check_level, predicted_vertices)
+                       check_level, predicted_vertices)
 from .graphs import _apply_elements
-from .measures import _elements, _level_forms, _load
-from .solver import Solution, _depth_blocks, _extend, _leaf_block, solve_condensed
+from .measures import _level_forms, _level_load
+from .solver import Solution, _depth_blocks, _extend, _leaf_block, _solve_level
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -97,7 +98,7 @@ def _model_values(family: str, n: int, level: int, formulation: str) -> np.ndarr
         f_i = np.repeat(fv[None, nb:] + load[nb:], 1 if h == level - 1 else 2, axis=0)
         up = fv[:nb] - (f_i @ x_ib)[0]
         depths.append((lambda rows, u_i=(f_i @ inv_ii.T)[0]: u_i, x_ib))
-    starts = ((first - nb, new) for first, new in _copy_starts(family, n))
+    starts = ((walk, new - nb) for walk, new in _copy_starts(family, n))
     return _extend(np.empty(predicted_vertices(family, n) - nb), glue, starts, depths[::-1][:n])
 
 
@@ -213,19 +214,24 @@ def solve_online(
 ) -> Solution:
     """Solve the renormalized Dirichlet problem at level ``n``.
 
-    Each method solves one formulation (``_elements`` and ``_load``): rfd
-    the graph Laplacian with ``g`` taken pointwise, rfem1d the edge
-    stiffness with half the edge-length load, rfem2d the area stiffness
-    with the area load.  The element matrices are scaled by constant**n and
-    the problem is solved by condensation.
+    Each method solves one formulation (``measures._level_forms`` and
+    ``measures._level_load``): rfd the graph Laplacian with ``g`` taken
+    pointwise, rfem1d the edge stiffness with half the edge-length load,
+    rfem2d the area stiffness with the area load.  The element matrices are
+    scaled by constant**n and the problem is solved by condensation, as
+    ``solver.solve_condensed`` solves it on ``build_level(family, n)``, bit
+    for bit, with no level built.
     """
     if method not in SOLVE_METHODS:
         raise UsageError(f"method must be one of {SOLVE_METHODS}, got {method!r}")
-    mesh = build_level(family, n)
+    check_level(family, n)
     formulation = _METHOD_FORMULATION[method]
-    elements, local = _elements(mesh, formulation)
-    load = _load(mesh, formulation, g)
+    seed, glue, _ = _structure(family)
+    local = _level_forms(family, n, formulation)[0]
+    local = np.broadcast_to(local, (len(glue)**n * len(_element_rows(seed, len(local))),
+                                    *local.shape))
+    load = _level_load(family, n, formulation, g)
     del g  # a weak form's load is a new vector: a caller's g that is handed over goes here
     local = _renormalized(local, constant, n)
-    solution = solve_condensed(mesh, elements, local, load, h)
+    solution = _solve_level(family, n, local, load, h)
     return replace(solution, method=method, renorm_constant_applied=float(constant))

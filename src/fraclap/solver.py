@@ -13,10 +13,12 @@ of the seed vertices, so each copy condenses onto its boundary from the
 leaves up, and the values come back down from the Dirichlet data.  Every
 leaf must carry the same element matrices, as the stride-0 stacks of every
 built-in formulation do (``measures._elements``): each depth then holds one
-block, factored once (``_depth_blocks``).  The blocks and the way down
-(``_extend``) need only the leaf block and the gluing table
-(``geometry._copy_starts``), so the renorm estimates share them with no
-level built.  The leaf block is applied unassembled by
+block, factored once (``_depth_blocks``).  The blocks, the way down
+(``_extend``), the leaves (``geometry._leaf_rows``) and the operator's norm
+(``_vertex_kinds``) need only the leaf block and the gluing table
+(``geometry._copy_starts``), so the condensation holds no level: the renorm
+estimates share it, and ``renorm.solve_online`` solves a level that is
+never built (``_solve_level``).  The leaf block is applied unassembled by
 ``graphs._apply_elements``, which also sums the loads of ``measures``.
 The condensation works on whole-length vectors that hold zero on the
 boundary, a block of copies at a time, so it needs a few vectors of the
@@ -33,6 +35,7 @@ nothing to its norm.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -40,8 +43,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GeometryError, SolveError, UsageError
-from .geometry import (LevelMesh, _abs_max, _blocks, _copy_starts, _copy_table, _element_rows,
-                       _kept, _structure)
+from .geometry import (LevelMesh, _abs_max, _copy_starts, _copy_table, _element_rows, _kept,
+                       _leaf_rows, _structure, predicted_vertices)
 from .graphs import _apply_elements, _assemble_elements
 
 if TYPE_CHECKING:
@@ -64,21 +67,22 @@ def _check_interior(size: int) -> None:
         raise SolveError("empty interior: every vertex is a boundary vertex")
 
 
-def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
-    """The checked Dirichlet problem: ``(bidx, u0, elements, local, load)``,
-    the sorted boundary indices and their values, the element rows, and the
-    element matrices and load as float64 arrays."""
-    elements, local = np.asarray(elements), np.asarray(local, dtype=np.float64)
-    k, p = elements.shape if elements.ndim == 2 else (0, 0)
+def _problem(size: int, boundary, shape, local, load, boundary_values):
+    """The checked Dirichlet problem on ``size`` vertices with the boundary
+    indices ``boundary`` and elements of the ``(k, p)`` ``shape``: ``(bidx,
+    u0, local, load)``, the sorted boundary indices and their values, and
+    the element matrices and load as float64 arrays."""
+    local = np.asarray(local, dtype=np.float64)
+    k, p = shape if len(shape) == 2 else (0, 0)
     if not k * p or local.shape != (k, p, p):
-        raise UsageError(f"elements {elements.shape} and local {local.shape} must be "
+        raise UsageError(f"elements {tuple(shape)} and local {local.shape} must be "
                          "(k, p) and (k, p, p) with k, p >= 1")
     try:
         given = {operator.index(i): boundary_values[i] for i in boundary_values}
     except TypeError:
         raise UsageError("boundary value keys must be integer vertex indices") from None
     # not np.unique: its plain form imports numpy.ma on first use (numpy 2.4)
-    expected = sorted(set(mesh.boundary_indices.tolist()))
+    expected = sorted(set(boundary.tolist()))
     if given.keys() != set(expected):
         raise UsageError(f"boundary values must cover exactly the boundary indices {expected}")
     bidx = np.array(expected, dtype=np.int64)
@@ -86,15 +90,15 @@ def _problem(mesh: LevelMesh, elements, local, load, boundary_values):
     if not np.isfinite(u0).all():
         raise UsageError("boundary values must be finite")
     load = np.asarray(load, dtype=np.float64)
-    if load.shape != (mesh.num_vertices,):
+    if load.shape != (size,):
         raise UsageError("load length does not match the mesh")
     if not np.isfinite(load).all():
         raise UsageError("load must be finite")
     # a broadcast stack (stride 0 over its elements) is checked on its one matrix
     one = local[:1] if local.strides[0] == 0 else local
     _check_symmetric(_abs_max(one - one.transpose(0, 2, 1)), _abs_max(one))
-    _check_interior(mesh.num_vertices - bidx.size)  # distinct indices, each in range
-    return bidx, u0, elements, local, load
+    _check_interior(size - bidx.size)  # distinct indices, each in range
+    return bidx, u0, local, load
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +188,9 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     """Solve the Dirichlet problem of the operator ``sum_k local[k]`` on the
     vertices ``elements[k]`` by assembling it and factoring its interior
     block with SuperLU; ``mesh`` may be any ``LevelMesh``."""
-    bidx, u0, elements, local, load = _problem(mesh, elements, local, load, boundary_values)
+    elements = np.asarray(elements)
+    bidx, u0, local, load = _problem(mesh.num_vertices, mesh.boundary_indices, elements.shape,
+                                     local, load, boundary_values)
     a = _assemble_elements(mesh.num_vertices, elements, local)
     a_ii, a_i0, interior_idx, _ = partition(a, bidx)
     with np.errstate(over="ignore", invalid="ignore"):  # _contract_solve reports overflow
@@ -198,42 +204,36 @@ def solve_dirichlet(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
 
 
 class _Condensation:
-    """The interior block of ``sum_k local[k]`` over the edges or cells of a
-    built level, eliminated copy by copy.
+    """The interior block of ``sum_k local[k]`` over the edges (``p = 2``) or
+    cells (``p = 3``) of ``build_level(family, level)``, eliminated copy by
+    copy, with no level built.
 
-    The mesh and elements must be as ``solve_condensed`` takes them, or
-    ``GeometryError`` is raised (coordinates are not compared).  A built
-    level is m copies of the level below, so its leaves are the ``m**n``
-    copies of the seed (``_copy_table``), each listing its elements at the
-    seed's edge or cell positions, and all of them carry one leaf block,
-    which ``product`` and ``norm`` apply.  Going up one depth, the m children
-    of a copy are summed into the level-1 vertex set V1 by the glue and the
-    vertices of V1 outside V0 are eliminated.  Every copy of a depth has the
-    same block, so each depth keeps one ``inv_ii = A_II^-1`` and one ``x_ib =
-    inv_ii A_IB`` (``depths``, from the leaves up).  The new V1 vertices of
-    its copies lie where the glue puts them (``geometry._copy_starts``), so
-    no depth reads the leaves, and both passes of ``solve`` are matrix
+    A built level is m copies of the level below, so its leaves are the
+    ``m**level`` copies of the seed (``geometry._copy_table``), each listing
+    its elements at the seed's edge or cell positions, and all of them carry
+    one leaf block, which ``product`` applies to the leaves as the depth walk
+    yields them (``geometry._leaf_rows``).  Going up one depth, the m
+    children of a copy are summed into the level-1 vertex set V1 by the glue
+    and the vertices of V1 outside V0 are eliminated.  Every copy of a depth
+    has the same block, so each depth keeps one ``inv_ii = A_II^-1`` and one
+    ``x_ib = inv_ii A_IB`` (``depths``, from the leaves up).  The new V1
+    vertices of its copies lie where the glue puts them
+    (``geometry._copy_starts``), so both passes of ``solve`` are matrix
     products over blocks of copies.  The row sums of the block are carried
     up the depths, and each Schur complement takes its diagonal from them,
     without cancellation.  Vectors are whole-length and zero on the boundary.
     """
 
-    def __init__(self, mesh: LevelMesh, elements, local):
-        self.leaves = _copy_table(mesh)
-        p = elements.shape[1]
-        rows = _element_rows(mesh, p)
-        if not (elements is rows or np.array_equal(elements, rows)):
-            raise GeometryError("condensation needs the edges or cells of a level as "
-                                "build_level builds it; solve other meshes with solve_dirichlet")
-        seed, self.glue, _ = _structure(mesh.family)  # (child, child vertex) -> V1
-        self.block = _leaf_block(_element_rows(seed, p), seed.num_vertices, local)
-        self.size, self.boundary = mesh.num_vertices, mesh.boundary_indices
-        self.family, self.level, self.nv1 = mesh.family, mesh.level, int(self.glue.max()) + 1
-        self.depths = list(_depth_blocks(self.block, self.glue, mesh.level))
+    def __init__(self, family: str, level: int, local):
+        seed, self.glue, _ = _structure(family)  # (child, child vertex) -> V1
+        self.block = _leaf_block(_element_rows(seed, local.shape[1]), seed.num_vertices, local)
+        self.size, self.boundary = predicted_vertices(family, level), seed.boundary_indices
+        self.family, self.level, self.nv1 = family, level, int(self.glue.max()) + 1
+        self.depths = list(_depth_blocks(self.block, self.glue, level))
 
     def product(self, u: np.ndarray) -> np.ndarray:
         """The assembled operator times ``u``."""
-        return _apply_elements(self.leaves, self.block, u)
+        return _apply_elements(_leaf_rows(self.family, self.level), self.block, u)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A_II x`` for a whole-length ``x`` that is zero on the boundary:
@@ -246,18 +246,18 @@ class _Condensation:
         """``A_II^-1 b`` for a whole-length ``b``, whose boundary entries are
         not read; the result is zero on the boundary (the top level's V0,
         which no depth eliminates).  Loads condense up, values come back
-        down (``_extend``), each depth in blocks of copies (``geometry._blocks``).
+        down (``_extend``), each depth in blocks of copies (``geometry._depth_walk``).
         A vertex is eliminated at one depth only, so its condensed load waits
         in the result until the way down replaces it by its value."""
         m, nb = self.glue.shape
         u = np.zeros(b.size)
         # the leaves condense no interior: a read-only zero view goes up
-        up = np.broadcast_to(0.0, self.leaves.shape)
-        for (first, new), (_, x_ib) in zip(_copy_starts(self.family, self.level, upward=True),
-                                           self.depths):
-            below, up = up, np.empty((len(first), nb))
-            for s in _blocks(len(first)):
-                rows = first[s, None] + new
+        up = np.broadcast_to(0.0, (m**self.level, nb))
+        for (walk, new), (_, x_ib) in zip(_copy_starts(self.family, self.level, upward=True),
+                                          self.depths):
+            below, up = up, np.empty((len(up) // m, nb))
+            for s, _, first in walk:
+                rows = first[:, None] + new
                 fv = np.zeros((len(rows), self.nv1))
                 for i, g in enumerate(self.glue):  # child i of each copy
                     fv[:, g] += below[s.start * m + i:s.stop * m:m]
@@ -270,35 +270,76 @@ class _Condensation:
         return _extend(u, self.glue, _copy_starts(self.family, self.level), down)
 
     def norm(self) -> float:
-        """``|A_II|_inf``, exact for any symmetric leaf block: the leaves of a
-        built level share no pair of vertices (``geometry._glue``), so no two
-        leaf blocks add into one off-diagonal entry.  One whole-length vector
-        takes the diagonal, then its magnitude, then the off-diagonal
-        magnitudes at interior columns; the boundary rows are zeroed before
-        the maximum."""
-        eye = np.eye(self.leaves.shape[1])
-        interior = np.ones(self.size)  # einsum casts a bool vector slowly
-        interior[self.boundary] = 0.0
-        rows = _apply_elements(self.leaves, self.block * eye, interior)
+        """``|A_II|_inf``, exact for any symmetric leaf block, read off the
+        structure (``_vertex_kinds``): the leaves of a built level share no
+        pair of vertices (``geometry._glue``), so no two leaf blocks add into
+        one off-diagonal entry, and a row is the sum of its leaves' rows.
+        The rows of the kinds are summed as a pass over the whole level sums
+        them: the diagonal, then its magnitude, then the off-diagonal
+        magnitudes at interior columns, each leaf in copy-table order."""
+        table, interior = _vertex_kinds(self.glue, self.level)
+        eye = np.eye(len(self.glue[0]))
+        rows = _apply_elements(table, self.block * eye, interior)
         np.abs(rows, out=rows)
-        _apply_elements(self.leaves, abs(self.block) * (1.0 - eye), interior, out=rows)
-        rows[self.boundary] = 0.0
-        return float(rows.max())
+        _apply_elements(table, abs(self.block) * (1.0 - eye), interior, out=rows)
+        return float(rows[:-2].max())
+
+
+def _vertex_kinds(glue: np.ndarray, level: int):
+    """``(table, interior)``: leaves, as rows of a small vertex set, whose
+    sums give every row of the interior block of a built level.  A vertex
+    new in a copy of some depth lies in the leaves below that copy's
+    children that name it, each at the position the glue gives it there.
+    Which of a leaf's vertices lie on the boundary depends only on which
+    of the copy's seed vertices do, so the vertex kinds are the new
+    vertices of each depth and each such pattern.  Kind ``j`` of the ``k``
+    kinds is vertex ``j`` of the table, its leaves listed in copy-table
+    order; every other vertex of its leaves is the interior vertex ``k`` or
+    the boundary vertex ``k + 1`` (``interior`` is 1.0 up to ``k``, else 0.0)."""
+    (m, nb), rows = glue.shape, glue.tolist()
+    named = {}  # vertex -> its (child, position) pairs, in child order
+    for i, row in enumerate(rows):
+        for a, g in enumerate(row):
+            named.setdefault(g, []).append((i, a))
+
+    def corners(mask, i):  # which of child i's seed vertices are boundary vertices
+        return tuple(g < nb and mask[g] for g in rows[i])
+
+    @functools.cache
+    def leaves(height, mask, v):  # (position, boundary mask) of the leaves holding seed vertex v
+        if not height:
+            return ((v, mask),)
+        return tuple(leaf for i, a in named[v] for leaf in leaves(height - 1, corners(mask, i), a))
+
+    kinds, masks = [], {(True,) * nb}
+    for depth in range(level):
+        for mask in sorted(masks):
+            for g in range(nb, len(named)):
+                kinds.append([leaf for i, a in named[g]
+                              for leaf in leaves(level - depth - 1, corners(mask, i), a)])
+        masks = {corners(mask, i) for mask in masks for i in range(m)}
+    k = len(kinds)
+    table = np.array([[j if b == a else k + mask[b] for b in range(nb)]
+                      for j, kind in enumerate(kinds) for a, mask in kind], dtype=np.int64)
+    interior = np.zeros(k + 2)
+    interior[:k + 1] = 1.0
+    return table, interior
 
 
 def _extend(out: np.ndarray, glue: np.ndarray, starts, depths) -> np.ndarray:
     """The way down of a condensation, from the top, a block of copies at a
-    time (``_blocks``): copy ``w`` of a depth ``(interior, x_ib)``, whose new
-    V1 vertices are ``rows = first[w] + new`` for the depth's ``(first, new)``
-    in ``starts`` (``geometry._copy_starts``), takes ``interior(rows) - v0 @
-    x_ib.T`` there for its V0 values ``v0``.  The top's V0 values are zero;
-    every other copy's are its parent's V1 values, carried by the glue."""
+    time (``geometry._depth_walk``): copy ``w`` of a depth ``(interior,
+    x_ib)``, whose new V1 vertices are ``rows = first[:, None] + new`` for
+    the depth's ``(walk, new)`` in ``starts`` (``geometry._copy_starts``),
+    takes ``interior(rows) - v0 @ x_ib.T`` there for its V0 values ``v0``.
+    The top's V0 values are zero; every other copy's are its parent's V1
+    values, carried by the glue."""
     m, nb = glue.shape
     v0 = np.zeros((1, nb))
-    for d, ((first, new), (interior, x_ib)) in enumerate(zip(starts, depths), 1):
-        below = np.empty((m * len(first) if d < len(depths) else 0, nb))
-        for s in _blocks(len(first)):
-            rows = first[s, None] + new
+    for d, ((walk, new), (interior, x_ib)) in enumerate(zip(starts, depths), 1):
+        below = np.empty((m * len(v0) if d < len(depths) else 0, nb))
+        for s, _, first in walk:
+            rows = first[:, None] + new
             values = interior(rows) - v0[s] @ x_ib.T
             out[rows] = values
             if len(below):
@@ -361,16 +402,39 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     ``mesh`` must be ``build_level(mesh.family, mesh.level)`` or have its
     vertex count, edges, cells and boundary indices (``geometry._copy_table``),
     and ``elements`` must be its edges or its cells; otherwise
-    ``GeometryError`` is raised.  Every leaf must carry the same element
-    matrices, as the stride-0 stacks of ``measures._elements`` do; other
-    stacks raise ``UsageError`` and go to ``solve_dirichlet``.
+    ``GeometryError`` is raised (coordinates are not compared).  Every leaf
+    must carry the same element matrices, as the stride-0 stacks of
+    ``measures._elements`` do; other stacks raise ``UsageError`` and go to
+    ``solve_dirichlet``.
     """
-    bidx, u0, elements, local, load = _problem(mesh, elements, local, load, boundary_values)
-    cond = _Condensation(mesh, elements, local)
+    elements = np.asarray(elements)
+    bidx, u0, local, load = _problem(mesh.num_vertices, mesh.boundary_indices, elements.shape,
+                                     local, load, boundary_values)
+    _copy_table(mesh)
+    rows = _element_rows(mesh, elements.shape[1])
+    if not (elements is rows or np.array_equal(elements, rows)):
+        raise GeometryError("condensation needs the edges or cells of a level as "
+                            "build_level builds it; solve other meshes with solve_dirichlet")
+    return _condensed(_Condensation(mesh.family, mesh.level, local), bidx, u0, load)
+
+
+def _solve_level(family: str, level: int, local: np.ndarray, load: np.ndarray,
+                 boundary_values: dict[int, float]) -> Solution:
+    """``solve_condensed`` on ``build_level(family, level)`` with its edges
+    (``local`` of 2 x 2 elements) or its cells (3 x 3), with no level built."""
+    seed, glue, _ = _structure(family)
+    shape = (len(glue)**level * len(_element_rows(seed, local.shape[1])), local.shape[1])
+    bidx, u0, local, load = _problem(predicted_vertices(family, level), seed.boundary_indices,
+                                     shape, local, load, boundary_values)
+    return _condensed(_Condensation(family, level, local), bidx, u0, load)
+
+
+def _condensed(cond: _Condensation, bidx, u0, load) -> Solution:
+    """The solution of a checked problem (``_problem``) by ``cond``."""
     norm_a = cond.norm()
     if not np.isfinite(norm_a):
         raise UsageError("operator entries are not finite")
-    values = np.zeros(mesh.num_vertices)
+    values = np.zeros(cond.size)
     values[bidx] = u0
     with np.errstate(over="ignore", invalid="ignore"):  # _contract_solve reports overflow
         rhs = np.subtract(load, cond.product(values), out=values)
@@ -378,4 +442,4 @@ def solve_condensed(mesh: LevelMesh, elements: np.ndarray, local: np.ndarray,
     x, residual = _contract_solve(cond.solve, cond.apply, rhs, norm_a)
     x[bidx] = u0
     x.setflags(write=False)  # handed over: Solution keeps it without a copy
-    return Solution(values=x, level=mesh.level, solver_residual=residual)
+    return Solution(values=x, level=cond.level, solver_residual=residual)

@@ -67,4 +67,4 @@ def builds_nothing(monkeypatch):
         geometry._structure(family)
     for name in ("build_level", "_glue", "_refine", "_dedup", "embed"):
         monkeypatch.setattr(geometry, name, _refused)
-    monkeypatch.setattr(renorm, "solve_condensed", _refused)
+    monkeypatch.setattr(renorm, "_solve_level", _refused)

@@ -187,15 +187,16 @@ def test_renorm_sierpinski_12_to_14_peak(tmp_path):
 # with a zero load the values lie within the boundary values (the maximum
 # principle), read off the printed range, not off the large solution file.
 # Each child's peak is in the report of ``pytest -m deep -rP``, and its
-# bytes per predicted vertex stay under a bound: 79.5, 69.8, 74.2 and
-# 86.4 B measured with each level glued from its gluing table and let go of
-# once the next is glued, where the geometric refine took 81.0, 70.0, 74.7
-# and 93.8 B (2-core Linux VM, Python 3.11, numpy 2.4).
+# bytes per predicted vertex stay under a bound: 39.5, 45.7, 49.9 and
+# 53.0 B in each of three runs with no level built (the coordinates and
+# the copy table come from the copy tree), where the solve that glued and
+# held its level took 79.9, 64.4, 73.9 and 84.8 B (2-core Linux VM,
+# Python 3.11, numpy 2.4); each bound is the figure plus about 8%.
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, level, method, bound", [
-    ("sierpinski", 14, "rfd", 85), ("koch", 11, "rfem1d", 74), ("hata2d", 9, "rfd", 86),
-    ("hata3d", 8, "rfem1d", 98),
+    ("sierpinski", 14, "rfd", 43), ("koch", 11, "rfem1d", 50), ("hata2d", 9, "rfd", 54),
+    ("hata3d", 8, "rfem1d", 58),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])
 def test_solve_at_the_largest_level(tmp_path, family, level, method, bound):
     assert geometry._largest_level(family) == level
@@ -595,16 +596,18 @@ def _bc(family):
 
 def _each_family_commands(family):
     """``(argv, top)``: commands at small levels of ``family``, and the
-    level each one builds (0: none)."""
+    level each one builds (0: none): a solve's template
+    (``geometry._template_level``), the level its coordinate rows map."""
     cells = bool(build_level(family, 0).num_cells)
     renorm_methods = ["fd", "energy", "fem-edge", *["fem-area"] * cells]
     solve_methods = ["rfd", "rfem1d", *["rfem2d"] * cells]
     return [
         (["generate", "--level", "4"], 4),
         *((["renorm", "--method", m, "--levels", "2:4"], 0) for m in renorm_methods),
-        *((["solve", "--level", str(n), "--method", m, "--rhs", "1 + x"], n)
-          for m in solve_methods for n in (1, 2, 3, 5)),
-        (["solve", "--level", "4", "--method", "rfd", "--constant", "3", "--rhs", "1"], 4),
+        *((["solve", "--level", str(n), "--method", m, "--rhs", "1 + x"],
+           geometry._template_level(family, n)) for m in solve_methods for n in (1, 2, 3, 5)),
+        (["solve", "--level", "4", "--method", "rfd", "--constant", "3", "--rhs", "1"],
+         geometry._template_level(family, 4)),
     ]
 
 
@@ -612,7 +615,7 @@ def _each_family_commands(family):
 def test_commands_refine_each_level_once(tmp_path, refines, family):
     # the level a command reads comes from one chain of refines, whatever
     # the estimate's pair: the estimates build no level, so renorm glues
-    # nothing and solve glues its own level once
+    # nothing, and solve glues its template once for the load and the file
     for argv, top in _each_family_commands(family):
         del refines[:]
         extra = [_bc(family)] if argv[0] == "solve" else []
@@ -640,13 +643,14 @@ def test_no_command_searches_for_a_vertex(tmp_path, monkeypatch, refines, family
 
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 @pytest.mark.parametrize("argv, top", [
-    (["renorm", "--method", "fem-edge", "--levels", "2:5"], 0),
+    (["renorm", "--method", "fem-edge", "--levels", "2:5"], None),
     (["solve", "--level", "5", "--method", "rfem1d", "--rhs", "1 + x"], 5),
     (["solve", "--level", "5", "--method", "rfd", "--rhs", "0"], 5),
 ], ids=["renorm", "solve-rfem1d", "solve-rfd"])
 def test_commands_keep_only_their_top_level(tmp_path, monkeypatch, refines, family, argv, top):
-    # while solve solves, its own level is the one level of its family
-    # alive; renorm builds none, and once a command returns none is alive
+    # while solve solves, its template (the level itself up to
+    # geometry._SCAN_ROWS vertices) is the one level of its family alive;
+    # renorm builds none, and once a command returns none is alive
     alive, solve = [], renorm.solve_online
 
     def watched(*args):
@@ -656,7 +660,7 @@ def test_commands_keep_only_their_top_level(tmp_path, monkeypatch, refines, fami
     monkeypatch.setattr(renorm, "solve_online", watched)
     extra = [_bc(family)] if argv[0] == "solve" else []
     assert cli.main([*argv, *extra, "--family", family, "--out", str(tmp_path / "out")]) == 0
-    assert alive == ([[(family, top)]] if top else [])
+    assert alive == ([[(family, geometry._template_level(family, top))]] if top else [])
     assert list(geometry._LEVELS) == []
 
 
@@ -667,6 +671,98 @@ def test_renorm_builds_no_level(tmp_path, builds_nothing, family):
     for method in methods:
         argv = ["renorm", "--family", family, "--method", method, "--levels", "1:6"]
         assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0, method
+
+
+def _refused(*args):
+    raise AssertionError("a level was searched for or embedded")
+
+
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_solve_builds_no_level_above_its_template(tmp_path, monkeypatch, family):
+    # two levels above the template: the load, the leaves and the file rows
+    # come from the copy tree, and the file has the bytes of the solve on
+    # the built level
+    from fraclap.expressions import compile_expression
+    from fraclap.meshfile import write_solution
+
+    for name in geometry.FAMILIES:
+        geometry._structure(name)
+    level = geometry._template_level(family, geometry._largest_level(family)) + 2
+    top = geometry._template_level(family, level)
+    build, glue = geometry.build_level, geometry._glue
+
+    def capped_build(name, n):
+        assert n <= top, n
+        return build(name, n)
+
+    def capped_glue(mesh):
+        assert mesh.level < top, mesh.level
+        return glue(mesh)
+
+    monkeypatch.setattr(geometry, "build_level", capped_build)
+    monkeypatch.setattr(geometry, "_glue", capped_glue)
+    for name in ("_refine", "_dedup", "embed"):
+        monkeypatch.setattr(geometry, name, _refused)
+    seed = build_level(family, 0)
+    methods = ["rfd", "rfem1d", *["rfem2d"] * bool(seed.num_cells)]
+    rhs, bc = "1 + x", [0.5, -0.25, 1.0][:seed.boundary_indices.size]
+    for method in methods:
+        argv = ["solve", "--family", family, "--level", str(level), "--method", method,
+                "--constant", "3", "--rhs", rhs, "--bc=" + ",".join(map(str, bc))]
+        assert cli.main([*argv, "--out", str(tmp_path / f"{method}.csv")]) == 0, method
+    monkeypatch.undo()
+    mesh = build_level(family, level)
+    g = compile_expression(rhs).evaluate(mesh.vertices)
+    for method in methods:
+        sol = renorm.solve_online(family, level, method, 3.0, g, dict(enumerate(bc)))
+        extra = {"rhs": rhs, "bc": ",".join(map(str, bc))}
+        write_solution(mesh, sol, tmp_path / "level.csv", extra=extra)
+        assert (tmp_path / f"{method}.csv").read_bytes() == (tmp_path / "level.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5, 4096])
+@pytest.mark.parametrize("family, level, rhs", [
+    ("sierpinski", 6, "sin(3*x) / (2 + cos(y)) - exp(-x*pi) + -y"),
+    ("hata3d", 4, "sin(3*z) / (2 + cos(y)) - exp(-x*pi) + -z"),
+], ids=["sierpinski", "hata3d"])
+def test_solve_evaluates_the_rhs_a_block_at_a_time_with_its_bits(monkeypatch, tmp_path, rows,
+                                                                   family, level, rhs):
+    # the forcing on a block of generated coordinates has the bits of the
+    # forcing on the built level's vertices, whatever the blocks: the columns
+    # of a block are strided, and numpy's loops take strided tails apart
+    from unittest import mock
+
+    from fraclap.expressions import compile_expression
+
+    handed, solve = [], renorm.solve_online
+
+    def spy(family, n, method, constant, g, h):
+        handed.append(g.copy())
+        return solve(family, n, method, constant, g, h)
+
+    monkeypatch.setattr(renorm, "solve_online", spy)
+    with mock.patch.object(geometry, "_SCAN_ROWS", rows):
+        assert cli.main(["solve", "--family", family, "--level", str(level), "--method", "rfd",
+                         "--constant", "3", "--rhs", rhs, _bc(family),
+                         "--out", str(tmp_path / "u.csv")]) == 0
+    expected = compile_expression(rhs).evaluate(build_level(family, level).vertices)
+    assert handed[0].tobytes() == expected.tobytes()
+
+
+def test_rhs_not_finite_inside_exits_two_before_the_file_is_opened(monkeypatch, tmp_path, capsys):
+    # finite at the boundary points, infinite at the vertices with x = 1/4,
+    # which a later block of five rows holds: refused before the solve
+    from unittest import mock
+
+    monkeypatch.setattr(renorm, "solve_online", _refused)
+    with mock.patch.object(geometry, "_SCAN_ROWS", 5):
+        rc = cli.main(["solve", "--family", "sierpinski", "--level", "4", "--method", "rfd",
+                       "--constant", "5", "--rhs", "1/(x - 0.25)", "--bc", "1,0,0",
+                       "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite at every mesh vertex" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 # Runs the CLI in a child whose address space is capped 128 MiB above what

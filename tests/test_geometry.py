@@ -825,6 +825,32 @@ def test_build_level_matches_iterate(family, top, refines):
     assert refines == [(family, n) for n in range(1, top + 1)]
 
 
+def _walk_cases():
+    """``(family, rows, top)``: every level up to 8 in blocks of
+    ``_SCAN_ROWS`` rows, and the levels of at most 20,000 vertices in
+    blocks of 2 and 3 rows, which cross every seam of the walk and of the
+    coordinate pieces."""
+    for rows in (2, 3, 4096):
+        for family in FAMILIES:
+            most = 20_000 if rows < 4096 else MAX_VERTICES
+            yield family, rows, max(n for n in range(9) if predicted_vertices(family, n) <= most)
+
+
+@pytest.mark.parametrize("family, rows, top", list(_walk_cases()))
+def test_vertex_blocks_and_leaf_rows_are_the_built_level(family, rows, top):
+    # the coordinates come from the template and the maps of each copy's
+    # word, and the copy table from the walk of the copy tree, bit for bit
+    for n in range(top + 1):
+        mesh = build_level(family, n)
+        with mock.patch.object(geometry, "_SCAN_ROWS", rows):
+            blocks = list(geometry._vertex_blocks(family, n))
+            assert [b for b, _ in blocks] == list(geometry._blocks(mesh.num_vertices)), n
+            leaves = np.concatenate(list(geometry._leaf_rows(family, n)))
+        coordinates = np.concatenate([points for _, points in blocks])
+        assert coordinates.tobytes() == mesh.vertices.tobytes(), n
+        assert np.array_equal(leaves, geometry._copy_table(mesh)), n
+
+
 @pytest.mark.parametrize("family, level", [
     ("sierpinski", 10), ("koch", 9), ("hata2d", 8), ("hata3d", 7),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])

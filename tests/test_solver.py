@@ -24,15 +24,15 @@ from fraclap.geometry import (
     iterate,
 )
 from fraclap.graphs import _apply_elements, _assemble, _assemble_elements, graph_laplacian
-from fraclap.measures import fd_graph_stiffness, fem_area_stiffness, fem_edge_stiffness
+from fraclap.measures import (_elements, _load, fd_graph_stiffness, fem_area_stiffness,
+                              fem_edge_stiffness)
 from fraclap.meshfile import read_mesh, write_mesh
-from fraclap.renorm import _elements, _load, _renormalized
+from fraclap.renorm import _renormalized
 from fraclap.solver import (
     BACKWARD_ERROR_BOUND,
     _Condensation,
     _extend,
     _leaf_block,
-    _problem,
     linear_solve,
     partition,
     solve_condensed,
@@ -343,8 +343,7 @@ def test_condensation_matches_the_factorization(family, formulation, level):
     # the worst case here, hata3d level 7, reads 6e-9
     gap = np.abs(condensed.values - factored.values).max()
     assert gap <= 1e-7 * np.abs(factored.values).max()
-    _, _, elements, local, _ = _problem(*problem)
-    norm = _Condensation(mesh, elements, local).norm()
+    norm = _Condensation(family, level, local).norm()
     assembled = abs(a_ii).sum(axis=1).max()
     assert abs(norm - assembled) <= 1e-14 * assembled
 
@@ -735,6 +734,11 @@ def _v1_tables(leaves, glue):
     return tables
 
 
+def _starts(walk):
+    """The starts of every copy of a depth's walk (``geometry._depth_walk``)."""
+    return np.concatenate([first for _, _, first in walk])
+
+
 def _words(mesh):
     """``_v1_tables`` of a built level: the level-1 vertices of every word of maps."""
     return _v1_tables(_copy_table(mesh), _structure(mesh.family)[1])
@@ -858,7 +862,7 @@ def test_solve_factors_nothing(monkeypatch):
             calls.append(name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    cond = _Condensation(mesh, elements, local)
+    cond = _Condensation(mesh.family, mesh.level, local)
     assert len(calls) == mesh.level
     calls.clear()
     b = np.ones(mesh.num_vertices)  # whole-length; its boundary entries are not read
@@ -879,9 +883,10 @@ def _interior_apply(cond, interior, x):
 def _interior_solve(cond, interior, b):
     f = np.zeros(interior.size)
     f[interior] = b
-    nb = cond.leaves.shape[1]
-    tables = _v1_tables(cond.leaves, cond.glue)
-    up, loads = np.broadcast_to(0.0, cond.leaves.shape), []
+    leaves = _copy_table(build_level(cond.family, cond.level))
+    nb = leaves.shape[1]
+    tables = _v1_tables(leaves, cond.glue)
+    up, loads = np.broadcast_to(0.0, leaves.shape), []
     for v1, (_, x_ib) in zip(tables, cond.depths):
         children, fv = up.reshape(v1.shape[0], -1, nb), np.zeros(v1.shape)
         for i, g in enumerate(cond.glue):
@@ -904,10 +909,10 @@ def _interior_solve(cond, interior, b):
 def test_whole_length_vectors_keep_the_interior_bits(family, formulation, level):
     mesh = build_level(family, level)
     elements, local = _elements(mesh, formulation)
-    cond = _Condensation(mesh, elements, local)
+    cond = _Condensation(family, level, local)
     nb = mesh.boundary_indices.size
-    for v1, (first, new) in zip(_words(mesh), geometry._copy_starts(family, level, upward=True)):
-        assert np.array_equal(first[:, None] + new, v1[:, nb:])
+    for v1, (walk, new) in zip(_words(mesh), geometry._copy_starts(family, level, upward=True)):
+        assert np.array_equal(_starts(walk)[:, None] + new, v1[:, nb:])
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.boundary_indices] = False
     bidx = mesh.boundary_indices
@@ -977,9 +982,9 @@ def test_the_walk_places_every_copy_where_the_leaves_put_it(family, level):
     # level n - 1's walk, placed at level n: the map embed searches for
     coarse = build_level(family, level - 1)
     index_map = np.full(coarse.num_vertices, -1)
-    for (cf, cn), (ff, fn) in zip(geometry._copy_starts(family, level - 1),
+    for (cw, cn), (fw, fn) in zip(geometry._copy_starts(family, level - 1),
                                   geometry._copy_starts(family, level)):
-        index_map[cf[:, None] + cn] = ff[:, None] + fn
+        index_map[_starts(cw)[:, None] + cn] = _starts(fw)[:, None] + fn
     inside = coarse.interior_indices
     assert index_map[inside].tolist() == embed(coarse, mesh).index_map[inside].tolist()
 
@@ -1006,6 +1011,33 @@ def test_corner_reader_reads_every_depth_and_the_table_embedding(family, level):
     assert index_map.tolist() == embed(coarse, mesh).index_map.tolist()
 
 
+def _leaf_pass_norm(mesh, block):
+    """``|A_II|_inf`` as two whole-length passes of ``block`` over the copy
+    table read it: the diagonal, its magnitude, then the off-diagonal
+    magnitudes at interior columns, with the boundary rows zeroed."""
+    leaves = _copy_table(mesh)
+    eye = np.eye(leaves.shape[1])
+    interior = np.ones(mesh.num_vertices)
+    interior[mesh.boundary_indices] = 0.0
+    rows = _apply_elements(leaves, block * eye, interior)
+    np.abs(rows, out=rows)
+    _apply_elements(leaves, abs(block) * (1.0 - eye), interior, out=rows)
+    rows[mesh.boundary_indices] = 0.0
+    return float(rows.max())
+
+
+@pytest.mark.parametrize("family, formulation", list(_one_element_cases()))
+def test_norm_of_the_vertex_kinds_is_the_leaf_passes_bit_for_bit(family, formulation):
+    # the norm sets the refinement bound, so its bits are those of the two
+    # passes over the leaves that it replaced, at levels 1-8 (hata3d 1-7),
+    # on the element scaled as a solve scales it
+    for level in range(1, 8 if family == "hata3d" else 9):
+        mesh = build_level(family, level)
+        local = _renormalized(_elements(mesh, formulation)[1], 1.7, level)
+        cond = _Condensation(family, level, local)
+        assert cond.norm().hex() == _leaf_pass_norm(mesh, cond.block).hex(), level
+
+
 @pytest.mark.parametrize("level", [2, 3, 5])
 def test_condensation_norm_is_exact_with_a_negative_diagonal(level):
     # a symmetric cell element whose diagonal has both signs: where two
@@ -1014,11 +1046,12 @@ def test_condensation_norm_is_exact_with_a_negative_diagonal(level):
     mesh = build_level("sierpinski", level)
     element = np.array([[-3.0, 0.1, 0.2], [0.1, 1.0, 0.3], [0.2, 0.3, 1.5]])
     local = np.broadcast_to(element, (mesh.num_cells, 3, 3))
-    cond = _Condensation(mesh, mesh.cells, local)
+    cond = _Condensation("sierpinski", level, local)
     a = _assemble_elements(mesh.num_vertices, mesh.cells, local)
     a_ii = partition(a, mesh.boundary_indices)[0]
     assembled = abs(a_ii).sum(axis=1).max()
     assert abs(cond.norm() - assembled) <= 1e-14 * assembled
+    assert cond.norm().hex() == _leaf_pass_norm(mesh, element).hex()
     interior = np.ones(mesh.num_vertices)
     interior[mesh.boundary_indices] = 0.0
     one_pass = _apply_elements(mesh.cells, abs(element), interior)[interior > 0].max()
