@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``fraclap generate`` -- build a level mesh and write the mesh document;
+* ``fraclap generate`` -- write a level's mesh document;
 * ``fraclap renorm``   -- estimate renormalization constants over a level
   range and write the per-pair table;
 * ``fraclap solve``    -- solve a renormalized Dirichlet problem and write
@@ -13,8 +13,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O failure,
 5 memory failure (one ``memory failure:`` line that names the command and
-the allocation that failed).  An ``--out`` that cannot be written exits 4
-after the usage checks and before the requested level is built.
+the allocation that failed, or says "out of memory" when the error names
+none).  An ``--out`` that cannot be written exits 4 after the usage checks
+and before the requested level is built or written.
 """
 
 from __future__ import annotations
@@ -111,16 +112,25 @@ def _check_out(path: str) -> None:
 
 def _cmd_generate(args) -> int:
     from . import meshfile
-    from .geometry import build_level, check_level
+    from .geometry import (_element_blocks, _vertex_blocks, builtin_system, check_level,
+                           predicted_vertices)
 
-    check_level(args.family, args.level)
+    family, level = args.family, args.level
+    check_level(family, level)
     _check_out(args.out)
-    mesh = build_level(args.family, args.level)
-    meshfile.write_mesh(mesh, args.out)
-    print(
-        f"{args.family} level {args.level}: {mesh.num_vertices} vertices, "
-        f"{mesh.num_edges} edges, {mesh.num_cells} cells -> {args.out}"
-    )
+    # the rows come from the copy tree, with no level above the template
+    # that the coordinate blocks map: m**level copies of the seed's elements
+    system = builtin_system(family)
+    seed, copies = system.seed, len(system.maps) ** level
+    nv, ne, nc = (predicted_vertices(family, level), copies * seed.num_edges,
+                  copies * seed.num_cells)
+    bidx = seed.boundary_indices
+    meshfile._write_mesh(family, level, seed.dimension, args.out,
+                         (nv, _vertex_blocks(family, level)),
+                         (ne, _element_blocks(family, level, 2)),
+                         (nc, _element_blocks(family, level, 3)),
+                         (len(bidx), meshfile._row_blocks(bidx)))
+    print(f"{family} level {level}: {nv} vertices, {ne} edges, {nc} cells -> {args.out}")
     return EXIT_OK
 
 
@@ -176,7 +186,7 @@ def _cmd_solve(args) -> int:
         raise UsageError(f"{args.family} level 0 has no interior vertex; solve needs level >= 1")
     # every level starts with the seed's boundary points, so an --rhs that
     # fails there (an unknown name, a value that is not finite) fails now
-    rhs.evaluate(seed.vertices[seed.boundary_indices])
+    at_seed = rhs.evaluate(seed.vertices[seed.boundary_indices])
     _check_out(args.out)
     # the estimate builds no level, and solve none above the template that
     # its coordinate blocks map, held for the load and for the file
@@ -184,10 +194,12 @@ def _cmd_solve(args) -> int:
     if constant is None:
         constant, pair = auto_constant(args.family, args.method, args.level)
     template = build_level(args.family, _template_level(args.family, args.level))
-    # handed to solve_online, not kept: it lets go of g once the load exists
-    g = [np.empty(predicted_vertices(args.family, args.level))]
-    for b, rows in _vertex_blocks(args.family, args.level):
-        g[0][b] = rhs.evaluate(rows)
+    # handed to solve_online, not kept: it lets go of g once the load exists;
+    # an rhs that names no coordinate has its seed value everywhere
+    g = [np.full(predicted_vertices(args.family, args.level), at_seed[0])]
+    if not rhs._constant():
+        for b, rows in _vertex_blocks(args.family, args.level):
+            g[0][b] = rhs.evaluate(rows)
     h = {int(i): v for i, v in zip(seed.boundary_indices, bc_values)}
     if args.constant is None:
         print(f"estimated constant {constant:.6g} from level pair {pair}")
@@ -243,7 +255,9 @@ def main(argv=None) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
-        print(f"memory failure: {args.command}: {exc}", file=sys.stderr)
+        # a bare MemoryError (a string or a list that failed) has no message
+        print(f"memory failure: {args.command}: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_MEMORY
 
 

@@ -93,6 +93,12 @@ class Expression:
             )
         return np.array(out)
 
+    def _constant(self) -> bool:
+        """Whether the expression names no coordinate: ``evaluate`` then
+        broadcasts one value, the same at every vertex."""
+        return not any(isinstance(node, ast.Name) and node.id in ("x", "y", "z")
+                       for node in ast.walk(self._tree))
+
 
 def compile_expression(text: str) -> Expression:
     """Parse a forcing expression; raises UsageError on malformed input."""

@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssemblyError, UsageError
-from .geometry import (LevelMesh, _abs_max, _built, _element_rows, _kept, _leaf_rows, _structure,
-                       predicted_vertices)
+from .geometry import (LevelMesh, _abs_max, _built, _element_blocks, _element_rows, _kept,
+                       _structure, predicted_vertices)
 from .graphs import _EDGE_ELEMENT, _apply_elements, _assemble_elements, graph_laplacian
 
 if TYPE_CHECKING:
@@ -243,17 +243,16 @@ def _load(mesh: LevelMesh, formulation: str, g: np.ndarray) -> np.ndarray:
 def _level_load(family: str, level: int, formulation: str, g: np.ndarray) -> np.ndarray:
     """``_load`` on ``build_level(family, level)``, bit for bit, with no level
     built: the one mass element of ``_level_forms`` on the level's edges or
-    cells, in their order, as the copy table's rows give them
-    (``geometry._leaf_rows``; each row lists a leaf's seed edges or cell)."""
+    cells, in their order, as the copy tree gives them
+    (``geometry._element_blocks``)."""
     if formulation == "fd":
         return g
     mass = _level_forms(family, level, formulation)[1]
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (predicted_vertices(family, level),):
         raise UsageError("nodal data length does not match the mesh")
-    pos = _element_rows(_structure(family)[0], len(mass))
-    rows = (leaves[:, pos].reshape(-1, len(mass)) for leaves in _leaf_rows(family, level))
-    load = _apply_elements(rows, mass, g)
+    load = _apply_elements((block for _, block in _element_blocks(family, level, len(mass))),
+                           mass, g)
     if formulation == "fem_edge":
         load *= 0.5  # as in _load
     return load

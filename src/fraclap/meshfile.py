@@ -11,8 +11,10 @@ mesh and solution rows go through one block loop (``_write_rows``), not the
 pure-Python JSON encoder: one ``%`` operation per block on a row template
 repeated once per row, with each distinct coordinate of the block formatted
 once (a deep level has few); the bytes are those of formatting every value.
-The blocks come from an array or, for ``solve``, which holds no level, from
-the coordinates that ``geometry._vertex_blocks`` makes.
+The blocks come from an array or, for ``generate`` and ``solve``, which
+hold no level, from the copy tree: the coordinates that
+``geometry._vertex_blocks`` makes and the edge and cell rows of
+``geometry._element_blocks``.
 
 Table and solution rows are comma-separated ``%.17g`` values, locale
 independent; a solution file starts with ``# key=value`` header lines and
@@ -64,23 +66,33 @@ def _write_rows(fh, item: str, sep: str, blocks, fmt: str, last) -> None:
 
 
 def write_mesh(mesh: LevelMesh, path) -> None:
+    _write_mesh(mesh.family, mesh.level, mesh.dimension, path, *(
+        (len(arr), _row_blocks(arr))
+        for arr in (mesh.vertices, mesh.edges, mesh.cells, mesh.boundary_indices)))
+
+
+def _write_mesh(family: str, level: int, dimension: int, path, vertices, edges, cells,
+                boundary) -> None:
+    """``write_mesh`` with each array as ``(count, blocks)``, its row count
+    and its ``(b, rows)`` blocks (``_write_rows``): ``generate`` writes a
+    level's rows as ``geometry._vertex_blocks`` and
+    ``geometry._element_blocks`` make them, and holds no level."""
     import json  # here and in read_mesh alone: a table or a solution needs none
 
     with open(path, "w", encoding="ascii") as fh:
         fh.write('{\n "family": %s,\n "level": %s,\n "dimension": %s' % (
-            json.dumps(mesh.family), json.dumps(mesh.level), json.dumps(mesh.dimension)))
-        for key, arr, field in (
-            ("vertices", mesh.vertices, "%s"),
-            ("edges", mesh.edges, "%d"),
-            ("cells", mesh.cells, "%d"),
-            ("boundary", mesh.boundary_indices, "%d"),
+            json.dumps(family), json.dumps(level), json.dumps(dimension)))
+        for key, (count, blocks), field, width in (
+            ("vertices", vertices, "%s", dimension),
+            ("edges", edges, "%d", 2),
+            ("cells", cells, "%d", 3),
+            ("boundary", boundary, "%d", 0),
         ):
-            # a 2-D array is a list of rows, each a nested list; an empty one is []
-            item = field if arr.ndim == 1 else (
-                "[\n   %s\n  ]" % ",\n   ".join([field] * arr.shape[1]))
-            fh.write(f',\n "{key}": [' + ("\n  " if arr.size else ""))
-            _write_rows(fh, item, ",\n  ", _row_blocks(arr), "%r", None)
-            fh.write("\n ]" if arr.size else "]")
+            # a row of a 2-D array is a nested list; an empty array is []
+            item = "[\n   %s\n  ]" % ",\n   ".join([field] * width) if width else field
+            fh.write(f',\n "{key}": [' + ("\n  " if count else ""))
+            _write_rows(fh, item, ",\n  ", blocks, "%r", None)
+            fh.write("\n ]" if count else "]")
         fh.write("\n}\n")
 
 

@@ -222,14 +222,15 @@ def test_solve_at_the_largest_level(tmp_path, family, level, method, bound):
 # read_mesh (about 5x the file size; Sierpinski 14's file is 993 MiB): its
 # head up to the seed's boundary points, its vertex row count and its
 # boundary list.  Each child's peak is in the report of ``pytest -m deep -rP``,
-# and its bytes per predicted vertex stay under a bound: 62.8, 42.2, 51.6 and
-# 63.5 B measured with each level glued from its gluing table and let go of
-# once the next is glued, where the geometric refine took 66.8, 48.3, 57.6
-# and 68.7 B (2-core Linux VM, Python 3.11, numpy 2.4).
+# and its bytes per predicted vertex stay under a bound: at most 7.2, 8.5,
+# 18.2 and 23.0 B in three runs each, with the rows made from the copy tree
+# and no level held (mostly the interpreter and numpy: 34 to 49 MiB), where
+# gluing and holding the level took 62.8, 42.2, 51.6 and 63.5 B (2-core
+# Linux VM, Python 3.11, numpy 2.4).
 @pytest.mark.deep
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("family, level, bound", [
-    ("sierpinski", 14, 74), ("koch", 11, 54), ("hata2d", 9, 64), ("hata3d", 8, 76),
+    ("sierpinski", 14, 9), ("koch", 11, 11), ("hata2d", 9, 22), ("hata3d", 8, 28),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])
 def test_generate_at_the_largest_level(tmp_path, family, level, bound):
     assert geometry._largest_level(family) == level
@@ -720,6 +721,82 @@ def test_solve_builds_no_level_above_its_template(tmp_path, monkeypatch, family)
         assert (tmp_path / f"{method}.csv").read_bytes() == (tmp_path / "level.csv").read_bytes()
 
 
+@pytest.mark.parametrize("rows", [2, 3, 4096])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+@pytest.mark.parametrize("family", geometry.FAMILIES)
+def test_generate_builds_no_level_above_its_template(tmp_path, monkeypatch, capsys, family,
+                                                     offset, rows):
+    # about the template: the coordinates, edges and cells come from the
+    # copy tree in blocks of any size, with the bytes and the counts of the
+    # document of the built level
+    from unittest import mock
+
+    from fraclap.meshfile import write_mesh
+
+    for name in geometry.FAMILIES:
+        geometry._structure(name)
+    level = geometry._template_level(family, geometry._largest_level(family)) + offset
+    mesh = build_level(family, level)
+    write_mesh(mesh, tmp_path / "level.json")
+    out = tmp_path / "mesh.json"
+    line = (f"{family} level {level}: {mesh.num_vertices} vertices, {mesh.num_edges} edges, "
+            f"{mesh.num_cells} cells -> {out}\n")
+    del mesh
+    capsys.readouterr()
+    build, glue = geometry.build_level, geometry._glue
+    with mock.patch.object(geometry, "_SCAN_ROWS", rows):
+        top = geometry._template_level(family, level)
+
+        def capped_build(name, n):
+            assert n <= top, n
+            return build(name, n)
+
+        def capped_glue(mesh):
+            assert mesh.level < top, mesh.level
+            return glue(mesh)
+
+        monkeypatch.setattr(geometry, "build_level", capped_build)
+        monkeypatch.setattr(geometry, "_glue", capped_glue)
+        for name in ("_refine", "_dedup", "embed"):
+            monkeypatch.setattr(geometry, name, _refused)
+        assert cli.main(["generate", "--family", family, "--level", str(level),
+                         "--out", str(out)]) == 0
+    assert capsys.readouterr().out == line
+    assert out.read_bytes() == (tmp_path / "level.json").read_bytes()
+
+
+@pytest.mark.parametrize("rhs, passes", [("0", 1), ("-(2*pi - exp(1)) / 3", 1), ("1 + x", 2)],
+                         ids=["zero", "constant", "coordinate"])
+@pytest.mark.parametrize("family", ["sierpinski", "hata3d"])
+def test_a_constant_rhs_makes_the_coordinates_once(tmp_path, monkeypatch, family, rhs, passes):
+    # an rhs that names no coordinate fills the load with its value: the
+    # coordinate blocks are made for the file alone, and the file keeps the
+    # bytes of the solve on the built level
+    from fraclap.expressions import compile_expression
+    from fraclap.meshfile import write_solution
+
+    calls, blocks = [], geometry._vertex_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(geometry, "_vertex_blocks", counted)
+    level = geometry._template_level(family, geometry._largest_level(family)) + 2
+    bc = [0.5, -0.25, 1.0][:build_level(family, 0).boundary_indices.size]
+    extra = {"rhs": rhs, "bc": ",".join(map(str, bc))}
+    assert cli.main(["solve", "--family", family, "--level", str(level), "--method", "rfd",
+                     "--constant", "3", "--rhs", rhs, "--bc=" + extra["bc"],
+                     "--out", str(tmp_path / "u.csv")]) == 0
+    assert calls == [(family, level)] * passes
+    monkeypatch.undo()
+    mesh = build_level(family, level)
+    g = compile_expression(rhs).evaluate(mesh.vertices)
+    sol = renorm.solve_online(family, level, "rfd", 3.0, g, dict(enumerate(bc)))
+    write_solution(mesh, sol, tmp_path / "level.csv", extra=extra)
+    assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "level.csv").read_bytes()
+
+
 @pytest.mark.parametrize("rows", [2, 3, 5, 4096])
 @pytest.mark.parametrize("family, level, rhs", [
     ("sierpinski", 6, "sin(3*x) / (2 + cos(y)) - exp(-x*pi) + -y"),
@@ -765,21 +842,25 @@ def test_rhs_not_finite_inside_exits_two_before_the_file_is_opened(monkeypatch, 
     assert not (tmp_path / "s.csv").exists()
 
 
-# Runs the CLI in a child whose address space is capped 128 MiB above what
-# importing it takes, so only the command's own arrays can exhaust it.
+# Runs the CLI in a child whose address space is capped 4 MiB above what a
+# first command maps (numpy and its BLAS buffer, about 130 MiB), so only the
+# command's own arrays and strings can exhaust it.  generate holds no level:
+# Sierpinski 3 needs under 1 MiB of that and Sierpinski 14 between 8 and 16
+# (its rows' strings grow the allocator's heap), measured on Linux, numpy 2.4.
 _UNDER_MEMORY_LIMIT = """
-import resource, sys
+import os, resource, sys
 from fraclap import cli
+cli.main(["generate", "--family", "sierpinski", "--level", "0", "--out", os.devnull])
 with open("/proc/self/status") as fh:
     size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
-limit = size * 1024 + 128 * 2**20
+limit = size * 1024 + 4 * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("level, code", [("3", 0), ("13", 5)])
+@pytest.mark.parametrize("level, code", [("3", 0), ("14", 5)])
 def test_memory_failure_exits_five_without_traceback(tmp_path, monkeypatch, level, code):
     # each OpenBLAS thread reserves address space of its own
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -789,7 +870,8 @@ def test_memory_failure_exits_five_without_traceback(tmp_path, monkeypatch, leve
     assert "Traceback" not in out.stderr
     if code:
         lines = out.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("memory failure: generate: ")
+        # a bare MemoryError, from a block's rows, still says what ran out
+        assert len(lines) == 1 and re.fullmatch(r"memory failure: generate: \S.*", lines[0])
 
 
 def test_module_entry_point_runs():

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fraclap
-from fraclap import geometry
+from fraclap import cli, geometry
 from fraclap.errors import UsageError
 from fraclap.geometry import FAMILIES, RELATIVE_TOLERANCE, LevelMesh, build_level
 from fraclap.measures import _elements
@@ -309,6 +309,10 @@ def test_mesh_documents_are_byte_identical(family, tmp_path):
     path = tmp_path / "mesh.json"
     for n in sorted(n for f, n in MESH_FILE_DIGESTS if f == family):
         write_mesh(build_level(family, n), path)
+        assert _file_digest(path) == MESH_FILE_DIGESTS[family, n], n
+        # generate writes from the copy tree (Koch 6 lies above its template)
+        argv = ["generate", "--family", family, "--level", str(n), "--out", str(path)]
+        assert cli.main(argv) == 0
         assert _file_digest(path) == MESH_FILE_DIGESTS[family, n], n
 
 
