@@ -112,23 +112,23 @@ def _check_out(path: str) -> None:
 
 def _cmd_generate(args) -> int:
     from . import meshfile
-    from .geometry import (_element_blocks, _vertex_blocks, builtin_system, check_level,
-                           predicted_vertices)
+    from .geometry import (_element_blocks, _template_level, _vertex_blocks, build_level,
+                           builtin_system, check_level, predicted_vertices)
 
     family, level = args.family, args.level
     check_level(family, level)
     _check_out(args.out)
     # the rows come from the copy tree, with no level above the template
-    # that the coordinate blocks map: m**level copies of the seed's elements
-    system = builtin_system(family)
-    seed, copies = system.seed, len(system.maps) ** level
-    nv, ne, nc = (predicted_vertices(family, level), copies * seed.num_edges,
-                  copies * seed.num_cells)
-    bidx = seed.boundary_indices
-    meshfile._write_mesh(family, level, seed.dimension, args.out,
-                         (nv, _vertex_blocks(family, level)),
-                         (ne, _element_blocks(family, level, 2)),
-                         (nc, _element_blocks(family, level, 3)),
+    # that they map: m**(level - t) copies of the level-t template's elements
+    template = build_level(family, _template_level(family, level))
+    copies = len(builtin_system(family).maps) ** (level - template.level)
+    nv, ne, nc = (predicted_vertices(family, level), copies * template.num_edges,
+                  copies * template.num_cells)
+    bidx = template.boundary_indices
+    meshfile._write_mesh(family, level, template.dimension, args.out,
+                         (nv, _vertex_blocks(template, level)),
+                         (ne, _element_blocks(template, level, 2)),
+                         (nc, _element_blocks(template, level, 3)),
                          (len(bidx), meshfile._row_blocks(bidx)))
     print(f"{family} level {level}: {nv} vertices, {ne} edges, {nc} cells -> {args.out}")
     return EXIT_OK
@@ -198,14 +198,14 @@ def _cmd_solve(args) -> int:
     # an rhs that names no coordinate has its seed value everywhere
     g = [np.full(predicted_vertices(args.family, args.level), at_seed[0])]
     if not rhs._constant():
-        for b, rows in _vertex_blocks(args.family, args.level):
+        for b, rows in _vertex_blocks(template, args.level):
             g[0][b] = rhs.evaluate(rows)
     h = {int(i): v for i, v in zip(seed.boundary_indices, bc_values)}
     if args.constant is None:
         print(f"estimated constant {constant:.6g} from level pair {pair}")
     solution = solve_online(args.family, args.level, args.method, constant, g.pop(), h)
     meshfile._write_solution(args.family, template.dimension,
-                             _vertex_blocks(args.family, args.level), solution, args.out,
+                             _vertex_blocks(template, args.level), solution, args.out,
                              extra=extra)
     umin, umax = float(solution.values.min()), float(solution.values.max())
     print(

@@ -3,18 +3,19 @@
 A family is described by an :class:`IFSystem`: a list of affine contraction
 maps and its seed, the level-0 :class:`LevelMesh` they refine.  ``iterate``
 applies the union of the maps ``n`` times to the seed, merging coincident
-vertices, and returns a :class:`LevelMesh`; ``build_level`` glues the same
-meshes from a built-in family's gluing table, with no search.  Vertex
+vertices, and returns a :class:`LevelMesh`; ``build_level`` makes the same
+meshes by walking a built-in family's copy tree, with no search.  Vertex
 ordering is part of the contract: boundary vertices come first (in seed
 order), interior vertices follow in discovery order, and repeated runs
 produce identical meshes.
 
-A built level's vertex order is a walk of its copy tree, so what a solve
-or a mesh document reads of a level comes from the tree with no level
-built: the copies of each depth and the copy table a block at a time
-(``_depth_walk``), the edge and cell rows from the copy table
-(``_element_blocks``), and the coordinates a block at a time from a small
-template level (``_vertex_blocks``).
+A built level's vertex order is a walk of its copy tree, and one walk
+makes every level: the copies of each depth and the copy table a block at
+a time (``_depth_walk``), the edge and cell rows from the copy table
+(``_element_blocks``), and the coordinates a block at a time from a
+template level (``_vertex_blocks``).  ``build_level`` fills level n from
+these with level n - 1 as the template; a solve or a mesh document reads
+them with a small template and builds no level above it.
 """
 
 from __future__ import annotations
@@ -36,16 +37,17 @@ from .errors import GeometryError, UsageError
 # genuinely coincident points land many orders of magnitude below that.
 RELATIVE_TOLERANCE = 1e-9
 
-# The most vertices ``build_level`` builds: building Sierpinski 12 and 13
-# peaks at about 54 B per vertex above the interpreter (numpy 2.4), the
+# The most vertices ``build_level`` builds: a cold Sierpinski 13 and 14
+# peak at 54.6 and 53.7 B per vertex above the imports (numpy 2.4), the
 # level beside the one below it, so 2**23 vertices peak near 0.42 GiB.
 MAX_VERTICES = 2**23
 
 # Index arrays are int32: every index lies below this.
 _INDEX_END = 2**31
 
-# Rows per block of a glue's products and gathers, of the mesh checks and of
-# the close-pair scan: none forms a whole-mesh index or mask temporary.
+# Rows per block of the copy-tree walk's products and copies, of the mesh
+# checks and of the close-pair scan: none forms a whole-mesh index or mask
+# temporary.
 _SCAN_ROWS = 4096
 
 
@@ -534,7 +536,7 @@ def _dedup(candidates, tol):
 
 def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
     """The next level of ``mesh``, found geometrically: ``iterate``'s step,
-    and ``_structure``'s for level 1 (``build_level`` glues, ``_glue``).
+    and ``_structure``'s for level 1, whose copy tree ``build_level`` walks.
 
     The candidates, the seed's boundary vertices and then the image of
     ``mesh.vertices`` under each map, are merged at the least singular value
@@ -559,74 +561,29 @@ def _refine(ifs: IFSystem, mesh: LevelMesh) -> LevelMesh:
                      assign[offsets + mesh.cells].reshape(-1, 3), np.arange(nb))
 
 
-def _map_rows(m: AffineMap, rows: np.ndarray) -> np.ndarray:
-    """``rows @ m.linear.T + m.translation`` for ``_glue`` and
-    ``_vertex_blocks``, the translation added a column at a time: the sums
-    of ``+= translation``, whose inner loop is only d long, in a third of
-    its time (7 against 23 us on 3,282 rows, 2-core Linux VM, numpy 2.4)."""
-    out = rows @ m.linear.T
-    for col, shift in zip(out.T, m.translation.tolist()):
-        col += shift
-    return out
-
-
-def _glue(mesh: LevelMesh) -> LevelMesh:
-    """The next level of the built level ``mesh``: ``m`` copies of it joined
-    by its family's gluing table ``glue`` (``_structure``), with no search.
-
-    Copy ``i``'s vertex ``v < nb`` is level-1 vertex ``g = glue[i, v]``, and
-    its other vertices are new; ``_layout`` places both in ``_refine``'s
-    first-occurrence order.  Copies are written last to first, so a shared
-    vertex keeps its first copy's bits (a built-in seed's boundary points
-    map onto themselves exactly).  Every product and gather is of one
-    ``_blocks`` block.
-
-    The new level skips ``LevelMesh``'s checks, which hold by induction.
-    ``_structure`` admits only a seed that is one cell or edge listing all
-    its vertices, so two copies sharing two vertices would give the checked
-    level-1 ``_refine`` a duplicate edge: two glue rows share one entry at
-    most.  Each copy is placed injectively, its interior at fresh indices
-    below the new count and its V0 at its glue row's distinct entries, so no
-    self-loop, repeated cell vertex, duplicate edge, cell side that is not
-    an edge or index out of range appears at any level."""
-    seed, glue, _ = _structure(mesh.family)
-    maps, (m, nb) = builtin_system(mesh.family).maps, glue.shape
-    inner = mesh.num_vertices - nb
-    place, offsets = _layout(mesh.family, mesh.level + 1)
-    heads = place[glue]
-
-    def placed(i, rows):  # where copy i's vertices ``rows`` go
-        out = rows + offsets[i]
-        low = rows < nb
-        out[low] = heads[i, rows[low]]
-        return out
-
-    verts = np.empty((place.size + m * inner, seed.dimension))
-    edges, cells = (np.empty((m, *rows.shape), np.int32) for rows in (mesh.edges, mesh.cells))
-    for i in reversed(range(m)):
-        for b in _blocks(mesh.num_vertices):
-            verts[placed(i, np.arange(b.start, b.stop))] = _map_rows(maps[i], mesh.vertices[b])
-        for rows, out in ((mesh.edges, edges), (mesh.cells, cells)):
-            for b in _blocks(len(rows)):
-                out[i, b] = placed(i, rows[b])
-    glued = object.__new__(LevelMesh)  # no checks: see the induction above
-    vars(glued).update(family=seed.family, level=mesh.level + 1, vertices=_frozen(verts, float),
-                       edges=_frozen(edges, np.int32).reshape(-1, 2),
-                       cells=_frozen(cells, np.int32).reshape(-1, 3),
-                       boundary_indices=seed.boundary_indices)
-    return glued
+def _map_rows(maps, rows: np.ndarray, word) -> np.ndarray:
+    """``rows`` under the maps of ``word``, innermost (last) first, each
+    ``rows @ linear.T + translation`` with the translation added a column at
+    a time: the sums of ``+= translation``, whose inner loop is only d long,
+    in a third of its time (7 against 23 us on 3,282 rows, 2-core Linux VM,
+    numpy 2.4).  ``_vertex_blocks`` maps every coordinate of a built level."""
+    for i in reversed(word):
+        rows = rows @ maps[i].linear.T
+        for col, shift in zip(rows.T, maps[i].translation.tolist()):
+            col += shift
+    return rows
 
 
 def _built(mesh: LevelMesh) -> LevelMesh | None:
     """``build_level(mesh.family, mesh.level)`` when ``mesh`` is laid out as
     that level, else ``None``: the one rule for "is this mesh a built level?".
 
-    The seed, and a level in the level store (glued by ``_glue``), pass as
-    they are.  Any other mesh needs a built-in family, a level
+    The seed, and a level in the level store (made by ``build_level``), pass
+    as they are.  Any other mesh needs a built-in family, a level
     ``build_level`` admits and the predicted vertex count, checked before
     anything is built, and then the built level's edges, cells and boundary
     indices (coordinates are not part of the layout).  A level no one holds
-    is glued (``build_level``) for the comparison alone, and is not kept."""
+    is built for the comparison alone, and is not kept."""
     family, level = mesh.family, mesh.level
     if family not in FAMILIES:
         return None
@@ -650,11 +607,10 @@ def _copy_table(mesh: LevelMesh) -> np.ndarray:
     ``build_level(mesh.family, mesh.level)`` (``_built``): the rows that are
     its copies (``_element_rows``); any other mesh raises ``GeometryError``.
 
-    ``_glue`` stacks the copies of the coarser edge and cell lists
-    map-major, so the cells (edges) of level n are the ``m**n`` images of the
-    seed's cells (edges), one block per word of maps in lexicographic order,
-    and each image is a row of the table (``_structure`` refuses any other
-    seed)."""
+    The copy tree lays out a level's cells (edges) as the ``m**n`` images
+    of the seed's cells (edges), one block per word of maps in
+    lexicographic order (``_element_blocks``), and each image is a row of
+    the table (``_structure`` refuses any other seed)."""
     if _built(mesh) is None:
         raise GeometryError("a copy table needs the vertex count, boundary, edges or cells "
                             "of a level as build_level builds it")
@@ -693,7 +649,8 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
     grow)``, its level-0 mesh, its gluing table ``(child, seed vertex) ->
     level-1 vertex`` and ``1/r``, the reciprocal of the one similarity ratio
     of its maps (3, or 2 for Sierpinski).  Read off the seed's one geometric
-    refine (``_refine``); ``build_level`` glues every level by it (``_glue``).
+    refine (``_refine``); every level's copy tree is walked by it
+    (``_depth_walk``).
     A seed that is not one cell, or else one edge, listing all its vertices
     in order, all of them boundary vertices, has no copy table
     (``_copy_table``) and raises ``GeometryError``."""
@@ -709,12 +666,13 @@ def _structure(family: str) -> tuple[LevelMesh, np.ndarray, float]:
 
 @functools.lru_cache(maxsize=None)
 def _layout(family: str, level: int):
-    """``(place, offsets)``, immutable and made once per process: ``_glue``
-    puts level-1 vertex ``g`` of level ``level >= 1`` of ``family`` at
+    """``(place, offsets)``, immutable and made once per process: level
+    ``level >= 1`` of ``family`` has its level-1 vertex ``g`` at
     ``place[g]`` and copy ``i``'s vertex ``v >= nb`` at ``v + offsets[i]``,
-    each copy (a level ``level - 1``) having ``inner`` vertices past V0.  A new level-1 vertex
-    follows the interiors of the copies before the first that names it, and
-    copy ``i``'s interior the new level-1 vertices that copies 0..i name."""
+    each copy (a level ``level - 1``) having ``inner`` vertices past V0.  A
+    new level-1 vertex follows the interiors of the copies before the first
+    that names it, and copy ``i``'s interior the new level-1 vertices that
+    copies 0..i name."""
     glue = _structure(family)[1]
     nb = glue.shape[1]
     inner = predicted_vertices(family, level - 1) - nb
@@ -783,34 +741,62 @@ def _leaf_rows(family: str, level: int):
     return (v0 for _, v0, _ in _depth_walk(family, level, level))
 
 
-def _element_blocks(family: str, level: int, p: int):
+def _element_blocks(template: LevelMesh, level: int, p: int):
     """The rows of ``p``-vertex elements (``_element_rows``) of
-    ``build_level(family, level)``, bit for bit, with no level built: the
-    seed's rows under each leaf (``_copy_table``), a block of leaves at a
-    time (``_depth_walk``), yielded as ``(b, rows)`` in the blocks of
-    ``_blocks``; whole leaf blocks, k rows per leaf, slowed a fresh
-    ``generate`` (13 ms of 112 at Sierpinski 10 on a 2-core Linux VM)."""
-    seed_rows = _element_rows(_structure(family)[0], p)
-    k = len(seed_rows)
-    for s, v0, _ in _depth_walk(family, level, level) if k else ():
-        rows, lo = v0[:, seed_rows].reshape(-1, p), s.start * k
-        for b in _blocks(len(rows)):
-            yield slice(lo + b.start, lo + b.stop), rows[b]
+    ``build_level(template.family, level)``, bit for bit, as ``(b, rows)``:
+    the built level ``template``'s rows under each of its copies in
+    ``level`` (``_depth_walk``), with no level above it built.  A copy has
+    template vertex ``v`` at its seed vertex ``v0[v]`` for ``v < nb`` and at
+    ``first + v`` past them (``_layout``).  The seed's rows go under a block
+    of leaves at a time (``_copy_table``), a larger template's under one
+    copy at a time in the blocks of ``_blocks``, so that making a level
+    holds one block of its template's rows beside it."""
+    rows, nb = _element_rows(template, p), template.boundary_indices.size
+    k = len(rows)
+    for s, v0, first in _depth_walk(template.family, level, level - template.level) if k else ():
+        if not template.level:
+            out, lo = v0[:, rows].reshape(-1, p), s.start * k
+            for b in _blocks(len(out)):
+                yield slice(lo + b.start, lo + b.stop), out[b]
+            continue
+        for w, start in enumerate(first.tolist()):
+            for b in _blocks(k):
+                out, low = np.add(rows[b], start), rows[b] < nb
+                out[low] = v0[w, rows[b][low]]
+                yield slice((s.start + w) * k + b.start, (s.start + w) * k + b.stop), out
 
 
 def _template_level(family: str, level: int) -> int:
-    """The level that ``_vertex_blocks`` maps: the largest up to ``level``
-    with at most ``_SCAN_ROWS`` vertices, or the seed's."""
+    """The template that ``generate`` and ``solve`` hand ``_vertex_blocks``:
+    the largest level up to ``level`` with at most ``_SCAN_ROWS`` vertices,
+    or the seed's."""
     t = 0
     while t < level and predicted_vertices(family, t + 1) <= _SCAN_ROWS:
         t += 1
     return t
 
 
-def _vertex_blocks(family: str, level: int):
-    """The vertices of ``build_level(family, level)``, bit for bit, in the
-    blocks ``b`` of ``_blocks``: ``(b, rows)``, with no level above the
-    template (``_template_level``) built.
+def _pieces(maps, tables, news, template: LevelMesh, n: int, word):
+    """The interior of the copy of level ``n`` at ``word`` (``_vertex_blocks``)
+    in pieces, down to the template's level.  It takes what it reads: a
+    nested generator naming itself is a reference cycle, which would hold
+    the template until the cyclic collector ran (``cli.run`` turns it off)."""
+    nb = template.boundary_indices.size
+    if n == template.level:  # a block at a time: no template-sized temporary
+        for b in _blocks(template.num_vertices):
+            yield _map_rows(maps, template.vertices[b], word)[max(nb - b.start, 0):]
+        return
+    v1 = _map_rows(maps, tables[n], word)
+    for i in range(len(maps)):
+        yield v1[news[i]]
+        yield from _pieces(maps, tables, news, template, n - 1, [*word, i])
+
+
+def _vertex_blocks(template: LevelMesh, level: int, out=None):
+    """The vertices of ``build_level(template.family, level)``, bit for bit,
+    as ``(b, rows)`` in the blocks of ``_blocks``, each a new array or, with
+    ``out``, ``out[b]``: made from the built level ``template`` at or below
+    ``level``, with no level above it built.
 
     A level's vertex order is a pre-order walk of its copy tree (``_layout``):
     its boundary, then for each copy ``i`` the new level-1 vertices that ``i``
@@ -818,55 +804,38 @@ def _vertex_blocks(family: str, level: int):
     The copies at the template's level are the template's interior under
     the maps of their word; every other vertex is a level-1 vertex of some
     copy, whose bits are those of the first child naming it in that copy's
-    own level (written last to first, as ``_glue`` writes them).  Every row
-    is mapped as ``_glue`` maps it (``_map_rows``), innermost map first, and
-    never as a one-row product: the level-1 vertices of a copy are mapped
-    all together, and the template with its boundary."""
-    seed, glue, _ = _structure(family)
+    own level (written last to first).  Every row is mapped by
+    ``_map_rows``, innermost map first, and never as a one-row product: the
+    level-1 vertices of a copy are mapped all together, and the template
+    with its boundary, in the blocks of ``_blocks``."""
+    family, t, glue = template.family, template.level, _structure(template.family)[1]
     maps, (m, nb) = builtin_system(family).maps, glue.shape
-    t = _template_level(family, level)
-    template = build_level(family, t).vertices
     child = np.unique(glue, return_index=True)[1] // nb  # the first child naming each vertex
     news = [np.flatnonzero(child[nb:] == i) + nb for i in range(m)]
-
-    def mapped(rows, word):  # the maps of ``word``, innermost (last) first
-        for i in reversed(word):
-            rows = _map_rows(maps[i], rows)
-        return rows
-
-    tables, corners = {}, template[:nb]
+    tables, corners = {}, template.vertices[:nb]
     for n in range(t + 1, level + 1):  # level n's level-1 vertices, in its own frame
-        tables[n] = np.empty((glue.max() + 1, seed.dimension))
+        tables[n] = np.empty((glue.max() + 1, template.dimension))
         for i in reversed(range(m)):
-            tables[n][glue[i]] = mapped(corners, [i])
+            tables[n][glue[i]] = _map_rows(maps, corners, [i])
         corners = tables[n][:nb]
-
-    def pieces(n, word):  # the interior of the copy of level n at ``word``
-        v1 = mapped(tables[n], word)
-        for i in range(m):
-            yield v1[news[i]]
-            if n - 1 > t:
-                yield from pieces(n - 1, [*word, i])
-            else:
-                yield mapped(template, [*word, i])[nb:]
-
-    source = itertools.chain([corners], pieces(level, [])) if level > t else iter([template])
+    source = itertools.chain([corners], _pieces(maps, tables, news, template, level, []))
     rows, at = next(source), 0
     for b in _blocks(predicted_vertices(family, level)):
-        out, filled = np.empty((b.stop - b.start, seed.dimension)), 0
-        while filled < len(out):
+        dst = np.empty((b.stop - b.start, template.dimension)) if out is None else out[b]
+        filled = 0
+        while filled < len(dst):
             if at == len(rows):
                 rows, at = next(source), 0
-            k = min(len(out) - filled, len(rows) - at)
-            out[filled:filled + k] = rows[at:at + k]
+            k = min(len(dst) - filled, len(rows) - at)
+            dst[filled:filled + k] = rows[at:at + k]
             filled, at = filled + k, at + k
-        yield b, out
+        yield b, dst
 
 
 def predicted_vertices(family: str, level: int) -> int:
     """The vertex count of ``build_level(family, level)``, in Python ints.
 
-    A level is m copies of the one below glued at c = m V_0 - V_1 vertices,
+    A level is m copies of the one below joined at c = m V_0 - V_1 vertices,
     so V_{n+1} = m V_n - c, solved from the structure (``_structure``): m
     children in the gluing table, V_0 seed vertices and V_1 level-1 vertices.
     A level that is not a nonnegative integer raises ``UsageError``.
@@ -909,21 +878,49 @@ def build_level(family: str, level: int) -> LevelMesh:
     immutable.
 
     A level that something still references is returned as it is.  Any
-    other is glued (``_glue``, no search) from the finest such level below
-    it, or from the seed, and each level glued on the way is let go of once
-    the next one is gathered; the process keeps no level that its callers
-    do not hold.  An oversized level is refused by ``check_level`` on every
-    call.
+    other is made from the finest such level below it, or from the seed,
+    one level at a time and with no search: level n's vertices come from
+    the walk of its copy tree with level n - 1 as the template
+    (``_vertex_blocks``), and its edges and cells are level n - 1's placed
+    in each of its copies (``_element_blocks``).  Each level made on the way
+    is let go of once the next one is filled; the process keeps no level
+    that its callers do not hold.  An oversized level is refused by
+    ``check_level`` on every call.
+
+    A level made here skips ``LevelMesh``'s checks, which hold by
+    induction.  ``_structure`` admits only a seed that is one cell or edge
+    listing all its vertices, so two copies sharing two vertices would give
+    the checked level-1 ``_refine`` a duplicate edge: two rows of the
+    gluing table share one entry at most.  Each copy is placed injectively,
+    its interior at fresh indices below the new count and its V0 at its
+    gluing row's distinct entries (``_layout``), so no self-loop, repeated
+    cell vertex, duplicate edge, cell side that is not an edge or index out
+    of range appears at any level.
     """
     check_level(family, level)
     level = operator.index(level)  # a numpy level finds the int-keyed level
     below = level
     while below and (family, below) not in _LEVELS:
         below -= 1
-    mesh = _LEVELS.get((family, below), builtin_system(family).seed)
+    ifs = builtin_system(family)
+    seed, m = ifs.seed, len(ifs.maps)
+    mesh = _LEVELS.get((family, below), seed)
     while mesh.level < level:
-        mesh = _glue(mesh)
-        _LEVELS[family, mesh.level] = mesh
+        n = mesh.level + 1
+        verts = np.empty((predicted_vertices(family, n), seed.dimension))
+        for _ in _vertex_blocks(mesh, n, verts):
+            pass
+        elements = {}
+        for p in (2, 3):  # each made once the one before is filled
+            rows = elements[p] = np.empty((m * len(_element_rows(mesh, p)), p), np.int32)
+            for b, block in _element_blocks(mesh, n, p):
+                rows[b] = block
+        made = object.__new__(LevelMesh)  # no checks: see the induction above
+        vars(made).update(family=seed.family, level=n, vertices=_frozen(verts, float),
+                          edges=_frozen(elements[2], np.int32),
+                          cells=_frozen(elements[3], np.int32),
+                          boundary_indices=seed.boundary_indices)
+        mesh = _LEVELS[family, n] = made
     return mesh
 
 

@@ -149,8 +149,8 @@ def _level_forms(family: str, level: int, formulation: str):
     the length of every edge of the level, ``L0`` the longest seed edge's
     and ``1/r`` the ``grow`` of ``geometry._structure``.  Every seed edge
     has the length ``L0`` and every side of a seed cell is a seed edge, and
-    a level's cells are copies of the seed cell (``geometry._glue``), so
-    every cell of a level is the seed cell scaled by ``r**n``: its linear
+    a level's cells are the seed cell's copies (``geometry._element_blocks``),
+    so every cell of a level is the seed cell scaled by ``r**n``: its linear
     stiffness, which depends only on the angles, is the seed cell's, and
     its area is the seed cell's over ``(c L0)**2``."""
     seed, glue, grow = _structure(family)
@@ -247,11 +247,11 @@ def _level_load(family: str, level: int, formulation: str, g: np.ndarray) -> np.
     (``geometry._element_blocks``)."""
     if formulation == "fd":
         return g
-    mass = _level_forms(family, level, formulation)[1]
+    seed, mass = _structure(family)[0], _level_forms(family, level, formulation)[1]
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (predicted_vertices(family, level),):
         raise UsageError("nodal data length does not match the mesh")
-    load = _apply_elements((block for _, block in _element_blocks(family, level, len(mass))),
+    load = _apply_elements((block for _, block in _element_blocks(seed, level, len(mass))),
                            mass, g)
     if formulation == "fem_edge":
         load *= 0.5  # as in _load

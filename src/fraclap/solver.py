@@ -272,7 +272,7 @@ class _Condensation:
     def norm(self) -> float:
         """``|A_II|_inf``, exact for any symmetric leaf block, read off the
         structure (``_vertex_kinds``): the leaves of a built level share no
-        pair of vertices (``geometry._glue``), so no two leaf blocks add into
+        pair of vertices (``geometry.build_level``), so no two leaf blocks add into
         one off-diagonal entry, and a row is the sum of its leaves' rows.
         The rows of the kinds are summed as a pass over the whole level sums
         them: the diagonal, then its magnitude, then the off-diagonal

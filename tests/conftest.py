@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import weakref
 
@@ -15,9 +16,13 @@ hypothesis.settings.load_profile("fraclap")
 class _Traced:
     """Traces the allocations of a ``with`` block (tracemalloc): ``start``
     holds the traced bytes on entry, and ``held`` and ``peak`` those on exit
-    and at the peak."""
+    and at the peak.  The cyclic collector is off inside the block, as
+    ``cli.run`` runs a command, so ``held`` and ``peak`` count what a
+    reference cycle keeps whenever the collector would have run."""
 
     def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
         tracemalloc.start()
         self.start = tracemalloc.get_traced_memory()[0]
         return self
@@ -25,6 +30,8 @@ class _Traced:
     def __exit__(self, *exc):
         self.held, self.peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        if self.collecting:
+            gc.enable()
 
 
 @pytest.fixture
@@ -34,37 +41,37 @@ def traced():
 
 @pytest.fixture
 def refines(monkeypatch):
-    """The ``(family, level)`` of every level ``geometry._glue`` makes, the
-    one step by which ``build_level`` makes each level, from here on, in
-    order, with no level built beforehand: the level store starts empty,
-    and each family's structure, which refines its seed geometrically once
-    per process, is made first."""
+    """The ``(family, level)`` of every level ``geometry.build_level`` makes,
+    one level at a time from the one below, from here on, in order, with no
+    level built beforehand: the level store starts empty and records each
+    level put in it, and each family's structure, which refines its seed
+    geometrically once per process, is made first."""
     for family in FAMILIES:
         geometry._structure(family)
-    monkeypatch.setattr(geometry, "_LEVELS", weakref.WeakValueDictionary())
-    made, glue = [], geometry._glue
+    made = []
 
-    def counted(coarse):
-        mesh = glue(coarse)
-        made.append((mesh.family, mesh.level))
-        return mesh
+    class Store(weakref.WeakValueDictionary):
+        def __setitem__(self, key, mesh):
+            made.append(key)
+            super().__setitem__(key, mesh)
 
-    monkeypatch.setattr(geometry, "_glue", counted)
+    monkeypatch.setattr(geometry, "_LEVELS", Store())
     return made
 
 
 def _refused(*args):
-    raise AssertionError("a level was built, glued, searched for, embedded or solved")
+    raise AssertionError("a level was built, walked, searched for, embedded or solved")
 
 
 @pytest.fixture
 def builds_nothing(monkeypatch):
-    """From here on every way to a level raises: ``build_level``, the glue,
-    the geometric refine and its dedup, and with them ``embed`` and the
-    condensed solve that ``renorm`` calls.  Each family's structure, which
-    refines its seed geometrically once per process, is made first."""
+    """From here on every way to a level raises: ``build_level``, the
+    coordinates of the copy-tree walk (``_vertex_blocks``), the geometric
+    refine and its dedup, and with them ``embed`` and the condensed solve
+    that ``renorm`` calls.  Each family's structure, which refines its seed
+    geometrically once per process, is made first."""
     for family in FAMILIES:
         geometry._structure(family)
-    for name in ("build_level", "_glue", "_refine", "_dedup", "embed"):
+    for name in ("build_level", "_vertex_blocks", "_refine", "_dedup", "embed"):
         monkeypatch.setattr(geometry, name, _refused)
     monkeypatch.setattr(renorm, "_solve_level", _refused)

@@ -189,7 +189,7 @@ def test_renorm_sierpinski_12_to_14_peak(tmp_path):
 # Each child's peak is in the report of ``pytest -m deep -rP``, and its
 # bytes per predicted vertex stay under a bound: 39.5, 45.7, 49.9 and
 # 53.0 B in each of three runs with no level built (the coordinates and
-# the copy table come from the copy tree), where the solve that glued and
+# the copy table come from the copy tree), where the solve that built and
 # held its level took 79.9, 64.4, 73.9 and 84.8 B (2-core Linux VM,
 # Python 3.11, numpy 2.4); each bound is the figure plus about 8%.
 @pytest.mark.deep
@@ -615,8 +615,8 @@ def _each_family_commands(family):
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 def test_commands_refine_each_level_once(tmp_path, refines, family):
     # the level a command reads comes from one chain of refines, whatever
-    # the estimate's pair: the estimates build no level, so renorm glues
-    # nothing, and solve glues its template once for the load and the file
+    # the estimate's pair: the estimates build no level, so renorm makes
+    # none, and solve makes its template once for the load and the file
     for argv, top in _each_family_commands(family):
         del refines[:]
         extra = [_bc(family)] if argv[0] == "solve" else []
@@ -632,7 +632,7 @@ def _searched(*args):
 @pytest.mark.parametrize("family", geometry.FAMILIES)
 def test_no_command_searches_for_a_vertex(tmp_path, monkeypatch, refines, family):
     # past each family's structure, made first (``refines``), every level a
-    # command reads is glued from the gluing table: nothing refines
+    # command reads is walked from the gluing table: nothing refines
     # geometrically, merges close vertices or scans for them
     for name in ("_refine", "_dedup", "_close_pairs"):
         monkeypatch.setattr(geometry, name, _searched)
@@ -679,29 +679,22 @@ def _refused(*args):
 
 
 @pytest.mark.parametrize("family", geometry.FAMILIES)
-def test_solve_builds_no_level_above_its_template(tmp_path, monkeypatch, family):
+def test_solve_builds_no_level_above_its_template(tmp_path, monkeypatch, refines, family):
     # two levels above the template: the load, the leaves and the file rows
     # come from the copy tree, and the file has the bytes of the solve on
     # the built level
     from fraclap.expressions import compile_expression
     from fraclap.meshfile import write_solution
 
-    for name in geometry.FAMILIES:
-        geometry._structure(name)
     level = geometry._template_level(family, geometry._largest_level(family)) + 2
     top = geometry._template_level(family, level)
-    build, glue = geometry.build_level, geometry._glue
+    build = geometry.build_level
 
     def capped_build(name, n):
         assert n <= top, n
         return build(name, n)
 
-    def capped_glue(mesh):
-        assert mesh.level < top, mesh.level
-        return glue(mesh)
-
     monkeypatch.setattr(geometry, "build_level", capped_build)
-    monkeypatch.setattr(geometry, "_glue", capped_glue)
     for name in ("_refine", "_dedup", "embed"):
         monkeypatch.setattr(geometry, name, _refused)
     seed = build_level(family, 0)
@@ -711,6 +704,7 @@ def test_solve_builds_no_level_above_its_template(tmp_path, monkeypatch, family)
         argv = ["solve", "--family", family, "--level", str(level), "--method", method,
                 "--constant", "3", "--rhs", rhs, "--bc=" + ",".join(map(str, bc))]
         assert cli.main([*argv, "--out", str(tmp_path / f"{method}.csv")]) == 0, method
+    assert refines and all(n <= top for _, n in refines), refines  # no level above it made
     monkeypatch.undo()
     mesh = build_level(family, level)
     g = compile_expression(rhs).evaluate(mesh.vertices)
@@ -724,18 +718,19 @@ def test_solve_builds_no_level_above_its_template(tmp_path, monkeypatch, family)
 @pytest.mark.parametrize("rows", [2, 3, 4096])
 @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
 @pytest.mark.parametrize("family", geometry.FAMILIES)
-def test_generate_builds_no_level_above_its_template(tmp_path, monkeypatch, capsys, family,
-                                                     offset, rows):
-    # about the template: the coordinates, edges and cells come from the
-    # copy tree in blocks of any size, with the bytes and the counts of the
+def test_generate_builds_no_level_above_its_template(tmp_path, monkeypatch, capsys, refines,
+                                                     family, offset, rows):
+    # about the template of blocks of ``rows`` rows (the seed for 2 and 3,
+    # where one below it is the seed as well): the coordinates, edges and
+    # cells come from the copy tree, with the bytes and the counts of the
     # document of the built level
     from unittest import mock
 
     from fraclap.meshfile import write_mesh
 
-    for name in geometry.FAMILIES:
-        geometry._structure(name)
-    level = geometry._template_level(family, geometry._largest_level(family)) + offset
+    with mock.patch.object(geometry, "_SCAN_ROWS", rows):
+        level = max(geometry._template_level(family, geometry._largest_level(family)) + offset,
+                    0)
     mesh = build_level(family, level)
     write_mesh(mesh, tmp_path / "level.json")
     out = tmp_path / "mesh.json"
@@ -743,7 +738,8 @@ def test_generate_builds_no_level_above_its_template(tmp_path, monkeypatch, caps
             f"{mesh.num_cells} cells -> {out}\n")
     del mesh
     capsys.readouterr()
-    build, glue = geometry.build_level, geometry._glue
+    del refines[:]
+    build = geometry.build_level
     with mock.patch.object(geometry, "_SCAN_ROWS", rows):
         top = geometry._template_level(family, level)
 
@@ -751,16 +747,12 @@ def test_generate_builds_no_level_above_its_template(tmp_path, monkeypatch, caps
             assert n <= top, n
             return build(name, n)
 
-        def capped_glue(mesh):
-            assert mesh.level < top, mesh.level
-            return glue(mesh)
-
         monkeypatch.setattr(geometry, "build_level", capped_build)
-        monkeypatch.setattr(geometry, "_glue", capped_glue)
         for name in ("_refine", "_dedup", "embed"):
             monkeypatch.setattr(geometry, name, _refused)
         assert cli.main(["generate", "--family", family, "--level", str(level),
                          "--out", str(out)]) == 0
+    assert all(n <= top for _, n in refines), refines  # no level above the template made
     assert capsys.readouterr().out == line
     assert out.read_bytes() == (tmp_path / "level.json").read_bytes()
 
@@ -777,12 +769,14 @@ def test_a_constant_rhs_makes_the_coordinates_once(tmp_path, monkeypatch, family
 
     calls, blocks = [], geometry._vertex_blocks
 
-    def counted(*args):
-        calls.append(args)
-        return blocks(*args)
+    def counted(template, level, *out):
+        calls.append((template.family, level))
+        return blocks(template, level, *out)
 
-    monkeypatch.setattr(geometry, "_vertex_blocks", counted)
     level = geometry._template_level(family, geometry._largest_level(family)) + 2
+    # the template is held, so build_level makes no level: every call counted is the command's
+    held = build_level(family, geometry._template_level(family, level))
+    monkeypatch.setattr(geometry, "_vertex_blocks", counted)
     bc = [0.5, -0.25, 1.0][:build_level(family, 0).boundary_indices.size]
     extra = {"rhs": rhs, "bc": ",".join(map(str, bc))}
     assert cli.main(["solve", "--family", family, "--level", str(level), "--method", "rfd",

@@ -1,5 +1,6 @@
 """Mesh construction tests: map evaluation, counts, nesting, ordering."""
 
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -447,8 +448,9 @@ def test_a_caller_mesh_keeps_its_own_arrays(how):
 
 def test_copy_table_passes_a_held_level_without_a_build(monkeypatch):
     mesh, seed = build_level("sierpinski", 3), build_level("sierpinski", 0)
-    # an equal mesh is compared with the held level: no glue
-    monkeypatch.setattr(geometry, "_glue", None)  # a glue would raise TypeError
+    # an equal mesh is compared with the held level: no walk
+    for name in ("_vertex_blocks", "_element_blocks"):
+        monkeypatch.setattr(geometry, name, None)  # a walk would raise TypeError
     equal = dataclasses.replace(mesh)
     assert geometry._copy_table(equal) is equal.cells
     assert geometry._LEVELS["sierpinski", 3] is mesh
@@ -555,7 +557,7 @@ def test_a_system_scaled_by_a_power_of_two_gives_the_built_levels_exactly(family
 
 
 def test_meshes_are_immutable():
-    # every array of a glued level and of the seed is read-only, the empty
+    # every array of a built level and of the seed is read-only, the empty
     # cells of a family without cells and the boundary a level shares with
     # the seed too, and none can be made writable again: each is a view of
     # a read-only owner, on which numpy refuses the write flag
@@ -811,9 +813,9 @@ def test_meshes_and_embeddings_are_bit_identical(family):
     ("sierpinski", 8), ("koch", 7), ("hata2d", 6), ("hata3d", 5),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])
 def test_build_level_matches_iterate(family, top, refines):
-    # both in blocks of 7 rows, which cross every seam of the glue's
-    # products and gathers and of the pair scan; the level
-    # store starts empty, so build_level glues each level from the one below
+    # both in blocks of 7 rows, which cross every seam of the walk's
+    # products and copies and of the pair scan; the level store starts
+    # empty, so build_level makes each level from the one below
     ifs = builtin_system(family)
     with mock.patch.object(geometry, "_SCAN_ROWS", 7):
         for n in range(top + 1):
@@ -843,7 +845,8 @@ def test_vertex_blocks_and_leaf_rows_are_the_built_level(family, rows, top):
     for n in range(top + 1):
         mesh = build_level(family, n)
         with mock.patch.object(geometry, "_SCAN_ROWS", rows):
-            blocks = list(geometry._vertex_blocks(family, n))
+            template = build_level(family, geometry._template_level(family, n))
+            blocks = list(geometry._vertex_blocks(template, n))
             assert [b for b, _ in blocks] == list(geometry._blocks(mesh.num_vertices)), n
             leaves = np.concatenate(list(geometry._leaf_rows(family, n)))
         coordinates = np.concatenate([points for _, points in blocks])
@@ -851,12 +854,27 @@ def test_vertex_blocks_and_leaf_rows_are_the_built_level(family, rows, top):
         assert np.array_equal(leaves, geometry._copy_table(mesh)), n
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_vertex_blocks_leave_nothing_behind(family, traced):
+    # with the collector off, as cli.run runs a command, a walk that is
+    # done holds nothing: no reference cycle keeps its template or its
+    # level-1 tables alive (a self-naming nested generator left 9 to 52 KiB
+    # behind each of these walks).  What stays is numpy's own small caches
+    # (under 200 B, numpy 2.4)
+    template = build_level(family, 2)
+    # the layouts are made once per process; each block is dropped as it comes
+    collections.deque(geometry._vertex_blocks(template, 5), maxlen=0)
+    with traced:
+        collections.deque(geometry._vertex_blocks(template, 5), maxlen=0)
+    assert traced.held - traced.start <= 1024, traced.held - traced.start
+
+
 @pytest.mark.parametrize("family, level", [
     ("sierpinski", 10), ("koch", 9), ("hata2d", 8), ("hata3d", 7),
 ], ids=["sierpinski", "koch", "hata2d", "hata3d"])
 def test_glued_levels_pass_the_mesh_checks(family, level):
-    # a glued level skips LevelMesh's checks, whose proof (``_glue``'s
-    # induction) is run here once, above the tops of
+    # a level build_level makes skips LevelMesh's checks, whose proof (its
+    # docstring's induction) is run here once, above the tops of
     # test_build_level_matches_iterate: the same fields, checked, are kept
     mesh = build_level(family, level)
     fields = [getattr(mesh, f.name) for f in dataclasses.fields(LevelMesh)]
@@ -867,8 +885,8 @@ def test_glued_levels_pass_the_mesh_checks(family, level):
 
 
 def test_glued_levels_skip_the_mesh_checks(refines):
-    # with the structure warm and the level store empty, no glued level runs
-    # LevelMesh.__post_init__
+    # with the structure warm and the level store empty, no level that
+    # build_level makes runs LevelMesh.__post_init__
     with mock.patch.object(LevelMesh, "__post_init__", autospec=True,
                            side_effect=LevelMesh.__post_init__) as checks:
         for family in FAMILIES:
@@ -883,22 +901,27 @@ def test_glued_levels_skip_the_mesh_checks(refines):
     lambda glue, nb: np.concatenate([np.roll(glue[:1], 1, axis=1), glue[1:]]),
     lambda glue, nb: np.where(glue < nb, glue, nb + (glue + 1 - nb) % (glue.max() + 1 - nb)),
 ], ids=["swapped-rows", "rolled-row", "shifted-by-one"])
-def test_glue_follows_its_gluing_table(monkeypatch, family, mutate):
+def test_glue_follows_its_gluing_table(monkeypatch, request, refines, family, mutate):
     # a gluing table with two copies swapped, one copy's corners rolled, or
     # the numbers of the level-1 vertices past the boundary shifted by one
-    # (cyclically) gives another mesh than the geometric refine
+    # (cyclically) gives another mesh than the geometric refine: build_level
+    # walks the table.  The layouts read off the table are made once per
+    # process, so they are let go of around the mutation
     seed, glue, grow = geometry._structure(family)
     coarse, want = build_level(family, 2), iterate(builtin_system(family), 3)
-    assert geometry._glue(coarse).vertices.tobytes() == want.vertices.tobytes()
+    assert build_level(family, 3).vertices.tobytes() == want.vertices.tobytes()
+    request.addfinalizer(geometry._layout.cache_clear)
+    geometry._layout.cache_clear()
     monkeypatch.setattr(geometry, "_structure",
                         lambda f: (seed, mutate(glue, seed.boundary_indices.size), grow))
-    got = geometry._glue(coarse)
+    got = build_level(family, 3)
+    assert refines == [(family, 1), (family, 2), (family, 3), (family, 3)]
     assert any(getattr(got, name).tobytes() != getattr(want, name).tobytes()
                for name in ("vertices", "edges", "cells"))
 
 
 def test_build_level_refines_the_cached_coarser_level(refines):
-    coarse = build_level("sierpinski", 5)  # held, so level 6 is glued from it
+    coarse = build_level("sierpinski", 5)  # held, so level 6 is made from it
     assert refines == [("sierpinski", n) for n in range(1, 6)]
     build_level("sierpinski", 6)
     assert refines[5:] == [("sierpinski", 6)]
@@ -914,20 +937,21 @@ def test_build_level_returns_a_held_level_as_it_is(refines):
     assert list(geometry._LEVELS) == []
 
 
-# The traced peak of one glue over the new mesh's bytes, at most: numpy
-# 2.4 reads 1.40, 1.34, 1.34, 1.26, 1.04, 1.09 and 1.13, the new mesh and
-# one block of products and gathers (the checks that glued levels skip
-# read 2.03 to 1.34 with their sorted edge keys).  Sierpinski 10 spans many
-# blocks, and a whole-mesh index or coordinate temporary would top them.
+# The traced peak of one level made from the one below over the new mesh's
+# bytes, at most: numpy 2.4 reads 1.26, 1.27, 1.25, 1.12, 1.04, 1.06 and
+# 1.06, the new mesh and one block of products and copies (the checks that
+# built levels skip read 2.03 to 1.34 with their sorted edge keys).
+# Sierpinski 10 spans many blocks, and a whole-mesh index or coordinate
+# temporary would top them.
 @pytest.mark.parametrize("family, level, bound", [
     ("koch", 6, 1.5), ("sierpinski", 7, 1.45), ("hata2d", 5, 1.45), ("hata3d", 5, 1.35),
     ("sierpinski", 10, 1.15), ("koch", 8, 1.2), ("hata3d", 6, 1.25),
 ], ids=["koch-6", "sierpinski-7", "hata2d-5", "hata3d-5", "sierpinski-10", "koch-8", "hata3d-6"])
 def test_build_level_working_set_is_bounded_by_the_new_mesh(family, level, bound, traced,
                                                            refines):
-    # gluing from the held level below holds the new mesh and one block of
-    # work: no whole-mesh index array is gathered
-    below = build_level(family, level - 1)  # held: the glue starts from it
+    # making a level from the held level below holds the new mesh and one
+    # block of work: no whole-mesh index array is gathered
+    below = build_level(family, level - 1)  # held: the walk starts from it
     with traced:
         mesh = build_level(family, level)
     size = mesh.vertices.nbytes + mesh.edges.nbytes + mesh.cells.nbytes

@@ -527,7 +527,7 @@ def test_equal_copies_take_the_level_element(tmp_path, family, how):
 
 
 def test_a_caller_copy_does_not_become_the_kept_level(refines, tmp_path):
-    # the copy is compared with a level glued for the comparison alone: the
+    # the copy is compared with a level built for the comparison alone: the
     # level store stays as it was, holding the one level its caller holds
     write_mesh(build_level("sierpinski", 8), tmp_path / "mesh.json")
     kept = build_level("sierpinski", 2)

@@ -689,7 +689,7 @@ def test_solve_online_working_set_is_bounded_by_the_mesh(family, n, method, boun
     # the copy tree's walk, which weighs most at these small levels.  Each
     # bound is the figure measured (numpy 2.4) plus about a tenth: 48.9,
     # 56.9, 56.9, 42.3, 39.9, 40.5, 48.5, 42.9 and 34.9 B in order, where
-    # the solve that glued and held its level took 82.8, 90.8, 90.8, 64.7,
+    # the solve that built and held its level took 82.8, 90.8, 90.8, 64.7,
     # 63.0, 71.0, 79.0, 80.7 and 72.7
     nb = build_level(family, 0).boundary_indices.size
     small = predicted_vertices(family, 2)
